@@ -8,6 +8,8 @@ Entries are variables x_k indexed by group element; the table variants are
     block2n   (2n)^2  over the doubled list g_0..g_{n-1}, g_0..g_{n-1}
     toeplitz  l x l   entry x_((j-i) mod n), single-factor cyclic groups only
 
+Permanents and determinants are computed by one dynamic program over column
+subsets; a Leibniz expansion over all permutations is the independent oracle.
 The permanent's monomial support is governed by the zero-sum condition
 (degree-n exponent vectors k with sum k_j * g_j = 0); the determinant
 factors into character linear forms.  Checkers for these facts live here.
@@ -25,14 +27,13 @@ from typing import Sequence
 from .errors import GuardExceeded
 from .groups import Element, FiniteAbelianGroup
 from .molien import ENUM_GUARD, sym_dim, sym_series
-from .numtheory import weak_compositions
 from .polynom import CyclotomicInt, CycPolynomial, IntPolynomial, apply_group_action
 from .report import CheckReport
 
 VARIANTS = ("plain", "hat", "extended", "block2n", "toeplitz")
 
 LEIBNIZ_GUARD = 9
-RYSER_GUARD = 16
+DP_GUARD = 5 * 10**7
 LEHMER_PRIMES = (3, 5, 7)
 
 
@@ -157,62 +158,106 @@ def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     return IntPolynomial(nvars, counts)
 
 
-def _mul_linear(poly: dict[tuple[int, ...], int], counts: Sequence[int]) -> dict[tuple[int, ...], int]:
-    out: dict[tuple[int, ...], int] = {}
-    for exp, c in poly.items():
-        for v, k in enumerate(counts):
-            if k:
-                key = exp[:v] + (exp[v] + 1,) + exp[v + 1 :]
-                out[key] = out.get(key, 0) + c * k
-    return out
+def _column_classes(matrix: CayleyMatrix) -> list[tuple[int, int]]:
+    """Classes of identical columns as (first column, size), in column order."""
+    first: dict[tuple[int, ...], int] = {}
+    sizes: dict[int, int] = {}
+    for j in range(matrix.size):
+        j0 = first.setdefault(tuple(row[j] for row in matrix.grid), j)
+        sizes[j0] = sizes.get(j0, 0) + 1
+    return list(sizes.items())
 
 
-def _per_ryser(matrix: CayleyMatrix) -> IntPolynomial:
-    """Inclusion-exclusion permanent over the polynomial ring.
+def _dp_state_estimate(matrix: CayleyMatrix, classes: Sequence[tuple[int, int]]) -> int:
+    """Upper bound on the (state, monomial) pairs the subset DP holds.
 
-    per(A) = sum over nonempty column sets S of (-1)^(l-|S|) prod_i (row sums),
-    with the column sets walked in Gray-code order so each step updates the
-    per-row variable counts in O(l).
+    Layer k has at most C(l, k) states (exactly that many when all columns
+    differ), each carrying at most the C(k+v-1, v-1) degree-k monomials in the
+    v distinct variables of the table.
+    """
+    states = [1]  # states[k]: ways to take k columns, counted per class
+    for _, m in classes:
+        grown = [0] * (len(states) + m)
+        for k, count in enumerate(states):
+            for t in range(m + 1):
+                grown[k + t] += count
+        states = grown
+    v = len({k for row in matrix.grid for k in row})
+    return sum(s * math.comb(k + v - 1, v - 1) for k, s in enumerate(states))
+
+
+def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
+    """Permanent (or, signed, determinant) by dynamic programming over column subsets.
+
+    Rows are placed in order.  After row i the state maps the set of columns
+    taken so far to the sum of the monomials of those partial placements.
+    Identical columns are interchangeable, so a state only counts the columns
+    taken from each class of identical columns (packed mixed radix; when all
+    columns differ it is the bitmask of the columns taken), the permanent
+    gains the factor prod m_c! at the end, and the determinant is zero.
+    Exponent vectors are packed base l+1 into one int (Kronecker substitution:
+    no exponent exceeds l, so digits never carry), so multiplying by x_k adds
+    (l+1)^k.  Placing row i in column j passes the taken columns to its right,
+    popcount(mask >> (j+1)) inversions, which gives the sign.  This is the
+    subset form of Ryser's inclusion-exclusion (Nijenhuis & Wilf 1978).
     """
     l = matrix.size
-    if l > RYSER_GUARD:
-        raise GuardExceeded("Ryser expansion", l, RYSER_GUARD)
-    rows = matrix.grid
     nvars = matrix.nvars
-    rowcounts = [[0] * nvars for _ in range(l)]
-    in_set = [False] * l
-    set_size = 0
-    acc: dict[tuple[int, ...], int] = {}
-    one = (0,) * nvars
-    for step in range(1, 1 << l):
-        j = (step & -step).bit_length() - 1
-        if in_set[j]:
-            for i in range(l):
-                rowcounts[i][rows[i][j]] -= 1
-            in_set[j] = False
-            set_size -= 1
-        else:
-            for i in range(l):
-                rowcounts[i][rows[i][j]] += 1
-            in_set[j] = True
-            set_size += 1
-        prod: dict[tuple[int, ...], int] = {one: 1}
-        for i in range(l):
-            prod = _mul_linear(prod, rowcounts[i])
-        sgn = -1 if (l - set_size) % 2 else 1
-        for exp, c in prod.items():
-            acc[exp] = acc.get(exp, 0) + sgn * c
-    return IntPolynomial(nvars, acc)
+    classes = _column_classes(matrix)
+    if signed and len(classes) < l:
+        return IntPolynomial.zero(nvars)
+    estimate = _dp_state_estimate(matrix, classes)
+    if estimate > DP_GUARD:
+        raise GuardExceeded("subset DP states", estimate, DP_GUARD)
+    base = l + 1
+    radix = [1]
+    for _, m in classes:
+        radix.append(radix[-1] * (m + 1))
+    layer: dict[int, dict[int, int]] = {0: {0: 1}}
+    for row in matrix.grid:
+        steps = [(c, radix[c], m + 1, base ** row[j]) for c, (j, m) in enumerate(classes)]
+        nxt: dict[int, dict[int, int]] = {}
+        for state, poly in layer.items():
+            for c, r, span, w in steps:
+                if state // r % span == span - 1:  # class used up
+                    continue
+                target = nxt.get(state + r)
+                if target is None:
+                    target = nxt[state + r] = {}
+                get = target.get
+                # signed implies distinct columns: state is a bitmask, c a column
+                if signed and (state >> (c + 1)).bit_count() & 1:
+                    for key, coeff in poly.items():
+                        key += w
+                        target[key] = get(key, 0) - coeff
+                else:
+                    for key, coeff in poly.items():
+                        key += w
+                        target[key] = get(key, 0) + coeff
+        if signed:  # drop cancelled terms before they are carried further
+            nxt = {st: {k: c for k, c in p.items() if c} for st, p in nxt.items()}
+        layer = nxt
+    ways = math.prod(math.factorial(m) for _, m in classes)
+    terms: dict[tuple[int, ...], int] = {}
+    for packed, coeff in layer[radix[-1] - 1].items():
+        exp = []
+        for _ in range(nvars):
+            packed, digit = divmod(packed, base)
+            exp.append(digit)
+        terms[tuple(exp)] = coeff * ways
+    return IntPolynomial(nvars, terms)
 
 
 def permanent(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
-    """Permanent as an integer polynomial; algorithm in {auto, leibniz, ryser}."""
+    """Permanent as an integer polynomial; algorithm in {auto, leibniz}.
+
+    auto is the subset DP; leibniz expands all l! permutations and serves as
+    the independent oracle.
+    """
     if algorithm == "auto":
-        algorithm = "leibniz" if matrix.size <= 8 else "ryser"
+        return _subset_dp(matrix, signed=False)
     if algorithm == "leibniz":
         return _accumulate_leibniz(matrix, signed=False)
-    if algorithm == "ryser":
-        return _per_ryser(matrix)
     raise ValueError(f"unknown permanent algorithm {algorithm!r}")
 
 
@@ -255,14 +300,14 @@ def _det_factored(matrix: CayleyMatrix) -> IntPolynomial:
 def determinant(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
     """Determinant as an integer polynomial; algorithm in {auto, leibniz, factored}.
 
-    Extended and block2n tables have repeated rows/columns, so auto and
-    factored short-circuit them to the zero polynomial; an explicit leibniz
-    run computes the cancellation honestly.
+    auto is the signed subset DP.  Extended and block2n tables have repeated
+    rows/columns, so auto and factored short-circuit them to the zero
+    polynomial; an explicit leibniz run computes the cancellation honestly.
     """
     if algorithm == "auto":
         if matrix.variant in ("extended", "block2n"):
             return IntPolynomial.zero(matrix.nvars)
-        algorithm = "factored" if matrix.variant in ("plain", "hat") else "leibniz"
+        return _subset_dp(matrix, signed=True)
     if algorithm == "leibniz":
         return _accumulate_leibniz(matrix, signed=True)
     if algorithm == "factored":
@@ -276,7 +321,10 @@ def hall_support(group: FiniteAbelianGroup, degree: int) -> set[tuple[int, ...]]
     """Exponent vectors of the given degree whose weighted element sum is zero.
 
     These are exactly the monomials the permanent of the (possibly extended)
-    table can contain.
+    table can contain.  A backward pass records, for each suffix of the
+    elements and each degree, the partial sums that suffix can reach; the
+    forward walk then only enters branches that can still close to zero, so
+    its work is proportional to the output.
     """
     if degree < 0:
         raise ValueError(f"hall_support: need degree >= 0, got {degree}")
@@ -285,15 +333,44 @@ def hall_support(group: FiniteAbelianGroup, degree: int) -> set[tuple[int, ...]]
     if size > ENUM_GUARD:
         raise GuardExceeded("support enumeration", size, ENUM_GUARD)
     els = group.elements()
-    zero = group.zero()
+    add = [[group.index(group.add(a, b)) for b in els] for a in els]
+    neg = [row.index(0) for row in add]
+    multiples = []  # multiples[k][c]: index of c * g_k
+    for k in range(n):
+        mk = [0]
+        for _ in range(degree):
+            mk.append(add[mk[-1]][k])
+        multiples.append(mk)
+    # reach[k][d]: sums of c_k g_k + ... + c_(n-1) g_(n-1) with c_k + ... = d
+    reach = [[set() for _ in range(degree + 1)] for _ in range(n + 1)]
+    reach[n][0].add(0)
+    for k in range(n - 1, -1, -1):
+        for d in range(degree + 1):
+            here = reach[k][d]
+            for c in range(d + 1):
+                shift = add[multiples[k][c]]
+                here.update(shift[t] for t in reach[k + 1][d - c])
+
     out: set[tuple[int, ...]] = set()
-    for comp in weak_compositions(degree, n):
-        acc = zero
-        for idx, k in enumerate(comp):
-            if k:
-                acc = group.add(acc, group.scale(els[idx], k))
-        if acc == zero:
-            out.add(comp)
+    comp = [0] * n
+
+    def walk(k: int, d: int, acc: int) -> None:
+        # entered only when the elements k.. can still bring acc back to zero
+        if k == n - 1:  # so the last count, forced to d, closes the sum
+            comp[k] = d
+            out.add(tuple(comp))
+            return
+        row = add[acc]
+        mk = multiples[k]
+        later = reach[k + 1]
+        for c in range(d + 1):
+            total = row[mk[c]]
+            if neg[total] in later[d - c]:
+                comp[k] = c
+                walk(k + 1, d - c, total)
+
+    if 0 in reach[0][degree]:
+        walk(0, degree, 0)
     return out
 
 
@@ -304,7 +381,7 @@ def permanent_term_count(group: FiniteAbelianGroup) -> int:
 
 def determinant_term_count(group: FiniteAbelianGroup) -> int:
     """Number of distinct monomials in the determinant of the plain table."""
-    return determinant(build_table(group, "plain"), "factored").term_count()
+    return determinant(build_table(group, "plain")).term_count()
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 Subcommands: dim (single dimensions), series (generating series), cayley
 (tables, permanents, determinants, supports, counts), check (consistency
-checkers), oracle (enumeration oracles).  Global flags: --json for
-machine-readable output, --threads as an accepted worker cap (execution is
-serial).  Exit codes: 0 success / checks pass, 1 check failures, 2 usage
-errors, 3 resource guard refusals.
+checkers), oracle (enumeration oracles).  Global flag: --json for
+machine-readable output.  Exit codes: 0 success / checks pass, 1 check
+failures, 2 usage errors, 3 resource guard refusals.
 """
 
 from __future__ import annotations
@@ -42,13 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         "permanents/determinants for finite abelian groups.",
     )
     p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="K",
-        help="worker cap; accepted for interface stability, execution is serial",
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
     dim = sub.add_parser("dim", help="single isotypic dimensions (cyclic groups)")
@@ -71,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     cay.add_argument("--group", required=True)
     cay.add_argument("--variant", choices=list(cayley.VARIANTS), default="plain")
     cay.add_argument("--l", type=int, help="table size (toeplitz only)")
-    cay.add_argument("--alg", choices=["auto", "leibniz", "ryser", "factored"], default="auto")
+    cay.add_argument("--alg", choices=["auto", "leibniz", "factored"], default="auto")
 
     chk = sub.add_parser("check", help="consistency checkers")
     chk.add_argument(
@@ -197,8 +189,6 @@ def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
         _emit(out, args, str(poly), payload)
         return 0
     if args.op == "det":
-        if args.alg == "ryser":
-            raise ValueError("ryser applies to permanents only")
         poly = cayley.determinant(matrix, args.alg)
         payload = {**matrix.to_json_obj(), "operation": "determinant",
                    "terms": poly.to_json_obj()}
@@ -330,9 +320,6 @@ def run(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as ex:
         return int(ex.code) if ex.code else 0
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     handlers = {
         "dim": _cmd_dim,
         "series": _cmd_series,

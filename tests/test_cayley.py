@@ -1,12 +1,16 @@
 """Group multiplication tables, symbolic permanents/determinants, checkers."""
 
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from abelinv import (
+    FiniteAbelianGroup,
     GuardExceeded,
     IntPolynomial,
+    abelian_groups_up_to,
     build_table,
     check_action_identities,
     check_extended_counts,
@@ -23,6 +27,8 @@ from abelinv import (
     sym_dim,
     sym_series,
 )
+from abelinv.cayley import DP_GUARD, VARIANTS, _column_classes, _dp_state_estimate, _subset_dp
+from abelinv.numtheory import weak_compositions
 
 C2 = parse_group("C2")
 C3 = parse_group("C3")
@@ -137,7 +143,7 @@ def test_permanent_algorithms_agree():
     tables += [build_table(C3, "toeplitz", size=l) for l in (3, 4, 5, 6, 7)]
     tables += [build_table(C2, "toeplitz", size=l) for l in (2, 5, 8)]
     for t in tables:
-        assert permanent(t, "leibniz") == permanent(t, "ryser"), (t.group.spec_string, t.variant, t.size)
+        assert permanent(t, "leibniz") == permanent(t), (t.group.spec_string, t.variant, t.size)
 
 
 def test_permanent_hat_equals_plain():
@@ -156,8 +162,6 @@ def test_permanent_invariant_under_relabeling():
 
 
 def test_permanent_coefficient_sum_is_factorial():
-    import math
-
     for g in (C2, C3, C4, V4):
         assert permanent(build_table(g, "plain")).coefficient_sum() == math.factorial(g.order)
 
@@ -166,7 +170,9 @@ def test_permanent_guards_and_algorithm_dispatch():
     big = build_table(parse_group("C2"), "toeplitz", size=10)
     with pytest.raises(GuardExceeded):
         permanent(big, "leibniz")
-    assert permanent(big, "ryser") == permanent(big)  # auto picks ryser above 8
+    assert permanent(big).coefficient_sum() == math.factorial(10)  # auto covers every size
+    with pytest.raises(ValueError):
+        permanent(big, "ryser")
     huge = build_table(parse_group("C17"), "toeplitz")
     with pytest.raises(GuardExceeded):
         permanent(huge)
@@ -174,6 +180,22 @@ def test_permanent_guards_and_algorithm_dispatch():
         permanent(build_table(C2, "plain"), "factored")
     with pytest.raises(ValueError):
         permanent(build_table(C2, "plain"), "newton")
+
+
+def test_subset_dp_guard_bounds_states():
+    # the estimate is sum_k C(l, k) * C(k + v - 1, v - 1) over a square table
+    plain11 = build_table(parse_group("C11"), "plain")
+    assert _dp_state_estimate(plain11, _column_classes(plain11)) == 26572086 <= DP_GUARD
+    plain12 = build_table(parse_group("C12"), "plain")
+    with pytest.raises(GuardExceeded) as info:
+        determinant(plain12)
+    assert (info.value.size, info.value.limit) == (148321344, DP_GUARD)
+    with pytest.raises(GuardExceeded):
+        permanent(plain12)
+    # identical columns share one state per count taken, so long stretches run
+    long_c3 = permanent(build_table(C3, "toeplitz", size=16))
+    assert long_c3.term_count() == sym_dim(3, 16, 0)
+    assert long_c3.coefficient_sum() == math.factorial(16)
 
 
 def test_wide_toeplitz_permanent_support():
@@ -225,6 +247,36 @@ def test_determinant_toeplitz_square_is_hat():
         assert determinant(t, "leibniz") == determinant(build_table(g, "hat"), "leibniz")
 
 
+small_groups = st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(
+    lambda factors: math.prod(factors) <= 6
+)
+
+
+@given(small_groups, st.sampled_from(VARIANTS), st.integers(0, 8))
+@settings(max_examples=30, deadline=None)
+def test_subset_dp_matches_leibniz(factors, variant, stretch):
+    group = FiniteAbelianGroup(tuple(factors))
+    if variant == "toeplitz":
+        n = group.order
+        table = build_table(FiniteAbelianGroup((n,)), variant, size=min(8, max(n, stretch)))
+    else:
+        table = build_table(group, variant)
+    assume(table.size <= 8)
+    label = (factors, variant, table.size)
+    assert permanent(table) == permanent(table, "leibniz"), label
+    det = determinant(table, "leibniz")
+    assert determinant(table) == det, label
+    assert _subset_dp(table, signed=True) == det, label  # the kernel itself, no short-circuit
+
+
+def test_subset_dp_matches_factored_determinant():
+    for spec in ("C8", "C2xC2xC2", "C9", "C3xC3"):
+        g = parse_group(spec)
+        for variant in ("plain", "hat"):
+            t = build_table(g, variant)
+            assert determinant(t) == determinant(t, "factored"), (spec, variant)
+
+
 def test_determinant_algorithm_dispatch():
     with pytest.raises(ValueError):
         determinant(build_table(C2, "plain"), "ryser")
@@ -245,6 +297,31 @@ def test_hall_support_size_matches_invariant_dimension():
         series = sym_series(g, 0, 7)
         for degree in range(8):
             assert len(hall_support(g, degree)) == series.coefficient(degree)
+
+
+def _zero_sum_filter(group, degree):
+    els = group.elements()
+    out = set()
+    for comp in weak_compositions(degree, group.order):
+        acc = group.zero()
+        for a, k in zip(els, comp):
+            acc = group.add(acc, group.scale(a, k))
+        if acc == group.zero():
+            out.add(comp)
+    return out
+
+
+def test_hall_support_matches_brute_force_and_closed_form():
+    for g in abelian_groups_up_to(8):
+        degrees = range(g.order + 2) if g.order <= 6 else (g.order - 1, g.order)
+        for degree in degrees:
+            assert hall_support(g, degree) == _zero_sum_filter(g, degree), (g.spec_string, degree)
+    for spec in ("C6", "C3xC2", "C1xC4"):  # presentations the list above does not use
+        g = parse_group(spec)
+        assert hall_support(g, g.order) == _zero_sum_filter(g, g.order), spec
+    for spec in ("C10", "C12"):
+        g = parse_group(spec)
+        assert len(hall_support(g, g.order)) == sym_series(g, 0, g.order).coefficient(g.order)
 
 
 def test_permanent_support_within_hall_support():

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -117,8 +118,16 @@ def test_cayley_guard_exit_code():
     assert invoke(["cayley", "per", "--group", "C12", "--alg", "leibniz"])[0] == 3
 
 
+def test_cayley_dp_guard_refuses_quickly():
+    for op in ("per", "det"):
+        t0 = time.perf_counter()
+        assert invoke(["cayley", op, "--group", "C12"])[0] == 3, op
+        assert time.perf_counter() - t0 < 1.0, op
+
+
 def test_cayley_algorithm_validation():
     assert invoke(["cayley", "per", "--group", "C3", "--alg", "factored"])[0] == 2
+    assert invoke(["cayley", "per", "--group", "C3", "--alg", "ryser"])[0] == 2
     assert invoke(["cayley", "det", "--group", "C3", "--alg", "ryser"])[0] == 2
     assert invoke(["cayley", "table", "--group", "C2xC3", "--variant", "toeplitz"])[0] == 2
 
@@ -194,9 +203,8 @@ def test_oracle_usage_errors():
 # ---------------------------------------------------------------- global flags, entry points
 
 
-def test_threads_flag_accepted_but_serial():
-    assert ok(["--threads", "4", "dim", "a", "--group", "C3", "--m", "3"]).strip() == "4"
-    assert invoke(["--threads", "0", "dim", "a", "--group", "C3", "--m", "3"])[0] == 2
+def test_threads_flag_rejected():
+    assert invoke(["--threads", "4", "dim", "a", "--group", "C3", "--m", "3"])[0] == 2
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import GuardExceeded
-from .groups import Element, FiniteAbelianGroup
+from .groups import Element, FiniteAbelianGroup, _permutation_sign
 from .molien import ENUM_GUARD, sym_dim, sym_series
 from .polynom import CyclotomicInt, CycPolynomial, IntPolynomial, apply_group_action
 from .report import CheckReport
@@ -34,6 +34,7 @@ VARIANTS = ("plain", "hat", "extended", "block2n", "toeplitz")
 
 LEIBNIZ_GUARD = 9
 DP_GUARD = 5 * 10**7
+FACTORED_GUARD = 3 * 10**5
 LEHMER_PRIMES = (3, 5, 7)
 
 
@@ -81,13 +82,13 @@ def build_table(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     n = group.order
-    els = list(group.elements())
+    listing = list(range(n))
     if element_order is not None:
         if variant == "toeplitz":
             raise ValueError("toeplitz tables have a fixed index layout")
-        if sorted(element_order) != list(range(n)):
+        if sorted(element_order) != listing:
             raise ValueError("element_order must be a permutation of the element indices")
-        els = [els[k] for k in element_order]
+        listing = list(element_order)
 
     if variant == "toeplitz":
         if not group.is_cyclic_presentation:
@@ -104,41 +105,15 @@ def build_table(
 
     if size is not None:
         raise ValueError("size is only meaningful for the toeplitz variant")
-    if variant == "plain":
-        listing = els
-        entry = group.add
-    elif variant == "hat":
-        listing = els
-        entry = group.sub
-    elif variant == "extended":
-        listing = els + [group.zero()]
-        entry = group.add
-    else:  # block2n
-        listing = els + els
-        entry = group.add
-    grid = tuple(
-        tuple(group.index(entry(a, b)) for b in listing) for a in listing
-    )
+    if variant == "extended":
+        listing.append(0)
+    elif variant == "block2n":
+        listing += listing
+    # entry a + b; the hat table's a - b is a plus the column's negative
+    cols = [group.neg_table[b] for b in listing] if variant == "hat" else listing
+    add = group.add_table
+    grid = tuple(tuple(add[a][b] for b in cols) for a in listing)
     return CayleyMatrix(group, variant, grid)
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    """Permutation sign without input validation (hot path)."""
-    n = len(perm)
-    seen = [False] * n
-    sign = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
@@ -153,7 +128,7 @@ def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
         for r in range(l):
             exp[rows[r][perm[r]]] += 1
         key = tuple(exp)
-        delta = _perm_sign(perm) if signed else 1
+        delta = _permutation_sign(perm) if signed else 1
         counts[key] = counts.get(key, 0) + delta
     return IntPolynomial(nvars, counts)
 
@@ -277,12 +252,18 @@ def _det_factored(matrix: CayleyMatrix) -> IntPolynomial:
     det(plain) = sign(inversion permutation) * prod_j v_j with the linear
     forms v_j = sum_i chi_j(g_i) x_i; the hat table is the plain one with
     columns permuted by the inversion, so its determinant is prod_j v_j.
+    The guard counts the coefficient products of the n multiplications: a
+    product of k forms has C(k+n-1, n-1) terms, each met by the n of the next
+    form, which sums to n * C(2n-1, n).
     """
     group = matrix.group
     if matrix.variant not in ("plain", "hat"):
         raise ValueError("factored determinant applies to plain and hat tables only")
     e = group.exponent
     n = group.order
+    estimate = n * math.comb(2 * n - 1, n)
+    if estimate > FACTORED_GUARD:
+        raise GuardExceeded("factored determinant", estimate, FACTORED_GUARD)
     kmat = character_matrix(group)
     prod = CycPolynomial.one(e, n)
     for j in range(n):
@@ -300,13 +281,11 @@ def _det_factored(matrix: CayleyMatrix) -> IntPolynomial:
 def determinant(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
     """Determinant as an integer polynomial; algorithm in {auto, leibniz, factored}.
 
-    auto is the signed subset DP.  Extended and block2n tables have repeated
-    rows/columns, so auto and factored short-circuit them to the zero
-    polynomial; an explicit leibniz run computes the cancellation honestly.
+    auto is the signed subset DP, which returns zero on the repeated columns
+    of extended and block2n tables; factored short-circuits those to zero
+    too, and an explicit leibniz run computes the cancellation honestly.
     """
     if algorithm == "auto":
-        if matrix.variant in ("extended", "block2n"):
-            return IntPolynomial.zero(matrix.nvars)
         return _subset_dp(matrix, signed=True)
     if algorithm == "leibniz":
         return _accumulate_leibniz(matrix, signed=True)
@@ -332,9 +311,8 @@ def hall_support(group: FiniteAbelianGroup, degree: int) -> set[tuple[int, ...]]
     size = math.comb(degree + n - 1, n - 1)
     if size > ENUM_GUARD:
         raise GuardExceeded("support enumeration", size, ENUM_GUARD)
-    els = group.elements()
-    add = [[group.index(group.add(a, b)) for b in els] for a in els]
-    neg = [row.index(0) for row in add]
+    add = group.add_table
+    neg = group.neg_table
     multiples = []  # multiples[k][c]: index of c * g_k
     for k in range(n):
         mk = [0]
@@ -389,10 +367,11 @@ def determinant_term_count(group: FiniteAbelianGroup) -> int:
 
 def _dual_weight_character(group: FiniteAbelianGroup) -> Element:
     """Sum of all characters of the group (as an index tuple); values are +-1."""
-    psi = group.zero()
-    for chi in group.characters():
-        psi = group.add(psi, chi)
-    return psi
+    add = group.add_table
+    psi = 0
+    for chi in range(group.order):  # characters share the element indexing
+        psi = add[psi][chi]
+    return group.element(psi)
 
 
 def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
@@ -422,21 +401,12 @@ def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
     return CheckReport("invariance", {"group": group.spec_string}, failures, elapsed)
 
 
-def _table_monomial(group: FiniteAbelianGroup, perm: Sequence[int]) -> tuple[int, ...]:
-    """Exponent vector of prod_i x_(g_i + g_perm(i))."""
-    els = group.elements()
-    exp = [0] * group.order
+def _table_monomial(add: Sequence[Sequence[int]], perm: Sequence[int]) -> tuple[int, ...]:
+    """Exponent vector of prod_i x_(g_i + g_perm(i)), given the group's addition table."""
+    exp = [0] * len(perm)
     for i, j in enumerate(perm):
-        exp[group.index(group.add(els[i], els[j]))] += 1
+        exp[add[i][j]] += 1
     return tuple(exp)
-
-
-def _translation_permutations(group: FiniteAbelianGroup) -> dict[Element, tuple[int, ...]]:
-    els = group.elements()
-    return {
-        gamma: tuple(group.index(group.add(a, gamma)) for a in els)
-        for gamma in els
-    }
 
 
 def check_action_identities(
@@ -446,8 +416,8 @@ def check_action_identities(
 ) -> CheckReport:
     """Structural identities of the translation action on permutations.
 
-    For sigma_gamma the translation permutation and the star action
-    gamma * pi = sigma_gamma pi sigma_gamma:
+    For sigma_gamma the translation permutation (row gamma of the group's
+    addition table) and the star action gamma * pi = sigma_gamma pi sigma_gamma:
 
       - star preserves both sign and table monomial;
       - translating the monomial of pi gives the monomial of pi o sigma_gamma^{-1};
@@ -462,8 +432,8 @@ def check_action_identities(
     t0 = time.perf_counter()
     n = group.order
     els = group.elements()
-    sigma = _translation_permutations(group)
-    sigma_inv = {g: _invert(p) for g, p in sigma.items()}
+    add = group.add_table
+    neg = group.neg_table
     failures: list[dict] = []
 
     exhaustive = samples is None
@@ -477,24 +447,24 @@ def check_action_identities(
 
     realized: set[tuple[tuple[int, ...], int, int]] = set()
     for pi in perms:
-        mono = _table_monomial(group, pi)
-        s_pi = _perm_sign(pi)
-        for gamma in els:
-            sg = sigma[gamma]
+        mono = _table_monomial(add, pi)
+        s_pi = _permutation_sign(pi)
+        for g in range(n):
+            sg = add[g]
             star = tuple(sg[pi[sg[i]]] for i in range(n))
-            if _perm_sign(star) != s_pi:
-                failures.append({"pi": list(pi), "gamma": list(gamma), "what": "star changed sign"})
-            if _table_monomial(group, star) != mono:
-                failures.append({"pi": list(pi), "gamma": list(gamma), "what": "star changed monomial"})
-            sginv = sigma_inv[gamma]
+            if _permutation_sign(star) != s_pi:
+                failures.append({"pi": list(pi), "gamma": list(els[g]), "what": "star changed sign"})
+            if _table_monomial(add, star) != mono:
+                failures.append({"pi": list(pi), "gamma": list(els[g]), "what": "star changed monomial"})
+            sginv = add[neg[g]]
             translated = _translate_exponents(mono, sg)
             composed = tuple(pi[sginv[i]] for i in range(n))
-            if translated != _table_monomial(group, composed):
+            if translated != _table_monomial(add, composed):
                 failures.append(
-                    {"pi": list(pi), "gamma": list(gamma), "what": "translate/compose mismatch"}
+                    {"pi": list(pi), "gamma": list(els[g]), "what": "translate/compose mismatch"}
                 )
         inv = _invert(pi)
-        if _table_monomial(group, inv) != mono:
+        if _table_monomial(add, inv) != mono:
             failures.append({"pi": list(pi), "what": "inverse changed monomial"})
         if exhaustive:
             for i, j in enumerate(pi):
@@ -506,9 +476,8 @@ def check_action_identities(
             for k, mult in enumerate(mono):
                 if not mult:
                     continue
-                target = els[k]
                 for i in range(n):
-                    j = group.index(group.sub(target, els[i]))
+                    j = add[k][neg[i]]
                     if (mono, i, j) not in realized:
                         failures.append(
                             {"monomial": list(mono), "i": i, "j": j, "what": "pair not realized"}
@@ -516,20 +485,19 @@ def check_action_identities(
     else:
         # constructive realization along the star orbit of each sample
         for pi in perms:
-            mono = _table_monomial(group, pi)
+            mono = _table_monomial(add, pi)
             positions = {}
             for alpha in range(n):
-                positions.setdefault(group.index(group.add(els[alpha], els[pi[alpha]])), alpha)
+                positions.setdefault(add[alpha][pi[alpha]], alpha)
             for k, mult in enumerate(mono):
                 if not mult:
                     continue
                 alpha = positions[k]
                 for i in range(n):
-                    gamma = group.sub(els[alpha], els[i])
-                    sg = sigma[gamma]
+                    sg = add[add[alpha][neg[i]]]  # translation by g_alpha - g_i
                     star = tuple(sg[pi[sg[t]]] for t in range(n))
-                    j = group.index(group.sub(els[k], els[i]))
-                    if star[i] != j or _table_monomial(group, star) != mono:
+                    j = add[k][neg[i]]
+                    if star[i] != j or _table_monomial(add, star) != mono:
                         failures.append(
                             {"monomial": list(mono), "i": i, "j": j, "what": "orbit construction failed"}
                         )
@@ -610,22 +578,16 @@ def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
 
     t0 = time.perf_counter()
     failures: list[dict] = []
-    for group in abelian_groups_up_to(max_order):
-        got = set(permanent(build_table(group, "plain")).terms)
-        want = hall_support(group, group.order)
-        for exp in sorted(got.symmetric_difference(want)):
-            failures.append(
-                {"group": group.spec_string, "table": "plain", "exponents": list(exp),
-                 "what": "missing" if exp in want else "unexpected"}
-            )
-    for group in abelian_groups_up_to(max_order_ext):
-        got = set(permanent(build_table(group, "extended")).terms)
-        want = hall_support(group, group.order + 1)
-        for exp in sorted(got.symmetric_difference(want)):
-            failures.append(
-                {"group": group.spec_string, "table": "extended", "exponents": list(exp),
-                 "what": "missing" if exp in want else "unexpected"}
-            )
+    # (table, largest order, degree beyond the order)
+    for table, top, extra in (("plain", max_order, 0), ("extended", max_order_ext, 1)):
+        for group in abelian_groups_up_to(top):
+            got = set(permanent(build_table(group, table)).terms)
+            want = hall_support(group, group.order + extra)
+            for exp in sorted(got.symmetric_difference(want)):
+                failures.append(
+                    {"group": group.spec_string, "table": table, "exponents": list(exp),
+                     "what": "missing" if exp in want else "unexpected"}
+                )
     elapsed = time.perf_counter() - t0
     return CheckReport(
         "hall-support", {"max_order": max_order, "max_order_ext": max_order_ext}, failures, elapsed

@@ -6,6 +6,10 @@ that index 0 is the neutral element.  Characters are indexed by the same
 residue tuples: chi_k(a) = zeta_e^t with e the group exponent and
 
     t = sum_j k_j * a_j * (e / n_j)  (mod e).
+
+Internally elements are their indices: add_table and neg_table hold the
+group law on 0..n-1, and tuples appear only at parsing, character sums and
+output.
 """
 
 from __future__ import annotations
@@ -88,6 +92,21 @@ class FiniteAbelianGroup:
     def element(self, idx: int) -> Element:
         return self._elements[idx]
 
+    @cached_property
+    def add_table(self) -> tuple[tuple[int, ...], ...]:
+        """add_table[a][b]: index of g_a + g_b (the plain Cayley table)."""
+        cells = tuple(zip(self.factors, self._strides))
+        els = self._elements
+        return tuple(
+            tuple(sum((x + y) % n * s for x, y, (n, s) in zip(a, b, cells)) for b in els)
+            for a in els
+        )
+
+    @cached_property
+    def neg_table(self) -> tuple[int, ...]:
+        """neg_table[a]: index of -g_a."""
+        return tuple(row.index(0) for row in self.add_table)
+
     def index(self, a: Element) -> int:
         self._validate(a)
         return sum(ai * si for ai, si in zip(a, self._strides))
@@ -149,7 +168,7 @@ class FiniteAbelianGroup:
 
     def inversion_permutation(self) -> list[int]:
         """Permutation sending each element index to the index of its negative."""
-        return [self.index(self.neg(a)) for a in self._elements]
+        return list(self.neg_table)
 
     def inversion_sign(self) -> int:
         return permutation_sign(self.inversion_permutation())
@@ -157,9 +176,14 @@ class FiniteAbelianGroup:
 
 def permutation_sign(perm: Sequence[int]) -> int:
     """Sign of a permutation given in one-line form, via cycle decomposition."""
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
+    if sorted(perm) != list(range(len(perm))):
         raise ValueError("not a permutation")
+    return _permutation_sign(perm)
+
+
+def _permutation_sign(perm: Sequence[int]) -> int:
+    """permutation_sign without input validation, for loops over permutations."""
+    n = len(perm)
     seen = [False] * n
     sign = 1
     for start in range(n):
@@ -230,26 +254,26 @@ def abelian_groups_up_to(max_order: int) -> list[FiniteAbelianGroup]:
 def subset_sum_zero_count(group: FiniteAbelianGroup) -> int:
     """Number of subsets of the group (empty set included) summing to zero.
 
-    Walks all 2^n subsets in Gray-code order, one group add or sub per step.
-    Guarded at order 24.
+    Walks all 2^n subsets in Gray-code order, one addition-table lookup per
+    step.  Guarded at order 24.
     """
     n = group.order
     if n > SUBSET_ENUM_GUARD:
         raise GuardExceeded("subset enumeration", n, SUBSET_ENUM_GUARD)
-    els = group.elements()
-    zero = group.zero()
-    cur = zero
+    add = group.add_table
+    neg = group.neg_table
+    cur = 0
     count = 1  # empty subset
     member = [False] * n
     for step in range(1, 1 << n):
         k = (step & -step).bit_length() - 1
         if member[k]:
-            cur = group.sub(cur, els[k])
+            cur = add[cur][neg[k]]
             member[k] = False
         else:
-            cur = group.add(cur, els[k])
+            cur = add[cur][k]
             member[k] = True
-        if cur == zero:
+        if cur == 0:
             count += 1
     return count
 

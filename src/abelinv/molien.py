@@ -168,21 +168,16 @@ def ext_dim_oracle(n: int, m: int, i: int) -> int:
 
 @lru_cache(maxsize=None)
 def _sym_ext_joint_histogram(n: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """[m][r]: degree-p monomial and m-subset pairs with combined weight r mod n."""
-    size = math.comb(n + p - 1, p) * 2**n
-    if size > ENUM_GUARD:
-        raise GuardExceeded("monomial x subset enumeration", size, ENUM_GUARD)
-    subsets: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for m in range(n + 1):
-        for sub in itertools.combinations(range(n), m):
-            subsets[m].append((m, sum(sub) % n))
-    hist = [[0] * n for _ in range(n + 1)]
-    for comp in weak_compositions(p, n):
-        w = sum(j * k for j, k in enumerate(comp)) % n
-        for m in range(n + 1):
-            for _, ws in subsets[m]:
-                hist[m][(w + ws) % n] += 1
-    return tuple(tuple(row) for row in hist)
+    """[m][r]: degree-p monomial and m-subset pairs with combined weight r mod n.
+
+    Weights add over a pair, so this is the cyclic convolution of the two
+    enumerated histograms.
+    """
+    sym = _sym_weight_histogram(n, p)
+    return tuple(
+        tuple(sum(sym[w] * row[(r - w) % n] for w in range(n)) for r in range(n))
+        for row in _subset_weight_histogram(n)
+    )
 
 
 def sym_ext_dim_oracle(n: int, p: int, m: int, i: int) -> int:

@@ -360,5 +360,4 @@ def apply_group_action(group: "FiniteAbelianGroup", gamma: "Element", poly: IntP
     """Translate variables by gamma: x_i -> x_{index(element_i + gamma)}."""
     if poly.nvars != group.order:
         raise ValueError("polynomial variable count does not match group order")
-    perm = [group.index(group.add(a, gamma)) for a in group.elements()]
-    return poly.permute_variables(perm)
+    return poly.permute_variables(group.add_table[group.index(gamma)])

@@ -27,7 +27,7 @@ from abelinv import (
     sym_dim,
     sym_series,
 )
-from abelinv.cayley import DP_GUARD, VARIANTS, _column_classes, _dp_state_estimate, _subset_dp
+from abelinv.cayley import DP_GUARD, FACTORED_GUARD, VARIANTS, _column_classes, _dp_state_estimate, _subset_dp
 from abelinv.numtheory import weak_compositions
 
 C2 = parse_group("C2")
@@ -224,8 +224,19 @@ def test_determinant_repeated_rows_vanish():
     for g in (C2, C3):
         for variant in ("extended", "block2n"):
             t = build_table(g, variant)
-            assert determinant(t).term_count() == 0  # auto short-circuit
+            assert determinant(t).term_count() == 0  # signed DP on repeated columns
             assert determinant(t, "leibniz").term_count() == 0  # literal expansion
+
+
+def test_factored_determinant_guard():
+    # n * C(2n-1, n) coefficient products: every order-9 table runs, order 10 is refused
+    assert 9 * math.comb(17, 9) == 218790 <= FACTORED_GUARD
+    for spec in ("C10", "C2xC5", "C12"):
+        n = parse_group(spec).order
+        for variant in ("plain", "hat"):
+            with pytest.raises(GuardExceeded) as info:
+                determinant(build_table(parse_group(spec), variant), "factored")
+            assert (info.value.size, info.value.limit) == (n * math.comb(2 * n - 1, n), FACTORED_GUARD)
 
 
 def test_determinant_invariant_under_relabeling():

@@ -125,6 +125,12 @@ def test_cayley_dp_guard_refuses_quickly():
         assert time.perf_counter() - t0 < 1.0, op
 
 
+def test_cayley_factored_guard_refuses_quickly():
+    t0 = time.perf_counter()
+    assert invoke(["cayley", "det", "--group", "C12", "--alg", "factored"])[0] == 3
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_cayley_algorithm_validation():
     assert invoke(["cayley", "per", "--group", "C3", "--alg", "factored"])[0] == 2
     assert invoke(["cayley", "per", "--group", "C3", "--alg", "ryser"])[0] == 2

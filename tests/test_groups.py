@@ -10,6 +10,7 @@ from abelinv import (
     GuardExceeded,
     abelian_groups_of_order,
     abelian_groups_up_to,
+    build_table,
     parse_group,
     parse_order_profile,
     permutation_sign,
@@ -145,8 +146,22 @@ def test_permutation_sign_basics():
     assert permutation_sign([0, 1, 2]) == 1
     assert permutation_sign([1, 0, 2]) == -1
     assert permutation_sign([1, 2, 0]) == 1
-    with pytest.raises(ValueError):
-        permutation_sign([0, 0, 1])
+    for bad in ([0, 0, 1], [1], [0, 2], [2, 0, 1, 1], [-1, 0], [0, 1, 3]):
+        with pytest.raises(ValueError):
+            permutation_sign(bad)
+
+
+TABLE_GROUPS = abelian_groups_up_to(12) + [parse_group("C2xC6"), parse_group("C6xC2")]
+
+
+@pytest.mark.parametrize("g", TABLE_GROUPS, ids=str)
+def test_element_tables_match_tuple_arithmetic(g):
+    els = g.elements()
+    for a, x in enumerate(els):
+        assert g.neg_table[a] == g.index(g.neg(x))
+        for b, y in enumerate(els):
+            assert g.add_table[a][b] == g.index(g.add(x, y))
+    assert build_table(g, "plain").grid == g.add_table
 
 
 @given(st.permutations(list(range(6))), st.permutations(list(range(6))))

@@ -27,14 +27,14 @@ from typing import Sequence
 from .errors import GuardExceeded
 from .groups import Element, FiniteAbelianGroup, _permutation_sign
 from .molien import ENUM_GUARD, sym_dim, sym_series
-from .polynom import CyclotomicInt, CycPolynomial, IntPolynomial, apply_group_action
+from .polynom import IntPolynomial, apply_group_action, unpack_zeta_integers, zeta_packing
 from .report import CheckReport
 
 VARIANTS = ("plain", "hat", "extended", "block2n", "toeplitz")
 
 LEIBNIZ_GUARD = 9
 DP_GUARD = 5 * 10**7
-FACTORED_GUARD = 3 * 10**5
+FACTORED_GUARD = 10**6
 LEHMER_PRIMES = (3, 5, 7)
 
 
@@ -236,46 +236,46 @@ def permanent(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
     raise ValueError(f"unknown permanent algorithm {algorithm!r}")
 
 
-def character_matrix(group: FiniteAbelianGroup) -> list[list[CyclotomicInt]]:
-    """K[i][j] = chi_j(g_i) as elements of Z[zeta_e]."""
-    e = group.exponent
-    els = group.elements()
-    return [
-        [CyclotomicInt.zeta_power(e, group.char_exponent(chi, a)) for chi in els]
-        for a in els
-    ]
-
-
 def _det_factored(matrix: CayleyMatrix) -> IntPolynomial:
-    """Determinant via the character factorization.
+    """Determinant via the character factorization, on packed ints.
 
-    det(plain) = sign(inversion permutation) * prod_j v_j with the linear
-    forms v_j = sum_i chi_j(g_i) x_i; the hat table is the plain one with
-    columns permuted by the inversion, so its determinant is prod_j v_j.
-    The guard counts the coefficient products of the n multiplications: a
-    product of k forms has C(k+n-1, n-1) terms, each met by the n of the next
-    form, which sums to n * C(2n-1, n).
+    det(plain) = sign(inversion permutation) * prod_chi v_chi with the linear
+    forms v_chi = sum_i chi(g_i) x_i; the hat table is the plain one with
+    columns permuted by the inversion, so its determinant is prod_chi v_chi.
+    Monomials are packed base n+1; the loop shares no code with the subset
+    DP, so the two routes check each other.  A coefficient is a sum of at
+    most n! roots of unity, kept as one int under zeta_e -> 2^B (zeta_packing
+    has the bound): chi(g_i) = zeta^t is a shift by t*B, each layer is
+    reduced mod Phi_e(2^B), and a balanced residue of 2^(B-1) or more in
+    absolute value (a coefficient that is not a rational integer) raises
+    ValueError.  The guard counts the n * C(2n-1, n) coefficient products of
+    the n multiplications (a product of k forms has C(k+n-1, n-1) terms).
     """
     group = matrix.group
     if matrix.variant not in ("plain", "hat"):
         raise ValueError("factored determinant applies to plain and hat tables only")
-    e = group.exponent
     n = group.order
     estimate = n * math.comb(2 * n - 1, n)
     if estimate > FACTORED_GUARD:
         raise GuardExceeded("factored determinant", estimate, FACTORED_GUARD)
-    kmat = character_matrix(group)
-    prod = CycPolynomial.one(e, n)
-    for j in range(n):
-        form = {
-            tuple(1 if t == i else 0 for t in range(n)): kmat[i][j]
-            for i in range(n)
-        }
-        prod = prod * CycPolynomial(e, n, form)
-    poly = prod.to_integer_polynomial()
-    if matrix.variant == "plain":
-        poly = poly * group.inversion_sign()
-    return poly
+    bits, modulus = zeta_packing(group.exponent, math.factorial(n))
+    els = group.elements()
+    base = n + 1
+    powers = [base**i for i in range(n)]
+    prod = {0: 1}
+    for chi in els:
+        steps = [(w, group.char_exponent(chi, a) * bits) for w, a in zip(powers, els)]
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for w, shift in steps:
+            for key, v in prod.items():
+                k = key + w
+                nxt[k] = get(k, 0) + (v << shift)
+        prod = {key: v % modulus for key, v in nxt.items()}
+    sign = group.inversion_sign() if matrix.variant == "plain" else 1
+    values = unpack_zeta_integers(prod.values(), bits, modulus)
+    terms = {tuple(key // w % base for w in powers): c * sign for key, c in zip(prod, values)}
+    return IntPolynomial(n, terms)
 
 
 def determinant(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:

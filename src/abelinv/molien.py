@@ -26,6 +26,7 @@ from .report import CheckReport
 from .series import TruncatedSeries1, TruncatedSeries2, expand_rational, log1p_series
 
 ENUM_GUARD = 10**7
+COMPOSITION_GUARD = 10**6  # weak compositions the monomial oracle may enumerate
 
 SeriesSource = Union[FiniteAbelianGroup, Mapping[int, int]]
 
@@ -125,8 +126,8 @@ def sym_ext_dim_by_parts(p: int, q: int, m: int, i: int) -> int:
 def _sym_weight_histogram(n: int, m: int) -> tuple[int, ...]:
     """Count exponent vectors of degree m in n variables by weight sum(j*k_j) mod n."""
     size = math.comb(n + m - 1, m)
-    if size > ENUM_GUARD:
-        raise GuardExceeded("monomial enumeration", size, ENUM_GUARD)
+    if size > COMPOSITION_GUARD:
+        raise GuardExceeded("monomial enumeration", size, COMPOSITION_GUARD)
     hist = [0] * n
     for comp in weak_compositions(m, n):
         w = sum(j * k for j, k in enumerate(comp)) % n

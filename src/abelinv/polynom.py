@@ -3,7 +3,8 @@
 IntPolynomial stores terms as {exponent tuple: int coefficient} with zero
 coefficients dropped, which is the shape the permanent and determinant
 kernels want.  CyclotomicInt is Z[zeta_e] reduced modulo the e-th cyclotomic
-polynomial; CycPolynomial combines the two for the factored determinant.
+polynomial.  zeta_packing and unpack_zeta_integers pack sums of roots of unity
+into single ints (zeta_e -> 2^B) for the factored determinant.
 """
 
 from __future__ import annotations
@@ -183,6 +184,40 @@ class CyclotomicInt:
         return f"CyclotomicInt(e={self.e}, {list(self.coeffs)})"
 
 
+def zeta_packing(e: int, terms: int) -> tuple[int, int]:
+    """Kronecker substitution zeta_e -> 2^B for sums of at most `terms` e-th roots of unity.
+
+    Returns (B, M = Phi_e(2^B)).  A sum f = sum_t c_t zeta^t (c_t >= 0,
+    sum c_t <= terms) is stored as the int f(2^B); multiplying by zeta^t is a
+    shift by t*B, and the int may be reduced mod M at any stage.  Mod Phi_e,
+    f is congruent to its power-basis coordinates g (degree below d = phi(e)),
+    |g_j| <= K = terms * R with R the largest entry of rows 0..e-1 of the
+    reduction table.  With 2^(B-2) > max(K, e),
+    |g(2^B)| <= K (2^(dB) - 1) / (2^B - 1) < (2^B - 1)^d / 2 <= M / 2 (by
+    Bernoulli, (1 - 2^-B)^(d+1) >= 1/2), so the balanced residue is g(2^B).
+    It is below 2^(B-2) in absolute value if g = g_0; else the top j >= 1
+    with g_j != 0 makes it exceed 2^(jB) - 2^(jB-1) >= 2^(B-1).  So f is a
+    rational integer exactly when |residue| < 2^(B-1), and then equals it.
+    """
+    big = max(abs(c) for row in _reduction_table(e)[:e] for c in row)
+    bits = max(terms * big, e).bit_length() + 2
+    return bits, sum(c << j * bits for j, c in enumerate(cyclotomic_polynomial(e)))
+
+
+def unpack_zeta_integers(values: Iterable[int], bits: int, modulus: int) -> list[int]:
+    """The rational integers that ints packed by zeta_packing stand for; ValueError if one is not."""
+    half, limit = modulus >> 1, 1 << (bits - 1)
+    out = []
+    for v in values:
+        r = v % modulus
+        if r > half:
+            r -= modulus
+        if not -limit < r < limit:
+            raise ValueError("packed sum of roots of unity is not a rational integer")
+        out.append(r)
+    return out
+
+
 class IntPolynomial:
     """Polynomial in nvars variables x0..x{nvars-1} over Z, sparse by exponent vector."""
 
@@ -318,42 +353,6 @@ class IntPolynomial:
     @classmethod
     def from_json_obj(cls, nvars: int, data: Iterable[Mapping]) -> "IntPolynomial":
         return cls(nvars, {tuple(item["exponents"]): int(item["coeff"]) for item in data})
-
-
-class CycPolynomial:
-    """Polynomial with CyclotomicInt coefficients, same sparse layout."""
-
-    __slots__ = ("e", "nvars", "terms")
-
-    def __init__(self, e: int, nvars: int, terms: Mapping[tuple[int, ...], CyclotomicInt] = {}):
-        self.e = e
-        self.nvars = nvars
-        self.terms = {tuple(exp): c for exp, c in terms.items() if c}
-
-    @classmethod
-    def one(cls, e: int, nvars: int) -> "CycPolynomial":
-        return cls(e, nvars, {(0,) * nvars: CyclotomicInt.integer(e, 1)})
-
-    def __mul__(self, other: "CycPolynomial") -> "CycPolynomial":
-        if (self.e, self.nvars) != (other.e, other.nvars):
-            raise ValueError("mismatched cyclotomic polynomial rings")
-        out: dict[tuple[int, ...], CyclotomicInt] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-        return CycPolynomial(self.e, self.nvars, out)
-
-    def to_integer_polynomial(self) -> IntPolynomial:
-        """Convert when every coefficient is a rational integer; error otherwise."""
-        out: dict[tuple[int, ...], int] = {}
-        for exp, c in self.terms.items():
-            out[exp] = c.integer_value()
-        return IntPolynomial(self.nvars, out)
 
 
 def apply_group_action(group: "FiniteAbelianGroup", gamma: "Element", poly: IntPolynomial) -> IntPolynomial:

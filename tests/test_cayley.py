@@ -229,9 +229,11 @@ def test_determinant_repeated_rows_vanish():
 
 
 def test_factored_determinant_guard():
-    # n * C(2n-1, n) coefficient products: every order-9 table runs, order 10 is refused
-    assert 9 * math.comb(17, 9) == 218790 <= FACTORED_GUARD
-    for spec in ("C10", "C2xC5", "C12"):
+    # n * C(2n-1, n) coefficient products: every order-10 table runs, order 11 is refused
+    assert 10 * math.comb(19, 10) == 923780 <= FACTORED_GUARD
+    assert determinant(build_table(parse_group("C10"), "plain"), "factored").term_count() == 7492
+    assert determinant(build_table(parse_group("C2xC5"), "hat"), "factored").term_count() == 7492
+    for spec in ("C11", "C12"):
         n = parse_group(spec).order
         for variant in ("plain", "hat"):
             with pytest.raises(GuardExceeded) as info:
@@ -281,7 +283,7 @@ def test_subset_dp_matches_leibniz(factors, variant, stretch):
 
 
 def test_subset_dp_matches_factored_determinant():
-    for spec in ("C8", "C2xC2xC2", "C9", "C3xC3"):
+    for spec in ("C8", "C2xC2xC2", "C9", "C3xC3", "C10", "C2xC5"):
         g = parse_group(spec)
         for variant in ("plain", "hat"):
             t = build_table(g, variant)

@@ -131,6 +131,14 @@ def test_cayley_factored_guard_refuses_quickly():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_cayley_factored_runs_order_10_and_refuses_order_11():
+    assert ok(["cayley", "det", "--group", "C10", "--alg", "factored"]) == \
+        ok(["cayley", "det", "--group", "C10", "--alg", "auto"])
+    t0 = time.perf_counter()
+    assert invoke(["cayley", "det", "--group", "C11", "--alg", "factored"])[0] == 3
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_cayley_algorithm_validation():
     assert invoke(["cayley", "per", "--group", "C3", "--alg", "factored"])[0] == 2
     assert invoke(["cayley", "per", "--group", "C3", "--alg", "ryser"])[0] == 2
@@ -199,6 +207,15 @@ def test_oracle_values():
     assert ok(["oracle", "a", "--n", "4", "--m", "6", "--i", "0"]).strip().endswith("22")
     assert ok(["oracle", "subsets", "--group", "C2xC2"]).strip().endswith("4")
     assert ok(["oracle", "dims", "--n", "3", "--p", "1", "--m", "1"]).strip().endswith("3")
+
+
+def test_oracle_guard_refuses_quickly():
+    # C(25, 14) = 4457400 weak compositions, over the oracle's composition limit
+    for argv in (["oracle", "a", "--n", "12", "--m", "14"],
+                 ["oracle", "dims", "--n", "12", "--p", "14", "--m", "1"]):
+        t0 = time.perf_counter()
+        assert invoke(argv)[0] == 3, argv
+        assert time.perf_counter() - t0 < 1.0, argv
 
 
 def test_oracle_usage_errors():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from abelinv import IntPolynomial, apply_group_action, cyclotomic_polynomial, parse_group
 from abelinv.numtheory import euler_phi
-from abelinv.polynom import CycPolynomial, CyclotomicInt
+from abelinv.polynom import CyclotomicInt, unpack_zeta_integers, zeta_packing
 
 
 def test_cyclotomic_polynomial_frozen():
@@ -174,12 +174,15 @@ def test_group_action_rejects_wrong_width():
         apply_group_action(g, (1,), IntPolynomial.variable(2, 0))
 
 
-def test_cyclotomic_coefficient_polynomials():
-    one = CycPolynomial.one(3, 2)
-    assert (one * one).terms == one.terms
-    z = CyclotomicInt.zeta_power(3, 1)
-    p = CycPolynomial(3, 1, {(1,): z})
-    cube = p * p * p  # zeta^3 = 1 collapses the coefficient
-    assert cube.to_integer_polynomial() == IntPolynomial(1, {(3,): 1})
-    with pytest.raises(ValueError):
-        p.to_integer_polynomial()
+def test_zeta_packing_recovers_integers():
+    # zeta_e -> 2^B packs a sum of roots of unity into one int
+    bits, modulus = zeta_packing(3, 3)
+    assert modulus == (1 << 2 * bits) + (1 << bits) + 1  # Phi_3(2^B)
+    cube = 1 << 3 * bits  # zeta_3^3 = 1
+    full = 1 + (1 << bits) + (1 << 2 * bits)  # 1 + zeta_3 + zeta_3^2 = 0
+    assert unpack_zeta_integers([cube, full, 3], bits, modulus) == [1, 0, 3]
+    with pytest.raises(ValueError):  # a lone zeta_3
+        unpack_zeta_integers([1 << bits], bits, modulus)
+    bits4, modulus4 = zeta_packing(4, 2)
+    with pytest.raises(ValueError):  # 1 + zeta_4
+        unpack_zeta_integers([1 + (1 << bits4)], bits4, modulus4)

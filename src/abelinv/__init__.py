@@ -19,6 +19,7 @@ from .groups import (
 from .molien import (
     bigraded_series,
     character_order_sums,
+    character_order_sums_oracle,
     check_identity,
     check_reciprocity,
     ext_dim,
@@ -35,7 +36,7 @@ from .molien import (
     zero_sum_subset_count,
 )
 from .numtheory import divisors, euler_phi, moebius, multinomial, ramanujan_sum
-from .polynom import CyclotomicInt, IntPolynomial, apply_group_action, cyclotomic_polynomial
+from .polynom import IntPolynomial, apply_group_action, cyclotomic_polynomial
 from .report import CheckReport
 from .series import (
     TruncatedSeries1,
@@ -65,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CayleyMatrix",
     "CheckReport",
-    "CyclotomicInt",
     "FiniteAbelianGroup",
     "GuardExceeded",
     "IntPolynomial",
@@ -77,6 +77,7 @@ __all__ = [
     "bigraded_series",
     "build_table",
     "character_order_sums",
+    "character_order_sums_oracle",
     "check_action_identities",
     "check_extended_counts",
     "check_hall",

@@ -442,6 +442,8 @@ def check_action_identities(
             raise GuardExceeded("exhaustive permutation sweep", math.factorial(n), math.factorial(8))
         perms = list(itertools.permutations(range(n)))
     else:
+        if samples < 1:
+            raise ValueError(f"sampled action check needs samples >= 1, got {samples}")
         rng = random.Random(seed)
         perms = [tuple(rng.sample(range(n), n)) for _ in range(samples)]
 

@@ -250,7 +250,7 @@ def _cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
         if args.group:
             reports.append(cayley.check_action_identities(parse_group(args.group), samples=args.samples))
         else:
-            reports.extend(_standard_action_reports(args.samples or 500))
+            reports.extend(_standard_action_reports(500 if args.samples is None else args.samples))
     elif which == "lehmer":
         primes = [args.p] if args.p else list(cayley.LEHMER_PRIMES)
         reports.extend(cayley.check_lehmer_congruence(p) for p in primes)

@@ -278,18 +278,31 @@ def subset_sum_zero_count(group: FiniteAbelianGroup) -> int:
     return count
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_order_profile(data: Mapping[str, int] | Mapping[int, int]) -> OrderProfile:
-    """Validate a JSON-style order profile {"1": 1, "2": 3, ...} -> {1: 1, 2: 3}."""
+    """Validate a JSON-style order profile {"1": 1, "2": 3, ...} -> {1: 1, 2: 3}.
+
+    A profile is a mapping from element order to an int count; it needs
+    exactly one element of order 1, and every order must divide the total.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"order profile must be a JSON object, got {type(data).__name__}")
     prof: OrderProfile = {}
     for key, val in data.items():
-        d = int(key)
-        c = int(val)
-        if d < 1:
+        d = int(key) if isinstance(key, str) else key
+        if not _is_int(d) or d < 1:
             raise ValueError(f"order profile key {key!r} is not a positive order")
-        if c < 0:
-            raise ValueError(f"order profile count for {key!r} is negative")
-        if c:
-            prof[d] = c
-    if not prof:
-        raise ValueError("order profile is empty")
+        if not _is_int(val) or val < 0:
+            raise ValueError(f"order profile count for {key!r} must be a non-negative int, got {val!r}")
+        if val:
+            prof[d] = val
+    if prof.get(1) != 1:
+        raise ValueError("order profile needs exactly one element of order 1")
+    total = sum(prof.values())
+    for d in prof:
+        if total % d:
+            raise ValueError(f"order profile entry {d} does not divide the total order {total}")
     return dict(sorted(prof.items()))

@@ -4,9 +4,10 @@ For the cyclic group C_n acting on its regular representation R, the
 multiplicity of the weight-i character in S^m(R), Lambda^m(R) and
 S^p(R) (x) Lambda^m(R) has a closed form as a Ramanujan-sum weighted divisor
 sum.  This module implements those closed forms, independent enumeration
-oracles for them, the generating series (including general finite abelian
-groups via character sums, and order profiles for the invariant part), and
-the reciprocity/log-identity checkers.
+oracles for them, the generating series (general finite abelian groups via
+character sums over the elements of each order, which have an integer closed
+form by Moebius inversion over torsion subgroups, and order profiles for the
+invariant part), and the reciprocity/log-identity checkers.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 from .errors import GuardExceeded
-from .groups import FiniteAbelianGroup, OrderProfile, parse_order_profile
-from .numtheory import divisors, euler_phi, multinomial, ramanujan_sum, weak_compositions
-from .polynom import CyclotomicInt
+from .groups import FiniteAbelianGroup, parse_order_profile
+from .numtheory import divisors, euler_phi, moebius, multinomial, ramanujan_sum, weak_compositions
+from .polynom import unpack_zeta_integers, zeta_packing
 from .report import CheckReport
 from .series import TruncatedSeries1, TruncatedSeries2, expand_rational, log1p_series
 
@@ -190,48 +191,70 @@ def sym_ext_dim_oracle(n: int, p: int, m: int, i: int) -> int:
     return _sym_ext_joint_histogram(n, p)[m][i % n]
 
 
+def character_order_sums_oracle(group: FiniteAbelianGroup, i: int) -> dict[int, int]:
+    """Element-walk oracle for character_order_sums.
+
+    Counts the elements of each order d by the exponent t of chi_i(g^{-1}) =
+    zeta_e^t; each histogram is a sum of roots of unity, packed with
+    zeta_packing and read back by unpack_zeta_integers, which raises
+    ValueError unless the sum is a rational integer.
+    """
+    if not 0 <= i < group.order:
+        raise ValueError(f"character index {i} out of range for {group}")
+    e = group.exponent
+    chi = group.element(i)
+    hist: dict[int, list[int]] = {}
+    for a in group.elements():
+        row = hist.setdefault(group.element_order(a), [0] * e)
+        row[group.char_exponent(chi, group.neg(a))] += 1
+    bits, modulus = zeta_packing(e, group.order)
+    orders = sorted(hist)
+    packed = [sum(c << t * bits for t, c in enumerate(hist[d])) for d in orders]
+    return dict(zip(orders, unpack_zeta_integers(packed, bits, modulus)))
+
+
 # ---------------------------------------------------------------------------
 # character sums and series
 
 def character_order_sums(group: FiniteAbelianGroup, i: int) -> dict[int, int]:
-    """S_d = sum over elements g of order d of chi_i(g^{-1}), for each order d.
+    """S_d = sum over elements g of order d of chi_i(g^{-1}), for each d | exponent.
 
-    Each slice is Galois-stable, so the sums are rational integers; they are
-    accumulated in Z[zeta_e] and the integrality is asserted.
+    The k-torsion subgroup G[k] is the product of the cyclic pieces of order
+    gcd(k, n_j), so T_k = sum over G[k] of chi_i is prod_j gcd(k, n_j) when
+    chi_i is trivial on G[k] (gcd(k, n_j) divides c_j for every factor) and 0
+    otherwise.  Moebius inversion over the divisors of d gives
+    S_d = sum_{k | d} mu(d/k) T_k; for C_n this is Kluyver's c_d(i).
     """
-    e = group.exponent
-    chi = group.elements()[i]
-    acc: dict[int, CyclotomicInt] = {}
-    for a in group.elements():
-        d = group.element_order(a)
-        z = CyclotomicInt.zeta_power(e, group.char_exponent(chi, group.neg(a)))
-        acc[d] = acc[d] + z if d in acc else z
-    out: dict[int, int] = {}
-    for d in sorted(acc):
-        v = acc[d]
-        if not v.is_integer():
-            raise AssertionError(f"non-integer character sum for order {d} in {group}")
-        out[d] = v.integer_value()
-    return out
+    if not 0 <= i < group.order:
+        raise ValueError(f"character index {i} out of range for {group}")
+    chi = group.element(i)
+
+    def torsion_sum(k: int) -> int:
+        pieces = [math.gcd(k, n) for n in group.factors]
+        return math.prod(pieces) if all(c % g == 0 for c, g in zip(chi, pieces)) else 0
+
+    ds = divisors(group.exponent)
+    sums = {k: torsion_sum(k) for k in ds}
+    return {d: sum(moebius(d // k) * sums[k] for k in divisors(d)) for d in ds}
 
 
 def _order_sums(source: SeriesSource, i: int) -> tuple[int, dict[int, int]]:
     """(group order, {d: S_d}) for a group or an order profile (profiles need i = 0)."""
     if isinstance(source, FiniteAbelianGroup):
-        n = source.order
-        if not 0 <= i < n:
-            raise ValueError(f"character index {i} out of range for {source}")
-        if source.is_cyclic_presentation:
-            return n, {d: ramanujan_sum(d, i) for d in divisors(n)}
-        return n, character_order_sums(source, i)
+        return source.order, character_order_sums(source, i)
     prof = parse_order_profile(source)
     if i != 0:
         raise ValueError("order profiles carry no character data; only i = 0 is defined")
-    total = sum(prof.values())
-    for d in prof:
-        if total % d:
-            raise ValueError(f"order profile entry {d} does not divide the total order {total}")
-    return total, prof
+    return sum(prof.values()), prof
+
+
+def _checked_dimensions(out: TruncatedSeries1, source: SeriesSource, what: str) -> TruncatedSeries1:
+    """out, unless a coefficient is not a dimension: a fault for a group, bad input for a profile."""
+    for k, c in enumerate(out.coeffs):
+        if c.denominator != 1 or c < 0:
+            msg = f"{what} of {source}: coefficient {c} at t^{k} is not a dimension"
+            raise (AssertionError if isinstance(source, FiniteAbelianGroup) else ValueError)(msg)
+    return out
 
 
 def _power_binomial_coeffs(d: int, k: int, inner: int, cap: int | None = None) -> list[int]:
@@ -260,12 +283,7 @@ def sym_series(source: SeriesSource, i: int = 0, order: int = 10) -> TruncatedSe
             continue
         denom = _power_binomial_coeffs(d, total // d, -1)
         acc = acc + expand_rational([1], denom, order).scalar_mul(s)
-    out = acc.scalar_mul(Fraction(1, total))
-    if isinstance(source, FiniteAbelianGroup):
-        for k, c in enumerate(out.coeffs):
-            if c.denominator != 1:
-                raise AssertionError(f"sym_series({source}, {i}): non-integer coefficient at t^{k}")
-    return out
+    return _checked_dimensions(acc.scalar_mul(Fraction(1, total)), source, f"sym_series (i = {i})")
 
 
 def ext_series(source: SeriesSource, i: int = 0, order: int | None = None) -> TruncatedSeries1:
@@ -287,11 +305,7 @@ def ext_series(source: SeriesSource, i: int = 0, order: int | None = None) -> Tr
             if c:
                 coeffs[da] += s * c
     out = TruncatedSeries1(order, coeffs).scalar_mul(Fraction(1, total))
-    if isinstance(source, FiniteAbelianGroup):
-        for k, c in enumerate(out.coeffs):
-            if c.denominator != 1:
-                raise AssertionError(f"ext_series({source}, {i}): non-integer coefficient at t^{k}")
-    return out
+    return _checked_dimensions(out, source, f"ext_series (i = {i})")
 
 
 def bigraded_series(n: int, i: int, s_order: int, t_order: int) -> TruncatedSeries2:
@@ -335,9 +349,6 @@ def ext_total_dim_invariants(profile: Mapping[int, int]) -> int:
     """
     prof = parse_order_profile(profile)
     total = sum(prof.values())
-    for d in prof:
-        if total % d:
-            raise ValueError(f"order profile entry {d} does not divide the total order {total}")
     acc = sum(c * 2 ** (total // d) for d, c in prof.items() if d % 2)
     q, r = divmod(acc, total)
     if r:

@@ -1,10 +1,11 @@
-"""Multivariate integer polynomials and exact cyclotomic integer arithmetic.
+"""Multivariate integer polynomials and packed sums of roots of unity.
 
 IntPolynomial stores terms as {exponent tuple: int coefficient} with zero
 coefficients dropped, which is the shape the permanent and determinant
-kernels want.  CyclotomicInt is Z[zeta_e] reduced modulo the e-th cyclotomic
-polynomial.  zeta_packing and unpack_zeta_integers pack sums of roots of unity
-into single ints (zeta_e -> 2^B) for the factored determinant.
+kernels want.  zeta_packing and unpack_zeta_integers pack sums of roots of
+unity into single ints (zeta_e -> 2^B, reduced mod Phi_e(2^B)) and read back
+the rational integers they stand for; the factored determinant and the
+character-sum oracle both rely on that integrality test.
 """
 
 from __future__ import annotations
@@ -66,122 +67,17 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _reduction_table(e: int) -> tuple[tuple[int, ...], ...]:
-    """Row k: coefficients of x^k reduced mod the e-th cyclotomic polynomial.
-
-    Covers k up to max(e - 1, 2*deg - 2), enough for root powers and for
-    folding the tails of degree-(2*deg-2) products.
-    """
+    """Row k < e: coefficients of x^k reduced mod the e-th cyclotomic polynomial."""
     phi_poly = cyclotomic_polynomial(e)
     deg = len(phi_poly) - 1
-    top = max(e - 1, 2 * deg - 2)
-    rows: list[tuple[int, ...]] = []
-    cur = [0] * deg
-    if deg:
-        cur[0] = 1
-    rows.append(tuple(cur))
-    for _ in range(top):
-        nxt = [0] * deg
+    cur = [1] + [0] * (deg - 1)
+    rows = [tuple(cur)]
+    for _ in range(e - 1):
         lead = cur[deg - 1]
-        for j in range(deg - 1):
-            nxt[j + 1] = cur[j]
-        if lead:
-            # x^deg = -(phi_poly minus leading term)
-            for j in range(deg):
-                nxt[j] -= lead * phi_poly[j]
-        cur = nxt
+        # x^deg = -(phi_poly minus leading term)
+        cur = [(cur[j - 1] if j else 0) - lead * phi_poly[j] for j in range(deg)]
         rows.append(tuple(cur))
     return tuple(rows)
-
-
-class CyclotomicInt:
-    """Element of Z[zeta_e], coordinates in the power basis 1, zeta, ..., zeta^(deg-1)."""
-
-    __slots__ = ("e", "coeffs")
-
-    def __init__(self, e: int, coeffs: Sequence[int]):
-        deg = len(cyclotomic_polynomial(e)) - 1
-        cs = list(coeffs)
-        if len(cs) != deg:
-            raise ValueError(f"Z[zeta_{e}] needs {deg} coordinates, got {len(cs)}")
-        self.e = e
-        self.coeffs = tuple(int(c) for c in cs)
-
-    @classmethod
-    def integer(cls, e: int, value: int) -> "CyclotomicInt":
-        deg = len(cyclotomic_polynomial(e)) - 1
-        cs = [0] * deg
-        cs[0] = value
-        return cls(e, cs)
-
-    @classmethod
-    def zero(cls, e: int) -> "CyclotomicInt":
-        return cls.integer(e, 0)
-
-    @classmethod
-    def zeta_power(cls, e: int, t: int) -> "CyclotomicInt":
-        return cls(e, _reduction_table(e)[t % e])
-
-    def _check(self, other: "CyclotomicInt") -> None:
-        if self.e != other.e:
-            raise ValueError(f"mixed cyclotomic orders {self.e} and {other.e}")
-
-    def __add__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        self._check(other)
-        return CyclotomicInt(self.e, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        self._check(other)
-        return CyclotomicInt(self.e, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "CyclotomicInt":
-        return CyclotomicInt(self.e, [-a for a in self.coeffs])
-
-    def __mul__(self, other: "CyclotomicInt | int") -> "CyclotomicInt":
-        if isinstance(other, int):
-            return CyclotomicInt(self.e, [other * a for a in self.coeffs])
-        self._check(other)
-        deg = len(self.coeffs)
-        conv = [0] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        out = list(conv[:deg])
-        table = _reduction_table(self.e)
-        for k in range(deg, 2 * deg - 1):
-            c = conv[k]
-            if c:
-                row = table[k]
-                for j in range(deg):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CyclotomicInt(self.e, out)
-
-    def __rmul__(self, other: int) -> "CyclotomicInt":
-        return self * other
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CyclotomicInt):
-            return NotImplemented
-        return self.e == other.e and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.e, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def is_integer(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def integer_value(self) -> int:
-        if not self.is_integer():
-            raise ValueError(f"not a rational integer: {self!r}")
-        return self.coeffs[0]
-
-    def __repr__(self) -> str:
-        return f"CyclotomicInt(e={self.e}, {list(self.coeffs)})"
 
 
 def zeta_packing(e: int, terms: int) -> tuple[int, int]:
@@ -199,7 +95,7 @@ def zeta_packing(e: int, terms: int) -> tuple[int, int]:
     with g_j != 0 makes it exceed 2^(jB) - 2^(jB-1) >= 2^(B-1).  So f is a
     rational integer exactly when |residue| < 2^(B-1), and then equals it.
     """
-    big = max(abs(c) for row in _reduction_table(e)[:e] for c in row)
+    big = max(abs(c) for row in _reduction_table(e) for c in row)
     bits = max(terms * big, e).bit_length() + 2
     return bits, sum(c << j * bits for j, c in enumerate(cyclotomic_polynomial(e)))
 

@@ -67,6 +67,22 @@ def test_series_profile_file(tmp_path):
     assert obj["profile"] == {"1": 1, "2": 3, "3": 2}
 
 
+@pytest.mark.parametrize("data", [
+    [1, 2],  # not an object
+    {"1": 1.5, "2": 1},  # non-int count
+    {"1": True, "2": 1},  # bool count
+    {"2": 2},  # no neutral element
+    {"1": 1, "2": 2, "4": 1},  # gives the non-integral coefficient 1/2 at t^2
+])
+def test_series_bad_profile_exits_2(tmp_path, capsys, data):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(data))
+    for kind in ("sym", "ext"):
+        code, text = invoke(["series", kind, "--profile", str(profile), "--order", "6"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_series_usage_errors():
     assert invoke(["series", "sym", "--group", "C3"])[0] == 2  # missing --order
     assert invoke(["series", "sym"])[0] == 2  # neither group nor profile
@@ -155,6 +171,12 @@ def test_check_reciprocity_summary_format():
         r"PASS reciprocity \[max_total=6 fredman_total=8\] failures=0 elapsed=\d+\.\d{3}s",
         text.strip(),
     )
+
+
+def test_check_actions_rejects_empty_sample(capsys):
+    for argv in (["--group", "C3", "--samples", "0"], ["--group", "C3", "--samples", "-5"], ["--samples", "0"]):
+        assert invoke(["check", "actions", *argv]) == (2, "")
+        assert "samples >= 1" in capsys.readouterr().err
 
 
 def test_check_identity_selection():

@@ -16,7 +16,7 @@ from abelinv import (
     permutation_sign,
     subset_sum_zero_count,
 )
-from abelinv.polynom import CyclotomicInt
+from abelinv.polynom import unpack_zeta_integers, zeta_packing
 
 SMALL_GROUPS = [parse_group(s) for s in ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "C2xC3", "C2xC2xC3")]
 
@@ -109,15 +109,11 @@ def test_character_orthogonality():
     for g in SMALL_GROUPS:
         if g.order > 12:
             continue
-        e = g.exponent
+        bits, modulus = zeta_packing(g.exponent, g.order)  # zeta_e -> 2^bits
         for chi in g.characters():
-            acc = CyclotomicInt.zero(e)
-            for a in g.elements():
-                acc = acc + CyclotomicInt.zeta_power(e, g.char_exponent(chi, a))
-            if chi == g.zero():
-                assert acc == CyclotomicInt.integer(e, g.order)
-            else:
-                assert acc == CyclotomicInt.zero(e)
+            acc = sum(1 << g.char_exponent(chi, a) * bits for a in g.elements())
+            want = g.order if chi == g.zero() else 0
+            assert unpack_zeta_integers([acc], bits, modulus) == [want]
 
 
 def test_dual_sum_is_pointwise_product():
@@ -223,7 +219,23 @@ def test_parse_order_profile():
     with pytest.raises(ValueError):
         parse_order_profile({"0": 2})
     with pytest.raises(ValueError):
-        parse_order_profile({"2": -1})
+        parse_order_profile({"1": 1, "2": -1})
+    assert parse_order_profile({"1": 1, "2": 3, "3": 2}) == {1: 1, 2: 3, 3: 2}  # S3
+
+
+@pytest.mark.parametrize("bad", [
+    [1, 2],  # not a JSON object
+    {"1": 1.5, "2": 1},  # non-int count
+    {"1": True, "2": 1},  # bool count
+    {"1": 1, "2": "3"},  # string count
+    {1.0: 1, 2: 1},  # non-int key
+    {"2": 2},  # no neutral element
+    {"1": 2, "2": 2},  # two neutral elements
+    {"1": 1, "3": 1},  # 3 does not divide 2
+])
+def test_parse_order_profile_rejects(bad):
+    with pytest.raises(ValueError):
+        parse_order_profile(bad)
 
 
 def test_profiles_of_groups_are_consistent():

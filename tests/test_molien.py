@@ -6,12 +6,16 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abelinv import (
+    FiniteAbelianGroup,
     GuardExceeded,
     TruncatedSeries1,
     bigraded_series,
+    abelian_groups_up_to,
     character_order_sums,
+    character_order_sums_oracle,
     check_identity,
     check_reciprocity,
     ext_dim,
@@ -237,6 +241,16 @@ def test_series_input_validation():
         sym_series(parse_group("C3"), 3, 5)  # index out of range
 
 
+def test_profile_series_reject_non_dimensions():
+    # these pass the profile checks (one neutral element, orders divide the
+    # total) but are no group's profile: the averaged series is not integral
+    for prof in ({1: 1, 2: 2, 4: 1}, {1: 1, 4: 3}):
+        with pytest.raises(ValueError, match="not a dimension"):
+            sym_series(prof, 0, 6)
+        with pytest.raises(ValueError, match="not a dimension"):
+            ext_series(prof)
+
+
 def test_character_order_sums_cyclic_reduces_to_ramanujan():
     for n in range(1, 13):
         g = parse_group(f"C{n}")
@@ -252,6 +266,41 @@ def test_character_order_sums_noncyclic_total():
     sums = character_order_sums(g, 0)
     assert sums == {1: 1, 2: 3, 4: 4}
     assert sum(sums.values()) == g.order
+
+
+def _assert_sums_match_oracle(g):
+    for i in range(g.order):
+        sums, walked = character_order_sums(g, i), character_order_sums_oracle(g, i)
+        assert list(sums.items()) == list(walked.items()), (str(g), i)
+
+
+def test_character_order_sums_match_oracle():
+    extra = ("C6xC4", "C2xC6", "C12xC18", "C3xC9xC2")
+    for g in abelian_groups_up_to(40) + [parse_group(s) for s in extra]:
+        _assert_sums_match_oracle(g)
+
+
+@st.composite
+def factor_lists(draw, max_order=60):
+    factors = [draw(st.integers(1, max_order))]
+    while len(factors) < 4 and draw(st.booleans()):
+        factors.append(draw(st.integers(1, max_order // math.prod(factors))))
+    return tuple(factors)
+
+
+@given(factor_lists())
+@settings(max_examples=40, deadline=None)
+def test_character_order_sums_match_oracle_random_presentations(factors):
+    _assert_sums_match_oracle(FiniteAbelianGroup(factors))
+
+
+def test_character_order_sums_reject_bad_index():
+    g = parse_group("C2xC3")
+    for bad in (-1, 6):
+        with pytest.raises(ValueError):
+            character_order_sums(g, bad)
+        with pytest.raises(ValueError):
+            character_order_sums_oracle(g, bad)
 
 
 def test_bigraded_matches_joint_dims():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from abelinv import divisors, euler_phi, moebius, multinomial, ramanujan_sum
 from abelinv.numtheory import prime_factorization, weak_compositions
-from abelinv.polynom import CyclotomicInt
+from abelinv.polynom import unpack_zeta_integers, zeta_packing
 
 
 def test_divisors_ascending_and_complete():
@@ -80,15 +80,13 @@ def test_ramanujan_divisor_sum_is_scaled_indicator():
 
 
 def test_ramanujan_matches_root_of_unity_sum():
-    # c_n(i) as an exact sum of primitive n-th roots, reduced in the cyclotomic ring
+    # c_n(i) as an exact sum of primitive n-th roots, packed by zeta_n -> 2^bits;
+    # unpacking raises ValueError unless the sum is a rational integer
     for n in range(1, 61):
+        bits, modulus = zeta_packing(n, n)
         for i in (0, 1, 2, 3, n // 2, n - 1):
-            acc = CyclotomicInt.zero(n)
-            for k in range(n):
-                if gcd(k, n) == 1:
-                    acc = acc + CyclotomicInt.zeta_power(n, (k * i) % n)
-            assert acc.is_integer()
-            assert acc.integer_value() == ramanujan_sum(n, i)
+            acc = sum(1 << (k * i) % n * bits for k in range(n) if gcd(k, n) == 1)
+            assert unpack_zeta_integers([acc], bits, modulus) == [ramanujan_sum(n, i)]
 
 
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 100))

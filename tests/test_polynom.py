@@ -1,11 +1,11 @@
-"""Cyclotomic integers and sparse integer polynomials."""
+"""Cyclotomic polynomials, packed sums of roots of unity and sparse integer polynomials."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelinv import IntPolynomial, apply_group_action, cyclotomic_polynomial, parse_group
 from abelinv.numtheory import euler_phi
-from abelinv.polynom import CyclotomicInt, unpack_zeta_integers, zeta_packing
+from abelinv.polynom import unpack_zeta_integers, zeta_packing
 
 
 def test_cyclotomic_polynomial_frozen():
@@ -43,40 +43,43 @@ def test_cyclotomic_105_has_coefficient_minus_two():
     assert cyclotomic_polynomial(105)[7] == -2
 
 
+# Sums of e-th roots of unity as packed ints: zeta^t is 1 << t*bits, a product
+# is an int product, and both are taken mod Phi_e(2^bits).
+
+
 def test_zeta_relations():
-    z = CyclotomicInt.zeta_power
-    assert z(4, 2) == CyclotomicInt.integer(4, -1)
-    assert z(6, 3) == CyclotomicInt.integer(6, -1)
+    for e, t, value in ((4, 2, -1), (6, 3, -1)):
+        bits, modulus = zeta_packing(e, 1)
+        assert unpack_zeta_integers([1 << t * bits], bits, modulus) == [value]
     for e in (2, 3, 4, 5, 6, 8, 12):
-        acc = CyclotomicInt.zero(e)
-        for t in range(e):
-            acc = acc + z(e, t)
-        assert acc == CyclotomicInt.zero(e)
-        assert z(e, e) == CyclotomicInt.integer(e, 1)
+        bits, modulus = zeta_packing(e, e)
+        full = sum(1 << t * bits for t in range(e))
+        assert unpack_zeta_integers([full, 1 << e * bits], bits, modulus) == [0, 1]
 
 
 def test_zeta_power_is_multiplicative():
+    # one root on each side: equal residues mean equal power-basis coordinates
     for e in (5, 8, 12):
+        bits, modulus = zeta_packing(e, 1)
         for s in range(e):
             for t in range(e):
-                lhs = CyclotomicInt.zeta_power(e, s) * CyclotomicInt.zeta_power(e, t)
-                assert lhs == CyclotomicInt.zeta_power(e, (s + t) % e)
+                lhs = (1 << s * bits) * (1 << t * bits) % modulus
+                assert lhs == (1 << (s + t) % e * bits) % modulus
 
 
 def test_golden_section_relation_in_fifth_roots():
-    # s = zeta + zeta^4 satisfies s^2 + s - 1 = 0
-    s = CyclotomicInt.zeta_power(5, 1) + CyclotomicInt.zeta_power(5, 4)
-    val = s * s + s - CyclotomicInt.integer(5, 1)
-    assert val == CyclotomicInt.zero(5)
+    # s = zeta + zeta^4 satisfies s^2 + s - 1 = 0; the left side has 4 + 2 + 1 terms
+    bits, modulus = zeta_packing(5, 7)
+    s = (1 << bits) + (1 << 4 * bits)
+    val = (s * s + s - 1) % modulus
+    assert unpack_zeta_integers([val], bits, modulus) == [0]
 
 
 def test_integer_detection():
-    three = CyclotomicInt.integer(7, 3)
-    assert three.is_integer() and three.integer_value() == 3
-    z = CyclotomicInt.zeta_power(7, 2)
-    assert not z.is_integer()
-    with pytest.raises(ValueError):
-        z.integer_value()
+    bits, modulus = zeta_packing(7, 3)
+    assert unpack_zeta_integers([3], bits, modulus) == [3]
+    with pytest.raises(ValueError):  # a lone zeta_7^2
+        unpack_zeta_integers([1 << 2 * bits], bits, modulus)
 
 
 def test_polynomial_constructors_and_queries():

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .errors import GuardExceeded
 from .groups import Element, FiniteAbelianGroup, _permutation_sign
-from .molien import ENUM_GUARD, sym_dim, sym_series
+from .molien import sym_dim, sym_series
 from .polynom import IntPolynomial, apply_group_action, unpack_zeta_integers, zeta_packing
 from .report import CheckReport
 
@@ -35,6 +35,7 @@ VARIANTS = ("plain", "hat", "extended", "block2n", "toeplitz")
 LEIBNIZ_GUARD = 9
 DP_GUARD = 5 * 10**7
 FACTORED_GUARD = 10**6
+ENUM_GUARD = 10**7  # monomials hall_support may enumerate
 LEHMER_PRIMES = (3, 5, 7)
 
 
@@ -578,6 +579,8 @@ def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
     """
     from .groups import abelian_groups_up_to
 
+    if max_order < 1 or max_order_ext < 1:
+        raise ValueError(f"hall check needs orders >= 1, got {max_order} and {max_order_ext}")
     t0 = time.perf_counter()
     failures: list[dict] = []
     # (table, largest order, degree beyond the order)

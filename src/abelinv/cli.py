@@ -2,7 +2,7 @@
 
 Subcommands: dim (single dimensions), series (generating series), cayley
 (tables, permanents, determinants, supports, counts), check (consistency
-checkers), oracle (enumeration oracles).  Global flag: --json for
+checkers), oracle (independent counting oracles).  Global flag: --json for
 machine-readable output.  Exit codes: 0 success / checks pass, 1 check
 failures, 2 usage errors, 3 resource guard refusals.
 """
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--n", type=int, help="cyclic order for a single conjecture case")
     chk.add_argument("--l", type=int, help="table size for a single conjecture case")
 
-    orc = sub.add_parser("oracle", help="independent enumeration oracles")
+    orc = sub.add_parser("oracle", help="independent counting oracles")
     orc.add_argument("which", choices=["a", "dims", "subsets"])
     orc.add_argument("--group", help="group spec (subsets)")
     orc.add_argument("--n", type=int, help="cyclic order (a, dims)")
@@ -104,6 +104,12 @@ def _require_cyclic(group: FiniteAbelianGroup, context: str) -> int:
     return group.order
 
 
+def _require_weight(i: int, n: int) -> None:
+    # n < 1 is left to the callee's own message
+    if n >= 1 and not 0 <= i < n:
+        raise ValueError(f"character index {i} out of range for C{n}")
+
+
 def _load_profile(path: str) -> dict[int, int]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_order_profile(json.load(fh))
@@ -119,6 +125,7 @@ def _emit(out: IO[str], args: argparse.Namespace, human: str, payload: dict | li
 def _cmd_dim(args: argparse.Namespace, out: IO[str]) -> int:
     group = parse_group(args.group)
     n = _require_cyclic(group, "dim")
+    _require_weight(args.i, n)
     if args.kind == "a":
         value = molien.sym_dim(n, args.m, args.i)
     elif args.kind == "b":
@@ -141,6 +148,7 @@ def _cmd_series(args: argparse.Namespace, out: IO[str]) -> int:
             raise ValueError("bigraded series are defined for cyclic groups, not profiles")
         group = parse_group(args.group)
         n = _require_cyclic(group, "series bigraded")
+        _require_weight(args.i, n)
         if args.order is None:
             raise ValueError("series bigraded needs --order")
         s2 = molien.bigraded_series(n, args.i, args.order, min(args.order, n))
@@ -299,11 +307,13 @@ def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
     elif args.which == "a":
         if args.n is None or args.m is None:
             raise ValueError("oracle a needs --n and --m")
+        _require_weight(args.i, args.n)
         value = molien.sym_dim_oracle(args.n, args.m, args.i)
         payload = {"oracle": "a", "n": args.n, "m": args.m, "i": args.i, "value": value}
     else:
         if args.n is None or args.m is None:
             raise ValueError("oracle dims needs --n and --m (and optionally --p)")
+        _require_weight(args.i, args.n)
         value = molien.sym_ext_dim_oracle(args.n, args.p, args.m, args.i)
         payload = {"oracle": "dims", "n": args.n, "p": args.p, "m": args.m,
                    "i": args.i, "value": value}

@@ -7,8 +7,8 @@ class GuardExceeded(RuntimeError):
     """A computation was refused because its size exceeds a hard resource guard.
 
     Guards protect against accidental combinatorial blowups (factorial
-    permanent expansions, power-set walks and the like).  The CLI maps this
-    to exit code 3.
+    permanent expansions, exponential subset DPs and the like).  The CLI maps
+    this to exit code 3.
     """
 
     def __init__(self, what: str, size: object, limit: object):

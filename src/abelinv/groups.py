@@ -9,7 +9,9 @@ residue tuples: chi_k(a) = zeta_e^t with e the group exponent and
 
 Internally elements are their indices: add_table and neg_table hold the
 group law on 0..n-1, and tuples appear only at parsing, character sums and
-output.
+output.  element_sum_counts counts the sets and multisets of elements by
+size and sum on add_table alone, the counting oracle behind the zero-sum and
+isotypic-dimension closed forms.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import GuardExceeded
 Element = tuple[int, ...]
 OrderProfile = dict[int, int]
 
-SUBSET_ENUM_GUARD = 24
+SUM_COUNT_GUARD = 10**7  # element_sum_counts work, |G| * (|G| + 16) * (degree + 16)
 
 _GROUP_RE = re.compile(r"c(\d+)(?:xc(\d+))*", re.IGNORECASE)
 
@@ -245,37 +247,42 @@ def abelian_groups_of_order(n: int) -> list[FiniteAbelianGroup]:
 
 
 def abelian_groups_up_to(max_order: int) -> list[FiniteAbelianGroup]:
+    if max_order < 1:
+        raise ValueError(f"need max_order >= 1, got {max_order}")
     out: list[FiniteAbelianGroup] = []
     for n in range(1, max_order + 1):
         out.extend(abelian_groups_of_order(n))
     return out
 
 
-def subset_sum_zero_count(group: FiniteAbelianGroup) -> int:
-    """Number of subsets of the group (empty set included) summing to zero.
+def element_sum_counts(group: FiniteAbelianGroup, degree: int, repeat: bool) -> list[list[int]]:
+    """[d][s]: number of multisets (repeat) or sets of d elements summing to element s, d <= degree.
 
-    Walks all 2^n subsets in Gray-code order, one addition-table lookup per
-    step.  Guarded at order 24.
+    Built one element g at a time on add_table: counts[d-1][s] moves into
+    counts[d][s + g], with d running upward for multisets (g may be taken
+    again) and downward for sets.  The guard, checked before add_table is
+    read, counts cell additions: |G| + 16 for each of the |G| * degree row
+    passes, and 16 passes' worth per element for building add_table.
     """
     n = group.order
-    if n > SUBSET_ENUM_GUARD:
-        raise GuardExceeded("subset enumeration", n, SUBSET_ENUM_GUARD)
-    add = group.add_table
-    neg = group.neg_table
-    cur = 0
-    count = 1  # empty subset
-    member = [False] * n
-    for step in range(1, 1 << n):
-        k = (step & -step).bit_length() - 1
-        if member[k]:
-            cur = add[cur][neg[k]]
-            member[k] = False
-        else:
-            cur = add[cur][k]
-            member[k] = True
-        if cur == 0:
-            count += 1
-    return count
+    work = n * (n + 16) * (degree + 16)
+    if work > SUM_COUNT_GUARD:
+        raise GuardExceeded("element-sum counting", work, SUM_COUNT_GUARD)
+    counts = [[0] * n for _ in range(degree + 1)]
+    counts[0][0] = 1
+    ds = range(1, degree + 1) if repeat else range(degree, 0, -1)
+    for shift in group.add_table:
+        for d in ds:
+            dst = counts[d]
+            for t, c in zip(shift, counts[d - 1]):
+                if c:
+                    dst[t] += c
+    return counts
+
+
+def subset_sum_zero_count(group: FiniteAbelianGroup) -> int:
+    """Number of subsets of the group (empty set included) summing to zero."""
+    return sum(row[0] for row in element_sum_counts(group, group.order, False))
 
 
 def _is_int(x: object) -> bool:

@@ -3,8 +3,9 @@
 For the cyclic group C_n acting on its regular representation R, the
 multiplicity of the weight-i character in S^m(R), Lambda^m(R) and
 S^p(R) (x) Lambda^m(R) has a closed form as a Ramanujan-sum weighted divisor
-sum.  This module implements those closed forms, independent enumeration
-oracles for them, the generating series (general finite abelian groups via
+sum.  This module implements those closed forms, independent counting
+oracles for them (a dynamic program over degree and weight, no character
+sums), the generating series (general finite abelian groups via
 character sums over the elements of each order, which have an integer closed
 form by Moebius inversion over torsion subgroups, and order profiles for the
 invariant part), and the reciprocity/log-identity checkers.
@@ -12,22 +13,17 @@ invariant part), and the reciprocity/log-identity checkers.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
-from .errors import GuardExceeded
-from .groups import FiniteAbelianGroup, parse_order_profile
-from .numtheory import divisors, euler_phi, moebius, multinomial, ramanujan_sum, weak_compositions
+from .groups import FiniteAbelianGroup, element_sum_counts, parse_order_profile
+from .numtheory import divisors, euler_phi, moebius, multinomial, ramanujan_sum
 from .polynom import unpack_zeta_integers, zeta_packing
 from .report import CheckReport
 from .series import TruncatedSeries1, TruncatedSeries2, expand_rational, log1p_series
-
-ENUM_GUARD = 10**7
-COMPOSITION_GUARD = 10**6  # weak compositions the monomial oracle may enumerate
 
 SeriesSource = Union[FiniteAbelianGroup, Mapping[int, int]]
 
@@ -121,74 +117,49 @@ def sym_ext_dim_by_parts(p: int, q: int, m: int, i: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# enumeration oracles (independent of the closed forms above)
+# counting oracles (independent of the closed forms above)
 
 @lru_cache(maxsize=None)
-def _sym_weight_histogram(n: int, m: int) -> tuple[int, ...]:
-    """Count exponent vectors of degree m in n variables by weight sum(j*k_j) mod n."""
-    size = math.comb(n + m - 1, m)
-    if size > COMPOSITION_GUARD:
-        raise GuardExceeded("monomial enumeration", size, COMPOSITION_GUARD)
-    hist = [0] * n
-    for comp in weak_compositions(m, n):
-        w = sum(j * k for j, k in enumerate(comp)) % n
-        hist[w] += 1
-    return tuple(hist)
+def _sym_weight_counts(n: int, m: int) -> tuple[int, ...]:
+    """[r]: degree-m monomials in x_0..x_{n-1} of weight r mod n (row m of the C_n multiset DP)."""
+    return tuple(element_sum_counts(FiniteAbelianGroup((n,)), m, True)[m])
+
+
+@lru_cache(maxsize=None)
+def _ext_weight_counts(n: int) -> tuple[tuple[int, ...], ...]:
+    """[m][r]: m-subsets of {0..n-1} with sum r mod n (the C_n set DP, every row)."""
+    return tuple(map(tuple, element_sum_counts(FiniteAbelianGroup((n,)), n, False)))
 
 
 def sym_dim_oracle(n: int, m: int, i: int) -> int:
-    """Enumeration oracle for sym_dim: count degree-m monomials of weight i mod n."""
+    """Counting oracle for sym_dim: degree-m monomials in x_0..x_{n-1} of weight i mod n."""
     if n < 1:
         raise ValueError(f"sym_dim_oracle: need n >= 1, got {n}")
     if m < 0:
         raise ValueError(f"sym_dim_oracle: need m >= 0, got {m}")
-    return _sym_weight_histogram(n, m)[i % n]
-
-
-@lru_cache(maxsize=None)
-def _subset_weight_histogram(n: int) -> tuple[tuple[int, ...], ...]:
-    """[m][r]: number of m-element subsets of {0..n-1} with sum congruent to r mod n."""
-    if 2**n > ENUM_GUARD:
-        raise GuardExceeded("subset enumeration", 2**n, ENUM_GUARD)
-    hist = [[0] * n for _ in range(n + 1)]
-    for m in range(n + 1):
-        for sub in itertools.combinations(range(n), m):
-            hist[m][sum(sub) % n] += 1
-    return tuple(tuple(row) for row in hist)
+    return _sym_weight_counts(n, m)[i % n]
 
 
 def ext_dim_oracle(n: int, m: int, i: int) -> int:
-    """Enumeration oracle for ext_dim: count m-subsets of {0..n-1} with sum i mod n."""
+    """Counting oracle for ext_dim: m-subsets of {0..n-1} with sum i mod n."""
     if n < 1:
         raise ValueError(f"ext_dim_oracle: need n >= 1, got {n}")
     if m < 0:
         raise ValueError(f"ext_dim_oracle: need m >= 0, got {m}")
     if m > n:
         return 0
-    return _subset_weight_histogram(n)[m][i % n]
-
-
-@lru_cache(maxsize=None)
-def _sym_ext_joint_histogram(n: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """[m][r]: degree-p monomial and m-subset pairs with combined weight r mod n.
-
-    Weights add over a pair, so this is the cyclic convolution of the two
-    enumerated histograms.
-    """
-    sym = _sym_weight_histogram(n, p)
-    return tuple(
-        tuple(sum(sym[w] * row[(r - w) % n] for w in range(n)) for r in range(n))
-        for row in _subset_weight_histogram(n)
-    )
+    return _ext_weight_counts(n)[m][i % n]
 
 
 def sym_ext_dim_oracle(n: int, p: int, m: int, i: int) -> int:
-    """Enumeration oracle for sym_ext_dim over monomial x subset basis pairs."""
+    """Counting oracle for sym_ext_dim: cyclic convolution of the monomial and subset weight counts."""
     if n < 1 or p < 0 or m < 0:
         raise ValueError(f"sym_ext_dim_oracle: bad parameters ({n}, {p}, {m})")
     if m > n:
         return 0
-    return _sym_ext_joint_histogram(n, p)[m][i % n]
+    sym = _sym_weight_counts(n, p)
+    ext = _ext_weight_counts(n)[m]
+    return sum(sym[w] * ext[(i - w) % n] for w in range(n))
 
 
 def character_order_sums_oracle(group: FiniteAbelianGroup, i: int) -> dict[int, int]:
@@ -360,8 +331,7 @@ def zero_sum_subset_count(group: FiniteAbelianGroup) -> int:
     """Closed-form count of zero-sum subsets of the group (empty set included).
 
     Equals the invariant dimension of the exterior algebra of the regular
-    representation; the enumeration cross-check lives in
-    groups.subset_sum_zero_count.
+    representation; the counting cross-check is groups.subset_sum_zero_count.
     """
     return ext_total_dim_invariants(group.order_profile())
 
@@ -376,6 +346,8 @@ def check_reciprocity(max_total: int = 10, fredman_total: int = 16) -> CheckRepo
     p+q+m <= max_total with both sides defined, and
     sym_dim(n, m, i) == sym_dim(m, n, i) over n+m <= fredman_total.
     """
+    if max_total < 1 or fredman_total < 1:
+        raise ValueError(f"reciprocity check needs totals >= 1, got {max_total} and {fredman_total}")
     t0 = time.perf_counter()
     failures: list[dict] = []
     for total in range(1, max_total + 1):
@@ -582,6 +554,8 @@ def check_identity(which: str, order: int | None = None, i_max: int = 5) -> Chec
         raise ValueError(f"unknown identity {which!r}; expected one of {sorted(IDENTITY_DEFAULT_ORDERS)}")
     if order is None:
         order = IDENTITY_DEFAULT_ORDERS[which]
+    if order < 1:
+        raise ValueError(f"identity check needs order >= 1, got {order}")
     t0 = time.perf_counter()
     if which == "A":
         failures = _identity_a(order, i_max)

@@ -90,18 +90,6 @@ def ramanujan_sum(n: int, i: int) -> int:
     return s1
 
 
-def weak_compositions(total: int, parts: int):
-    """Yield all tuples of `parts` non-negative ints summing to `total`."""
-    if parts < 1:
-        raise ValueError(f"weak_compositions: need parts >= 1, got {parts}")
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def multinomial(parts: Sequence[int]) -> int:
     """(sum parts)! / prod(part!) for a non-empty list of non-negative ints."""
     parts = list(parts)

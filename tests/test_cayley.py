@@ -1,5 +1,6 @@
 """Group multiplication tables, symbolic permanents/determinants, checkers."""
 
+import itertools
 import math
 import random
 
@@ -20,15 +21,16 @@ from abelinv import (
     check_toeplitz_conjecture,
     determinant,
     determinant_term_count,
+    ext_dim_oracle,
     hall_support,
     parse_group,
     permanent,
     permanent_term_count,
     sym_dim,
+    sym_dim_oracle,
     sym_series,
 )
 from abelinv.cayley import DP_GUARD, FACTORED_GUARD, VARIANTS, _column_classes, _dp_state_estimate, _subset_dp
-from abelinv.numtheory import weak_compositions
 
 C2 = parse_group("C2")
 C3 = parse_group("C3")
@@ -310,6 +312,40 @@ def test_hall_support_size_matches_invariant_dimension():
         series = sym_series(g, 0, 7)
         for degree in range(8):
             assert len(hall_support(g, degree)) == series.coefficient(degree)
+
+
+def weak_compositions(total, parts):
+    """Yield all tuples of `parts` non-negative ints summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in weak_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_weak_compositions_count_and_sum():
+    for total in range(0, 7):
+        for parts in range(1, 5):
+            combos = list(weak_compositions(total, parts))
+            assert len(combos) == math.comb(total + parts - 1, parts - 1)
+            assert len(set(combos)) == len(combos)
+            assert all(len(c) == parts and sum(c) == total for c in combos)
+
+
+def test_dimension_oracles_match_direct_enumeration():
+    # the counting DP against listing monomials and subsets one at a time
+    for n in range(1, 8):
+        for m in range(8):
+            sym = [0] * n
+            for comp in weak_compositions(m, n):
+                sym[sum(j * k for j, k in enumerate(comp)) % n] += 1
+            ext = [0] * n
+            for sub in itertools.combinations(range(n), m):
+                ext[sum(sub) % n] += 1
+            for i in range(n):
+                assert sym_dim_oracle(n, m, i) == sym[i], (n, m, i)
+                assert ext_dim_oracle(n, m, i) == ext[i], (n, m, i)
 
 
 def _zero_sum_filter(group, degree):

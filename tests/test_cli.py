@@ -40,6 +40,19 @@ def test_dim_json_payload():
     assert obj == {"kind": "a", "group": "C4", "n": 4, "m": 4, "i": 0, "value": 10}
 
 
+@pytest.mark.parametrize("argv", [
+    ["dim", "a", "--group", "C6", "--m", "6", "--i", "7"],
+    ["dim", "a", "--group", "C6", "--m", "6", "--i", "-1"],
+    ["dim", "sw", "--group", "C6", "--p", "1", "--m", "2", "--i", "6"],
+    ["series", "bigraded", "--group", "C4", "--i", "9", "--order", "4"],
+    ["oracle", "a", "--n", "4", "--m", "6", "--i", "9"],
+    ["oracle", "dims", "--n", "4", "--p", "1", "--m", "2", "--i", "-3"],
+])
+def test_weight_out_of_range_exits_2(argv, capsys):
+    assert invoke(argv) == (2, "")
+    assert "out of range for C" in capsys.readouterr().err
+
+
 def test_dim_requires_cyclic_presentation():
     code, _ = invoke(["dim", "a", "--group", "C2xC2", "--m", "2"])
     assert code == 2
@@ -173,6 +186,21 @@ def test_check_reciprocity_summary_format():
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "identity", "--identity", "log2var", "--order", "-2"],
+    ["check", "identity", "--identity", "A", "--order", "0"],
+    ["check", "reciprocity", "--max-total", "0", "--fredman-total", "0"],
+    ["check", "reciprocity", "--fredman-total", "0"],
+    ["check", "hall", "--max-order", "0", "--max-order-ext", "0"],
+    ["check", "hall", "--max-order-ext", "0"],
+    ["check", "invariance", "--max-order", "0"],
+    ["check", "extended", "--max-order", "-1"],
+])
+def test_empty_check_sweep_exits_2(argv, capsys):
+    assert invoke(argv) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_check_actions_rejects_empty_sample(capsys):
     for argv in (["--group", "C3", "--samples", "0"], ["--group", "C3", "--samples", "-5"], ["--samples", "0"]):
         assert invoke(["check", "actions", *argv]) == (2, "")
@@ -232,9 +260,13 @@ def test_oracle_values():
 
 
 def test_oracle_guard_refuses_quickly():
-    # C(25, 14) = 4457400 weak compositions, over the oracle's composition limit
-    for argv in (["oracle", "a", "--n", "12", "--m", "14"],
-                 ["oracle", "dims", "--n", "12", "--p", "14", "--m", "1"]):
+    # 4457400 monomials are counted by the DP, not listed
+    assert ok(["oracle", "a", "--n", "12", "--m", "14"]).strip() == "371516"
+    # degree 0 still needs the addition table, which the bound counts
+    for argv in (["oracle", "a", "--n", "1000", "--m", "1000"],
+                 ["oracle", "subsets", "--group", "C216"],
+                 ["oracle", "a", "--n", "100000", "--m", "0"],
+                 ["oracle", "dims", "--n", "100000", "--m", "1"]):
         t0 = time.perf_counter()
         assert invoke(argv)[0] == 3, argv
         assert time.perf_counter() - t0 < 1.0, argv

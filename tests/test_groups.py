@@ -15,7 +15,9 @@ from abelinv import (
     parse_order_profile,
     permutation_sign,
     subset_sum_zero_count,
+    zero_sum_subset_count,
 )
+from abelinv.groups import element_sum_counts
 from abelinv.polynom import unpack_zeta_integers, zeta_packing
 
 SMALL_GROUPS = [parse_group(s) for s in ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "C2xC3", "C2xC2xC3")]
@@ -207,8 +209,16 @@ def test_subset_count_matches_direct_enumeration():
 
 
 def test_subset_count_guard():
+    # the counting DP is polynomial: order 25 runs, and order 216 exceeds its work bound
+    c25 = parse_group("C25")
+    assert subset_sum_zero_count(c25) == zero_sum_subset_count(c25)
     with pytest.raises(GuardExceeded):
-        subset_sum_zero_count(parse_group("C25"))
+        subset_sum_zero_count(parse_group("C216"))
+    # the bound counts building the addition table, so degree 0 is refused too
+    big = parse_group("C100000")
+    with pytest.raises(GuardExceeded):
+        element_sum_counts(big, 0, True)
+    assert "add_table" not in big.__dict__
 
 
 def test_parse_order_profile():

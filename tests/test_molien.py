@@ -163,8 +163,20 @@ def test_sym_ext_specializations():
 
 
 def test_oracle_guard_refuses_huge_enumerations():
+    # C(59, 30) monomials are counted, not listed; only the DP's own work is bounded
+    for i in range(30):
+        assert sym_dim_oracle(30, 30, i) == sym_dim(30, 30, i)
     with pytest.raises(GuardExceeded):
-        sym_dim_oracle(30, 30, 0)
+        sym_dim_oracle(1000, 1000, 0)
+
+
+def test_oracles_match_closed_forms_at_query_sizes():
+    for m in (0, 1, 2, 7, 60, 119, 120, 121, 240):
+        for i in range(120):
+            assert sym_dim_oracle(120, m, i) == sym_dim(120, m, i), (m, i)
+    for m in range(121):
+        for i in (0, 1, 5, 60, 119):
+            assert ext_dim_oracle(120, m, i) == ext_dim(120, m, i), (m, i)
 
 
 def test_sym_series_cyclic_matches_dims():
@@ -292,6 +304,13 @@ def factor_lists(draw, max_order=60):
 @settings(max_examples=40, deadline=None)
 def test_character_order_sums_match_oracle_random_presentations(factors):
     _assert_sums_match_oracle(FiniteAbelianGroup(factors))
+
+
+@given(factor_lists())
+@settings(max_examples=40, deadline=None)
+def test_subset_count_matches_closed_form_random_presentations(factors):
+    g = FiniteAbelianGroup(factors)
+    assert subset_sum_zero_count(g) == zero_sum_subset_count(g)
 
 
 def test_character_order_sums_reject_bad_index():

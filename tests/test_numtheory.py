@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abelinv import divisors, euler_phi, moebius, multinomial, ramanujan_sum
-from abelinv.numtheory import prime_factorization, weak_compositions
+from abelinv.numtheory import prime_factorization
 from abelinv.polynom import unpack_zeta_integers, zeta_packing
 
 
@@ -99,15 +99,6 @@ def test_ramanujan_multiplicative_in_coprime_moduli(m, n, i):
 def test_ramanujan_rejects_nonpositive_modulus():
     with pytest.raises(ValueError):
         ramanujan_sum(0, 1)
-
-
-def test_weak_compositions_count_and_sum():
-    for total in range(0, 7):
-        for parts in range(1, 5):
-            combos = list(weak_compositions(total, parts))
-            assert len(combos) == comb(total + parts - 1, parts - 1)
-            assert len(set(combos)) == len(combos)
-            assert all(len(c) == parts and sum(c) == total for c in combos)
 
 
 def test_multinomial_values():

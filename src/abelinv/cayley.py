@@ -9,7 +9,9 @@ Entries are variables x_k indexed by group element; the table variants are
     toeplitz  l x l   entry x_((j-i) mod n), single-factor cyclic groups only
 
 Permanents and determinants are computed by one dynamic program over column
-subsets; a Leibniz expansion over all permutations is the independent oracle.
+subsets; a Leibniz expansion that counts each of the l! permutations on its
+own (met in the middle: row prefixes against precomputed suffix orderings,
+up to size 10) is the independent oracle.
 The permanent's monomial support is governed by the zero-sum condition
 (degree-n exponent vectors k with sum k_j * g_j = 0); the determinant
 factors into character linear forms.  Checkers for these facts live here.
@@ -19,8 +21,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +36,7 @@ from .report import CheckReport
 
 VARIANTS = ("plain", "hat", "extended", "block2n", "toeplitz")
 
-LEIBNIZ_GUARD = 9
+LEIBNIZ_GUARD = math.factorial(10)  # permutations the Leibniz oracle may expand
 DP_GUARD = 5 * 10**7
 FACTORED_GUARD = 10**6
 ENUM_GUARD = 10**7  # monomials hall_support may enumerate
@@ -117,21 +121,77 @@ def build_table(
     return CayleyMatrix(group, variant, grid)
 
 
+def _lex_parities(s: int) -> list[int]:
+    """Parity of each permutation of s sorted items, in itertools.permutations order.
+
+    That order is the lex order of Lehmer codes (digit i in 0..s-1-i, the
+    count of later entries below entry i), and the inversion count is the
+    digit sum.
+    """
+    return [sum(code) & 1 for code in itertools.product(*(range(s - i) for i in range(s)))]
+
+
+def _prefix_parity(prefix: Sequence[int]) -> int:
+    """Parity of the inversions a permutation's first k entries take part in.
+
+    Those are the inversions inside the prefix plus the pairs (prefix entry p,
+    later entry c < p); the columns below p not in the prefix number p minus
+    the prefix entries below p, so the second count is sum(prefix) - C(k, 2).
+    """
+    k = len(prefix)
+    inv = sum(a > b for a, b in itertools.combinations(prefix, 2))
+    return (inv + sum(prefix) - k * (k - 1) // 2) & 1
+
+
 def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
+    """Sum over all l! permutations of the (signed) product of their entries.
+
+    Meet in the middle: a permutation is a prefix (the columns of the first
+    k = l - ceil(l/2) rows) and an ordering of the remaining columns on the
+    last s = ceil(l/2) rows.  The packed keys (exponent vectors base l+1, so
+    x_e is (l+1)^e) of every ordering of every s-subset of columns are listed
+    once, split by the ordering's parity; each prefix then adds its key to
+    each key of its complement's list, one count per permutation.  The sign
+    is (-1)^(_prefix_parity(prefix) + parity(suffix)).  Partial products are
+    never merged, so the subset DP is checked against the full expansion.
+    The guard counts the l! permutations.
+    """
     l = matrix.size
-    if l > LEIBNIZ_GUARD:
-        raise GuardExceeded("Leibniz expansion", l, LEIBNIZ_GUARD)
-    rows = matrix.grid
+    perms = math.factorial(l)
+    if perms > LEIBNIZ_GUARD:
+        raise GuardExceeded("Leibniz permutations", perms, LEIBNIZ_GUARD)
     nvars = matrix.nvars
-    counts: dict[tuple[int, ...], int] = {}
-    for perm in itertools.permutations(range(l)):
-        exp = [0] * nvars
-        for r in range(l):
-            exp[rows[r][perm[r]]] += 1
-        key = tuple(exp)
-        delta = _permutation_sign(perm) if signed else 1
-        counts[key] = counts.get(key, 0) + delta
-    return IntPolynomial(nvars, counts)
+    base = l + 1
+    weights = [[base**e for e in row] for row in matrix.grid]
+    s = (l + 1) // 2
+    k = l - s
+    tail = weights[k:]
+    odd = _lex_parities(s)
+    even = [1 - p for p in odd]
+    # used-column bitmask of a prefix -> (even, odd) keys of its completions
+    suffix: dict[int, tuple[list[int], list[int]]] = {}
+    for cols in itertools.combinations(range(l), s):
+        keys = [sum(w[c] for w, c in zip(tail, order)) for order in itertools.permutations(cols)]
+        used = (1 << l) - 1 - sum(1 << c for c in cols)
+        suffix[used] = (list(itertools.compress(keys, even)), list(itertools.compress(keys, odd)))
+    plus: Counter[int] = Counter()
+    minus: Counter[int] = Counter()
+    for prefix in itertools.permutations(range(l), k):
+        key = sum(w[c] for w, c in zip(weights, prefix))
+        evens, odds = suffix[sum(1 << c for c in prefix)]
+        if signed and _prefix_parity(prefix):
+            evens, odds = odds, evens
+        plus.update(map(operator.add, itertools.repeat(key), evens))
+        (minus if signed else plus).update(map(operator.add, itertools.repeat(key), odds))
+    plus.subtract(minus)
+    terms: dict[tuple[int, ...], int] = {}
+    for packed, coeff in plus.items():
+        exp = []
+        for _ in range(nvars):
+            packed, digit = divmod(packed, base)
+            exp.append(digit)
+        terms[tuple(exp)] = coeff
+    return IntPolynomial(nvars, terms)
 
 
 def _column_classes(matrix: CayleyMatrix) -> list[tuple[int, int]]:
@@ -227,8 +287,8 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
 def permanent(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
     """Permanent as an integer polynomial; algorithm in {auto, leibniz}.
 
-    auto is the subset DP; leibniz expands all l! permutations and serves as
-    the independent oracle.
+    auto is the subset DP; leibniz expands all l! permutations (l <= 10) and
+    serves as the independent oracle.
     """
     if algorithm == "auto":
         return _subset_dp(matrix, signed=False)
@@ -284,7 +344,8 @@ def determinant(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
 
     auto is the signed subset DP, which returns zero on the repeated columns
     of extended and block2n tables; factored short-circuits those to zero
-    too, and an explicit leibniz run computes the cancellation honestly.
+    too, and an explicit leibniz run (l <= 10) sums all l! signed terms, so
+    it computes the cancellation honestly.
     """
     if algorithm == "auto":
         return _subset_dp(matrix, signed=True)

@@ -175,6 +175,8 @@ def _cmd_series(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
+    if args.op not in ("per", "det") and args.alg != "auto":
+        raise ValueError(f"--alg {args.alg} applies to per and det only, not cayley {args.op}")
     group = parse_group(args.group)
     if args.op == "counts":
         pc = cayley.permanent_term_count(group)

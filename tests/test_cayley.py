@@ -26,11 +26,22 @@ from abelinv import (
     parse_group,
     permanent,
     permanent_term_count,
+    permutation_sign,
     sym_dim,
     sym_dim_oracle,
     sym_series,
 )
-from abelinv.cayley import DP_GUARD, FACTORED_GUARD, VARIANTS, _column_classes, _dp_state_estimate, _subset_dp
+from abelinv.cayley import (
+    DP_GUARD,
+    FACTORED_GUARD,
+    LEIBNIZ_GUARD,
+    VARIANTS,
+    _column_classes,
+    _dp_state_estimate,
+    _lex_parities,
+    _prefix_parity,
+    _subset_dp,
+)
 
 C2 = parse_group("C2")
 C3 = parse_group("C3")
@@ -169,10 +180,14 @@ def test_permanent_coefficient_sum_is_factorial():
 
 
 def test_permanent_guards_and_algorithm_dispatch():
+    # the Leibniz guard counts permutations: size 10 runs, size 11 is refused
     big = build_table(parse_group("C2"), "toeplitz", size=10)
-    with pytest.raises(GuardExceeded):
-        permanent(big, "leibniz")
-    assert permanent(big).coefficient_sum() == math.factorial(10)  # auto covers every size
+    assert permanent(big, "leibniz") == permanent(big)
+    bigger = build_table(parse_group("C2"), "toeplitz", size=11)
+    with pytest.raises(GuardExceeded) as info:
+        permanent(bigger, "leibniz")
+    assert (info.value.size, info.value.limit) == (math.factorial(11), LEIBNIZ_GUARD)
+    assert permanent(bigger).coefficient_sum() == math.factorial(11)  # auto covers every size
     with pytest.raises(ValueError):
         permanent(big, "ryser")
     huge = build_table(parse_group("C17"), "toeplitz")
@@ -282,6 +297,34 @@ def test_subset_dp_matches_leibniz(factors, variant, stretch):
     det = determinant(table, "leibniz")
     assert determinant(table) == det, label
     assert _subset_dp(table, signed=True) == det, label  # the kernel itself, no short-circuit
+
+
+@pytest.mark.parametrize("spec, variant", [
+    ("C9", "plain"), ("C9", "hat"), ("C3xC3", "plain"), ("C3xC3", "hat"), ("C8", "extended"),
+    ("C10", "plain"), ("C2xC5", "hat"),
+])
+def test_subset_dp_matches_leibniz_at_guard_edge(spec, variant):
+    # sizes 9 and 10, which the sampled comparison above never reaches
+    table = build_table(parse_group(spec), variant)
+    per = permanent(table, "leibniz")
+    assert per.coefficient_sum() == math.factorial(table.size)  # each permutation counted once
+    assert per == permanent(table)
+    assert determinant(table, "leibniz") == _subset_dp(table, signed=True)
+
+
+def test_leibniz_sign_pieces_match_permutation_sign():
+    for s in range(1, 8):
+        odd = [permutation_sign(p) == -1 for p in itertools.permutations(range(s))]
+        assert _lex_parities(s) == odd, s
+    for l in range(1, 8):
+        suffix_parity = {}  # each ordering of each column subset -> its lex-pattern parity
+        for s in range(l + 1):
+            for cols in itertools.combinations(range(l), s):
+                suffix_parity.update(zip(itertools.permutations(cols), _lex_parities(s)))
+        for perm in itertools.permutations(range(l)):
+            for k in range(l + 1):  # prefix perm[:k], suffix perm[k:]
+                parity = _prefix_parity(perm[:k]) ^ suffix_parity[perm[k:]]
+                assert permutation_sign(perm) == (-1) ** parity, (perm, k)
 
 
 def test_subset_dp_matches_factored_determinant():

@@ -175,6 +175,14 @@ def test_cayley_algorithm_validation():
     assert invoke(["cayley", "table", "--group", "C2xC3", "--variant", "toeplitz"])[0] == 2
 
 
+@pytest.mark.parametrize("op", ["table", "support", "counts"])
+@pytest.mark.parametrize("alg", ["leibniz", "factored"])
+def test_cayley_alg_rejected_outside_per_and_det(op, alg, capsys):
+    assert invoke(["cayley", op, "--group", "C4", "--alg", alg]) == (2, "")
+    assert f"--alg {alg} applies to per and det only" in capsys.readouterr().err
+    assert invoke(["cayley", op, "--group", "C4", "--alg", "auto"])[0] == 0
+
+
 # ---------------------------------------------------------------- check
 
 

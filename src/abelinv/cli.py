@@ -179,6 +179,9 @@ def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
         raise ValueError(f"--alg {args.alg} applies to per and det only, not cayley {args.op}")
     group = parse_group(args.group)
     if args.op == "counts":
+        if args.variant != "plain" or args.l is not None:
+            raise ValueError("cayley counts counts the terms of the plain table; "
+                             "it takes no --variant or --l")
         pc = cayley.permanent_term_count(group)
         dc = cayley.determinant_term_count(group)
         payload = {"group": group.spec_string, "permanent_terms": pc, "determinant_terms": dc}

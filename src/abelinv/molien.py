@@ -9,6 +9,10 @@ sums), the generating series (general finite abelian groups via
 character sums over the elements of each order, which have an integer closed
 form by Moebius inversion over torsion subgroups, and order profiles for the
 invariant part), and the reciprocity/log-identity checkers.
+
+Every series coefficient is an integer sum of character sums times binomial
+coefficients, divided once by the group order; a remainder or a negative
+quotient means the coefficient is no dimension, and raises.
 """
 
 from __future__ import annotations
@@ -219,24 +223,42 @@ def _order_sums(source: SeriesSource, i: int) -> tuple[int, dict[int, int]]:
     return sum(prof.values()), prof
 
 
-def _checked_dimensions(out: TruncatedSeries1, source: SeriesSource, what: str) -> TruncatedSeries1:
-    """out, unless a coefficient is not a dimension: a fault for a group, bad input for a profile."""
-    for k, c in enumerate(out.coeffs):
-        if c.denominator != 1 or c < 0:
-            msg = f"{what} of {source}: coefficient {c} at t^{k} is not a dimension"
+def _dimensions(acc: list[int], total: int, source: SeriesSource, what: str) -> list[int]:
+    """acc[k] // total for every k, unless a quotient is not a dimension.
+
+    A remainder or a negative quotient is a fault for a group (AssertionError)
+    and bad input for an order profile (ValueError).
+    """
+    out = []
+    for k, c in enumerate(acc):
+        q, r = divmod(c, total)
+        if r or q < 0:
+            msg = f"{what} of {source}: coefficient {Fraction(c, total)} at t^{k} is not a dimension"
             raise (AssertionError if isinstance(source, FiniteAbelianGroup) else ValueError)(msg)
+        out.append(q)
     return out
 
 
 def _power_binomial_coeffs(d: int, k: int, inner: int, cap: int | None = None) -> list[int]:
-    """Coefficients of (1 + inner*t^d)^k, optionally truncated at degree cap."""
-    top = d * k if cap is None else min(d * k, cap)
+    """Coefficients of (1 + inner*t^d)^k, truncated at degree cap (required when k < 0).
+
+    The t^(da) coefficient C(k, a) inner^a follows from the one before by
+    c_a = c_(a-1) (k - a + 1) inner / a, an exact integer division; for k < 0
+    and inner = -1 this is C(|k| + a - 1, a), the expansion of 1/(1 - t^d)^|k|.
+    """
+    top = d * k if cap is None else (cap if k < 0 else min(d * k, cap))
     out = [0] * (top + 1)
-    for a in range(k + 1):
-        if d * a > top:
-            break
-        out[d * a] = math.comb(k, a) * inner**a
+    c = 1
+    for a in range(top // d + 1):
+        out[d * a] = c
+        c = c * (k - a) * inner // (a + 1)
     return out
+
+
+def _add_scaled(acc: list[int], scale: int, coeffs: list[int]) -> None:
+    for k, c in enumerate(coeffs):
+        if c:
+            acc[k] += scale * c
 
 
 def sym_series(source: SeriesSource, i: int = 0, order: int = 10) -> TruncatedSeries1:
@@ -244,59 +266,67 @@ def sym_series(source: SeriesSource, i: int = 0, order: int = 10) -> TruncatedSe
 
     Coefficient of t^m is the multiplicity of chi_i in S^m of the regular
     representation; i = 0 gives the invariant Molien series.  Accepts a group
-    or a bare order profile (invariants only).
+    or a bare order profile (invariants only).  The coefficient is
+
+        (1/|G|) sum_{d | m} S_d(chi_i) C(|G|/d + m/d - 1, m/d),
+
+    summed in integers and divided once by |G|, exactly.
     """
     total, sums = _order_sums(source, i)
-    acc = TruncatedSeries1.zero(order)
-    for d in sorted(sums):
-        s = sums[d]
-        if not s:
-            continue
-        denom = _power_binomial_coeffs(d, total // d, -1)
-        acc = acc + expand_rational([1], denom, order).scalar_mul(s)
-    return _checked_dimensions(acc.scalar_mul(Fraction(1, total)), source, f"sym_series (i = {i})")
+    acc = [0] * (order + 1)
+    for d, s in sums.items():
+        if s:
+            _add_scaled(acc, s, _power_binomial_coeffs(d, -(total // d), -1, order))
+    return TruncatedSeries1(order, _dimensions(acc, total, source, f"sym_series (i = {i})"))
 
 
 def ext_series(source: SeriesSource, i: int = 0, order: int | None = None) -> TruncatedSeries1:
     """Exterior-algebra series (1/|G|) sum_d S_d(chi_i) (1 - (-t)^d)^(|G|/d).
 
     A polynomial of degree at most |G|; the default truncation keeps all of it.
-    Divisible by (1 + t): every summand vanishes at t = -1.
+    Divisible by (1 + t): every summand vanishes at t = -1.  The coefficient
+    of t^m is
+
+        ((-1)^m / |G|) sum_{d | m} S_d(chi_i) (-1)^(m/d) C(|G|/d, m/d),
+
+    summed in integers and divided once by |G|, exactly.
     """
     total, sums = _order_sums(source, i)
     if order is None:
         order = total
-    coeffs = [Fraction(0)] * (order + 1)
-    for d in sorted(sums):
-        s = sums[d]
-        if not s:
-            continue
-        # (1 - (-t)^d)^k = sum_a binom(k,a) (-1)^((d+1)a) t^(da)
-        for da, c in enumerate(_power_binomial_coeffs(d, total // d, (-1) ** (d + 1), order)):
-            if c:
-                coeffs[da] += s * c
-    out = TruncatedSeries1(order, coeffs).scalar_mul(Fraction(1, total))
-    return _checked_dimensions(out, source, f"ext_series (i = {i})")
+    acc = [0] * (order + 1)
+    for d, s in sums.items():
+        if s:
+            # (1 - (-t)^d)^k = sum_a binom(k,a) (-1)^((d+1)a) t^(da)
+            _add_scaled(acc, s, _power_binomial_coeffs(d, total // d, (-1) ** (d + 1), order))
+    return TruncatedSeries1(order, _dimensions(acc, total, source, f"ext_series (i = {i})"))
 
 
 def bigraded_series(n: int, i: int, s_order: int, t_order: int) -> TruncatedSeries2:
     """Bigraded series (1/n) sum_{d|n} c_d(i) ((1-(-t)^d)/(1-s^d))^(n/d).
 
     Coefficient of s^p t^m is sym_ext_dim(n, p, m, i): each summand is an
-    outer product of a pure-s expansion and a pure-t polynomial.
+    outer product of the pure-s expansion of sym_series and the pure-t
+    polynomial of ext_series, scaled by c_d(i).  The grid is summed in
+    integers and each entry divided once by n, exactly.
     """
     if n < 1:
         raise ValueError(f"bigraded_series: need n >= 1, got {n}")
-    acc = TruncatedSeries2.zero(s_order, t_order)
+    acc = [[0] * (t_order + 1) for _ in range(s_order + 1)]
     for d in divisors(n):
         c = ramanujan_sum(d, i)
         if not c:
             continue
         k = n // d
-        s_part = expand_rational([1], _power_binomial_coeffs(d, k, -1), s_order)
-        t_part = TruncatedSeries1(t_order, _power_binomial_coeffs(d, k, (-1) ** (d + 1), t_order))
-        acc = acc + TruncatedSeries2.outer(s_part, t_part).scalar_mul(c)
-    return acc.scalar_mul(Fraction(1, n))
+        t_part = _power_binomial_coeffs(d, k, (-1) ** (d + 1), t_order)
+        for row, a in zip(acc, _power_binomial_coeffs(d, -k, -1, s_order)):
+            if a:
+                _add_scaled(row, c * a, t_part)
+    group = FiniteAbelianGroup((n,))
+    return TruncatedSeries2(s_order, t_order, [
+        _dimensions(row, n, group, f"bigraded_series (i = {i}), s^{p} row")
+        for p, row in enumerate(acc)
+    ])
 
 
 def ext_total_dim(n: int, i: int) -> int:

@@ -72,6 +72,16 @@ def test_series_ext_defaults_to_group_order():
     assert obj["series"]["coeffs"] == ["1", "1", "0", "1", "1"]
 
 
+def test_series_frontier_finishes_quickly():
+    t0 = time.perf_counter()
+    text = ok(["series", "sym", "--group", "C120", "--order", "2000"])
+    assert time.perf_counter() - t0 < 2.0
+    top = ok(["dim", "a", "--group", "C120", "--m", "2000", "--i", "0"]).strip()
+    assert text.rstrip().endswith(f" + {top}*t^2000")
+    obj = json.loads(ok(["--json", "series", "sym", "--group", "C120", "--order", "2000"]))
+    assert obj["series"]["coeffs"][2000] == top
+
+
 def test_series_profile_file(tmp_path):
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps({"1": 1, "2": 3, "3": 2}))
@@ -140,6 +150,15 @@ def test_cayley_counts():
     obj = json.loads(ok(["--json", "cayley", "counts", "--group", "C6"]))
     assert obj["permanent_terms"] == 80
     assert obj["determinant_terms"] == 68
+
+
+@pytest.mark.parametrize("extra", [["--variant", "toeplitz", "--l", "9"], ["--variant", "hat"],
+                                   ["--l", "4"], ["--variant", "plain", "--l", "4"]])
+def test_cayley_counts_rejects_variant_and_size(extra, capsys):
+    assert invoke(["cayley", "counts", "--group", "C4", *extra]) == (2, "")
+    assert "cayley counts counts the terms of the plain table" in capsys.readouterr().err
+    plain = ok(["cayley", "counts", "--group", "C4", "--variant", "plain"])
+    assert plain == ok(["cayley", "counts", "--group", "C4"]) == "permanent_terms 10\ndeterminant_terms 10\n"
 
 
 def test_cayley_guard_exit_code():

@@ -34,6 +34,8 @@ from abelinv import (
     sym_series,
     zero_sum_subset_count,
 )
+from abelinv import molien
+from abelinv.groups import element_sum_counts
 
 
 def test_sym_dim_frozen_values():
@@ -261,6 +263,47 @@ def test_profile_series_reject_non_dimensions():
             sym_series(prof, 0, 6)
         with pytest.raises(ValueError, match="not a dimension"):
             ext_series(prof)
+
+
+def test_group_series_reject_non_dimensions(monkeypatch):
+    # one wrong character sum leaves the t^0 (s^0 t^0) coefficient (|G| + 1)/|G|
+    real_sums, real_ramanujan = molien.character_order_sums, molien.ramanujan_sum
+
+    def bad_sums(group, i):
+        sums = real_sums(group, i)
+        return {**sums, 1: sums[1] + 1}
+
+    monkeypatch.setattr(molien, "character_order_sums", bad_sums)
+    monkeypatch.setattr(molien, "ramanujan_sum", lambda d, i: real_ramanujan(d, i) + (d == 1))
+    with pytest.raises(AssertionError, match=r"coefficient 5/4 at t\^0 is not a dimension"):
+        sym_series(parse_group("C2xC2"), 0, 6)
+    with pytest.raises(AssertionError, match="not a dimension"):
+        ext_series(parse_group("C2xC2"), 1)
+    with pytest.raises(AssertionError, match=r"coefficient 5/4 at t\^0 is not a dimension"):
+        bigraded_series(4, 0, 3, 4)
+
+
+def test_series_match_counting_dp_at_query_sizes():
+    # the series sizes the benchmark's query stream asks for, against the
+    # (degree, group sum) DP rather than another closed form
+    for spec, order, i in (("C2xC4xC8", 100, 0), ("C2xC4xC8", 100, 37),
+                           ("C4xC12", 80, 0), ("C4xC12", 80, 13),
+                           ("C3xC3xC3", 30, 0), ("C3xC3xC3", 30, 26)):
+        g = parse_group(spec)
+        counts = element_sum_counts(g, order, True)
+        assert sym_series(g, i, order).coeffs == tuple(row[i] for row in counts), (spec, i)
+    for spec in ("C6xC6", "C2xC10"):
+        g = parse_group(spec)
+        counts = element_sum_counts(g, g.order, False)
+        for i in range(g.order):
+            assert ext_series(g, i).coeffs == tuple(row[i] for row in counts), (spec, i)
+    for i in (0, 1, 7, 133, 265):
+        s = sym_series(parse_group("C266"), i, 200)
+        assert s.coeffs == tuple(sym_dim(266, m, i) for m in range(201)), i
+    for i in (0, 1, 10, 35, 69):
+        grid = bigraded_series(70, i, 40, 30)
+        for p in range(41):
+            assert grid.grid[p] == tuple(sym_ext_dim(70, p, m, i) for m in range(31)), (i, p)
 
 
 def test_character_order_sums_cyclic_reduces_to_ramanujan():

@@ -38,13 +38,7 @@ from .molien import (
 from .numtheory import divisors, euler_phi, moebius, multinomial, ramanujan_sum
 from .polynom import IntPolynomial, apply_group_action, cyclotomic_polynomial
 from .report import CheckReport
-from .series import (
-    TruncatedSeries1,
-    TruncatedSeries2,
-    exp_series,
-    expand_rational,
-    log1p_series,
-)
+from .series import TruncatedSeries1, TruncatedSeries2
 from .cayley import (
     CayleyMatrix,
     build_table,
@@ -91,15 +85,12 @@ __all__ = [
     "determinant_term_count",
     "divisors",
     "euler_phi",
-    "exp_series",
-    "expand_rational",
     "ext_dim",
     "ext_dim_oracle",
     "ext_series",
     "ext_total_dim",
     "ext_total_dim_invariants",
     "hall_support",
-    "log1p_series",
     "moebius",
     "multinomial",
     "parse_group",

@@ -12,7 +12,12 @@ invariant part), and the reciprocity/log-identity checkers.
 
 Every series coefficient is an integer sum of character sums times binomial
 coefficients, divided once by the group order; a remainder or a negative
-quotient means the coefficient is no dimension, and raises.
+quotient means the coefficient is no dimension, and raises.  SERIES_GUARD
+refuses a series too large to build before any coefficient is computed.
+
+The four log identities compare the dimensions with one sum,
+sum_d w(d) log(1 + u_d), of sparse logs (series.sparse_log1p); their closed
+forms z/(1-z^2) and y/(1-y) enter as coefficient formulas.
 """
 
 from __future__ import annotations
@@ -23,13 +28,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
+from .errors import GuardExceeded
 from .groups import FiniteAbelianGroup, element_sum_counts, parse_order_profile
 from .numtheory import divisors, euler_phi, moebius, multinomial, ramanujan_sum
 from .polynom import unpack_zeta_integers, zeta_packing
 from .report import CheckReport
-from .series import TruncatedSeries1, TruncatedSeries2, expand_rational, log1p_series
+from .series import Sparse, TruncatedSeries1, TruncatedSeries2, sparse_add_scaled, sparse_log1p
 
 SeriesSource = Union[FiniteAbelianGroup, Mapping[int, int]]
+
+SERIES_GUARD = 5 * 10**7  # series work, cells * (256 + bits of the largest binomial)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +263,23 @@ def _power_binomial_coeffs(d: int, k: int, inner: int, cap: int | None = None) -
     return out
 
 
+def _binomial_bits(a: int, b: int) -> int:
+    """Integer upper bound on the bits of C(a, b): C(a, k) <= (e a / k)^k, k = min(b, a - b)."""
+    k = min(b, a - b)
+    return k * ((a // k).bit_length() + 2) if k > 0 else 1
+
+
+def _guard_series(cells: int, bits: int) -> None:
+    """Refuse a series of `cells` coefficients of up to `bits` bits before any list is built.
+
+    Each cell costs a fixed overhead, counted as 256 bits, plus the bigint
+    work on its coefficient, which is linear in its bits.
+    """
+    work = cells * (256 + bits)
+    if work > SERIES_GUARD:
+        raise GuardExceeded("series coefficients", work, SERIES_GUARD)
+
+
 def _add_scaled(acc: list[int], scale: int, coeffs: list[int]) -> None:
     for k, c in enumerate(coeffs):
         if c:
@@ -273,6 +298,7 @@ def sym_series(source: SeriesSource, i: int = 0, order: int = 10) -> TruncatedSe
     summed in integers and divided once by |G|, exactly.
     """
     total, sums = _order_sums(source, i)
+    _guard_series(order + 1, _binomial_bits(total + order - 1, order))
     acc = [0] * (order + 1)
     for d, s in sums.items():
         if s:
@@ -294,6 +320,7 @@ def ext_series(source: SeriesSource, i: int = 0, order: int | None = None) -> Tr
     total, sums = _order_sums(source, i)
     if order is None:
         order = total
+    _guard_series(order + 1, _binomial_bits(total, min(order, total // 2)))
     acc = [0] * (order + 1)
     for d, s in sums.items():
         if s:
@@ -312,6 +339,8 @@ def bigraded_series(n: int, i: int, s_order: int, t_order: int) -> TruncatedSeri
     """
     if n < 1:
         raise ValueError(f"bigraded_series: need n >= 1, got {n}")
+    _guard_series((s_order + 1) * (t_order + 1),
+                  _binomial_bits(n + s_order - 1, s_order) + _binomial_bits(n, min(t_order, n // 2)))
     acc = [[0] * (t_order + 1) for _ in range(s_order + 1)]
     for d in divisors(n):
         c = ramanujan_sum(d, i)
@@ -411,75 +440,46 @@ def check_reciprocity(max_total: int = 10, fredman_total: int = 16) -> CheckRepo
 # ---------------------------------------------------------------------------
 # log identities (sparse total-degree-truncated series on the right sides)
 
-def _sp_scale_add(acc: dict, other: dict, factor: Fraction) -> None:
-    for exp, c in other.items():
-        val = acc.get(exp, Fraction(0)) + factor * c
-        if val:
-            acc[exp] = val
-        elif exp in acc:
-            del acc[exp]
-
-
-def _sp_mul(a: dict, b: dict, cutoff: int) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        d1 = sum(e1)
-        for e2, c2 in b.items():
-            if d1 + sum(e2) > cutoff:
-                continue
-            key = tuple(x + y for x, y in zip(e1, e2))
-            val = out.get(key, Fraction(0)) + c1 * c2
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _sp_log1p(u: dict, cutoff: int) -> dict:
-    """log(1 + u) for a sparse series u with no constant term, truncated by total degree."""
-    acc: dict = {}
-    power = dict(u)
-    k = 1
-    while power and k <= cutoff:
-        _sp_scale_add(acc, power, Fraction((-1) ** (k + 1), k))
-        k += 1
-        power = _sp_mul(power, u, cutoff)
+def _log_sum(order: int, weight, term) -> Sparse:
+    """sum_{d=1}^{order} weight(d) log(1 + term(d)) to total degree order; term(d) has degree >= d."""
+    acc: Sparse = {}
+    for d in range(1, order + 1):
+        w = weight(d)
+        if w:
+            sparse_add_scaled(acc, sparse_log1p(term(d), order), w)
     return acc
+
+
+def _ramanujan_weight(i: int):
+    """d -> -c_d(i)/d, the weight of the d-th log in every identity below."""
+    return lambda d: Fraction(-ramanujan_sum(d, i), d)
 
 
 def _identity_a(order: int, i_max: int) -> list[dict]:
     """Top-wedge diagonal: sum_m ext_dim(m, m, i) z^m = -sum_d (c_d(i)/d) log(1 + (-z)^d).
 
-    For i = 0 this is the classical z/(1-z^2) = sum_d (phi(d)/d) log(1+z^d).
+    For i = 0 this is the classical z/(1-z^2) = sum_d (phi(d)/d) log(1+z^d),
+    whose z^k coefficient is k mod 2.
     """
     failures = []
     for i in range(i_max + 1):
-        lhs = TruncatedSeries1(order, [0] + [ext_dim(m, m, i) for m in range(1, order + 1)])
-        rhs = TruncatedSeries1.zero(order)
-        for d in range(1, order + 1):
-            u = TruncatedSeries1.monomial(order, d, (-1) ** d)
-            rhs = rhs + log1p_series(u).scalar_mul(Fraction(-ramanujan_sum(d, i), d))
-        if lhs != rhs:
-            for k in range(order + 1):
-                if lhs.coeffs[k] != rhs.coeffs[k]:
-                    failures.append(
-                        {"identity": "A", "i": i, "degree": k,
-                         "lhs": str(lhs.coeffs[k]), "rhs": str(rhs.coeffs[k])}
-                    )
-    closed = expand_rational([0, 1], [1, 0, -1], order)  # z/(1-z^2)
-    alt = TruncatedSeries1.zero(order)
-    for d in range(1, order + 1):
-        alt = alt + log1p_series(TruncatedSeries1.monomial(order, d, 1)).scalar_mul(
-            Fraction(euler_phi(d), d)
-        )
-    if closed != alt:
+        rhs = _log_sum(order, _ramanujan_weight(i), lambda d: {(d,): (-1) ** d})
         for k in range(order + 1):
-            if closed.coeffs[k] != alt.coeffs[k]:
+            lhs = ext_dim(k, k, i) if k else 0
+            rv = rhs.get((k,), 0)
+            if lhs != rv:
                 failures.append(
-                    {"identity": "A", "i": 0, "form": "z/(1-z^2)", "degree": k,
-                     "lhs": str(closed.coeffs[k]), "rhs": str(alt.coeffs[k])}
+                    {"identity": "A", "i": i, "degree": k, "lhs": str(lhs), "rhs": str(rv)}
                 )
+    alt = _log_sum(order, lambda d: Fraction(euler_phi(d), d), lambda d: {(d,): 1})
+    for k in range(order + 1):
+        closed = k % 2  # z/(1-z^2)
+        rv = alt.get((k,), 0)
+        if closed != rv:
+            failures.append(
+                {"identity": "A", "i": 0, "form": "z/(1-z^2)", "degree": k,
+                 "lhs": str(closed), "rhs": str(rv)}
+            )
     return failures
 
 
@@ -488,31 +488,27 @@ def _identity_b(order: int, i_max: int) -> list[dict]:
 
     Three independent routes must agree: the series machinery, the n = 0 row
     of sym_dim, and the divisibility indicator [j | i] (coefficient of y^j).
-    For i = 0 the value is y/(1-y); for i != 0 it is the finite divisor
-    polynomial sum over j | i of y^j.
+    For i = 0 the value is y/(1-y), whose y^k coefficient is [k >= 1]; for
+    i != 0 it is the finite divisor polynomial sum over j | i of y^j.
     """
     failures = []
+    logs0: Sparse = {}
     for i in range(i_max + 1):
-        logs = TruncatedSeries1.zero(order)
-        for d in range(1, order + 1):
-            u = TruncatedSeries1.monomial(order, d, -1)
-            logs = logs + log1p_series(u).scalar_mul(Fraction(-ramanujan_sum(d, i), d))
-        dims = TruncatedSeries1(order, [0] + [sym_dim(0, m, i) for m in range(1, order + 1)])
-        indic = TruncatedSeries1(order, [0] + [1 if i % m == 0 else 0 for m in range(1, order + 1)])
+        logs = _log_sum(order, _ramanujan_weight(i), lambda d: {(d,): -1})
+        if i == 0:
+            logs0 = logs
         for k in range(order + 1):
-            vals = {"series": logs.coeffs[k], "dims": dims.coeffs[k], "indicator": indic.coeffs[k]}
+            vals = {
+                "series": logs.get((k,), 0),
+                "dims": sym_dim(0, k, i) if k else 0,
+                "indicator": 1 if k and i % k == 0 else 0,
+            }
             if len(set(vals.values())) != 1:
                 failures.append(
                     {"identity": "B", "i": i, "degree": k,
                      **{route: str(v) for route, v in vals.items()}}
                 )
-    closed = expand_rational([0, 1], [1, -1], order)  # y/(1-y)
-    logs0 = TruncatedSeries1.zero(order)
-    for d in range(1, order + 1):
-        logs0 = logs0 + log1p_series(TruncatedSeries1.monomial(order, d, -1)).scalar_mul(
-            Fraction(-ramanujan_sum(d, 0), d)
-        )
-    if logs0 != closed:
+    if any(logs0.get((k,), 0) != int(k >= 1) for k in range(order + 1)):  # y/(1-y)
         failures.append({"identity": "B", "i": 0, "form": "y/(1-y)", "detail": "mismatch"})
     return failures
 
@@ -526,15 +522,12 @@ def _identity_log2var(order: int, i_list: tuple[int, ...]) -> list[dict]:
     """
     failures = []
     for i in i_list:
-        rhs: dict = {}
-        for d in range(1, order + 1):
-            u = {(d, 0): Fraction(-1), (0, d): Fraction(-1)}
-            _sp_scale_add(rhs, _sp_log1p(u, order), Fraction(-ramanujan_sum(d, i), d))
+        rhs = _log_sum(order, _ramanujan_weight(i), lambda d: {(d, 0): -1, (0, d): -1})
         for total in range(1, order + 1):
             for n in range(total + 1):
                 m = total - n
-                lhs = Fraction(sym_dim(n, m, i))
-                rv = rhs.get((n, m), Fraction(0))
+                lhs = sym_dim(n, m, i)
+                rv = rhs.get((n, m), 0)
                 if lhs != rv:
                     failures.append(
                         {"identity": "log2var", "i": i, "n": n, "m": m,
@@ -553,20 +546,14 @@ def _identity_log3var(order: int, i_list: tuple[int, ...]) -> list[dict]:
     """
     failures = []
     for i in i_list:
-        rhs: dict = {}
-        for d in range(1, order + 1):
-            u = {
-                (d, 0, 0): Fraction(-1),
-                (0, d, 0): Fraction(-1),
-                (0, 0, d): Fraction((-1) ** d),
-            }
-            _sp_scale_add(rhs, _sp_log1p(u, order), Fraction(-ramanujan_sum(d, i), d))
+        rhs = _log_sum(order, _ramanujan_weight(i),
+                       lambda d: {(d, 0, 0): -1, (0, d, 0): -1, (0, 0, d): (-1) ** d})
         for total in range(1, order + 1):
             for p in range(total + 1):
                 for q in range(total + 1 - p):
                     m = total - p - q
-                    lhs = Fraction(sym_ext_dim_by_parts(p, q, m, i))
-                    rv = rhs.get((p, q, m), Fraction(0))
+                    lhs = sym_ext_dim_by_parts(p, q, m, i)
+                    rv = rhs.get((p, q, m), 0)
                     if lhs != rv:
                         failures.append(
                             {"identity": "log3var", "i": i, "p": p, "q": q, "m": m,
@@ -586,6 +573,8 @@ def check_identity(which: str, order: int | None = None, i_max: int = 5) -> Chec
         order = IDENTITY_DEFAULT_ORDERS[which]
     if order < 1:
         raise ValueError(f"identity check needs order >= 1, got {order}")
+    if i_max < 0:
+        raise ValueError(f"identity check needs i_max >= 0, got {i_max}")
     t0 = time.perf_counter()
     if which == "A":
         failures = _identity_a(order, i_max)

@@ -1,8 +1,13 @@
-"""Truncated formal power series with exact rational coefficients.
+"""Truncated power series: integer results and one sparse logarithm.
 
-One and two variable versions, truncated per variable at a fixed order
-(inclusive).  Coefficients are fractions.Fraction throughout; no floats ever
-enter, so equality is exact.
+TruncatedSeries1 and TruncatedSeries2 hold the integer coefficients of the
+isotypic series (one and two variables), truncated per variable at a fixed
+order (inclusive).  They are results, not a ring: they add, compare, print
+and serialize, and any coefficient that is not an int is refused.
+
+The log identities are checked on sparse series: dicts from exponent tuples
+to exact rationals, truncated by total degree, with sparse_log1p as the only
+series arithmetic.  No floats ever enter, so equality is exact.
 """
 
 from __future__ import annotations
@@ -10,89 +15,43 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-Scalar = Union[int, Fraction]
+Sparse = dict[tuple[int, ...], Union[int, Fraction]]
 
 
-def _frac(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction coefficient, got {type(x).__name__}")
+def _int_row(coeffs: Sequence[int], size: int) -> tuple[int, ...]:
+    """The coefficients padded with zeros to `size`; TypeError on a non-int."""
+    for c in coeffs:
+        if not isinstance(c, int):
+            raise TypeError(f"expected int coefficient, got {type(c).__name__}")
+    return tuple(coeffs) + (0,) * (size - len(coeffs))
 
 
 class TruncatedSeries1:
-    """Univariate series sum_{k<=order} c_k t^k, exact rationals."""
+    """Univariate series sum_{k<=order} c_k t^k with int coefficients."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: Sequence[Scalar] = ()):
+    def __init__(self, order: int, coeffs: Sequence[int] = ()):
         if order < 0:
             raise ValueError(f"series order must be >= 0, got {order}")
         if len(coeffs) > order + 1:
             raise ValueError(f"{len(coeffs)} coefficients exceed order {order}")
-        cs = [_frac(c) for c in coeffs]
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
         self.order = order
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries1":
-        return cls(order)
+        self.coeffs = _int_row(coeffs, order + 1)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries1":
         return cls(order, [1])
 
-    @classmethod
-    def monomial(cls, order: int, degree: int, coeff: Scalar = 1) -> "TruncatedSeries1":
-        if not 0 <= degree <= order:
-            raise ValueError(f"monomial degree {degree} outside truncation order {order}")
-        cs = [Fraction(0)] * (degree + 1)
-        cs[degree] = _frac(coeff)
-        return cls(order, cs)
-
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> int:
         if not 0 <= k <= self.order:
             raise ValueError(f"coefficient index {k} outside truncation order {self.order}")
         return self.coeffs[k]
 
-    def _check_order(self, other: "TruncatedSeries1") -> None:
+    def __add__(self, other: "TruncatedSeries1") -> "TruncatedSeries1":
         if self.order != other.order:
             raise ValueError(f"series order mismatch: {self.order} vs {other.order}")
-
-    def __add__(self, other: "TruncatedSeries1") -> "TruncatedSeries1":
-        self._check_order(other)
         return TruncatedSeries1(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "TruncatedSeries1") -> "TruncatedSeries1":
-        self._check_order(other)
-        return TruncatedSeries1(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "TruncatedSeries1":
-        return TruncatedSeries1(self.order, [-a for a in self.coeffs])
-
-    def scalar_mul(self, c: Scalar) -> "TruncatedSeries1":
-        c = _frac(c)
-        return TruncatedSeries1(self.order, [c * a for a in self.coeffs])
-
-    def __mul__(self, other: "TruncatedSeries1 | Scalar") -> "TruncatedSeries1":
-        if isinstance(other, (int, Fraction)):
-            return self.scalar_mul(other)
-        self._check_order(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries1(n, out)
-
-    def __rmul__(self, other: Scalar) -> "TruncatedSeries1":
-        return self.scalar_mul(other)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries1):
@@ -101,9 +60,6 @@ class TruncatedSeries1:
 
     def __hash__(self) -> int:
         return hash((self.order, self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __str__(self) -> str:
         parts = []
@@ -126,142 +82,43 @@ class TruncatedSeries1:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
 
-def expand_rational(numer: Sequence[Scalar], denom: Sequence[Scalar], order: int) -> TruncatedSeries1:
-    """Series of the rational function numer(t)/denom(t) to the given order.
-
-    Coefficient lists are ascending; denom must have a nonzero constant term.
-    Long division recurrence: c_k = (a_k - sum_{j>=1} b_j c_{k-j}) / b_0.
-    """
-    a = [_frac(x) for x in numer]
-    b = [_frac(x) for x in denom]
-    if not b or not b[0]:
-        raise ValueError("expand_rational: denominator needs a nonzero constant term")
-    out: list[Fraction] = []
-    for k in range(order + 1):
-        acc = a[k] if k < len(a) else Fraction(0)
-        for j in range(1, min(k, len(b) - 1) + 1):
-            acc -= b[j] * out[k - j]
-        out.append(acc / b[0])
-    return TruncatedSeries1(order, out)
-
-
-def log1p_series(u: TruncatedSeries1) -> TruncatedSeries1:
-    """log(1 + u) for a series u with zero constant term."""
-    if u.coeffs[0]:
-        raise ValueError("log1p_series: argument must have zero constant term")
-    n = u.order
-    acc = TruncatedSeries1.zero(n)
-    power = TruncatedSeries1.one(n)
-    for k in range(1, n + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        acc = acc + power.scalar_mul(Fraction((-1) ** (k + 1), k))
-    return acc
-
-
-def exp_series(u: TruncatedSeries1) -> TruncatedSeries1:
-    """exp(u) for a series u with zero constant term."""
-    if u.coeffs[0]:
-        raise ValueError("exp_series: argument must have zero constant term")
-    n = u.order
-    acc = TruncatedSeries1.one(n)
-    power = TruncatedSeries1.one(n)
-    fact = 1
-    for k in range(1, n + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        fact *= k
-        acc = acc + power.scalar_mul(Fraction(1, fact))
-    return acc
-
-
 class TruncatedSeries2:
-    """Bivariate series sum c_{p,m} s^p t^m truncated per variable.
+    """Bivariate series sum c_{p,m} s^p t^m with int coefficients, truncated per variable.
 
     grid[p][m] is the coefficient of s^p t^m.
     """
 
     __slots__ = ("s_order", "t_order", "grid")
 
-    def __init__(self, s_order: int, t_order: int, grid: Sequence[Sequence[Scalar]] = ()):
+    def __init__(self, s_order: int, t_order: int, grid: Sequence[Sequence[int]] = ()):
         if s_order < 0 or t_order < 0:
             raise ValueError("series orders must be >= 0")
-        rows: list[tuple[Fraction, ...]] = []
-        for p in range(s_order + 1):
-            src = grid[p] if p < len(grid) else ()
-            if len(src) > t_order + 1:
-                raise ValueError("grid row longer than t truncation order")
-            row = [_frac(c) for c in src]
-            row.extend([Fraction(0)] * (t_order + 1 - len(row)))
-            rows.append(tuple(row))
         if len(grid) > s_order + 1:
             raise ValueError("grid has more rows than s truncation order")
+        if any(len(row) > t_order + 1 for row in grid):
+            raise ValueError("grid row longer than t truncation order")
         self.s_order = s_order
         self.t_order = t_order
-        self.grid = tuple(rows)
-
-    @classmethod
-    def zero(cls, s_order: int, t_order: int) -> "TruncatedSeries2":
-        return cls(s_order, t_order)
+        rows = [_int_row(row, t_order + 1) for row in grid]
+        self.grid = tuple(rows) + ((0,) * (t_order + 1),) * (s_order + 1 - len(rows))
 
     @classmethod
     def one(cls, s_order: int, t_order: int) -> "TruncatedSeries2":
         return cls(s_order, t_order, [[1]])
 
-    @classmethod
-    def outer(cls, s_part: TruncatedSeries1, t_part: TruncatedSeries1) -> "TruncatedSeries2":
-        """Product f(s)*g(t) laid out on the grid."""
-        grid = [[a * b for b in t_part.coeffs] for a in s_part.coeffs]
-        return cls(s_part.order, t_part.order, grid)
-
-    def coefficient(self, p: int, m: int) -> Fraction:
+    def coefficient(self, p: int, m: int) -> int:
         if not (0 <= p <= self.s_order and 0 <= m <= self.t_order):
             raise ValueError(f"coefficient ({p},{m}) outside truncation ({self.s_order},{self.t_order})")
         return self.grid[p][m]
 
-    def _check_orders(self, other: "TruncatedSeries2") -> None:
+    def __add__(self, other: "TruncatedSeries2") -> "TruncatedSeries2":
         if (self.s_order, self.t_order) != (other.s_order, other.t_order):
             raise ValueError("series order mismatch")
-
-    def __add__(self, other: "TruncatedSeries2") -> "TruncatedSeries2":
-        self._check_orders(other)
         grid = [
             [a + b for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.grid, other.grid)
         ]
         return TruncatedSeries2(self.s_order, self.t_order, grid)
-
-    def __sub__(self, other: "TruncatedSeries2") -> "TruncatedSeries2":
-        return self + other.scalar_mul(-1)
-
-    def scalar_mul(self, c: Scalar) -> "TruncatedSeries2":
-        c = _frac(c)
-        return TruncatedSeries2(self.s_order, self.t_order, [[c * a for a in row] for row in self.grid])
-
-    def __mul__(self, other: "TruncatedSeries2 | Scalar") -> "TruncatedSeries2":
-        if isinstance(other, (int, Fraction)):
-            return self.scalar_mul(other)
-        self._check_orders(other)
-        ns, nt = self.s_order, self.t_order
-        out = [[Fraction(0)] * (nt + 1) for _ in range(ns + 1)]
-        for p1 in range(ns + 1):
-            row1 = self.grid[p1]
-            for m1 in range(nt + 1):
-                a = row1[m1]
-                if not a:
-                    continue
-                for p2 in range(ns + 1 - p1):
-                    row2 = other.grid[p2]
-                    for m2 in range(nt + 1 - m1):
-                        b = row2[m2]
-                        if b:
-                            out[p1 + p2][m1 + m2] += a * b
-        return TruncatedSeries2(ns, nt, out)
-
-    def __rmul__(self, other: Scalar) -> "TruncatedSeries2":
-        return self.scalar_mul(other)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries2):
@@ -293,3 +150,52 @@ class TruncatedSeries2:
             "t_order": self.t_order,
             "coeffs": [[str(c) for c in row] for row in self.grid],
         }
+
+
+# ---------------------------------------------------------------------------
+# sparse series, truncated by total degree
+
+def sparse_add_scaled(acc: Sparse, other: Sparse, factor: Union[int, Fraction]) -> None:
+    """acc += factor * other, in place, dropping coefficients that cancel to 0."""
+    for exp, c in other.items():
+        val = acc.get(exp, 0) + factor * c
+        if val:
+            acc[exp] = val
+        elif exp in acc:
+            del acc[exp]
+
+
+def sparse_mul(a: Sparse, b: Sparse, cutoff: int) -> Sparse:
+    """a * b, keeping the terms of total degree at most cutoff."""
+    out: Sparse = {}
+    for e1, c1 in a.items():
+        d1 = sum(e1)
+        for e2, c2 in b.items():
+            if d1 + sum(e2) > cutoff:
+                continue
+            key = tuple(x + y for x, y in zip(e1, e2))
+            val = out.get(key, 0) + c1 * c2
+            if val:
+                out[key] = val
+            elif key in out:
+                del out[key]
+    return out
+
+
+def sparse_log1p(u: Sparse, cutoff: int) -> Sparse:
+    """log(1 + u) = sum_k (-1)^(k+1) u^k / k for u with no constant term, to total degree cutoff.
+
+    u^k has no term below total degree k, so the sum stops after at most
+    cutoff powers.
+    """
+    if any(not any(exp) for exp in u):
+        raise ValueError("sparse_log1p: argument must have zero constant term")
+    u = {exp: c for exp, c in u.items() if sum(exp) <= cutoff}
+    acc: Sparse = {}
+    power = u
+    k = 1
+    while power:
+        sparse_add_scaled(acc, power, Fraction((-1) ** (k + 1), k))
+        k += 1
+        power = sparse_mul(power, u, cutoff)
+    return acc

@@ -82,6 +82,18 @@ def test_series_frontier_finishes_quickly():
     assert obj["series"]["coeffs"][2000] == top
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "sym", "--group", "C120", "--order", "100000"],
+    ["series", "bigraded", "--group", "C70", "--order", "3000"],
+    ["series", "ext", "--group", "C2", "--order", "5000000"],
+])
+def test_series_guard_refuses_quickly(argv, capsys):
+    t0 = time.perf_counter()
+    assert invoke(argv) == (3, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert "series coefficients" in capsys.readouterr().err
+
+
 def test_series_profile_file(tmp_path):
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps({"1": 1, "2": 3, "3": 2}))

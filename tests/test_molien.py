@@ -66,6 +66,14 @@ def test_sym_dim_matches_oracle():
                 assert sym_dim(n, m, i) == sym_dim_oracle(n, m, i), (n, m, i)
 
 
+@given(st.integers(1, 40), st.integers(0, 40), st.integers(0, 40), st.integers())
+@settings(max_examples=60, deadline=None)
+def test_closed_forms_match_oracles_random_sizes(n, p, m, i):
+    assert sym_dim(n, m, i) == sym_dim_oracle(n, m, i)
+    assert ext_dim(n, m, i) == ext_dim_oracle(n, m, i)
+    assert sym_ext_dim(n, p, m, i) == sym_ext_dim_oracle(n, p, m, i)
+
+
 def test_sym_dim_swap_symmetry():
     for total in range(1, 13):
         for n in range(1, total):
@@ -437,3 +445,22 @@ def test_identity_checks_pass_at_small_order():
 def test_identity_rejects_unknown_name():
     with pytest.raises(ValueError):
         check_identity("C")
+    with pytest.raises(ValueError):
+        check_identity("A", i_max=-1)
+
+
+@pytest.mark.parametrize("which, name, point, keys", [
+    ("A", "ext_dim", (5, 5, 2), {"i": 2, "degree": 5}),
+    ("B", "sym_dim", (0, 4, 2), {"i": 2, "degree": 4}),
+    ("log2var", "sym_dim", (3, 4, 1), {"i": 1, "n": 3, "m": 4}),
+    ("log3var", "sym_ext_dim_by_parts", (1, 2, 1, 0), {"i": 0, "p": 1, "q": 2, "m": 1}),
+])
+def test_identity_checks_report_a_wrong_dimension(monkeypatch, which, name, point, keys):
+    real = getattr(molien, name)
+    monkeypatch.setattr(molien, name, lambda *args: real(*args) + (args == point))
+    true = real(*point)
+    if which == "B":  # y^4 has coefficient [4 | 2] = 0 in the series and the indicator
+        values = {"series": "0", "dims": "1", "indicator": "0"}
+    else:
+        values = {"lhs": str(true + 1), "rhs": str(true)}
+    assert check_identity(which).failures == [{"identity": which, **keys, **values}]

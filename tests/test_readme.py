@@ -1,0 +1,11 @@
+"""The README's `>>>` examples, run as a doctest."""
+
+import doctest
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples():
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.attempted and not result.failed, result

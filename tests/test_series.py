@@ -1,20 +1,32 @@
-"""Truncated power series: exact arithmetic, rational expansion, log/exp."""
+"""Truncated power series: integer result containers and the sparse log."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abelinv import TruncatedSeries1, TruncatedSeries2, exp_series, expand_rational, log1p_series
+from abelinv import TruncatedSeries1, TruncatedSeries2
+from abelinv.series import sparse_add_scaled, sparse_log1p, sparse_mul
 
 ORDER = 12
 
 coeff = st.integers(-6, 6)
-series_coeffs = st.lists(coeff, min_size=0, max_size=ORDER + 1)
 
 
-def mk(cs):
-    return TruncatedSeries1(ORDER, cs)
+def sparse(nvars, with_constant=True):
+    """Sparse series in nvars variables of total degree <= ORDER."""
+    exps = st.lists(st.integers(0, ORDER), min_size=nvars, max_size=nvars).map(tuple)
+    exps = exps.filter(lambda e: sum(e) <= ORDER and (with_constant or any(e)))
+    return st.dictionaries(exps, coeff.filter(bool), max_size=6)
+
+
+def add(*terms):
+    """sum of (factor, series) pairs."""
+    acc = {}
+    for factor, s in terms:
+        sparse_add_scaled(acc, s, factor)
+    return acc
 
 
 def test_padding_and_accessors():
@@ -31,136 +43,107 @@ def test_padding_and_accessors():
 
 
 def test_constructors():
-    assert TruncatedSeries1.zero(3).is_zero()
     assert TruncatedSeries1.one(3).coeffs == (1, 0, 0, 0)
-    assert TruncatedSeries1.monomial(3, 2, 5).coeffs == (0, 0, 5, 0)
-    with pytest.raises(ValueError):
-        TruncatedSeries1.monomial(3, 4)
+    assert TruncatedSeries2.one(1, 2).grid == ((1, 0, 0), (0, 0, 0))
 
 
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
         TruncatedSeries1(3, [1]) + TruncatedSeries1(4, [1])
+    with pytest.raises(ValueError):
+        TruncatedSeries2(1, 1) + TruncatedSeries2(1, 2)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 0.5, 2.0])
+def test_non_int_coefficients_rejected(bad):
+    with pytest.raises(TypeError):
+        TruncatedSeries1(2, [1, bad])
+    with pytest.raises(TypeError):
+        TruncatedSeries2(1, 1, [[1], [0, bad]])
 
 
 def test_str_rendering():
     assert str(TruncatedSeries1(3, [1, 1, 2, 4])) == "1 + t + 2*t^2 + 4*t^3"
     assert str(TruncatedSeries1(2)) == "0"
     assert str(TruncatedSeries1(2, [0, 1, -1])) == "t - 1*t^2"
-    assert str(TruncatedSeries1(1, [Fraction(1, 2)])) == "1/2"
 
 
 def test_json_payload():
-    s = TruncatedSeries1(2, [1, Fraction(1, 2), 0])
-    assert s.to_json_obj() == {"order": 2, "coeffs": ["1", "1/2", "0"]}
+    s = TruncatedSeries1(2, [1, 3, 0])
+    assert s.to_json_obj() == {"order": 2, "coeffs": ["1", "3", "0"]}
 
 
-@given(series_coeffs, series_coeffs)
+def test_bivariate_padding_and_addition():
+    s2 = TruncatedSeries2(2, 1, [[1, 2], [1]])
+    assert s2.grid == ((1, 2), (1, 0), (0, 0))
+    assert s2.coefficient(0, 1) == 2
+    assert s2.coefficient(2, 1) == 0
+    twice = s2 + s2
+    assert twice.coefficient(0, 1) == 4
+    assert twice == TruncatedSeries2(2, 1, [[2, 4], [2, 0]])
+    with pytest.raises(ValueError):
+        s2.coefficient(3, 0)
+    with pytest.raises(ValueError):
+        TruncatedSeries2(0, 1, [[1], [1]])
+    with pytest.raises(ValueError):
+        TruncatedSeries2(1, 0, [[1, 1]])
+
+
+def test_bivariate_json_payload():
+    obj = TruncatedSeries2(1, 1, [[1, 1], [1, 1]]).to_json_obj()
+    assert obj["s_order"] == 1 and obj["t_order"] == 1
+    assert obj["coeffs"] == [["1", "1"], ["1", "1"]]
+
+
+# ------------------------------------------------- sparse series arithmetic
+
+
+@given(sparse(2), sparse(2))
 def test_mul_commutes(a, b):
-    assert mk(a) * mk(b) == mk(b) * mk(a)
+    assert sparse_mul(a, b, ORDER) == sparse_mul(b, a, ORDER)
 
 
-@given(series_coeffs, series_coeffs, series_coeffs)
+@given(sparse(2), sparse(2), sparse(2))
 @settings(max_examples=50)
 def test_mul_associates_and_distributes(a, b, c):
-    sa, sb, sc = mk(a), mk(b), mk(c)
-    assert (sa * sb) * sc == sa * (sb * sc)
-    assert sa * (sb + sc) == sa * sb + sa * sc
+    assert sparse_mul(sparse_mul(a, b, ORDER), c, ORDER) == sparse_mul(a, sparse_mul(b, c, ORDER), ORDER)
+    assert sparse_mul(a, add((1, b), (1, c)), ORDER) == \
+        add((1, sparse_mul(a, b, ORDER)), (1, sparse_mul(a, c, ORDER)))
 
 
-@given(series_coeffs)
+@given(sparse(2))
 def test_additive_inverse(a):
-    s = mk(a)
-    assert (s - s).is_zero()
-    assert (s + (-s)).is_zero()
-    assert s.scalar_mul(3) == 3 * s == s * 3
+    assert add((1, a), (-1, a)) == {}
+    assert add((3, a)) == {e: 3 * c for e, c in a.items()}
 
 
-def test_expand_rational_geometric():
-    s = expand_rational([1], [1, -1], 8)
-    assert s.coeffs == tuple([1] * 9)
-    s = expand_rational([1], [1, -2, 1], 6)  # 1/(1-t)^2
-    assert s.coeffs == (1, 2, 3, 4, 5, 6, 7)
-
-
-def test_expand_rational_rejects_zero_constant():
-    with pytest.raises(ValueError):
-        expand_rational([1], [0, 1], 4)
-
-
-@given(
-    st.lists(coeff, min_size=1, max_size=6),
-    st.lists(coeff, min_size=1, max_size=6).filter(lambda d: d[0] != 0),
-)
-def test_expand_rational_inverts_division(numer, denom):
-    s = expand_rational(numer, denom, ORDER)
-    d = mk(list(denom))
-    n = mk(list(numer))
-    assert s * d == n
-
-
-zero_constant = st.lists(coeff, min_size=0, max_size=ORDER).map(lambda cs: mk([0] + cs))
-
-
-@given(zero_constant)
-@settings(max_examples=50)
-def test_exp_log_round_trip(u):
-    one_plus = TruncatedSeries1.one(ORDER) + u
-    assert exp_series(log1p_series(u)) == one_plus
-    assert log1p_series(exp_series(u) - TruncatedSeries1.one(ORDER)) == u
-
-
-@given(zero_constant, zero_constant)
-@settings(max_examples=50)
-def test_exp_is_homomorphism(u, v):
-    assert exp_series(u + v) == exp_series(u) * exp_series(v)
-
-
-@given(zero_constant, zero_constant)
+@given(sparse(1, with_constant=False), sparse(1, with_constant=False))
 @settings(max_examples=50)
 def test_log_turns_products_into_sums(u, v):
-    one = TruncatedSeries1.one(ORDER)
-    prod = (one + u) * (one + v) - one
-    assert log1p_series(prod) == log1p_series(u) + log1p_series(v)
+    prod = add((1, u), (1, v), (1, sparse_mul(u, v, ORDER)))  # (1 + u)(1 + v) - 1
+    assert sparse_log1p(prod, ORDER) == add((1, sparse_log1p(u, ORDER)), (1, sparse_log1p(v, ORDER)))
 
 
-def test_log_exp_require_zero_constant_term():
+@given(sparse(2, with_constant=False), sparse(2, with_constant=False))
+@settings(max_examples=25)
+def test_log_turns_products_into_sums_two_variables(u, v):
+    prod = add((1, u), (1, v), (1, sparse_mul(u, v, ORDER)))
+    assert sparse_log1p(prod, ORDER) == add((1, sparse_log1p(u, ORDER)), (1, sparse_log1p(v, ORDER)))
+
+
+def test_log_requires_zero_constant_term():
     with pytest.raises(ValueError):
-        log1p_series(TruncatedSeries1.one(4))
+        sparse_log1p({(0,): 1}, 4)
     with pytest.raises(ValueError):
-        exp_series(TruncatedSeries1.one(4))
+        sparse_log1p({(0, 0): 1, (1, 0): 1}, 4)
 
 
 def test_log_frozen_expansion():
     # log(1+t) = t - t^2/2 + t^3/3 - ...
-    u = TruncatedSeries1.monomial(5, 1)
-    got = log1p_series(u)
-    assert got.coeffs == (0, 1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5))
-
-
-def test_exp_frozen_expansion():
-    u = TruncatedSeries1.monomial(4, 1)
-    got = exp_series(u)
-    assert got.coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24))
-
-
-def test_bivariate_outer_product_and_arithmetic():
-    s_part = TruncatedSeries1(2, [1, 1, 1])
-    t_part = TruncatedSeries1(1, [1, 2])
-    s2 = TruncatedSeries2.outer(s_part, t_part)
-    assert s2.coefficient(2, 1) == 2
-    assert s2.coefficient(0, 0) == 1
-    twice = s2 + s2
-    assert twice.coefficient(2, 1) == 4
-    assert (s2 - s2).coefficient(1, 1) == 0
-    assert s2.scalar_mul(Fraction(1, 2)).coefficient(2, 1) == 1
-    prod = s2 * s2
-    # [s^1 t^1] of the square: 2 * (coeff s^0t^0)(coeff s^1t^1) + 2*(s^1t^0)(s^0t^1)
-    assert prod.coefficient(1, 1) == 2 * 2 + 2 * 2
-
-
-def test_bivariate_json_payload():
-    s2 = TruncatedSeries2.outer(TruncatedSeries1(1, [1, 1]), TruncatedSeries1(1, [1, 1]))
-    obj = s2.to_json_obj()
-    assert obj["s_order"] == 1 and obj["t_order"] == 1
-    assert obj["coeffs"] == [["1", "1"], ["1", "1"]]
+    got = sparse_log1p({(1,): 1}, 5)
+    assert got == {(1,): 1, (2,): Fraction(-1, 2), (3,): Fraction(1, 3),
+                   (4,): Fraction(-1, 4), (5,): Fraction(1, 5)}
+    # log(1 - x - y) = -sum_k (x + y)^k / k: the x^n y^m coefficient is -C(n+m, n)/(n+m)
+    got = sparse_log1p({(1, 0): -1, (0, 1): -1}, 6)
+    assert got == {(n, k - n): Fraction(-math.comb(k, n), k) for k in range(1, 7) for n in range(k + 1)}
+    assert sparse_log1p({(3,): 1, (7,): 2}, 2) == {}

@@ -9,9 +9,14 @@ Entries are variables x_k indexed by group element; the table variants are
     toeplitz  l x l   entry x_((j-i) mod n), single-factor cyclic groups only
 
 Permanents and determinants are computed by one dynamic program over column
-subsets; a Leibniz expansion that counts each of the l! permutations on its
-own (met in the middle: row prefixes against precomputed suffix orderings,
-up to size 10) is the independent oracle.
+subsets.  When the grid carries the translation action (plain, hat and n x n
+toeplitz tables in the canonical element order), translation rotates the
+columns and shifts the variables, the permanent is invariant and the
+determinant semi-invariant, so the program keeps one state per rotation
+orbit of column sets (C12 in seconds); other tables keep one per set.  A
+Leibniz expansion that counts each of the l! permutations on its own (met
+in the middle: row prefixes against precomputed suffix orderings, up to
+size 10) is the independent oracle.
 The permanent's monomial support is governed by the zero-sum condition
 (degree-n exponent vectors k with sum k_j * g_j = 0); the determinant
 factors into character linear forms.  Checkers for these facts live here.
@@ -26,7 +31,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import GuardExceeded
 from .groups import Element, FiniteAbelianGroup, _permutation_sign
@@ -38,6 +43,10 @@ VARIANTS = ("plain", "hat", "extended", "block2n", "toeplitz")
 
 LEIBNIZ_GUARD = math.factorial(10)  # permutations the Leibniz oracle may expand
 DP_GUARD = 5 * 10**7
+# below this many unreduced (state, monomial) pairs the orbit set-up costs more than it
+# saves: order 5 (1002 pairs) breaks even when warm and is slower on a first call, order 6
+# (5336 pairs) is 1.5 times as fast
+ORBIT_MIN_PAIRS = 2000
 FACTORED_GUARD = 10**6
 ENUM_GUARD = 10**7  # monomials hall_support may enumerate
 LEHMER_PRIMES = (3, 5, 7)
@@ -204,22 +213,174 @@ def _column_classes(matrix: CayleyMatrix) -> list[tuple[int, int]]:
     return list(sizes.items())
 
 
-def _dp_state_estimate(matrix: CayleyMatrix, classes: Sequence[tuple[int, int]]) -> int:
+class _Translation(NamedTuple):
+    """Columns rotated by s carry every entry to entry + shift (mod n).
+
+    The columns and variables are relabeled by phi first: the table with
+    entry phi(grid[i][j]) in column phi(j) has that symmetry.  mults[u] =
+    B^(u*shift mod n), B = n + 1, is the rotation by u steps on a key packed
+    base B: sigma^u(key) = key * mults[u] mod B^n - 1.
+    """
+
+    phi: list[int]
+    grid: list[list[int]]
+    s: int
+    shift: int
+    mults: list[int]
+
+    @property
+    def rotations(self) -> int:
+        return len(self.mults)
+
+
+def _translation(matrix: CayleyMatrix, classes: Sequence[tuple[int, int]]) -> _Translation | None:
+    """The translation symmetry of a square table with distinct columns, if it has one.
+
+    An element g of maximal order e generates the relabeling: phi(r_c + k g)
+    = k s + c, with s = n/e and r_c the first element of the c-th coset of
+    <g>, so adding g adds s to every label.  A plain table then satisfies
+    grid[i][j + s] = grid[i][j] + s and a hat table the same with -s (the
+    toeplitz table over C_n is the plain case with phi = id).  The property
+    is read off the relabeled grid, not the variant, so a table in another
+    element order gets the trivial subgroup (None), as do extended, block2n
+    and stretched toeplitz tables.
+    """
+    n = matrix.nvars
+    if matrix.size != n or len(classes) < n or n < 2:
+        return None
+    group = matrix.group
+    e = group.exponent
+    s = n // e
+    if group.is_cyclic_presentation:  # g = 1 and phi = id
+        phi = list(range(n))
+        grid = [list(row) for row in matrix.grid]
+    else:
+        g = next(k for k, a in enumerate(group.elements()) if group.element_order(a) == e)
+        add = group.add_table
+        phi = [-1] * n
+        c = 0
+        for r in range(n):
+            if phi[r] < 0:  # r is the first element of the next coset of <g>
+                x = r
+                for k in range(e):
+                    phi[x] = k * s + c
+                    x = add[x][g]
+                c += 1
+        grid = []
+        for row in matrix.grid:
+            new = [0] * n
+            for j, v in enumerate(row):
+                new[phi[j]] = phi[v]
+            grid.append(new)
+    for shift in (s, n - s):
+        if all(row[s:] + row[:s] == [(v + shift) % n for v in row] for row in grid):
+            return _Translation(phi, grid, s, shift, [(n + 1) ** (u * shift % n) for u in range(e)])
+    return None
+
+
+def _rotation_orbits(k: int, n: int, s: int) -> int:
+    """Number of orbits of the k-subsets of Z_n under rotation by multiples of s (Burnside)."""
+    e = n // s
+    fixed = 0
+    for t in range(e):
+        cycles = math.gcd(t * s, n)  # rotation by t*s has gcd cycles of length n/gcd
+        length = n // cycles
+        if k % length == 0:
+            fixed += math.comb(cycles, k // length)
+    return fixed // e
+
+
+def _dp_state_estimate(
+    matrix: CayleyMatrix,
+    classes: Sequence[tuple[int, int]],
+    translation: _Translation | None,
+) -> int:
     """Upper bound on the (state, monomial) pairs the subset DP holds.
 
     Layer k has at most C(l, k) states (exactly that many when all columns
-    differ), each carrying at most the C(k+v-1, v-1) degree-k monomials in the
-    v distinct variables of the table.
+    differ), or one per rotation orbit of k-subsets under a translation,
+    each carrying at most the C(k+v-1, v-1) degree-k monomials in the v
+    distinct variables of the table.
     """
-    states = [1]  # states[k]: ways to take k columns, counted per class
-    for _, m in classes:
-        grown = [0] * (len(states) + m)
-        for k, count in enumerate(states):
-            for t in range(m + 1):
-                grown[k + t] += count
-        states = grown
+    if translation is not None:
+        l = matrix.size
+        states = [_rotation_orbits(k, l, translation.s) for k in range(l + 1)]
+    else:
+        states = [1]  # states[k]: ways to take k columns, counted per class
+        for _, m in classes:
+            grown = [0] * (len(states) + m)
+            for k, count in enumerate(states):
+                for t in range(m + 1):
+                    grown[k + t] += count
+            states = grown
     v = len({k for row in matrix.grid for k in row})
     return sum(s * math.comb(k + v - 1, v - 1) for k, s in enumerate(states))
+
+
+def _rotation_signs(tr: _Translation, rep: int, signed: bool) -> list[int]:
+    """Placement sign of each rotation u = 0..e-1 of the column mask rep.
+
+    Rotating a k-set by u*s moves the w = popcount(rep >> (n - u*s)) columns
+    that wrap past the other k - w, so a signed placement changes sign by
+    (-1)^(w(k-w)).  On the rotations that fix rep the signs form a character.
+    """
+    if not signed:
+        return [1] * tr.rotations
+    n, s = len(tr.phi), tr.s
+    k = rep.bit_count()
+    return [1 - 2 * ((w := (rep >> (n - u * s)).bit_count()) * (k - w) & 1)
+            for u in range(tr.rotations)]
+
+
+def _orbit_table(tr: _Translation, signed: bool) -> list[tuple[int, int, int]]:
+    """Per column mask S = T^h(R): (R, mults[-h], placement sign).
+
+    T rotates a mask by s, and R is the smallest mask of the orbit, so
+    P_R = sign * sigma^(-h)(P_S).
+    """
+    n, s = len(tr.phi), tr.s
+    full = (1 << n) - 1
+    orbit: list = [None] * (full + 1)
+    for rep in range(full + 1):
+        if orbit[rep] is not None:
+            continue
+        signs = _rotation_signs(tr, rep, signed)
+        x, h = rep, 0
+        while orbit[x] is None:
+            orbit[x] = (rep, tr.mults[-h], signs[h])  # sigma^(-h) = sigma^(e-h)
+            x = (x << s | x >> (n - s)) & full
+            h += 1
+    return orbit
+
+
+def _orbit_means(
+    poly: dict[int, int], mults: list[int], chis: list[int], modulus: int,
+) -> dict[int, tuple[int, int]]:
+    """Mean of the signed translates of poly over all e rotations, by key orbit.
+
+    key * mults[t] % modulus is sigma^t(key), and chis[t] = chi(t) = +-1 is
+    a character of the rotations.  The mean M = (1/e) sum_t chi(t)
+    sigma^t(poly) satisfies M[sigma^t K] = chi(t) M[K], so it is returned as
+    {K: (M[K], size of the orbit of K)} for one key K of each key orbit
+    that meets poly, with M[K] = (1/e) sum_t chi(t) poly[sigma^(-t) K],
+    which is also sum_t chi(t) poly[sigma^t K] / e since chi(-t) = chi(t).
+    The division is exact; a remainder raises AssertionError.
+    """
+    e = len(mults)
+    zeros = itertools.repeat(0)
+    seen: set[int] = set()
+    out = {}
+    for key in poly:
+        if key in seen:
+            continue
+        images = [key * m % modulus for m in mults]  # images[t] = sigma^t(key)
+        seen.update(images)
+        q, r = divmod(sum(map(operator.mul, chis, map(poly.get, images, zeros))), e)
+        if r:
+            raise AssertionError(f"orbit mean at packed key {key} is not integral")
+        if q:
+            out[key] = (q, e // images.count(key))
+    return out
 
 
 def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
@@ -231,56 +392,105 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     taken from each class of identical columns (packed mixed radix; when all
     columns differ it is the bitmask of the columns taken), the permanent
     gains the factor prod m_c! at the end, and the determinant is zero.
-    Exponent vectors are packed base l+1 into one int (Kronecker substitution:
-    no exponent exceeds l, so digits never carry), so multiplying by x_k adds
-    (l+1)^k.  Placing row i in column j passes the taken columns to its right,
-    popcount(mask >> (j+1)) inversions, which gives the sign.  This is the
-    subset form of Ryser's inclusion-exclusion (Nijenhuis & Wilf 1978).
+    Exponent vectors are packed base B = l+1 into one int (Kronecker
+    substitution: no exponent exceeds l, so digits never carry), so
+    multiplying by x_k adds B^k.  Placing row i in column j passes the taken
+    columns to its right, popcount(mask >> (j+1)) inversions, which gives the
+    sign.  This is the subset form of Ryser's inclusion-exclusion (Nijenhuis
+    & Wilf 1978).
+
+    A table with a translation symmetry (see _translation) and more than
+    ORBIT_MIN_PAIRS unreduced pairs keeps one state per rotation orbit of
+    column masks: its partial sums obey P_(T^h S) =
+    (-1)^(w(k-w)) sigma^h(P_S), where sigma shifts every variable label by
+    the table's shift, which on a packed key is multiplication by
+    B^shift mod B^n - 1 (digits stay below B, so the key is never B^n - 1).
+    A representative R stores W_R, the sum of the P_S of its orbit, each
+    translated back to R (|orbit(R)| P_R), up to a rotation that fixes R:
+    each push from R lands in R u {j}, which is translated back to its own
+    representative, by one of the rotations that do so when there are
+    several.  Every rotation fixes the full mask, so the mean of its W over
+    all rotations, an exact division, is the result whichever rotation each
+    state was kept under; unpacking maps the labels back through phi, and
+    the determinant picks up the sign of the column relabeling.
     """
     l = matrix.size
     nvars = matrix.nvars
     classes = _column_classes(matrix)
     if signed and len(classes) < l:
         return IntPolynomial.zero(nvars)
-    estimate = _dp_state_estimate(matrix, classes)
+    estimate = _dp_state_estimate(matrix, classes, None)
+    tr = _translation(matrix, classes) if estimate > ORBIT_MIN_PAIRS else None
+    if tr is not None:
+        estimate = _dp_state_estimate(matrix, classes, tr)
     if estimate > DP_GUARD:
         raise GuardExceeded("subset DP states", estimate, DP_GUARD)
     base = l + 1
+    grid = matrix.grid
+    if tr is not None:
+        grid = tr.grid
+        modulus = base**l - 1
+        orbit = _orbit_table(tr, signed)
     radix = [1]
     for _, m in classes:
         radix.append(radix[-1] * (m + 1))
     layer: dict[int, dict[int, int]] = {0: {0: 1}}
-    for row in matrix.grid:
+    for row in grid:
         steps = [(c, radix[c], m + 1, base ** row[j]) for c, (j, m) in enumerate(classes)]
         nxt: dict[int, dict[int, int]] = {}
         for state, poly in layer.items():
+            moved = {1: poly}  # poly translated by each multiplier it is pushed with
             for c, r, span, w in steps:
                 if state // r % span == span - 1:  # class used up
                     continue
-                target = nxt.get(state + r)
-                if target is None:
-                    target = nxt[state + r] = {}
-                get = target.get
                 # signed implies distinct columns: state is a bitmask, c a column
-                if signed and (state >> (c + 1)).bit_count() & 1:
-                    for key, coeff in poly.items():
+                negate = signed and (state >> (c + 1)).bit_count() & 1
+                dest, src = state + r, poly
+                if tr is not None:
+                    dest, mult, sign = orbit[dest]
+                    negate = negate ^ (sign < 0)
+                    src = moved.get(mult)
+                    if src is None:
+                        src = moved[mult] = {key * mult % modulus: coeff
+                                             for key, coeff in poly.items()}
+                    w = w * mult % modulus  # digits never carry, so translation is additive
+                target = nxt.get(dest)
+                if target is None:
+                    if negate:
+                        nxt[dest] = {key + w: -coeff for key, coeff in src.items()}
+                    else:
+                        nxt[dest] = {key + w: coeff for key, coeff in src.items()}
+                    continue
+                get = target.get
+                if negate:
+                    for key, coeff in src.items():
                         key += w
                         target[key] = get(key, 0) - coeff
                 else:
-                    for key, coeff in poly.items():
+                    for key, coeff in src.items():
                         key += w
                         target[key] = get(key, 0) + coeff
         if signed:  # drop cancelled terms before they are carried further
             nxt = {st: {k: c for k, c in p.items() if c} for st, p in nxt.items()}
         layer = nxt
     ways = math.prod(math.factorial(m) for _, m in classes)
-    terms: dict[tuple[int, ...], int] = {}
-    for packed, coeff in layer[radix[-1] - 1].items():
-        exp = []
-        for _ in range(nvars):
-            packed, digit = divmod(packed, base)
-            exp.append(digit)
-        terms[tuple(exp)] = coeff * ways
+    powers = [base**i for i in range(nvars)]
+    final = layer[radix[-1] - 1]
+    if tr is None:
+        terms = {tuple([packed // p % base for p in powers]): coeff * ways
+                 for packed, coeff in final.items()}
+        return IntPolynomial(nvars, terms)
+    # every rotation fixes the full mask: unpack the mean key orbit by key
+    # orbit, rotating the digits of one key and mapping labels back
+    sign = _permutation_sign(tr.phi) if signed else 1
+    chis = _rotation_signs(tr, radix[-1] - 1, signed)
+    exponents = [operator.itemgetter(*[(p - u * tr.shift) % l for p in tr.phi])
+                 for u in range(tr.rotations)]
+    terms = {}
+    for key, (c, size) in _orbit_means(final, tr.mults, chis, modulus).items():
+        digits = [key // p % base for p in powers]
+        for exponent, chi in zip(exponents[:size], chis):
+            terms[exponent(digits)] = chi * sign * c
     return IntPolynomial(nvars, terms)
 
 
@@ -334,8 +544,10 @@ def _det_factored(matrix: CayleyMatrix) -> IntPolynomial:
                 nxt[k] = get(k, 0) + (v << shift)
         prod = {key: v % modulus for key, v in nxt.items()}
     sign = group.inversion_sign() if matrix.variant == "plain" else 1
+    # every value passes the integrality test; only the surviving ones are decoded
     values = unpack_zeta_integers(prod.values(), bits, modulus)
-    terms = {tuple(key // w % base for w in powers): c * sign for key, c in zip(prod, values)}
+    terms = {tuple([key // w % base for w in powers]): c * sign
+             for key, c in zip(prod, values) if c}
     return IntPolynomial(n, terms)
 
 

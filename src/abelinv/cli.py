@@ -192,21 +192,19 @@ def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
     if args.op == "table":
         _emit(out, args, matrix.format_table(), matrix.to_json_obj())
         return 0
-    if args.op == "per":
-        if args.alg == "factored":
-            raise ValueError("factored applies to determinants only")
-        poly = cayley.permanent(matrix, args.alg)
-        payload = {**matrix.to_json_obj(), "operation": "permanent",
-                   "terms": poly.to_json_obj()}
+    if args.op in ("per", "det"):
+        if args.op == "per":
+            if args.alg == "factored":
+                raise ValueError("factored applies to determinants only")
+            operation, poly = "permanent", cayley.permanent(matrix, args.alg)
+        else:
+            operation, poly = "determinant", cayley.determinant(matrix, args.alg)
+        if not args.json:  # a C12 polynomial has 10^5 terms: render only the form printed
+            print(poly, file=out)
+            return 0
+        payload = {**matrix.to_json_obj(), "operation": operation, "terms": poly.to_json_obj()}
         del payload["grid"]
-        _emit(out, args, str(poly), payload)
-        return 0
-    if args.op == "det":
-        poly = cayley.determinant(matrix, args.alg)
-        payload = {**matrix.to_json_obj(), "operation": "determinant",
-                   "terms": poly.to_json_obj()}
-        del payload["grid"]
-        _emit(out, args, str(poly), payload)
+        _emit(out, args, "", payload)
         return 0
 
     # support: the zero-sum monomial prediction at the variant's natural degree

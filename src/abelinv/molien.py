@@ -17,7 +17,9 @@ refuses a series too large to build before any coefficient is computed.
 
 The four log identities compare the dimensions with one sum,
 sum_d w(d) log(1 + u_d), of sparse logs (series.sparse_log1p); their closed
-forms z/(1-z^2) and y/(1-y) enter as coefficient formulas.
+forms z/(1-z^2) and y/(1-y) enter as coefficient formulas.  IDENTITY_GUARD
+refuses a truncation order whose logs and comparisons are too large, before
+any log is built.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .series import Sparse, TruncatedSeries1, TruncatedSeries2, sparse_add_scale
 SeriesSource = Union[FiniteAbelianGroup, Mapping[int, int]]
 
 SERIES_GUARD = 5 * 10**7  # series work, cells * (256 + bits of the largest binomial)
+IDENTITY_GUARD = 2 * 10**5  # identity-check work, sparse-log terms plus compared cells
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +566,25 @@ def _identity_log3var(order: int, i_list: tuple[int, ...]) -> list[dict]:
 
 
 IDENTITY_DEFAULT_ORDERS = {"A": 20, "B": 20, "log2var": 20, "log3var": 8}
+IDENTITY_VARIABLES = {"A": 1, "B": 1, "log2var": 2, "log3var": 3}
+
+
+def _identity_work(variables: int, order: int, logs: int) -> int:
+    """Terms of `logs` sums of sparse logs in v variables, plus the cells they are compared on.
+
+    log(1 + u), u the v monomials of degree d, holds the C(k+v-1, v-1) terms
+    of each power u^k with k <= order/d, C(order/d + v, v) - 1 in all; a
+    sum runs over d = 1..order (grouped by order // d) and is compared on
+    the C(order + v, v) cells of total degree at most order.  The count
+    stops once it passes IDENTITY_GUARD, so a huge order is refused at once.
+    """
+    terms, d = math.comb(order + variables, variables), 1
+    while d <= order and logs * terms <= IDENTITY_GUARD:
+        q = order // d
+        last = order // q  # the largest d' with order // d' == q
+        terms += (last - d + 1) * (math.comb(q + variables, variables) - 1)
+        d = last + 1
+    return logs * terms
 
 
 def check_identity(which: str, order: int | None = None, i_max: int = 5) -> CheckReport:
@@ -575,14 +597,19 @@ def check_identity(which: str, order: int | None = None, i_max: int = 5) -> Chec
         raise ValueError(f"identity check needs order >= 1, got {order}")
     if i_max < 0:
         raise ValueError(f"identity check needs i_max >= 0, got {i_max}")
+    # A and B sum one log per i <= i_max (A one more for z/(1-z^2)); the others i <= 2
+    logs = {"A": i_max + 2, "B": i_max + 1}.get(which, min(i_max, 2) + 1)
+    work = _identity_work(IDENTITY_VARIABLES[which], order, logs)
+    if work > IDENTITY_GUARD:
+        raise GuardExceeded("identity series terms", work, IDENTITY_GUARD)
     t0 = time.perf_counter()
     if which == "A":
         failures = _identity_a(order, i_max)
     elif which == "B":
         failures = _identity_b(order, i_max)
     elif which == "log2var":
-        failures = _identity_log2var(order, tuple(range(min(i_max, 2) + 1)))
+        failures = _identity_log2var(order, tuple(range(logs)))
     else:
-        failures = _identity_log3var(order, tuple(range(min(i_max, 2) + 1)))
+        failures = _identity_log3var(order, tuple(range(logs)))
     elapsed = time.perf_counter() - t0
     return CheckReport(f"identity-{which}", {"order": order, "i_max": i_max}, failures, elapsed)

@@ -124,7 +124,7 @@ class IntPolynomial:
             raise ValueError("need at least one variable")
         clean: dict[tuple[int, ...], int] = {}
         for exp, c in terms.items():
-            if len(exp) != nvars or any(k < 0 for k in exp):
+            if len(exp) != nvars or min(exp) < 0:
                 raise ValueError(f"bad exponent vector {exp!r} for {nvars} variables")
             if c:
                 clean[tuple(exp)] = int(c)
@@ -221,22 +221,17 @@ class IntPolynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        names = [f"x{i}" for i in range(self.nvars)]
         parts = []
         # descending lex reads like a conventional leading-term-first layout
-        for exp, c in sorted(self.terms.items(), reverse=True):
-            factors = []
-            if abs(c) != 1 or not any(exp):
-                factors.append(str(abs(c)))
-            for i, k in enumerate(exp):
-                if k == 1:
-                    factors.append(f"x{i}")
-                elif k > 1:
-                    factors.append(f"x{i}^{k}")
-            term = "*".join(factors)
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+        for exp in sorted(self.terms, reverse=True):
+            c = self.terms[exp]
+            factors = [name if k == 1 else f"{name}^{k}" for name, k in zip(names, exp) if k]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            parts.append(("+ " if c > 0 else "- ") + "*".join(factors))
+        head = parts[0]  # the leading term carries its sign without a space
+        parts[0] = head[2:] if head[0] == "+" else "-" + head[2:]
         return " ".join(parts)
 
     def __repr__(self) -> str:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -36,11 +37,13 @@ from abelinv.cayley import (
     FACTORED_GUARD,
     LEIBNIZ_GUARD,
     VARIANTS,
+    _accumulate_leibniz,
     _column_classes,
     _dp_state_estimate,
     _lex_parities,
     _prefix_parity,
     _subset_dp,
+    _translation,
 )
 
 C2 = parse_group("C2")
@@ -175,8 +178,12 @@ def test_permanent_invariant_under_relabeling():
 
 
 def test_permanent_coefficient_sum_is_factorial():
-    for g in (C2, C3, C4, V4):
-        assert permanent(build_table(g, "plain")).coefficient_sum() == math.factorial(g.order)
+    # C12 runs on one subset-DP state per rotation orbit of columns; its term count is
+    # the paper's dim (S^n R)^G = sym_dim(12, 12, 0) = 112720
+    for g in (C2, C3, C4, V4, parse_group("C12")):
+        per = permanent(build_table(g, "plain"))
+        assert per.coefficient_sum() == math.factorial(g.order)
+        assert per.term_count() == sym_series(g, 0, g.order).coefficient(g.order)
 
 
 def test_permanent_guards_and_algorithm_dispatch():
@@ -200,19 +207,79 @@ def test_permanent_guards_and_algorithm_dispatch():
 
 
 def test_subset_dp_guard_bounds_states():
-    # the estimate is sum_k C(l, k) * C(k + v - 1, v - 1) over a square table
-    plain11 = build_table(parse_group("C11"), "plain")
-    assert _dp_state_estimate(plain11, _column_classes(plain11)) == 26572086 <= DP_GUARD
+    # the estimate is sum_k states_k * C(k + v - 1, v - 1): states_k is the number of
+    # rotation orbits of k-subsets under a translation (Burnside), else C(l, k)
     plain12 = build_table(parse_group("C12"), "plain")
+    classes = _column_classes(plain12)
+    assert _dp_state_estimate(plain12, classes, _translation(plain12, classes)) == 14059916 <= DP_GUARD
+    assert _dp_state_estimate(plain12, classes, None) == 148321344  # one state per subset
+    c2c6 = build_table(parse_group("C2xC6"), "hat")
+    classes = _column_classes(c2c6)
+    assert _dp_state_estimate(c2c6, classes, _translation(c2c6, classes)) == 26690806 <= DP_GUARD
+    plain13 = build_table(parse_group("C13"), "plain")
+    t0 = time.perf_counter()
     with pytest.raises(GuardExceeded) as info:
-        determinant(plain12)
-    assert (info.value.size, info.value.limit) == (148321344, DP_GUARD)
+        determinant(plain13)
+    assert (info.value.size, info.value.limit) == (68705262, DP_GUARD)
     with pytest.raises(GuardExceeded):
-        permanent(plain12)
+        permanent(plain13)
+    assert time.perf_counter() - t0 < 1.0
     # identical columns share one state per count taken, so long stretches run
     long_c3 = permanent(build_table(C3, "toeplitz", size=16))
     assert long_c3.term_count() == sym_dim(3, 16, 0)
     assert long_c3.coefficient_sum() == math.factorial(16)
+
+
+def test_translation_found_on_the_grid():
+    # plain and hat tables carry it in the element-order relabeling (shift +s and -s),
+    # the n x n toeplitz table over C_n with phi = id; other shapes and orders do not
+    c2c6 = parse_group("C2xC6")
+    for variant, shift in (("plain", 2), ("hat", 10)):
+        table = build_table(c2c6, variant)
+        tr = _translation(table, _column_classes(table))
+        assert (tr.s, tr.shift, tr.rotations) == (2, shift, 6)
+        assert sorted(tr.phi) == list(range(12))
+    toeplitz = build_table(parse_group("C5"), "toeplitz")
+    tr = _translation(toeplitz, _column_classes(toeplitz))
+    assert (tr.phi, tr.s, tr.shift) == ([0, 1, 2, 3, 4], 1, 1)
+    for table in (build_table(C4, "extended"), build_table(C4, "block2n"),
+                  build_table(C3, "toeplitz", size=4), build_table(C4, "plain", element_order=[0, 2, 1, 3])):
+        assert _translation(table, _column_classes(table)) is None, table.variant
+
+
+def _unreduced_order(group):
+    """An element order whose tables have no translation, so the subset DP keeps every subset."""
+    n = group.order
+    return [0, 2, 1] + list(range(3, n))
+
+
+def test_orbit_dp_matches_unreduced_dp(monkeypatch):
+    # every table with the symmetry takes the orbit path here, however small; relabeling
+    # rows and columns together leaves both polynomials unchanged, and orders 1-3 admit
+    # no element order without the symmetry, so Leibniz stands in there
+    monkeypatch.setattr("abelinv.cayley.ORBIT_MIN_PAIRS", 0)
+    for group in abelian_groups_up_to(10) + [parse_group(s) for s in ("C6", "C4xC2")]:
+        for variant in ("plain", "hat"):
+            table = build_table(group, variant)
+            assert (_translation(table, _column_classes(table)) is None) == (group.order == 1)
+            if group.order <= 3:
+                reference = table
+            else:
+                reference = build_table(group, variant, element_order=_unreduced_order(group))
+                assert _translation(reference, _column_classes(reference)) is None, group
+            for signed in (False, True):
+                want = (_subset_dp(reference, signed) if group.order > 3
+                        else _accumulate_leibniz(reference, signed))
+                assert _subset_dp(table, signed) == want, (group.spec_string, variant, signed)
+
+
+def test_orbit_dp_matches_unreduced_dp_c11():
+    group = parse_group("C11")
+    reference = build_table(group, "hat", element_order=_unreduced_order(group))
+    assert _translation(reference, _column_classes(reference)) is None
+    det = determinant(build_table(group, "hat"))
+    assert det.term_count() == 32066
+    assert det == _subset_dp(reference, signed=True)
 
 
 def test_wide_toeplitz_permanent_support():

@@ -94,6 +94,14 @@ def test_series_guard_refuses_quickly(argv, capsys):
     assert "series coefficients" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("identity, order", [("log3var", 120), ("log2var", 10**9), ("all", 10**6)])
+def test_identity_guard_refuses_quickly(identity, order, capsys):
+    t0 = time.perf_counter()
+    assert invoke(["check", "identity", "--identity", identity, "--order", str(order)]) == (3, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert "identity series terms" in capsys.readouterr().err
+
+
 def test_series_profile_file(tmp_path):
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps({"1": 1, "2": 3, "3": 2}))
@@ -181,8 +189,13 @@ def test_cayley_guard_exit_code():
 def test_cayley_dp_guard_refuses_quickly():
     for op in ("per", "det"):
         t0 = time.perf_counter()
-        assert invoke(["cayley", op, "--group", "C12"])[0] == 3, op
+        assert invoke(["cayley", op, "--group", "C13"])[0] == 3, op
         assert time.perf_counter() - t0 < 1.0, op
+
+
+def test_cayley_counts_c12():
+    # one subset-DP state per rotation orbit brings order 12 inside the guard
+    assert ok(["cayley", "counts", "--group", "C12"]) == "permanent_terms 112720\ndeterminant_terms 86500\n"
 
 
 def test_cayley_factored_guard_refuses_quickly():

@@ -442,6 +442,20 @@ def test_identity_checks_pass_at_small_order():
     assert check_identity("log3var", order=4).ok
 
 
+def test_identity_guard_counts_log_terms():
+    # log(1 + x^d + y^d + z^d) to degree N holds C(N/d + 3, 3) - 1 terms; log3var sums
+    # three of them (i = 0, 1, 2) over d and compares the C(N + 3, 3) cells
+    want = 3 * (math.comb(11, 3) + sum(math.comb(8 // d + 3, 3) - 1 for d in range(1, 9)))
+    assert molien._identity_work(3, 8, 3) == want == 1179
+    assert molien._identity_work(1, 20, 7) == 7 * (21 + sum(20 // d for d in range(1, 21)))
+    with pytest.raises(GuardExceeded) as info:
+        check_identity("log3var", order=120)
+    assert info.value.limit == molien.IDENTITY_GUARD
+    with pytest.raises(GuardExceeded):
+        check_identity("A", order=10**12)
+    assert molien._identity_work(2, 200, 3) == 163329 <= molien.IDENTITY_GUARD  # runs, in about 2 s
+
+
 def test_identity_rejects_unknown_name():
     with pytest.raises(ValueError):
         check_identity("C")

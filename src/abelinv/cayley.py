@@ -722,15 +722,20 @@ def check_action_identities(
         perms = [tuple(rng.sample(range(n), n)) for _ in range(samples)]
 
     realized: set[tuple[tuple[int, ...], int, int]] = set()
+    orbit_failures: list[dict] = []  # sampled realization witnesses, reported after all others
     for pi in perms:
         mono = _table_monomial(add, pi)
         s_pi = _permutation_sign(pi)
+        stars: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (star, its monomial) per gamma
         for g in range(n):
             sg = add[g]
             star = tuple(sg[pi[sg[i]]] for i in range(n))
+            star_mono = _table_monomial(add, star)
+            if not exhaustive:
+                stars.append((star, star_mono))
             if _permutation_sign(star) != s_pi:
                 failures.append({"pi": list(pi), "gamma": list(els[g]), "what": "star changed sign"})
-            if _table_monomial(add, star) != mono:
+            if star_mono != mono:
                 failures.append({"pi": list(pi), "gamma": list(els[g]), "what": "star changed monomial"})
             sginv = add[neg[g]]
             translated = _translate_exponents(mono, sg)
@@ -745,6 +750,23 @@ def check_action_identities(
         if exhaustive:
             for i, j in enumerate(pi):
                 realized.add((mono, i, j))
+            continue
+        # constructive realization along the star orbit of pi: the star by
+        # g_alpha - g_i carries position i to the entry g_k - g_i
+        positions = {}
+        for alpha in range(n):
+            positions.setdefault(add[alpha][pi[alpha]], alpha)
+        for k, mult in enumerate(mono):
+            if not mult:
+                continue
+            alpha = positions[k]
+            for i in range(n):
+                star, star_mono = stars[add[alpha][neg[i]]]
+                j = add[k][neg[i]]
+                if star[i] != j or star_mono != mono:
+                    orbit_failures.append(
+                        {"monomial": list(mono), "i": i, "j": j, "what": "orbit construction failed"}
+                    )
 
     if exhaustive:
         support = hall_support(group, n)
@@ -758,25 +780,7 @@ def check_action_identities(
                         failures.append(
                             {"monomial": list(mono), "i": i, "j": j, "what": "pair not realized"}
                         )
-    else:
-        # constructive realization along the star orbit of each sample
-        for pi in perms:
-            mono = _table_monomial(add, pi)
-            positions = {}
-            for alpha in range(n):
-                positions.setdefault(add[alpha][pi[alpha]], alpha)
-            for k, mult in enumerate(mono):
-                if not mult:
-                    continue
-                alpha = positions[k]
-                for i in range(n):
-                    sg = add[add[alpha][neg[i]]]  # translation by g_alpha - g_i
-                    star = tuple(sg[pi[sg[t]]] for t in range(n))
-                    j = add[k][neg[i]]
-                    if star[i] != j or _table_monomial(add, star) != mono:
-                        failures.append(
-                            {"monomial": list(mono), "i": i, "j": j, "what": "orbit construction failed"}
-                        )
+    failures += orbit_failures
     elapsed = time.perf_counter() - t0
     params = {"group": group.spec_string, "mode": "exhaustive" if exhaustive else f"sampled-{len(perms)}"}
     return CheckReport("action-identities", params, failures, elapsed)

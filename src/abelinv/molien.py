@@ -32,7 +32,7 @@ from typing import Mapping, Union
 
 from .errors import GuardExceeded
 from .groups import FiniteAbelianGroup, element_sum_counts, parse_order_profile
-from .numtheory import divisors, euler_phi, moebius, multinomial, ramanujan_sum
+from .numtheory import divisors, euler_phi, moebius, ramanujan_sum
 from .polynom import unpack_zeta_integers, zeta_packing
 from .report import CheckReport
 from .series import Sparse, TruncatedSeries1, TruncatedSeries2, sparse_add_scaled, sparse_log1p
@@ -121,7 +121,9 @@ def sym_ext_dim_by_parts(p: int, q: int, m: int, i: int) -> int:
     g = math.gcd(math.gcd(p, q), m)
     acc = 0
     for d in divisors(g):
-        acc += (-1) ** (m // d) * ramanujan_sum(d, i) * multinomial([m // d, p // d, q // d])
+        # multinom((p+q+m)/d; m/d, p/d, q/d) as a product of two binomials
+        parts = math.comb(total // d, m // d) * math.comb((p + q) // d, p // d)
+        acc += (-1) ** (m // d) * ramanujan_sum(d, i) * parts
     acc *= (-1) ** m
     quo, rem = divmod(acc, total)
     if rem or quo < 0:

@@ -32,6 +32,7 @@ from abelinv import (
     sym_dim_oracle,
     sym_series,
 )
+from abelinv import cayley
 from abelinv.cayley import (
     DP_GUARD,
     FACTORED_GUARD,
@@ -534,6 +535,28 @@ def test_action_identities_sampled_deterministic():
     assert r1.ok and r2.ok
     assert r1.parameters == r2.parameters
     assert r1.parameters["mode"] == "sampled-50"
+
+
+def test_sampled_realization_still_catches_a_wrong_star_monomial(monkeypatch):
+    # the realization pass reads the star monomials of the sign/monomial pass,
+    # so one wrong star monomial must fail both checks
+    g = parse_group("C6")
+    sg = g.add_table[1]
+    pi = tuple(random.Random(3).sample(range(6), 6))  # the first permutation sampled with seed 3
+    target = tuple(sg[pi[sg[i]]] for i in range(6))
+    assert target != pi
+    real = cayley._table_monomial
+
+    def wrong_for_target(add, perm):
+        mono = real(add, perm)
+        return tuple(k + (t == 0) for t, k in enumerate(mono)) if tuple(perm) == target else mono
+
+    monkeypatch.setattr(cayley, "_table_monomial", wrong_for_target)
+    report = check_action_identities(g, samples=20, seed=3)
+    whats = [f["what"] for f in report.failures]
+    assert {"pi": list(pi), "gamma": list(g.elements()[1]), "what": "star changed monomial"} in report.failures
+    assert "orbit construction failed" in whats
+    assert whats.index("star changed monomial") < whats.index("orbit construction failed")
 
 
 def test_lehmer_congruence_checks():

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import abelinv
 from abelinv.cli import run
 
 
@@ -96,6 +97,23 @@ def test_series_guard_refuses_quickly(argv, capsys):
 
 @pytest.mark.parametrize("identity, order", [("log3var", 120), ("log2var", 10**9), ("all", 10**6)])
 def test_identity_guard_refuses_quickly(identity, order, capsys):
+    t0 = time.perf_counter()
+    assert invoke(["check", "identity", "--identity", identity, "--order", str(order)]) == (3, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert "identity series terms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("identity, order", [("log3var", 54), ("B", 3569)])
+def test_identity_frontier_passes_within_budget(identity, order):
+    # the largest orders IDENTITY_GUARD admits; about 3 s each on 2 vCPUs
+    t0 = time.perf_counter()
+    text = ok(["check", "identity", "--identity", identity, "--order", str(order)])
+    assert time.perf_counter() - t0 < 10.0
+    assert text.startswith("PASS ")
+
+
+@pytest.mark.parametrize("identity, order", [("log3var", 55), ("B", 3570)])
+def test_identity_first_refused_order_exits_quickly(identity, order, capsys):
     t0 = time.perf_counter()
     assert invoke(["check", "identity", "--identity", identity, "--order", str(order)]) == (3, "")
     assert time.perf_counter() - t0 < 1.0
@@ -341,38 +359,33 @@ def test_unknown_subcommand_is_usage_error():
     assert invoke([])[0] == 2
 
 
-def test_module_entry_point():
-    r = subprocess.run(
-        [sys.executable, "-m", "abelinv", "dim", "a", "--group", "C6", "--m", "6"],
+def run_module(args, **env):
+    """`python -m abelinv ARGS` in a child that imports the package under test."""
+    src = os.path.dirname(os.path.dirname(abelinv.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "abelinv", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
+
+
+def test_module_entry_point():
+    r = run_module(["dim", "a", "--group", "C6", "--m", "6"])
     assert r.returncode == 0
     assert r.stdout.strip() == "80"
 
 
 def test_console_script_guard_message_on_stderr():
-    r = subprocess.run(
-        [sys.executable, "-m", "abelinv", "cayley", "per", "--group", "C17"],
-        capture_output=True,
-        text=True,
-    )
+    r = run_module(["cayley", "per", "--group", "C17"])
     assert r.returncode == 3
     assert r.stdout == ""
     assert "guard" in r.stderr.lower()
 
 
 def test_output_unaffected_by_no_color():
-    env = dict(os.environ, NO_COLOR="1")
-    plain = subprocess.run(
-        [sys.executable, "-m", "abelinv", "cayley", "per", "--group", "C3"],
-        capture_output=True,
-        text=True,
-    )
-    nocolor = subprocess.run(
-        [sys.executable, "-m", "abelinv", "cayley", "per", "--group", "C3"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    plain = run_module(["cayley", "per", "--group", "C3"])
+    nocolor = run_module(["cayley", "per", "--group", "C3"], NO_COLOR="1")
+    assert plain.returncode == 0 and plain.stdout
     assert plain.stdout == nocolor.stdout

@@ -99,6 +99,26 @@ def test_ramanujan_multiplicative_in_coprime_moduli(m, n, i):
 def test_ramanujan_rejects_nonpositive_modulus():
     with pytest.raises(ValueError):
         ramanujan_sum(0, 1)
+    for bad in (divisors, prime_factorization, euler_phi, moebius):
+        with pytest.raises(ValueError):
+            bad(0)
+
+
+def test_cached_lists_are_fresh_copies():
+    divisors(12).append(5)
+    divisors(12)[0] = 7
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    prime_factorization(360).clear()
+    assert prime_factorization(360) == [(2, 3), (3, 2), (5, 1)]
+
+
+def test_ramanujan_depends_on_the_gcd_only():
+    for n in range(1, 50):
+        by_gcd = {}
+        for i in range(n):
+            value = ramanujan_sum(n, i)
+            assert ramanujan_sum(n, i + 7 * n) == ramanujan_sum(n, -i) == value
+            assert by_gcd.setdefault(gcd(n, i), value) == value
 
 
 def test_multinomial_values():
@@ -107,6 +127,14 @@ def test_multinomial_values():
     assert multinomial([1, 1, 1]) == 6
     assert multinomial([3, 2, 1]) == 60
     assert multinomial([0, 0, 4]) == 1
+
+
+def test_multinomial_as_two_binomials():
+    # the product sym_ext_dim_by_parts uses for multinom(p+q+m; m, p, q)
+    for p in range(8):
+        for q in range(8):
+            for m in range(8):
+                assert comb(p + q + m, m) * comb(p + q, p) == multinomial([m, p, q])
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=4))

@@ -33,6 +33,16 @@ CONJECTURE_GRID = tuple(
 
 MAX_WITNESS_LINES = 10
 
+# the check options without a default, and the checkers that read each
+CHECK_OPTION_READERS = {
+    "group": ("invariance", "actions", "extended"),
+    "order": ("identity",),
+    "samples": ("actions",),
+    "p": ("lehmer",),
+    "n": ("conjecture",),
+    "l": ("conjecture",),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -248,6 +258,9 @@ def _identity_reports(selection: str, order: int | None) -> list[CheckReport]:
 def _cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
     reports: list[CheckReport] = []
     which = args.which
+    for option, readers in CHECK_OPTION_READERS.items():
+        if getattr(args, option) is not None and which not in readers:
+            raise ValueError(f"check {which} does not read --{option} (read by check {', '.join(readers)})")
     if which == "reciprocity":
         reports.append(molien.check_reciprocity(args.max_total, args.fredman_total))
     elif which == "identity":

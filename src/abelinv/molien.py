@@ -16,10 +16,14 @@ quotient means the coefficient is no dimension, and raises.  SERIES_GUARD
 refuses a series too large to build before any coefficient is computed.
 
 The four log identities compare the dimensions with one sum,
-sum_d w(d) log(1 + u_d), of sparse logs (series.sparse_log1p); their closed
-forms z/(1-z^2) and y/(1-y) enter as coefficient formulas.  IDENTITY_GUARD
-refuses a truncation order whose logs and comparisons are too large, before
-any log is built.
+sum_d (w(d)/d) log(1 + u_d), where u_d is u(x^d) for a degree-1 form u
+whose signs depend only on the parity of d.  Each side is compared at total
+degree N after scaling by N, which makes the right side the int
+sum_d w(d) L[c/d], with L = series.sparse_scaled_log1p(u) built once per
+check for each sign pattern; their closed forms z/(1-z^2) and y/(1-y) enter
+as coefficient formulas.  Fraction appears only in messages and witnesses.
+IDENTITY_GUARD refuses a truncation order whose logs and comparisons are
+too large, before any log is built.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .groups import FiniteAbelianGroup, element_sum_counts, parse_order_profile
 from .numtheory import divisors, euler_phi, moebius, ramanujan_sum
 from .polynom import unpack_zeta_integers, zeta_packing
 from .report import CheckReport
-from .series import Sparse, TruncatedSeries1, TruncatedSeries2, sparse_add_scaled, sparse_log1p
+from .series import Sparse, TruncatedSeries1, TruncatedSeries2, sparse_scaled_log1p
 
 SeriesSource = Union[FiniteAbelianGroup, Mapping[int, int]]
 
@@ -445,19 +449,53 @@ def check_reciprocity(max_total: int = 10, fredman_total: int = 16) -> CheckRepo
 # ---------------------------------------------------------------------------
 # log identities (sparse total-degree-truncated series on the right sides)
 
-def _log_sum(order: int, weight, term) -> Sparse:
-    """sum_{d=1}^{order} weight(d) log(1 + term(d)) to total degree order; term(d) has degree >= d."""
-    acc: Sparse = {}
+def _log_sums(order: int, sums) -> list[Sparse]:
+    """For each (weight, signs) in sums, N times sum_{d=1}^{order} (weight(d)/d) log(1 + u_d).
+
+    u_d = sum_j s_j x_j^d with s = signs(d), and N is the total degree of each
+    cell, up to order.  With u = sum_j s_j x_j, homogeneous of degree 1, the
+    log of 1 + u(x^d) has coefficient L_s[a] / |a| at x^(d a), where L_s is
+    sparse_scaled_log1p(u); since N = d |a|, the scaled sum at a cell c is
+
+        sum_{d | c} weight(d) L_signs(d)[c / d],
+
+    an int.  Each sign tuple's table L_s is built once, at the first d that
+    needs it and to degree order // d, and shared by every sum and every
+    larger d.
+    """
+    accs: list[Sparse] = [{} for _ in sums]
+    tables = {}  # sign tuple -> its table's (exponent, value) terms, grouped by degree
     for d in range(1, order + 1):
-        w = weight(d)
-        if w:
-            sparse_add_scaled(acc, sparse_log1p(term(d), order), w)
-    return acc
+        top = order // d
+        targets = {}  # sign tuple -> (accumulator, weight) of each sum with weight(d) != 0
+        for acc, (weight, signs) in zip(accs, sums):
+            w = weight(d)
+            if w:
+                targets.setdefault(signs(d), []).append((acc, w))
+        for s, pairs in targets.items():
+            if s not in tables:
+                units = {tuple(int(j == k) for j in range(len(s))): c for k, c in enumerate(s)}
+                levels = [[] for _ in range(top + 1)]
+                for a, v in sparse_scaled_log1p(units, top).items():
+                    levels[sum(a)].append((a, v))
+                tables[s] = levels
+            levels = tables[s]
+            for k in range(1, top + 1):
+                for a, v in levels[k]:
+                    key = tuple(d * x for x in a)
+                    for acc, w in pairs:
+                        acc[key] = acc.get(key, 0) + w * v
+    return accs
 
 
 def _ramanujan_weight(i: int):
-    """d -> -c_d(i)/d, the weight of the d-th log in every identity below."""
-    return lambda d: Fraction(-ramanujan_sum(d, i), d)
+    """d -> -c_d(i), d times the weight of the d-th log in every identity below."""
+    return lambda d: -ramanujan_sum(d, i)
+
+
+def _frac(scaled: int, total: int) -> str:
+    """The right side scaled / total of a witness, printed as a reduced fraction."""
+    return str(Fraction(scaled, total))
 
 
 def _identity_a(order: int, i_max: int) -> list[dict]:
@@ -467,23 +505,26 @@ def _identity_a(order: int, i_max: int) -> list[dict]:
     whose z^k coefficient is k mod 2.
     """
     failures = []
-    for i in range(i_max + 1):
-        rhs = _log_sum(order, _ramanujan_weight(i), lambda d: {(d,): (-1) ** d})
-        for k in range(order + 1):
-            lhs = ext_dim(k, k, i) if k else 0
+    *rhs_by_i, alt = _log_sums(
+        order,
+        [(_ramanujan_weight(i), lambda d: ((-1) ** d,)) for i in range(i_max + 1)]
+        + [(euler_phi, lambda d: (1,))],
+    )
+    for i, rhs in enumerate(rhs_by_i):
+        for k in range(1, order + 1):
+            lhs = ext_dim(k, k, i)
             rv = rhs.get((k,), 0)
-            if lhs != rv:
+            if k * lhs != rv:
                 failures.append(
-                    {"identity": "A", "i": i, "degree": k, "lhs": str(lhs), "rhs": str(rv)}
+                    {"identity": "A", "i": i, "degree": k, "lhs": str(lhs), "rhs": _frac(rv, k)}
                 )
-    alt = _log_sum(order, lambda d: Fraction(euler_phi(d), d), lambda d: {(d,): 1})
-    for k in range(order + 1):
+    for k in range(1, order + 1):
         closed = k % 2  # z/(1-z^2)
         rv = alt.get((k,), 0)
-        if closed != rv:
+        if k * closed != rv:
             failures.append(
                 {"identity": "A", "i": 0, "form": "z/(1-z^2)", "degree": k,
-                 "lhs": str(closed), "rhs": str(rv)}
+                 "lhs": str(closed), "rhs": _frac(rv, k)}
             )
     return failures
 
@@ -497,23 +538,18 @@ def _identity_b(order: int, i_max: int) -> list[dict]:
     i != 0 it is the finite divisor polynomial sum over j | i of y^j.
     """
     failures = []
-    logs0: Sparse = {}
-    for i in range(i_max + 1):
-        logs = _log_sum(order, _ramanujan_weight(i), lambda d: {(d,): -1})
-        if i == 0:
-            logs0 = logs
-        for k in range(order + 1):
-            vals = {
-                "series": logs.get((k,), 0),
-                "dims": sym_dim(0, k, i) if k else 0,
-                "indicator": 1 if k and i % k == 0 else 0,
-            }
-            if len(set(vals.values())) != 1:
+    all_logs = _log_sums(order, [(_ramanujan_weight(i), lambda d: (-1,)) for i in range(i_max + 1)])
+    for i, logs in enumerate(all_logs):
+        for k in range(1, order + 1):
+            series = logs.get((k,), 0)
+            dims = sym_dim(0, k, i)
+            indicator = 1 if i % k == 0 else 0
+            if not series == k * dims == k * indicator:
                 failures.append(
-                    {"identity": "B", "i": i, "degree": k,
-                     **{route: str(v) for route, v in vals.items()}}
+                    {"identity": "B", "i": i, "degree": k, "series": _frac(series, k),
+                     "dims": str(dims), "indicator": str(indicator)}
                 )
-    if any(logs0.get((k,), 0) != int(k >= 1) for k in range(order + 1)):  # y/(1-y)
+    if any(all_logs[0].get((k,), 0) != k for k in range(1, order + 1)):  # y/(1-y)
         failures.append({"identity": "B", "i": 0, "form": "y/(1-y)", "detail": "mismatch"})
     return failures
 
@@ -526,17 +562,17 @@ def _identity_log2var(order: int, i_list: tuple[int, ...]) -> list[dict]:
     compared coefficientwise to total degree `order`.
     """
     failures = []
-    for i in i_list:
-        rhs = _log_sum(order, _ramanujan_weight(i), lambda d: {(d, 0): -1, (0, d): -1})
+    all_rhs = _log_sums(order, [(_ramanujan_weight(i), lambda d: (-1, -1)) for i in i_list])
+    for i, rhs in zip(i_list, all_rhs):
         for total in range(1, order + 1):
             for n in range(total + 1):
                 m = total - n
                 lhs = sym_dim(n, m, i)
                 rv = rhs.get((n, m), 0)
-                if lhs != rv:
+                if total * lhs != rv:
                     failures.append(
                         {"identity": "log2var", "i": i, "n": n, "m": m,
-                         "lhs": str(lhs), "rhs": str(rv)}
+                         "lhs": str(lhs), "rhs": _frac(rv, total)}
                     )
     return failures
 
@@ -550,19 +586,18 @@ def _identity_log3var(order: int, i_list: tuple[int, ...]) -> list[dict]:
     degree as the third exponent).
     """
     failures = []
-    for i in i_list:
-        rhs = _log_sum(order, _ramanujan_weight(i),
-                       lambda d: {(d, 0, 0): -1, (0, d, 0): -1, (0, 0, d): (-1) ** d})
+    all_rhs = _log_sums(order, [(_ramanujan_weight(i), lambda d: (-1, -1, (-1) ** d)) for i in i_list])
+    for i, rhs in zip(i_list, all_rhs):
         for total in range(1, order + 1):
             for p in range(total + 1):
                 for q in range(total + 1 - p):
                     m = total - p - q
                     lhs = sym_ext_dim_by_parts(p, q, m, i)
                     rv = rhs.get((p, q, m), 0)
-                    if lhs != rv:
+                    if total * lhs != rv:
                         failures.append(
                             {"identity": "log3var", "i": i, "p": p, "q": q, "m": m,
-                             "lhs": str(lhs), "rhs": str(rv)}
+                             "lhs": str(lhs), "rhs": _frac(rv, total)}
                         )
     return failures
 

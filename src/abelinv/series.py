@@ -6,16 +6,17 @@ order (inclusive).  They are results, not a ring: they add, compare, print
 and serialize, and any coefficient that is not an int is refused.
 
 The log identities are checked on sparse series: dicts from exponent tuples
-to exact rationals, truncated by total degree, with sparse_log1p as the only
-series arithmetic.  No floats ever enter, so equality is exact.
+to ints, truncated by total degree, with sparse_scaled_log1p as the only
+series arithmetic.  It returns |e| [log(1 + u)]_e, the coefficients of
+E log(1 + u) for the total-degree operator E = sum_j x_j d/dx_j, which are
+integers for an integer u.  Every value is an int, so equality is exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-Sparse = dict[tuple[int, ...], Union[int, Fraction]]
+Sparse = dict[tuple[int, ...], int]
 
 
 def _int_row(coeffs: Sequence[int], size: int) -> tuple[int, ...]:
@@ -155,7 +156,7 @@ class TruncatedSeries2:
 # ---------------------------------------------------------------------------
 # sparse series, truncated by total degree
 
-def sparse_add_scaled(acc: Sparse, other: Sparse, factor: Union[int, Fraction]) -> None:
+def sparse_add_scaled(acc: Sparse, other: Sparse, factor: int) -> None:
     """acc += factor * other, in place, dropping coefficients that cancel to 0."""
     for exp, c in other.items():
         val = acc.get(exp, 0) + factor * c
@@ -182,20 +183,20 @@ def sparse_mul(a: Sparse, b: Sparse, cutoff: int) -> Sparse:
     return out
 
 
-def sparse_log1p(u: Sparse, cutoff: int) -> Sparse:
-    """log(1 + u) = sum_k (-1)^(k+1) u^k / k for u with no constant term, to total degree cutoff.
+def sparse_scaled_log1p(u: Sparse, cutoff: int) -> Sparse:
+    """|e| [log(1 + u)]_e at every exponent e of total degree |e| <= cutoff, in ints.
 
-    u^k has no term below total degree k, so the sum stops after at most
-    cutoff powers.
+    For u with no constant term, E log(1 + u) = (E u) / (1 + u), where E
+    multiplies the term x^e by |e|; so the value is E u times the
+    geometric series sum_k (-u)^k.  The k-th product has no term below
+    total degree k + 1, so the sum stops after at most cutoff products.
     """
     if any(not any(exp) for exp in u):
-        raise ValueError("sparse_log1p: argument must have zero constant term")
-    u = {exp: c for exp, c in u.items() if sum(exp) <= cutoff}
+        raise ValueError("sparse_scaled_log1p: argument must have zero constant term")
+    neg = {exp: -c for exp, c in u.items() if c and sum(exp) <= cutoff}
     acc: Sparse = {}
-    power = u
-    k = 1
+    power = {exp: -sum(exp) * c for exp, c in neg.items()}  # E u
     while power:
-        sparse_add_scaled(acc, power, Fraction((-1) ** (k + 1), k))
-        k += 1
-        power = sparse_mul(power, u, cutoff)
+        sparse_add_scaled(acc, power, 1)
+        power = sparse_mul(power, neg, cutoff)
     return acc

@@ -105,7 +105,7 @@ def test_identity_guard_refuses_quickly(identity, order, capsys):
 
 @pytest.mark.parametrize("identity, order", [("log3var", 54), ("B", 3569)])
 def test_identity_frontier_passes_within_budget(identity, order):
-    # the largest orders IDENTITY_GUARD admits; about 3 s each on 2 vCPUs
+    # the largest orders IDENTITY_GUARD admits; under 1 s each on 2 vCPUs
     t0 = time.perf_counter()
     text = ok(["check", "identity", "--identity", identity, "--order", str(order)])
     assert time.perf_counter() - t0 < 10.0
@@ -275,6 +275,22 @@ def test_check_actions_rejects_empty_sample(capsys):
     for argv in (["--group", "C3", "--samples", "0"], ["--group", "C3", "--samples", "-5"], ["--samples", "0"]):
         assert invoke(["check", "actions", *argv]) == (2, "")
         assert "samples >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, ignored, valid", [
+    ("order", ["reciprocity"], ["identity", "--identity", "A"]),
+    ("group", ["hall"], ["invariance"]),
+    ("group", ["identity", "--identity", "A"], ["extended"]),
+    ("samples", ["identity"], ["actions", "--group", "C3"]),
+    ("p", ["all"], ["lehmer"]),
+    ("n", ["lehmer"], ["conjecture", "--l", "5"]),
+    ("l", ["invariance"], ["conjecture", "--n", "2"]),
+])
+def test_check_option_its_checker_does_not_read_exits_2(option, ignored, valid, capsys):
+    value = {"order": "3", "group": "C4", "samples": "3", "p": "3", "n": "2", "l": "5"}[option]
+    assert invoke(["check", *ignored, f"--{option}", value]) == (2, "")
+    assert f"does not read --{option} " in capsys.readouterr().err
+    assert ok(["check", *valid, f"--{option}", value]).startswith("PASS")
 
 
 def test_check_identity_selection():

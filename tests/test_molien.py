@@ -36,6 +36,8 @@ from abelinv import (
 )
 from abelinv import molien
 from abelinv.groups import element_sum_counts
+from abelinv.numtheory import euler_phi
+from abelinv.series import sparse_mul
 
 
 def test_sym_dim_frozen_values():
@@ -453,7 +455,7 @@ def test_identity_guard_counts_log_terms():
     assert info.value.limit == molien.IDENTITY_GUARD
     with pytest.raises(GuardExceeded):
         check_identity("A", order=10**12)
-    assert molien._identity_work(2, 200, 3) == 163329 <= molien.IDENTITY_GUARD  # runs, in about 2 s
+    assert molien._identity_work(2, 200, 3) == 163329 <= molien.IDENTITY_GUARD  # runs, in about 0.4 s
 
 
 def test_identity_rejects_unknown_name():
@@ -478,3 +480,69 @@ def test_identity_checks_report_a_wrong_dimension(monkeypatch, which, name, poin
     else:
         values = {"lhs": str(true + 1), "rhs": str(true)}
     assert check_identity(which).failures == [{"identity": which, **keys, **values}]
+
+
+# sign tuples s of the logs log(1 + sum_j s_j x_j^d), as functions of d
+LOG_SIGNS = {
+    "A": lambda d: ((-1) ** d,),
+    "A z/(1-z^2)": lambda d: (1,),
+    "B": lambda d: (-1,),
+    "log2var": lambda d: (-1, -1),
+    "log3var": lambda d: (-1, -1, (-1) ** d),
+}
+
+
+def fraction_log_sum(order, weight, signs):
+    """sum_d (weight(d)/d) log(1 + sum_j s_j x_j^d), s = signs(d), to total degree order, in Fractions."""
+    acc = {}
+    for d in range(1, order + 1):
+        s = signs(d)
+        u = {tuple(d * (j == k) for j in range(len(s))): c for k, c in enumerate(s)}
+        power, k = u, 1  # log(1 + u) = sum_k (-1)^(k+1) u^k / k
+        while power:
+            for exp, c in power.items():
+                acc[exp] = acc.get(exp, 0) + Fraction(weight(d) * (-1) ** (k + 1) * c, d * k)
+            power, k = sparse_mul(power, u, order), k + 1
+    return acc
+
+
+@pytest.mark.parametrize("patterns, order", [
+    (("A", "A z/(1-z^2)", "B"), 24),
+    (("log2var",), 12),
+    (("log3var",), 7),
+])
+def test_log_sums_match_fraction_reference(patterns, order):
+    # one call shares its tables across every weight and sign pattern, as the checkers do
+    weights = [molien._ramanujan_weight(i) for i in range(6)] + [euler_phi]
+    sums = [(w, LOG_SIGNS[name]) for name in patterns for w in weights]
+    for (weight, signs), scaled in zip(sums, molien._log_sums(order, sums)):
+        want = fraction_log_sum(order, weight, signs)
+        assert all(type(v) is int for v in scaled.values())
+        assert all(scaled.get(cell, 0) == sum(cell) * want.get(cell, 0) for cell in set(scaled) | set(want))
+
+
+@pytest.mark.parametrize("which, order, units, cell, keys, true", [
+    ("A", 6, {(1,): -1}, (6,), {"degree": 6}, ext_dim(6, 6, 0)),
+    ("B", 6, {(1,): -1}, (6,), {"degree": 6}, sym_dim(0, 6, 0)),
+    ("log2var", 5, {(1, 0): -1, (0, 1): -1}, (2, 3), {"n": 2, "m": 3}, sym_dim(2, 3, 0)),
+    ("log3var", 4, {(1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1}, (1, 2, 1),
+     {"p": 1, "q": 2, "m": 1}, sym_ext_dim_by_parts(1, 2, 1, 0)),
+])
+def test_identity_checks_report_a_wrong_series_coefficient(monkeypatch, which, order, units, cell, keys, true):
+    # one off-by-one cell of the odd-d table, at the top degree, reaches only d = 1, weight -c_1(0) = -1
+    real = molien.sparse_scaled_log1p
+
+    def perturbed(u, cutoff):
+        out = real(u, cutoff)
+        if u == units:
+            out[cell] = out.get(cell, 0) + 1
+        return out
+
+    monkeypatch.setattr(molien, "sparse_scaled_log1p", perturbed)
+    rhs = str(Fraction(order * true - 1, order))
+    if which == "B":  # the y/(1-y) form re-reads the i = 0 series and reports its own line
+        want = [{"identity": "B", "i": 0, **keys, "series": rhs, "dims": str(true), "indicator": "1"},
+                {"identity": "B", "i": 0, "form": "y/(1-y)", "detail": "mismatch"}]
+    else:
+        want = [{"identity": which, "i": 0, **keys, "lhs": str(true), "rhs": rhs}]
+    assert check_identity(which, order, i_max=0).failures == want

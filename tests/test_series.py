@@ -1,4 +1,4 @@
-"""Truncated power series: integer result containers and the sparse log."""
+"""Truncated power series: integer result containers and the degree-scaled sparse log."""
 
 import math
 from fractions import Fraction
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelinv import TruncatedSeries1, TruncatedSeries2
-from abelinv.series import sparse_add_scaled, sparse_log1p, sparse_mul
+from abelinv.series import sparse_add_scaled, sparse_mul, sparse_scaled_log1p
 
 ORDER = 12
 
@@ -117,33 +117,58 @@ def test_additive_inverse(a):
     assert add((3, a)) == {e: 3 * c for e, c in a.items()}
 
 
+def fraction_log1p(u, cutoff):
+    """log(1 + u) = sum_k (-1)^(k+1) u^k / k to total degree cutoff, with Fraction coefficients."""
+    acc = {}
+    power, k = dict(u), 1
+    while power:
+        for exp, c in power.items():
+            acc[exp] = acc.get(exp, 0) + Fraction((-1) ** (k + 1) * c, k)
+        power, k = sparse_mul(power, u, cutoff), k + 1
+    return {exp: c for exp, c in acc.items() if c}
+
+
+def inhomogeneous(nvars):
+    """Series with no constant term whose terms have at least two distinct total degrees."""
+    return sparse(nvars, with_constant=False).filter(lambda u: len({sum(e) for e in u}) >= 2)
+
+
+@given(st.one_of(inhomogeneous(1), inhomogeneous(2)))
+@settings(max_examples=60)
+def test_scaled_log_is_integral_and_degree_times_log(u):
+    got = sparse_scaled_log1p(u, ORDER)
+    assert all(type(c) is int for c in got.values())
+    want = {exp: sum(exp) * c for exp, c in fraction_log1p(u, ORDER).items()}
+    assert got == want
+
+
 @given(sparse(1, with_constant=False), sparse(1, with_constant=False))
 @settings(max_examples=50)
 def test_log_turns_products_into_sums(u, v):
     prod = add((1, u), (1, v), (1, sparse_mul(u, v, ORDER)))  # (1 + u)(1 + v) - 1
-    assert sparse_log1p(prod, ORDER) == add((1, sparse_log1p(u, ORDER)), (1, sparse_log1p(v, ORDER)))
+    assert sparse_scaled_log1p(prod, ORDER) == \
+        add((1, sparse_scaled_log1p(u, ORDER)), (1, sparse_scaled_log1p(v, ORDER)))
 
 
 @given(sparse(2, with_constant=False), sparse(2, with_constant=False))
 @settings(max_examples=25)
 def test_log_turns_products_into_sums_two_variables(u, v):
     prod = add((1, u), (1, v), (1, sparse_mul(u, v, ORDER)))
-    assert sparse_log1p(prod, ORDER) == add((1, sparse_log1p(u, ORDER)), (1, sparse_log1p(v, ORDER)))
+    assert sparse_scaled_log1p(prod, ORDER) == \
+        add((1, sparse_scaled_log1p(u, ORDER)), (1, sparse_scaled_log1p(v, ORDER)))
 
 
 def test_log_requires_zero_constant_term():
     with pytest.raises(ValueError):
-        sparse_log1p({(0,): 1}, 4)
+        sparse_scaled_log1p({(0,): 1}, 4)
     with pytest.raises(ValueError):
-        sparse_log1p({(0, 0): 1, (1, 0): 1}, 4)
+        sparse_scaled_log1p({(0, 0): 1, (1, 0): 1}, 4)
 
 
 def test_log_frozen_expansion():
-    # log(1+t) = t - t^2/2 + t^3/3 - ...
-    got = sparse_log1p({(1,): 1}, 5)
-    assert got == {(1,): 1, (2,): Fraction(-1, 2), (3,): Fraction(1, 3),
-                   (4,): Fraction(-1, 4), (5,): Fraction(1, 5)}
-    # log(1 - x - y) = -sum_k (x + y)^k / k: the x^n y^m coefficient is -C(n+m, n)/(n+m)
-    got = sparse_log1p({(1, 0): -1, (0, 1): -1}, 6)
-    assert got == {(n, k - n): Fraction(-math.comb(k, n), k) for k in range(1, 7) for n in range(k + 1)}
-    assert sparse_log1p({(3,): 1, (7,): 2}, 2) == {}
+    # log(1+t) = t - t^2/2 + t^3/3 - ...; k times the t^k coefficient is (-1)^(k+1)
+    assert sparse_scaled_log1p({(1,): 1}, 5) == {(1,): 1, (2,): -1, (3,): 1, (4,): -1, (5,): 1}
+    # log(1 - x - y) = -sum_k (x + y)^k / k: n + m times the x^n y^m coefficient is -C(n+m, n)
+    got = sparse_scaled_log1p({(1, 0): -1, (0, 1): -1}, 6)
+    assert got == {(n, k - n): -math.comb(k, n) for k in range(1, 7) for n in range(k + 1)}
+    assert sparse_scaled_log1p({(3,): 1, (7,): 2}, 2) == {}

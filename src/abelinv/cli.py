@@ -5,11 +5,15 @@ Subcommands: dim (single dimensions), series (generating series), cayley
 checkers), oracle (independent counting oracles).  Global flag: --json for
 machine-readable output.  Exit codes: 0 success / checks pass, 1 check
 failures, 2 usage errors, 3 resource guard refusals.
+
+The argument parser is built once, when this module is imported, and every
+`run` call parses with it; `build_parser` still returns a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import IO
@@ -104,6 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--i", type=int, default=0, help="weight (a, dims)")
 
     return p
+
+
+# parse_args keeps no state on the parser and builds its help formatter at
+# print time (so COLUMNS still sets the help width): one parser serves every run
+_PARSER = build_parser()
 
 
 def _require_cyclic(group: FiniteAbelianGroup, context: str) -> int:
@@ -338,12 +347,17 @@ def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def run(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
-    """Parse and execute; returns the process exit code."""
+    """Parse and execute; returns the process exit code.
+
+    `out` (default: sys.stdout) receives everything a command prints, --help
+    included; only diagnostics (usage errors, `error:` and `refused:` lines)
+    go to sys.stderr.
+    """
     if out is None:
         out = sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):
+            args = _PARSER.parse_args(argv)
     except SystemExit as ex:
         return int(ex.code) if ex.code else 0
     handlers = {

@@ -534,8 +534,10 @@ def _identity_b(order: int, i_max: int) -> list[dict]:
 
     Three independent routes must agree: the series machinery, the n = 0 row
     of sym_dim, and the divisibility indicator [j | i] (coefficient of y^j).
-    For i = 0 the value is y/(1-y), whose y^k coefficient is [k >= 1]; for
-    i != 0 it is the finite divisor polynomial sum over j | i of y^j.
+    For i = 0 the value is y/(1-y), whose y^k coefficient is [k >= 1]: the
+    indicator [k | 0] is exactly that, so the indicator route covers the
+    y/(1-y) form.  For i != 0 it is the finite divisor polynomial sum over
+    j | i of y^j.
     """
     failures = []
     all_logs = _log_sums(order, [(_ramanujan_weight(i), lambda d: (-1,)) for i in range(i_max + 1)])
@@ -549,8 +551,6 @@ def _identity_b(order: int, i_max: int) -> list[dict]:
                     {"identity": "B", "i": i, "degree": k, "series": _frac(series, k),
                      "dims": str(dims), "indicator": str(indicator)}
                 )
-    if any(all_logs[0].get((k,), 0) != k for k in range(1, order + 1)):  # y/(1-y)
-        failures.append({"identity": "B", "i": 0, "form": "y/(1-y)", "detail": "mismatch"})
     return failures
 
 

@@ -11,7 +11,8 @@ import time
 import pytest
 
 import abelinv
-from abelinv.cli import run
+from abelinv.cli import build_parser, run
+from abelinv.molien import sym_dim
 
 
 def invoke(argv):
@@ -216,6 +217,19 @@ def test_cayley_counts_c12():
     assert ok(["cayley", "counts", "--group", "C12"]) == "permanent_terms 112720\ndeterminant_terms 86500\n"
 
 
+def test_cayley_support_frontier(capsys):
+    # C12 finishes within its budget (about 1.2 s as a subprocess on 2 vCPUs) and lists the
+    # paper's dim (S^n R)^G vectors; C14 is refused before any walk
+    t0 = time.perf_counter()
+    text = ok(["cayley", "support", "--group", "C12"])
+    assert time.perf_counter() - t0 < 10.0
+    assert text.partition("\n")[0] == f"degree 12 count {sym_dim(12, 12, 0)}"
+    t0 = time.perf_counter()
+    assert invoke(["cayley", "support", "--group", "C14"]) == (3, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert "refused: support enumeration" in capsys.readouterr().err
+
+
 def test_cayley_factored_guard_refuses_quickly():
     t0 = time.perf_counter()
     assert invoke(["cayley", "det", "--group", "C12", "--alg", "factored"])[0] == 3
@@ -405,3 +419,57 @@ def test_output_unaffected_by_no_color():
     nocolor = run_module(["cayley", "per", "--group", "C3"], NO_COLOR="1")
     assert plain.returncode == 0 and plain.stdout
     assert plain.stdout == nocolor.stdout
+
+
+def _without_elapsed(text):
+    text = re.sub(r"elapsed=[0-9.]+s", "elapsed=*s", text)
+    return re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": *', text)
+
+
+def test_shared_parser_runs_match_fresh_processes(monkeypatch, capsys):
+    # one parser serves every run in a process: no command may see what an earlier one parsed
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        ["check", "identity", "--identity", "C"],  # argparse usage error
+        ["dim", "a", "--group", "C2xC2", "--m", "2"],  # ValueError
+        ["--json", "check", "lehmer", "--p", "5"],
+        ["check", "lehmer", "--p", "5"],
+        ["check", "identity", "--identity", "A", "--order", "5"],
+        ["check", "identity", "--identity", "A"],
+    ]
+    seen = []
+    for argv in sequence:
+        code, text = invoke(argv)
+        err = capsys.readouterr().err
+        fresh = run_module(argv)
+        assert (code, _without_elapsed(text), err) == \
+            (fresh.returncode, _without_elapsed(fresh.stdout), fresh.stderr), argv
+        seen.append((code, text))
+    assert [code for code, _ in seen] == [2, 2, 0, 0, 0, 0]
+    assert seen[4][1].startswith("PASS identity-A [order=5 ")
+    assert seen[5][1].startswith("PASS identity-A [order=20 ")
+
+
+def test_help_goes_to_out(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, text = invoke(["check", "--help"])
+    assert (code, capsys.readouterr().out) == (0, "")
+    assert text.startswith("usage: abelinv check [-h]")
+    fresh = run_module(["check", "--help"])
+    assert (fresh.returncode, fresh.stdout) == (0, text)
+
+
+def test_help_width_follows_columns(monkeypatch):
+    # the width is read when help is printed, not when the shared parser was built
+    lines = []
+    for columns in (60, 120):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        lines.append(ok(["check", "--help"]).splitlines())
+    narrow, wide = lines
+    assert len(narrow) > len(wide)
+
+
+def test_build_parser_returns_a_parser_run_does_not_read():
+    mine = build_parser()
+    mine.set_defaults(json=True)
+    assert ok(["dim", "a", "--group", "C3", "--m", "3"]) == "4\n"

@@ -540,9 +540,8 @@ def test_identity_checks_report_a_wrong_series_coefficient(monkeypatch, which, o
 
     monkeypatch.setattr(molien, "sparse_scaled_log1p", perturbed)
     rhs = str(Fraction(order * true - 1, order))
-    if which == "B":  # the y/(1-y) form re-reads the i = 0 series and reports its own line
-        want = [{"identity": "B", "i": 0, **keys, "series": rhs, "dims": str(true), "indicator": "1"},
-                {"identity": "B", "i": 0, "form": "y/(1-y)", "detail": "mismatch"}]
+    if which == "B":  # the indicator [k | 0] is the y/(1-y) form: one fault, one witness
+        want = [{"identity": "B", "i": 0, **keys, "series": rhs, "dims": str(true), "indicator": "1"}]
     else:
         want = [{"identity": which, "i": 0, **keys, "lhs": str(true), "rhs": rhs}]
     assert check_identity(which, order, i_max=0).failures == want

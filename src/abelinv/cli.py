@@ -37,14 +37,32 @@ CONJECTURE_GRID = tuple(
 
 MAX_WITNESS_LINES = 10
 
-# the check options without a default, and the checkers that read each
-CHECK_OPTION_READERS = {
-    "group": ("invariance", "actions", "extended"),
-    "order": ("identity",),
-    "samples": ("actions",),
-    "p": ("lehmer",),
-    "n": ("conjecture",),
-    "l": ("conjecture",),
+# for each subcommand, the options that only some of its modes read: option ->
+# (the modes that read it, its default).  The parser gives these options no
+# default, so one given to a mode that does not read it is seen (exit 2);
+# run fills in the default after that check.
+OPTION_READERS = {
+    "dim": {"p": (("sw",), 0)},
+    "check": {
+        "group": (("invariance", "actions", "extended"), None),
+        "max_total": (("reciprocity", "all"), 10),
+        "fredman_total": (("reciprocity", "all"), 16),
+        "identity": (("identity",), "all"),
+        "order": (("identity",), None),
+        "max_order": (("hall", "invariance", "extended", "all"), 6),
+        "max_order_ext": (("hall", "all"), 5),
+        "samples": (("actions",), None),
+        "p": (("lehmer",), None),
+        "n": (("conjecture",), None),
+        "l": (("conjecture",), None),
+    },
+    "oracle": {
+        "group": (("subsets",), None),
+        "n": (("a", "dims"), None),
+        "p": (("dims",), 0),
+        "m": (("a", "dims"), None),
+        "i": (("a", "dims"), 0),
+    },
 }
 
 
@@ -61,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     dim.add_argument("kind", choices=["a", "b", "sw"],
                      help="a: symmetric power, b: exterior power, sw: mixed S^p (x) Lambda^m")
     dim.add_argument("--group", required=True, help="cyclic group, e.g. C6")
-    dim.add_argument("--p", type=int, default=0, help="symmetric degree (sw only)")
+    dim.add_argument("--p", type=int, help="symmetric degree (sw only)")
     dim.add_argument("--m", type=int, required=True, help="power degree")
     dim.add_argument("--i", type=int, default=0, help="weight (character index)")
 
@@ -86,13 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
                  "lehmer", "extended", "conjecture", "all"],
     )
     chk.add_argument("--group", help="restrict a group-parameterized check to one group")
-    chk.add_argument("--max-total", type=int, default=10, help="reciprocity sweep bound")
-    chk.add_argument("--fredman-total", type=int, default=16, help="two-parameter swap sweep bound")
-    chk.add_argument("--identity", choices=["A", "B", "log2var", "log3var", "all"], default="all")
+    chk.add_argument("--max-total", type=int, help="reciprocity sweep bound")
+    chk.add_argument("--fredman-total", type=int, help="two-parameter swap sweep bound")
+    chk.add_argument("--identity", choices=["A", "B", "log2var", "log3var", "all"])
     chk.add_argument("--order", type=int, help="truncation override for identity checks")
-    chk.add_argument("--max-order", type=int, default=6, help="largest group order in sweeps")
-    chk.add_argument("--max-order-ext", type=int, default=5,
-                     help="largest group order for extended-table support")
+    chk.add_argument("--max-order", type=int, help="largest group order in sweeps")
+    chk.add_argument("--max-order-ext", type=int, help="largest group order for extended-table support")
     chk.add_argument("--samples", type=int,
                      help="sampled mode for the action identities (default exhaustive)")
     chk.add_argument("--p", type=int, help="single prime for the congruence check")
@@ -103,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("which", choices=["a", "dims", "subsets"])
     orc.add_argument("--group", help="group spec (subsets)")
     orc.add_argument("--n", type=int, help="cyclic order (a, dims)")
-    orc.add_argument("--p", type=int, default=0, help="symmetric degree (dims)")
+    orc.add_argument("--p", type=int, help="symmetric degree (dims)")
     orc.add_argument("--m", type=int, help="power degree (a, dims)")
-    orc.add_argument("--i", type=int, default=0, help="weight (a, dims)")
+    orc.add_argument("--i", type=int, help="weight (a, dims)")
 
     return p
 
@@ -267,9 +284,6 @@ def _identity_reports(selection: str, order: int | None) -> list[CheckReport]:
 def _cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
     reports: list[CheckReport] = []
     which = args.which
-    for option, readers in CHECK_OPTION_READERS.items():
-        if getattr(args, option) is not None and which not in readers:
-            raise ValueError(f"check {which} does not read --{option} (read by check {', '.join(readers)})")
     if which == "reciprocity":
         reports.append(molien.check_reciprocity(args.max_total, args.fredman_total))
     elif which == "identity":
@@ -346,6 +360,18 @@ def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
+def _read_options(args: argparse.Namespace) -> None:
+    """Refuse an option its mode does not read (ValueError), then fill in the defaults (OPTION_READERS)."""
+    command = args.command
+    mode = getattr(args, "which", getattr(args, "kind", None))
+    for option, (readers, default) in OPTION_READERS.get(command, {}).items():
+        if getattr(args, option) is None:
+            setattr(args, option, default)
+        elif mode not in readers:
+            flag = option.replace("_", "-")
+            raise ValueError(f"{command} {mode} does not read --{flag} (read by {command} {', '.join(readers)})")
+
+
 def run(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     """Parse and execute; returns the process exit code.
 
@@ -368,6 +394,7 @@ def run(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
         "oracle": _cmd_oracle,
     }
     try:
+        _read_options(args)
         return handlers[args.command](args, out)
     except GuardExceeded as ex:
         print(f"refused: {ex}", file=sys.stderr)

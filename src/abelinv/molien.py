@@ -55,20 +55,13 @@ def sym_dim(n: int, m: int, i: int) -> int:
 
         (1/(n+m)) * sum_{d | gcd(n,m)} c_d(i) * binom((n+m)/d, n/d)
 
+    The Lambda^0 slice of the bigraded closed form: sym_ext_dim_by_parts(m, n, 0, i).
     Defined for n, m >= 0 with (n, m) != (0, 0) and symmetric under swapping
     n and m; n = 0 degenerates to [m divides i].
     """
     if n < 0 or m < 0 or (n == 0 and m == 0):
         raise ValueError(f"sym_dim: need n, m >= 0 and (n, m) != (0, 0), got ({n}, {m})")
-    g = math.gcd(n, m)
-    total = n + m
-    acc = 0
-    for d in divisors(g):
-        acc += ramanujan_sum(d, i) * math.comb(total // d, n // d)
-    q, r = divmod(acc, total)
-    if r or q < 0:
-        raise AssertionError(f"sym_dim({n}, {m}, {i}): non-integral or negative value {acc}/{total}")
-    return q
+    return sym_ext_dim_by_parts(m, n, 0, i)
 
 
 def ext_dim(n: int, m: int, i: int) -> int:
@@ -76,6 +69,7 @@ def ext_dim(n: int, m: int, i: int) -> int:
 
         ((-1)^m / n) * sum_{d | gcd(n,m)} (-1)^(m/d) c_d(i) * binom(n/d, m/d)
 
+    The S^0 slice of the bigraded closed form: sym_ext_dim_by_parts(0, n - m, m, i).
     Zero for m > n (the wedge power vanishes).
     """
     if n < 1:
@@ -84,14 +78,7 @@ def ext_dim(n: int, m: int, i: int) -> int:
         raise ValueError(f"ext_dim: need m >= 0, got {m}")
     if m > n:
         return 0
-    acc = 0
-    for d in divisors(math.gcd(n, m)):
-        acc += (-1) ** (m // d) * ramanujan_sum(d, i) * math.comb(n // d, m // d)
-    acc *= (-1) ** m
-    q, r = divmod(acc, n)
-    if r or q < 0:
-        raise AssertionError(f"ext_dim({n}, {m}, {i}): non-integral or negative value {acc}/{n}")
-    return q
+    return sym_ext_dim_by_parts(0, n - m, m, i)
 
 
 def sym_ext_dim(n: int, p: int, m: int, i: int) -> int:
@@ -117,24 +104,19 @@ def sym_ext_dim_by_parts(p: int, q: int, m: int, i: int) -> int:
         ((-1)^m / (p+q+m)) * sum_{d | gcd(p,q,m)} (-1)^(m/d) c_d(i)
                               * multinom((p+q+m)/d; m/d, p/d, q/d)
 
-    Symmetric under swapping p and q; requires p + q + m >= 1.
+    The one closed-form divisor sum behind every point dimension: sym_dim is
+    its m = 0 slice and ext_dim its p = 0 slice.  Symmetric under swapping p
+    and q; requires p + q + m >= 1.
     """
     if p < 0 or q < 0 or m < 0 or p + q + m < 1:
         raise ValueError(f"sym_ext_dim_by_parts: bad parameters ({p}, {q}, {m})")
     total = p + q + m
-    g = math.gcd(math.gcd(p, q), m)
     acc = 0
-    for d in divisors(g):
-        # multinom((p+q+m)/d; m/d, p/d, q/d) as a product of two binomials
-        parts = math.comb(total // d, m // d) * math.comb((p + q) // d, p // d)
-        acc += (-1) ** (m // d) * ramanujan_sum(d, i) * parts
-    acc *= (-1) ** m
-    quo, rem = divmod(acc, total)
-    if rem or quo < 0:
-        raise AssertionError(
-            f"sym_ext_dim_by_parts({p}, {q}, {m}, {i}): non-integral or negative value {acc}/{total}"
-        )
-    return quo
+    for d in divisors(math.gcd(p, q, m)):
+        # multinom((p+q+m)/d; m/d, p/d, q/d) as a product of two binomials, sign (-1)^(m + m/d)
+        term = ramanujan_sum(d, i) * math.comb(total // d, m // d) * math.comb((p + q) // d, p // d)
+        acc += -term if (m + m // d) % 2 else term
+    return _dimensions([acc], total, "value {value} of sym_ext_dim_by_parts{where}", (p, q, m, i))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +222,25 @@ def _order_sums(source: SeriesSource, i: int) -> tuple[int, dict[int, int]]:
     return sum(prof.values()), prof
 
 
-def _dimensions(acc: list[int], total: int, source: SeriesSource, what: str) -> list[int]:
-    """acc[k] // total for every k, unless a quotient is not a dimension.
+def _dimensions(acc: list[int], total: int, what: str, where) -> list[int]:
+    """acc[k] / total for every k, unless one of them is no dimension.
 
-    A remainder or a negative quotient is a fault for a group (AssertionError)
-    and bad input for an order profile (ValueError).
+    A remainder or a negative quotient is a fault of the code
+    (AssertionError), or bad input (ValueError) when `where` is an order
+    profile.  The message, what.format(value=acc[k] / total, degree=k,
+    where=where) + " is not a dimension", is built only then.
     """
     out = []
-    for k, c in enumerate(acc):
+    for c in acc:
         q, r = divmod(c, total)
         if r or q < 0:
-            msg = f"{what} of {source}: coefficient {Fraction(c, total)} at t^{k} is not a dimension"
-            raise (AssertionError if isinstance(source, FiniteAbelianGroup) else ValueError)(msg)
+            msg = what.format(value=Fraction(c, total), degree=len(out), where=where)
+            raise (ValueError if isinstance(where, Mapping) else AssertionError)(f"{msg} is not a dimension")
         out.append(q)
     return out
+
+
+_COEFFICIENT_AT = " of {where}: coefficient {value} at t^{degree}"  # ends the message of a series coefficient
 
 
 def _power_binomial_coeffs(d: int, k: int, inner: int, cap: int | None = None) -> list[int]:
@@ -312,7 +299,7 @@ def sym_series(source: SeriesSource, i: int = 0, order: int = 10) -> TruncatedSe
     for d, s in sums.items():
         if s:
             _add_scaled(acc, s, _power_binomial_coeffs(d, -(total // d), -1, order))
-    return TruncatedSeries1(order, _dimensions(acc, total, source, f"sym_series (i = {i})"))
+    return TruncatedSeries1(order, _dimensions(acc, total, f"sym_series (i = {i})" + _COEFFICIENT_AT, source))
 
 
 def ext_series(source: SeriesSource, i: int = 0, order: int | None = None) -> TruncatedSeries1:
@@ -335,7 +322,7 @@ def ext_series(source: SeriesSource, i: int = 0, order: int | None = None) -> Tr
         if s:
             # (1 - (-t)^d)^k = sum_a binom(k,a) (-1)^((d+1)a) t^(da)
             _add_scaled(acc, s, _power_binomial_coeffs(d, total // d, (-1) ** (d + 1), order))
-    return TruncatedSeries1(order, _dimensions(acc, total, source, f"ext_series (i = {i})"))
+    return TruncatedSeries1(order, _dimensions(acc, total, f"ext_series (i = {i})" + _COEFFICIENT_AT, source))
 
 
 def bigraded_series(n: int, i: int, s_order: int, t_order: int) -> TruncatedSeries2:
@@ -360,25 +347,27 @@ def bigraded_series(n: int, i: int, s_order: int, t_order: int) -> TruncatedSeri
         for row, a in zip(acc, _power_binomial_coeffs(d, -k, -1, s_order)):
             if a:
                 _add_scaled(row, c * a, t_part)
-    group = FiniteAbelianGroup((n,))
     return TruncatedSeries2(s_order, t_order, [
-        _dimensions(row, n, group, f"bigraded_series (i = {i}), s^{p} row")
+        _dimensions(row, n, f"bigraded_series (i = {i}), s^{p} row" + _COEFFICIENT_AT, f"C{n}")
         for p, row in enumerate(acc)
     ])
 
 
+def _ext_total(source: SeriesSource, i: int) -> int:
+    """(1/|G|) sum_{d odd} S_d(chi_i) 2^(|G|/d): the t = 1 value of ext_series."""
+    total, sums = _order_sums(source, i)
+    acc = sum(s * 2 ** (total // d) for d, s in sums.items() if d % 2)
+    return _dimensions([acc], total, f"total exterior dimension (i = {i})" + " of {where}: {value}", source)[0]
+
+
 def ext_total_dim(n: int, i: int) -> int:
-    """Total multiplicity of weight i across the whole exterior algebra of C_n:
+    """Total multiplicity of weight i (any int, taken mod n) across the whole exterior algebra of C_n:
 
         (1/n) * sum_{d | n, d odd} c_d(i) * 2^(n/d)
     """
     if n < 1:
         raise ValueError(f"ext_total_dim: need n >= 1, got {n}")
-    acc = sum(ramanujan_sum(d, i) * 2 ** (n // d) for d in divisors(n) if d % 2)
-    q, r = divmod(acc, n)
-    if r or q < 0:
-        raise AssertionError(f"ext_total_dim({n}, {i}): non-integral or negative value {acc}/{n}")
-    return q
+    return _ext_total(FiniteAbelianGroup((n,)), i % n)
 
 
 def ext_total_dim_invariants(profile: Mapping[int, int]) -> int:
@@ -386,13 +375,7 @@ def ext_total_dim_invariants(profile: Mapping[int, int]) -> int:
 
         (1/|G|) * sum_{d odd} count_d * 2^(|G|/d)
     """
-    prof = parse_order_profile(profile)
-    total = sum(prof.values())
-    acc = sum(c * 2 ** (total // d) for d, c in prof.items() if d % 2)
-    q, r = divmod(acc, total)
-    if r:
-        raise ValueError(f"profile {dict(prof)} gives the non-integer value {acc}/{total}")
-    return q
+    return _ext_total(profile, 0)
 
 
 def zero_sum_subset_count(group: FiniteAbelianGroup) -> int:
@@ -401,7 +384,7 @@ def zero_sum_subset_count(group: FiniteAbelianGroup) -> int:
     Equals the invariant dimension of the exterior algebra of the regular
     representation; the counting cross-check is groups.subset_sum_zero_count.
     """
-    return ext_total_dim_invariants(group.order_profile())
+    return _ext_total(group, 0)
 
 
 # ---------------------------------------------------------------------------

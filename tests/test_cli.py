@@ -292,19 +292,37 @@ def test_check_actions_rejects_empty_sample(capsys):
 
 
 @pytest.mark.parametrize("option, ignored, valid", [
-    ("order", ["reciprocity"], ["identity", "--identity", "A"]),
-    ("group", ["hall"], ["invariance"]),
-    ("group", ["identity", "--identity", "A"], ["extended"]),
-    ("samples", ["identity"], ["actions", "--group", "C3"]),
-    ("p", ["all"], ["lehmer"]),
-    ("n", ["lehmer"], ["conjecture", "--l", "5"]),
-    ("l", ["invariance"], ["conjecture", "--n", "2"]),
+    ("order", ["check", "reciprocity"], ["check", "identity", "--identity", "A"]),
+    ("group", ["check", "hall"], ["check", "invariance"]),
+    ("group", ["check", "identity", "--identity", "A"], ["check", "extended"]),
+    ("samples", ["check", "identity"], ["check", "actions", "--group", "C3"]),
+    ("p", ["check", "all"], ["check", "lehmer"]),
+    ("n", ["check", "lehmer"], ["check", "conjecture", "--l", "5"]),
+    ("l", ["check", "invariance"], ["check", "conjecture", "--n", "2"]),
+    # options with a default, and the dim and oracle modes
+    ("p", ["dim", "a", "--group", "C6", "--m", "3"], ["dim", "sw", "--group", "C6", "--m", "3"]),
+    ("p", ["dim", "b", "--group", "C6", "--m", "3"], ["dim", "sw", "--group", "C6", "--m", "3"]),
+    ("p", ["oracle", "a", "--n", "5", "--m", "3"], ["oracle", "dims", "--n", "5", "--m", "3"]),
+    ("group", ["oracle", "a", "--n", "5", "--m", "3"], ["oracle", "subsets"]),
+    ("n", ["oracle", "subsets", "--group", "C4"], ["oracle", "a", "--m", "2"]),
+    ("m", ["oracle", "subsets", "--group", "C4"], ["oracle", "a", "--n", "2"]),
+    ("i", ["oracle", "subsets", "--group", "C4"], ["oracle", "a", "--n", "2", "--m", "2"]),
+    ("max-order", ["check", "lehmer"], ["check", "invariance"]),
+    ("max-order", ["check", "conjecture", "--n", "3", "--l", "4"], ["check", "extended"]),
+    ("identity", ["check", "reciprocity"], ["check", "identity"]),
+    ("identity", ["check", "all"], ["check", "identity"]),
+    ("max-total", ["check", "hall"], ["check", "reciprocity"]),
+    ("fredman-total", ["check", "identity", "--identity", "A"], ["check", "reciprocity"]),
+    ("max-order-ext", ["check", "extended"], ["check", "hall"]),
 ])
 def test_check_option_its_checker_does_not_read_exits_2(option, ignored, valid, capsys):
-    value = {"order": "3", "group": "C4", "samples": "3", "p": "3", "n": "2", "l": "5"}[option]
-    assert invoke(["check", *ignored, f"--{option}", value]) == (2, "")
-    assert f"does not read --{option} " in capsys.readouterr().err
-    assert ok(["check", *valid, f"--{option}", value]).startswith("PASS")
+    value = {"order": "3", "group": "C4", "samples": "3", "p": "3", "n": "2", "l": "5", "m": "2", "i": "1",
+             "max-order": "2", "identity": "B", "max-total": "2", "fredman-total": "3",
+             "max-order-ext": "2"}[option]
+    assert invoke([*ignored, f"--{option}", value]) == (2, "")
+    assert f"does not read --{option} (read by {ignored[0]} " in capsys.readouterr().err
+    text = ok([*valid, f"--{option}", value])
+    assert text.startswith("PASS") if valid[0] == "check" else text.strip().isdigit()
 
 
 def test_check_identity_selection():

@@ -293,6 +293,30 @@ def test_group_series_reject_non_dimensions(monkeypatch):
         bigraded_series(4, 0, 3, 4)
 
 
+def test_point_dimensions_reject_non_dimensions(monkeypatch):
+    # the same perturbation reaches the one point-dimension divisor sum and the
+    # one total exterior sum; each point below has gcd > 1, so the extra d = 1
+    # multinomial leaves a remainder
+    real_sums, real_ramanujan = molien.character_order_sums, molien.ramanujan_sum
+
+    def bad_sums(group, i):
+        sums = real_sums(group, i)
+        return {**sums, 1: sums[1] + 1}
+
+    monkeypatch.setattr(molien, "character_order_sums", bad_sums)
+    monkeypatch.setattr(molien, "ramanujan_sum", lambda d, i: real_ramanujan(d, i) + (d == 1))
+    with pytest.raises(AssertionError, match=r"value 7/2 of sym_ext_dim_by_parts\(2, 2, 0, 0\) is not a dimension"):
+        sym_dim(2, 2, 0)
+    with pytest.raises(AssertionError, match="not a dimension"):
+        ext_dim(4, 2, 1)
+    with pytest.raises(AssertionError, match="not a dimension"):
+        sym_ext_dim(2, 2, 2, 0)
+    with pytest.raises(AssertionError, match=r"total exterior dimension \(i = 1\) of C3: 14/3 is not a dimension"):
+        ext_total_dim(3, 4)  # i is taken mod n
+    with pytest.raises(ValueError, match="not a dimension"):
+        ext_total_dim_invariants({1: 1, 2: 5})  # passes the profile checks, but 2^6 / 6 is no integer
+
+
 def test_series_match_counting_dp_at_query_sizes():
     # the series sizes the benchmark's query stream asks for, against the
     # (degree, group sum) DP rather than another closed form

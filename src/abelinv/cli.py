@@ -16,7 +16,7 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import IO
+from typing import IO, Callable, NamedTuple
 
 from . import cayley, molien
 from .errors import GuardExceeded
@@ -35,35 +35,93 @@ CONJECTURE_GRID = tuple(
     + [(4, l) for l in range(4, 8)]
 )
 
+IDENTITIES = ("A", "B", "log2var", "log3var")
+
 MAX_WITNESS_LINES = 10
 
-# for each subcommand, the options that only some of its modes read: option ->
-# (the modes that read it, its default).  The parser gives these options no
-# default, so one given to a mode that does not read it is seen (exit 2);
-# run fills in the default after that check.
-OPTION_READERS = {
-    "dim": {"p": (("sw",), 0)},
-    "check": {
-        "group": (("invariance", "actions", "extended"), None),
-        "max_total": (("reciprocity", "all"), 10),
-        "fredman_total": (("reciprocity", "all"), 16),
-        "identity": (("identity",), "all"),
-        "order": (("identity",), None),
-        "max_order": (("hall", "invariance", "extended", "all"), 6),
-        "max_order_ext": (("hall", "all"), 5),
-        "samples": (("actions",), None),
-        "p": (("lehmer",), None),
-        "n": (("conjecture",), None),
-        "l": (("conjecture",), None),
-    },
-    "oracle": {
-        "group": (("subsets",), None),
-        "n": (("a", "dims"), None),
-        "p": (("dims",), 0),
-        "m": (("a", "dims"), None),
-        "i": (("a", "dims"), 0),
-    },
+
+class CheckMode(NamedTuple):
+    """One `check` mode: its runner and the options it reads."""
+
+    run: Callable[[argparse.Namespace], list[CheckReport]]  # reads exactly `options`, filled in
+    options: dict[str, object]  # option -> this mode's default
+    without_group: tuple[str, ...] = ()  # the options it reads only when --group is not given
+
+
+def _groups(opts: argparse.Namespace) -> list[FiniteAbelianGroup]:
+    return [parse_group(opts.group)] if opts.group is not None else abelian_groups_up_to(opts.max_order)
+
+
+def _check_actions(opts: argparse.Namespace) -> list[CheckReport]:
+    if opts.group is not None:
+        return [cayley.check_action_identities(parse_group(opts.group), samples=opts.samples)]
+    samples = 500 if opts.samples is None else opts.samples
+    return ([cayley.check_action_identities(parse_group(spec)) for spec in ("C3", "C4", "C2xC2")]
+            + [cayley.check_action_identities(parse_group(spec), samples=samples)
+               for spec in ("C6", "C2xC3")])
+
+
+def _check_conjecture(opts: argparse.Namespace) -> list[CheckReport]:
+    if opts.n is not None or opts.l is not None:
+        if opts.n is None or opts.l is None:
+            raise ValueError("a single conjecture case needs both --n and --l")
+        return [cayley.check_toeplitz_conjecture(opts.n, opts.l)]
+    reports = []  # a failing cell halts the grid: a single counterexample is the headline
+    for n, l in CONJECTURE_GRID:
+        reports.append(cayley.check_toeplitz_conjecture(n, l))
+        if not reports[-1].ok:
+            break
+    return reports
+
+
+# the check modes, in the order `check all` runs them
+CHECK_MODES = {
+    "reciprocity": CheckMode(lambda o: [molien.check_reciprocity(o.max_total, o.fredman_total)],
+                             {"max_total": 10, "fredman_total": 16}),
+    "identity": CheckMode(lambda o: [molien.check_identity(name, o.order) for name in
+                                     (IDENTITIES if o.identity == "all" else (o.identity,))],
+                          {"identity": "all", "order": None}),
+    "hall": CheckMode(lambda o: [cayley.check_hall(o.max_order, o.max_order_ext)],
+                      {"max_order": 6, "max_order_ext": 5}),
+    "invariance": CheckMode(lambda o: [cayley.check_invariance(g) for g in _groups(o)],
+                            {"group": None, "max_order": 6}, ("max_order",)),
+    "actions": CheckMode(_check_actions, {"group": None, "samples": None}),
+    "lehmer": CheckMode(lambda o: [cayley.check_lehmer_congruence(p)
+                                   for p in (cayley.LEHMER_PRIMES if o.p is None else (o.p,))], {"p": None}),
+    "extended": CheckMode(lambda o: [cayley.check_extended_counts(g) for g in _groups(o)],
+                          {"group": None, "max_order": 4}, ("max_order",)),
+    "conjecture": CheckMode(_check_conjecture, {"n": None, "l": None}),
 }
+# `check all` hands each of these options, when given, to every mode that reads it; every other
+# option keeps each mode's default
+CHECK_ALL_FORWARDS = ("max_total", "fredman_total", "max_order", "max_order_ext")
+
+# dim and oracle: mode -> {option: default}, over the options that only some of the modes read.
+# The parser gives these and the check options no default, so one given to a mode that does not
+# read it is seen (exit 2); _read_options fills in the defaults after that check.
+OPTION_READERS = {
+    "dim": {"a": {}, "b": {}, "sw": {"p": 0}},
+    "oracle": {"a": {"n": None, "m": None, "i": 0}, "dims": {"n": None, "p": 0, "m": None, "i": 0},
+               "subsets": {"group": None}},
+}
+# (command, mode) -> (option -> default, the options it reads only without --group)
+_MODE_OPTIONS = {(command, mode): (options, ()) for command, modes in OPTION_READERS.items()
+                 for mode, options in modes.items()}
+_MODE_OPTIONS.update({("check", mode): (row.options, row.without_group) for mode, row in CHECK_MODES.items()})
+_MODE_OPTIONS["check", "all"] = (dict.fromkeys(CHECK_ALL_FORWARDS), ())
+
+
+def _readers() -> dict[str, dict[str, list[str]]]:
+    """command -> option -> the modes that read it, as the exit-2 message names them."""
+    readers: dict[str, dict[str, list[str]]] = {}
+    for (command, mode), (options, without_group) in _MODE_OPTIONS.items():
+        for option in options:
+            label = mode + (" without --group" if option in without_group else "")
+            readers.setdefault(command, {}).setdefault(option, []).append(label)
+    return readers
+
+
+_READERS = _readers()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,18 +158,17 @@ def build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="consistency checkers")
     chk.add_argument(
         "which",
-        choices=["reciprocity", "identity", "hall", "invariance", "actions",
-                 "lehmer", "extended", "conjecture", "all"],
+        choices=[*CHECK_MODES, "all"],
     )
     chk.add_argument("--group", help="restrict a group-parameterized check to one group")
     chk.add_argument("--max-total", type=int, help="reciprocity sweep bound")
     chk.add_argument("--fredman-total", type=int, help="two-parameter swap sweep bound")
-    chk.add_argument("--identity", choices=["A", "B", "log2var", "log3var", "all"])
+    chk.add_argument("--identity", choices=[*IDENTITIES, "all"])
     chk.add_argument("--order", type=int, help="truncation override for identity checks")
-    chk.add_argument("--max-order", type=int, help="largest group order in sweeps")
+    chk.add_argument("--max-order", type=int, help="largest group order in sweeps (default 6; extended 4)")
     chk.add_argument("--max-order-ext", type=int, help="largest group order for extended-table support")
-    chk.add_argument("--samples", type=int,
-                     help="sampled mode for the action identities (default exhaustive)")
+    chk.add_argument("--samples", type=int, help="sampled permutations for the action identities "
+                     "(default: exhaustive with --group, 500 for the order-6 groups without it)")
     chk.add_argument("--p", type=int, help="single prime for the congruence check")
     chk.add_argument("--n", type=int, help="cyclic order for a single conjecture case")
     chk.add_argument("--l", type=int, help="table size for a single conjecture case")
@@ -218,8 +275,9 @@ def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
         if args.variant != "plain" or args.l is not None:
             raise ValueError("cayley counts counts the terms of the plain table; "
                              "it takes no --variant or --l")
-        pc = cayley.permanent_term_count(group)
+        # the determinant's DP guard is decided in about 1 ms; the support walk can take seconds
         dc = cayley.determinant_term_count(group)
+        pc = cayley.permanent_term_count(group)
         payload = {"group": group.spec_string, "permanent_terms": pc, "determinant_terms": dc}
         _emit(out, args, f"permanent_terms {pc}\ndeterminant_terms {dc}", payload)
         return 0
@@ -256,70 +314,13 @@ def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
-def _standard_action_reports(samples_order6: int = 500) -> list[CheckReport]:
-    reports = []
-    for spec in ("C3", "C4", "C2xC2"):
-        reports.append(cayley.check_action_identities(parse_group(spec)))
-    for spec in ("C6", "C2xC3"):
-        reports.append(cayley.check_action_identities(parse_group(spec), samples=samples_order6))
-    return reports
-
-
-def _conjecture_grid_reports() -> list[CheckReport]:
-    # a failing cell halts the grid: a single counterexample is the headline
-    reports = []
-    for n, l in CONJECTURE_GRID:
-        rep = cayley.check_toeplitz_conjecture(n, l)
-        reports.append(rep)
-        if not rep.ok:
-            break
-    return reports
-
-
-def _identity_reports(selection: str, order: int | None) -> list[CheckReport]:
-    names = ["A", "B", "log2var", "log3var"] if selection == "all" else [selection]
-    return [molien.check_identity(name, order) for name in names]
-
-
 def _cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
     reports: list[CheckReport] = []
-    which = args.which
-    if which == "reciprocity":
-        reports.append(molien.check_reciprocity(args.max_total, args.fredman_total))
-    elif which == "identity":
-        reports.extend(_identity_reports(args.identity, args.order))
-    elif which == "hall":
-        reports.append(cayley.check_hall(args.max_order, args.max_order_ext))
-    elif which == "invariance":
-        groups = [parse_group(args.group)] if args.group else abelian_groups_up_to(args.max_order)
-        reports.extend(cayley.check_invariance(g) for g in groups)
-    elif which == "actions":
-        if args.group:
-            reports.append(cayley.check_action_identities(parse_group(args.group), samples=args.samples))
-        else:
-            reports.extend(_standard_action_reports(500 if args.samples is None else args.samples))
-    elif which == "lehmer":
-        primes = [args.p] if args.p else list(cayley.LEHMER_PRIMES)
-        reports.extend(cayley.check_lehmer_congruence(p) for p in primes)
-    elif which == "extended":
-        groups = [parse_group(args.group)] if args.group else abelian_groups_up_to(min(args.max_order, 4))
-        reports.extend(cayley.check_extended_counts(g) for g in groups)
-    elif which == "conjecture":
-        if args.n is not None or args.l is not None:
-            if args.n is None or args.l is None:
-                raise ValueError("a single conjecture case needs both --n and --l")
-            reports.append(cayley.check_toeplitz_conjecture(args.n, args.l))
-        else:
-            reports.extend(_conjecture_grid_reports())
-    else:  # all
-        reports.append(molien.check_reciprocity(args.max_total, args.fredman_total))
-        reports.extend(_identity_reports("all", None))
-        reports.append(cayley.check_hall(min(args.max_order, 6), min(args.max_order_ext, 5)))
-        reports.extend(cayley.check_invariance(g) for g in abelian_groups_up_to(args.max_order))
-        reports.extend(_standard_action_reports())
-        reports.extend(cayley.check_lehmer_congruence(p) for p in cayley.LEHMER_PRIMES)
-        reports.extend(cayley.check_extended_counts(g) for g in abelian_groups_up_to(min(args.max_order, 4)))
-        reports.extend(_conjecture_grid_reports())
+    for mode in CHECK_MODES if args.which == "all" else (args.which,):
+        row = CHECK_MODES[mode]
+        # the options given, else this mode's defaults (`check all` is given only those it forwards)
+        opts = {o: d if getattr(args, o) is None else getattr(args, o) for o, d in row.options.items()}
+        reports.extend(row.run(argparse.Namespace(**opts)))
 
     if args.json:
         payload = reports[0].to_json_obj() if len(reports) == 1 else [r.to_json_obj() for r in reports]
@@ -361,15 +362,20 @@ def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _read_options(args: argparse.Namespace) -> None:
-    """Refuse an option its mode does not read (ValueError), then fill in the defaults (OPTION_READERS)."""
-    command = args.command
-    mode = getattr(args, "which", getattr(args, "kind", None))
-    for option, (readers, default) in OPTION_READERS.get(command, {}).items():
+    """Refuse an option its mode does not read (ValueError), then fill in that mode's defaults."""
+    command, mode = args.command, getattr(args, "which", getattr(args, "kind", None))
+    reads, without_group = _MODE_OPTIONS.get((command, mode), ({}, ()))
+    for option, readers in _READERS.get(command, {}).items():
         if getattr(args, option) is None:
-            setattr(args, option, default)
-        elif mode not in readers:
-            flag = option.replace("_", "-")
-            raise ValueError(f"{command} {mode} does not read --{flag} (read by {command} {', '.join(readers)})")
+            if option in reads:
+                setattr(args, option, reads[option])
+        elif option not in reads or option in without_group and args.group is not None:
+            raise ValueError(f"{command} {mode}{' with --group' if option in reads else ''} does not read "
+                             f"--{option.replace('_', '-')} (read by {command} {', '.join(readers)})")
+
+
+_HANDLERS = {"dim": _cmd_dim, "series": _cmd_series, "cayley": _cmd_cayley, "check": _cmd_check,
+             "oracle": _cmd_oracle}
 
 
 def run(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
@@ -386,16 +392,9 @@ def run(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
             args = _PARSER.parse_args(argv)
     except SystemExit as ex:
         return int(ex.code) if ex.code else 0
-    handlers = {
-        "dim": _cmd_dim,
-        "series": _cmd_series,
-        "cayley": _cmd_cayley,
-        "check": _cmd_check,
-        "oracle": _cmd_oracle,
-    }
     try:
         _read_options(args)
-        return handlers[args.command](args, out)
+        return _HANDLERS[args.command](args, out)
     except GuardExceeded as ex:
         print(f"refused: {ex}", file=sys.stderr)
         return 3

@@ -212,6 +212,13 @@ def test_cayley_dp_guard_refuses_quickly():
         assert time.perf_counter() - t0 < 1.0, op
 
 
+def test_cayley_counts_refuses_c13_quickly():
+    # the determinant's DP guard is decided before the permanent's support is enumerated
+    t0 = time.perf_counter()
+    assert invoke(["cayley", "counts", "--group", "C13"])[0] == 3
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_cayley_counts_c12():
     # one subset-DP state per rotation orbit brings order 12 inside the guard
     assert ok(["cayley", "counts", "--group", "C12"]) == "permanent_terms 112720\ndeterminant_terms 86500\n"
@@ -279,6 +286,11 @@ def test_check_reciprocity_summary_format():
     ["check", "hall", "--max-order-ext", "0"],
     ["check", "invariance", "--max-order", "0"],
     ["check", "extended", "--max-order", "-1"],
+    # a falsy value reaches its checker or parse_group; it does not select the default sweep
+    ["check", "lehmer", "--p", "0"],
+    ["check", "invariance", "--group", ""],
+    ["check", "actions", "--group", ""],
+    ["check", "extended", "--group", ""],
 ])
 def test_empty_check_sweep_exits_2(argv, capsys):
     assert invoke(argv) == (2, "")
@@ -314,6 +326,9 @@ def test_check_actions_rejects_empty_sample(capsys):
     ("max-total", ["check", "hall"], ["check", "reciprocity"]),
     ("fredman-total", ["check", "identity", "--identity", "A"], ["check", "reciprocity"]),
     ("max-order-ext", ["check", "extended"], ["check", "hall"]),
+    # invariance and extended read --max-order only without --group
+    ("max-order", ["check", "invariance", "--group", "C4"], ["check", "invariance"]),
+    ("max-order", ["check", "extended", "--group", "C4"], ["check", "extended"]),
 ])
 def test_check_option_its_checker_does_not_read_exits_2(option, ignored, valid, capsys):
     value = {"order": "3", "group": "C4", "samples": "3", "p": "3", "n": "2", "l": "5", "m": "2", "i": "1",
@@ -323,6 +338,33 @@ def test_check_option_its_checker_does_not_read_exits_2(option, ignored, valid, 
     assert f"does not read --{option} (read by {ignored[0]} " in capsys.readouterr().err
     text = ok([*valid, f"--{option}", value])
     assert text.startswith("PASS") if valid[0] == "check" else text.strip().isdigit()
+
+
+def test_check_extended_runs_to_the_max_order_given():
+    lines = ok(["check", "extended", "--max-order", "5"]).splitlines()
+    assert [ln.split()[:3] for ln in lines] == [
+        ["PASS", "extended-counts", f"[group={g}]"] for g in ("C1", "C2", "C3", "C2xC2", "C4", "C5")]
+
+
+@pytest.mark.parametrize("forwarded", [
+    {},
+    {"--max-order": "3", "--max-total": "5", "--fredman-total": "6", "--max-order-ext": "3"},
+])
+def test_check_all_is_every_mode_with_the_options_it_reads(forwarded):
+    # each mode, in order, with those of the options given to `check all` that it reads
+    reads = {"reciprocity": ("--max-total", "--fredman-total"), "identity": (),
+             "hall": ("--max-order", "--max-order-ext"), "invariance": ("--max-order",), "actions": (),
+             "lehmer": (), "extended": ("--max-order",), "conjecture": ()}
+    given = [word for item in forwarded.items() for word in item]
+    code, text = invoke(["check", "all", *given])
+    assert code == 1
+    parts = []
+    for mode, options in reads.items():
+        argv = [word for option in options if option in forwarded for word in (option, forwarded[option])]
+        part_code, part = invoke(["check", mode, *argv])
+        assert part_code == (1 if mode == "conjecture" else 0), mode
+        parts.append(part)
+    assert _without_elapsed(text) == _without_elapsed("".join(parts))
 
 
 def test_check_identity_selection():

@@ -656,20 +656,15 @@ def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
     failures: list[dict] = []
     per = permanent(build_table(group, "plain"))
     det = determinant(build_table(group, "plain"))
+    neg_det = -det  # psi(gamma) * det where psi(gamma) = -1, built once
     psi = _dual_weight_character(group)
-    e = group.exponent
     for gamma in group.elements():
         if apply_group_action(group, gamma, per) != per:
             failures.append({"gamma": list(gamma), "what": "permanent not invariant"})
-        t = group.char_exponent(psi, gamma)
-        if t == 0:
-            sgn = 1
-        elif 2 * t == e:
-            sgn = -1
-        else:
+        t = group.char_exponent(psi, gamma)  # psi(gamma) = zeta_e^t, e the exponent
+        if t and 2 * t != group.exponent:
             failures.append({"gamma": list(gamma), "what": f"psi value zeta^{t} is not +-1"})
-            continue
-        if apply_group_action(group, gamma, det) != det * sgn:
+        elif apply_group_action(group, gamma, det) != (neg_det if t else det):
             failures.append({"gamma": list(gamma), "what": "determinant not semi-invariant"})
     elapsed = time.perf_counter() - t0
     return CheckReport("invariance", {"group": group.spec_string}, failures, elapsed)

@@ -36,7 +36,7 @@ from typing import Mapping, Union
 
 from .errors import GuardExceeded
 from .groups import FiniteAbelianGroup, element_sum_counts, parse_order_profile
-from .numtheory import divisors, euler_phi, moebius, ramanujan_sum
+from .numtheory import _divisors, euler_phi, moebius, ramanujan_sum
 from .polynom import unpack_zeta_integers, zeta_packing
 from .report import CheckReport
 from .series import Sparse, TruncatedSeries1, TruncatedSeries2, sparse_scaled_log1p
@@ -112,11 +112,14 @@ def sym_ext_dim_by_parts(p: int, q: int, m: int, i: int) -> int:
         raise ValueError(f"sym_ext_dim_by_parts: bad parameters ({p}, {q}, {m})")
     total = p + q + m
     acc = 0
-    for d in divisors(math.gcd(p, q, m)):
+    for d in _divisors(math.gcd(p, q, m)):
         # multinom((p+q+m)/d; m/d, p/d, q/d) as a product of two binomials, sign (-1)^(m + m/d)
         term = ramanujan_sum(d, i) * math.comb(total // d, m // d) * math.comb((p + q) // d, p // d)
         acc += -term if (m + m // d) % 2 else term
-    return _dimensions([acc], total, "value {value} of sym_ext_dim_by_parts{where}", (p, q, m, i))[0]
+    value, rem = divmod(acc, total)
+    if rem or value < 0:  # _dimensions raises, with the message every dimension check uses
+        _dimensions([acc], total, "value {value} of sym_ext_dim_by_parts{where}", (p, q, m, i))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +206,18 @@ def character_order_sums(group: FiniteAbelianGroup, i: int) -> dict[int, int]:
         raise ValueError(f"character index {i} out of range for {group}")
     chi = group.element(i)
 
-    def torsion_sum(k: int) -> int:
+    ds = _divisors(group.exponent)
+    sums = {}  # T_k for every k | exponent
+    for k in ds:
         pieces = [math.gcd(k, n) for n in group.factors]
-        return math.prod(pieces) if all(c % g == 0 for c, g in zip(chi, pieces)) else 0
+        sums[k] = math.prod(pieces) if all(c % g == 0 for c, g in zip(chi, pieces)) else 0
+    return {d: sum(mu * sums[k] for k, mu in _moebius_pairs(d)) for d in ds}
 
-    ds = divisors(group.exponent)
-    sums = {k: torsion_sum(k) for k in ds}
-    return {d: sum(moebius(d // k) * sums[k] for k in divisors(d)) for d in ds}
+
+@lru_cache(maxsize=None)
+def _moebius_pairs(d: int) -> tuple[tuple[int, int], ...]:
+    """(k, mu(d/k)) for the divisors k of d with mu(d/k) != 0: the Moebius inversion over d."""
+    return tuple((k, mu) for k in _divisors(d) if (mu := moebius(d // k)))
 
 
 def _order_sums(source: SeriesSource, i: int) -> tuple[int, dict[int, int]]:
@@ -338,7 +346,7 @@ def bigraded_series(n: int, i: int, s_order: int, t_order: int) -> TruncatedSeri
     _guard_series((s_order + 1) * (t_order + 1),
                   _binomial_bits(n + s_order - 1, s_order) + _binomial_bits(n, min(t_order, n // 2)))
     acc = [[0] * (t_order + 1) for _ in range(s_order + 1)]
-    for d in divisors(n):
+    for d in _divisors(n):
         c = ramanujan_sum(d, i)
         if not c:
             continue

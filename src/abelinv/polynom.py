@@ -11,6 +11,8 @@ character-sum oracle both rely on that integrality test.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .numtheory import divisors
@@ -122,14 +124,12 @@ class IntPolynomial:
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] = {}):
         if nvars < 1:
             raise ValueError("need at least one variable")
-        clean: dict[tuple[int, ...], int] = {}
-        for exp, c in terms.items():
-            if len(exp) != nvars or min(exp) < 0:
-                raise ValueError(f"bad exponent vector {exp!r} for {nvars} variables")
-            if c:
-                clean[tuple(exp)] = int(c)
+        # bulk checks of every key, zero-coefficient ones too; the first bad key is sought only on failure
+        if terms and (set(map(len, terms)) != {nvars} or min(chain.from_iterable(terms)) < 0):
+            bad = next(exp for exp in terms if len(exp) != nvars or min(exp) < 0)
+            raise ValueError(f"bad exponent vector {bad!r} for {nvars} variables")
         self.nvars = nvars
-        self.terms = clean
+        self.terms = {tuple(exp): int(c) for exp, c in terms.items() if c}
 
     @classmethod
     def zero(cls, nvars: int) -> "IntPolynomial":
@@ -207,13 +207,10 @@ class IntPolynomial:
         """Substitute x_i -> x_{perm[i]}."""
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError("not a permutation of the variables")
-        out: dict[tuple[int, ...], int] = {}
-        for exp, c in self.terms.items():
-            new = [0] * self.nvars
-            for i, k in enumerate(exp):
-                new[perm[i]] = k
-            out[tuple(new)] = c
-        return IntPolynomial(self.nvars, out)
+        if self.nvars == 1:  # itemgetter of one index returns a bare item, not a tuple
+            return IntPolynomial(1, self.terms)
+        gather = itemgetter(*sorted(range(self.nvars), key=perm.__getitem__))  # new[perm[i]] = exp[i]
+        return IntPolynomial(self.nvars, {gather(exp): c for exp, c in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())

@@ -521,6 +521,26 @@ def test_invariance_check_passes():
         assert report.ok, (g.spec_string, report.failures[:3])
 
 
+@pytest.mark.parametrize("kernel, what", [("permanent", "permanent not invariant"),
+                                          ("determinant", "determinant not semi-invariant")])
+def test_invariance_check_catches_a_changed_pure_power(monkeypatch, kernel, what):
+    # bump the coefficient of x_0^n (x_0 the identity's variable); every gamma
+    # except the identity moves that monomial to x_gamma^n, so exactly those
+    # gammas fail, in element order, and the other polynomial still passes
+    real = getattr(cayley, kernel)
+
+    def bumped(matrix, algorithm="auto"):
+        poly = real(matrix, algorithm)
+        power = (poly.nvars,) + (0,) * (poly.nvars - 1)
+        return IntPolynomial(poly.nvars, {**poly.terms, power: poly.coefficient(power) + 1})
+
+    monkeypatch.setattr(cayley, kernel, bumped)
+    for g in (C3, C4, V4, parse_group("C2xC3")):
+        identity, *moved = g.elements()
+        assert not any(identity)
+        assert check_invariance(g).failures == [{"gamma": list(gamma), "what": what} for gamma in moved]
+
+
 def test_action_identities_exhaustive():
     for g in (C3, C4, V4):
         report = check_action_identities(g)

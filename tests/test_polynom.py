@@ -1,5 +1,8 @@
 """Cyclotomic polynomials, packed sums of roots of unity and sparse integer polynomials."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -149,6 +152,53 @@ def test_permute_variables():
     assert p.permute_variables([0, 1, 2]) == p
     with pytest.raises(ValueError):
         p.permute_variables([0, 0, 1])
+
+
+def _scattered(p, perm):
+    """p.permute_variables(perm).terms, one exponent at a time."""
+    out = {}
+    for exp, c in p.terms.items():
+        new = [0] * p.nvars
+        for i, k in enumerate(exp):
+            new[perm[i]] = k
+        out[tuple(new)] = c
+    return out
+
+
+def test_permute_variables_matches_a_naive_scatter():
+    rng = random.Random(17)
+    for nvars in range(1, 7):
+        for _ in range(40):
+            terms = {tuple(rng.randrange(4) for _ in range(nvars)): rng.randint(-5, 5)
+                     for _ in range(rng.randrange(12))}
+            p = IntPolynomial(nvars, terms)
+            perm = rng.sample(range(nvars), nvars)
+            assert p.permute_variables(perm).terms == _scattered(p, perm)
+            assert p.permute_variables(tuple(perm)).terms == _scattered(p, perm)
+        for bad in (list(range(1, nvars + 1)), list(range(nvars + 1)), [0] * nvars if nvars > 1 else []):
+            with pytest.raises(ValueError, match="not a permutation of the variables"):
+                p.permute_variables(bad)
+
+
+@pytest.mark.parametrize("bad, c", [
+    ((1, 0), 1),         # too short
+    ((0, 1, 0, 2), 3),   # too long
+    ((1, -1, 0), 2),     # negative exponent
+    ((0, 2, -1), 0),     # negative exponent, zero coefficient
+    ((0, 0), 0),         # wrong length, zero coefficient
+    ((), 0),
+])
+def test_constructor_rejects_bad_exponent_vectors(bad, c):
+    good = {(1, 0, 0): 2, (0, 0, 3): -1}
+    with pytest.raises(ValueError, match=f"^bad exponent vector {re.escape(repr(bad))} for 3 variables$"):
+        IntPolynomial(3, {**good, bad: c})
+    with pytest.raises(ValueError, match=f"^bad exponent vector {re.escape(repr(bad))} for 3 variables$"):
+        IntPolynomial(3, {bad: c, **good})
+
+
+def test_constructor_names_the_first_bad_exponent_vector():
+    with pytest.raises(ValueError, match=r"^bad exponent vector \(2, -1, 0\) for 3 variables$"):
+        IntPolynomial(3, {(0, 1, 2): 1, (2, -1, 0): 0, (1,): 4, (0, 0, -3): 1})
 
 
 def test_group_translation_action():

@@ -654,8 +654,9 @@ def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
     (so gamma . det = psi(gamma) * det with psi(gamma) = +-1)."""
     t0 = time.perf_counter()
     failures: list[dict] = []
-    per = permanent(build_table(group, "plain"))
-    det = determinant(build_table(group, "plain"))
+    table = build_table(group, "plain")
+    per = permanent(table)
+    det = determinant(table)
     neg_det = -det  # psi(gamma) * det where psi(gamma) = -1, built once
     psi = _dual_weight_character(group)
     for gamma in group.elements():
@@ -700,13 +701,8 @@ def check_action_identities(
     """
     t0 = time.perf_counter()
     n = group.order
-    els = group.elements()
-    add = group.add_table
-    neg = group.neg_table
-    failures: list[dict] = []
-
     exhaustive = samples is None
-    if exhaustive:
+    if exhaustive:  # decided before the n x n addition table is built
         if n > 8:
             raise GuardExceeded("exhaustive permutation sweep", math.factorial(n), math.factorial(8))
         perms = list(itertools.permutations(range(n)))
@@ -715,6 +711,10 @@ def check_action_identities(
             raise ValueError(f"sampled action check needs samples >= 1, got {samples}")
         rng = random.Random(seed)
         perms = [tuple(rng.sample(range(n), n)) for _ in range(samples)]
+    els = group.elements()
+    add = group.add_table
+    neg = group.neg_table
+    failures: list[dict] = []
 
     realized: set[tuple[tuple[int, ...], int, int]] = set()
     orbit_failures: list[dict] = []  # sampled realization witnesses, reported after all others
@@ -855,14 +855,14 @@ def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
         raise ValueError(f"hall check needs orders >= 1, got {max_order} and {max_order_ext}")
     t0 = time.perf_counter()
     failures: list[dict] = []
-    # (table, largest order, degree beyond the order)
-    for table, top, extra in (("plain", max_order, 0), ("extended", max_order_ext, 1)):
+    for variant, top in (("plain", max_order), ("extended", max_order_ext)):
         for group in abelian_groups_up_to(top):
-            got = set(permanent(build_table(group, table)).terms)
-            want = hall_support(group, group.order + extra)
+            table = build_table(group, variant)
+            got = set(permanent(table).terms)
+            want = hall_support(group, table.size)  # a table's degree is its size
             for exp in sorted(got.symmetric_difference(want)):
                 failures.append(
-                    {"group": group.spec_string, "table": table, "exponents": list(exp),
+                    {"group": group.spec_string, "table": variant, "exponents": list(exp),
                      "what": "missing" if exp in want else "unexpected"}
                 )
     elapsed = time.perf_counter() - t0

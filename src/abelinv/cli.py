@@ -35,8 +35,6 @@ CONJECTURE_GRID = tuple(
     + [(4, l) for l in range(4, 8)]
 )
 
-IDENTITIES = ("A", "B", "log2var", "log3var")
-
 MAX_WITNESS_LINES = 10
 
 
@@ -79,7 +77,7 @@ CHECK_MODES = {
     "reciprocity": CheckMode(lambda o: [molien.check_reciprocity(o.max_total, o.fredman_total)],
                              {"max_total": 10, "fredman_total": 16}),
     "identity": CheckMode(lambda o: [molien.check_identity(name, o.order) for name in
-                                     (IDENTITIES if o.identity == "all" else (o.identity,))],
+                                     (molien.IDENTITIES if o.identity == "all" else (o.identity,))],
                           {"identity": "all", "order": None}),
     "hall": CheckMode(lambda o: [cayley.check_hall(o.max_order, o.max_order_ext)],
                       {"max_order": 6, "max_order_ext": 5}),
@@ -163,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--group", help="restrict a group-parameterized check to one group")
     chk.add_argument("--max-total", type=int, help="reciprocity sweep bound")
     chk.add_argument("--fredman-total", type=int, help="two-parameter swap sweep bound")
-    chk.add_argument("--identity", choices=[*IDENTITIES, "all"])
+    chk.add_argument("--identity", choices=[*molien.IDENTITIES, "all"])
     chk.add_argument("--order", type=int, help="truncation override for identity checks")
     chk.add_argument("--max-order", type=int, help="largest group order in sweeps (default 6; extended 4)")
     chk.add_argument("--max-order-ext", type=int, help="largest group order for extended-table support")
@@ -301,10 +299,8 @@ def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
         _emit(out, args, "", payload)
         return 0
 
-    # support: the zero-sum monomial prediction at the variant's natural degree
-    n = group.order
-    degree = {"plain": n, "hat": n, "extended": n + 1, "block2n": 2 * n,
-              "toeplitz": matrix.size}[args.variant]
+    # support: the zero-sum monomial prediction at the table's natural degree, its size
+    degree = matrix.size
     support = sorted(cayley.hall_support(group, degree))
     human = "\n".join([f"degree {degree} count {len(support)}"]
                       + [" ".join(map(str, exp)) for exp in support])

@@ -50,11 +50,11 @@ class FiniteAbelianGroup:
             if not isinstance(n, int) or n < 1:
                 raise ValueError(f"cyclic factor sizes must be positive ints, got {n!r}")
 
-    @property
+    @cached_property
     def order(self) -> int:
         return math.prod(self.factors)
 
-    @property
+    @cached_property
     def exponent(self) -> int:
         return math.lcm(*self.factors)
 

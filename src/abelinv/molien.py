@@ -15,13 +15,14 @@ coefficients, divided once by the group order; a remainder or a negative
 quotient means the coefficient is no dimension, and raises.  SERIES_GUARD
 refuses a series too large to build before any coefficient is computed.
 
-The four log identities compare the dimensions with one sum,
-sum_d (w(d)/d) log(1 + u_d), where u_d is u(x^d) for a degree-1 form u
-whose signs depend only on the parity of d.  Each side is compared at total
-degree N after scaling by N, which makes the right side the int
-sum_d w(d) L[c/d], with L = series.sparse_scaled_log1p(u) built once per
-check for each sign pattern; their closed forms z/(1-z^2) and y/(1-y) enter
-as coefficient formulas.  Fraction appears only in messages and witnesses.
+The four log identities, one row each of IDENTITIES, compare the dimensions
+with one sum, sum_d (w(d)/d) log(1 + u_d), where u_d is u(x^d) for a
+degree-1 form u whose signs depend only on the parity of d.  One loop
+compares each side at total degree N after scaling by N, which makes the
+right side the int sum_d w(d) L[c/d], with L = series.sparse_scaled_log1p(u)
+built once per check for each sign pattern; the closed forms z/(1-z^2) and
+y/(1-y) enter as coefficient formulas.  Fraction appears only in messages
+and witnesses.
 IDENTITY_GUARD refuses a truncation order whose logs and comparisons are
 too large, before any log is built.
 """
@@ -32,7 +33,8 @@ import math
 import time
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from itertools import repeat
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import GuardExceeded
 from .groups import FiniteAbelianGroup, element_sum_counts, parse_order_profile
@@ -473,7 +475,7 @@ def _log_sums(order: int, sums) -> list[Sparse]:
             levels = tables[s]
             for k in range(1, top + 1):
                 for a, v in levels[k]:
-                    key = tuple(d * x for x in a)
+                    key = a if d == 1 else tuple([d * x for x in a])
                     for acc, w in pairs:
                         acc[key] = acc.get(key, 0) + w * v
     return accs
@@ -489,112 +491,38 @@ def _frac(scaled: int, total: int) -> str:
     return str(Fraction(scaled, total))
 
 
-def _identity_a(order: int, i_max: int) -> list[dict]:
-    """Top-wedge diagonal: sum_m ext_dim(m, m, i) z^m = -sum_d (c_d(i)/d) log(1 + (-z)^d).
+class Identity(NamedTuple):
+    """sum_c dim(c, i) x^c = -sum_d (c_d(i)/d) log(1 + u_d), u_d = sum_j s_j x_j^d, s = signs(d)."""
 
-    For i = 0 this is the classical z/(1-z^2) = sum_d (phi(d)/d) log(1+z^d),
-    whose z^k coefficient is k mod 2.
-    """
-    failures = []
-    *rhs_by_i, alt = _log_sums(
-        order,
-        [(_ramanujan_weight(i), lambda d: ((-1) ** d,)) for i in range(i_max + 1)]
-        + [(euler_phi, lambda d: (1,))],
-    )
-    for i, rhs in enumerate(rhs_by_i):
-        for k in range(1, order + 1):
-            lhs = ext_dim(k, k, i)
-            rv = rhs.get((k,), 0)
-            if k * lhs != rv:
-                failures.append(
-                    {"identity": "A", "i": i, "degree": k, "lhs": str(lhs), "rhs": _frac(rv, k)}
-                )
-    for k in range(1, order + 1):
-        closed = k % 2  # z/(1-z^2)
-        rv = alt.get((k,), 0)
-        if k * closed != rv:
-            failures.append(
-                {"identity": "A", "i": 0, "form": "z/(1-z^2)", "degree": k,
-                 "lhs": str(closed), "rhs": _frac(rv, k)}
-            )
-    return failures
+    order: int  # default truncation order
+    keys: tuple[str, ...]  # the witness names of a cell's exponents, one per variable
+    signs: Callable[[int], tuple[int, ...]]
+    # (*exponent columns, i) -> dim(c, i) at each cell; it reads this module's dimension
+    # function when the check runs, so a patched one is the one checked
+    dims: Callable[..., Iterator[int]]
+    i_cap: int | None = None  # the largest i compared; None compares every i <= i_max
 
 
-def _identity_b(order: int, i_max: int) -> list[dict]:
-    """Pure-symmetric specialization: -sum_d (c_d(i)/d) log(1 - y^d).
-
-    Three independent routes must agree: the series machinery, the n = 0 row
-    of sym_dim, and the divisibility indicator [j | i] (coefficient of y^j).
-    For i = 0 the value is y/(1-y), whose y^k coefficient is [k >= 1]: the
-    indicator [k | 0] is exactly that, so the indicator route covers the
-    y/(1-y) form.  For i != 0 it is the finite divisor polynomial sum over
-    j | i of y^j.
-    """
-    failures = []
-    all_logs = _log_sums(order, [(_ramanujan_weight(i), lambda d: (-1,)) for i in range(i_max + 1)])
-    for i, logs in enumerate(all_logs):
-        for k in range(1, order + 1):
-            series = logs.get((k,), 0)
-            dims = sym_dim(0, k, i)
-            indicator = 1 if i % k == 0 else 0
-            if not series == k * dims == k * indicator:
-                failures.append(
-                    {"identity": "B", "i": i, "degree": k, "series": _frac(series, k),
-                     "dims": str(dims), "indicator": str(indicator)}
-                )
-    return failures
+IDENTITIES = {
+    # top-wedge diagonal; for i = 0 also z/(1-z^2) = sum_d (phi(d)/d) log(1 + z^d), coefficient k mod 2
+    "A": Identity(20, ("degree",), lambda d: ((-1) ** d,), lambda ks, i: map(ext_dim, ks, ks, repeat(i))),
+    # pure-symmetric: the n = 0 row of sym_dim, and the indicator [k | i] (for i = 0, y/(1-y))
+    "B": Identity(20, ("degree",), lambda d: (-1,), lambda ks, i: map(sym_dim, repeat(0), ks, repeat(i))),
+    "log2var": Identity(20, ("n", "m"), lambda d: (-1, -1),
+                        lambda ns, ms, i: map(sym_dim, ns, ms, repeat(i)), 2),
+    # z tracks the wedge degree m
+    "log3var": Identity(8, ("p", "q", "m"), lambda d: (-1, -1, (-1) ** d),
+                        lambda ps, qs, ms, i: map(sym_ext_dim_by_parts, ps, qs, ms, repeat(i)), 2),
+}
 
 
-def _identity_log2var(order: int, i_list: tuple[int, ...]) -> list[dict]:
-    """Two-variable log identity: the full sym_dim grid against
-
-        -sum_d (c_d(i)/d) log(1 - x^d - y^d)
-
-    compared coefficientwise to total degree `order`.
-    """
-    failures = []
-    all_rhs = _log_sums(order, [(_ramanujan_weight(i), lambda d: (-1, -1)) for i in i_list])
-    for i, rhs in zip(i_list, all_rhs):
-        for total in range(1, order + 1):
-            for n in range(total + 1):
-                m = total - n
-                lhs = sym_dim(n, m, i)
-                rv = rhs.get((n, m), 0)
-                if total * lhs != rv:
-                    failures.append(
-                        {"identity": "log2var", "i": i, "n": n, "m": m,
-                         "lhs": str(lhs), "rhs": _frac(rv, total)}
-                    )
-    return failures
-
-
-def _identity_log3var(order: int, i_list: tuple[int, ...]) -> list[dict]:
-    """Three-variable log identity: sym_ext_dim_by_parts against
-
-        -sum_d (c_d(i)/d) log(1 - x^d - y^d + (-z)^d)
-
-    compared coefficientwise to total degree `order` (z tracks the wedge
-    degree as the third exponent).
-    """
-    failures = []
-    all_rhs = _log_sums(order, [(_ramanujan_weight(i), lambda d: (-1, -1, (-1) ** d)) for i in i_list])
-    for i, rhs in zip(i_list, all_rhs):
-        for total in range(1, order + 1):
-            for p in range(total + 1):
-                for q in range(total + 1 - p):
-                    m = total - p - q
-                    lhs = sym_ext_dim_by_parts(p, q, m, i)
-                    rv = rhs.get((p, q, m), 0)
-                    if total * lhs != rv:
-                        failures.append(
-                            {"identity": "log3var", "i": i, "p": p, "q": q, "m": m,
-                             "lhs": str(lhs), "rhs": _frac(rv, total)}
-                        )
-    return failures
-
-
-IDENTITY_DEFAULT_ORDERS = {"A": 20, "B": 20, "log2var": 20, "log3var": 8}
-IDENTITY_VARIABLES = {"A": 1, "B": 1, "log2var": 2, "log3var": 3}
+def _cells(variables: int, order: int) -> list[tuple[int, ...]]:
+    """The exponent vectors in `variables` variables of total degree 1..order, in lexicographic order
+    within each degree."""
+    levels = [[(total,)] for total in range(order + 1)]  # levels[t]: the vectors of total degree t
+    for _ in range(variables - 1):
+        levels = [[(a, *rest) for a in range(t + 1) for rest in levels[t - a]] for t in range(order + 1)]
+    return [cell for level in levels[1:] for cell in level]
 
 
 def _identity_work(variables: int, order: int, logs: int) -> int:
@@ -616,28 +544,46 @@ def _identity_work(variables: int, order: int, logs: int) -> int:
 
 
 def check_identity(which: str, order: int | None = None, i_max: int = 5) -> CheckReport:
-    """Run one of the log/exp identity checks: A, B, log2var or log3var."""
-    if which not in IDENTITY_DEFAULT_ORDERS:
-        raise ValueError(f"unknown identity {which!r}; expected one of {sorted(IDENTITY_DEFAULT_ORDERS)}")
+    """Compare N times each side of one IDENTITIES row at every cell of total degree N <= order."""
+    row = IDENTITIES.get(which)
+    if row is None:
+        raise ValueError(f"unknown identity {which!r}; expected one of {sorted(IDENTITIES)}")
     if order is None:
-        order = IDENTITY_DEFAULT_ORDERS[which]
+        order = row.order
     if order < 1:
         raise ValueError(f"identity check needs order >= 1, got {order}")
     if i_max < 0:
         raise ValueError(f"identity check needs i_max >= 0, got {i_max}")
-    # A and B sum one log per i <= i_max (A one more for z/(1-z^2)); the others i <= 2
-    logs = {"A": i_max + 2, "B": i_max + 1}.get(which, min(i_max, 2) + 1)
-    work = _identity_work(IDENTITY_VARIABLES[which], order, logs)
+    i_list = range((i_max if row.i_cap is None else min(i_max, row.i_cap)) + 1)
+    sums = [(_ramanujan_weight(i), row.signs) for i in i_list]
+    if which == "A":
+        sums.append((euler_phi, lambda d: (1,)))  # z/(1-z^2)
+    work = _identity_work(len(row.keys), order, len(sums))
     if work > IDENTITY_GUARD:
         raise GuardExceeded("identity series terms", work, IDENTITY_GUARD)
     t0 = time.perf_counter()
+    cells = _cells(len(row.keys), order)
+    totals = list(map(sum, cells))
+    columns = tuple(zip(*cells))  # column j: exponent j of every cell
+    logs = _log_sums(order, sums)
+    indicator = which == "B"
+    failures = []
+    for i, rhs in zip(i_list, logs):
+        for cell, total, lhs in zip(cells, totals, row.dims(*columns, i)):
+            rv = rhs.get(cell, 0)
+            if indicator:  # B: three routes, the series, the dimension and [total | i]
+                divides = int(i % total == 0)
+                if not rv == total * lhs == total * divides:
+                    failures.append({"identity": which, "i": i, "degree": total, "series": _frac(rv, total),
+                                     "dims": str(lhs), "indicator": str(divides)})
+            elif total * lhs != rv:
+                failures.append({"identity": which, "i": i, **dict(zip(row.keys, cell)),
+                                 "lhs": str(lhs), "rhs": _frac(rv, total)})
     if which == "A":
-        failures = _identity_a(order, i_max)
-    elif which == "B":
-        failures = _identity_b(order, i_max)
-    elif which == "log2var":
-        failures = _identity_log2var(order, tuple(range(logs)))
-    else:
-        failures = _identity_log3var(order, tuple(range(logs)))
+        for k in totals:
+            rv = logs[-1].get((k,), 0)
+            if k * (k % 2) != rv:
+                failures.append({"identity": "A", "i": 0, "form": "z/(1-z^2)", "degree": k,
+                                 "lhs": str(k % 2), "rhs": _frac(rv, k)})
     elapsed = time.perf_counter() - t0
     return CheckReport(f"identity-{which}", {"order": order, "i_max": i_max}, failures, elapsed)

@@ -521,6 +521,14 @@ def test_invariance_check_passes():
         assert report.ok, (g.spec_string, report.failures[:3])
 
 
+def test_invariance_check_builds_one_table(monkeypatch):
+    built = []
+    real = cayley.build_table
+    monkeypatch.setattr(cayley, "build_table", lambda *args, **kw: built.append(args) or real(*args, **kw))
+    assert check_invariance(parse_group("C2xC3")).ok
+    assert built == [(parse_group("C2xC3"), "plain")]
+
+
 @pytest.mark.parametrize("kernel, what", [("permanent", "permanent not invariant"),
                                           ("determinant", "determinant not semi-invariant")])
 def test_invariance_check_catches_a_changed_pure_power(monkeypatch, kernel, what):

@@ -11,8 +11,10 @@ import time
 import pytest
 
 import abelinv
+from abelinv import molien, parse_group
 from abelinv.cli import build_parser, run
-from abelinv.molien import sym_dim
+from abelinv.errors import GuardExceeded
+from abelinv.molien import sym_dim, sym_series
 
 
 def invoke(argv):
@@ -183,6 +185,12 @@ def test_cayley_support_listing():
     text = ok(["cayley", "support", "--group", "C3"]).splitlines()
     assert text[0] == "degree 3 count 4"
     assert text[1:] == ["0 0 3", "0 3 0", "1 1 1", "3 0 0"]
+    # every variant lists the support at its table's size, counted by the invariant series
+    c3 = parse_group("C3")
+    for extra, size in [(["--variant", "hat"], 3), (["--variant", "extended"], 4),
+                        (["--variant", "block2n"], 6), (["--variant", "toeplitz", "--l", "5"], 5)]:
+        first = ok(["cayley", "support", "--group", "C3", *extra]).partition("\n")[0]
+        assert first == f"degree {size} count {sym_series(c3, 0, size).coefficient(size)}", extra
 
 
 def test_cayley_counts():
@@ -297,6 +305,19 @@ def test_empty_check_sweep_exits_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_exhaustive_action_sweep_refuses_a_huge_group_quickly(capsys):
+    # 1700! has more digits than str() converts; the refusal comes before the 1700 x 1700 table
+    t0 = time.perf_counter()
+    assert invoke(["check", "actions", "--group", "C1700"]) == (3, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("refused: exhaustive permutation sweep")
+
+
+def test_guard_message_renders_a_huge_size():
+    assert str(GuardExceeded("x", 10**5000, 1)) == "x: size 2^16609 or more exceeds guard 1"
+    assert str(GuardExceeded("x", 2**256, 2**256 - 1)) == f"x: size 2^256 or more exceeds guard {2**256 - 1}"
+
+
 def test_check_actions_rejects_empty_sample(capsys):
     for argv in (["--group", "C3", "--samples", "0"], ["--group", "C3", "--samples", "-5"], ["--samples", "0"]):
         assert invoke(["check", "actions", *argv]) == (2, "")
@@ -369,9 +390,12 @@ def test_check_all_is_every_mode_with_the_options_it_reads(forwarded):
 
 def test_check_identity_selection():
     text = ok(["check", "identity", "--identity", "A"])
-    assert text.startswith("PASS identity")
+    assert text.startswith("PASS identity-A ")
     lines = ok(["check", "identity"]).strip().splitlines()
-    assert len(lines) == 4  # one per identity
+    assert [line.split()[:2] for line in lines] == [["PASS", f"identity-{name}"] for name in molien.IDENTITIES]
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    option = next(a for a in commands.choices["check"]._actions if a.dest == "identity")
+    assert option.choices == [*molien.IDENTITIES, "all"]
 
 
 def test_check_single_conjecture_cell():

@@ -45,6 +45,8 @@ def test_order_exponent_rank():
     assert g.order == 12
     assert g.exponent == 6
     assert g.rank == 2
+    assert {"order": 12, "exponent": 6}.items() <= vars(g).items()  # computed once, then cached
+    assert g == parse_group("C2xC6") and hash(g) == hash(parse_group("C2xC6"))
     assert not g.is_cyclic_presentation
     assert parse_group("C12").is_cyclic_presentation
 

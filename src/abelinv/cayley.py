@@ -19,7 +19,11 @@ in the middle: row prefixes against precomputed suffix orderings, up to
 size 10) is the independent oracle.
 The permanent's monomial support is governed by the zero-sum condition
 (degree-n exponent vectors k with sum k_j * g_j = 0); the determinant
-factors into character linear forms.  Checkers for these facts live here.
+factors into character linear forms, whose product (the determinant's
+checker route) keeps one monomial per translation orbit, as each form is an
+eigenvector of the translation.  Every guard is decided from the group, the
+variant and the size before a table is built (refuse_before_table).
+Checkers for these facts live here.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import NamedTuple, Sequence
 from .errors import GuardExceeded
 from .groups import Element, FiniteAbelianGroup, _permutation_sign
 from .molien import sym_dim, sym_series
+from .numtheory import divisors, euler_phi
 from .polynom import IntPolynomial, apply_group_action, unpack_zeta_integers, zeta_packing
 from .report import CheckReport
 
@@ -80,6 +85,31 @@ class CayleyMatrix:
         }
 
 
+def table_size(group: FiniteAbelianGroup, variant: str, size: int | None = None) -> int:
+    """Side of the table build_table makes, checked as build_table checks it; builds nothing.
+
+    size applies to toeplitz only (l >= n, default n); the other variants
+    are n, n+1 (extended) and 2n (block2n) wide.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    n = group.order
+    if variant == "toeplitz":
+        if not group.is_cyclic_presentation:
+            raise ValueError(
+                f"toeplitz tables need a single-factor cyclic presentation, got {group}"
+                " (present the group as Cn)"
+            )
+        if size is None:
+            return n
+        if size < n:
+            raise ValueError(f"toeplitz size must be at least the group order {n}, got {size}")
+        return size
+    if size is not None:
+        raise ValueError("size is only meaningful for the toeplitz variant")
+    return {"extended": n + 1, "block2n": 2 * n}.get(variant, n)
+
+
 def build_table(
     group: FiniteAbelianGroup,
     variant: str,
@@ -93,8 +123,7 @@ def build_table(
     entries always use canonical variable indices, so permanents are reorder
     invariant and determinants pick up the square of the row/column sign.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    l = table_size(group, variant, size)
     n = group.order
     listing = list(range(n))
     if element_order is not None:
@@ -105,20 +134,9 @@ def build_table(
         listing = list(element_order)
 
     if variant == "toeplitz":
-        if not group.is_cyclic_presentation:
-            raise ValueError(
-                f"toeplitz tables need a single-factor cyclic presentation, got {group}"
-                " (present the group as Cn)"
-            )
-        if size is None:
-            size = n
-        if size < n:
-            raise ValueError(f"toeplitz size must be at least the group order {n}, got {size}")
-        grid = tuple(tuple((j - i) % n for j in range(size)) for i in range(size))
+        grid = tuple(tuple((j - i) % n for j in range(l)) for i in range(l))
         return CayleyMatrix(group, variant, grid)
 
-    if size is not None:
-        raise ValueError("size is only meaningful for the toeplitz variant")
     if variant == "extended":
         listing.append(0)
     elif variant == "block2n":
@@ -152,6 +170,12 @@ def _prefix_parity(prefix: Sequence[int]) -> int:
     return (inv + sum(prefix) - k * (k - 1) // 2) & 1
 
 
+def _leibniz_guard(l: int) -> None:
+    perms = math.factorial(l)
+    if perms > LEIBNIZ_GUARD:
+        raise GuardExceeded("Leibniz permutations", perms, LEIBNIZ_GUARD)
+
+
 def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     """Sum over all l! permutations of the (signed) product of their entries.
 
@@ -159,47 +183,49 @@ def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     k = l - ceil(l/2) rows) and an ordering of the remaining columns on the
     last s = ceil(l/2) rows.  The packed keys (exponent vectors base l+1, so
     x_e is (l+1)^e) of every ordering of every s-subset of columns are listed
-    once, split by the ordering's parity; each prefix then adds its key to
-    each key of its complement's list, one count per permutation.  The sign
-    is (-1)^(_prefix_parity(prefix) + parity(suffix)).  Partial products are
+    once, split by the ordering's parity for the determinant; each prefix
+    then adds its key to each key of its complement's list (one
+    Counter.update per prefix and list), one count per permutation.  The
+    sign is (-1)^(_prefix_parity(prefix) + parity(suffix)).  Partial products are
     never merged, so the subset DP is checked against the full expansion.
     The guard counts the l! permutations.
     """
     l = matrix.size
-    perms = math.factorial(l)
-    if perms > LEIBNIZ_GUARD:
-        raise GuardExceeded("Leibniz permutations", perms, LEIBNIZ_GUARD)
+    _leibniz_guard(l)
     nvars = matrix.nvars
     base = l + 1
     weights = [[base**e for e in row] for row in matrix.grid]
     s = (l + 1) // 2
     k = l - s
     tail = weights[k:]
+    bit = [1 << c for c in range(l)].__getitem__
+    getitem, repeat = operator.getitem, itertools.repeat
     odd = _lex_parities(s)
     even = [1 - p for p in odd]
-    # used-column bitmask of a prefix -> (even, odd) keys of its completions
-    suffix: dict[int, tuple[list[int], list[int]]] = {}
+    # used-column bitmask of a prefix -> the keys of its completions, split (even, odd) if signed
+    suffix: dict[int, list[int] | tuple[list[int], list[int]]] = {}
     for cols in itertools.combinations(range(l), s):
-        keys = [sum(w[c] for w, c in zip(tail, order)) for order in itertools.permutations(cols)]
-        used = (1 << l) - 1 - sum(1 << c for c in cols)
-        suffix[used] = (list(itertools.compress(keys, even)), list(itertools.compress(keys, odd)))
+        keys = list(map(sum, map(map, repeat(getitem), repeat(tail), itertools.permutations(cols))))
+        used = (1 << l) - 1 - sum(map(bit, cols))
+        suffix[used] = (list(itertools.compress(keys, even)), list(itertools.compress(keys, odd))) \
+            if signed else keys
     plus: Counter[int] = Counter()
-    minus: Counter[int] = Counter()
-    for prefix in itertools.permutations(range(l), k):
-        key = sum(w[c] for w, c in zip(weights, prefix))
-        evens, odds = suffix[sum(1 << c for c in prefix)]
-        if signed and _prefix_parity(prefix):
-            evens, odds = odds, evens
-        plus.update(map(operator.add, itertools.repeat(key), evens))
-        (minus if signed else plus).update(map(operator.add, itertools.repeat(key), odds))
-    plus.subtract(minus)
-    terms: dict[tuple[int, ...], int] = {}
-    for packed, coeff in plus.items():
-        exp = []
-        for _ in range(nvars):
-            packed, digit = divmod(packed, base)
-            exp.append(digit)
-        terms[tuple(exp)] = coeff
+    if not signed:
+        for prefix in itertools.permutations(range(l), k):
+            plus.update(map(operator.add, repeat(sum(map(getitem, weights, prefix))),
+                            suffix[sum(map(bit, prefix))]))
+    else:
+        minus: Counter[int] = Counter()
+        for prefix in itertools.permutations(range(l), k):
+            key = sum(map(getitem, weights, prefix))
+            evens, odds = suffix[sum(map(bit, prefix))]
+            if _prefix_parity(prefix):
+                evens, odds = odds, evens
+            plus.update(map(operator.add, repeat(key), evens))
+            minus.update(map(operator.add, repeat(key), odds))
+        plus.subtract(minus)
+    powers = [base**i for i in range(nvars)]
+    terms = {tuple([packed // p % base for p in powers]): coeff for packed, coeff in plus.items()}
     return IntPolynomial(nvars, terms)
 
 
@@ -233,61 +259,100 @@ class _Translation(NamedTuple):
         return len(self.mults)
 
 
+def _relabeling(group: FiniteAbelianGroup) -> tuple[list[int], int]:
+    """(phi, g): an element g of maximal order e and labels on which adding g adds s = n/e.
+
+    phi(r_c + k g) = k s + c, with r_c the first element of the c-th coset
+    of <g>; a cyclic presentation has g = 1 and phi = id.
+    """
+    n, e = group.order, group.exponent
+    if group.is_cyclic_presentation:
+        return list(range(n)), 1 % n
+    s = n // e
+    g = next(k for k, a in enumerate(group.elements()) if group.element_order(a) == e)
+    add = group.add_table
+    phi = [-1] * n
+    c = 0
+    for r in range(n):
+        if phi[r] < 0:  # r is the first element of the next coset of <g>
+            x = r
+            for k in range(e):
+                phi[x] = k * s + c
+                x = add[x][g]
+            c += 1
+    return phi, g
+
+
 def _translation(matrix: CayleyMatrix, classes: Sequence[tuple[int, int]]) -> _Translation | None:
     """The translation symmetry of a square table with distinct columns, if it has one.
 
-    An element g of maximal order e generates the relabeling: phi(r_c + k g)
-    = k s + c, with s = n/e and r_c the first element of the c-th coset of
-    <g>, so adding g adds s to every label.  A plain table then satisfies
-    grid[i][j + s] = grid[i][j] + s and a hat table the same with -s (the
-    toeplitz table over C_n is the plain case with phi = id).  The property
-    is read off the relabeled grid, not the variant, so a table in another
-    element order gets the trivial subgroup (None), as do extended, block2n
-    and stretched toeplitz tables.
+    Columns and entries are relabeled by _relabeling's phi, so translation
+    by g adds s to every label.  A plain table then satisfies grid[i][j + s]
+    = grid[i][j] + s and a hat table the same with -s (the toeplitz table
+    over C_n is the plain case with phi = id).  The property is read off the
+    relabeled grid, not the variant, so a table in another element order
+    gets the trivial subgroup (None), as do extended, block2n and stretched
+    toeplitz tables.
     """
     n = matrix.nvars
     if matrix.size != n or len(classes) < n or n < 2:
         return None
-    group = matrix.group
-    e = group.exponent
+    e = matrix.group.exponent
     s = n // e
-    if group.is_cyclic_presentation:  # g = 1 and phi = id
-        phi = list(range(n))
-        grid = [list(row) for row in matrix.grid]
-    else:
-        g = next(k for k, a in enumerate(group.elements()) if group.element_order(a) == e)
-        add = group.add_table
-        phi = [-1] * n
-        c = 0
-        for r in range(n):
-            if phi[r] < 0:  # r is the first element of the next coset of <g>
-                x = r
-                for k in range(e):
-                    phi[x] = k * s + c
-                    x = add[x][g]
-                c += 1
-        grid = []
-        for row in matrix.grid:
-            new = [0] * n
-            for j, v in enumerate(row):
-                new[phi[j]] = phi[v]
-            grid.append(new)
+    phi, _ = _relabeling(matrix.group)
+    grid = []
+    for row in matrix.grid:
+        new = [0] * n
+        for j, v in enumerate(row):
+            new[phi[j]] = phi[v]
+        grid.append(new)
     for shift in (s, n - s):
         if all(row[s:] + row[:s] == [(v + shift) % n for v in row] for row in grid):
             return _Translation(phi, grid, s, shift, [(n + 1) ** (u * shift % n) for u in range(e)])
     return None
 
 
-def _rotation_orbits(k: int, n: int, s: int) -> int:
-    """Number of orbits of the k-subsets of Z_n under rotation by multiples of s (Burnside)."""
-    e = n // s
-    fixed = 0
-    for t in range(e):
-        cycles = math.gcd(t * s, n)  # rotation by t*s has gcd cycles of length n/gcd
-        length = n // cycles
-        if k % length == 0:
-            fixed += math.comb(cycles, k // length)
-    return fixed // e
+def _binomials(c: int) -> list[int]:
+    """C(c, j) for j = 0..c, a row at a time (math.comb per entry is several times slower)."""
+    row = [1]
+    for j in range(c):
+        row.append(row[-1] * (c - j) // (j + 1))
+    return row
+
+
+def _dp_pairs(l: int, sizes: Sequence[int], v: int, s: int | None) -> int:
+    """Upper bound on the (state, monomial) pairs the subset DP holds.
+
+    Layer k has at most states_k states, each carrying at most the
+    C(k+v-1, v-1) degree-k monomials in the table's v distinct variables.
+    With a translation step s, states_k is the number of orbits of the
+    k-subsets of Z_l under rotation by multiples of s (Burnside: with e =
+    l/s, rotation by t*s with gcd(t, e) = d has s*d cycles of length e/d,
+    for phi(e/d) of the t).  Without one, it is the number of ways to take
+    k columns from classes of identical columns of the given sizes, the x^k
+    coefficient of prod (1 + x + ... + x^m): C(c, k) for the c classes of
+    size 1, times a window sum for each larger class (C(l, k) when all
+    columns differ).
+    """
+    if s is not None:
+        e = l // s
+        states = [0] * (l + 1)
+        for d in divisors(e):
+            length, ways = e // d, euler_phi(e // d)
+            for j, c in enumerate(_binomials(s * d)):
+                states[j * length] += ways * c
+        states = [x // e for x in states]
+    else:
+        states = _binomials(sizes.count(1))
+        for m in sizes:
+            if m > 1:  # states[k] becomes the sum of states[k-m..k]
+                sums = list(itertools.accumulate([0] * m + states + [0] * m, initial=0))
+                states = list(map(operator.sub, sums[m + 1:], sums))
+    pairs, monomials = 0, 1  # monomials = C(k+v-1, v-1)
+    for k, x in enumerate(states):
+        pairs += x * monomials
+        monomials = monomials * (k + v) // (k + 1)
+    return pairs
 
 
 def _dp_state_estimate(
@@ -295,26 +360,59 @@ def _dp_state_estimate(
     classes: Sequence[tuple[int, int]],
     translation: _Translation | None,
 ) -> int:
-    """Upper bound on the (state, monomial) pairs the subset DP holds.
-
-    Layer k has at most C(l, k) states (exactly that many when all columns
-    differ), or one per rotation orbit of k-subsets under a translation,
-    each carrying at most the C(k+v-1, v-1) degree-k monomials in the v
-    distinct variables of the table.
-    """
-    if translation is not None:
-        l = matrix.size
-        states = [_rotation_orbits(k, l, translation.s) for k in range(l + 1)]
-    else:
-        states = [1]  # states[k]: ways to take k columns, counted per class
-        for _, m in classes:
-            grown = [0] * (len(states) + m)
-            for k, count in enumerate(states):
-                for t in range(m + 1):
-                    grown[k + t] += count
-            states = grown
+    """_dp_pairs of a table: its size, column classes, variables and translation step."""
     v = len({k for row in matrix.grid for k in row})
-    return sum(s * math.comb(k + v - 1, v - 1) for k, s in enumerate(states))
+    return _dp_pairs(matrix.size, [m for _, m in classes], v, None if translation is None else translation.s)
+
+
+def _table_shape(group: FiniteAbelianGroup, variant: str, size: int | None) -> tuple[int, list[int], int | None]:
+    """(size, column-class sizes, translation step) of build_table(group, variant, size), unbuilt.
+
+    Extended tables repeat the column of g_0, block2n tables every column,
+    and toeplitz columns j and j' agree exactly when j = j' mod n.  Every
+    variant's grid holds all n variables.  _translation finds its step n/e
+    on the plain and hat tables and the n x n toeplitz table, of order 2
+    or more.
+    """
+    n = group.order
+    l = table_size(group, variant, size)
+    if variant == "extended":
+        sizes = [2] + [1] * (n - 1)
+    elif variant == "block2n":
+        sizes = [2] * n
+    elif variant == "toeplitz":
+        sizes = [len(range(c, l, n)) for c in range(n)]
+    else:
+        sizes = [1] * n
+    return l, sizes, (n // group.exponent if l == n >= 2 else None)
+
+
+def refuse_before_table(
+    group: FiniteAbelianGroup,
+    op: str,
+    variant: str = "plain",
+    size: int | None = None,
+    algorithm: str = "auto",
+) -> None:
+    """Raise GuardExceeded if the permanent (op "per") or determinant ("det") of
+    build_table(group, variant, size) would be refused, without building the table.
+
+    Leibniz needs only the size, factored only the order, and the subset DP
+    the shape _table_shape reads off the variant; the estimates are the
+    kernels' own, so the same tables run or are refused.
+    """
+    l, sizes, step = _table_shape(group, variant, size)
+    if algorithm == "leibniz":
+        _leibniz_guard(l)
+    elif algorithm == "factored":
+        if op == "det" and variant in ("plain", "hat"):
+            _factored_guard(group.order)
+    elif algorithm == "auto" and (op == "per" or len(sizes) == l):  # else the determinant is 0
+        estimate = _dp_pairs(l, sizes, group.order, None)
+        if estimate > ORBIT_MIN_PAIRS and step is not None:
+            estimate = _dp_pairs(l, sizes, group.order, step)
+        if estimate > DP_GUARD:
+            raise GuardExceeded("subset DP states", estimate, DP_GUARD)
 
 
 def _rotation_signs(tr: _Translation, rep: int, signed: bool) -> list[int]:
@@ -507,47 +605,104 @@ def permanent(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
     raise ValueError(f"unknown permanent algorithm {algorithm!r}")
 
 
+def _factored_guard(n: int) -> None:
+    estimate = n * math.comb(2 * n - 1, n)
+    if estimate > FACTORED_GUARD:
+        raise GuardExceeded("factored determinant", estimate, FACTORED_GUARD)
+
+
 def _det_factored(matrix: CayleyMatrix) -> IntPolynomial:
-    """Determinant via the character factorization, on packed ints.
+    """Determinant via the character factorization, on packed ints, one key per translation orbit.
 
     det(plain) = sign(inversion permutation) * prod_chi v_chi with the linear
     forms v_chi = sum_i chi(g_i) x_i; the hat table is the plain one with
     columns permuted by the inversion, so its determinant is prod_chi v_chi.
-    Monomials are packed base n+1; the loop shares no code with the subset
-    DP, so the two routes check each other.  A coefficient is a sum of at
-    most n! roots of unity, kept as one int under zeta_e -> 2^B (zeta_packing
-    has the bound): chi(g_i) = zeta^t is a shift by t*B, each layer is
-    reduced mod Phi_e(2^B), and a balanced residue of 2^(B-1) or more in
-    absolute value (a coefficient that is not a rational integer) raises
-    ValueError.  The guard counts the n * C(2n-1, n) coefficient products of
-    the n multiplications (a product of k forms has C(k+n-1, n-1) terms).
+    A coefficient is a sum of at most n! roots of unity, kept as one int
+    under zeta_e -> 2^B (zeta_packing has the bound): chi(g_i) = zeta^t is a
+    shift by t*B, each layer is reduced mod Phi_e(2^B), and a balanced
+    residue of 2^(B-1) or more in absolute value (a coefficient that is not
+    a rational integer) raises ValueError.
+
+    Monomials are packed base n+1 over the labels of _relabeling, so the
+    translation sigma: x_a -> x_(a+g) is key * (n+1)^s mod (n+1)^n - 1.
+    Each form is an eigenvector, sigma v_chi = zeta^(-chi(g)) v_chi, so the
+    product of the first k forms obeys coef(sigma^t m) = zeta^(t C_k)
+    coef(m), C_k the sum of their chi(g) exponents, and the loop keeps one
+    representative key per orbit.  The next product is sum_u zeta^(u C)
+    sigma^u R (C = C_(k+1)), where R scatters each representative r over
+    the labels modulo its stabilizer, the first n |orbit(r)| / e.  A target
+    sigma^h(m) of R folds into its representative m with the twist
+    zeta^(-h C), and m is weighted by the sum of zeta^(u C) over its
+    stabilizer, which is |Stab(m)| or 0.  At the end every key is expanded
+    from its representative, with one unpack per (representative, twist).
+    The loop shares only the relabeling with the subset DP, so the two
+    routes check each other.  The guard counts the n * C(2n-1, n)
+    coefficient products of the unreduced multiplications (a product of k
+    forms has C(k+n-1, n-1) terms), an upper bound on the work done here.
     """
     group = matrix.group
     if matrix.variant not in ("plain", "hat"):
         raise ValueError("factored determinant applies to plain and hat tables only")
     n = group.order
-    estimate = n * math.comb(2 * n - 1, n)
-    if estimate > FACTORED_GUARD:
-        raise GuardExceeded("factored determinant", estimate, FACTORED_GUARD)
-    bits, modulus = zeta_packing(group.exponent, math.factorial(n))
+    _factored_guard(n)
+    e = group.exponent
+    s = n // e
+    bits, modulus = zeta_packing(e, math.factorial(n))
+    phi, g = _relabeling(group)
     els = group.elements()
+    by_label = [els[a] for a in sorted(range(n), key=phi.__getitem__)]
     base = n + 1
     powers = [base**i for i in range(n)]
-    prod = {0: 1}
+    ring, rotate = base**n - 1, base**s  # sigma(key) = key * rotate % ring
+    prod, sizes, total = {0: 1}, {0: 1}, 0  # representative -> coefficient, orbit size; C_k
     for chi in els:
-        steps = [(w, group.char_exponent(chi, a) * bits) for w, a in zip(powers, els)]
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for w, shift in steps:
-            for key, v in prod.items():
-                k = key + w
-                nxt[k] = get(k, 0) + (v << shift)
-        prod = {key: v % modulus for key, v in nxt.items()}
+        total = (total + group.char_exponent(chi, els[g])) % e
+        # label L: B^L, and per twist h the shift of chi(g_L) zeta^(-h C)
+        steps = [(w, [(t - h * total) % e * bits for h in range(e)])
+                 for w, t in zip(powers, [group.char_exponent(chi, a) for a in by_label])]
+        stabilized = [steps[:o * s] for o in range(e + 1)]
+        where: dict[int, tuple[int, int]] = {}  # key -> (m, h) with key = sigma^h(m)
+        new_sizes: dict[int, int] = {}
+        acc: dict[int, int] = {}
+        get = acc.get
+        for r, v in prod.items():
+            for w, shifts in stabilized[sizes[r]]:
+                q = r + w
+                hit = where.get(q)
+                if hit is None:  # q opens an orbit and represents it
+                    where[q] = hit = (q, 0)
+                    x, h = q, 1
+                    while h < e and (x := x * rotate % ring) != q:  # never rotates C1's x_0
+                        where[x] = (q, h)
+                        h += 1
+                    new_sizes[q] = h
+                m, h = hit
+                acc[m] = get(m, 0) + (v << shifts[h])
+        prod = {}
+        for m, v in acc.items():
+            o = new_sizes[m]
+            # the stabilizer's weight is 0 unless |orbit| C = 0 mod e; a zero residue adds nothing
+            if o * total % e == 0 and (v := v * (e // o) % modulus):
+                prod[m] = v
+        sizes = new_sizes
     sign = group.inversion_sign() if matrix.variant == "plain" else 1
-    # every value passes the integrality test; only the surviving ones are decoded
-    values = unpack_zeta_integers(prod.values(), bits, modulus)
-    terms = {tuple([key // w % base for w in powers]): c * sign
-             for key, c in zip(prod, values) if c}
+    # coef(sigma^t m) = zeta^(t C) coef(m): each twist is unpacked, in one batch, for the
+    # representatives whose orbits reach it, so every value passes the integrality test
+    twists = [t * total % e for t in range(e)]
+    values = {}
+    for t, j in enumerate(twists):
+        if j not in values:
+            reps = [m for m in prod if sizes[m] > t]
+            values[j] = dict(zip(reps, unpack_zeta_integers([prod[m] << j * bits for m in reps],
+                                                            bits, modulus)))
+    place = [powers[p] for p in phi]  # the exponent of x_a is the digit at label phi(a)
+    terms = {}
+    for m in prod:
+        key = m
+        for j in twists[:sizes[m]]:
+            if c := values[j][m]:
+                terms[tuple([key // w % base for w in place])] = c * sign
+            key = key * rotate % ring
     return IntPolynomial(n, terms)
 
 
@@ -633,6 +788,7 @@ def permanent_term_count(group: FiniteAbelianGroup) -> int:
 
 def determinant_term_count(group: FiniteAbelianGroup) -> int:
     """Number of distinct monomials in the determinant of the plain table."""
+    refuse_before_table(group, "det")
     return determinant(build_table(group, "plain")).term_count()
 
 

@@ -273,40 +273,42 @@ def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
         if args.variant != "plain" or args.l is not None:
             raise ValueError("cayley counts counts the terms of the plain table; "
                              "it takes no --variant or --l")
-        # the determinant's DP guard is decided in about 1 ms; the support walk can take seconds
+        # the determinant's guard is decided before any table is built; the support walk can take seconds
         dc = cayley.determinant_term_count(group)
         pc = cayley.permanent_term_count(group)
         payload = {"group": group.spec_string, "permanent_terms": pc, "determinant_terms": dc}
         _emit(out, args, f"permanent_terms {pc}\ndeterminant_terms {dc}", payload)
         return 0
 
+    if args.op == "support":
+        # the zero-sum monomial prediction at the table's natural degree, its size; no table is built
+        degree = cayley.table_size(group, args.variant, args.l)
+        support = sorted(cayley.hall_support(group, degree))
+        human = "\n".join([f"degree {degree} count {len(support)}"]
+                          + [" ".join(map(str, exp)) for exp in support])
+        payload = {"group": group.spec_string, "variant": args.variant, "degree": degree,
+                   "count": len(support), "exponents": [list(e) for e in support]}
+        _emit(out, args, human, payload)
+        return 0
+
+    if args.op == "per" and args.alg == "factored":
+        raise ValueError("factored applies to determinants only")
+    if args.op != "table":  # each guard is decided before the |G|^2 entries are read
+        cayley.refuse_before_table(group, args.op, args.variant, args.l, args.alg)
     matrix = cayley.build_table(group, args.variant, size=args.l)
     if args.op == "table":
         _emit(out, args, matrix.format_table(), matrix.to_json_obj())
         return 0
-    if args.op in ("per", "det"):
-        if args.op == "per":
-            if args.alg == "factored":
-                raise ValueError("factored applies to determinants only")
-            operation, poly = "permanent", cayley.permanent(matrix, args.alg)
-        else:
-            operation, poly = "determinant", cayley.determinant(matrix, args.alg)
-        if not args.json:  # a C12 polynomial has 10^5 terms: render only the form printed
-            print(poly, file=out)
-            return 0
-        payload = {**matrix.to_json_obj(), "operation": operation, "terms": poly.to_json_obj()}
-        del payload["grid"]
-        _emit(out, args, "", payload)
+    if args.op == "per":
+        operation, poly = "permanent", cayley.permanent(matrix, args.alg)
+    else:
+        operation, poly = "determinant", cayley.determinant(matrix, args.alg)
+    if not args.json:  # a C12 polynomial has 10^5 terms: render only the form printed
+        print(poly, file=out)
         return 0
-
-    # support: the zero-sum monomial prediction at the table's natural degree, its size
-    degree = matrix.size
-    support = sorted(cayley.hall_support(group, degree))
-    human = "\n".join([f"degree {degree} count {len(support)}"]
-                      + [" ".join(map(str, exp)) for exp in support])
-    payload = {"group": group.spec_string, "variant": args.variant, "degree": degree,
-               "count": len(support), "exponents": [list(e) for e in support]}
-    _emit(out, args, human, payload)
+    payload = {**matrix.to_json_obj(), "operation": operation, "terms": poly.to_json_obj()}
+    del payload["grid"]
+    _emit(out, args, "", payload)
     return 0
 
 

@@ -40,11 +40,14 @@ from abelinv.cayley import (
     VARIANTS,
     _accumulate_leibniz,
     _column_classes,
+    _dp_pairs,
     _dp_state_estimate,
     _lex_parities,
     _prefix_parity,
     _subset_dp,
+    _table_shape,
     _translation,
+    refuse_before_table,
 )
 
 C2 = parse_group("C2")
@@ -231,6 +234,38 @@ def test_subset_dp_guard_bounds_states():
     assert long_c3.coefficient_sum() == math.factorial(16)
 
 
+def test_guards_decided_before_the_table_match_the_kernels():
+    # refuse_before_table reads the shape off the variant; the kernels read it off the grid
+    for group in abelian_groups_up_to(13):
+        n = group.order
+        for variant in VARIANTS:
+            if variant == "toeplitz" and not group.is_cyclic_presentation:
+                continue
+            for size in [None] + ([n + 1, 2 * n + 1] if variant == "toeplitz" else []):
+                table = build_table(group, variant, size=size)
+                classes = _column_classes(table)
+                l, sizes, step = _table_shape(group, variant, size)
+                tr = _translation(table, classes)
+                label = (group.spec_string, variant, size)
+                assert (l, sorted(sizes)) == (table.size, sorted(m for _, m in classes)), label
+                assert step == (None if tr is None else tr.s), label
+                assert _dp_pairs(l, sizes, n, None) == _dp_state_estimate(table, classes, None), label
+                if tr is not None:
+                    assert _dp_pairs(l, sizes, n, step) == _dp_state_estimate(table, classes, tr), label
+    for spec, variant, op, algorithm in [("C13", "plain", "per", "auto"), ("C2xC2xC2", "block2n", "per", "auto"),
+                                         ("C11", "hat", "det", "factored"), ("C11", "plain", "det", "leibniz")]:
+        group = parse_group(spec)
+        kernel = permanent if op == "per" else determinant
+        with pytest.raises(GuardExceeded) as early:
+            refuse_before_table(group, op, variant, None, algorithm)
+        with pytest.raises(GuardExceeded) as late:
+            kernel(build_table(group, variant), algorithm)
+        assert (early.value.what, early.value.size) == (late.value.what, late.value.size), spec
+    # repeated columns make the determinant 0 before any DP, so nothing is refused
+    refuse_before_table(parse_group("C2xC2xC2"), "det", "block2n")
+    refuse_before_table(parse_group("C12"), "det")
+
+
 def test_translation_found_on_the_grid():
     # plain and hat tables carry it in the element-order relabeling (shift +s and -s),
     # the n x n toeplitz table over C_n with phi = id; other shapes and orders do not
@@ -298,11 +333,12 @@ def test_determinant_c2_frozen():
 
 
 def test_determinant_factorization_matches_leibniz():
-    for spec in ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "C2xC3"):
-        g = parse_group(spec)
+    # key orbits of size 1 to 8 under the translation, stabilized monomials such as
+    # (x_0 ... x_(n-1))^k, and C1, whose x_0 is packed as (n+1)^n - 1
+    for g in abelian_groups_up_to(8):
         for variant in ("plain", "hat"):
             t = build_table(g, variant)
-            assert determinant(t, "factored") == determinant(t, "leibniz"), (spec, variant)
+            assert determinant(t, "factored") == determinant(t, "leibniz"), (g.spec_string, variant)
 
 
 def test_determinant_repeated_rows_vanish():

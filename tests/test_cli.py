@@ -251,6 +251,21 @@ def test_cayley_factored_guard_refuses_quickly():
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["cayley", "per", "--group", "C1500"], "subset DP states"),
+    (["cayley", "counts", "--group", "C1500"], "subset DP states"),
+    (["cayley", "support", "--group", "C1500"], "support enumeration"),
+    (["cayley", "per", "--group", "C1500", "--alg", "leibniz"], "Leibniz permutations"),
+    (["cayley", "det", "--group", "C1500", "--alg", "factored"], "factored determinant"),
+])
+def test_cayley_refuses_before_building_the_table(argv, kind, capsys):
+    # the 1500 x 1500 addition table alone takes seconds; every guard is decided without it
+    t0 = time.perf_counter()
+    assert invoke(argv) == (3, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith(f"refused: {kind}: size 2^")
+
+
 def test_cayley_factored_runs_order_10_and_refuses_order_11():
     assert ok(["cayley", "det", "--group", "C10", "--alg", "factored"]) == \
         ok(["cayley", "det", "--group", "C10", "--alg", "auto"])

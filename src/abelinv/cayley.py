@@ -9,11 +9,12 @@ Entries are variables x_k indexed by group element; the table variants are
     toeplitz  l x l   entry x_((j-i) mod n), single-factor cyclic groups only
 
 Permanents and determinants are computed by one dynamic program over column
-subsets.  When the grid carries the translation action (plain, hat and n x n
-toeplitz tables in the canonical element order), translation rotates the
-columns and shifts the variables, the permanent is invariant and the
-determinant semi-invariant, so the program keeps one state per rotation
-orbit of column sets (C12 in seconds); other tables keep one per set.  A
+subsets.  When the grid carries the translation action of the group (plain,
+hat and n x n toeplitz tables in the canonical element order), translation
+permutes the columns and shifts the variables, the permanent is invariant
+and the determinant semi-invariant, so the program keeps one state per
+orbit of column sets under all |G| translations (C12 and C2xC6 in
+seconds); other tables keep one per set.  A
 Leibniz expansion that counts each of the l! permutations on its own (met
 in the middle: row prefixes against precomputed suffix orderings, up to
 size 10) is the independent oracle.
@@ -28,6 +29,7 @@ Checkers for these facts live here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -35,12 +37,12 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import GuardExceeded
 from .groups import Element, FiniteAbelianGroup, _permutation_sign
 from .molien import sym_dim, sym_series
-from .numtheory import divisors, euler_phi
+from .numtheory import prime_factorization
 from .polynom import IntPolynomial, apply_group_action, unpack_zeta_integers, zeta_packing
 from .report import CheckReport
 
@@ -49,11 +51,15 @@ VARIANTS = ("plain", "hat", "extended", "block2n", "toeplitz")
 LEIBNIZ_GUARD = math.factorial(10)  # permutations the Leibniz oracle may expand
 DP_GUARD = 5 * 10**7
 # below this many unreduced (state, monomial) pairs the orbit set-up costs more than it
-# saves: order 5 (1002 pairs) breaks even when warm and is slower on a first call, order 6
-# (5336 pairs) is 1.5 times as fast
+# saves, even with the orbit table built once per shape: order 5 (1002 pairs) runs 1.05-1.15
+# times as fast unreduced when warm and 1.5 times on a first call; order 6 (5336 pairs) runs
+# up to 1.6 times as fast reduced when warm, and within 1.3 times either way on a first call
 ORBIT_MIN_PAIRS = 2000
 FACTORED_GUARD = 10**6
 ENUM_GUARD = 10**7  # monomials hall_support may enumerate
+# sampled action check: n^2 addition-table cells plus n^2 star steps per sample, about 1-2 us
+# each on 2 vCPUs, so an admitted run takes about 1 s (C500 with one sample: 1.1 s)
+ACTION_GUARD = 5 * 10**5
 LEHMER_PRIMES = (3, 5, 7)
 
 
@@ -240,76 +246,232 @@ def _column_classes(matrix: CayleyMatrix) -> list[tuple[int, int]]:
 
 
 class _Translation(NamedTuple):
-    """Columns rotated by s carry every entry to entry + shift (mod n).
+    """The translation action of the group on a table's relabeled columns and variables.
 
-    The columns and variables are relabeled by phi first: the table with
-    entry phi(grid[i][j]) in column phi(j) has that symmetry.  mults[u] =
-    B^(u*shift mod n), B = n + 1, is the rotation by u steps on a key packed
-    base B: sigma^u(key) = key * mults[u] mod B^n - 1.
+    Labels are mixed radix over the basis of _relabeling: axis i has stride
+    t_i and modulus m_i, and adding its basis element adds 1 to digit i of a
+    label, mod m_i.  The first axis is an element g of maximal order e, with
+    stride s = n/e, so it adds s to the whole label mod n.  The table with
+    entry phi(grid[i][j]) in column phi(j) has the symmetry: translating its
+    columns by x moves every entry by directions[i] * x_i along each axis
+    (all +1 on a plain table, -1 on a hat table, where m_i > 2).
     """
 
     phi: list[int]
     grid: list[list[int]]
-    s: int
-    shift: int
-    mults: list[int]
-
-    @property
-    def rotations(self) -> int:
-        return len(self.mults)
+    axes: tuple[tuple[int, int], ...]  # (stride, modulus), the first (s, e)
+    directions: tuple[int, ...]
 
 
-def _relabeling(group: FiniteAbelianGroup) -> tuple[list[int], int]:
-    """(phi, g): an element g of maximal order e and labels on which adding g adds s = n/e.
+def _basis(group: FiniteAbelianGroup) -> list[tuple[int, int]]:
+    """(element, order) of a basis of the group, an element of maximal order first.
 
-    phi(r_c + k g) = k s + c, with r_c the first element of the c-th coset
-    of <g>; a cyclic presentation has g = 1 and phi = id.
+    Each cyclic factor C_m splits into its primary parts, generated by the
+    CRT idempotents of m (residues 1 mod p^v and 0 mod m/p^v, summing to 1).
+    The first basis element adds up, prime by prime, a largest part (of the
+    largest factor, the last such), so its order is the exponent; the other
+    parts follow in factor order.  Every element is sum c_i b_i with
+    0 <= c_i < order_i in exactly one way, so the parts after the first
+    span a complement of the first.
     """
-    n, e = group.order, group.exponent
+    parts: dict[int, list[tuple[int, int, int]]] = {}  # p -> (p^v, factor, residue)
+    for j, m in enumerate(group.factors):
+        for p, v in prime_factorization(m) if m > 1 else ():
+            q = p**v
+            parts.setdefault(p, []).append((q, j, m // q * pow(m // q, -1, q) % m))
+    top = [0] * group.rank
+    rest = []
+    for ps in parts.values():
+        k = max(range(len(ps)), key=lambda i: (ps[i][0], group.factors[ps[i][1]], i))
+        _, j, c = ps[k]
+        top[j] = (top[j] + c) % group.factors[j]
+        rest += ps[:k] + ps[k + 1:]
+    basis = [(group.index(tuple(top)), group.exponent)]
+    for q, j, c in sorted(rest, key=lambda part: part[1]):
+        basis.append((group.index(tuple(c if i == j else 0 for i in range(group.rank))), q))
+    return basis
+
+
+def _relabeling(group: FiniteAbelianGroup) -> tuple[list[int], int, tuple[tuple[int, int], ...]]:
+    """(phi, g, axes): labels on which adding the i-th basis element adds 1 to digit i.
+
+    phi(sum c_i b_i) = sum c_i t_i over the basis of _basis, with t_i the
+    product of the later orders; axes holds (t_i, order_i).  The first
+    element g has maximal order e and stride s = n/e, so adding g adds s to
+    every label mod n; a cyclic presentation has g = 1 and phi = id.
+    """
+    n = group.order
     if group.is_cyclic_presentation:
-        return list(range(n)), 1 % n
-    s = n // e
-    g = next(k for k, a in enumerate(group.elements()) if group.element_order(a) == e)
+        return list(range(n)), 1 % n, ((1, n),)
+    basis = _basis(group)
+    axes = []
+    t = n
+    for _, m in basis:
+        t //= m
+        axes.append((t, m))
     add = group.add_table
-    phi = [-1] * n
-    c = 0
-    for r in range(n):
-        if phi[r] < 0:  # r is the first element of the next coset of <g>
-            x = r
-            for k in range(e):
-                phi[x] = k * s + c
-                x = add[x][g]
-            c += 1
-    return phi, g
+    points = [(0, 0)]  # (element, label)
+    for (b, m), (t, _) in zip(basis, axes):
+        nxt = []
+        for x, label in points:
+            for c in range(m):
+                nxt.append((x, label + c * t))
+                x = add[x][b]
+        points = nxt
+    phi = [0] * n
+    for x, label in points:
+        phi[x] = label
+    return phi, basis[0][0], tuple(axes)
+
+
+def _shifted(axes: Sequence[tuple[int, int]], i: int, d: int) -> list[int]:
+    """The label permutation that adds d to digit i (mod its modulus)."""
+    t, m = axes[i]
+    return [x + ((x // t + d) % m - x // t % m) * t for x in range(math.prod(m for _, m in axes))]
+
+
+def _negatives(axes: Sequence[tuple[int, int]]) -> list[int]:
+    """The label of -x, for each label x."""
+    return [sum((m - x // t % m) % m * t for t, m in axes) for x in range(math.prod(m for _, m in axes))]
+
+
+def _digit_shift(axes: Sequence[tuple[int, int]], i: int, d: int, width: int) -> tuple[int, int, int, int]:
+    """(low, up, high, down) with f(y) = (y & low) << up | (y & high) >> down adding d to digit i.
+
+    y holds one width-bit field per label; the fields whose digit i is
+    below m - d move up by d * t_i labels and the others down by (m - d) * t_i.
+    """
+    t, m = axes[i]
+    field = (1 << width) - 1
+    low = high = 0
+    for x in range(math.prod(m for _, m in axes)):
+        if x // t % m < m - d:
+            low |= field << width * x
+        else:
+            high |= field << width * x
+    return low, d * t * width, high, (m - d) * t * width
+
+
+def _translate(poly: dict[int, int], mult: int, masks: Sequence[tuple[int, int, int, int]],
+               modulus: int) -> dict[int, int]:
+    """poly with every packed key translated: the digit shifts of masks, then times mult mod modulus."""
+    if not masks:
+        return {key * mult % modulus: coeff for key, coeff in poly.items()}
+    keys = poly.keys()
+    for low, up, high, down in masks:
+        keys = [(key & low) << up | (key & high) >> down for key in keys]
+    if mult != 1:
+        keys = [key * mult % modulus for key in keys]
+    return dict(zip(keys, poly.values()))
+
+
+@functools.lru_cache(maxsize=16)
+def _key_action(
+    axes: tuple[tuple[int, int], ...], directions: tuple[int, ...],
+) -> tuple[int, list[list[int]], list[list[int]], list[tuple[int, tuple]]]:
+    """(base, perms, weights, ops): translation by the element with label x on variables.
+
+    perms[x] is the permutation of variable labels (digit i moves by
+    directions[i] * x_i), weights[x][v] the packed x_(perms[x][v]), and
+    ops[x] = (mult, masks) the same on a packed key, for _translate: along g
+    it is multiplication by B^shift mod B^n - 1, along the other axes a
+    digit shift on fields of w = n.bit_length() bits (B = 2^w, so a field
+    holds any exponent up to n), two masks and two shifts per axis.  A
+    single axis (a cyclic group) keeps B = n + 1.  Built once per shape.
+    """
+    n = math.prod(m for _, m in axes)
+    base = n + 1 if len(axes) == 1 else 1 << n.bit_length()
+    width = base.bit_length() - 1
+    perms, ops = [], []
+    for x in range(n):
+        deltas = [direction * (x // t % m) % m for direction, (t, m) in zip(directions, axes)]
+        perms.append([sum((v // t + d) % m * t for d, (t, m) in zip(deltas, axes)) for v in range(n)])
+        ops.append((base ** (deltas[0] * axes[0][0]),
+                    tuple(_digit_shift(axes, i, d, width) for i, d in enumerate(deltas) if i and d)))
+    return base, perms, [[base**p for p in perm] for perm in perms], ops
+
+
+@functools.lru_cache(maxsize=16)
+def _orbit_table(axes: tuple[tuple[int, int], ...], signed: bool) -> list[tuple[int, int, int]]:
+    """Per column mask S = T_x(R): (R, label of -x, placement sign of T_x on R).
+
+    T_x translates the columns by the element with label x and R is the
+    smallest mask of the orbit of S under the whole group, so P_R = sign *
+    sigma_(-x)(P_S).  The table depends only on the label axes and the
+    signedness, so it is built once per shape.  The sign of a translation on
+    a k-set is (-1)^(pairs of the set it reverses), taken one axis step at a
+    time (it composes as a cocycle): adding 1 to digit i moves the labels of
+    each block (labels that agree on every more significant digit) whose
+    digit i is m_i - 1 below the rest of the block, reversing
+    |low part| * |top part| pairs per block; along g it is w(k-w), for the w
+    columns that wrap.
+    """
+    n = math.prod(m for _, m in axes)
+    full = (1 << n) - 1
+    steps = []
+    for i, (t, m) in enumerate(axes):
+        low, up, high, down = _digit_shift(axes, i, 1, 1)
+        size = m * t
+        blocks = [(((1 << (m - 1) * t) - 1) << b, ((1 << t) - 1) << b + (m - 1) * t)
+                  for b in range(0, n, size)]
+        steps.append((t, m, low, up, high, down, blocks))
+    neg = _negatives(axes)
+    orbit: list = [None] * (full + 1)
+    for rep in range(full + 1):
+        if orbit[rep] is not None:
+            continue
+        images = [(rep, 0, 1)]  # (T_x(rep), x, sign), x in label order
+        for t, m, low, up, high, down, blocks in steps:
+            out = []
+            for mask, x, sign in images:
+                out.append((mask, x, sign))
+                for d in range(1, m):
+                    if signed:
+                        for bl, bt in blocks:
+                            if (mask & bl).bit_count() & (mask & bt).bit_count() & 1:
+                                sign = -sign
+                    mask = (mask & low) << up | (mask & high) >> down
+                    out.append((mask, x + d * t, sign))
+            images = out
+        for mask, x, sign in images:
+            if orbit[mask] is None:
+                orbit[mask] = (rep, neg[x], sign)
+    return orbit
 
 
 def _translation(matrix: CayleyMatrix, classes: Sequence[tuple[int, int]]) -> _Translation | None:
     """The translation symmetry of a square table with distinct columns, if it has one.
 
     Columns and entries are relabeled by _relabeling's phi, so translation
-    by g adds s to every label.  A plain table then satisfies grid[i][j + s]
-    = grid[i][j] + s and a hat table the same with -s (the toeplitz table
-    over C_n is the plain case with phi = id).  The property is read off the
-    relabeled grid, not the variant, so a table in another element order
-    gets the trivial subgroup (None), as do extended, block2n and stretched
+    by a basis element adds 1 to one digit of every label.  A plain table
+    then satisfies grid[i][T(j)] = T(grid[i][j]) for each such step T, and
+    a hat table the same with T^-1 (the toeplitz table over C_n is the plain
+    case with phi = id).  The property is read off the relabeled grid for
+    each basis element, not the variant, so a table in another element order
+    gets the trivial group (None), as do extended, block2n and stretched
     toeplitz tables.
     """
     n = matrix.nvars
     if matrix.size != n or len(classes) < n or n < 2:
         return None
-    e = matrix.group.exponent
-    s = n // e
-    phi, _ = _relabeling(matrix.group)
+    phi, _, axes = _relabeling(matrix.group)
     grid = []
     for row in matrix.grid:
         new = [0] * n
         for j, v in enumerate(row):
             new[phi[j]] = phi[v]
         grid.append(new)
-    for shift in (s, n - s):
-        if all(row[s:] + row[:s] == [(v + shift) % n for v in row] for row in grid):
-            return _Translation(phi, grid, s, shift, [(n + 1) ** (u * shift % n) for u in range(e)])
-    return None
+    directions = []
+    for i in range(len(axes)):
+        step = _shifted(axes, i, 1)
+        for direction in (1, -1):
+            moved = _shifted(axes, i, direction)
+            if all(list(map(row.__getitem__, step)) == list(map(moved.__getitem__, row)) for row in grid):
+                directions.append(direction)
+                break
+        else:
+            return None
+    return _Translation(phi, grid, axes, tuple(directions))
 
 
 def _binomials(c: int) -> list[int]:
@@ -320,28 +482,28 @@ def _binomials(c: int) -> list[int]:
     return row
 
 
-def _dp_pairs(l: int, sizes: Sequence[int], v: int, s: int | None) -> int:
+def _dp_pairs(l: int, sizes: Sequence[int], v: int, profile: dict[int, int] | None) -> int:
     """Upper bound on the (state, monomial) pairs the subset DP holds.
 
     Layer k has at most states_k states, each carrying at most the
     C(k+v-1, v-1) degree-k monomials in the table's v distinct variables.
-    With a translation step s, states_k is the number of orbits of the
-    k-subsets of Z_l under rotation by multiples of s (Burnside: with e =
-    l/s, rotation by t*s with gcd(t, e) = d has s*d cycles of length e/d,
-    for phi(e/d) of the t).  Without one, it is the number of ways to take
-    k columns from classes of identical columns of the given sizes, the x^k
-    coefficient of prod (1 + x + ... + x^m): C(c, k) for the c classes of
-    size 1, times a window sum for each larger class (C(l, k) when all
-    columns differ).
+    With the translation group of a square table (profile: element order o
+    -> number N_o of elements of that order), states_k is the number of
+    orbits of the k-subsets of the l columns under it.  An element of order
+    o moves the columns in l/o cycles of length o, so by Burnside states_k =
+    (1/|G|) sum_(o | k) N_o C(l/o, k/o).  Without one, it is the number of
+    ways to take k columns from classes of identical columns of the given
+    sizes, the x^k coefficient of prod (1 + x + ... + x^m): C(c, k) for the
+    c classes of size 1, times a window sum for each larger class (C(l, k)
+    when all columns differ).
     """
-    if s is not None:
-        e = l // s
+    if profile is not None:
         states = [0] * (l + 1)
-        for d in divisors(e):
-            length, ways = e // d, euler_phi(e // d)
-            for j, c in enumerate(_binomials(s * d)):
-                states[j * length] += ways * c
-        states = [x // e for x in states]
+        for o, count in profile.items():
+            for j, c in enumerate(_binomials(l // o)):
+                states[j * o] += count * c
+        order = sum(profile.values())
+        states = [x // order for x in states]
     else:
         states = _binomials(sizes.count(1))
         for m in sizes:
@@ -360,19 +522,20 @@ def _dp_state_estimate(
     classes: Sequence[tuple[int, int]],
     translation: _Translation | None,
 ) -> int:
-    """_dp_pairs of a table: its size, column classes, variables and translation step."""
+    """_dp_pairs of a table: its size, column classes, variables and translation group."""
     v = len({k for row in matrix.grid for k in row})
-    return _dp_pairs(matrix.size, [m for _, m in classes], v, None if translation is None else translation.s)
+    return _dp_pairs(matrix.size, [m for _, m in classes], v,
+                     None if translation is None else matrix.group.order_profile())
 
 
-def _table_shape(group: FiniteAbelianGroup, variant: str, size: int | None) -> tuple[int, list[int], int | None]:
-    """(size, column-class sizes, translation step) of build_table(group, variant, size), unbuilt.
+def _table_shape(group: FiniteAbelianGroup, variant: str, size: int | None) -> tuple[int, list[int], bool]:
+    """(size, column-class sizes, translated) of build_table(group, variant, size), unbuilt.
 
     Extended tables repeat the column of g_0, block2n tables every column,
     and toeplitz columns j and j' agree exactly when j = j' mod n.  Every
-    variant's grid holds all n variables.  _translation finds its step n/e
-    on the plain and hat tables and the n x n toeplitz table, of order 2
-    or more.
+    variant's grid holds all n variables.  _translation finds the whole
+    translation group on the plain and hat tables and the n x n toeplitz
+    table, of order 2 or more.
     """
     n = group.order
     l = table_size(group, variant, size)
@@ -384,7 +547,7 @@ def _table_shape(group: FiniteAbelianGroup, variant: str, size: int | None) -> t
         sizes = [len(range(c, l, n)) for c in range(n)]
     else:
         sizes = [1] * n
-    return l, sizes, (n // group.exponent if l == n >= 2 else None)
+    return l, sizes, l == n >= 2
 
 
 def refuse_before_table(
@@ -401,7 +564,7 @@ def refuse_before_table(
     the shape _table_shape reads off the variant; the estimates are the
     kernels' own, so the same tables run or are refused.
     """
-    l, sizes, step = _table_shape(group, variant, size)
+    l, sizes, translated = _table_shape(group, variant, size)
     if algorithm == "leibniz":
         _leibniz_guard(l)
     elif algorithm == "factored":
@@ -409,75 +572,93 @@ def refuse_before_table(
             _factored_guard(group.order)
     elif algorithm == "auto" and (op == "per" or len(sizes) == l):  # else the determinant is 0
         estimate = _dp_pairs(l, sizes, group.order, None)
-        if estimate > ORBIT_MIN_PAIRS and step is not None:
-            estimate = _dp_pairs(l, sizes, group.order, step)
+        if estimate > ORBIT_MIN_PAIRS and translated:
+            estimate = _dp_pairs(l, sizes, group.order, group.order_profile())
         if estimate > DP_GUARD:
             raise GuardExceeded("subset DP states", estimate, DP_GUARD)
 
 
-def _rotation_signs(tr: _Translation, rep: int, signed: bool) -> list[int]:
-    """Placement sign of each rotation u = 0..e-1 of the column mask rep.
+def _next_layer(
+    layer: dict[int, dict[int, int]],
+    steps: Sequence[tuple[int, int, int, int]],
+    signed: bool,
+    weights: Sequence[Sequence[int]],
+    orbit: Sequence[tuple[int, int, int]] | None,
+    ops: Sequence[tuple[int, tuple]],
+    modulus: int,
+) -> dict[int, dict[int, int]]:
+    """The subset DP's layer after one more row (see _subset_dp).
 
-    Rotating a k-set by u*s moves the w = popcount(rep >> (n - u*s)) columns
-    that wrap past the other k - w, so a signed placement changes sign by
-    (-1)^(w(k-w)).  On the rotations that fix rep the signs form a character.
+    steps holds (class, radix, span, variable label) per column class, and
+    weights[x][v] is the packed x_v translated by x.  Without orbit each
+    push adds weights[0][v]; with it each push is carried back to its
+    representative by the translation and sign that orbit names.
     """
-    if not signed:
-        return [1] * tr.rotations
-    n, s = len(tr.phi), tr.s
-    k = rep.bit_count()
-    return [1 - 2 * ((w := (rep >> (n - u * s)).bit_count()) * (k - w) & 1)
-            for u in range(tr.rotations)]
-
-
-def _orbit_table(tr: _Translation, signed: bool) -> list[tuple[int, int, int]]:
-    """Per column mask S = T^h(R): (R, mults[-h], placement sign).
-
-    T rotates a mask by s, and R is the smallest mask of the orbit, so
-    P_R = sign * sigma^(-h)(P_S).
-    """
-    n, s = len(tr.phi), tr.s
-    full = (1 << n) - 1
-    orbit: list = [None] * (full + 1)
-    for rep in range(full + 1):
-        if orbit[rep] is not None:
-            continue
-        signs = _rotation_signs(tr, rep, signed)
-        x, h = rep, 0
-        while orbit[x] is None:
-            orbit[x] = (rep, tr.mults[-h], signs[h])  # sigma^(-h) = sigma^(e-h)
-            x = (x << s | x >> (n - s)) & full
-            h += 1
-    return orbit
+    nxt: dict[int, dict[int, int]] = {}
+    unmoved = weights[0]
+    for state, poly in layer.items():
+        moved = {0: poly}  # poly translated by each element it is pushed with
+        for c, r, span, v in steps:
+            if state // r % span == span - 1:  # class used up
+                continue
+            # signed implies distinct columns: state is a bitmask, c a column
+            negate = signed and (state >> (c + 1)).bit_count() & 1
+            dest, src, w = state + r, poly, unmoved[v]
+            if orbit is not None:
+                dest, x, sign = orbit[dest]
+                negate = negate ^ (sign < 0)
+                src = moved.get(x)
+                if src is None:
+                    src = moved[x] = _translate(poly, *ops[x], modulus)
+                w = weights[x][v]  # digits never carry, so translation is additive
+            target = nxt.get(dest)
+            if target is None:
+                if negate:
+                    nxt[dest] = {key + w: -coeff for key, coeff in src.items()}
+                else:
+                    nxt[dest] = {key + w: coeff for key, coeff in src.items()}
+                continue
+            get = target.get
+            if negate:
+                for key, coeff in src.items():
+                    key += w
+                    target[key] = get(key, 0) - coeff
+            else:
+                for key, coeff in src.items():
+                    key += w
+                    target[key] = get(key, 0) + coeff
+    if signed:  # drop cancelled terms before they are carried further
+        nxt = {st: {k: c for k, c in p.items() if c} for st, p in nxt.items()}
+    return nxt
 
 
 def _orbit_means(
-    poly: dict[int, int], mults: list[int], chis: list[int], modulus: int,
-) -> dict[int, tuple[int, int]]:
-    """Mean of the signed translates of poly over all e rotations, by key orbit.
+    poly: dict[int, int], images: Callable[[int], list[int]], chis: Sequence[int],
+) -> dict[int, int]:
+    """Mean of the signed translates of poly over the whole group, by key orbit.
 
-    key * mults[t] % modulus is sigma^t(key), and chis[t] = chi(t) = +-1 is
-    a character of the rotations.  The mean M = (1/e) sum_t chi(t)
-    sigma^t(poly) satisfies M[sigma^t K] = chi(t) M[K], so it is returned as
-    {K: (M[K], size of the orbit of K)} for one key K of each key orbit
-    that meets poly, with M[K] = (1/e) sum_t chi(t) poly[sigma^(-t) K],
-    which is also sum_t chi(t) poly[sigma^t K] / e since chi(-t) = chi(t).
-    The division is exact; a remainder raises AssertionError.
+    images(key)[x] is the key translated by the element with label x, and
+    chis[x] = chi(x) = +-1 is a character of the group.  The mean M = (1/|G|)
+    sum_x chi(x) sigma_x(poly) satisfies M[sigma_x K] = chi(x) M[K], so it is
+    returned as {K: M[K]} for one key K of each key orbit that meets poly,
+    with M[K] = (1/|G|) sum_x chi(x) poly[sigma_(-x) K], which is also
+    sum_x chi(x) poly[sigma_x K] / |G| since chi(-x) = chi(x).  The
+    division is exact; a remainder raises AssertionError.
     """
-    e = len(mults)
+    order = len(chis)
     zeros = itertools.repeat(0)
     seen: set[int] = set()
     out = {}
     for key in poly:
         if key in seen:
             continue
-        images = [key * m % modulus for m in mults]  # images[t] = sigma^t(key)
-        seen.update(images)
-        q, r = divmod(sum(map(operator.mul, chis, map(poly.get, images, zeros))), e)
+        keys = images(key)
+        seen.update(keys)
+        q, r = divmod(sum(map(operator.mul, chis, map(poly.get, keys, zeros))), order)
         if r:
             raise AssertionError(f"orbit mean at packed key {key} is not integral")
         if q:
-            out[key] = (q, e // images.count(key))
+            out[key] = q
     return out
 
 
@@ -490,7 +671,8 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     taken from each class of identical columns (packed mixed radix; when all
     columns differ it is the bitmask of the columns taken), the permanent
     gains the factor prod m_c! at the end, and the determinant is zero.
-    Exponent vectors are packed base B = l+1 into one int (Kronecker
+    Exponent vectors are packed base B = l+1 (a power of two above l on
+    a reduced non-cyclic table, see _key_action) into one int (Kronecker
     substitution: no exponent exceeds l, so digits never carry), so
     multiplying by x_k adds B^k.  Placing row i in column j passes the taken
     columns to its right, popcount(mask >> (j+1)) inversions, which gives the
@@ -498,19 +680,24 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     & Wilf 1978).
 
     A table with a translation symmetry (see _translation) and more than
-    ORBIT_MIN_PAIRS unreduced pairs keeps one state per rotation orbit of
-    column masks: its partial sums obey P_(T^h S) =
-    (-1)^(w(k-w)) sigma^h(P_S), where sigma shifts every variable label by
-    the table's shift, which on a packed key is multiplication by
-    B^shift mod B^n - 1 (digits stay below B, so the key is never B^n - 1).
-    A representative R stores W_R, the sum of the P_S of its orbit, each
-    translated back to R (|orbit(R)| P_R), up to a rotation that fixes R:
-    each push from R lands in R u {j}, which is translated back to its own
-    representative, by one of the rotations that do so when there are
-    several.  Every rotation fixes the full mask, so the mean of its W over
-    all rotations, an exact division, is the result whichever rotation each
-    state was kept under; unpacking maps the labels back through phi, and
-    the determinant picks up the sign of the column relabeling.
+    ORBIT_MIN_PAIRS unreduced pairs keeps one state per orbit of column
+    masks under every translation of the group: its partial sums obey
+    P_(T_x S) = sign(T_x, S) sigma_x(P_S), where sigma_x moves every
+    variable label by x (or -x) and sign(T_x, S) is -1 to the number of
+    pairs of S that T_x reverses.  On a packed key sigma_x is
+    multiplication by a power of B mod B^n - 1 along g and a digit shift
+    along the other axes (_key_action), and the key is never B^n - 1.  A
+    representative R stores
+    W_R, the sum of the P_S of its orbit, each translated back to R
+    (|orbit(R)| P_R), up to a translation that fixes R: each push from R
+    lands in R u {j}, which is translated back to its own representative,
+    by one of the translations that do so when there are several.  Every
+    translation fixes the full mask, so the mean of its W over the whole
+    group, with the sign character chi(x) of the column permutation
+    ((-1)^((n/o)(o-1)) for an element of order o), is the result whichever
+    translation each state was kept under (an exact division); unpacking
+    maps the labels back through phi, and the determinant picks up the sign
+    of the column relabeling.
     """
     l = matrix.size
     nvars = matrix.nvars
@@ -523,54 +710,19 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
         estimate = _dp_state_estimate(matrix, classes, tr)
     if estimate > DP_GUARD:
         raise GuardExceeded("subset DP states", estimate, DP_GUARD)
-    base = l + 1
-    grid = matrix.grid
-    if tr is not None:
-        grid = tr.grid
-        modulus = base**l - 1
-        orbit = _orbit_table(tr, signed)
     radix = [1]
     for _, m in classes:
         radix.append(radix[-1] * (m + 1))
+    if tr is None:
+        base = l + 1
+        grid, weights, orbit, ops, modulus = matrix.grid, [[base**v for v in range(nvars)]], None, [], 0
+    else:
+        base, perms, weights, ops = _key_action(tr.axes, tr.directions)
+        grid, orbit, modulus = tr.grid, _orbit_table(tr.axes, signed), base**l - 1
     layer: dict[int, dict[int, int]] = {0: {0: 1}}
     for row in grid:
-        steps = [(c, radix[c], m + 1, base ** row[j]) for c, (j, m) in enumerate(classes)]
-        nxt: dict[int, dict[int, int]] = {}
-        for state, poly in layer.items():
-            moved = {1: poly}  # poly translated by each multiplier it is pushed with
-            for c, r, span, w in steps:
-                if state // r % span == span - 1:  # class used up
-                    continue
-                # signed implies distinct columns: state is a bitmask, c a column
-                negate = signed and (state >> (c + 1)).bit_count() & 1
-                dest, src = state + r, poly
-                if tr is not None:
-                    dest, mult, sign = orbit[dest]
-                    negate = negate ^ (sign < 0)
-                    src = moved.get(mult)
-                    if src is None:
-                        src = moved[mult] = {key * mult % modulus: coeff
-                                             for key, coeff in poly.items()}
-                    w = w * mult % modulus  # digits never carry, so translation is additive
-                target = nxt.get(dest)
-                if target is None:
-                    if negate:
-                        nxt[dest] = {key + w: -coeff for key, coeff in src.items()}
-                    else:
-                        nxt[dest] = {key + w: coeff for key, coeff in src.items()}
-                    continue
-                get = target.get
-                if negate:
-                    for key, coeff in src.items():
-                        key += w
-                        target[key] = get(key, 0) - coeff
-                else:
-                    for key, coeff in src.items():
-                        key += w
-                        target[key] = get(key, 0) + coeff
-        if signed:  # drop cancelled terms before they are carried further
-            nxt = {st: {k: c for k, c in p.items() if c} for st, p in nxt.items()}
-        layer = nxt
+        steps = [(c, radix[c], m + 1, row[j]) for c, (j, m) in enumerate(classes)]
+        layer = _next_layer(layer, steps, signed, weights, orbit, ops, modulus)
     ways = math.prod(math.factorial(m) for _, m in classes)
     powers = [base**i for i in range(nvars)]
     final = layer[radix[-1] - 1]
@@ -578,16 +730,30 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
         terms = {tuple([packed // p % base for p in powers]): coeff * ways
                  for packed, coeff in final.items()}
         return IntPolynomial(nvars, terms)
-    # every rotation fixes the full mask: unpack the mean key orbit by key
-    # orbit, rotating the digits of one key and mapping labels back
+    # every translation fixes the full mask: unpack the mean key orbit by key
+    # orbit, translating the digits of one key and mapping labels back
     sign = _permutation_sign(tr.phi) if signed else 1
-    chis = _rotation_signs(tr, radix[-1] - 1, signed)
-    exponents = [operator.itemgetter(*[(p - u * tr.shift) % l for p in tr.phi])
-                 for u in range(tr.rotations)]
+    chis = [_permutation_sign(perm) for perm in perms] if signed else [1] * l
+    # the exponent of x_a in sigma_x(K) is the digit of K at label sigma_(-x)(phi(a))
+    exponents = [operator.itemgetter(*[perms[y][p] for p in tr.phi]) for y in _negatives(tr.axes)]
+    if len(tr.axes) == 1:
+        mults = [mult for mult, _ in ops]
+
+        def images(key: int) -> list[int]:
+            return [key * m % modulus for m in mults]
+    else:
+        def images(key: int) -> list[int]:
+            out = []
+            for mult, masks in ops:
+                y = key
+                for low, up, high, down in masks:
+                    y = (y & low) << up | (y & high) >> down
+                out.append(y * mult % modulus)
+            return out
     terms = {}
-    for key, (c, size) in _orbit_means(final, tr.mults, chis, modulus).items():
+    for key, c in _orbit_means(final, images, chis).items():
         digits = [key // p % base for p in powers]
-        for exponent, chi in zip(exponents[:size], chis):
+        for exponent, chi in zip(exponents, chis):
             terms[exponent(digits)] = chi * sign * c
     return IntPolynomial(nvars, terms)
 
@@ -648,7 +814,7 @@ def _det_factored(matrix: CayleyMatrix) -> IntPolynomial:
     e = group.exponent
     s = n // e
     bits, modulus = zeta_packing(e, math.factorial(n))
-    phi, g = _relabeling(group)
+    phi, g, _ = _relabeling(group)
     els = group.elements()
     by_label = [els[a] for a in sorted(range(n), key=phi.__getitem__)]
     base = n + 1
@@ -809,6 +975,8 @@ def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
     determinant is semi-invariant with character psi = sum of all characters
     (so gamma . det = psi(gamma) * det with psi(gamma) = +-1)."""
     t0 = time.perf_counter()
+    for op in ("per", "det"):  # both guards before the table is built
+        refuse_before_table(group, op)
     failures: list[dict] = []
     table = build_table(group, "plain")
     per = permanent(table)
@@ -853,18 +1021,23 @@ def check_action_identities(
 
     Exhaustive over all permutations when samples is None (group order <= 8
     required); otherwise a deterministic sample, with realization verified by
-    walking the star-action orbit of each sampled permutation.
+    walking the star-action orbit of each sampled permutation.  Either guard
+    is decided before the n x n addition table is built; the sampled one
+    counts its n^2 cells plus n^2 star steps per sample.
     """
     t0 = time.perf_counter()
     n = group.order
     exhaustive = samples is None
-    if exhaustive:  # decided before the n x n addition table is built
+    if exhaustive:
         if n > 8:
             raise GuardExceeded("exhaustive permutation sweep", math.factorial(n), math.factorial(8))
         perms = list(itertools.permutations(range(n)))
     else:
         if samples < 1:
             raise ValueError(f"sampled action check needs samples >= 1, got {samples}")
+        work = n * n * (1 + samples)
+        if work > ACTION_GUARD:
+            raise GuardExceeded("sampled action steps", work, ACTION_GUARD)
         rng = random.Random(seed)
         perms = [tuple(rng.sample(range(n), n)) for _ in range(samples)]
     els = group.elements()
@@ -981,6 +1154,8 @@ def check_extended_counts(group: FiniteAbelianGroup) -> CheckReport:
     symmetric-power dimensions at degrees n+1 and 2n."""
     t0 = time.perf_counter()
     n = group.order
+    for variant in ("extended", "block2n"):  # both guards before either table is built
+        refuse_before_table(group, "per", variant)
     failures: list[dict] = []
 
     per_ext = permanent(build_table(group, "extended"))

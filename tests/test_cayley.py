@@ -212,14 +212,15 @@ def test_permanent_guards_and_algorithm_dispatch():
 
 def test_subset_dp_guard_bounds_states():
     # the estimate is sum_k states_k * C(k + v - 1, v - 1): states_k is the number of
-    # rotation orbits of k-subsets under a translation (Burnside), else C(l, k)
+    # orbits of k-subsets under every translation of the group (Burnside), else C(l, k)
     plain12 = build_table(parse_group("C12"), "plain")
     classes = _column_classes(plain12)
     assert _dp_state_estimate(plain12, classes, _translation(plain12, classes)) == 14059916 <= DP_GUARD
     assert _dp_state_estimate(plain12, classes, None) == 148321344  # one state per subset
     c2c6 = build_table(parse_group("C2xC6"), "hat")
     classes = _column_classes(c2c6)
-    assert _dp_state_estimate(c2c6, classes, _translation(c2c6, classes)) == 26690806 <= DP_GUARD
+    # 12-fold, as C12: 26690806 under the 6-fold rotations of an element of maximal order
+    assert _dp_state_estimate(c2c6, classes, _translation(c2c6, classes)) == 14616108 <= DP_GUARD
     plain13 = build_table(parse_group("C13"), "plain")
     t0 = time.perf_counter()
     with pytest.raises(GuardExceeded) as info:
@@ -244,14 +245,15 @@ def test_guards_decided_before_the_table_match_the_kernels():
             for size in [None] + ([n + 1, 2 * n + 1] if variant == "toeplitz" else []):
                 table = build_table(group, variant, size=size)
                 classes = _column_classes(table)
-                l, sizes, step = _table_shape(group, variant, size)
+                l, sizes, translated = _table_shape(group, variant, size)
                 tr = _translation(table, classes)
                 label = (group.spec_string, variant, size)
                 assert (l, sorted(sizes)) == (table.size, sorted(m for _, m in classes)), label
-                assert step == (None if tr is None else tr.s), label
+                assert translated == (tr is not None), label
                 assert _dp_pairs(l, sizes, n, None) == _dp_state_estimate(table, classes, None), label
                 if tr is not None:
-                    assert _dp_pairs(l, sizes, n, step) == _dp_state_estimate(table, classes, tr), label
+                    assert _dp_pairs(l, sizes, n, group.order_profile()) == \
+                        _dp_state_estimate(table, classes, tr), label
     for spec, variant, op, algorithm in [("C13", "plain", "per", "auto"), ("C2xC2xC2", "block2n", "per", "auto"),
                                          ("C11", "hat", "det", "factored"), ("C11", "plain", "det", "leibniz")]:
         group = parse_group(spec)
@@ -264,20 +266,36 @@ def test_guards_decided_before_the_table_match_the_kernels():
     # repeated columns make the determinant 0 before any DP, so nothing is refused
     refuse_before_table(parse_group("C2xC2xC2"), "det", "block2n")
     refuse_before_table(parse_group("C12"), "det")
+    # the whole-group orbits admit every presentation of order 12 and no plain table beyond
+    wide = [g for g in abelian_groups_up_to(16) if g.order >= 12] + [parse_group(s) for s in ("C12", "C2xC6")]
+    for group in wide:
+        for op in ("per", "det"):
+            if group.order == 12:
+                refuse_before_table(group, op)
+            else:
+                with pytest.raises(GuardExceeded):
+                    refuse_before_table(group, op)
 
 
 def test_translation_found_on_the_grid():
-    # plain and hat tables carry it in the element-order relabeling (shift +s and -s),
-    # the n x n toeplitz table over C_n with phi = id; other shapes and orders do not
+    # plain and hat tables carry it in the basis relabeling (entries move with the columns,
+    # or against them), the n x n toeplitz table over C_n with phi = id; the axes are an
+    # element of maximal order (stride n/e) and a complement; other shapes and orders do not
     c2c6 = parse_group("C2xC6")
-    for variant, shift in (("plain", 2), ("hat", 10)):
+    for variant, directions in (("plain", (1, 1)), ("hat", (-1, 1))):  # -1 = +1 mod 2
         table = build_table(c2c6, variant)
         tr = _translation(table, _column_classes(table))
-        assert (tr.s, tr.shift, tr.rotations) == (2, shift, 6)
-        assert sorted(tr.phi) == list(range(12))
+        assert (tr.axes, tr.directions) == (((2, 6), (1, 2)), directions)
+        assert tr.phi == [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11]
+    for spec, axes in (("C2xC2xC2", ((4, 2), (2, 2), (1, 2))), ("C3xC3", ((3, 3), (1, 3))),
+                       ("C2xC3", ((1, 6),)), ("C6xC4", ((2, 12), (1, 2)))):
+        table = build_table(parse_group(spec), "plain")
+        tr = _translation(table, _column_classes(table))
+        assert (tr.axes, tr.directions) == (axes, (1,) * len(axes)), spec
+        assert sorted(tr.phi) == list(range(table.size)), spec
     toeplitz = build_table(parse_group("C5"), "toeplitz")
     tr = _translation(toeplitz, _column_classes(toeplitz))
-    assert (tr.phi, tr.s, tr.shift) == ([0, 1, 2, 3, 4], 1, 1)
+    assert (tr.phi, tr.axes, tr.directions) == ([0, 1, 2, 3, 4], ((1, 5),), (1,))
     for table in (build_table(C4, "extended"), build_table(C4, "block2n"),
                   build_table(C3, "toeplitz", size=4), build_table(C4, "plain", element_order=[0, 2, 1, 3])):
         assert _translation(table, _column_classes(table)) is None, table.variant
@@ -307,6 +325,50 @@ def test_orbit_dp_matches_unreduced_dp(monkeypatch):
                 want = (_subset_dp(reference, signed) if group.order > 3
                         else _accumulate_leibniz(reference, signed))
                 assert _subset_dp(table, signed) == want, (group.spec_string, variant, signed)
+
+
+def layer_sizes(monkeypatch):
+    """A list that collects the number of states of each subset-DP layer after the first."""
+    sizes = []
+
+    def counting(*args):
+        layer = next_layer(*args)
+        sizes.append(len(layer))
+        return layer
+
+    next_layer = cayley._next_layer
+    monkeypatch.setattr(cayley, "_next_layer", counting)
+    return sizes
+
+
+def burnside_states(group):
+    """Orbits of the k-subsets of G under translation, k = 0..|G|: (1/|G|) sum_(o | k) N_o C(|G|/o, k/o)."""
+    n = group.order
+    return [sum(count * math.comb(n // o, k // o) for o, count in group.order_profile().items() if k % o == 0)
+            // n for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("spec, states", [
+    ("C2xC2xC2", [1, 1, 7, 7, 14, 7, 7, 1, 1]),  # 2-fold before: one state per <g>-orbit, g of order 2
+    ("C8", [1, 1, 4, 7, 10, 7, 4, 1, 1]),  # cyclic: the rotations are the whole group
+    ("C2xC4", None),
+    ("C3xC3", None),
+    ("C2xC2xC3", None),  # a cyclic factor of order e is not in the presentation
+])
+def test_orbit_dp_keeps_one_state_per_orbit_of_the_whole_group(spec, states, monkeypatch):
+    group = parse_group(spec)
+    want = burnside_states(group)
+    if states is not None:
+        assert want == states
+    sizes = layer_sizes(monkeypatch)
+    for variant in ("plain", "hat"):
+        table = build_table(group, variant)
+        for signed in (False, True):
+            if group.order == 12 and (variant, signed) != ("hat", True):
+                continue  # one order-12 run is enough here
+            sizes.clear()
+            _subset_dp(table, signed)
+            assert [1] + sizes == want, (variant, signed)
 
 
 def test_orbit_dp_matches_unreduced_dp_c11():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import time
 import pytest
 
 import abelinv
-from abelinv import molien, parse_group
+from abelinv import cayley, molien, parse_group
 from abelinv.cli import build_parser, run
 from abelinv.errors import GuardExceeded
 from abelinv.molien import sym_dim, sym_series
@@ -232,6 +233,50 @@ def test_cayley_counts_c12():
     assert ok(["cayley", "counts", "--group", "C12"]) == "permanent_terms 112720\ndeterminant_terms 86500\n"
 
 
+def term_coefficients(text):
+    """The coefficients of a polynomial as `cayley per|det` prints it."""
+    terms = text.split()
+    signs = ["-" if terms[0].startswith("-") else "+"] + terms[1::2]
+    heads = [t.lstrip("-").partition("*")[0] for t in terms[::2]]
+    return [(-1 if s == "-" else 1) * (int(h) if h.isdigit() else 1) for s, h in zip(signs, heads)]
+
+
+@pytest.mark.parametrize("op, terms", [("per", 112720), ("det", 86500)])
+def test_cayley_c12_frontier(op, terms):
+    # one subset-DP state per translation orbit of columns keeps order 12 inside the 10 s budget
+    t0 = time.perf_counter()
+    text = ok(["cayley", op, "--group", "C12"])
+    assert time.perf_counter() - t0 < 10.0
+    assert len(term_coefficients(text)) == terms
+
+
+@pytest.mark.parametrize("op", ["per", "det"])
+def test_cayley_c2xc6_frontier(op, monkeypatch):
+    # orbits under all 12 translations, not only the 6 of an element of maximal order, so
+    # C2xC6 costs what C12 does; each layer holds one state per orbit of column sets
+    group = parse_group("C2xC6")
+    sizes = []
+    next_layer = cayley._next_layer
+
+    def counting(*args):
+        layer = next_layer(*args)
+        sizes.append(len(layer))
+        return layer
+
+    monkeypatch.setattr(cayley, "_next_layer", counting)
+    t0 = time.perf_counter()
+    coefficients = term_coefficients(ok(["cayley", op, "--group", "C2xC6"]))
+    assert time.perf_counter() - t0 < 10.0
+    profile = group.order_profile()
+    assert [1] + sizes == [
+        sum(c * math.comb(12 // o, k // o) for o, c in profile.items() if k % o == 0) // 12 for k in range(13)]
+    if op == "per":
+        assert len(coefficients) == len(cayley.hall_support(group, 12)) == 112796
+        assert sum(coefficients) == math.factorial(12)
+    else:
+        assert len(coefficients) == 87500
+
+
 def test_cayley_support_frontier(capsys):
     # C12 finishes within its budget (about 1.2 s as a subprocess on 2 vCPUs) and lists the
     # paper's dim (S^n R)^G vectors; C14 is refused before any walk
@@ -257,6 +302,8 @@ def test_cayley_factored_guard_refuses_quickly():
     (["cayley", "support", "--group", "C1500"], "support enumeration"),
     (["cayley", "per", "--group", "C1500", "--alg", "leibniz"], "Leibniz permutations"),
     (["cayley", "det", "--group", "C1500", "--alg", "factored"], "factored determinant"),
+    (["check", "invariance", "--group", "C1500"], "subset DP states"),
+    (["check", "extended", "--group", "C1500"], "subset DP states"),
 ])
 def test_cayley_refuses_before_building_the_table(argv, kind, capsys):
     # the 1500 x 1500 addition table alone takes seconds; every guard is decided without it
@@ -326,6 +373,28 @@ def test_exhaustive_action_sweep_refuses_a_huge_group_quickly(capsys):
     assert invoke(["check", "actions", "--group", "C1700"]) == (3, "")
     assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().err.startswith("refused: exhaustive permutation sweep")
+
+
+@pytest.mark.parametrize("spec", ["C800", "C1500"])
+def test_sampled_action_check_refuses_a_huge_group_quickly(spec, capsys):
+    # n^2 table cells plus n^2 star steps per sample, decided before the table is built
+    n = int(spec[1:])
+    t0 = time.perf_counter()
+    assert invoke(["check", "actions", "--group", spec, "--samples", "1"]) == (3, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith(
+        f"refused: sampled action steps: size {2 * n * n} exceeds guard {cayley.ACTION_GUARD}")
+
+
+def test_sampled_action_guard_counts_cells_and_star_steps():
+    group = parse_group("C100")
+    with pytest.raises(GuardExceeded) as info:
+        cayley.check_action_identities(group, samples=50)
+    assert (info.value.size, info.value.limit) == (100 * 100 * 51, cayley.ACTION_GUARD)
+    assert "add_table" not in vars(group)  # refused before the addition table was built
+    # the largest sampled runs of check all and of the benchmark's command list stay admitted
+    assert max(6 * 6 * (1 + 500), 8 * 8 * (1 + 60), 9 * 9 * (1 + 40)) <= cayley.ACTION_GUARD
+    assert cayley.check_action_identities(parse_group("C9"), samples=40).ok
 
 
 def test_guard_message_renders_a_huge_size():

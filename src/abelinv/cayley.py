@@ -37,7 +37,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import GuardExceeded
 from .groups import Element, FiniteAbelianGroup, _permutation_sign
@@ -324,10 +324,10 @@ def _relabeling(group: FiniteAbelianGroup) -> tuple[list[int], int, tuple[tuple[
     return phi, basis[0][0], tuple(axes)
 
 
-def _shifted(axes: Sequence[tuple[int, int]], i: int, d: int) -> list[int]:
-    """The label permutation that adds d to digit i (mod its modulus)."""
-    t, m = axes[i]
-    return [x + ((x // t + d) % m - x // t % m) * t for x in range(math.prod(m for _, m in axes))]
+def _shifted(axes: Sequence[tuple[int, int]], deltas: Sequence[int]) -> list[int]:
+    """The label permutation that adds deltas[i] to digit i (mod its modulus), for every i."""
+    return [sum((x // t + d) % m * t for d, (t, m) in zip(deltas, axes))
+            for x in range(math.prod(m for _, m in axes))]
 
 
 def _negatives(axes: Sequence[tuple[int, int]]) -> list[int]:
@@ -352,43 +352,40 @@ def _digit_shift(axes: Sequence[tuple[int, int]], i: int, d: int, width: int) ->
     return low, d * t * width, high, (m - d) * t * width
 
 
-def _translate(poly: dict[int, int], mult: int, masks: Sequence[tuple[int, int, int, int]],
-               modulus: int) -> dict[int, int]:
-    """poly with every packed key translated: the digit shifts of masks, then times mult mod modulus."""
-    if not masks:
-        return {key * mult % modulus: coeff for key, coeff in poly.items()}
-    keys = poly.keys()
+def _shift_digits(keys: Iterable[int], masks: Sequence[tuple[int, int, int, int]]) -> Iterable[int]:
+    """keys with each digit shift (low, up, high, down) of masks applied in turn (see _digit_shift)."""
     for low, up, high, down in masks:
         keys = [(key & low) << up | (key & high) >> down for key in keys]
-    if mult != 1:
-        keys = [key * mult % modulus for key in keys]
-    return dict(zip(keys, poly.values()))
+    return keys
 
 
 @functools.lru_cache(maxsize=16)
 def _key_action(
     axes: tuple[tuple[int, int], ...], directions: tuple[int, ...],
-) -> tuple[int, list[list[int]], list[list[int]], list[tuple[int, tuple]]]:
-    """(base, perms, weights, ops): translation by the element with label x on variables.
+) -> tuple[int, list[list[int]], list[list[int]], list[int], list[tuple]]:
+    """(base, perms, weights, mults, shifts): translation by the element with label x on variables.
 
     perms[x] is the permutation of variable labels (digit i moves by
-    directions[i] * x_i), weights[x][v] the packed x_(perms[x][v]), and
-    ops[x] = (mult, masks) the same on a packed key, for _translate: along g
-    it is multiplication by B^shift mod B^n - 1, along the other axes a
-    digit shift on fields of w = n.bit_length() bits (B = 2^w, so a field
-    holds any exponent up to n), two masks and two shifts per axis.  A
-    single axis (a cyclic group) keeps B = n + 1.  Built once per shape.
+    directions[i] * x_i) and weights[x][v] the packed x_(perms[x][v]).  On a
+    packed key the translation is (y * mults[x // s]) mod B^n - 1 for y =
+    _shift_digits(key, shifts[x % s]): along g, whose digit is x // s, a
+    multiplication by a power of B, along the other axes a digit shift on
+    fields of w = n.bit_length() bits (B = 2^w, so a field holds any
+    exponent up to n), two masks and two shifts per axis.  A cyclic group
+    has the one empty shift and keeps B = n + 1: its keys then stay within
+    one 30-bit int digit up to order 9, and B = 16 made C9 about 25% slower.
+    Built once per shape.
     """
     n = math.prod(m for _, m in axes)
-    base = n + 1 if len(axes) == 1 else 1 << n.bit_length()
+    base = 1 << n.bit_length() if len(axes) > 1 else n + 1
     width = base.bit_length() - 1
-    perms, ops = [], []
-    for x in range(n):
-        deltas = [direction * (x // t % m) % m for direction, (t, m) in zip(directions, axes)]
-        perms.append([sum((v // t + d) % m * t for d, (t, m) in zip(deltas, axes)) for v in range(n)])
-        ops.append((base ** (deltas[0] * axes[0][0]),
-                    tuple(_digit_shift(axes, i, d, width) for i, d in enumerate(deltas) if i and d)))
-    return base, perms, [[base**p for p in perm] for perm in perms], ops
+    s, e = axes[0]
+    perms = [_shifted(axes, [d * (x // t % m) % m for d, (t, m) in zip(directions, axes)]) for x in range(n)]
+    mults = [base ** (directions[0] * c % e * s) for c in range(e)]
+    shifts = [tuple(_digit_shift(axes, i, d * (r // t % m) % m, width)
+                    for i, (d, (t, m)) in enumerate(zip(directions, axes)) if r // t % m)
+              for r in range(s)]
+    return base, perms, [[base**p for p in perm] for perm in perms], mults, shifts
 
 
 @functools.lru_cache(maxsize=16)
@@ -410,18 +407,17 @@ def _orbit_table(axes: tuple[tuple[int, int], ...], signed: bool) -> list[tuple[
     full = (1 << n) - 1
     steps = []
     for i, (t, m) in enumerate(axes):
-        low, up, high, down = _digit_shift(axes, i, 1, 1)
         size = m * t
         blocks = [(((1 << (m - 1) * t) - 1) << b, ((1 << t) - 1) << b + (m - 1) * t)
                   for b in range(0, n, size)]
-        steps.append((t, m, low, up, high, down, blocks))
+        steps.append((t, m, (_digit_shift(axes, i, 1, 1),), blocks))
     neg = _negatives(axes)
     orbit: list = [None] * (full + 1)
     for rep in range(full + 1):
         if orbit[rep] is not None:
             continue
         images = [(rep, 0, 1)]  # (T_x(rep), x, sign), x in label order
-        for t, m, low, up, high, down, blocks in steps:
+        for t, m, shift, blocks in steps:
             out = []
             for mask, x, sign in images:
                 out.append((mask, x, sign))
@@ -430,7 +426,7 @@ def _orbit_table(axes: tuple[tuple[int, int], ...], signed: bool) -> list[tuple[
                         for bl, bt in blocks:
                             if (mask & bl).bit_count() & (mask & bt).bit_count() & 1:
                                 sign = -sign
-                    mask = (mask & low) << up | (mask & high) >> down
+                    mask, = _shift_digits((mask,), shift)
                     out.append((mask, x + d * t, sign))
             images = out
         for mask, x, sign in images:
@@ -463,9 +459,10 @@ def _translation(matrix: CayleyMatrix, classes: Sequence[tuple[int, int]]) -> _T
         grid.append(new)
     directions = []
     for i in range(len(axes)):
-        step = _shifted(axes, i, 1)
+        unit = [int(i == j) for j in range(len(axes))]
+        step = _shifted(axes, unit)
         for direction in (1, -1):
-            moved = _shifted(axes, i, direction)
+            moved = _shifted(axes, [direction * u for u in unit])
             if all(list(map(row.__getitem__, step)) == list(map(moved.__getitem__, row)) for row in grid):
                 directions.append(direction)
                 break
@@ -609,7 +606,9 @@ def _next_layer(
                 negate = negate ^ (sign < 0)
                 src = moved.get(x)
                 if src is None:
-                    src = moved[x] = _translate(poly, *ops[x], modulus)
+                    mult, masks = ops[x]
+                    src = moved[x] = {key * mult % modulus: coeff
+                                      for key, coeff in zip(_shift_digits(poly, masks), poly.values())}
                 w = weights[x][v]  # digits never carry, so translation is additive
             target = nxt.get(dest)
             if target is None:
@@ -717,7 +716,8 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
         base = l + 1
         grid, weights, orbit, ops, modulus = matrix.grid, [[base**v for v in range(nvars)]], None, [], 0
     else:
-        base, perms, weights, ops = _key_action(tr.axes, tr.directions)
+        base, perms, weights, mults, shifts = _key_action(tr.axes, tr.directions)
+        ops = [(mult, masks) for mult in mults for masks in shifts]  # label x = c_g * s + rest
         grid, orbit, modulus = tr.grid, _orbit_table(tr.axes, signed), base**l - 1
     layer: dict[int, dict[int, int]] = {0: {0: 1}}
     for row in grid:
@@ -733,23 +733,24 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     # every translation fixes the full mask: unpack the mean key orbit by key
     # orbit, translating the digits of one key and mapping labels back
     sign = _permutation_sign(tr.phi) if signed else 1
-    chis = [_permutation_sign(perm) for perm in perms] if signed else [1] * l
+    s = len(shifts)
+    order = [c * s + r for r in range(s) for c in range(len(mults))]  # the labels in images' order
+    chis = [_permutation_sign(perms[x]) for x in order] if signed else [1] * l
     # the exponent of x_a in sigma_x(K) is the digit of K at label sigma_(-x)(phi(a))
-    exponents = [operator.itemgetter(*[perms[y][p] for p in tr.phi]) for y in _negatives(tr.axes)]
-    if len(tr.axes) == 1:
-        mults = [mult for mult, _ in ops]
+    neg = _negatives(tr.axes)
+    exponents = [operator.itemgetter(*[perms[neg[x]][p] for p in tr.phi]) for x in order]
 
-        def images(key: int) -> list[int]:
-            return [key * m % modulus for m in mults]
-    else:
-        def images(key: int) -> list[int]:
-            out = []
-            for mult, masks in ops:
-                y = key
-                for low, up, high, down in masks:
-                    y = (y & low) << up | (y & high) >> down
-                out.append(y * mult % modulus)
-            return out
+    def images(key: int) -> list[int]:
+        # _shift_digits on one key at a time, inlined: one call per shift made the
+        # orbit means, and so C2xC2xC2 per/det, about 5% slower
+        ys = []
+        for masks in shifts:
+            y = key
+            for low, up, high, down in masks:
+                y = (y & low) << up | (y & high) >> down
+            ys.append(y)
+        return [y * mult % modulus for y in ys for mult in mults]
+
     terms = {}
     for key, c in _orbit_means(final, images, chis).items():
         digits = [key // p % base for p in powers]

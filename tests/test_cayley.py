@@ -348,27 +348,75 @@ def burnside_states(group):
             // n for k in range(n + 1)]
 
 
+def numeric_permanent(rows):
+    """Ryser's formula over the column subsets in Gray-code order."""
+    n = len(rows)
+    sums = [0] * n
+    total = 0
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1
+        step = 1 if (k ^ k >> 1) >> j & 1 else -1
+        sums = [x + step * row[j] for x, row in zip(sums, rows)]
+        total += (-1) ** (k ^ k >> 1).bit_count() * math.prod(sums)
+    return (-1) ** n * total
+
+
+def numeric_determinant(rows):
+    """Bareiss fraction-free elimination."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def test_numeric_oracles_match_leibniz():
+    rng = random.Random(5)
+    for n in range(1, 6):
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        perms = list(itertools.permutations(range(n)))
+        assert numeric_permanent(rows) == sum(math.prod(rows[i][p[i]] for i in range(n)) for p in perms)
+        assert numeric_determinant(rows) == sum(permutation_sign(p) * math.prod(rows[i][p[i]] for i in range(n))
+                                                for p in perms)
+
+
 @pytest.mark.parametrize("spec, states", [
     ("C2xC2xC2", [1, 1, 7, 7, 14, 7, 7, 1, 1]),  # 2-fold before: one state per <g>-orbit, g of order 2
     ("C8", [1, 1, 4, 7, 10, 7, 4, 1, 1]),  # cyclic: the rotations are the whole group
     ("C2xC4", None),
     ("C3xC3", None),
     ("C2xC2xC3", None),  # a cyclic factor of order e is not in the presentation
+    ("C2xC6", None),
 ])
 def test_orbit_dp_keeps_one_state_per_orbit_of_the_whole_group(spec, states, monkeypatch):
+    # order 12 is the first where an element of maximal order (6) has a complement, and no
+    # symbolic oracle reaches it, so each polynomial is also evaluated at a seeded integer
+    # point against the exact permanent or determinant of the numeric table
     group = parse_group(spec)
     want = burnside_states(group)
     if states is not None:
         assert want == states
     sizes = layer_sizes(monkeypatch)
+    rng = random.Random(spec)
     for variant in ("plain", "hat"):
         table = build_table(group, variant)
         for signed in (False, True):
-            if group.order == 12 and (variant, signed) != ("hat", True):
-                continue  # one order-12 run is enough here
             sizes.clear()
-            _subset_dp(table, signed)
+            got = _subset_dp(table, signed)
             assert [1] + sizes == want, (variant, signed)
+            point = [rng.randint(-4, 4) for _ in range(group.order)]
+            value = sum(c * math.prod(map(pow, point, exp)) for exp, c in got.terms.items())
+            rows = [[point[k] for k in row] for row in table.grid]
+            assert value == (numeric_determinant if signed else numeric_permanent)(rows), (variant, signed)
 
 
 def test_orbit_dp_matches_unreduced_dp_c11():

@@ -251,27 +251,14 @@ def test_cayley_c12_frontier(op, terms):
 
 
 @pytest.mark.parametrize("op", ["per", "det"])
-def test_cayley_c2xc6_frontier(op, monkeypatch):
+def test_cayley_c2xc6_frontier(op):
     # orbits under all 12 translations, not only the 6 of an element of maximal order, so
-    # C2xC6 costs what C12 does; each layer holds one state per orbit of column sets
-    group = parse_group("C2xC6")
-    sizes = []
-    next_layer = cayley._next_layer
-
-    def counting(*args):
-        layer = next_layer(*args)
-        sizes.append(len(layer))
-        return layer
-
-    monkeypatch.setattr(cayley, "_next_layer", counting)
+    # C2xC6 costs what C12 does
     t0 = time.perf_counter()
     coefficients = term_coefficients(ok(["cayley", op, "--group", "C2xC6"]))
     assert time.perf_counter() - t0 < 10.0
-    profile = group.order_profile()
-    assert [1] + sizes == [
-        sum(c * math.comb(12 // o, k // o) for o, c in profile.items() if k % o == 0) // 12 for k in range(13)]
     if op == "per":
-        assert len(coefficients) == len(cayley.hall_support(group, 12)) == 112796
+        assert len(coefficients) == len(cayley.hall_support(parse_group("C2xC6"), 12)) == 112796
         assert sum(coefficients) == math.factorial(12)
     else:
         assert len(coefficients) == 87500

@@ -14,8 +14,10 @@ hat and n x n toeplitz tables in the canonical element order), translation
 permutes the columns and shifts the variables, the permanent is invariant
 and the determinant semi-invariant, so the program keeps one state per
 orbit of column sets under all |G| translations (C12 and C2xC6 in
-seconds); other tables keep one per set.  A
-Leibniz expansion that counts each of the l! permutations on its own (met
+seconds); other tables keep one per set.  All it reads of that action is
+one record (_Symmetry: relabeled grid, per-element key operations and
+weights, orbit table, characters), cached per group, grid and signedness.
+A Leibniz expansion that counts each of the l! permutations on its own (met
 in the middle: row prefixes against precomputed suffix orderings, up to
 size 10) is the independent oracle.
 The permanent's monomial support is governed by the zero-sum condition
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import GuardExceeded
-from .groups import Element, FiniteAbelianGroup, _permutation_sign
+from .groups import Element, FiniteAbelianGroup, _permutation_sign, abelian_groups_up_to
 from .molien import sym_dim, sym_series
 from .numtheory import prime_factorization
 from .polynom import IntPolynomial, apply_group_action, unpack_zeta_integers, zeta_packing
@@ -61,6 +63,9 @@ ENUM_GUARD = 10**7  # monomials hall_support may enumerate
 # each on 2 vCPUs, so an admitted run takes about 1 s (C500 with one sample: 1.1 s)
 ACTION_GUARD = 5 * 10**5
 LEHMER_PRIMES = (3, 5, 7)
+# (op, variant) of the tables each group-parameterized checker takes a permanent or determinant of
+INVARIANCE_TABLES = (("per", "plain"), ("det", "plain"))
+EXTENDED_TABLES = (("per", "extended"), ("per", "block2n"))
 
 
 @dataclass(frozen=True)
@@ -245,24 +250,6 @@ def _column_classes(matrix: CayleyMatrix) -> list[tuple[int, int]]:
     return list(sizes.items())
 
 
-class _Translation(NamedTuple):
-    """The translation action of the group on a table's relabeled columns and variables.
-
-    Labels are mixed radix over the basis of _relabeling: axis i has stride
-    t_i and modulus m_i, and adding its basis element adds 1 to digit i of a
-    label, mod m_i.  The first axis is an element g of maximal order e, with
-    stride s = n/e, so it adds s to the whole label mod n.  The table with
-    entry phi(grid[i][j]) in column phi(j) has the symmetry: translating its
-    columns by x moves every entry by directions[i] * x_i along each axis
-    (all +1 on a plain table, -1 on a hat table, where m_i > 2).
-    """
-
-    phi: list[int]
-    grid: list[list[int]]
-    axes: tuple[tuple[int, int], ...]  # (stride, modulus), the first (s, e)
-    directions: tuple[int, ...]
-
-
 def _basis(group: FiniteAbelianGroup) -> list[tuple[int, int]]:
     """(element, order) of a basis of the group, an element of maximal order first.
 
@@ -330,11 +317,6 @@ def _shifted(axes: Sequence[tuple[int, int]], deltas: Sequence[int]) -> list[int
             for x in range(math.prod(m for _, m in axes))]
 
 
-def _negatives(axes: Sequence[tuple[int, int]]) -> list[int]:
-    """The label of -x, for each label x."""
-    return [sum((m - x // t % m) % m * t for t, m in axes) for x in range(math.prod(m for _, m in axes))]
-
-
 def _digit_shift(axes: Sequence[tuple[int, int]], i: int, d: int, width: int) -> tuple[int, int, int, int]:
     """(low, up, high, down) with f(y) = (y & low) << up | (y & high) >> down adding d to digit i.
 
@@ -359,67 +341,128 @@ def _shift_digits(keys: Iterable[int], masks: Sequence[tuple[int, int, int, int]
     return keys
 
 
-@functools.lru_cache(maxsize=16)
-def _key_action(
-    axes: tuple[tuple[int, int], ...], directions: tuple[int, ...],
-) -> tuple[int, list[list[int]], list[list[int]], list[int], list[tuple]]:
-    """(base, perms, weights, mults, shifts): translation by the element with label x on variables.
+class _Symmetry(NamedTuple):
+    """What the subset DP reads about the translation action of the group on a table.
 
-    perms[x] is the permutation of variable labels (digit i moves by
-    directions[i] * x_i) and weights[x][v] the packed x_(perms[x][v]).  On a
-    packed key the translation is (y * mults[x // s]) mod B^n - 1 for y =
-    _shift_digits(key, shifts[x % s]): along g, whose digit is x // s, a
-    multiplication by a power of B, along the other axes a digit shift on
-    fields of w = n.bit_length() bits (B = 2^w, so a field holds any
-    exponent up to n), two masks and two shifts per axis.  A cyclic group
-    has the one empty shift and keeps B = n + 1: its keys then stay within
-    one 30-bit int digit up to order 9, and B = 16 made C9 about 25% slower.
-    Built once per shape.
+    Labels are mixed radix over the basis of _relabeling: axis i has stride
+    t_i and modulus m_i, and adding its basis element adds 1 to digit i of a
+    label, mod m_i.  The first axis is an element g of maximal order e, with
+    stride s = n/e, so it adds s to the whole label mod n.  In grid, with
+    entry phi(grid[i][j]) in column phi(j), translating the columns by x
+    moves every entry by directions[i] * x_i along each axis: all +1 on a
+    plain table and on the n x n toeplitz table over C_n (phi = id), -1 on a
+    hat table (where m_i > 2).
+
+    Keys pack exponent vectors over the labels base B, and weights[x][v] is
+    the packed x_v translated by the element with label x.  On a key that
+    translation is ops[x] = (mult, masks): (y * mult) mod B^n - 1 (modulus)
+    for y = _shift_digits(key, masks), along g (digit x // s) a multiplication
+    by a power of B, along the other axes a digit shift on fields of w =
+    n.bit_length() bits (B = 2^w, so a field holds any exponent up to n), two
+    masks and two shifts per axis.  A cyclic group has the one empty shift
+    and keeps B = n + 1: its keys then stay within one 30-bit int digit up to
+    order 9, and B = 16 made C9 about 25% slower.  images(key) lists every
+    translate of one key in label order, shifting once per complement digit.
+
+    orbit[S], for each column mask S = T_x(R), is (R, label of -x, sign): T_x
+    translates the columns by x and R is the smallest mask of the orbit of S
+    under the whole group, so P_R = sign * sigma_(-x)(P_S).  On a signed
+    record the sign of a translation on a k-set is (-1)^(pairs of the set it
+    reverses), taken one axis step at a time (it composes as a cocycle):
+    adding 1 to digit i moves the labels of each block (labels that agree on
+    every more significant digit) whose digit i is m_i - 1 below the rest of
+    the block, reversing |low part| * |top part| pairs per block; along g it
+    is w(k-w), for the w columns that wrap.  chis[x] is the sign character of
+    the column permutation by x, exponents[x] reads the exponent vector of
+    sigma_x(K), in the group's variable order, off the digits of K, and sign
+    is the sign of the column relabeling phi.  An unsigned record has every
+    sign and character 1.
     """
-    n = math.prod(m for _, m in axes)
+
+    phi: list[int]
+    grid: list[list[int]]
+    axes: tuple[tuple[int, int], ...]  # (stride, modulus), the first (s, e)
+    directions: tuple[int, ...]
+    base: int
+    modulus: int
+    weights: list[list[int]]
+    ops: list[tuple[int, tuple]]
+    orbit: list[tuple[int, int, int]]
+    chis: list[int]
+    exponents: list[Callable[[Sequence[int]], tuple[int, ...]]]
+    images: Callable[[int], list[int]]
+    sign: int
+
+
+@functools.lru_cache(maxsize=64)
+def _symmetry(group: FiniteAbelianGroup, grid: tuple[tuple[int, ...], ...], signed: bool) -> _Symmetry | None:
+    """The _Symmetry of a square table with distinct columns, or None if its grid shows none.
+
+    The relabeled grid is checked to read grid[i][T(j)] = T^(+-1)(grid[i][j])
+    for each basis step T, whatever the variant, so a table in another
+    element order gets None, as do extended, block2n and stretched toeplitz
+    tables.
+    """
+    n = group.order
+    if len(grid) != n or n < 2 or len(set(zip(*grid))) < n:
+        return None
+    phi, _, axes = _relabeling(group)
+    relabeled = []
+    for row in grid:
+        new = [0] * n
+        for j, v in enumerate(row):
+            new[phi[j]] = phi[v]
+        relabeled.append(new)
+    directions = []
+    for i in range(len(axes)):
+        unit = [int(i == j) for j in range(len(axes))]
+        step = _shifted(axes, unit)
+        for direction in (1, -1):
+            moved = _shifted(axes, [direction * u for u in unit])
+            if all(list(map(row.__getitem__, step)) == list(map(moved.__getitem__, row))
+                   for row in relabeled):
+                directions.append(direction)
+                break
+        else:
+            return None
     base = 1 << n.bit_length() if len(axes) > 1 else n + 1
     width = base.bit_length() - 1
+    modulus = base**n - 1
     s, e = axes[0]
     perms = [_shifted(axes, [d * (x // t % m) % m for d, (t, m) in zip(directions, axes)]) for x in range(n)]
     mults = [base ** (directions[0] * c % e * s) for c in range(e)]
     shifts = [tuple(_digit_shift(axes, i, d * (r // t % m) % m, width)
                     for i, (d, (t, m)) in enumerate(zip(directions, axes)) if r // t % m)
-              for r in range(s)]
-    return base, perms, [[base**p for p in perm] for perm in perms], mults, shifts
+              for r in range(s)]  # label x = (x // s) * s + x % s
 
+    def images(key: int) -> list[int]:
+        # _shift_digits on one key at a time, inlined: one call per shift made the
+        # orbit means, and so C2xC2xC2 per/det, about 5% slower
+        ys = []
+        for masks in shifts:
+            y = key
+            for low, up, high, down in masks:
+                y = (y & low) << up | (y & high) >> down
+            ys.append(y)
+        return [y * mult % modulus for mult in mults for y in ys]
 
-@functools.lru_cache(maxsize=16)
-def _orbit_table(axes: tuple[tuple[int, int], ...], signed: bool) -> list[tuple[int, int, int]]:
-    """Per column mask S = T_x(R): (R, label of -x, placement sign of T_x on R).
-
-    T_x translates the columns by the element with label x and R is the
-    smallest mask of the orbit of S under the whole group, so P_R = sign *
-    sigma_(-x)(P_S).  The table depends only on the label axes and the
-    signedness, so it is built once per shape.  The sign of a translation on
-    a k-set is (-1)^(pairs of the set it reverses), taken one axis step at a
-    time (it composes as a cocycle): adding 1 to digit i moves the labels of
-    each block (labels that agree on every more significant digit) whose
-    digit i is m_i - 1 below the rest of the block, reversing
-    |low part| * |top part| pairs per block; along g it is w(k-w), for the w
-    columns that wrap.
-    """
-    n = math.prod(m for _, m in axes)
-    full = (1 << n) - 1
+    # the orbit table: every orbit of masks walked from its smallest mask, one axis step at a time
     steps = []
     for i, (t, m) in enumerate(axes):
-        size = m * t
         blocks = [(((1 << (m - 1) * t) - 1) << b, ((1 << t) - 1) << b + (m - 1) * t)
-                  for b in range(0, n, size)]
+                  for b in range(0, n, m * t)]
         steps.append((t, m, (_digit_shift(axes, i, 1, 1),), blocks))
-    neg = _negatives(axes)
-    orbit: list = [None] * (full + 1)
-    for rep in range(full + 1):
+    neg = [0] * n  # the label of -x, for each label x
+    for a, b in enumerate(group.neg_table):
+        neg[phi[a]] = phi[b]
+    orbit: list = [None] * (1 << n)
+    for rep in range(1 << n):
         if orbit[rep] is not None:
             continue
-        images = [(rep, 0, 1)]  # (T_x(rep), x, sign), x in label order
+        translates = [(rep, 0, 1)]  # (T_x(rep), x, sign), x in label order
         for t, m, shift, blocks in steps:
             out = []
-            for mask, x, sign in images:
+            for mask, x, sign in translates:
                 out.append((mask, x, sign))
                 for d in range(1, m):
                     if signed:
@@ -428,47 +471,19 @@ def _orbit_table(axes: tuple[tuple[int, int], ...], signed: bool) -> list[tuple[
                                 sign = -sign
                     mask, = _shift_digits((mask,), shift)
                     out.append((mask, x + d * t, sign))
-            images = out
-        for mask, x, sign in images:
+            translates = out
+        for mask, x, sign in translates:
             if orbit[mask] is None:
                 orbit[mask] = (rep, neg[x], sign)
-    return orbit
 
-
-def _translation(matrix: CayleyMatrix, classes: Sequence[tuple[int, int]]) -> _Translation | None:
-    """The translation symmetry of a square table with distinct columns, if it has one.
-
-    Columns and entries are relabeled by _relabeling's phi, so translation
-    by a basis element adds 1 to one digit of every label.  A plain table
-    then satisfies grid[i][T(j)] = T(grid[i][j]) for each such step T, and
-    a hat table the same with T^-1 (the toeplitz table over C_n is the plain
-    case with phi = id).  The property is read off the relabeled grid for
-    each basis element, not the variant, so a table in another element order
-    gets the trivial group (None), as do extended, block2n and stretched
-    toeplitz tables.
-    """
-    n = matrix.nvars
-    if matrix.size != n or len(classes) < n or n < 2:
-        return None
-    phi, _, axes = _relabeling(matrix.group)
-    grid = []
-    for row in matrix.grid:
-        new = [0] * n
-        for j, v in enumerate(row):
-            new[phi[j]] = phi[v]
-        grid.append(new)
-    directions = []
-    for i in range(len(axes)):
-        unit = [int(i == j) for j in range(len(axes))]
-        step = _shifted(axes, unit)
-        for direction in (1, -1):
-            moved = _shifted(axes, [direction * u for u in unit])
-            if all(list(map(row.__getitem__, step)) == list(map(moved.__getitem__, row)) for row in grid):
-                directions.append(direction)
-                break
-        else:
-            return None
-    return _Translation(phi, grid, axes, tuple(directions))
+    return _Symmetry(
+        phi, relabeled, axes, tuple(directions), base, modulus, [[base**p for p in perm] for perm in perms],
+        [(mult, masks) for mult in mults for masks in shifts], orbit,
+        [_permutation_sign(perm) for perm in perms] if signed else [1] * n,
+        # the exponent of x_a in sigma_x(K) is the digit of K at label sigma_(-x)(phi(a))
+        [operator.itemgetter(*[perms[neg[x]][p] for p in phi]) for x in range(n)],
+        images, _permutation_sign(phi) if signed else 1,
+    )
 
 
 def _binomials(c: int) -> list[int]:
@@ -514,25 +529,34 @@ def _dp_pairs(l: int, sizes: Sequence[int], v: int, profile: dict[int, int] | No
     return pairs
 
 
-def _dp_state_estimate(
-    matrix: CayleyMatrix,
-    classes: Sequence[tuple[int, int]],
-    translation: _Translation | None,
-) -> int:
-    """_dp_pairs of a table: its size, column classes, variables and translation group."""
-    v = len({k for row in matrix.grid for k in row})
-    return _dp_pairs(matrix.size, [m for _, m in classes], v,
-                     None if translation is None else matrix.group.order_profile())
+def _dp_guard(group: FiniteAbelianGroup, l: int, sizes: Sequence[int],
+              symmetry: Callable[[], _Symmetry | bool | None]) -> _Symmetry | None:
+    """The subset DP's guard on an l x l table with these column-class sizes.
+
+    Above ORBIT_MIN_PAIRS unreduced pairs, a table of n distinct columns
+    counts orbit states if symmetry() is true; symmetry() is not asked (no
+    record is built) when that count alone refuses the table.  Returns the
+    symmetry if the table is reduced, else None.
+    """
+    n = group.order
+    estimate = _dp_pairs(l, sizes, n, None)
+    reduced = None
+    if estimate > ORBIT_MIN_PAIRS and l == len(sizes) == n:
+        orbits = _dp_pairs(l, sizes, n, group.order_profile())
+        if orbits > DP_GUARD or (reduced := symmetry()):
+            estimate = orbits
+    if estimate > DP_GUARD:
+        raise GuardExceeded("subset DP states", estimate, DP_GUARD)
+    return reduced or None
 
 
-def _table_shape(group: FiniteAbelianGroup, variant: str, size: int | None) -> tuple[int, list[int], bool]:
-    """(size, column-class sizes, translated) of build_table(group, variant, size), unbuilt.
+def _table_shape(group: FiniteAbelianGroup, variant: str, size: int | None) -> tuple[int, list[int]]:
+    """(size, column-class sizes) of build_table(group, variant, size), unbuilt.
 
     Extended tables repeat the column of g_0, block2n tables every column,
     and toeplitz columns j and j' agree exactly when j = j' mod n.  Every
-    variant's grid holds all n variables.  _translation finds the whole
-    translation group on the plain and hat tables and the n x n toeplitz
-    table, of order 2 or more.
+    variant's grid holds all n variables, and each one with n distinct
+    columns (plain, hat, n x n toeplitz) shows the translation (_symmetry).
     """
     n = group.order
     l = table_size(group, variant, size)
@@ -544,7 +568,7 @@ def _table_shape(group: FiniteAbelianGroup, variant: str, size: int | None) -> t
         sizes = [len(range(c, l, n)) for c in range(n)]
     else:
         sizes = [1] * n
-    return l, sizes, l == n >= 2
+    return l, sizes
 
 
 def refuse_before_table(
@@ -558,21 +582,16 @@ def refuse_before_table(
     build_table(group, variant, size) would be refused, without building the table.
 
     Leibniz needs only the size, factored only the order, and the subset DP
-    the shape _table_shape reads off the variant; the estimates are the
-    kernels' own, so the same tables run or are refused.
+    (_dp_guard) the shape _table_shape reads off the variant.
     """
-    l, sizes, translated = _table_shape(group, variant, size)
+    l, sizes = _table_shape(group, variant, size)
     if algorithm == "leibniz":
         _leibniz_guard(l)
     elif algorithm == "factored":
         if op == "det" and variant in ("plain", "hat"):
             _factored_guard(group.order)
     elif algorithm == "auto" and (op == "per" or len(sizes) == l):  # else the determinant is 0
-        estimate = _dp_pairs(l, sizes, group.order, None)
-        if estimate > ORBIT_MIN_PAIRS and translated:
-            estimate = _dp_pairs(l, sizes, group.order, group.order_profile())
-        if estimate > DP_GUARD:
-            raise GuardExceeded("subset DP states", estimate, DP_GUARD)
+        _dp_guard(group, l, sizes, lambda: True)  # n distinct columns: translated (_table_shape)
 
 
 def _next_layer(
@@ -671,22 +690,20 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     columns differ it is the bitmask of the columns taken), the permanent
     gains the factor prod m_c! at the end, and the determinant is zero.
     Exponent vectors are packed base B = l+1 (a power of two above l on
-    a reduced non-cyclic table, see _key_action) into one int (Kronecker
+    a reduced non-cyclic table, see _Symmetry) into one int (Kronecker
     substitution: no exponent exceeds l, so digits never carry), so
     multiplying by x_k adds B^k.  Placing row i in column j passes the taken
     columns to its right, popcount(mask >> (j+1)) inversions, which gives the
     sign.  This is the subset form of Ryser's inclusion-exclusion (Nijenhuis
     & Wilf 1978).
 
-    A table with a translation symmetry (see _translation) and more than
-    ORBIT_MIN_PAIRS unreduced pairs keeps one state per orbit of column
-    masks under every translation of the group: its partial sums obey
-    P_(T_x S) = sign(T_x, S) sigma_x(P_S), where sigma_x moves every
-    variable label by x (or -x) and sign(T_x, S) is -1 to the number of
-    pairs of S that T_x reverses.  On a packed key sigma_x is
-    multiplication by a power of B mod B^n - 1 along g and a digit shift
-    along the other axes (_key_action), and the key is never B^n - 1.  A
-    representative R stores
+    A table with a translation symmetry (a _Symmetry record, which says how
+    sigma_x acts on packed keys) and more than ORBIT_MIN_PAIRS unreduced
+    pairs keeps one state per orbit of column masks under every translation
+    of the group: its partial sums obey P_(T_x S) = sign(T_x, S)
+    sigma_x(P_S), where sigma_x moves every variable label by x (or -x) and
+    sign(T_x, S) is -1 to the number of pairs of S that T_x reverses; a key
+    is never B^n - 1.  A representative R stores
     W_R, the sum of the P_S of its orbit, each translated back to R
     (|orbit(R)| P_R), up to a translation that fixes R: each push from R
     lands in R u {j}, which is translated back to its own representative,
@@ -703,59 +720,34 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     classes = _column_classes(matrix)
     if signed and len(classes) < l:
         return IntPolynomial.zero(nvars)
-    estimate = _dp_state_estimate(matrix, classes, None)
-    tr = _translation(matrix, classes) if estimate > ORBIT_MIN_PAIRS else None
-    if tr is not None:
-        estimate = _dp_state_estimate(matrix, classes, tr)
-    if estimate > DP_GUARD:
-        raise GuardExceeded("subset DP states", estimate, DP_GUARD)
+    group = matrix.group
+    sym = _dp_guard(group, l, [m for _, m in classes], lambda: _symmetry(group, matrix.grid, signed))
     radix = [1]
     for _, m in classes:
         radix.append(radix[-1] * (m + 1))
-    if tr is None:
-        base = l + 1
-        grid, weights, orbit, ops, modulus = matrix.grid, [[base**v for v in range(nvars)]], None, [], 0
+    base = l + 1 if sym is None else sym.base
+    powers = [base**i for i in range(nvars)]
+    if sym is None:
+        grid, weights, orbit, ops, modulus = matrix.grid, [powers], None, [], 0
     else:
-        base, perms, weights, mults, shifts = _key_action(tr.axes, tr.directions)
-        ops = [(mult, masks) for mult in mults for masks in shifts]  # label x = c_g * s + rest
-        grid, orbit, modulus = tr.grid, _orbit_table(tr.axes, signed), base**l - 1
+        grid, weights, orbit, ops, modulus = sym.grid, sym.weights, sym.orbit, sym.ops, sym.modulus
     layer: dict[int, dict[int, int]] = {0: {0: 1}}
     for row in grid:
         steps = [(c, radix[c], m + 1, row[j]) for c, (j, m) in enumerate(classes)]
         layer = _next_layer(layer, steps, signed, weights, orbit, ops, modulus)
     ways = math.prod(math.factorial(m) for _, m in classes)
-    powers = [base**i for i in range(nvars)]
     final = layer[radix[-1] - 1]
-    if tr is None:
+    if sym is None:
         terms = {tuple([packed // p % base for p in powers]): coeff * ways
                  for packed, coeff in final.items()}
         return IntPolynomial(nvars, terms)
     # every translation fixes the full mask: unpack the mean key orbit by key
     # orbit, translating the digits of one key and mapping labels back
-    sign = _permutation_sign(tr.phi) if signed else 1
-    s = len(shifts)
-    order = [c * s + r for r in range(s) for c in range(len(mults))]  # the labels in images' order
-    chis = [_permutation_sign(perms[x]) for x in order] if signed else [1] * l
-    # the exponent of x_a in sigma_x(K) is the digit of K at label sigma_(-x)(phi(a))
-    neg = _negatives(tr.axes)
-    exponents = [operator.itemgetter(*[perms[neg[x]][p] for p in tr.phi]) for x in order]
-
-    def images(key: int) -> list[int]:
-        # _shift_digits on one key at a time, inlined: one call per shift made the
-        # orbit means, and so C2xC2xC2 per/det, about 5% slower
-        ys = []
-        for masks in shifts:
-            y = key
-            for low, up, high, down in masks:
-                y = (y & low) << up | (y & high) >> down
-            ys.append(y)
-        return [y * mult % modulus for y in ys for mult in mults]
-
     terms = {}
-    for key, c in _orbit_means(final, images, chis).items():
+    for key, c in _orbit_means(final, sym.images, sym.chis).items():
         digits = [key // p % base for p in powers]
-        for exponent, chi in zip(exponents, chis):
-            terms[exponent(digits)] = chi * sign * c
+        for exponent, chi in zip(sym.exponents, sym.chis):
+            terms[exponent(digits)] = chi * sym.sign * c
     return IntPolynomial(nvars, terms)
 
 
@@ -976,8 +968,8 @@ def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
     determinant is semi-invariant with character psi = sum of all characters
     (so gamma . det = psi(gamma) * det with psi(gamma) = +-1)."""
     t0 = time.perf_counter()
-    for op in ("per", "det"):  # both guards before the table is built
-        refuse_before_table(group, op)
+    for op, variant in INVARIANCE_TABLES:  # both guards before the table is built
+        refuse_before_table(group, op, variant)
     failures: list[dict] = []
     table = build_table(group, "plain")
     per = permanent(table)
@@ -1155,8 +1147,8 @@ def check_extended_counts(group: FiniteAbelianGroup) -> CheckReport:
     symmetric-power dimensions at degrees n+1 and 2n."""
     t0 = time.perf_counter()
     n = group.order
-    for variant in ("extended", "block2n"):  # both guards before either table is built
-        refuse_before_table(group, "per", variant)
+    for op, variant in EXTENDED_TABLES:  # both guards before either table is built
+        refuse_before_table(group, op, variant)
     failures: list[dict] = []
 
     per_ext = permanent(build_table(group, "extended"))
@@ -1175,28 +1167,34 @@ def check_extended_counts(group: FiniteAbelianGroup) -> CheckReport:
     return CheckReport("extended-counts", {"group": group.spec_string}, failures, elapsed)
 
 
+def hall_tables(max_order: int, max_order_ext: int) -> list[tuple[FiniteAbelianGroup, str]]:
+    """(group, variant) of each permanent check_hall takes: plain to max_order, then extended."""
+    if max_order < 1 or max_order_ext < 1:
+        raise ValueError(f"hall check needs orders >= 1, got {max_order} and {max_order_ext}")
+    return [(group, variant) for variant, top in (("plain", max_order), ("extended", max_order_ext))
+            for group in abelian_groups_up_to(top)]
+
+
 def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
     """Support of the permanent equals the zero-sum prediction.
 
     Plain tables at degree n for every abelian group of order <= max_order,
     extended tables at degree n+1 for order <= max_order_ext.
     """
-    from .groups import abelian_groups_up_to
-
-    if max_order < 1 or max_order_ext < 1:
-        raise ValueError(f"hall check needs orders >= 1, got {max_order} and {max_order_ext}")
     t0 = time.perf_counter()
+    tables = hall_tables(max_order, max_order_ext)
+    for group, variant in tables:  # every guard before the first table is built
+        refuse_before_table(group, "per", variant)
     failures: list[dict] = []
-    for variant, top in (("plain", max_order), ("extended", max_order_ext)):
-        for group in abelian_groups_up_to(top):
-            table = build_table(group, variant)
-            got = set(permanent(table).terms)
-            want = hall_support(group, table.size)  # a table's degree is its size
-            for exp in sorted(got.symmetric_difference(want)):
-                failures.append(
-                    {"group": group.spec_string, "table": variant, "exponents": list(exp),
-                     "what": "missing" if exp in want else "unexpected"}
-                )
+    for group, variant in tables:
+        table = build_table(group, variant)
+        got = set(permanent(table).terms)
+        want = hall_support(group, table.size)  # a table's degree is its size
+        for exp in sorted(got.symmetric_difference(want)):
+            failures.append(
+                {"group": group.spec_string, "table": variant, "exponents": list(exp),
+                 "what": "missing" if exp in want else "unexpected"}
+            )
     elapsed = time.perf_counter() - t0
     return CheckReport(
         "hall-support", {"max_order": max_order, "max_order_ext": max_order_ext}, failures, elapsed

@@ -16,7 +16,7 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import IO, Callable, NamedTuple
+from typing import IO, Callable, Iterable, NamedTuple
 
 from . import cayley, molien
 from .errors import GuardExceeded
@@ -39,11 +39,13 @@ MAX_WITNESS_LINES = 10
 
 
 class CheckMode(NamedTuple):
-    """One `check` mode: its runner and the options it reads."""
+    """One `check` mode: its runner, the options it reads and the guarded tables it takes."""
 
     run: Callable[[argparse.Namespace], list[CheckReport]]  # reads exactly `options`, filled in
     options: dict[str, object]  # option -> this mode's default
     without_group: tuple[str, ...] = ()  # the options it reads only when --group is not given
+    # (group, op, variant) of each permanent or determinant `run` takes, for refuse_before_table
+    tables: Callable[[argparse.Namespace], Iterable[tuple[FiniteAbelianGroup, str, str]]] = lambda o: ()
 
 
 def _groups(opts: argparse.Namespace) -> list[FiniteAbelianGroup]:
@@ -80,14 +82,18 @@ CHECK_MODES = {
                                      (molien.IDENTITIES if o.identity == "all" else (o.identity,))],
                           {"identity": "all", "order": None}),
     "hall": CheckMode(lambda o: [cayley.check_hall(o.max_order, o.max_order_ext)],
-                      {"max_order": 6, "max_order_ext": 5}),
+                      {"max_order": 6, "max_order_ext": 5},
+                      tables=lambda o: [(g, "per", v)
+                                        for g, v in cayley.hall_tables(o.max_order, o.max_order_ext)]),
     "invariance": CheckMode(lambda o: [cayley.check_invariance(g) for g in _groups(o)],
-                            {"group": None, "max_order": 6}, ("max_order",)),
+                            {"group": None, "max_order": 6}, ("max_order",),
+                            lambda o: [(g, *t) for g in _groups(o) for t in cayley.INVARIANCE_TABLES]),
     "actions": CheckMode(_check_actions, {"group": None, "samples": None}),
     "lehmer": CheckMode(lambda o: [cayley.check_lehmer_congruence(p)
                                    for p in (cayley.LEHMER_PRIMES if o.p is None else (o.p,))], {"p": None}),
     "extended": CheckMode(lambda o: [cayley.check_extended_counts(g) for g in _groups(o)],
-                          {"group": None, "max_order": 4}, ("max_order",)),
+                          {"group": None, "max_order": 4}, ("max_order",),
+                          lambda o: [(g, *t) for g in _groups(o) for t in cayley.EXTENDED_TABLES]),
     "conjecture": CheckMode(_check_conjecture, {"n": None, "l": None}),
 }
 # `check all` hands each of these options, when given, to every mode that reads it; every other
@@ -313,12 +319,16 @@ def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
-    reports: list[CheckReport] = []
+    runs = []
     for mode in CHECK_MODES if args.which == "all" else (args.which,):
         row = CHECK_MODES[mode]
         # the options given, else this mode's defaults (`check all` is given only those it forwards)
-        opts = {o: d if getattr(args, o) is None else getattr(args, o) for o, d in row.options.items()}
-        reports.extend(row.run(argparse.Namespace(**opts)))
+        opts = argparse.Namespace(**{o: d if getattr(args, o) is None else getattr(args, o)
+                                     for o, d in row.options.items()})
+        for group, op, variant in row.tables(opts):  # every guard before the first mode runs
+            cayley.refuse_before_table(group, op, variant)
+        runs.append((row, opts))
+    reports = [report for row, opts in runs for report in row.run(opts)]
 
     if args.json:
         payload = reports[0].to_json_obj() if len(reports) == 1 else [r.to_json_obj() for r in reports]

@@ -164,10 +164,6 @@ class FiniteAbelianGroup:
         e = self.exponent
         return sum(k * x * (e // n) for k, x, n in zip(chi, a, self.factors)) % e
 
-    def dual_sum(self, chi1: Element, chi2: Element) -> Element:
-        """Pointwise product of characters, as index tuples."""
-        return self.add(chi1, chi2)
-
     def inversion_permutation(self) -> list[int]:
         """Permutation sending each element index to the index of its negative."""
         return list(self.neg_table)

@@ -196,9 +196,6 @@ class IntPolynomial:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def coefficient_sum(self) -> int:
         """Value at x0 = x1 = ... = 1."""
         return sum(self.terms.values())
@@ -237,10 +234,6 @@ class IntPolynomial:
     def to_json_obj(self) -> list[dict]:
         """Ascending-lex list of {exponents, coeff}; coeff as decimal string."""
         return [{"exponents": list(e), "coeff": str(c)} for e, c in self.sorted_terms()]
-
-    @classmethod
-    def from_json_obj(cls, nvars: int, data: Iterable[Mapping]) -> "IntPolynomial":
-        return cls(nvars, {tuple(item["exponents"]): int(item["coeff"]) for item in data})
 
 
 def apply_group_action(group: "FiniteAbelianGroup", gamma: "Element", poly: IntPolynomial) -> IntPolynomial:

@@ -41,12 +41,13 @@ from abelinv.cayley import (
     _accumulate_leibniz,
     _column_classes,
     _dp_pairs,
-    _dp_state_estimate,
     _lex_parities,
     _prefix_parity,
+    _relabeling,
+    _shift_digits,
     _subset_dp,
+    _symmetry,
     _table_shape,
-    _translation,
     refuse_before_table,
 )
 
@@ -210,17 +211,24 @@ def test_permanent_guards_and_algorithm_dispatch():
         permanent(build_table(C2, "plain"), "newton")
 
 
+def table_estimate(table, translated):
+    """_dp_pairs of a table's size, column classes and variables, counting orbits when translated."""
+    v = len({k for row in table.grid for k in row})
+    return _dp_pairs(table.size, [m for _, m in _column_classes(table)], v,
+                     table.group.order_profile() if translated else None)
+
+
 def test_subset_dp_guard_bounds_states():
     # the estimate is sum_k states_k * C(k + v - 1, v - 1): states_k is the number of
     # orbits of k-subsets under every translation of the group (Burnside), else C(l, k)
     plain12 = build_table(parse_group("C12"), "plain")
-    classes = _column_classes(plain12)
-    assert _dp_state_estimate(plain12, classes, _translation(plain12, classes)) == 14059916 <= DP_GUARD
-    assert _dp_state_estimate(plain12, classes, None) == 148321344  # one state per subset
+    assert _symmetry(plain12.group, plain12.grid, False) is not None
+    assert table_estimate(plain12, True) == 14059916 <= DP_GUARD
+    assert table_estimate(plain12, False) == 148321344  # one state per subset
     c2c6 = build_table(parse_group("C2xC6"), "hat")
-    classes = _column_classes(c2c6)
+    assert _symmetry(c2c6.group, c2c6.grid, False) is not None
     # 12-fold, as C12: 26690806 under the 6-fold rotations of an element of maximal order
-    assert _dp_state_estimate(c2c6, classes, _translation(c2c6, classes)) == 14616108 <= DP_GUARD
+    assert table_estimate(c2c6, True) == 14616108 <= DP_GUARD
     plain13 = build_table(parse_group("C13"), "plain")
     t0 = time.perf_counter()
     with pytest.raises(GuardExceeded) as info:
@@ -228,6 +236,9 @@ def test_subset_dp_guard_bounds_states():
     assert (info.value.size, info.value.limit) == (68705262, DP_GUARD)
     with pytest.raises(GuardExceeded):
         permanent(plain13)
+    # refused whatever its grid shows, so no record is built: it would hold 2^24 column sets
+    with pytest.raises(GuardExceeded):
+        determinant(build_table(parse_group("C6xC4"), "plain"))
     assert time.perf_counter() - t0 < 1.0
     # identical columns share one state per count taken, so long stretches run
     long_c3 = permanent(build_table(C3, "toeplitz", size=16))
@@ -245,15 +256,15 @@ def test_guards_decided_before_the_table_match_the_kernels():
             for size in [None] + ([n + 1, 2 * n + 1] if variant == "toeplitz" else []):
                 table = build_table(group, variant, size=size)
                 classes = _column_classes(table)
-                l, sizes, translated = _table_shape(group, variant, size)
-                tr = _translation(table, classes)
+                l, sizes = _table_shape(group, variant, size)
+                tr = _symmetry(group, table.grid, False)
                 label = (group.spec_string, variant, size)
                 assert (l, sorted(sizes)) == (table.size, sorted(m for _, m in classes)), label
-                assert translated == (tr is not None), label
-                assert _dp_pairs(l, sizes, n, None) == _dp_state_estimate(table, classes, None), label
+                # refuse_before_table takes every table of n distinct columns to be translated
+                assert (l == len(sizes) == n >= 2) == (tr is not None), label
+                assert _dp_pairs(l, sizes, n, None) == table_estimate(table, False), label
                 if tr is not None:
-                    assert _dp_pairs(l, sizes, n, group.order_profile()) == \
-                        _dp_state_estimate(table, classes, tr), label
+                    assert _dp_pairs(l, sizes, n, group.order_profile()) == table_estimate(table, True), label
     for spec, variant, op, algorithm in [("C13", "plain", "per", "auto"), ("C2xC2xC2", "block2n", "per", "auto"),
                                          ("C11", "hat", "det", "factored"), ("C11", "plain", "det", "leibniz")]:
         group = parse_group(spec)
@@ -284,21 +295,48 @@ def test_translation_found_on_the_grid():
     c2c6 = parse_group("C2xC6")
     for variant, directions in (("plain", (1, 1)), ("hat", (-1, 1))):  # -1 = +1 mod 2
         table = build_table(c2c6, variant)
-        tr = _translation(table, _column_classes(table))
+        tr = _symmetry(table.group, table.grid, False)
         assert (tr.axes, tr.directions) == (((2, 6), (1, 2)), directions)
         assert tr.phi == [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11]
     for spec, axes in (("C2xC2xC2", ((4, 2), (2, 2), (1, 2))), ("C3xC3", ((3, 3), (1, 3))),
-                       ("C2xC3", ((1, 6),)), ("C6xC4", ((2, 12), (1, 2)))):
+                       ("C2xC3", ((1, 6),)), ("C2xC2xC3", ((2, 6), (1, 2)))):
         table = build_table(parse_group(spec), "plain")
-        tr = _translation(table, _column_classes(table))
+        tr = _symmetry(table.group, table.grid, False)
         assert (tr.axes, tr.directions) == (axes, (1,) * len(axes)), spec
         assert sorted(tr.phi) == list(range(table.size)), spec
+    # order 24 is beyond every table the DP runs, so its record (2^24 column sets) is not built
+    phi, _, axes = _relabeling(parse_group("C6xC4"))
+    assert axes == ((2, 12), (1, 2)) and sorted(phi) == list(range(24))
     toeplitz = build_table(parse_group("C5"), "toeplitz")
-    tr = _translation(toeplitz, _column_classes(toeplitz))
+    tr = _symmetry(toeplitz.group, toeplitz.grid, False)
     assert (tr.phi, tr.axes, tr.directions) == ([0, 1, 2, 3, 4], ((1, 5),), (1,))
     for table in (build_table(C4, "extended"), build_table(C4, "block2n"),
                   build_table(C3, "toeplitz", size=4), build_table(C4, "plain", element_order=[0, 2, 1, 3])):
-        assert _translation(table, _column_classes(table)) is None, table.variant
+        assert _symmetry(table.group, table.grid, False) is None, table.variant
+
+
+def test_key_translations_agree():
+    # a packed key is translated in two places, by images for the orbit means and by the
+    # per-label op in the DP's pushes; both must give the key of the monomial moved by the
+    # translation: x_b -> x_(b + a) on a plain table, x_(b - a) on a hat table, a = phi^-1(x)
+    rng = random.Random(13)
+    for group in abelian_groups_up_to(12)[1:] + [parse_group("C2xC2xC3")]:
+        n, add, neg = group.order, group.add_table, group.neg_table
+        for variant in ("plain", "hat"):
+            sym = _symmetry(group, build_table(group, variant).grid, False)
+            phi, base = sym.phi, sym.base
+            for _ in range(3):
+                exps = [0] * n
+                for b in rng.choices(range(n), k=rng.randint(0, n)):
+                    exps[b] += 1
+                key = sum(e * base ** phi[b] for b, e in enumerate(exps))
+                images = sym.images(key)
+                for a in range(n):
+                    moved = [add[b][a if variant == "plain" else neg[a]] for b in range(n)]
+                    want = sum(e * base ** phi[moved[b]] for b, e in enumerate(exps))
+                    mult, masks = sym.ops[phi[a]]
+                    by_op = list(_shift_digits([key], masks))[0] * mult % sym.modulus
+                    assert images[phi[a]] == by_op == want, (group.spec_string, variant, exps, a)
 
 
 def _unreduced_order(group):
@@ -315,12 +353,12 @@ def test_orbit_dp_matches_unreduced_dp(monkeypatch):
     for group in abelian_groups_up_to(10) + [parse_group(s) for s in ("C6", "C4xC2")]:
         for variant in ("plain", "hat"):
             table = build_table(group, variant)
-            assert (_translation(table, _column_classes(table)) is None) == (group.order == 1)
+            assert (_symmetry(group, table.grid, False) is None) == (group.order == 1)
             if group.order <= 3:
                 reference = table
             else:
                 reference = build_table(group, variant, element_order=_unreduced_order(group))
-                assert _translation(reference, _column_classes(reference)) is None, group
+                assert _symmetry(group, reference.grid, False) is None, group
             for signed in (False, True):
                 want = (_subset_dp(reference, signed) if group.order > 3
                         else _accumulate_leibniz(reference, signed))
@@ -422,7 +460,7 @@ def test_orbit_dp_keeps_one_state_per_orbit_of_the_whole_group(spec, states, mon
 def test_orbit_dp_matches_unreduced_dp_c11():
     group = parse_group("C11")
     reference = build_table(group, "hat", element_order=_unreduced_order(group))
-    assert _translation(reference, _column_classes(reference)) is None
+    assert _symmetry(group, reference.grid, False) is None
     det = determinant(build_table(group, "hat"))
     assert det.term_count() == 32066
     assert det == _subset_dp(reference, signed=True)

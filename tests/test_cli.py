@@ -107,6 +107,20 @@ def test_identity_guard_refuses_quickly(identity, order, capsys):
     assert "identity series terms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "invariance", "--max-order", "13"],  # refused at C13, after seconds of smaller groups
+    ["check", "hall", "--max-order", "13"],
+    ["check", "all", "--max-order", "8"],  # refused at C8 block2n, in the last group-sweeping mode
+    ["check", "extended", "--max-order", "8"],
+])
+def test_check_sweep_refuses_before_its_first_group(argv, capsys):
+    # every group's guard, and for check all every mode's, is decided before the first one runs
+    t0 = time.perf_counter()
+    assert invoke(argv) == (3, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("refused: subset DP states: size ")
+
+
 @pytest.mark.parametrize("identity, order", [("log3var", 54), ("B", 3569)])
 def test_identity_frontier_passes_within_budget(identity, order):
     # the largest orders IDENTITY_GUARD admits; under 1 s each on 2 vCPUs
@@ -175,11 +189,10 @@ def test_cayley_det_golden_string():
 
 
 def test_cayley_polynomial_json_round_trip():
-    from abelinv import IntPolynomial, build_table, parse_group, permanent
+    from abelinv import build_table, parse_group, permanent
 
     obj = json.loads(ok(["--json", "cayley", "per", "--group", "C3"]))
-    back = IntPolynomial.from_json_obj(3, obj["terms"])
-    assert back == permanent(build_table(parse_group("C3"), "plain"))
+    assert obj["terms"] == permanent(build_table(parse_group("C3"), "plain")).to_json_obj()
 
 
 def test_cayley_support_listing():

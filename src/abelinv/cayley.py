@@ -18,10 +18,12 @@ seconds); other tables keep one per set.  All it reads of that action is
 one record (_Symmetry: relabeled grid, per-element key operations and
 weights, orbit table, characters), cached per group, grid and signedness.
 A Leibniz expansion that counts each of the l! permutations on its own (met
-in the middle: row prefixes against precomputed suffix orderings, up to
-size 10) is the independent oracle.
+in the middle one column split at a time: every ordering of one half of the
+columns on the first rows against every ordering of the other half on the
+last rows, up to size 10) is the independent oracle.
 The permanent's monomial support is governed by the zero-sum condition
-(degree-n exponent vectors k with sum k_j * g_j = 0); the determinant
+(degree-n exponent vectors k with sum k_j * g_j = 0), listed by joining
+two half tables of count vectors keyed by total and element sum; the determinant
 factors into character linear forms, whose product (the determinant's
 checker route) keeps one monomial per translation orbit, as each form is an
 eigenvector of the translation.  Every guard is decided from the group, the
@@ -169,16 +171,14 @@ def _lex_parities(s: int) -> list[int]:
     return [sum(code) & 1 for code in itertools.product(*(range(s - i) for i in range(s)))]
 
 
-def _prefix_parity(prefix: Sequence[int]) -> int:
-    """Parity of the inversions a permutation's first k entries take part in.
+def _cross_parity(head: Sequence[int]) -> int:
+    """Parity of the pairs (a, b) with a > b, a in head and b among the other columns.
 
-    Those are the inversions inside the prefix plus the pairs (prefix entry p,
-    later entry c < p); the columns below p not in the prefix number p minus
-    the prefix entries below p, so the second count is sum(prefix) - C(k, 2).
+    The other columns below a number a minus the head columns below a, so
+    for the k columns of head the count is sum(head) - C(k, 2).
     """
-    k = len(prefix)
-    inv = sum(a > b for a, b in itertools.combinations(prefix, 2))
-    return (inv + sum(prefix) - k * (k - 1) // 2) & 1
+    k = len(head)
+    return (sum(head) - k * (k - 1) // 2) & 1
 
 
 def _leibniz_guard(l: int) -> None:
@@ -190,14 +190,14 @@ def _leibniz_guard(l: int) -> None:
 def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     """Sum over all l! permutations of the (signed) product of their entries.
 
-    Meet in the middle: a permutation is a prefix (the columns of the first
-    k = l - ceil(l/2) rows) and an ordering of the remaining columns on the
-    last s = ceil(l/2) rows.  The packed keys (exponent vectors base l+1, so
-    x_e is (l+1)^e) of every ordering of every s-subset of columns are listed
-    once, split by the ordering's parity for the determinant; each prefix
-    then adds its key to each key of its complement's list (one
-    Counter.update per prefix and list), one count per permutation.  The
-    sign is (-1)^(_prefix_parity(prefix) + parity(suffix)).  Partial products are
+    Meet in the middle, one column split at a time: for each s-subset B of
+    the columns (s = ceil(l/2)) and its complement A, the packed keys
+    (exponent vectors base l+1, so x_e is (l+1)^e) of every ordering of A on
+    the first k = l - s rows and of every ordering of B on the last s rows
+    are listed once, split by lex parity for the determinant, and every
+    (prefix, suffix) sum is counted by one Counter.update per split and
+    sign, one count per permutation.  The sign is (-1)^(parity(prefix
+    order) + parity(suffix order) + _cross_parity(A)).  Partial products are
     never merged, so the subset DP is checked against the full expansion.
     The guard counts the l! permutations.
     """
@@ -208,33 +208,34 @@ def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     weights = [[base**e for e in row] for row in matrix.grid]
     s = (l + 1) // 2
     k = l - s
-    tail = weights[k:]
-    bit = [1 << c for c in range(l)].__getitem__
+    head, tail = weights[:k], weights[k:]
     getitem, repeat = operator.getitem, itertools.repeat
-    odd = _lex_parities(s)
-    even = [1 - p for p in odd]
-    # used-column bitmask of a prefix -> the keys of its completions, split (even, odd) if signed
-    suffix: dict[int, list[int] | tuple[list[int], list[int]]] = {}
-    for cols in itertools.combinations(range(l), s):
-        keys = list(map(sum, map(map, repeat(getitem), repeat(tail), itertools.permutations(cols))))
-        used = (1 << l) - 1 - sum(map(bit, cols))
-        suffix[used] = (list(itertools.compress(keys, even)), list(itertools.compress(keys, odd))) \
-            if signed else keys
+
+    def keys(rows: list[list[int]], cols: Sequence[int]) -> list[int]:
+        # the packed key of each ordering of cols on these rows, in itertools.permutations order
+        return list(map(sum, map(map, repeat(getitem), repeat(rows), itertools.permutations(cols))))
+
+    def sums(firsts: list[int], lasts: list[int]) -> Iterable[int]:
+        return itertools.starmap(operator.add, itertools.product(firsts, lasts))
+
+    odd_k, odd_s = _lex_parities(k), _lex_parities(s)
+    even_k, even_s = [1 - p for p in odd_k], [1 - p for p in odd_s]
+    compress, chain = itertools.compress, itertools.chain
     plus: Counter[int] = Counter()
-    if not signed:
-        for prefix in itertools.permutations(range(l), k):
-            plus.update(map(operator.add, repeat(sum(map(getitem, weights, prefix))),
-                            suffix[sum(map(bit, prefix))]))
-    else:
-        minus: Counter[int] = Counter()
-        for prefix in itertools.permutations(range(l), k):
-            key = sum(map(getitem, weights, prefix))
-            evens, odds = suffix[sum(map(bit, prefix))]
-            if _prefix_parity(prefix):
-                evens, odds = odds, evens
-            plus.update(map(operator.add, repeat(key), evens))
-            minus.update(map(operator.add, repeat(key), odds))
-        plus.subtract(minus)
+    minus: Counter[int] = Counter()
+    for cols in itertools.combinations(range(l), s):
+        rest = [c for c in range(l) if c not in cols]
+        firsts, lasts = keys(head, rest), keys(tail, cols)
+        if not signed:
+            plus.update(sums(firsts, lasts))
+            continue
+        evens, odds = list(compress(firsts, even_k)), list(compress(firsts, odd_k))
+        if _cross_parity(rest):
+            evens, odds = odds, evens
+        even_lasts, odd_lasts = list(compress(lasts, even_s)), list(compress(lasts, odd_s))
+        plus.update(chain(sums(evens, even_lasts), sums(odds, odd_lasts)))
+        minus.update(chain(sums(evens, odd_lasts), sums(odds, even_lasts)))
+    plus.subtract(minus)
     powers = [base**i for i in range(nvars)]
     terms = {tuple([packed // p % base for p in powers]): coeff for packed, coeff in plus.items()}
     return IntPolynomial(nvars, terms)
@@ -884,59 +885,58 @@ def determinant(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
     raise ValueError(f"unknown determinant algorithm {algorithm!r}")
 
 
+def _count_table(add: Sequence[Sequence[int]], elements: Sequence[int],
+                 degree: int) -> list[dict[int, list[tuple[int, ...]]]]:
+    """table[t][x]: the count tuples over elements with count total t <= degree and element sum x."""
+    table: list[dict[int, list[tuple[int, ...]]]] = [{0: [()]}] + [{}] * degree  # read, not grown
+    for g in elements:
+        grown: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(degree + 1)]
+        for t, by_sum in enumerate(table):
+            for x, tuples in by_sum.items():
+                for c in range(degree - t + 1):
+                    grown[t + c].setdefault(x, []).extend([tup + (c,) for tup in tuples])
+                    x = add[x][g]
+        table = grown
+    return table
+
+
 def hall_support(group: FiniteAbelianGroup, degree: int) -> set[tuple[int, ...]]:
     """Exponent vectors of the given degree whose weighted element sum is zero.
 
     These are exactly the monomials the permanent of the (possibly extended)
-    table can contain.  A backward pass records, for each suffix of the
-    elements and each degree, the partial sums that suffix can reach; the
-    forward walk then only enters branches that can still close to zero, so
-    its work is proportional to the output.
+    table can contain.  A join: the counts of g_m..g_(n-1) (m = ceil(n/2))
+    and those of g_0..g_(m-2) are tabled by count total and element sum
+    (_count_table); the count of g_(m-1) is walked from each tabled head,
+    and each walked leaf takes the tabled tails that bring the sum back to
+    zero.  Every vector is listed once, so the work is the two tables, the
+    leaves and the output.  Heads are taken by increasing total, and the
+    tails of a total no later head can complete are dropped as they go.
+    The guard counts the degree-n vectors, and at least the degree + 1
+    counts the walk tries for one element (n = 1).
     """
     if degree < 0:
         raise ValueError(f"hall_support: need degree >= 0, got {degree}")
     n = group.order
-    size = math.comb(degree + n - 1, n - 1)
+    size = max(math.comb(degree + n - 1, n - 1), degree + 1)
     if size > ENUM_GUARD:
         raise GuardExceeded("support enumeration", size, ENUM_GUARD)
     add = group.add_table
     neg = group.neg_table
-    multiples = []  # multiples[k][c]: index of c * g_k
-    for k in range(n):
-        mk = [0]
-        for _ in range(degree):
-            mk.append(add[mk[-1]][k])
-        multiples.append(mk)
-    # reach[k][d]: sums of c_k g_k + ... + c_(n-1) g_(n-1) with c_k + ... = d
-    reach = [[set() for _ in range(degree + 1)] for _ in range(n + 1)]
-    reach[n][0].add(0)
-    for k in range(n - 1, -1, -1):
-        for d in range(degree + 1):
-            here = reach[k][d]
-            for c in range(d + 1):
-                shift = add[multiples[k][c]]
-                here.update(shift[t] for t in reach[k + 1][d - c])
-
+    m = (n + 1) // 2
+    # the tails first, so the heads reuse the tuples its inner layers freed (C10 peak -4%)
+    tails = _count_table(add, range(m, n), degree)
+    heads = _count_table(add, range(m - 1), degree)
+    g = m - 1
     out: set[tuple[int, ...]] = set()
-    comp = [0] * n
-
-    def walk(k: int, d: int, acc: int) -> None:
-        # entered only when the elements k.. can still bring acc back to zero
-        if k == n - 1:  # so the last count, forced to d, closes the sum
-            comp[k] = d
-            out.add(tuple(comp))
-            return
-        row = add[acc]
-        mk = multiples[k]
-        later = reach[k + 1]
-        for c in range(d + 1):
-            total = row[mk[c]]
-            if neg[total] in later[d - c]:
-                comp[k] = c
-                walk(k + 1, d - c, total)
-
-    if 0 in reach[0][degree]:
-        walk(0, degree, 0)
+    for t in range(degree + 1):
+        for x, prefixes in heads[t].items():
+            for c in range(degree - t + 1):  # x is the sum with c copies of g
+                found = tails[degree - t - c].get(neg[x])
+                if found:
+                    heads_c = [p + (c,) for p in prefixes]
+                    out.update(itertools.starmap(operator.add, itertools.product(heads_c, found)))
+                x = add[x][g]
+        heads[t] = tails[degree - t] = {}  # later heads have larger totals
     return out
 
 
@@ -1208,6 +1208,7 @@ def check_toeplitz_conjecture(n: int, l: int) -> CheckReport:
         raise ValueError(f"need l >= n >= 1, got n={n}, l={l}")
     t0 = time.perf_counter()
     group = FiniteAbelianGroup((n,))
+    refuse_before_table(group, "per", "toeplitz", l)
     per = permanent(build_table(group, "toeplitz", size=l))
     got = set(per.terms)
     want = hall_support(group, l)

@@ -279,7 +279,7 @@ def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
         if args.variant != "plain" or args.l is not None:
             raise ValueError("cayley counts counts the terms of the plain table; "
                              "it takes no --variant or --l")
-        # the determinant's guard is decided before any table is built; the support walk can take seconds
+        # the determinant first: its guard is decided before any table, so a refused group joins no support
         dc = cayley.determinant_term_count(group)
         pc = cayley.permanent_term_count(group)
         payload = {"group": group.spec_string, "permanent_terms": pc, "determinant_terms": dc}

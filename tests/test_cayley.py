@@ -40,9 +40,9 @@ from abelinv.cayley import (
     VARIANTS,
     _accumulate_leibniz,
     _column_classes,
+    _cross_parity,
     _dp_pairs,
     _lex_parities,
-    _prefix_parity,
     _relabeling,
     _shift_digits,
     _subset_dp,
@@ -50,6 +50,7 @@ from abelinv.cayley import (
     _table_shape,
     refuse_before_table,
 )
+from abelinv.cli import CONJECTURE_GRID
 
 C2 = parse_group("C2")
 C3 = parse_group("C3")
@@ -569,13 +570,16 @@ def test_leibniz_sign_pieces_match_permutation_sign():
         odd = [permutation_sign(p) == -1 for p in itertools.permutations(range(s))]
         assert _lex_parities(s) == odd, s
     for l in range(1, 8):
-        suffix_parity = {}  # each ordering of each column subset -> its lex-pattern parity
+        lex_parity = {}  # each ordering of each column subset -> its lex-pattern parity
         for s in range(l + 1):
             for cols in itertools.combinations(range(l), s):
-                suffix_parity.update(zip(itertools.permutations(cols), _lex_parities(s)))
+                lex_parity.update(zip(itertools.permutations(cols), _lex_parities(s)))
         for perm in itertools.permutations(range(l)):
-            for k in range(l + 1):  # prefix perm[:k], suffix perm[k:]
-                parity = _prefix_parity(perm[:k]) ^ suffix_parity[perm[k:]]
+            for k in range(l + 1):  # prefix perm[:k] on the columns A, suffix perm[k:] on B
+                head, rest = sorted(perm[:k]), sorted(perm[k:])
+                cross = sum(a > b for a in head for b in rest)
+                assert _cross_parity(head) == cross & 1, (head, rest)
+                parity = lex_parity[perm[:k]] ^ lex_parity[perm[k:]] ^ _cross_parity(head)
                 assert permutation_sign(perm) == (-1) ** parity, (perm, k)
 
 
@@ -663,6 +667,9 @@ def test_hall_support_matches_brute_force_and_closed_form():
     for spec in ("C6", "C3xC2", "C1xC4"):  # presentations the list above does not use
         g = parse_group(spec)
         assert hall_support(g, g.order) == _zero_sum_filter(g, g.order), spec
+    for n, l in CONJECTURE_GRID:  # the cells check conjecture compares with the toeplitz permanent
+        g = parse_group(f"C{n}")
+        assert hall_support(g, l) == _zero_sum_filter(g, l), (n, l)
     for spec in ("C10", "C12"):
         g = parse_group(spec)
         assert len(hall_support(g, g.order)) == sym_series(g, 0, g.order).coefficient(g.order)

@@ -278,8 +278,8 @@ def test_cayley_c2xc6_frontier(op):
 
 
 def test_cayley_support_frontier(capsys):
-    # C12 finishes within its budget (about 1.2 s as a subprocess on 2 vCPUs) and lists the
-    # paper's dim (S^n R)^G vectors; C14 is refused before any walk
+    # C12 finishes within its budget (about 1.1 s as a subprocess on 2 vCPUs, most of it printing) and
+    # lists the paper's dim (S^n R)^G vectors; C14 is refused before any join
     t0 = time.perf_counter()
     text = ok(["cayley", "support", "--group", "C12"])
     assert time.perf_counter() - t0 < 10.0
@@ -288,6 +288,20 @@ def test_cayley_support_frontier(capsys):
     assert invoke(["cayley", "support", "--group", "C14"]) == (3, "")
     assert time.perf_counter() - t0 < 1.0
     assert "refused: support enumeration" in capsys.readouterr().err
+
+
+def test_cayley_support_of_a_long_toeplitz_table(capsys):
+    # the join makes no pass over every (element, degree, count), so C2 runs to degree 3000 at once
+    t0 = time.perf_counter()
+    text = ok(["cayley", "support", "--group", "C2", "--variant", "toeplitz", "--l", "3000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert text.partition("\n")[0] == "degree 3000 count 1501"
+    # C1 has one vector at every degree, but the walk tries all degree + 1 counts of its element
+    t0 = time.perf_counter()
+    assert invoke(["cayley", "support", "--group", "C1", "--variant", "toeplitz",
+                   "--l", "100000000"]) == (3, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("refused: support enumeration: size 100000001 ")
 
 
 def test_cayley_factored_guard_refuses_quickly():
@@ -486,6 +500,14 @@ def test_check_single_conjecture_cell():
     assert ok(["check", "conjecture", "--n", "2", "--l", "9"]).startswith("PASS")
     code, _ = invoke(["check", "conjecture", "--n", "2"])
     assert code == 2  # needs both endpoints
+
+
+def test_check_single_conjecture_cell_refuses_before_the_table(capsys):
+    # building the 4000 x 4000 toeplitz table alone takes seconds; its guard is decided without it
+    t0 = time.perf_counter()
+    assert invoke(["check", "conjecture", "--n", "2", "--l", "4000"]) == (3, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("refused: subset DP states: size ")
 
 
 def test_check_conjecture_grid_halts_at_counterexample():

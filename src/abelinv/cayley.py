@@ -1,22 +1,27 @@
 """Symbolic Cayley tables and their permanents and determinants.
 
-Entries are variables x_k indexed by group element; the table variants are
+Entries are variables x_k indexed by group element; every table is the
+addition table read through a list of row elements and a list of column
+elements, entry x_(rows[i] + cols[j]).  The variants are
 
-    plain     n x n,  entry x_(g_i + g_j)      (symmetric)
-    hat       n x n,  entry x_(g_i - g_j)      (neutral diagonal)
+    plain     n x n,  rows and columns g_0..g_{n-1}     (symmetric)
+    hat       n x n,  columns -g_0..-g_{n-1}            (neutral diagonal)
     extended  (n+1)^2 over the list g_0..g_{n-1}, g_0 (neutral repeated)
     block2n   (2n)^2  over the doubled list g_0..g_{n-1}, g_0..g_{n-1}
-    toeplitz  l x l   entry x_((j-i) mod n), single-factor cyclic groups only
+    toeplitz  l x l   rows -i mod n, columns j mod n, so entry x_((j-i) mod n);
+                      single-factor cyclic groups only
 
 Permanents and determinants are computed by one dynamic program over column
-subsets.  When the grid carries the translation action of the group (plain,
-hat and n x n toeplitz tables in the canonical element order), translation
-permutes the columns and shifts the variables, the permanent is invariant
-and the determinant semi-invariant, so the program keeps one state per
-orbit of column sets under all |G| translations (C12 and C2xC6 in
-seconds); other tables keep one per set.  All it reads of that action is
-one record (_Symmetry: relabeled grid, per-element key operations and
-weights, orbit table, characters), cached per group, grid and signedness.
+subsets.  A square table whose two lists each list the group once is the
+plain table with its rows and columns permuted, so it has the plain
+table's permanent and its determinant up to the signs of the two lists.
+On the plain table translation permutes the columns and shifts the
+variables, the permanent is invariant and the determinant semi-invariant,
+so the program keeps one state per orbit of column sets under all |G|
+translations (C12 and C2xC6 in seconds); other tables keep one per class
+count.  All it reads of that action is one record (_Symmetry: relabeled
+grid, per-element key operations and weights, orbit table, characters),
+cached per group and signedness.
 A Leibniz expansion that counts each of the l! permutations on its own (met
 in the middle one column split at a time: every ordering of one half of the
 columns on the first rows against every ordering of the other half on the
@@ -27,7 +32,7 @@ two half tables of count vectors keyed by total and element sum; the determinant
 factors into character linear forms, whose product (the determinant's
 checker route) keeps one monomial per translation orbit, as each form is an
 eigenvector of the translation.  Every guard is decided from the group, the
-variant and the size before a table is built (refuse_before_table).
+variant and the size before a grid is built (refuse_before_table).
 Checkers for these facts live here.
 """
 
@@ -45,7 +50,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import GuardExceeded
 from .groups import Element, FiniteAbelianGroup, _permutation_sign, abelian_groups_up_to
-from .molien import sym_dim, sym_series
+from .molien import _power_binomial_coeffs, sym_dim, sym_series
 from .numtheory import prime_factorization
 from .polynom import IntPolynomial, apply_group_action, unpack_zeta_integers, zeta_packing
 from .report import CheckReport
@@ -60,7 +65,7 @@ DP_GUARD = 5 * 10**7
 # up to 1.6 times as fast reduced when warm, and within 1.3 times either way on a first call
 ORBIT_MIN_PAIRS = 2000
 FACTORED_GUARD = 10**6
-ENUM_GUARD = 10**7  # monomials hall_support may enumerate
+ENUM_GUARD = 2 * 10**7  # hall_support work units (see there)
 # sampled action check: n^2 addition-table cells plus n^2 star steps per sample, about 1-2 us
 # each on 2 vCPUs, so an admitted run takes about 1 s (C500 with one sample: 1.1 s)
 ACTION_GUARD = 5 * 10**5
@@ -72,15 +77,25 @@ EXTENDED_TABLES = (("per", "extended"), ("per", "block2n"))
 
 @dataclass(frozen=True)
 class CayleyMatrix:
-    """A table of variable indices over a fixed group."""
+    """A table of variable indices over a fixed group: entry (i, j) is the index of rows[i] + cols[j].
+
+    Every variant is the addition table read through its lists of row and
+    column elements; the grid is built from them when first read.
+    """
 
     group: FiniteAbelianGroup
     variant: str
-    grid: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+
+    @functools.cached_property
+    def grid(self) -> tuple[tuple[int, ...], ...]:
+        add = self.group.add_table
+        return tuple(tuple(map(add[a].__getitem__, self.cols)) for a in self.rows)
 
     @property
     def size(self) -> int:
-        return len(self.grid)
+        return len(self.rows)
 
     @property
     def nvars(self) -> int:
@@ -129,36 +144,43 @@ def build_table(
     size: int | None = None,
     element_order: Sequence[int] | None = None,
 ) -> CayleyMatrix:
-    """Build one of the table variants.
+    """Build one of the table variants from its row and column elements (_element_lists).
 
     size applies to toeplitz only (l >= n, default n).  element_order permutes
-    the element listing used for rows/columns (relabeling-invariance tests);
+    the element listing of the other variants (relabeling-invariance tests);
     entries always use canonical variable indices, so permanents are reorder
     invariant and determinants pick up the square of the row/column sign.
     """
     l = table_size(group, variant, size)
+    return CayleyMatrix(group, variant, *_element_lists(group, variant, l, element_order))
+
+
+def _element_lists(group: FiniteAbelianGroup, variant: str, l: int,
+                   element_order: Sequence[int] | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(rows, cols) of the variant's table of size l, as build_table checks and takes them.
+
+    The plain table lists the elements in index order on both sides, the hat
+    table negates its column elements, the extended table appends the
+    neutral element to both lists and block2n repeats both; the toeplitz
+    table has rows -i mod n and columns j mod n.
+    """
     n = group.order
+    if variant == "toeplitz":
+        if element_order is not None:
+            raise ValueError("toeplitz tables have a fixed index layout")
+        return tuple(-i % n for i in range(l)), tuple(j % n for j in range(l))
     listing = list(range(n))
     if element_order is not None:
-        if variant == "toeplitz":
-            raise ValueError("toeplitz tables have a fixed index layout")
         if sorted(element_order) != listing:
             raise ValueError("element_order must be a permutation of the element indices")
         listing = list(element_order)
-
-    if variant == "toeplitz":
-        grid = tuple(tuple((j - i) % n for j in range(l)) for i in range(l))
-        return CayleyMatrix(group, variant, grid)
-
     if variant == "extended":
         listing.append(0)
     elif variant == "block2n":
         listing += listing
     # entry a + b; the hat table's a - b is a plus the column's negative
     cols = [group.neg_table[b] for b in listing] if variant == "hat" else listing
-    add = group.add_table
-    grid = tuple(tuple(add[a][b] for b in cols) for a in listing)
-    return CayleyMatrix(group, variant, grid)
+    return tuple(listing), tuple(cols)
 
 
 def _lex_parities(s: int) -> list[int]:
@@ -241,16 +263,6 @@ def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     return IntPolynomial(nvars, terms)
 
 
-def _column_classes(matrix: CayleyMatrix) -> list[tuple[int, int]]:
-    """Classes of identical columns as (first column, size), in column order."""
-    first: dict[tuple[int, ...], int] = {}
-    sizes: dict[int, int] = {}
-    for j in range(matrix.size):
-        j0 = first.setdefault(tuple(row[j] for row in matrix.grid), j)
-        sizes[j0] = sizes.get(j0, 0) + 1
-    return list(sizes.items())
-
-
 def _basis(group: FiniteAbelianGroup) -> list[tuple[int, int]]:
     """(element, order) of a basis of the group, an element of maximal order first.
 
@@ -289,8 +301,6 @@ def _relabeling(group: FiniteAbelianGroup) -> tuple[list[int], int, tuple[tuple[
     every label mod n; a cyclic presentation has g = 1 and phi = id.
     """
     n = group.order
-    if group.is_cyclic_presentation:
-        return list(range(n)), 1 % n, ((1, n),)
     basis = _basis(group)
     axes = []
     t = n
@@ -343,16 +353,14 @@ def _shift_digits(keys: Iterable[int], masks: Sequence[tuple[int, int, int, int]
 
 
 class _Symmetry(NamedTuple):
-    """What the subset DP reads about the translation action of the group on a table.
+    """What the subset DP reads about the translation action of the group on its plain table.
 
     Labels are mixed radix over the basis of _relabeling: axis i has stride
     t_i and modulus m_i, and adding its basis element adds 1 to digit i of a
     label, mod m_i.  The first axis is an element g of maximal order e, with
-    stride s = n/e, so it adds s to the whole label mod n.  In grid, with
-    entry phi(grid[i][j]) in column phi(j), translating the columns by x
-    moves every entry by directions[i] * x_i along each axis: all +1 on a
-    plain table and on the n x n toeplitz table over C_n (phi = id), -1 on a
-    hat table (where m_i > 2).
+    stride s = n/e, so it adds s to the whole label mod n.  grid is the plain
+    table with entry phi(g_i + g_j) in row i and column phi(j); phi adds
+    digit by digit, so translating the columns by x moves every entry by x.
 
     Keys pack exponent vectors over the labels base B, and weights[x][v] is
     the packed x_v translated by the element with label x.  On a key that
@@ -383,7 +391,6 @@ class _Symmetry(NamedTuple):
     phi: list[int]
     grid: list[list[int]]
     axes: tuple[tuple[int, int], ...]  # (stride, modulus), the first (s, e)
-    directions: tuple[int, ...]
     base: int
     modulus: int
     weights: list[list[int]]
@@ -396,44 +403,29 @@ class _Symmetry(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _symmetry(group: FiniteAbelianGroup, grid: tuple[tuple[int, ...], ...], signed: bool) -> _Symmetry | None:
-    """The _Symmetry of a square table with distinct columns, or None if its grid shows none.
+def _symmetry(group: FiniteAbelianGroup, signed: bool) -> _Symmetry:
+    """The _Symmetry of the plain table of a group of order 2 or more, one per signedness.
 
-    The relabeled grid is checked to read grid[i][T(j)] = T^(+-1)(grid[i][j])
-    for each basis step T, whatever the variant, so a table in another
-    element order gets None, as do extended, block2n and stretched toeplitz
-    tables.
+    Every square table whose row and column elements each list the group
+    once is the plain table with its rows and columns permuted (see
+    _plain_sign), so plain, hat, n x n toeplitz and reordered tables all
+    run on this one record.
     """
     n = group.order
-    if len(grid) != n or n < 2 or len(set(zip(*grid))) < n:
-        return None
     phi, _, axes = _relabeling(group)
-    relabeled = []
-    for row in grid:
+    grid = []
+    for row in group.add_table:
         new = [0] * n
         for j, v in enumerate(row):
             new[phi[j]] = phi[v]
-        relabeled.append(new)
-    directions = []
-    for i in range(len(axes)):
-        unit = [int(i == j) for j in range(len(axes))]
-        step = _shifted(axes, unit)
-        for direction in (1, -1):
-            moved = _shifted(axes, [direction * u for u in unit])
-            if all(list(map(row.__getitem__, step)) == list(map(moved.__getitem__, row))
-                   for row in relabeled):
-                directions.append(direction)
-                break
-        else:
-            return None
+        grid.append(new)
     base = 1 << n.bit_length() if len(axes) > 1 else n + 1
     width = base.bit_length() - 1
     modulus = base**n - 1
     s, e = axes[0]
-    perms = [_shifted(axes, [d * (x // t % m) % m for d, (t, m) in zip(directions, axes)]) for x in range(n)]
-    mults = [base ** (directions[0] * c % e * s) for c in range(e)]
-    shifts = [tuple(_digit_shift(axes, i, d * (r // t % m) % m, width)
-                    for i, (d, (t, m)) in enumerate(zip(directions, axes)) if r // t % m)
+    perms = [_shifted(axes, [x // t % m for t, m in axes]) for x in range(n)]
+    mults = [base ** (c * s) for c in range(e)]
+    shifts = [tuple(_digit_shift(axes, i, r // t % m, width) for i, (t, m) in enumerate(axes) if r // t % m)
               for r in range(s)]  # label x = (x // s) * s + x % s
 
     def images(key: int) -> list[int]:
@@ -478,21 +470,13 @@ def _symmetry(group: FiniteAbelianGroup, grid: tuple[tuple[int, ...], ...], sign
                 orbit[mask] = (rep, neg[x], sign)
 
     return _Symmetry(
-        phi, relabeled, axes, tuple(directions), base, modulus, [[base**p for p in perm] for perm in perms],
+        phi, grid, axes, base, modulus, [[base**p for p in perm] for perm in perms],
         [(mult, masks) for mult in mults for masks in shifts], orbit,
         [_permutation_sign(perm) for perm in perms] if signed else [1] * n,
         # the exponent of x_a in sigma_x(K) is the digit of K at label sigma_(-x)(phi(a))
         [operator.itemgetter(*[perms[neg[x]][p] for p in phi]) for x in range(n)],
         images, _permutation_sign(phi) if signed else 1,
     )
-
-
-def _binomials(c: int) -> list[int]:
-    """C(c, j) for j = 0..c, a row at a time (math.comb per entry is several times slower)."""
-    row = [1]
-    for j in range(c):
-        row.append(row[-1] * (c - j) // (j + 1))
-    return row
 
 
 def _dp_pairs(l: int, sizes: Sequence[int], v: int, profile: dict[int, int] | None) -> int:
@@ -513,12 +497,12 @@ def _dp_pairs(l: int, sizes: Sequence[int], v: int, profile: dict[int, int] | No
     if profile is not None:
         states = [0] * (l + 1)
         for o, count in profile.items():
-            for j, c in enumerate(_binomials(l // o)):
+            for j, c in enumerate(_power_binomial_coeffs(1, l // o, 1)):
                 states[j * o] += count * c
         order = sum(profile.values())
         states = [x // order for x in states]
     else:
-        states = _binomials(sizes.count(1))
+        states = _power_binomial_coeffs(1, sizes.count(1), 1)
         for m in sizes:
             if m > 1:  # states[k] becomes the sum of states[k-m..k]
                 sums = list(itertools.accumulate([0] * m + states + [0] * m, initial=0))
@@ -530,46 +514,40 @@ def _dp_pairs(l: int, sizes: Sequence[int], v: int, profile: dict[int, int] | No
     return pairs
 
 
-def _dp_guard(group: FiniteAbelianGroup, l: int, sizes: Sequence[int],
-              symmetry: Callable[[], _Symmetry | bool | None]) -> _Symmetry | None:
-    """The subset DP's guard on an l x l table with these column-class sizes.
+def _cell_guard(l: int) -> None:
+    """The subset DP's first guard, on the l^2 cells of its table, decided from l before any list is made."""
+    if l * l > DP_GUARD:
+        raise GuardExceeded("subset DP table cells", l * l, DP_GUARD)
 
-    Above ORBIT_MIN_PAIRS unreduced pairs, a table of n distinct columns
-    counts orbit states if symmetry() is true; symmetry() is not asked (no
-    record is built) when that count alone refuses the table.  Returns the
-    symmetry if the table is reduced, else None.
+
+def _plain_sign(matrix: CayleyMatrix) -> int:
+    """sign(rows) * sign(cols) when the row and the column elements each list the group once, else 0.
+
+    Such a table is the plain table with its rows and columns permuted, so it
+    has the plain table's permanent, and its determinant times this sign.
     """
-    n = group.order
-    estimate = _dp_pairs(l, sizes, n, None)
-    reduced = None
-    if estimate > ORBIT_MIN_PAIRS and l == len(sizes) == n:
-        orbits = _dp_pairs(l, sizes, n, group.order_profile())
-        if orbits > DP_GUARD or (reduced := symmetry()):
-            estimate = orbits
+    listing = list(range(matrix.group.order))
+    if sorted(matrix.rows) != listing or sorted(matrix.cols) != listing:
+        return 0
+    return _permutation_sign(matrix.rows) * _permutation_sign(matrix.cols)
+
+
+def _dp_guard(matrix: CayleyMatrix, sizes: Sequence[int]) -> int:
+    """The subset DP's guard on a table with these column-class sizes, after _cell_guard.
+
+    Above ORBIT_MIN_PAIRS unreduced pairs, a table of order 2 or more that
+    is the plain table permuted (_plain_sign) counts the orbit states of the
+    plain table's record.  Returns that sign if the table is reduced, else 0.
+    """
+    group, l = matrix.group, matrix.size
+    estimate = _dp_pairs(l, sizes, group.order, None)
+    sign = 0
+    # C1 has no record: its key modulus B^n - 1 would be 1
+    if estimate > ORBIT_MIN_PAIRS and l > 1 and (sign := _plain_sign(matrix)):
+        estimate = _dp_pairs(l, sizes, group.order, group.order_profile())
     if estimate > DP_GUARD:
         raise GuardExceeded("subset DP states", estimate, DP_GUARD)
-    return reduced or None
-
-
-def _table_shape(group: FiniteAbelianGroup, variant: str, size: int | None) -> tuple[int, list[int]]:
-    """(size, column-class sizes) of build_table(group, variant, size), unbuilt.
-
-    Extended tables repeat the column of g_0, block2n tables every column,
-    and toeplitz columns j and j' agree exactly when j = j' mod n.  Every
-    variant's grid holds all n variables, and each one with n distinct
-    columns (plain, hat, n x n toeplitz) shows the translation (_symmetry).
-    """
-    n = group.order
-    l = table_size(group, variant, size)
-    if variant == "extended":
-        sizes = [2] + [1] * (n - 1)
-    elif variant == "block2n":
-        sizes = [2] * n
-    elif variant == "toeplitz":
-        sizes = [len(range(c, l, n)) for c in range(n)]
-    else:
-        sizes = [1] * n
-    return l, sizes
+    return sign
 
 
 def refuse_before_table(
@@ -580,19 +558,29 @@ def refuse_before_table(
     algorithm: str = "auto",
 ) -> None:
     """Raise GuardExceeded if the permanent (op "per") or determinant ("det") of
-    build_table(group, variant, size) would be refused, without building the table.
+    build_table(group, variant, size) would be refused, without building its grid.
 
-    Leibniz needs only the size, factored only the order, and the subset DP
-    (_dp_guard) the shape _table_shape reads off the variant.
+    Leibniz needs only the size, and the subset DP counts the table's cells
+    from the size too.  Then the table's element lists are made and read as
+    the kernels read them: repeated columns make the determinant 0, the
+    factored route counts by the order, and the DP (_dp_guard) by its
+    column classes.
     """
-    l, sizes = _table_shape(group, variant, size)
+    l = table_size(group, variant, size)
     if algorithm == "leibniz":
         _leibniz_guard(l)
-    elif algorithm == "factored":
-        if op == "det" and variant in ("plain", "hat"):
+        return
+    if algorithm == "auto":
+        _cell_guard(l)
+    matrix = CayleyMatrix(group, variant, *_element_lists(group, variant, l))
+    classes = Counter(matrix.cols)
+    if op == "det" and len(classes) < l:
+        return
+    if algorithm == "factored":
+        if op == "det":
             _factored_guard(group.order)
-    elif algorithm == "auto" and (op == "per" or len(sizes) == l):  # else the determinant is 0
-        _dp_guard(group, l, sizes, lambda: True)  # n distinct columns: translated (_table_shape)
+    elif algorithm == "auto":
+        _dp_guard(matrix, list(classes.values()))
 
 
 def _next_layer(
@@ -686,23 +674,26 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
 
     Rows are placed in order.  After row i the state maps the set of columns
     taken so far to the sum of the monomials of those partial placements.
-    Identical columns are interchangeable, so a state only counts the columns
-    taken from each class of identical columns (packed mixed radix; when all
-    columns differ it is the bitmask of the columns taken), the permanent
-    gains the factor prod m_c! at the end, and the determinant is zero.
-    Exponent vectors are packed base B = l+1 (a power of two above l on
-    a reduced non-cyclic table, see _Symmetry) into one int (Kronecker
+    Two columns agree exactly when their elements do, so the classes of
+    identical columns are read off the column elements, and row r holds the
+    entry r + a in each class a.  Identical columns are interchangeable, so
+    a state only counts the columns taken from each class (packed mixed
+    radix; when all columns differ it is the bitmask of the columns taken),
+    the permanent gains the factor prod m_c! at the end, and the determinant
+    is zero.  Exponent vectors are packed base B = l+1 (a power of two above
+    l on a reduced non-cyclic table, see _Symmetry) into one int (Kronecker
     substitution: no exponent exceeds l, so digits never carry), so
     multiplying by x_k adds B^k.  Placing row i in column j passes the taken
     columns to its right, popcount(mask >> (j+1)) inversions, which gives the
     sign.  This is the subset form of Ryser's inclusion-exclusion (Nijenhuis
     & Wilf 1978).
 
-    A table with a translation symmetry (a _Symmetry record, which says how
-    sigma_x acts on packed keys) and more than ORBIT_MIN_PAIRS unreduced
-    pairs keeps one state per orbit of column masks under every translation
-    of the group: its partial sums obey P_(T_x S) = sign(T_x, S)
-    sigma_x(P_S), where sigma_x moves every variable label by x (or -x) and
+    A table that is the plain table with its rows and columns permuted
+    (_plain_sign) and has more than ORBIT_MIN_PAIRS unreduced pairs runs on
+    the plain table's _Symmetry record, which says how sigma_x acts on
+    packed keys, and keeps one state per orbit of column masks under every
+    translation of the group: its partial sums obey P_(T_x S) = sign(T_x, S)
+    sigma_x(P_S), where sigma_x moves every variable label by x and
     sign(T_x, S) is -1 to the number of pairs of S that T_x reverses; a key
     is never B^n - 1.  A representative R stores
     W_R, the sum of the P_S of its orbit, each translated back to R
@@ -714,41 +705,46 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     ((-1)^((n/o)(o-1)) for an element of order o), is the result whichever
     translation each state was kept under (an exact division); unpacking
     maps the labels back through phi, and the determinant picks up the sign
-    of the column relabeling.
+    of the column relabeling and the table's own _plain_sign.
     """
-    l = matrix.size
-    nvars = matrix.nvars
-    classes = _column_classes(matrix)
+    l, nvars, group = matrix.size, matrix.nvars, matrix.group
+    _cell_guard(l)
+    classes = Counter(matrix.cols)  # column element -> columns, in column order
     if signed and len(classes) < l:
         return IntPolynomial.zero(nvars)
-    group = matrix.group
-    sym = _dp_guard(group, l, [m for _, m in classes], lambda: _symmetry(group, matrix.grid, signed))
-    radix = [1]
-    for _, m in classes:
-        radix.append(radix[-1] * (m + 1))
+    sizes = list(classes.values())
+    sign = _dp_guard(matrix, sizes)
+    sym = _symmetry(group, signed) if sign else None
     base = l + 1 if sym is None else sym.base
     powers = [base**i for i in range(nvars)]
     if sym is None:
-        grid, weights, orbit, ops, modulus = matrix.grid, [powers], None, [], 0
+        add = group.add_table
+        rows = [[add[r][a] for a in classes] for r in matrix.rows]
+        weights, orbit, ops, modulus = [powers], None, [], 0
     else:
-        grid, weights, orbit, ops, modulus = sym.grid, sym.weights, sym.orbit, sym.ops, sym.modulus
+        rows, sizes = sym.grid, [1] * l
+        weights, orbit, ops, modulus = sym.weights, sym.orbit, sym.ops, sym.modulus
+    radix = [1]
+    for m in sizes:
+        radix.append(radix[-1] * (m + 1))
     layer: dict[int, dict[int, int]] = {0: {0: 1}}
-    for row in grid:
-        steps = [(c, radix[c], m + 1, row[j]) for c, (j, m) in enumerate(classes)]
+    for row in rows:
+        steps = [(c, radix[c], m + 1, v) for c, (m, v) in enumerate(zip(sizes, row))]
         layer = _next_layer(layer, steps, signed, weights, orbit, ops, modulus)
-    ways = math.prod(math.factorial(m) for _, m in classes)
     final = layer[radix[-1] - 1]
     if sym is None:
+        ways = math.prod(map(math.factorial, sizes))
         terms = {tuple([packed // p % base for p in powers]): coeff * ways
                  for packed, coeff in final.items()}
         return IntPolynomial(nvars, terms)
     # every translation fixes the full mask: unpack the mean key orbit by key
     # orbit, translating the digits of one key and mapping labels back
+    sign = sign * sym.sign if signed else 1
     terms = {}
     for key, c in _orbit_means(final, sym.images, sym.chis).items():
         digits = [key // p % base for p in powers]
         for exponent, chi in zip(sym.exponents, sym.chis):
-            terms[exponent(digits)] = chi * sym.sign * c
+            terms[exponent(digits)] = chi * sign * c
     return IntPolynomial(nvars, terms)
 
 
@@ -775,8 +771,10 @@ def _det_factored(matrix: CayleyMatrix) -> IntPolynomial:
     """Determinant via the character factorization, on packed ints, one key per translation orbit.
 
     det(plain) = sign(inversion permutation) * prod_chi v_chi with the linear
-    forms v_chi = sum_i chi(g_i) x_i; the hat table is the plain one with
-    columns permuted by the inversion, so its determinant is prod_chi v_chi.
+    forms v_chi = sum_i chi(g_i) x_i; a table whose row and column elements
+    each list the group once is the plain one permuted, and its determinant
+    takes _plain_sign too (the hat and n x n toeplitz tables: prod_chi
+    v_chi), while a table with repeated columns has determinant 0.
     A coefficient is a sum of at most n! roots of unity, kept as one int
     under zeta_e -> 2^B (zeta_packing has the bound): chi(g_i) = zeta^t is a
     shift by t*B, each layer is reduced mod Phi_e(2^B), and a balanced
@@ -801,9 +799,12 @@ def _det_factored(matrix: CayleyMatrix) -> IntPolynomial:
     forms has C(k+n-1, n-1) terms), an upper bound on the work done here.
     """
     group = matrix.group
-    if matrix.variant not in ("plain", "hat"):
-        raise ValueError("factored determinant applies to plain and hat tables only")
     n = group.order
+    if len(set(matrix.cols)) < matrix.size:  # repeated columns
+        return IntPolynomial.zero(n)
+    sign = _plain_sign(matrix) * group.inversion_sign()
+    if not sign:
+        raise ValueError("factored determinant needs row and column elements that each list the group once")
     _factored_guard(n)
     e = group.exponent
     s = n // e
@@ -845,7 +846,6 @@ def _det_factored(matrix: CayleyMatrix) -> IntPolynomial:
             if o * total % e == 0 and (v := v * (e // o) % modulus):
                 prod[m] = v
         sizes = new_sizes
-    sign = group.inversion_sign() if matrix.variant == "plain" else 1
     # coef(sigma^t m) = zeta^(t C) coef(m): each twist is unpacked, in one batch, for the
     # representatives whose orbits reach it, so every value passes the integrality test
     twists = [t * total % e for t in range(e)]
@@ -870,17 +870,15 @@ def determinant(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
     """Determinant as an integer polynomial; algorithm in {auto, leibniz, factored}.
 
     auto is the signed subset DP, which returns zero on the repeated columns
-    of extended and block2n tables; factored short-circuits those to zero
-    too, and an explicit leibniz run (l <= 10) sums all l! signed terms, so
-    it computes the cancellation honestly.
+    of extended, block2n and stretched toeplitz tables; factored
+    short-circuits those to zero too, and an explicit leibniz run (l <= 10)
+    sums all l! signed terms, so it computes the cancellation honestly.
     """
     if algorithm == "auto":
         return _subset_dp(matrix, signed=True)
     if algorithm == "leibniz":
         return _accumulate_leibniz(matrix, signed=True)
     if algorithm == "factored":
-        if matrix.variant in ("extended", "block2n"):
-            return IntPolynomial.zero(matrix.nvars)
         return _det_factored(matrix)
     raise ValueError(f"unknown determinant algorithm {algorithm!r}")
 
@@ -911,18 +909,23 @@ def hall_support(group: FiniteAbelianGroup, degree: int) -> set[tuple[int, ...]]
     zero.  Every vector is listed once, so the work is the two tables, the
     leaves and the output.  Heads are taken by increasing total, and the
     tails of a total no later head can complete are dropped as they go.
-    The guard counts the degree-n vectors, and at least the degree + 1
-    counts the walk tries for one element (n = 1).
+    The guard counts the work in units of about 0.06 us (2 vCPUs): one per
+    degree-d vector, which bound the output, and 16 (about 1 us) per
+    (d+1)-long table list of a tabled element, per tabled tuple and per
+    head-walk step, all in closed form (a table over k elements holds
+    C(d+k+1, k) - 1 tuples, and the walk takes at most C(d+m, m) steps).
     """
     if degree < 0:
         raise ValueError(f"hall_support: need degree >= 0, got {degree}")
     n = group.order
-    size = max(math.comb(degree + n - 1, n - 1), degree + 1)
+    m = (n + 1) // 2
+    tabled = ((n - 1) * (degree + 1) + math.comb(degree + n - m + 1, n - m) + math.comb(degree + m, m - 1) - 2
+              + math.comb(degree + m, m))
+    size = math.comb(degree + n - 1, n - 1) + 16 * tabled
     if size > ENUM_GUARD:
         raise GuardExceeded("support enumeration", size, ENUM_GUARD)
     add = group.add_table
     neg = group.neg_table
-    m = (n + 1) // 2
     # the tails first, so the heads reuse the tuples its inner layers freed (C10 peak -4%)
     tails = _count_table(add, range(m, n), degree)
     heads = _count_table(add, range(m - 1), degree)

@@ -16,7 +16,7 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import IO, Callable, Iterable, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from . import cayley, molien
 from .errors import GuardExceeded
@@ -312,8 +312,8 @@ def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
     if not args.json:  # a C12 polynomial has 10^5 terms: render only the form printed
         print(poly, file=out)
         return 0
-    payload = {**matrix.to_json_obj(), "operation": operation, "terms": poly.to_json_obj()}
-    del payload["grid"]
+    payload = {"group": group.spec_string, "variant": matrix.variant, "size": matrix.size,
+               "operation": operation, "terms": poly.to_json_obj()}  # the grid is not built
     _emit(out, args, "", payload)
     return 0
 
@@ -386,6 +386,23 @@ _HANDLERS = {"dim": _cmd_dim, "series": _cmd_series, "cayley": _cmd_cayley, "che
              "oracle": _cmd_oracle}
 
 
+@contextlib.contextmanager
+def _exact_integers() -> Iterator[None]:
+    """Lift CPython's limit on the digits str() gives an int (3.11 on), for one command and no longer.
+
+    Every printed integer, human or JSON, goes through str(), so each is exact.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def run(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     """Parse and execute; returns the process exit code.
 
@@ -402,7 +419,8 @@ def run(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
         return int(ex.code) if ex.code else 0
     try:
         _read_options(args)
-        return _HANDLERS[args.command](args, out)
+        with _exact_integers():
+            return _HANDLERS[args.command](args, out)
     except GuardExceeded as ex:
         print(f"refused: {ex}", file=sys.stderr)
         return 3

@@ -96,18 +96,22 @@ class FiniteAbelianGroup:
 
     @cached_property
     def add_table(self) -> tuple[tuple[int, ...], ...]:
-        """add_table[a][b]: index of g_a + g_b (the plain Cayley table)."""
-        cells = tuple(zip(self.factors, self._strides))
-        els = self._elements
-        return tuple(
-            tuple(sum((x + y) % n * s for x, y, (n, s) in zip(a, b, cells)) for b in els)
-            for a in els
-        )
+        """add_table[a][b]: index of g_a + g_b (the plain Cayley table).
+
+        Built one factor at a time: appending C_n as the least significant
+        digit sends the table T to T[a][b] * n + (x + y) mod n.
+        """
+        rows: list[tuple[int, ...]] = [(0,)]
+        for n in self.factors:
+            shifts = [tuple(range(x, n)) + tuple(range(x)) for x in range(n)]  # (x + y) mod n
+            rows = [tuple([t * n + c for t in row for c in shift]) for row in rows for shift in shifts]
+        return tuple(rows)
 
     @cached_property
     def neg_table(self) -> tuple[int, ...]:
-        """neg_table[a]: index of -g_a."""
-        return tuple(row.index(0) for row in self.add_table)
+        """neg_table[a]: index of -g_a, from the residues (add_table is not built)."""
+        cells = tuple(zip(self.factors, self._strides))
+        return tuple(sum(-x % n * s for x, (n, s) in zip(a, cells)) for a in self._elements)
 
     def index(self, a: Element) -> int:
         self._validate(a)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -39,15 +40,15 @@ from abelinv.cayley import (
     LEIBNIZ_GUARD,
     VARIANTS,
     _accumulate_leibniz,
-    _column_classes,
     _cross_parity,
+    _dp_guard,
     _dp_pairs,
     _lex_parities,
+    _plain_sign,
     _relabeling,
     _shift_digits,
     _subset_dp,
     _symmetry,
-    _table_shape,
     refuse_before_table,
 )
 from abelinv.cli import CONJECTURE_GRID
@@ -169,14 +170,16 @@ def test_permanent_algorithms_agree():
 
 
 def test_permanent_hat_equals_plain():
+    # from order 6 on the hat table runs on the plain table's orbit record, so Leibniz is the reference
     for g in (C2, C3, C4, V4, parse_group("C5"), parse_group("C2xC3")):
-        assert permanent(build_table(g, "hat")) == permanent(build_table(g, "plain"))
+        assert permanent(build_table(g, "hat")) == permanent(build_table(g, "plain"), "leibniz")
 
 
 def test_permanent_invariant_under_relabeling():
+    # reordered tables of order 6 and more take the orbit path, against Leibniz on the plain table
     rng = random.Random(7)
-    for g in (C3, C4, V4):
-        base = permanent(build_table(g, "plain"))
+    for g in (C3, C4, V4, parse_group("C6"), parse_group("C2xC3")):
+        base = permanent(build_table(g, "plain"), "leibniz")
         order = list(range(g.order))
         for _ in range(3):
             rng.shuffle(order)
@@ -212,22 +215,26 @@ def test_permanent_guards_and_algorithm_dispatch():
         permanent(build_table(C2, "plain"), "newton")
 
 
+def grid_classes(table):
+    """Sizes of the classes of identical columns, read off the grid column by column."""
+    return sorted(Counter(zip(*table.grid)).values())
+
+
 def table_estimate(table, translated):
     """_dp_pairs of a table's size, column classes and variables, counting orbits when translated."""
     v = len({k for row in table.grid for k in row})
-    return _dp_pairs(table.size, [m for _, m in _column_classes(table)], v,
-                     table.group.order_profile() if translated else None)
+    return _dp_pairs(table.size, grid_classes(table), v, table.group.order_profile() if translated else None)
 
 
 def test_subset_dp_guard_bounds_states():
     # the estimate is sum_k states_k * C(k + v - 1, v - 1): states_k is the number of
     # orbits of k-subsets under every translation of the group (Burnside), else C(l, k)
     plain12 = build_table(parse_group("C12"), "plain")
-    assert _symmetry(plain12.group, plain12.grid, False) is not None
+    assert _plain_sign(plain12) != 0
     assert table_estimate(plain12, True) == 14059916 <= DP_GUARD
     assert table_estimate(plain12, False) == 148321344  # one state per subset
     c2c6 = build_table(parse_group("C2xC6"), "hat")
-    assert _symmetry(c2c6.group, c2c6.grid, False) is not None
+    assert _plain_sign(c2c6) != 0
     # 12-fold, as C12: 26690806 under the 6-fold rotations of an element of maximal order
     assert table_estimate(c2c6, True) == 14616108 <= DP_GUARD
     plain13 = build_table(parse_group("C13"), "plain")
@@ -237,7 +244,7 @@ def test_subset_dp_guard_bounds_states():
     assert (info.value.size, info.value.limit) == (68705262, DP_GUARD)
     with pytest.raises(GuardExceeded):
         permanent(plain13)
-    # refused whatever its grid shows, so no record is built: it would hold 2^24 column sets
+    # refused by its orbit count, so no record is built: it would hold 2^24 column sets
     with pytest.raises(GuardExceeded):
         determinant(build_table(parse_group("C6xC4"), "plain"))
     assert time.perf_counter() - t0 < 1.0
@@ -248,7 +255,8 @@ def test_subset_dp_guard_bounds_states():
 
 
 def test_guards_decided_before_the_table_match_the_kernels():
-    # refuse_before_table reads the shape off the variant; the kernels read it off the grid
+    # the kernels read the column classes off the column elements and the reduction off the two
+    # element lists; the grid, read column by column, must show the same classes
     for group in abelian_groups_up_to(13):
         n = group.order
         for variant in VARIANTS:
@@ -256,16 +264,15 @@ def test_guards_decided_before_the_table_match_the_kernels():
                 continue
             for size in [None] + ([n + 1, 2 * n + 1] if variant == "toeplitz" else []):
                 table = build_table(group, variant, size=size)
-                classes = _column_classes(table)
-                l, sizes = _table_shape(group, variant, size)
-                tr = _symmetry(group, table.grid, False)
+                sizes = list(Counter(table.cols).values())
                 label = (group.spec_string, variant, size)
-                assert (l, sorted(sizes)) == (table.size, sorted(m for _, m in classes)), label
-                # refuse_before_table takes every table of n distinct columns to be translated
-                assert (l == len(sizes) == n >= 2) == (tr is not None), label
-                assert _dp_pairs(l, sizes, n, None) == table_estimate(table, False), label
-                if tr is not None:
-                    assert _dp_pairs(l, sizes, n, group.order_profile()) == table_estimate(table, True), label
+                assert sorted(sizes) == grid_classes(table), label
+                # the plain table permuted: plain, hat and the n x n toeplitz table
+                translated = _plain_sign(table) != 0
+                assert translated == (table.size == n and variant in ("plain", "hat", "toeplitz")), label
+                assert _dp_pairs(table.size, sizes, n, None) == table_estimate(table, False), label
+                if translated:
+                    assert _dp_pairs(n, sizes, n, group.order_profile()) == table_estimate(table, True), label
     for spec, variant, op, algorithm in [("C13", "plain", "per", "auto"), ("C2xC2xC2", "block2n", "per", "auto"),
                                          ("C11", "hat", "det", "factored"), ("C11", "plain", "det", "leibniz")]:
         group = parse_group(spec)
@@ -289,81 +296,113 @@ def test_guards_decided_before_the_table_match_the_kernels():
                     refuse_before_table(group, op)
 
 
+def test_cell_guard_refuses_long_tables_before_their_lists():
+    # the l^2 cells are counted from l alone: C1 admits l = 7071 and refuses 7072 on, before any
+    # element list is made or the class-count estimate is summed
+    c1 = parse_group("C1")
+    assert 7071**2 <= DP_GUARD < 7072**2
+    assert permanent(build_table(c1, "toeplitz", size=7071)).coefficient([7071]) == math.factorial(7071)
+    for l in (7072, 10**4, 4 * 10**7):
+        t0 = time.perf_counter()
+        for op in ("per", "det"):
+            with pytest.raises(GuardExceeded) as info:
+                refuse_before_table(c1, op, "toeplitz", l)
+            assert (info.value.what, info.value.size) == ("subset DP table cells", l * l)
+        assert time.perf_counter() - t0 < 1.0, l
+    with pytest.raises(GuardExceeded):
+        determinant(build_table(c1, "toeplitz", size=10**4))
+    # the largest tables the tests and the benchmark take stay admitted
+    refuse_before_table(C3, "per", "toeplitz", 16)
+    refuse_before_table(C2, "per", "toeplitz", 11)
+
+
 def test_translation_found_on_the_grid():
-    # plain and hat tables carry it in the basis relabeling (entries move with the columns,
-    # or against them), the n x n toeplitz table over C_n with phi = id; the axes are an
-    # element of maximal order (stride n/e) and a complement; other shapes and orders do not
-    c2c6 = parse_group("C2xC6")
-    for variant, directions in (("plain", (1, 1)), ("hat", (-1, 1))):  # -1 = +1 mod 2
-        table = build_table(c2c6, variant)
-        tr = _symmetry(table.group, table.grid, False)
-        assert (tr.axes, tr.directions) == (((2, 6), (1, 2)), directions)
-        assert tr.phi == [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11]
-    for spec, axes in (("C2xC2xC2", ((4, 2), (2, 2), (1, 2))), ("C3xC3", ((3, 3), (1, 3))),
-                       ("C2xC3", ((1, 6),)), ("C2xC2xC3", ((2, 6), (1, 2)))):
-        table = build_table(parse_group(spec), "plain")
-        tr = _symmetry(table.group, table.grid, False)
-        assert (tr.axes, tr.directions) == (axes, (1,) * len(axes)), spec
-        assert sorted(tr.phi) == list(range(table.size)), spec
+    # the record relabels the plain table over a basis: an element of maximal order (stride
+    # n/e) and a complement; every other table that lists the group on both sides shares it
+    c2c6 = _symmetry(parse_group("C2xC6"), False)
+    assert c2c6.phi == [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11]
+    for spec, axes in (("C2xC6", ((2, 6), (1, 2))), ("C2xC2xC2", ((4, 2), (2, 2), (1, 2))),
+                       ("C3xC3", ((3, 3), (1, 3))), ("C2xC3", ((1, 6),)), ("C2xC2xC3", ((2, 6), (1, 2))),
+                       ("C5", ((1, 5),))):
+        n = parse_group(spec).order
+        tr = _symmetry(parse_group(spec), False)
+        assert tr.axes == axes and sorted(tr.phi) == list(range(n)), spec
+
+        def plus(a, b):
+            return sum((a // t + b // t) % m * t for t, m in axes)
+
+        # phi adds digit by digit, so translating the columns by x moves every entry by x
+        assert all(row[plus(j, x)] == plus(v, x) for row in tr.grid for j, v in enumerate(row)
+                   for x in range(n)), spec
     # order 24 is beyond every table the DP runs, so its record (2^24 column sets) is not built
     phi, _, axes = _relabeling(parse_group("C6xC4"))
     assert axes == ((2, 12), (1, 2)) and sorted(phi) == list(range(24))
-    toeplitz = build_table(parse_group("C5"), "toeplitz")
-    tr = _symmetry(toeplitz.group, toeplitz.grid, False)
-    assert (tr.phi, tr.axes, tr.directions) == ([0, 1, 2, 3, 4], ((1, 5),), (1,))
-    for table in (build_table(C4, "extended"), build_table(C4, "block2n"),
-                  build_table(C3, "toeplitz", size=4), build_table(C4, "plain", element_order=[0, 2, 1, 3])):
-        assert _symmetry(table.group, table.grid, False) is None, table.variant
+    # cyclic presentations get g = 1 and phi = id from the basis itself
+    for spec in ("C1", "C2", "C5", "C12"):
+        n = parse_group(spec).order
+        assert _relabeling(parse_group(spec))[:2] == (list(range(n)), 1 % n), spec
+    for variant, element_order in (("toeplitz", None), ("hat", None), ("plain", [0, 2, 1, 3])):
+        assert _plain_sign(build_table(C4, variant, element_order=element_order)) != 0, variant
+    for table in (build_table(C4, "extended"), build_table(C4, "block2n"), build_table(C3, "toeplitz", size=4)):
+        assert _plain_sign(table) == 0, table.variant
 
 
 def test_key_translations_agree():
     # a packed key is translated in two places, by images for the orbit means and by the
     # per-label op in the DP's pushes; both must give the key of the monomial moved by the
-    # translation: x_b -> x_(b + a) on a plain table, x_(b - a) on a hat table, a = phi^-1(x)
+    # translation x_b -> x_(b + a), a = phi^-1(x)
     rng = random.Random(13)
     for group in abelian_groups_up_to(12)[1:] + [parse_group("C2xC2xC3")]:
-        n, add, neg = group.order, group.add_table, group.neg_table
-        for variant in ("plain", "hat"):
-            sym = _symmetry(group, build_table(group, variant).grid, False)
-            phi, base = sym.phi, sym.base
-            for _ in range(3):
-                exps = [0] * n
-                for b in rng.choices(range(n), k=rng.randint(0, n)):
-                    exps[b] += 1
-                key = sum(e * base ** phi[b] for b, e in enumerate(exps))
-                images = sym.images(key)
-                for a in range(n):
-                    moved = [add[b][a if variant == "plain" else neg[a]] for b in range(n)]
-                    want = sum(e * base ** phi[moved[b]] for b, e in enumerate(exps))
-                    mult, masks = sym.ops[phi[a]]
-                    by_op = list(_shift_digits([key], masks))[0] * mult % sym.modulus
-                    assert images[phi[a]] == by_op == want, (group.spec_string, variant, exps, a)
+        n, add = group.order, group.add_table
+        sym = _symmetry(group, False)
+        phi, base = sym.phi, sym.base
+        for _ in range(6):
+            exps = [0] * n
+            for b in rng.choices(range(n), k=rng.randint(0, n)):
+                exps[b] += 1
+            key = sum(e * base ** phi[b] for b, e in enumerate(exps))
+            images = sym.images(key)
+            for a in range(n):
+                want = sum(e * base ** phi[add[b][a]] for b, e in enumerate(exps))
+                mult, masks = sym.ops[phi[a]]
+                by_op = list(_shift_digits([key], masks))[0] * mult % sym.modulus
+                assert images[phi[a]] == by_op == want, (group.spec_string, exps, a)
 
 
-def _unreduced_order(group):
-    """An element order whose tables have no translation, so the subset DP keeps every subset."""
-    n = group.order
-    return [0, 2, 1] + list(range(3, n))
+def square_tables(group, rng):
+    """The tables that list the group on both sides: plain, hat, a reordered plain and the toeplitz table."""
+    order = rng.sample(range(group.order), group.order)
+    tables = [build_table(group, v) for v in ("plain", "hat")] + [build_table(group, "plain", element_order=order)]
+    return tables + ([build_table(group, "toeplitz")] if group.is_cyclic_presentation else [])
 
 
 def test_orbit_dp_matches_unreduced_dp(monkeypatch):
-    # every table with the symmetry takes the orbit path here, however small; relabeling
-    # rows and columns together leaves both polynomials unchanged, and orders 1-3 admit
-    # no element order without the symmetry, so Leibniz stands in there
-    monkeypatch.setattr("abelinv.cayley.ORBIT_MIN_PAIRS", 0)
-    for group in abelian_groups_up_to(10) + [parse_group(s) for s in ("C6", "C4xC2")]:
-        for variant in ("plain", "hat"):
-            table = build_table(group, variant)
-            assert (_symmetry(group, table.grid, False) is None) == (group.order == 1)
-            if group.order <= 3:
-                reference = table
-            else:
-                reference = build_table(group, variant, element_order=_unreduced_order(group))
-                assert _symmetry(group, reference.grid, False) is None, group
+    # every table that lists the group on both sides runs on the plain table's record here, however
+    # small; the reference is the same table with the reduction out of reach, on its own entries
+    rng = random.Random(17)
+    for group in abelian_groups_up_to(10)[1:] + [parse_group(s) for s in ("C6", "C4xC2")]:
+        for table in square_tables(group, rng):
+            label = (group.spec_string, table.variant, table.rows, table.cols)
             for signed in (False, True):
-                want = (_subset_dp(reference, signed) if group.order > 3
-                        else _accumulate_leibniz(reference, signed))
-                assert _subset_dp(table, signed) == want, (group.spec_string, variant, signed)
+                monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", 0)
+                assert _dp_guard(table, [1] * group.order) != 0, label
+                got = _subset_dp(table, signed)
+                monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", math.inf)
+                assert _dp_guard(table, [1] * group.order) == 0, label
+                assert got == _subset_dp(table, signed), (label, signed)
+
+
+def test_one_orbit_record_per_group_and_signedness():
+    # plain, hat and the n x n toeplitz table are the plain table permuted, so they share its record
+    _symmetry.cache_clear()
+    c8 = parse_group("C8")
+    tables = [build_table(c8, v) for v in ("plain", "hat", "toeplitz")]
+    for table in tables:
+        permanent(table)
+        determinant(table)
+    assert _symmetry.cache_info().misses == 2
+    # the determinant takes the signs of the two lists: the hat and the toeplitz table agree
+    assert determinant(tables[1]) == determinant(tables[2]) == determinant(tables[0], "factored") * c8.inversion_sign()
 
 
 def layer_sizes(monkeypatch):
@@ -458,13 +497,12 @@ def test_orbit_dp_keeps_one_state_per_orbit_of_the_whole_group(spec, states, mon
             assert value == (numeric_determinant if signed else numeric_permanent)(rows), (variant, signed)
 
 
-def test_orbit_dp_matches_unreduced_dp_c11():
-    group = parse_group("C11")
-    reference = build_table(group, "hat", element_order=_unreduced_order(group))
-    assert _symmetry(group, reference.grid, False) is None
-    det = determinant(build_table(group, "hat"))
+def test_orbit_dp_matches_unreduced_dp_c11(monkeypatch):
+    hat = build_table(parse_group("C11"), "hat")
+    det = determinant(hat)
     assert det.term_count() == 32066
-    assert det == _subset_dp(reference, signed=True)
+    monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", math.inf)  # one state per column set
+    assert det == _subset_dp(hat, signed=True)
 
 
 def test_wide_toeplitz_permanent_support():
@@ -524,10 +562,16 @@ def test_determinant_invariant_under_relabeling():
 
 
 def test_determinant_toeplitz_square_is_hat():
+    # the factored route reads the signs off the element lists: rows -i mod n on the toeplitz
+    # table, columns -j on the hat table; a stretched table repeats its columns
     for spec in ("C2", "C3", "C4", "C5"):
         g = parse_group(spec)
         t = build_table(g, "toeplitz")
-        assert determinant(t, "leibniz") == determinant(build_table(g, "hat"), "leibniz")
+        want = determinant(build_table(g, "hat"), "leibniz")
+        assert determinant(t, "leibniz") == want
+        assert determinant(t, "factored") == want
+        stretched = build_table(g, "toeplitz", size=g.order + 2)
+        assert determinant(stretched, "factored") == IntPolynomial.zero(g.order) == determinant(stretched, "leibniz")
 
 
 small_groups = st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(
@@ -594,8 +638,11 @@ def test_subset_dp_matches_factored_determinant():
 def test_determinant_algorithm_dispatch():
     with pytest.raises(ValueError):
         determinant(build_table(C2, "plain"), "ryser")
-    # factored short-circuits tables with repeated rows to the zero polynomial
+    # factored short-circuits tables with repeated columns to the zero polynomial
     assert determinant(build_table(C2, "extended"), "factored").term_count() == 0
+    # and needs row and column elements that each list the group once otherwise
+    with pytest.raises(ValueError):
+        determinant(cayley.CayleyMatrix(C3, "plain", (0, 0, 1), (0, 1, 2)), "factored")
 
 
 # ---------------------------------------------------------------- supports and counts
@@ -700,7 +747,7 @@ def test_permanent_term_count_matches_polynomial():
 def test_determinant_term_count_matches_polynomial():
     for spec in ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6"):
         g = parse_group(spec)
-        assert determinant_term_count(g) == determinant(build_table(g, "plain")).term_count()
+        assert determinant_term_count(g) == determinant(build_table(g, "plain"), "leibniz").term_count()
 
 
 # ---------------------------------------------------------------- checkers

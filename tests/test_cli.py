@@ -296,12 +296,39 @@ def test_cayley_support_of_a_long_toeplitz_table(capsys):
     text = ok(["cayley", "support", "--group", "C2", "--variant", "toeplitz", "--l", "3000"])
     assert time.perf_counter() - t0 < 1.0
     assert text.partition("\n")[0] == "degree 3000 count 1501"
-    # C1 has one vector at every degree, but the walk tries all degree + 1 counts of its element
+    # C1 has one vector at every degree, but the walk tries all degree + 1 counts of its element,
+    # 16 units each; C2 tables one count list and one tuple per degree too
+    for spec, l, size in (("C1", 10**8, 16 * (10**8 + 1) + 1), ("C2", 9999999, 49 * 10**7)):
+        t0 = time.perf_counter()
+        assert invoke(["cayley", "support", "--group", spec, "--variant", "toeplitz", "--l", str(l)]) == (3, "")
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.startswith(f"refused: support enumeration: size {size} ")
+
+
+@pytest.mark.parametrize("l", [10**4, 4 * 10**7])
+def test_cayley_long_c1_table_refused_by_its_cells(l, capsys):
+    # C1's class-count estimate is only l + 1 pairs; the l^2 cells are counted first, from l alone
     t0 = time.perf_counter()
-    assert invoke(["cayley", "support", "--group", "C1", "--variant", "toeplitz",
-                   "--l", "100000000"]) == (3, "")
+    assert invoke(["cayley", "per", "--group", "C1", "--variant", "toeplitz", "--l", str(l)]) == (3, "")
     assert time.perf_counter() - t0 < 1.0
-    assert capsys.readouterr().err.startswith("refused: support enumeration: size 100000001 ")
+    assert capsys.readouterr().err.startswith(f"refused: subset DP table cells: size {l * l} ")
+
+
+def test_integers_beyond_the_str_digit_limit_print_exactly():
+    # sys.get_int_max_str_digits (CPython 3.11 on) caps str() at 4300 digits; the CLI lifts it
+    # for one command only.  Decimal renders the expected values without str() on an int.
+    from decimal import Decimal
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    value = str(Decimal(sym_dim(10000, 10000, 0)))
+    assert len(value) > 4300
+    assert ok(["dim", "a", "--group", "C10000", "--m", "10000"]) == value + "\n"
+    assert f'"value": {value}\n' in ok(["--json", "dim", "a", "--group", "C10000", "--m", "10000"])
+    coeff = str(Decimal(math.factorial(2000)))
+    argv = ["cayley", "per", "--group", "C1", "--variant", "toeplitz", "--l", "2000"]
+    assert ok(argv) == f"{coeff}*x0^2000\n"
+    assert json.loads(ok(["--json", *argv]))["terms"] == [{"exponents": [2000], "coeff": coeff}]
+    assert invoke(["dim", "a", "--group", "C0", "--m", "1"])[0] == 2
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored, error or not
 
 
 def test_cayley_factored_guard_refuses_quickly():

@@ -1,6 +1,7 @@
 """Finite abelian groups: parsing, element arithmetic, characters, enumeration."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -162,6 +163,17 @@ def test_element_tables_match_tuple_arithmetic(g):
         for b, y in enumerate(els):
             assert g.add_table[a][b] == g.index(g.add(x, y))
     assert build_table(g, "plain").grid == g.add_table
+
+
+def test_neg_table_from_residues_matches_the_addition_table():
+    # each negative is found where its row of the addition table holds 0, for every group of order <= 16
+    for g in abelian_groups_up_to(16):
+        assert g.neg_table == tuple(row.index(0) for row in g.add_table), g
+    big = parse_group("C1500")
+    t0 = time.perf_counter()
+    assert big.neg_table[1] == 1499
+    assert time.perf_counter() - t0 < 0.1
+    assert "add_table" not in vars(big)
 
 
 @given(st.permutations(list(range(6))), st.permutations(list(range(6))))

@@ -31,8 +31,9 @@ The permanent's monomial support is governed by the zero-sum condition
 two half tables of count vectors keyed by total and element sum; the determinant
 factors into character linear forms, whose product (the determinant's
 checker route) keeps one monomial per translation orbit, as each form is an
-eigenvector of the translation.  Every guard is decided from the group, the
-variant and the size before a grid is built (refuse_before_table).
+eigenvector of the translation.  Each (op, algorithm) pair has one guard and
+one kernel (ROUTES); the guard reads the element lists, never the grid, and
+permanent, determinant and refuse all decide it through that table.
 Checkers for these facts live here.
 """
 
@@ -58,7 +59,10 @@ from .report import CheckReport
 VARIANTS = ("plain", "hat", "extended", "block2n", "toeplitz")
 
 LEIBNIZ_GUARD = math.factorial(10)  # permutations the Leibniz oracle may expand
-DP_GUARD = 5 * 10**7
+DP_GUARD = 5 * 10**7  # subset-DP (state, monomial) pairs, and the cells of any table build_table makes
+# cells of a grid that is built: `cayley table --group C1 --variant toeplitz --l 2000` (4 * 10^6
+# cells) took 1.3 s and 101 MB, 3.3 s and 399 MB with --json, on 2 vCPUs, growing as the cells
+GRID_GUARD = 4 * 10**6
 # below this many unreduced (state, monomial) pairs the orbit set-up costs more than it
 # saves, even with the orbit table built once per shape: order 5 (1002 pairs) runs 1.05-1.15
 # times as fast unreduced when warm and 1.5 times on a first call; order 6 (5336 pairs) runs
@@ -80,7 +84,9 @@ class CayleyMatrix:
     """A table of variable indices over a fixed group: entry (i, j) is the index of rows[i] + cols[j].
 
     Every variant is the addition table read through its lists of row and
-    column elements; the grid is built from them when first read.
+    column elements; the grid is built from them when first read, and only
+    its readers (the printed table and the Leibniz oracle) build it, so a
+    grid above GRID_GUARD cells is refused there.  No guard reads it.
     """
 
     group: FiniteAbelianGroup
@@ -90,6 +96,9 @@ class CayleyMatrix:
 
     @functools.cached_property
     def grid(self) -> tuple[tuple[int, ...], ...]:
+        cells = len(self.rows) * len(self.cols)
+        if cells > GRID_GUARD:
+            raise GuardExceeded("grid cells", cells, GRID_GUARD)
         add = self.group.add_table
         return tuple(tuple(map(add[a].__getitem__, self.cols)) for a in self.rows)
 
@@ -144,31 +153,27 @@ def build_table(
     size: int | None = None,
     element_order: Sequence[int] | None = None,
 ) -> CayleyMatrix:
-    """Build one of the table variants from its row and column elements (_element_lists).
+    """One of the table variants, as its lists of row and column elements; builds no grid.
 
-    size applies to toeplitz only (l >= n, default n).  element_order permutes
-    the element listing of the other variants (relabeling-invariance tests);
-    entries always use canonical variable indices, so permanents are reorder
-    invariant and determinants pick up the square of the row/column sign.
+    size applies to toeplitz only (l >= n, default n).  The plain table lists
+    the elements in index order on both sides, the hat table negates its
+    column elements, the extended table appends the neutral element to both
+    lists and block2n repeats both; the toeplitz table has rows -i mod n and
+    columns j mod n.  element_order permutes the element listing of the other
+    variants (relabeling-invariance tests); entries always use canonical
+    variable indices, so permanents are reorder invariant and determinants
+    pick up the square of the row/column sign.  A table of more than DP_GUARD
+    cells is refused from l alone, before any list is made, whatever route
+    would take it, so a table that is built costs O(l).
     """
     l = table_size(group, variant, size)
-    return CayleyMatrix(group, variant, *_element_lists(group, variant, l, element_order))
-
-
-def _element_lists(group: FiniteAbelianGroup, variant: str, l: int,
-                   element_order: Sequence[int] | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(rows, cols) of the variant's table of size l, as build_table checks and takes them.
-
-    The plain table lists the elements in index order on both sides, the hat
-    table negates its column elements, the extended table appends the
-    neutral element to both lists and block2n repeats both; the toeplitz
-    table has rows -i mod n and columns j mod n.
-    """
+    if l * l > DP_GUARD:
+        raise GuardExceeded("table cells", l * l, DP_GUARD)
     n = group.order
     if variant == "toeplitz":
         if element_order is not None:
             raise ValueError("toeplitz tables have a fixed index layout")
-        return tuple(-i % n for i in range(l)), tuple(j % n for j in range(l))
+        return CayleyMatrix(group, variant, tuple(-i % n for i in range(l)), tuple(j % n for j in range(l)))
     listing = list(range(n))
     if element_order is not None:
         if sorted(element_order) != listing:
@@ -180,7 +185,7 @@ def _element_lists(group: FiniteAbelianGroup, variant: str, l: int,
         listing += listing
     # entry a + b; the hat table's a - b is a plus the column's negative
     cols = [group.neg_table[b] for b in listing] if variant == "hat" else listing
-    return tuple(listing), tuple(cols)
+    return CayleyMatrix(group, variant, tuple(listing), tuple(cols))
 
 
 def _lex_parities(s: int) -> list[int]:
@@ -203,13 +208,14 @@ def _cross_parity(head: Sequence[int]) -> int:
     return (sum(head) - k * (k - 1) // 2) & 1
 
 
-def _leibniz_guard(l: int) -> None:
-    perms = math.factorial(l)
+def _leibniz_guard(matrix: CayleyMatrix, signed: bool) -> None:
+    """The Leibniz oracle's guard: the l! permutations it expands."""
+    perms = math.factorial(matrix.size)
     if perms > LEIBNIZ_GUARD:
         raise GuardExceeded("Leibniz permutations", perms, LEIBNIZ_GUARD)
 
 
-def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
+def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool, plan: None) -> IntPolynomial:
     """Sum over all l! permutations of the (signed) product of their entries.
 
     Meet in the middle, one column split at a time: for each s-subset B of
@@ -221,10 +227,9 @@ def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     sign, one count per permutation.  The sign is (-1)^(parity(prefix
     order) + parity(suffix order) + _cross_parity(A)).  Partial products are
     never merged, so the subset DP is checked against the full expansion.
-    The guard counts the l! permutations.
+    Its guard (_leibniz_guard) counts the l! permutations.
     """
     l = matrix.size
-    _leibniz_guard(l)
     nvars = matrix.nvars
     base = l + 1
     weights = [[base**e for e in row] for row in matrix.grid]
@@ -514,12 +519,6 @@ def _dp_pairs(l: int, sizes: Sequence[int], v: int, profile: dict[int, int] | No
     return pairs
 
 
-def _cell_guard(l: int) -> None:
-    """The subset DP's first guard, on the l^2 cells of its table, decided from l before any list is made."""
-    if l * l > DP_GUARD:
-        raise GuardExceeded("subset DP table cells", l * l, DP_GUARD)
-
-
 def _plain_sign(matrix: CayleyMatrix) -> int:
     """sign(rows) * sign(cols) when the row and the column elements each list the group once, else 0.
 
@@ -532,14 +531,22 @@ def _plain_sign(matrix: CayleyMatrix) -> int:
     return _permutation_sign(matrix.rows) * _permutation_sign(matrix.cols)
 
 
-def _dp_guard(matrix: CayleyMatrix, sizes: Sequence[int]) -> int:
-    """The subset DP's guard on a table with these column-class sizes, after _cell_guard.
+def _dp_guard(matrix: CayleyMatrix, signed: bool) -> tuple[Counter[int], int] | None:
+    """The subset DP's guard and plan: (column classes, sign), or None for a determinant that is 0.
 
-    Above ORBIT_MIN_PAIRS unreduced pairs, a table of order 2 or more that
-    is the plain table permuted (_plain_sign) counts the orbit states of the
-    plain table's record.  Returns that sign if the table is reduced, else 0.
+    Two columns agree exactly when their elements do, so the classes of
+    identical columns are the multiplicities of the column elements, in
+    column order, and a repeated column makes the determinant 0 before any
+    count.  Above ORBIT_MIN_PAIRS unreduced pairs, a table of order 2 or more
+    that is the plain table permuted counts the orbit states of the plain
+    table's record, and sign is its _plain_sign; otherwise sign is 0 and the
+    table runs unreduced.  No record is built for a table refused here.
     """
     group, l = matrix.group, matrix.size
+    classes = Counter(matrix.cols)
+    if signed and len(classes) < l:
+        return None
+    sizes = list(classes.values())
     estimate = _dp_pairs(l, sizes, group.order, None)
     sign = 0
     # C1 has no record: its key modulus B^n - 1 would be 1
@@ -547,40 +554,7 @@ def _dp_guard(matrix: CayleyMatrix, sizes: Sequence[int]) -> int:
         estimate = _dp_pairs(l, sizes, group.order, group.order_profile())
     if estimate > DP_GUARD:
         raise GuardExceeded("subset DP states", estimate, DP_GUARD)
-    return sign
-
-
-def refuse_before_table(
-    group: FiniteAbelianGroup,
-    op: str,
-    variant: str = "plain",
-    size: int | None = None,
-    algorithm: str = "auto",
-) -> None:
-    """Raise GuardExceeded if the permanent (op "per") or determinant ("det") of
-    build_table(group, variant, size) would be refused, without building its grid.
-
-    Leibniz needs only the size, and the subset DP counts the table's cells
-    from the size too.  Then the table's element lists are made and read as
-    the kernels read them: repeated columns make the determinant 0, the
-    factored route counts by the order, and the DP (_dp_guard) by its
-    column classes.
-    """
-    l = table_size(group, variant, size)
-    if algorithm == "leibniz":
-        _leibniz_guard(l)
-        return
-    if algorithm == "auto":
-        _cell_guard(l)
-    matrix = CayleyMatrix(group, variant, *_element_lists(group, variant, l))
-    classes = Counter(matrix.cols)
-    if op == "det" and len(classes) < l:
-        return
-    if algorithm == "factored":
-        if op == "det":
-            _factored_guard(group.order)
-    elif algorithm == "auto":
-        _dp_guard(matrix, list(classes.values()))
+    return classes, sign
 
 
 def _next_layer(
@@ -669,18 +643,18 @@ def _orbit_means(
     return out
 
 
-def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
+def _subset_dp(matrix: CayleyMatrix, signed: bool, plan: tuple[Counter[int], int] | None) -> IntPolynomial:
     """Permanent (or, signed, determinant) by dynamic programming over column subsets.
 
-    Rows are placed in order.  After row i the state maps the set of columns
-    taken so far to the sum of the monomials of those partial placements.
-    Two columns agree exactly when their elements do, so the classes of
-    identical columns are read off the column elements, and row r holds the
-    entry r + a in each class a.  Identical columns are interchangeable, so
-    a state only counts the columns taken from each class (packed mixed
-    radix; when all columns differ it is the bitmask of the columns taken),
-    the permanent gains the factor prod m_c! at the end, and the determinant
-    is zero.  Exponent vectors are packed base B = l+1 (a power of two above
+    plan is what _dp_guard decided for this table: None for a determinant
+    that is 0, else its column classes and whether it is reduced.  Rows are
+    placed in order.  After row i the state maps the set of columns taken so
+    far to the sum of the monomials of those partial placements.  Row r
+    holds the entry r + a in each column class a.  Identical columns are
+    interchangeable, so a state only counts the columns taken from each
+    class (packed mixed radix; when all columns differ it is the bitmask of
+    the columns taken), and the permanent gains the factor prod m_c! at the
+    end.  Exponent vectors are packed base B = l+1 (a power of two above
     l on a reduced non-cyclic table, see _Symmetry) into one int (Kronecker
     substitution: no exponent exceeds l, so digits never carry), so
     multiplying by x_k adds B^k.  Placing row i in column j passes the taken
@@ -688,10 +662,10 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     sign.  This is the subset form of Ryser's inclusion-exclusion (Nijenhuis
     & Wilf 1978).
 
-    A table that is the plain table with its rows and columns permuted
-    (_plain_sign) and has more than ORBIT_MIN_PAIRS unreduced pairs runs on
-    the plain table's _Symmetry record, which says how sigma_x acts on
-    packed keys, and keeps one state per orbit of column masks under every
+    A table the plan reduces (the plain table with its rows and columns
+    permuted, above ORBIT_MIN_PAIRS unreduced pairs) runs on the plain
+    table's _Symmetry record, which says how sigma_x acts on packed keys,
+    and keeps one state per orbit of column masks under every
     translation of the group: its partial sums obey P_(T_x S) = sign(T_x, S)
     sigma_x(P_S), where sigma_x moves every variable label by x and
     sign(T_x, S) is -1 to the number of pairs of S that T_x reverses; a key
@@ -708,12 +682,10 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     of the column relabeling and the table's own _plain_sign.
     """
     l, nvars, group = matrix.size, matrix.nvars, matrix.group
-    _cell_guard(l)
-    classes = Counter(matrix.cols)  # column element -> columns, in column order
-    if signed and len(classes) < l:
+    if plan is None:
         return IntPolynomial.zero(nvars)
+    classes, sign = plan  # column element -> columns, in column order
     sizes = list(classes.values())
-    sign = _dp_guard(matrix, sizes)
     sym = _symmetry(group, signed) if sign else None
     base = l + 1 if sym is None else sym.base
     powers = [base**i for i in range(nvars)]
@@ -748,33 +720,34 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     return IntPolynomial(nvars, terms)
 
 
-def permanent(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
-    """Permanent as an integer polynomial; algorithm in {auto, leibniz}.
+def _factored_guard(matrix: CayleyMatrix, signed: bool) -> int:
+    """The factored route's guard and plan: the sign _det_factored multiplies by, or 0 for repeated columns.
 
-    auto is the subset DP; leibniz expands all l! permutations (l <= 10) and
-    serves as the independent oracle.
+    The guard counts the n * C(2n-1, n) coefficient products of the
+    unreduced multiplications (a product of k forms has C(k+n-1, n-1)
+    terms), an upper bound on the work done.
     """
-    if algorithm == "auto":
-        return _subset_dp(matrix, signed=False)
-    if algorithm == "leibniz":
-        return _accumulate_leibniz(matrix, signed=False)
-    raise ValueError(f"unknown permanent algorithm {algorithm!r}")
-
-
-def _factored_guard(n: int) -> None:
+    if len(set(matrix.cols)) < matrix.size:  # the determinant is 0
+        return 0
+    sign = _plain_sign(matrix)
+    if not sign:
+        raise ValueError("factored determinant needs row and column elements that each list the group once")
+    n = matrix.group.order
     estimate = n * math.comb(2 * n - 1, n)
     if estimate > FACTORED_GUARD:
         raise GuardExceeded("factored determinant", estimate, FACTORED_GUARD)
+    return sign * matrix.group.inversion_sign()
 
 
-def _det_factored(matrix: CayleyMatrix) -> IntPolynomial:
+def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomial:
     """Determinant via the character factorization, on packed ints, one key per translation orbit.
 
     det(plain) = sign(inversion permutation) * prod_chi v_chi with the linear
     forms v_chi = sum_i chi(g_i) x_i; a table whose row and column elements
     each list the group once is the plain one permuted, and its determinant
     takes _plain_sign too (the hat and n x n toeplitz tables: prod_chi
-    v_chi), while a table with repeated columns has determinant 0.
+    v_chi).  _factored_guard gives the product of the two signs, or 0 for a
+    table with repeated columns, whose determinant is 0.
     A coefficient is a sum of at most n! roots of unity, kept as one int
     under zeta_e -> 2^B (zeta_packing has the bound): chi(g_i) = zeta^t is a
     shift by t*B, each layer is reduced mod Phi_e(2^B), and a balanced
@@ -794,18 +767,12 @@ def _det_factored(matrix: CayleyMatrix) -> IntPolynomial:
     stabilizer, which is |Stab(m)| or 0.  At the end every key is expanded
     from its representative, with one unpack per (representative, twist).
     The loop shares only the relabeling with the subset DP, so the two
-    routes check each other.  The guard counts the n * C(2n-1, n)
-    coefficient products of the unreduced multiplications (a product of k
-    forms has C(k+n-1, n-1) terms), an upper bound on the work done here.
+    routes check each other.
     """
     group = matrix.group
     n = group.order
-    if len(set(matrix.cols)) < matrix.size:  # repeated columns
-        return IntPolynomial.zero(n)
-    sign = _plain_sign(matrix) * group.inversion_sign()
     if not sign:
-        raise ValueError("factored determinant needs row and column elements that each list the group once")
-    _factored_guard(n)
+        return IntPolynomial.zero(n)
     e = group.exponent
     s = n // e
     bits, modulus = zeta_packing(e, math.factorial(n))
@@ -866,21 +833,56 @@ def _det_factored(matrix: CayleyMatrix) -> IntPolynomial:
     return IntPolynomial(n, terms)
 
 
-def determinant(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
-    """Determinant as an integer polynomial; algorithm in {auto, leibniz, factored}.
+# (op, algorithm) -> (guard, kernel).  guard(table, signed) raises GuardExceeded or returns the
+# plan kernel(table, signed, plan) runs; signed is op == "det".  auto is the subset DP, leibniz
+# expands all l! permutations (l <= 10) as the independent oracle, and factored is the
+# determinant's character product
+ROUTES = {
+    ("per", "auto"): (_dp_guard, _subset_dp),
+    ("per", "leibniz"): (_leibniz_guard, _accumulate_leibniz),
+    ("det", "auto"): (_dp_guard, _subset_dp),
+    ("det", "leibniz"): (_leibniz_guard, _accumulate_leibniz),
+    ("det", "factored"): (_factored_guard, _det_factored),
+}
 
-    auto is the signed subset DP, which returns zero on the repeated columns
-    of extended, block2n and stretched toeplitz tables; factored
-    short-circuits those to zero too, and an explicit leibniz run (l <= 10)
-    sums all l! signed terms, so it computes the cancellation honestly.
+
+def route(op: str, algorithm: str) -> tuple[Callable, Callable]:
+    """The (guard, kernel) of ROUTES for op ("per" or "det") and algorithm; ValueError if there is none."""
+    found = ROUTES.get((op, algorithm))
+    if found is None:
+        algorithms = [alg for o, alg in ROUTES if o == op]
+        raise ValueError(f"{op} has no algorithm {algorithm!r}; expected one of {', '.join(algorithms)}")
+    return found
+
+
+def refuse(table: CayleyMatrix, op: str, algorithm: str = "auto") -> object:
+    """Raise GuardExceeded if the route would refuse the table; else return the plan its kernel runs.
+
+    The guard reads the table's element lists, never its grid.
     """
-    if algorithm == "auto":
-        return _subset_dp(matrix, signed=True)
-    if algorithm == "leibniz":
-        return _accumulate_leibniz(matrix, signed=True)
-    if algorithm == "factored":
-        return _det_factored(matrix)
-    raise ValueError(f"unknown determinant algorithm {algorithm!r}")
+    guard, _ = route(op, algorithm)
+    return guard(table, op == "det")
+
+
+def _run(matrix: CayleyMatrix, op: str, algorithm: str) -> IntPolynomial:
+    guard, kernel = route(op, algorithm)
+    signed = op == "det"
+    return kernel(matrix, signed, guard(matrix, signed))
+
+
+def permanent(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
+    """Permanent as an integer polynomial; algorithm in {auto, leibniz} (ROUTES)."""
+    return _run(matrix, "per", algorithm)
+
+
+def determinant(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
+    """Determinant as an integer polynomial; algorithm in {auto, leibniz, factored} (ROUTES).
+
+    auto and factored return 0 on repeated columns (extended, block2n and
+    stretched toeplitz tables), and an explicit leibniz run (l <= 10) sums
+    all l! signed terms, so it computes the cancellation honestly.
+    """
+    return _run(matrix, "det", algorithm)
 
 
 def _count_table(add: Sequence[Sequence[int]], elements: Sequence[int],
@@ -950,7 +952,6 @@ def permanent_term_count(group: FiniteAbelianGroup) -> int:
 
 def determinant_term_count(group: FiniteAbelianGroup) -> int:
     """Number of distinct monomials in the determinant of the plain table."""
-    refuse_before_table(group, "det")
     return determinant(build_table(group, "plain")).term_count()
 
 
@@ -971,10 +972,10 @@ def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
     determinant is semi-invariant with character psi = sum of all characters
     (so gamma . det = psi(gamma) * det with psi(gamma) = +-1)."""
     t0 = time.perf_counter()
-    for op, variant in INVARIANCE_TABLES:  # both guards before the table is built
-        refuse_before_table(group, op, variant)
-    failures: list[dict] = []
     table = build_table(group, "plain")
+    for op, _ in INVARIANCE_TABLES:  # both guards before either kernel runs
+        refuse(table, op)
+    failures: list[dict] = []
     per = permanent(table)
     det = determinant(table)
     neg_det = -det  # psi(gamma) * det where psi(gamma) = -1, built once
@@ -1149,23 +1150,15 @@ def check_extended_counts(group: FiniteAbelianGroup) -> CheckReport:
     """Distinct-monomial counts of the extended and doubled tables match the
     symmetric-power dimensions at degrees n+1 and 2n."""
     t0 = time.perf_counter()
-    n = group.order
-    for op, variant in EXTENDED_TABLES:  # both guards before either table is built
-        refuse_before_table(group, op, variant)
+    tables = [build_table(group, variant) for _, variant in EXTENDED_TABLES]
+    for (op, _), table in zip(EXTENDED_TABLES, tables):  # both guards before either kernel runs
+        refuse(table, op)
     failures: list[dict] = []
-
-    per_ext = permanent(build_table(group, "extended"))
-    got_ext = per_ext.term_count()
-    want_ext = int(sym_series(group, 0, n + 1).coefficient(n + 1))
-    if got_ext != want_ext:
-        failures.append({"table": "extended", "count": got_ext, "dimension": want_ext})
-
-    per_blk = permanent(build_table(group, "block2n"))
-    got_blk = per_blk.term_count()
-    want_blk = int(sym_series(group, 0, 2 * n).coefficient(2 * n))
-    if got_blk != want_blk:
-        failures.append({"table": "block2n", "count": got_blk, "dimension": want_blk})
-
+    for table in tables:  # a table's degree is its size
+        got = permanent(table).term_count()
+        want = int(sym_series(group, 0, table.size).coefficient(table.size))
+        if got != want:
+            failures.append({"table": table.variant, "count": got, "dimension": want})
     elapsed = time.perf_counter() - t0
     return CheckReport("extended-counts", {"group": group.spec_string}, failures, elapsed)
 
@@ -1185,17 +1178,16 @@ def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
     extended tables at degree n+1 for order <= max_order_ext.
     """
     t0 = time.perf_counter()
-    tables = hall_tables(max_order, max_order_ext)
-    for group, variant in tables:  # every guard before the first table is built
-        refuse_before_table(group, "per", variant)
+    tables = [build_table(group, variant) for group, variant in hall_tables(max_order, max_order_ext)]
+    for table in tables:  # every guard before the first kernel runs
+        refuse(table, "per")
     failures: list[dict] = []
-    for group, variant in tables:
-        table = build_table(group, variant)
+    for table in tables:
         got = set(permanent(table).terms)
-        want = hall_support(group, table.size)  # a table's degree is its size
+        want = hall_support(table.group, table.size)  # a table's degree is its size
         for exp in sorted(got.symmetric_difference(want)):
             failures.append(
-                {"group": group.spec_string, "table": variant, "exponents": list(exp),
+                {"group": table.group.spec_string, "table": table.variant, "exponents": list(exp),
                  "what": "missing" if exp in want else "unexpected"}
             )
     elapsed = time.perf_counter() - t0
@@ -1211,7 +1203,6 @@ def check_toeplitz_conjecture(n: int, l: int) -> CheckReport:
         raise ValueError(f"need l >= n >= 1, got n={n}, l={l}")
     t0 = time.perf_counter()
     group = FiniteAbelianGroup((n,))
-    refuse_before_table(group, "per", "toeplitz", l)
     per = permanent(build_table(group, "toeplitz", size=l))
     got = set(per.terms)
     want = hall_support(group, l)

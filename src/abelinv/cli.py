@@ -44,7 +44,7 @@ class CheckMode(NamedTuple):
     run: Callable[[argparse.Namespace], list[CheckReport]]  # reads exactly `options`, filled in
     options: dict[str, object]  # option -> this mode's default
     without_group: tuple[str, ...] = ()  # the options it reads only when --group is not given
-    # (group, op, variant) of each permanent or determinant `run` takes, for refuse_before_table
+    # (group, op, variant) of each permanent or determinant `run` takes, for cayley.refuse
     tables: Callable[[argparse.Namespace], Iterable[tuple[FiniteAbelianGroup, str, str]]] = lambda o: ()
 
 
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     cay.add_argument("--group", required=True)
     cay.add_argument("--variant", choices=list(cayley.VARIANTS), default="plain")
     cay.add_argument("--l", type=int, help="table size (toeplitz only)")
-    cay.add_argument("--alg", choices=["auto", "leibniz", "factored"], default="auto")
+    cay.add_argument("--alg", choices=list(dict.fromkeys(alg for _, alg in cayley.ROUTES)), default="auto")
 
     chk = sub.add_parser("check", help="consistency checkers")
     chk.add_argument(
@@ -272,14 +272,17 @@ def _cmd_series(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
-    if args.op not in ("per", "det") and args.alg != "auto":
-        raise ValueError(f"--alg {args.alg} applies to per and det only, not cayley {args.op}")
+    ops = list(dict.fromkeys(op for op, _ in cayley.ROUTES))
+    if args.op in ops:
+        cayley.route(args.op, args.alg)  # an algorithm the op does not have exits 2 before any table
+    elif args.alg != "auto":
+        raise ValueError(f"--alg {args.alg} applies to {' and '.join(ops)} only, not cayley {args.op}")
     group = parse_group(args.group)
     if args.op == "counts":
         if args.variant != "plain" or args.l is not None:
             raise ValueError("cayley counts counts the terms of the plain table; "
                              "it takes no --variant or --l")
-        # the determinant first: its guard is decided before any table, so a refused group joins no support
+        # the determinant first: its guard reads only the element lists, so a refused group joins no support
         dc = cayley.determinant_term_count(group)
         pc = cayley.permanent_term_count(group)
         payload = {"group": group.spec_string, "permanent_terms": pc, "determinant_terms": dc}
@@ -297,10 +300,7 @@ def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
         _emit(out, args, human, payload)
         return 0
 
-    if args.op == "per" and args.alg == "factored":
-        raise ValueError("factored applies to determinants only")
-    if args.op != "table":  # each guard is decided before the |G|^2 entries are read
-        cayley.refuse_before_table(group, args.op, args.variant, args.l, args.alg)
+    # the element lists only: each guard is decided before the grid or the |G|^2 entries are read
     matrix = cayley.build_table(group, args.variant, size=args.l)
     if args.op == "table":
         _emit(out, args, matrix.format_table(), matrix.to_json_obj())
@@ -326,7 +326,7 @@ def _cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
         opts = argparse.Namespace(**{o: d if getattr(args, o) is None else getattr(args, o)
                                      for o, d in row.options.items()})
         for group, op, variant in row.tables(opts):  # every guard before the first mode runs
-            cayley.refuse_before_table(group, op, variant)
+            cayley.refuse(cayley.build_table(group, variant), op)
         runs.append((row, opts))
     reports = [report for row, opts in runs for report in row.run(opts)]
 

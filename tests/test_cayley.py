@@ -37,11 +37,11 @@ from abelinv import cayley
 from abelinv.cayley import (
     DP_GUARD,
     FACTORED_GUARD,
+    GRID_GUARD,
     LEIBNIZ_GUARD,
     VARIANTS,
     _accumulate_leibniz,
     _cross_parity,
-    _dp_guard,
     _dp_pairs,
     _lex_parities,
     _plain_sign,
@@ -49,7 +49,7 @@ from abelinv.cayley import (
     _shift_digits,
     _subset_dp,
     _symmetry,
-    refuse_before_table,
+    refuse,
 )
 from abelinv.cli import CONJECTURE_GRID
 
@@ -215,6 +215,11 @@ def test_permanent_guards_and_algorithm_dispatch():
         permanent(build_table(C2, "plain"), "newton")
 
 
+def subset_dp(table, signed):
+    """The subset-DP kernel itself, on the plan its guard decides for the table."""
+    return _subset_dp(table, signed, refuse(table, "det" if signed else "per"))
+
+
 def grid_classes(table):
     """Sizes of the classes of identical columns, read off the grid column by column."""
     return sorted(Counter(zip(*table.grid)).values())
@@ -273,47 +278,60 @@ def test_guards_decided_before_the_table_match_the_kernels():
                 assert _dp_pairs(table.size, sizes, n, None) == table_estimate(table, False), label
                 if translated:
                     assert _dp_pairs(n, sizes, n, group.order_profile()) == table_estimate(table, True), label
-    for spec, variant, op, algorithm in [("C13", "plain", "per", "auto"), ("C2xC2xC2", "block2n", "per", "auto"),
-                                         ("C11", "hat", "det", "factored"), ("C11", "plain", "det", "leibniz")]:
-        group = parse_group(spec)
-        kernel = permanent if op == "per" else determinant
-        with pytest.raises(GuardExceeded) as early:
-            refuse_before_table(group, op, variant, None, algorithm)
-        with pytest.raises(GuardExceeded) as late:
-            kernel(build_table(group, variant), algorithm)
-        assert (early.value.what, early.value.size) == (late.value.what, late.value.size), spec
+    # each route's guard is decided from the element lists: a refused table's grid is never built
+    for spec, variant, op, algorithm, what, size in [
+            ("C13", "plain", "per", "auto", "subset DP states", 68705262),
+            ("C2xC2xC2", "block2n", "per", "auto", "subset DP states", 83248155),
+            ("C11", "hat", "det", "factored", "factored determinant", 11 * math.comb(21, 11)),
+            ("C11", "plain", "det", "leibniz", "Leibniz permutations", math.factorial(11))]:
+        table = build_table(parse_group(spec), variant)
+        with pytest.raises(GuardExceeded) as info:
+            refuse(table, op, algorithm)
+        assert (info.value.what, info.value.size) == (what, size), spec
+        assert "grid" not in vars(table), spec
     # repeated columns make the determinant 0 before any DP, so nothing is refused
-    refuse_before_table(parse_group("C2xC2xC2"), "det", "block2n")
-    refuse_before_table(parse_group("C12"), "det")
+    refuse(build_table(parse_group("C2xC2xC2"), "block2n"), "det")
+    refuse(build_table(parse_group("C12"), "plain"), "det")
     # the whole-group orbits admit every presentation of order 12 and no plain table beyond
     wide = [g for g in abelian_groups_up_to(16) if g.order >= 12] + [parse_group(s) for s in ("C12", "C2xC6")]
     for group in wide:
+        table = build_table(group, "plain")
         for op in ("per", "det"):
             if group.order == 12:
-                refuse_before_table(group, op)
+                refuse(table, op)
             else:
                 with pytest.raises(GuardExceeded):
-                    refuse_before_table(group, op)
+                    refuse(table, op)
+                assert "grid" not in vars(table), group
 
 
 def test_cell_guard_refuses_long_tables_before_their_lists():
-    # the l^2 cells are counted from l alone: C1 admits l = 7071 and refuses 7072 on, before any
-    # element list is made or the class-count estimate is summed
+    # build_table counts the l^2 cells from l alone: C1 admits l = 7071 and refuses 7072 on, before
+    # any element list is made, whatever route would take the table
     c1 = parse_group("C1")
     assert 7071**2 <= DP_GUARD < 7072**2
     assert permanent(build_table(c1, "toeplitz", size=7071)).coefficient([7071]) == math.factorial(7071)
     for l in (7072, 10**4, 4 * 10**7):
         t0 = time.perf_counter()
-        for op in ("per", "det"):
-            with pytest.raises(GuardExceeded) as info:
-                refuse_before_table(c1, op, "toeplitz", l)
-            assert (info.value.what, info.value.size) == ("subset DP table cells", l * l)
+        with pytest.raises(GuardExceeded) as info:
+            build_table(c1, "toeplitz", size=l)
+        assert (info.value.what, info.value.size) == ("table cells", l * l)
         assert time.perf_counter() - t0 < 1.0, l
-    with pytest.raises(GuardExceeded):
-        determinant(build_table(c1, "toeplitz", size=10**4))
     # the largest tables the tests and the benchmark take stay admitted
-    refuse_before_table(C3, "per", "toeplitz", 16)
-    refuse_before_table(C2, "per", "toeplitz", 11)
+    refuse(build_table(C3, "toeplitz", size=16), "per")
+    refuse(build_table(C2, "toeplitz", size=11), "per")
+
+
+def test_grid_guard_refuses_a_grid_its_lists_admit():
+    # only the grid's readers (the printed table, Leibniz) build it; the DP and its guard never do
+    c1 = parse_group("C1")
+    assert 2000**2 <= GRID_GUARD < 2001**2
+    table = build_table(c1, "toeplitz", size=2001)
+    with pytest.raises(GuardExceeded) as info:
+        table.grid
+    assert (info.value.what, info.value.size) == ("grid cells", 2001**2)
+    assert permanent(table).coefficient([2001]) == math.factorial(2001)
+    assert "grid" not in vars(table)
 
 
 def test_translation_found_on_the_grid():
@@ -384,12 +402,13 @@ def test_orbit_dp_matches_unreduced_dp(monkeypatch):
         for table in square_tables(group, rng):
             label = (group.spec_string, table.variant, table.rows, table.cols)
             for signed in (False, True):
+                op = "det" if signed else "per"
                 monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", 0)
-                assert _dp_guard(table, [1] * group.order) != 0, label
-                got = _subset_dp(table, signed)
+                assert refuse(table, op)[1] != 0, label
+                got = subset_dp(table, signed)
                 monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", math.inf)
-                assert _dp_guard(table, [1] * group.order) == 0, label
-                assert got == _subset_dp(table, signed), (label, signed)
+                assert refuse(table, op)[1] == 0, label
+                assert got == subset_dp(table, signed), (label, signed)
 
 
 def test_one_orbit_record_per_group_and_signedness():
@@ -489,7 +508,7 @@ def test_orbit_dp_keeps_one_state_per_orbit_of_the_whole_group(spec, states, mon
         table = build_table(group, variant)
         for signed in (False, True):
             sizes.clear()
-            got = _subset_dp(table, signed)
+            got = subset_dp(table, signed)
             assert [1] + sizes == want, (variant, signed)
             point = [rng.randint(-4, 4) for _ in range(group.order)]
             value = sum(c * math.prod(map(pow, point, exp)) for exp, c in got.terms.items())
@@ -502,7 +521,7 @@ def test_orbit_dp_matches_unreduced_dp_c11(monkeypatch):
     det = determinant(hat)
     assert det.term_count() == 32066
     monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", math.inf)  # one state per column set
-    assert det == _subset_dp(hat, signed=True)
+    assert det == subset_dp(hat, signed=True)
 
 
 def test_wide_toeplitz_permanent_support():
@@ -593,7 +612,7 @@ def test_subset_dp_matches_leibniz(factors, variant, stretch):
     assert permanent(table) == permanent(table, "leibniz"), label
     det = determinant(table, "leibniz")
     assert determinant(table) == det, label
-    assert _subset_dp(table, signed=True) == det, label  # the kernel itself, no short-circuit
+    assert subset_dp(table, signed=True) == det, label  # the kernel itself, on its plan
 
 
 @pytest.mark.parametrize("spec, variant", [
@@ -606,7 +625,7 @@ def test_subset_dp_matches_leibniz_at_guard_edge(spec, variant):
     per = permanent(table, "leibniz")
     assert per.coefficient_sum() == math.factorial(table.size)  # each permutation counted once
     assert per == permanent(table)
-    assert determinant(table, "leibniz") == _subset_dp(table, signed=True)
+    assert determinant(table, "leibniz") == subset_dp(table, signed=True)
 
 
 def test_leibniz_sign_pieces_match_permutation_sign():

@@ -311,7 +311,28 @@ def test_cayley_long_c1_table_refused_by_its_cells(l, capsys):
     t0 = time.perf_counter()
     assert invoke(["cayley", "per", "--group", "C1", "--variant", "toeplitz", "--l", str(l)]) == (3, "")
     assert time.perf_counter() - t0 < 1.0
-    assert capsys.readouterr().err.startswith(f"refused: subset DP table cells: size {l * l} ")
+    assert capsys.readouterr().err.startswith(f"refused: table cells: size {l * l} ")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("l, kind", [(10**4, "table cells"), (2001, "grid cells")])
+def test_cayley_table_refuses_a_long_grid_quickly(l, kind, json_flag, capsys):
+    # a 2000 x 2000 grid (the largest admitted) prints in about 1.3 s, 3.3 s as JSON, on 2 vCPUs
+    t0 = time.perf_counter()
+    argv = [*json_flag, "cayley", "table", "--group", "C1", "--variant", "toeplitz", "--l", str(l)]
+    assert invoke(argv) == (3, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith(f"refused: {kind}: size {l * l} ")
+
+
+@pytest.mark.parametrize("l", [5 * 10**6, 4 * 10**7])
+def test_factored_determinant_of_a_long_stretched_table_refused_quickly(l, capsys):
+    # its determinant is 0 (repeated columns), but no table that long is built for any route
+    t0 = time.perf_counter()
+    argv = ["cayley", "det", "--alg", "factored", "--group", "C2", "--variant", "toeplitz", "--l", str(l)]
+    assert invoke(argv) == (3, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith(f"refused: table cells: size {l * l} ")
 
 
 def test_integers_beyond_the_str_digit_limit_print_exactly():

@@ -22,6 +22,9 @@ translations (C12 and C2xC6 in seconds); other tables keep one per class
 count.  All it reads of that action is one record (_Symmetry: relabeled
 grid, per-element key operations and weights, orbit table, characters),
 cached per group and signedness.
+Every kernel ends alike: its packed exponent keys are unpacked one digit
+column at a time (_unpack), and IntPolynomial._of adopts the terms dict it
+builds without a copy or a rescan.
 A Leibniz expansion that counts each of the l! permutations on its own (met
 in the middle one column split at a time: every ordering of one half of the
 columns on the first rows against every ordering of the other half on the
@@ -47,7 +50,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceeded
 from .groups import Element, FiniteAbelianGroup, _permutation_sign, abelian_groups_up_to
@@ -70,6 +73,7 @@ GRID_GUARD = 4 * 10**6
 ORBIT_MIN_PAIRS = 2000
 FACTORED_GUARD = 10**6
 ENUM_GUARD = 2 * 10**7  # hall_support work units (see there)
+UNPACK_CHUNK = 1 << 14  # packed keys unpacked per batch of digit columns (see _unpack)
 # sampled action check: n^2 addition-table cells plus n^2 star steps per sample, about 1-2 us
 # each on 2 vCPUs, so an admitted run takes about 1 s (C500 with one sample: 1.1 s)
 ACTION_GUARD = 5 * 10**5
@@ -208,6 +212,18 @@ def _cross_parity(head: Sequence[int]) -> int:
     return (sum(head) - k * (k - 1) // 2) & 1
 
 
+def _unpack(keys: Iterable[int], base: int, powers: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The digit tuple (key // p % base for p in powers) of each packed key, in order.
+
+    Read one digit column at a time over a chunk of UNPACK_CHUNK keys and
+    zipped into tuples, so no per-key list is built, and the columns of only
+    one chunk are held at a time.
+    """
+    keys = iter(keys)
+    while chunk := list(itertools.islice(keys, UNPACK_CHUNK)):
+        yield from zip(*[[key // p % base for key in chunk] for p in powers])
+
+
 def _leibniz_guard(matrix: CayleyMatrix, signed: bool) -> None:
     """The Leibniz oracle's guard: the l! permutations it expands."""
     perms = math.factorial(matrix.size)
@@ -227,7 +243,8 @@ def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool, plan: None) -> IntPo
     sign, one count per permutation.  The sign is (-1)^(parity(prefix
     order) + parity(suffix order) + _cross_parity(A)).  Partial products are
     never merged, so the subset DP is checked against the full expansion.
-    Its guard (_leibniz_guard) counts the l! permutations.
+    The keys that do not cancel are unpacked by _unpack.  Its guard
+    (_leibniz_guard) counts the l! permutations.
     """
     l = matrix.size
     nvars = matrix.nvars
@@ -262,10 +279,12 @@ def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool, plan: None) -> IntPo
         even_lasts, odd_lasts = list(compress(lasts, even_s)), list(compress(lasts, odd_s))
         plus.update(chain(sums(evens, even_lasts), sums(odds, odd_lasts)))
         minus.update(chain(sums(evens, odd_lasts), sums(odds, even_lasts)))
-    plus.subtract(minus)
+    counts: dict[int, int] = plus
+    if signed:
+        plus.subtract(minus)
+        counts = {key: coeff for key, coeff in plus.items() if coeff}
     powers = [base**i for i in range(nvars)]
-    terms = {tuple([packed // p % base for p in powers]): coeff for packed, coeff in plus.items()}
-    return IntPolynomial(nvars, terms)
+    return IntPolynomial._of(nvars, dict(zip(_unpack(counts, base, powers), counts.values())))
 
 
 def _basis(group: FiniteAbelianGroup) -> list[tuple[int, int]]:
@@ -608,8 +627,11 @@ def _next_layer(
                 for key, coeff in src.items():
                     key += w
                     target[key] = get(key, 0) + coeff
-    if signed:  # drop cancelled terms before they are carried further
-        nxt = {st: {k: c for k, c in p.items() if c} for st, p in nxt.items()}
+    if signed:  # drop cancelled terms before they are carried further; few cancel
+        for poly in nxt.values():
+            if 0 in poly.values():
+                for key in [key for key, coeff in poly.items() if not coeff]:
+                    del poly[key]
     return nxt
 
 
@@ -677,9 +699,12 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool, plan: tuple[Counter[int], int
     translation fixes the full mask, so the mean of its W over the whole
     group, with the sign character chi(x) of the column permutation
     ((-1)^((n/o)(o-1)) for an element of order o), is the result whichever
-    translation each state was kept under (an exact division); unpacking
-    maps the labels back through phi, and the determinant picks up the sign
-    of the column relabeling and the table's own _plain_sign.
+    translation each state was kept under (an exact division).  One key of
+    each orbit of the mean is unpacked (_unpack), and every translate's
+    exponent vector is read off its digits (exponents[x], which maps the
+    labels back through phi), with coefficient chi(x) times the mean; the
+    determinant picks up the sign of the column relabeling and the table's
+    own _plain_sign.  An unreduced table unpacks its final keys directly.
     """
     l, nvars, group = matrix.size, matrix.nvars, matrix.group
     if plan is None:
@@ -706,18 +731,17 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool, plan: tuple[Counter[int], int
     final = layer[radix[-1] - 1]
     if sym is None:
         ways = math.prod(map(math.factorial, sizes))
-        terms = {tuple([packed // p % base for p in powers]): coeff * ways
-                 for packed, coeff in final.items()}
-        return IntPolynomial(nvars, terms)
-    # every translation fixes the full mask: unpack the mean key orbit by key
-    # orbit, translating the digits of one key and mapping labels back
+        coeffs = final.values() if ways == 1 else map(ways.__mul__, final.values())
+        return IntPolynomial._of(nvars, dict(zip(_unpack(final, base, powers), coeffs)))
+    # every translation fixes the full mask: unpack one key of each orbit of
+    # the mean, then read every translate off its digits, mapping labels back
     sign = sign * sym.sign if signed else 1
-    terms = {}
-    for key, c in _orbit_means(final, sym.images, sym.chis).items():
-        digits = [key // p % base for p in powers]
-        for exponent, chi in zip(sym.exponents, sym.chis):
-            terms[exponent(digits)] = chi * sign * c
-    return IntPolynomial(nvars, terms)
+    means = _orbit_means(final, sym.images, sym.chis)
+    digits = list(_unpack(means, base, powers))
+    terms: dict[tuple[int, ...], int] = {}
+    for exponent, chi in zip(sym.exponents, sym.chis):
+        terms.update(zip(map(exponent, digits), map((chi * sign).__mul__, means.values())))
+    return IntPolynomial._of(nvars, terms)
 
 
 def _factored_guard(matrix: CayleyMatrix, signed: bool) -> int:
@@ -765,7 +789,9 @@ def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomia
     sigma^h(m) of R folds into its representative m with the twist
     zeta^(-h C), and m is weighted by the sum of zeta^(u C) over its
     stabilizer, which is |Stab(m)| or 0.  At the end every key is expanded
-    from its representative, with one unpack per (representative, twist).
+    from its representative, with one integrality unpack per twist over the
+    representatives it reaches, and the expanded keys are unpacked together
+    (_unpack).
     The loop shares only the relabeling with the subset DP, so the two
     routes check each other.
     """
@@ -822,15 +848,16 @@ def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomia
             reps = [m for m in prod if sizes[m] > t]
             values[j] = dict(zip(reps, unpack_zeta_integers([prod[m] << j * bits for m in reps],
                                                             bits, modulus)))
-    place = [powers[p] for p in phi]  # the exponent of x_a is the digit at label phi(a)
-    terms = {}
+    keys, coeffs = [], []
     for m in prod:
         key = m
         for j in twists[:sizes[m]]:
             if c := values[j][m]:
-                terms[tuple([key // w % base for w in place])] = c * sign
+                keys.append(key)
+                coeffs.append(c * sign)
             key = key * rotate % ring
-    return IntPolynomial(n, terms)
+    place = [powers[p] for p in phi]  # the exponent of x_a is the digit at label phi(a)
+    return IntPolynomial._of(n, dict(zip(_unpack(keys, base, place), coeffs)))
 
 
 # (op, algorithm) -> (guard, kernel).  guard(table, signed) raises GuardExceeded or returns the
@@ -862,6 +889,12 @@ def refuse(table: CayleyMatrix, op: str, algorithm: str = "auto") -> object:
     """
     guard, _ = route(op, algorithm)
     return guard(table, op == "det")
+
+
+def _planned(table: CayleyMatrix, op: str, plan: object, algorithm: str = "auto") -> IntPolynomial:
+    """The route's kernel run on the plan refuse returned for this table, deciding no guard again."""
+    _, kernel = route(op, algorithm)
+    return kernel(table, op == "det", plan)
 
 
 def _run(matrix: CayleyMatrix, op: str, algorithm: str) -> IntPolynomial:
@@ -973,11 +1006,11 @@ def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
     (so gamma . det = psi(gamma) * det with psi(gamma) = +-1)."""
     t0 = time.perf_counter()
     table = build_table(group, "plain")
-    for op, _ in INVARIANCE_TABLES:  # both guards before either kernel runs
-        refuse(table, op)
+    # both guards before either kernel runs
+    per_plan, det_plan = [refuse(table, op) for op, _ in INVARIANCE_TABLES]
     failures: list[dict] = []
-    per = permanent(table)
-    det = determinant(table)
+    per = _planned(table, "per", per_plan)
+    det = _planned(table, "det", det_plan)
     neg_det = -det  # psi(gamma) * det where psi(gamma) = -1, built once
     psi = _dual_weight_character(group)
     for gamma in group.elements():
@@ -1151,11 +1184,11 @@ def check_extended_counts(group: FiniteAbelianGroup) -> CheckReport:
     symmetric-power dimensions at degrees n+1 and 2n."""
     t0 = time.perf_counter()
     tables = [build_table(group, variant) for _, variant in EXTENDED_TABLES]
-    for (op, _), table in zip(EXTENDED_TABLES, tables):  # both guards before either kernel runs
-        refuse(table, op)
+    # both guards before either kernel runs
+    plans = [refuse(table, op) for (op, _), table in zip(EXTENDED_TABLES, tables)]
     failures: list[dict] = []
-    for table in tables:  # a table's degree is its size
-        got = permanent(table).term_count()
+    for (op, _), table, plan in zip(EXTENDED_TABLES, tables, plans):  # a table's degree is its size
+        got = _planned(table, op, plan).term_count()
         want = int(sym_series(group, 0, table.size).coefficient(table.size))
         if got != want:
             failures.append({"table": table.variant, "count": got, "dimension": want})
@@ -1179,11 +1212,10 @@ def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
     """
     t0 = time.perf_counter()
     tables = [build_table(group, variant) for group, variant in hall_tables(max_order, max_order_ext)]
-    for table in tables:  # every guard before the first kernel runs
-        refuse(table, "per")
+    plans = [refuse(table, "per") for table in tables]  # every guard before the first kernel runs
     failures: list[dict] = []
-    for table in tables:
-        got = set(permanent(table).terms)
+    for table, plan in zip(tables, plans):
+        got = set(_planned(table, "per", plan).terms)
         want = hall_support(table.group, table.size)  # a table's degree is its size
         for exp in sorted(got.symmetric_difference(want)):
             failures.append(

@@ -2,7 +2,11 @@
 
 IntPolynomial stores terms as {exponent tuple: int coefficient} with zero
 coefficients dropped, which is the shape the permanent and determinant
-kernels want.  zeta_packing and unpack_zeta_integers pack sums of roots of
+kernels want.  The constructor checks every exponent vector and copies the
+terms; IntPolynomial._of adopts a dict the package built itself, already in
+that shape (tuple keys of nvars non-negative ints, no zero coefficient),
+without a copy or a rescan, for the kernels' results and the maps that keep
+the shape.  zeta_packing and unpack_zeta_integers pack sums of roots of
 unity into single ints (zeta_e -> 2^B, reduced mod Phi_e(2^B)) and read back
 the rational integers they stand for; the factored determinant and the
 character-sum oracle both rely on that integrality test.
@@ -132,6 +136,19 @@ class IntPolynomial:
         self.terms = {tuple(exp): int(c) for exp, c in terms.items() if c}
 
     @classmethod
+    def _of(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "IntPolynomial":
+        """Adopt terms as they are, unchecked and uncopied.
+
+        For dicts the package built itself: every key a tuple of nvars
+        non-negative ints, every value a nonzero int, and no other reference
+        that mutates it.  Every other caller goes through the constructor.
+        """
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def zero(cls, nvars: int) -> "IntPolynomial":
         return cls(nvars)
 
@@ -160,7 +177,7 @@ class IntPolynomial:
         return self + (-other)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return IntPolynomial._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
@@ -205,9 +222,9 @@ class IntPolynomial:
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError("not a permutation of the variables")
         if self.nvars == 1:  # itemgetter of one index returns a bare item, not a tuple
-            return IntPolynomial(1, self.terms)
+            return IntPolynomial._of(1, dict(self.terms))
         gather = itemgetter(*sorted(range(self.nvars), key=perm.__getitem__))  # new[perm[i]] = exp[i]
-        return IntPolynomial(self.nvars, {gather(exp): c for exp, c in self.terms.items()})
+        return IntPolynomial._of(self.nvars, {gather(exp): c for exp, c in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())

@@ -39,6 +39,7 @@ from abelinv.cayley import (
     FACTORED_GUARD,
     GRID_GUARD,
     LEIBNIZ_GUARD,
+    UNPACK_CHUNK,
     VARIANTS,
     _accumulate_leibniz,
     _cross_parity,
@@ -49,6 +50,7 @@ from abelinv.cayley import (
     _shift_digits,
     _subset_dp,
     _symmetry,
+    _unpack,
     refuse,
 )
 from abelinv.cli import CONJECTURE_GRID
@@ -791,19 +793,46 @@ def test_invariance_check_builds_one_table(monkeypatch):
 def test_invariance_check_catches_a_changed_pure_power(monkeypatch, kernel, what):
     # bump the coefficient of x_0^n (x_0 the identity's variable); every gamma
     # except the identity moves that monomial to x_gamma^n, so exactly those
-    # gammas fail, in element order, and the other polynomial still passes
-    real = getattr(cayley, kernel)
+    # gammas fail, in element order, and the other polynomial still passes; the
+    # checker runs the auto route's kernel on the plan its own guard returned
+    op = {"permanent": "per", "determinant": "det"}[kernel]
+    guard, real = cayley.ROUTES[op, "auto"]
 
-    def bumped(matrix, algorithm="auto"):
-        poly = real(matrix, algorithm)
+    def bumped(matrix, signed, plan):
+        poly = real(matrix, signed, plan)
         power = (poly.nvars,) + (0,) * (poly.nvars - 1)
         return IntPolynomial(poly.nvars, {**poly.terms, power: poly.coefficient(power) + 1})
 
-    monkeypatch.setattr(cayley, kernel, bumped)
+    monkeypatch.setitem(cayley.ROUTES, (op, "auto"), (guard, bumped))
     for g in (C3, C4, V4, parse_group("C2xC3")):
         identity, *moved = g.elements()
         assert not any(identity)
         assert check_invariance(g).failures == [{"gamma": list(gamma), "what": what} for gamma in moved]
+
+
+def counted_guards(monkeypatch):
+    """Wrap the guard of every auto route; the list records each decision's signedness."""
+    calls = []
+    for key, (guard, kernel) in list(cayley.ROUTES.items()):
+        if key[1] == "auto":
+            def counted(table, signed, guard=guard):
+                calls.append(signed)
+                return guard(table, signed)
+            monkeypatch.setitem(cayley.ROUTES, key, (counted, kernel))
+    return calls
+
+
+def test_checkers_decide_each_guard_once(monkeypatch):
+    # each checker runs its kernels on the plans its own pre-guard returned
+    calls = counted_guards(monkeypatch)
+    assert check_invariance(parse_group("C6")).ok
+    assert calls == [False, True]
+    calls.clear()
+    assert check_extended_counts(C3).ok
+    assert calls == [False, False]
+    calls.clear()
+    assert check_hall(4, 3).ok
+    assert calls == [False] * len(cayley.hall_tables(4, 3))
 
 
 def test_action_identities_exhaustive():
@@ -884,3 +913,53 @@ def test_toeplitz_conjecture_counterexample_is_stable():
 def test_toeplitz_conjecture_validation():
     with pytest.raises(ValueError):
         check_toeplitz_conjecture(1, 0)
+
+
+def well_formed_tables():
+    """Plain, hat and extended tables of every group of order <= 8, and toeplitz tables with l <= 9."""
+    for group in abelian_groups_up_to(8):
+        for variant in ("plain", "hat", "extended"):
+            yield build_table(group, variant)
+    for n in range(1, 9):
+        for l in range(n, 10):
+            yield build_table(FiniteAbelianGroup((n,)), "toeplitz", l)
+
+
+def assert_well_formed(p):
+    for key, coeff in p.terms.items():
+        assert type(key) is tuple and len(key) == p.nvars
+        assert all(type(e) is int and e >= 0 for e in key)
+        assert type(coeff) is int and coeff
+    assert IntPolynomial(p.nvars, p.terms) == p
+
+
+def test_every_route_returns_a_well_formed_polynomial():
+    # the kernels hand their dicts to IntPolynomial unchecked, so check the shape here
+    routes = set()
+    for table in well_formed_tables():
+        rotation = list(range(1, table.nvars)) + [0]
+        for op, algorithm in cayley.ROUTES:
+            try:
+                poly = (permanent if op == "per" else determinant)(table, algorithm)
+            except GuardExceeded:
+                continue
+            routes.add((op, algorithm))
+            for p in (poly, -poly, poly.permute_variables(rotation)):
+                assert_well_formed(p)
+    assert routes == set(cayley.ROUTES)
+
+
+def test_unpack_reads_more_keys_than_one_chunk(monkeypatch):
+    rng = random.Random(26)
+    base, nvars = 14, 13
+    powers = [base**i for i in range(nvars)]
+    keys = [rng.randrange(base**nvars) for _ in range(2 * UNPACK_CHUNK + 5)]
+    assert list(_unpack(keys, base, powers)) == [tuple([key // p % base for p in powers]) for key in keys]
+    # every kernel tail (orbit and unreduced DP, factored, Leibniz) gives the same polynomial whatever the chunk
+    group = parse_group("C2xC3")
+    plain, extended = build_table(group, "plain"), build_table(group, "extended")
+    runs = ((permanent, plain, "auto"), (determinant, plain, "auto"), (permanent, extended, "auto"),
+            (determinant, plain, "factored"), (permanent, plain, "leibniz"))
+    want = [f(table, alg) for f, table, alg in runs]
+    monkeypatch.setattr(cayley, "UNPACK_CHUNK", 7)
+    assert [f(table, alg) for f, table, alg in runs] == want

@@ -200,6 +200,17 @@ def test_constructor_names_the_first_bad_exponent_vector():
         IntPolynomial(3, {(0, 1, 2): 1, (2, -1, 0): 0, (1,): 4, (0, 0, -3): 1})
 
 
+def test_of_adopts_its_dict():
+    terms = {(2, 0): 3, (0, 1): -1}
+    p = IntPolynomial._of(2, terms)
+    assert p.terms is terms and p == IntPolynomial(2, terms)
+    # the maps that keep the shape adopt their own new dicts
+    assert (-p).terms == {(2, 0): -3, (0, 1): 1} and p.terms == {(2, 0): 3, (0, 1): -1}
+    assert p.permute_variables([1, 0]).terms == {(0, 2): 3, (1, 0): -1}
+    one = IntPolynomial(1, {(4,): 2})
+    assert one.permute_variables([0]) == one and one.permute_variables([0]).terms is not one.terms
+
+
 def test_group_translation_action():
     g = parse_group("C2")
     x0, x1 = (IntPolynomial.variable(2, i) for i in range(2))

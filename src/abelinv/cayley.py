@@ -979,8 +979,12 @@ def hall_support(group: FiniteAbelianGroup, degree: int) -> set[tuple[int, ...]]
 
 
 def permanent_term_count(group: FiniteAbelianGroup) -> int:
-    """Number of distinct monomials in the permanent of the plain table."""
-    return len(hall_support(group, group.order))
+    """Number of distinct monomials in the permanent of the plain table.
+
+    The paper's theorem: dim (S^n R)^G, the t^n coefficient of the invariant
+    Molien series.  len(hall_support(group, n)) is its oracle (check_hall).
+    """
+    return sym_series(group, 0, group.order).coefficient(group.order)
 
 
 def determinant_term_count(group: FiniteAbelianGroup) -> int:
@@ -1046,14 +1050,16 @@ def check_action_identities(
       - star preserves both sign and table monomial;
       - translating the monomial of pi gives the monomial of pi o sigma_gamma^{-1};
       - pi and pi^{-1} share a monomial (the table is symmetric);
-      - every (position, value) pair consistent with a supported monomial is
+      - every (position, value) pair consistent with a monomial met is
         realized by some permutation with that monomial.
 
-    Exhaustive over all permutations when samples is None (group order <= 8
-    required); otherwise a deterministic sample, with realization verified by
-    walking the star-action orbit of each sampled permutation.  Either guard
-    is decided before the n x n addition table is built; the sampled one
-    counts its n^2 cells plus n^2 star steps per sample.
+    The first permutation met with each monomial is its witness, and the
+    star orbit of the witness realizes every pair of that monomial.  The
+    modes differ only in their permutations: all n! when samples is None
+    (group order <= 8 required), which also compares the witnesses'
+    monomials with hall_support both ways; otherwise a deterministic sample.
+    Either guard is decided before the n x n addition table is built; the
+    sampled one counts its n^2 cells plus n^2 star steps per sample.
     """
     t0 = time.perf_counter()
     n = group.order
@@ -1075,8 +1081,7 @@ def check_action_identities(
     neg = group.neg_table
     failures: list[dict] = []
 
-    realized: set[tuple[tuple[int, ...], int, int]] = set()
-    orbit_failures: list[dict] = []  # sampled realization witnesses, reported after all others
+    witnesses: dict[tuple[int, ...], tuple] = {}  # monomial -> its first permutation, with that one's stars
     for pi in perms:
         mono = _table_monomial(add, pi)
         s_pi = _permutation_sign(pi)
@@ -1085,8 +1090,7 @@ def check_action_identities(
             sg = add[g]
             star = tuple(sg[pi[sg[i]]] for i in range(n))
             star_mono = _table_monomial(add, star)
-            if not exhaustive:
-                stars.append((star, star_mono))
+            stars.append((star, star_mono))
             if _permutation_sign(star) != s_pi:
                 failures.append({"pi": list(pi), "gamma": list(els[g]), "what": "star changed sign"})
             if star_mono != mono:
@@ -1101,40 +1105,31 @@ def check_action_identities(
         inv = _invert(pi)
         if _table_monomial(add, inv) != mono:
             failures.append({"pi": list(pi), "what": "inverse changed monomial"})
-        if exhaustive:
-            for i, j in enumerate(pi):
-                realized.add((mono, i, j))
-            continue
-        # constructive realization along the star orbit of pi: the star by
-        # g_alpha - g_i carries position i to the entry g_k - g_i
-        positions = {}
-        for alpha in range(n):
-            positions.setdefault(add[alpha][pi[alpha]], alpha)
-        for k, mult in enumerate(mono):
-            if not mult:
-                continue
-            alpha = positions[k]
+        witnesses.setdefault(mono, (pi, stars))
+
+    # realization along each witness's star orbit: for an entry g_k of pi at
+    # position alpha, the star by g_alpha - g_i carries position i to g_k - g_i
+    for mono, (pi, stars) in witnesses.items():
+        for k, alpha in sorted({add[a][pi[a]]: a for a in range(n)}.items()):
             for i in range(n):
                 star, star_mono = stars[add[alpha][neg[i]]]
                 j = add[k][neg[i]]
                 if star[i] != j or star_mono != mono:
-                    orbit_failures.append(
+                    failures.append(
                         {"monomial": list(mono), "i": i, "j": j, "what": "orbit construction failed"}
                     )
-
     if exhaustive:
         support = hall_support(group, n)
-        for mono in sorted(support):
+        for mono in sorted(support.difference(witnesses)):
             for k, mult in enumerate(mono):
                 if not mult:
                     continue
                 for i in range(n):
-                    j = add[k][neg[i]]
-                    if (mono, i, j) not in realized:
-                        failures.append(
-                            {"monomial": list(mono), "i": i, "j": j, "what": "pair not realized"}
-                        )
-    failures += orbit_failures
+                    failures.append(
+                        {"monomial": list(mono), "i": i, "j": add[k][neg[i]], "what": "pair not realized"}
+                    )
+        for mono in sorted(witnesses.keys() - support):
+            failures.append({"monomial": list(mono), "what": "monomial not zero-sum"})
     elapsed = time.perf_counter() - t0
     params = {"group": group.spec_string, "mode": "exhaustive" if exhaustive else f"sampled-{len(perms)}"}
     return CheckReport("action-identities", params, failures, elapsed)
@@ -1205,7 +1200,8 @@ def hall_tables(max_order: int, max_order_ext: int) -> list[tuple[FiniteAbelianG
 
 
 def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
-    """Support of the permanent equals the zero-sum prediction.
+    """Support of the permanent equals the zero-sum prediction, whose size is
+    the t^degree coefficient of the invariant Molien series.
 
     Plain tables at degree n for every abelian group of order <= max_order,
     extended tables at degree n+1 for order <= max_order_ext.
@@ -1222,6 +1218,10 @@ def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
                 {"group": table.group.spec_string, "table": table.variant, "exponents": list(exp),
                  "what": "missing" if exp in want else "unexpected"}
             )
+        dimension = sym_series(table.group, 0, table.size).coefficient(table.size)
+        if len(want) != dimension:
+            failures.append({"group": table.group.spec_string, "table": table.variant, "count": len(want),
+                             "dimension": dimension, "what": "count"})
     elapsed = time.perf_counter() - t0
     return CheckReport(
         "hall-support", {"max_order": max_order, "max_order_ext": max_order_ext}, failures, elapsed
@@ -1243,9 +1243,8 @@ def check_toeplitz_conjecture(n: int, l: int) -> CheckReport:
         failures.append({"exponents": list(exp), "what": "predicted monomial missing"})
     for exp in sorted(got - want):
         failures.append({"exponents": list(exp), "what": "unexpected monomial present"})
-    if len(want) != sym_dim(n, l, 0):
-        failures.append(
-            {"what": "prediction size mismatch", "count": len(want), "dimension": sym_dim(n, l, 0)}
-        )
+    dimension = sym_dim(n, l, 0)
+    if len(want) != dimension:
+        failures.append({"what": "prediction size mismatch", "count": len(want), "dimension": dimension})
     elapsed = time.perf_counter() - t0
     return CheckReport("toeplitz-conjecture", {"n": n, "l": l}, failures, elapsed)

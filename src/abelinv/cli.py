@@ -282,7 +282,7 @@ def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
         if args.variant != "plain" or args.l is not None:
             raise ValueError("cayley counts counts the terms of the plain table; "
                              "it takes no --variant or --l")
-        # the determinant first: its guard reads only the element lists, so a refused group joins no support
+        # the permanent's count is the paper's series coefficient, the determinant's a count of its terms
         dc = cayley.determinant_term_count(group)
         pc = cayley.permanent_term_count(group)
         payload = {"group": group.spec_string, "permanent_terms": pc, "determinant_terms": dc}

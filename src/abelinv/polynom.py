@@ -19,56 +19,34 @@ from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .numtheory import divisors
+from .numtheory import divisors, euler_phi, moebius
 
 if TYPE_CHECKING:
     from .groups import Element, FiniteAbelianGroup
-
-
-def _poly_mul_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_divmod_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """Exact division of integer polynomials (monic divisor); raises if inexact."""
-    num = list(num)
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    q = [0] * (len(num) - len(den) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        q[k] = c
-        if c:
-            for j, y in enumerate(den):
-                num[k + j] -= c * y
-    if any(num):
-        raise ValueError("inexact polynomial division")
-    return q
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the e-th cyclotomic polynomial.
 
-    Built by the division chain: (x^e - 1) / prod of the d-th polynomials
-    over proper divisors d of e.  Exact integer arithmetic throughout.
+    The Moebius product of (1 - x^d)^mu(e/d) over the divisors d of e,
+    negated at e = 1, expanded as a power series truncated at degree
+    phi(e): a factor 1 - x^d subtracts the series shifted by d, and its
+    inverse adds back a running sum at stride d.  Exact integer arithmetic.
     """
     if e < 1:
         raise ValueError(f"need e >= 1, got {e}")
-    if e == 1:
-        return (-1, 1)
-    num = [0] * (e + 1)
-    num[0], num[e] = -1, 1
-    den = [1]
-    for d in divisors(e)[:-1]:
-        den = _poly_mul_int(den, cyclotomic_polynomial(d))
-    return tuple(_poly_divmod_exact(num, den))
+    deg = euler_phi(e)
+    coeffs = [1] + [0] * deg
+    for d in divisors(e):
+        mu = moebius(e // d)
+        if mu == 1:
+            for k in range(deg, d - 1, -1):
+                coeffs[k] -= coeffs[k - d]
+        elif mu == -1:
+            for k in range(d, deg + 1):
+                coeffs[k] += coeffs[k - d]
+    return tuple(-c for c in coeffs) if e == 1 else tuple(coeffs)
 
 
 @lru_cache(maxsize=None)

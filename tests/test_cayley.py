@@ -759,6 +759,12 @@ def test_term_counts_frozen():
     assert determinant_term_count(V4) == 11
 
 
+def test_permanent_term_count_matches_the_support_oracle():
+    # the series coefficient (the paper's theorem) against the zero-sum enumeration
+    for g in abelian_groups_up_to(10):
+        assert permanent_term_count(g) == len(hall_support(g, g.order)), g.spec_string
+
+
 def test_permanent_term_count_matches_polynomial():
     for spec in ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "C2xC3"):
         g = parse_group(spec)
@@ -842,6 +848,21 @@ def test_action_identities_exhaustive():
         assert report.parameters["mode"] == "exhaustive"
 
 
+def test_exhaustive_actions_report_a_supported_vector_no_permutation_realizes(monkeypatch):
+    real = cayley.hall_support
+    monkeypatch.setattr(cayley, "hall_support", lambda g, d: real(g, d) | {(2, 1, 0)})  # 1 != 0 in C3
+    report = check_action_identities(C3)
+    assert report.failures == [{"monomial": [2, 1, 0], "i": i, "j": (k - i) % 3, "what": "pair not realized"}
+                               for k in (0, 1) for i in range(3)]
+
+
+def test_exhaustive_actions_report_a_permutation_monomial_outside_the_support(monkeypatch):
+    real = cayley.hall_support
+    monkeypatch.setattr(cayley, "hall_support", lambda g, d: real(g, d) - {(0, 3, 0)})
+    report = check_action_identities(C3)
+    assert report.failures == [{"monomial": [0, 3, 0], "what": "monomial not zero-sum"}]
+
+
 def test_action_identities_sampled_deterministic():
     g = parse_group("C6")
     r1 = check_action_identities(g, samples=50, seed=3)
@@ -891,6 +912,18 @@ def test_extended_count_checks():
 def test_hall_check_small():
     report = check_hall(max_order=4, max_order_ext=4)
     assert report.ok, report.failures[:3]
+
+
+def test_hall_check_compares_the_support_size_with_the_series(monkeypatch):
+    real = cayley.sym_series
+    trivial = parse_group("C1")  # its series is 1/(1 - t): adds 1 to every coefficient
+    monkeypatch.setattr(cayley, "sym_series", lambda g, i, order: real(g, i, order) + real(trivial, 0, order))
+    report = check_hall(max_order=2, max_order_ext=1)
+    assert report.failures == [
+        {"group": "C1", "table": "plain", "count": 1, "dimension": 2, "what": "count"},
+        {"group": "C2", "table": "plain", "count": 2, "dimension": 3, "what": "count"},
+        {"group": "C1", "table": "extended", "count": 1, "dimension": 2, "what": "count"},
+    ]
 
 
 def test_toeplitz_conjecture_cells():

@@ -534,6 +534,61 @@ def test_check_all_is_every_mode_with_the_options_it_reads(forwarded):
     assert _without_elapsed(text) == _without_elapsed("".join(parts))
 
 
+# `check all` at its defaults, the toolkit's end-to-end check: every mode passes but the
+# stretched-table grid, which halts at its one (4, 6) counterexample
+CHECK_ALL_GOLDEN = """\
+PASS reciprocity [max_total=10 fredman_total=16] failures=0 elapsed=*s
+PASS identity-A [order=20 i_max=5] failures=0 elapsed=*s
+PASS identity-B [order=20 i_max=5] failures=0 elapsed=*s
+PASS identity-log2var [order=20 i_max=5] failures=0 elapsed=*s
+PASS identity-log3var [order=8 i_max=5] failures=0 elapsed=*s
+PASS hall-support [max_order=6 max_order_ext=5] failures=0 elapsed=*s
+PASS invariance [group=C1] failures=0 elapsed=*s
+PASS invariance [group=C2] failures=0 elapsed=*s
+PASS invariance [group=C3] failures=0 elapsed=*s
+PASS invariance [group=C2xC2] failures=0 elapsed=*s
+PASS invariance [group=C4] failures=0 elapsed=*s
+PASS invariance [group=C5] failures=0 elapsed=*s
+PASS invariance [group=C2xC3] failures=0 elapsed=*s
+PASS action-identities [group=C3 mode=exhaustive] failures=0 elapsed=*s
+PASS action-identities [group=C4 mode=exhaustive] failures=0 elapsed=*s
+PASS action-identities [group=C2xC2 mode=exhaustive] failures=0 elapsed=*s
+PASS action-identities [group=C6 mode=sampled-500] failures=0 elapsed=*s
+PASS action-identities [group=C2xC3 mode=sampled-500] failures=0 elapsed=*s
+PASS lehmer [p=3] failures=0 elapsed=*s
+PASS lehmer [p=5] failures=0 elapsed=*s
+PASS lehmer [p=7] failures=0 elapsed=*s
+PASS extended-counts [group=C1] failures=0 elapsed=*s
+PASS extended-counts [group=C2] failures=0 elapsed=*s
+PASS extended-counts [group=C3] failures=0 elapsed=*s
+PASS extended-counts [group=C2xC2] failures=0 elapsed=*s
+PASS extended-counts [group=C4] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=2 l=2] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=2 l=3] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=2 l=4] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=2 l=5] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=2 l=6] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=2 l=7] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=2 l=8] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=2 l=9] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=3 l=3] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=3 l=4] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=3 l=5] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=3 l=6] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=3 l=7] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=3 l=8] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=4 l=4] failures=0 elapsed=*s
+PASS toeplitz-conjecture [n=4 l=5] failures=0 elapsed=*s
+FAIL toeplitz-conjecture [n=4 l=6] failures=1 elapsed=*s
+  witness: {"exponents": [0, 0, 6, 0], "what": "predicted monomial missing"}
+"""
+
+
+def test_check_all_golden():
+    code, text = invoke(["check", "all"])
+    assert (code, _without_elapsed(text)) == (1, CHECK_ALL_GOLDEN)
+
+
 def test_check_identity_selection():
     text = ok(["check", "identity", "--identity", "A"])
     assert text.startswith("PASS identity-A ")

@@ -21,7 +21,7 @@ so the program keeps one state per orbit of column sets under all |G|
 translations (C12 and C2xC6 in seconds); other tables keep one per class
 count.  All it reads of that action is one record (_Symmetry: relabeled
 grid, per-element key operations and weights, orbit table, characters),
-cached per group and signedness.
+cached per group and shared by the permanent and the determinant.
 Every kernel ends alike: its packed exponent keys are unpacked one digit
 column at a time (_unpack), and IntPolynomial._of adopts the terms dict it
 builds without a copy or a rescan.
@@ -346,12 +346,6 @@ def _relabeling(group: FiniteAbelianGroup) -> tuple[list[int], int, tuple[tuple[
     return phi, basis[0][0], tuple(axes)
 
 
-def _shifted(axes: Sequence[tuple[int, int]], deltas: Sequence[int]) -> list[int]:
-    """The label permutation that adds deltas[i] to digit i (mod its modulus), for every i."""
-    return [sum((x // t + d) % m * t for d, (t, m) in zip(deltas, axes))
-            for x in range(math.prod(m for _, m in axes))]
-
-
 def _digit_shift(axes: Sequence[tuple[int, int]], i: int, d: int, width: int) -> tuple[int, int, int, int]:
     """(low, up, high, down) with f(y) = (y & low) << up | (y & high) >> down adding d to digit i.
 
@@ -399,17 +393,13 @@ class _Symmetry(NamedTuple):
 
     orbit[S], for each column mask S = T_x(R), is (R, label of -x, sign): T_x
     translates the columns by x and R is the smallest mask of the orbit of S
-    under the whole group, so P_R = sign * sigma_(-x)(P_S).  On a signed
-    record the sign of a translation on a k-set is (-1)^(pairs of the set it
-    reverses), taken one axis step at a time (it composes as a cocycle):
-    adding 1 to digit i moves the labels of each block (labels that agree on
-    every more significant digit) whose digit i is m_i - 1 below the rest of
-    the block, reversing |low part| * |top part| pairs per block; along g it
-    is w(k-w), for the w columns that wrap.  chis[x] is the sign character of
-    the column permutation by x, exponents[x] reads the exponent vector of
-    sigma_x(K), in the group's variable order, off the digits of K, and sign
-    is the sign of the column relabeling phi.  An unsigned record has every
-    sign and character 1.
+    under the whole group, so P_R = sign * sigma_(-x)(P_S), where sign =
+    (-1)^(pairs of R that T_x reverses) and x is the first such translation
+    in label order.  chis[x] is the sign character of the column permutation
+    by x, exponents[x] reads the exponent vector of sigma_x(K), in the
+    group's variable order, off the digits of K, and sign is the sign of the
+    column relabeling phi.  The signs and characters are
+    the determinant's; the permanent reads every one of them as 1.
     """
 
     phi: list[int]
@@ -427,27 +417,27 @@ class _Symmetry(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _symmetry(group: FiniteAbelianGroup, signed: bool) -> _Symmetry:
-    """The _Symmetry of the plain table of a group of order 2 or more, one per signedness.
+def _symmetry(group: FiniteAbelianGroup) -> _Symmetry:
+    """The _Symmetry of the plain table of a group of order 2 or more, shared by per and det.
 
     Every square table whose row and column elements each list the group
     once is the plain table with its rows and columns permuted (see
     _plain_sign), so plain, hat, n x n toeplitz and reordered tables all
-    run on this one record.
+    run on this one record.  Its set-up parts read one table, perms[x][y],
+    the label of x + y, filled from the addition table through phi.
     """
     n = group.order
     phi, _, axes = _relabeling(group)
-    grid = []
-    for row in group.add_table:
-        new = [0] * n
-        for j, v in enumerate(row):
-            new[phi[j]] = phi[v]
-        grid.append(new)
+    perms = [[0] * n for _ in range(n)]
+    for a, row in enumerate(group.add_table):
+        perm = perms[phi[a]]
+        for b, v in enumerate(row):
+            perm[phi[b]] = phi[v]
+    neg = [perm.index(0) for perm in perms]  # the label of -x, for each label x
     base = 1 << n.bit_length() if len(axes) > 1 else n + 1
     width = base.bit_length() - 1
     modulus = base**n - 1
     s, e = axes[0]
-    perms = [_shifted(axes, [x // t % m for t, m in axes]) for x in range(n)]
     mults = [base ** (c * s) for c in range(e)]
     shifts = [tuple(_digit_shift(axes, i, r // t % m, width) for i, (t, m) in enumerate(axes) if r // t % m)
               for r in range(s)]  # label x = (x // s) * s + x % s
@@ -463,43 +453,27 @@ def _symmetry(group: FiniteAbelianGroup, signed: bool) -> _Symmetry:
             ys.append(y)
         return [y * mult % modulus for mult in mults for y in ys]
 
-    # the orbit table: every orbit of masks walked from its smallest mask, one axis step at a time
-    steps = []
-    for i, (t, m) in enumerate(axes):
-        blocks = [(((1 << (m - 1) * t) - 1) << b, ((1 << t) - 1) << b + (m - 1) * t)
-                  for b in range(0, n, m * t)]
-        steps.append((t, m, (_digit_shift(axes, i, 1, 1),), blocks))
-    neg = [0] * n  # the label of -x, for each label x
-    for a, b in enumerate(group.neg_table):
-        neg[phi[a]] = phi[b]
+    # the orbit table: each orbit of masks translated from its smallest mask, x in label order
     orbit: list = [None] * (1 << n)
     for rep in range(1 << n):
         if orbit[rep] is not None:
             continue
-        translates = [(rep, 0, 1)]  # (T_x(rep), x, sign), x in label order
-        for t, m, shift, blocks in steps:
-            out = []
-            for mask, x, sign in translates:
-                out.append((mask, x, sign))
-                for d in range(1, m):
-                    if signed:
-                        for bl, bt in blocks:
-                            if (mask & bl).bit_count() & (mask & bt).bit_count() & 1:
-                                sign = -sign
-                    mask, = _shift_digits((mask,), shift)
-                    out.append((mask, x + d * t, sign))
-            translates = out
-        for mask, x, sign in translates:
-            if orbit[mask] is None:
-                orbit[mask] = (rep, neg[x], sign)
+        cols = [y for y in range(n) if rep >> y & 1]
+        for x, perm in enumerate(perms):
+            seen = flips = 0  # T_x(rep) so far, and the pairs it reverses
+            for y in map(perm.__getitem__, cols):
+                flips += (seen >> y).bit_count()
+                seen |= 1 << y
+            if orbit[seen] is None:
+                orbit[seen] = (rep, neg[x], -1 if flips & 1 else 1)
 
     return _Symmetry(
-        phi, grid, axes, base, modulus, [[base**p for p in perm] for perm in perms],
+        phi, [perms[p] for p in phi], axes, base, modulus, [[base**p for p in perm] for perm in perms],
         [(mult, masks) for mult in mults for masks in shifts], orbit,
-        [_permutation_sign(perm) for perm in perms] if signed else [1] * n,
+        [_permutation_sign(perm) for perm in perms],
         # the exponent of x_a in sigma_x(K) is the digit of K at label sigma_(-x)(phi(a))
         [operator.itemgetter(*[perms[neg[x]][p] for p in phi]) for x in range(n)],
-        images, _permutation_sign(phi) if signed else 1,
+        images, _permutation_sign(phi),
     )
 
 
@@ -604,7 +578,8 @@ def _next_layer(
             dest, src, w = state + r, poly, unmoved[v]
             if orbit is not None:
                 dest, x, sign = orbit[dest]
-                negate = negate ^ (sign < 0)
+                if signed and sign < 0:  # a permanent ignores the orbit sign
+                    negate = not negate
                 src = moved.get(x)
                 if src is None:
                     mult, masks = ops[x]
@@ -711,7 +686,7 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool, plan: tuple[Counter[int], int
         return IntPolynomial.zero(nvars)
     classes, sign = plan  # column element -> columns, in column order
     sizes = list(classes.values())
-    sym = _symmetry(group, signed) if sign else None
+    sym = _symmetry(group) if sign else None
     base = l + 1 if sym is None else sym.base
     powers = [base**i for i in range(nvars)]
     if sym is None:
@@ -735,11 +710,12 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool, plan: tuple[Counter[int], int
         return IntPolynomial._of(nvars, dict(zip(_unpack(final, base, powers), coeffs)))
     # every translation fixes the full mask: unpack one key of each orbit of
     # the mean, then read every translate off its digits, mapping labels back
-    sign = sign * sym.sign if signed else 1
-    means = _orbit_means(final, sym.images, sym.chis)
+    # the permanent's characters and signs are all 1
+    sign, chis = (sign * sym.sign, sym.chis) if signed else (1, [1] * nvars)
+    means = _orbit_means(final, sym.images, chis)
     digits = list(_unpack(means, base, powers))
     terms: dict[tuple[int, ...], int] = {}
-    for exponent, chi in zip(sym.exponents, sym.chis):
+    for exponent, chi in zip(sym.exponents, chis):
         terms.update(zip(map(exponent, digits), map((chi * sign).__mul__, means.values())))
     return IntPolynomial._of(nvars, terms)
 

@@ -330,18 +330,16 @@ def _cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
         runs.append((row, opts))
     reports = [report for row, opts in runs for report in row.run(opts)]
 
-    if args.json:
-        payload = reports[0].to_json_obj() if len(reports) == 1 else [r.to_json_obj() for r in reports]
-        print(json.dumps(payload, indent=2, sort_keys=False), file=out)
-    else:
-        for rep in reports:
-            print(rep.summary_line(), file=out)
-            # the conjecture check reports its full monomial symmetric difference
-            cap = len(rep.failures) if rep.check == "toeplitz-conjecture" else MAX_WITNESS_LINES
-            for witness in rep.failures[:cap]:
-                print(f"  witness: {json.dumps(witness, sort_keys=False)}", file=out)
-            if len(rep.failures) > cap:
-                print(f"  ... {len(rep.failures) - cap} more", file=out)
+    lines = []
+    for rep in reports:
+        lines.append(rep.summary_line())
+        # the conjecture check reports its full monomial symmetric difference
+        cap = len(rep.failures) if rep.check == "toeplitz-conjecture" else MAX_WITNESS_LINES
+        lines += [f"  witness: {json.dumps(witness, sort_keys=False)}" for witness in rep.failures[:cap]]
+        if len(rep.failures) > cap:
+            lines.append(f"  ... {len(rep.failures) - cap} more")
+    payload = reports[0].to_json_obj() if len(reports) == 1 else [r.to_json_obj() for r in reports]
+    _emit(out, args, "\n".join(lines), payload)
     return 0 if all(r.ok for r in reports) else 1
 
 

@@ -339,13 +339,13 @@ def test_grid_guard_refuses_a_grid_its_lists_admit():
 def test_translation_found_on_the_grid():
     # the record relabels the plain table over a basis: an element of maximal order (stride
     # n/e) and a complement; every other table that lists the group on both sides shares it
-    c2c6 = _symmetry(parse_group("C2xC6"), False)
+    c2c6 = _symmetry(parse_group("C2xC6"))
     assert c2c6.phi == [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11]
     for spec, axes in (("C2xC6", ((2, 6), (1, 2))), ("C2xC2xC2", ((4, 2), (2, 2), (1, 2))),
                        ("C3xC3", ((3, 3), (1, 3))), ("C2xC3", ((1, 6),)), ("C2xC2xC3", ((2, 6), (1, 2))),
                        ("C5", ((1, 5),))):
         n = parse_group(spec).order
-        tr = _symmetry(parse_group(spec), False)
+        tr = _symmetry(parse_group(spec))
         assert tr.axes == axes and sorted(tr.phi) == list(range(n)), spec
 
         def plus(a, b):
@@ -374,7 +374,7 @@ def test_key_translations_agree():
     rng = random.Random(13)
     for group in abelian_groups_up_to(12)[1:] + [parse_group("C2xC2xC3")]:
         n, add = group.order, group.add_table
-        sym = _symmetry(group, False)
+        sym = _symmetry(group)
         phi, base = sym.phi, sym.base
         for _ in range(6):
             exps = [0] * n
@@ -413,15 +413,41 @@ def test_orbit_dp_matches_unreduced_dp(monkeypatch):
                 assert got == subset_dp(table, signed), (label, signed)
 
 
-def test_one_orbit_record_per_group_and_signedness():
-    # plain, hat and the n x n toeplitz table are the plain table permuted, so they share its record
+def test_orbit_table_is_the_translation_orbit_of_each_mask():
+    # orbit[S] = (R, y, sign), with x the element of -y: R is the smallest mask of the orbit of S,
+    # translating the columns of R by x gives S, and sign is -1 to the pairs of R it reverses;
+    # read off the addition table through phi, not off the record's own tables
+    for group in abelian_groups_up_to(10)[1:]:
+        n, add = group.order, group.add_table
+        phi = _relabeling(group)[0]
+        element = {p: a for a, p in enumerate(phi)}
+        orbit = _symmetry(group).orbit
+
+        def translate(cols, x):
+            # the label of each column moved by the element x, in the order of cols
+            return [phi[add[element[c]][x]] for c in cols]
+
+        for mask in range(1 << n):
+            rep, y, sign = orbit[mask]
+            x = group.neg_table[element[y]]
+            cols = [c for c in range(n) if mask >> c & 1]
+            assert rep == min(sum(1 << c for c in translate(cols, z)) for z in range(n)), (group, mask)
+            moved = translate([c for c in range(n) if rep >> c & 1], x)
+            assert sum(1 << c for c in moved) == mask, (group, mask)
+            flips = sum(a > b for a, b in itertools.combinations(moved, 2))
+            assert sign == (-1) ** flips, (group, mask)
+
+
+def test_one_orbit_record_per_group():
+    # plain, hat and the n x n toeplitz table are the plain table permuted, so they share its
+    # record, and the permanent and the determinant share it too
     _symmetry.cache_clear()
     c8 = parse_group("C8")
     tables = [build_table(c8, v) for v in ("plain", "hat", "toeplitz")]
     for table in tables:
         permanent(table)
         determinant(table)
-    assert _symmetry.cache_info().misses == 2
+    assert _symmetry.cache_info().misses == 1
     # the determinant takes the signs of the two lists: the hat and the toeplitz table agree
     assert determinant(tables[1]) == determinant(tables[2]) == determinant(tables[0], "factored") * c8.inversion_sign()
 

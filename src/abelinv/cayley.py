@@ -73,7 +73,6 @@ GRID_GUARD = 4 * 10**6
 ORBIT_MIN_PAIRS = 2000
 FACTORED_GUARD = 10**6
 ENUM_GUARD = 2 * 10**7  # hall_support work units (see there)
-UNPACK_CHUNK = 1 << 14  # packed keys unpacked per batch of digit columns (see _unpack)
 # sampled action check: n^2 addition-table cells plus n^2 star steps per sample, about 1-2 us
 # each on 2 vCPUs, so an admitted run takes about 1 s (C500 with one sample: 1.1 s)
 ACTION_GUARD = 5 * 10**5
@@ -151,38 +150,25 @@ def table_size(group: FiniteAbelianGroup, variant: str, size: int | None = None)
     return {"extended": n + 1, "block2n": 2 * n}.get(variant, n)
 
 
-def build_table(
-    group: FiniteAbelianGroup,
-    variant: str,
-    size: int | None = None,
-    element_order: Sequence[int] | None = None,
-) -> CayleyMatrix:
+def build_table(group: FiniteAbelianGroup, variant: str, size: int | None = None) -> CayleyMatrix:
     """One of the table variants, as its lists of row and column elements; builds no grid.
 
     size applies to toeplitz only (l >= n, default n).  The plain table lists
     the elements in index order on both sides, the hat table negates its
     column elements, the extended table appends the neutral element to both
     lists and block2n repeats both; the toeplitz table has rows -i mod n and
-    columns j mod n.  element_order permutes the element listing of the other
-    variants (relabeling-invariance tests); entries always use canonical
-    variable indices, so permanents are reorder invariant and determinants
-    pick up the square of the row/column sign.  A table of more than DP_GUARD
-    cells is refused from l alone, before any list is made, whatever route
-    would take it, so a table that is built costs O(l).
+    columns j mod n.  Any other listing is CayleyMatrix(group, variant, rows,
+    cols) itself.  A table of more than DP_GUARD cells is refused from l
+    alone, before any list is made, whatever route would take it, so a table
+    that is built costs O(l).
     """
     l = table_size(group, variant, size)
     if l * l > DP_GUARD:
         raise GuardExceeded("table cells", l * l, DP_GUARD)
     n = group.order
     if variant == "toeplitz":
-        if element_order is not None:
-            raise ValueError("toeplitz tables have a fixed index layout")
         return CayleyMatrix(group, variant, tuple(-i % n for i in range(l)), tuple(j % n for j in range(l)))
     listing = list(range(n))
-    if element_order is not None:
-        if sorted(element_order) != listing:
-            raise ValueError("element_order must be a permutation of the element indices")
-        listing = list(element_order)
     if variant == "extended":
         listing.append(0)
     elif variant == "block2n":
@@ -215,13 +201,11 @@ def _cross_parity(head: Sequence[int]) -> int:
 def _unpack(keys: Iterable[int], base: int, powers: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The digit tuple (key // p % base for p in powers) of each packed key, in order.
 
-    Read one digit column at a time over a chunk of UNPACK_CHUNK keys and
-    zipped into tuples, so no per-key list is built, and the columns of only
-    one chunk are held at a time.
+    Read one digit column at a time and zipped into tuples, so no per-key
+    list is built.
     """
-    keys = iter(keys)
-    while chunk := list(itertools.islice(keys, UNPACK_CHUNK)):
-        yield from zip(*[[key // p % base for key in chunk] for p in powers])
+    keys = list(keys)
+    return zip(*[[key // p % base for key in keys] for p in powers])
 
 
 def _leibniz_guard(matrix: CayleyMatrix, signed: bool) -> None:
@@ -873,15 +857,9 @@ def _planned(table: CayleyMatrix, op: str, plan: object, algorithm: str = "auto"
     return kernel(table, op == "det", plan)
 
 
-def _run(matrix: CayleyMatrix, op: str, algorithm: str) -> IntPolynomial:
-    guard, kernel = route(op, algorithm)
-    signed = op == "det"
-    return kernel(matrix, signed, guard(matrix, signed))
-
-
 def permanent(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
     """Permanent as an integer polynomial; algorithm in {auto, leibniz} (ROUTES)."""
-    return _run(matrix, "per", algorithm)
+    return _planned(matrix, "per", refuse(matrix, "per", algorithm), algorithm)
 
 
 def determinant(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
@@ -891,7 +869,7 @@ def determinant(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
     stretched toeplitz tables), and an explicit leibniz run (l <= 10) sums
     all l! signed terms, so it computes the cancellation honestly.
     """
-    return _run(matrix, "det", algorithm)
+    return _planned(matrix, "det", refuse(matrix, "det", algorithm), algorithm)
 
 
 def _count_table(add: Sequence[Sequence[int]], elements: Sequence[int],
@@ -1072,14 +1050,13 @@ def check_action_identities(
             if star_mono != mono:
                 failures.append({"pi": list(pi), "gamma": list(els[g]), "what": "star changed monomial"})
             sginv = add[neg[g]]
-            translated = _translate_exponents(mono, sg)
+            translated = tuple(map(mono.__getitem__, sginv))
             composed = tuple(pi[sginv[i]] for i in range(n))
             if translated != _table_monomial(add, composed):
                 failures.append(
                     {"pi": list(pi), "gamma": list(els[g]), "what": "translate/compose mismatch"}
                 )
-        inv = _invert(pi)
-        if _table_monomial(add, inv) != mono:
+        if _table_monomial(add, sorted(range(n), key=pi.__getitem__)) != mono:
             failures.append({"pi": list(pi), "what": "inverse changed monomial"})
         witnesses.setdefault(mono, (pi, stars))
 
@@ -1109,20 +1086,6 @@ def check_action_identities(
     elapsed = time.perf_counter() - t0
     params = {"group": group.spec_string, "mode": "exhaustive" if exhaustive else f"sampled-{len(perms)}"}
     return CheckReport("action-identities", params, failures, elapsed)
-
-
-def _invert(perm: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(perm)
-    for i, j in enumerate(perm):
-        out[j] = i
-    return tuple(out)
-
-
-def _translate_exponents(exp: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(exp)
-    for i, k in enumerate(exp):
-        out[perm[i]] = k
-    return tuple(out)
 
 
 def check_lehmer_congruence(p: int) -> CheckReport:

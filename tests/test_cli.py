@@ -38,6 +38,7 @@ def test_dim_golden_values():
     assert ok(["dim", "a", "--group", "C3", "--m", "3"]).strip() == "4"
     assert ok(["dim", "b", "--group", "C5", "--m", "2"]).strip() == "2"
     assert ok(["dim", "sw", "--group", "C3", "--p", "1", "--m", "1"]).strip() == "3"
+    assert ok(["dim", "a", "--group", "C1000000", "--m", "1"]).strip() == "1"  # under the binomial guard
 
 
 def test_dim_json_payload():
@@ -105,6 +106,21 @@ def test_identity_guard_refuses_quickly(identity, order, capsys):
     assert invoke(["check", "identity", "--identity", identity, "--order", str(order)]) == (3, "")
     assert time.perf_counter() - t0 < 1.0
     assert "identity series terms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["dim", "a", "--group", "C1000000", "--m", "1000000"], "dimension binomial bits"),
+    (["dim", "b", "--group", "C2000000", "--m", "1000000"], "dimension binomial bits"),
+    (["dim", "sw", "--group", "C100000", "--p", "100000", "--m", "50000"], "dimension binomial bits"),
+    (["check", "reciprocity", "--fredman-total", "400"], "reciprocity comparisons"),
+    (["check", "reciprocity", "--max-total", "60"], "reciprocity comparisons"),
+    (["check", "all", "--max-total", "60"], "reciprocity comparisons"),  # refused in its first mode
+])
+def test_point_and_sweep_guards_refuse_quickly(argv, what, capsys):
+    t0 = time.perf_counter()
+    assert invoke(argv) == (3, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert what in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -450,6 +450,22 @@ def test_ext_total_dim_invariants_profile_validation():
         ext_total_dim_invariants({1: 1, 2: 5})  # 2^6 / 6 is not an integer
 
 
+def test_reciprocity_guard_counts_every_comparison(monkeypatch):
+    with pytest.raises(GuardExceeded) as info:
+        check_reciprocity(60, 16)
+    assert (info.value.size, info.value.limit) == (1495190 + 1260, molien.RECIPROCITY_GUARD)
+    # the closed form against the sweeps' own loops, with every comparison refused
+    monkeypatch.setattr(molien, "RECIPROCITY_GUARD", 0)
+    for a in range(1, 13):
+        for b in range(1, 13):
+            want = sum(max(q + m, p + m) for t in range(1, a + 1) for p in range(t + 1)
+                       for q in range(t + 1 - p) for m in (t - p - q,) if q + m >= 1 and p + m >= 1)
+            want += sum(max(n, t - n) for t in range(1, b + 1) for n in range(t + 1))
+            with pytest.raises(GuardExceeded) as info:
+                check_reciprocity(a, b)
+            assert info.value.size == want, (a, b)
+
+
 def test_reciprocity_check_passes():
     report = check_reciprocity(max_total=8, fredman_total=12)
     assert report.ok

@@ -994,7 +994,6 @@ def _table_monomial(add: Sequence[Sequence[int]], perm: Sequence[int]) -> tuple[
 def check_action_identities(
     group: FiniteAbelianGroup,
     samples: int | None = None,
-    seed: int = 0,
 ) -> CheckReport:
     """Structural identities of the translation action on permutations.
 
@@ -1011,8 +1010,8 @@ def check_action_identities(
     star orbit of the witness realizes every pair of that monomial.  The
     modes differ only in their permutations: all n! when samples is None
     (group order <= 8 required), which also compares the witnesses'
-    monomials with hall_support both ways; otherwise a deterministic sample.
-    Either guard is decided before the n x n addition table is built; the
+    monomials with hall_support both ways; otherwise `samples` permutations
+    drawn by random.Random(0).  Either guard is decided before the n x n addition table is built; the
     sampled one counts its n^2 cells plus n^2 star steps per sample.
     """
     t0 = time.perf_counter()
@@ -1028,7 +1027,7 @@ def check_action_identities(
         work = n * n * (1 + samples)
         if work > ACTION_GUARD:
             raise GuardExceeded("sampled action steps", work, ACTION_GUARD)
-        rng = random.Random(seed)
+        rng = random.Random(0)
         perms = [tuple(rng.sample(range(n), n)) for _ in range(samples)]
     els = group.elements()
     add = group.add_table

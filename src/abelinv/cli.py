@@ -119,19 +119,6 @@ _MODE_OPTIONS.update({("check", mode): (row.options, row.without_group) for mode
 _MODE_OPTIONS["check", "all"] = (dict.fromkeys(CHECK_ALL_FORWARDS), ())
 
 
-def _readers() -> dict[str, dict[str, list[str]]]:
-    """command -> option -> the modes that read it, as the exit-2 message names them."""
-    readers: dict[str, dict[str, list[str]]] = {}
-    for (command, mode), (options, without_group) in _MODE_OPTIONS.items():
-        for option in options:
-            label = mode + (" without --group" if option in without_group else "")
-            readers.setdefault(command, {}).setdefault(option, []).append(label)
-    return readers
-
-
-_READERS = _readers()
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="abelinv",
@@ -229,16 +216,13 @@ def _cmd_dim(args: argparse.Namespace, out: IO[str]) -> int:
     _require_weight(args.i, n)
     # every value is sym_ext_dim(n, p, m, i), whose largest divisor term is C(n+p, m) C(n+p-m, p)
     p, m = {"a": (args.m, 0), "b": (0, args.m), "sw": (args.p, args.m)}[args.kind]
+    if min(p, m) < 0:
+        raise ValueError(f"dim {args.kind} needs {'--p and --m' if args.kind == 'sw' else '--m'} >= 0")
     if m <= n:  # else the value is 0, from no binomial
         bits = molien._binomial_bits(n + p, m) + molien._binomial_bits(n + p - m, p)
         if bits > DIM_GUARD:
             raise GuardExceeded("dimension binomial bits", bits, DIM_GUARD)
-    if args.kind == "a":
-        value = molien.sym_dim(n, args.m, args.i)
-    elif args.kind == "b":
-        value = molien.ext_dim(n, args.m, args.i)
-    else:
-        value = molien.sym_ext_dim(n, args.p, args.m, args.i)
+    value = molien.sym_ext_dim(n, p, m, args.i)
     payload = {"kind": args.kind, "group": group.spec_string, "n": n,
                "m": args.m, "i": args.i, "value": value}
     if args.kind == "sw":
@@ -250,34 +234,27 @@ def _cmd_dim(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_series(args: argparse.Namespace, out: IO[str]) -> int:
     if (args.group is None) == (args.profile is None):
         raise ValueError("series needs exactly one of --group or --profile")
-    if args.kind == "bigraded":
-        if args.profile is not None:
-            raise ValueError("bigraded series are defined for cyclic groups, not profiles")
-        group = parse_group(args.group)
-        n = _require_cyclic(group, "series bigraded")
-        _require_weight(args.i, n)
-        if args.order is None:
-            raise ValueError("series bigraded needs --order")
-        s2 = molien.bigraded_series(n, args.i, args.order, min(args.order, n))
-        payload = {"kind": "bigraded", "group": group.spec_string, "i": args.i,
-                   "series": s2.to_json_obj()}
-        _emit(out, args, str(s2), payload)
-        return 0
-
     if args.profile is not None:
+        if args.kind == "bigraded":
+            raise ValueError("bigraded series are defined for cyclic groups, not profiles")
         source: molien.SeriesSource = _load_profile(args.profile)
         label = {"profile": {str(d): c for d, c in source.items()}}
     else:
         source = parse_group(args.group)
         label = {"group": source.spec_string}
-    if args.kind == "sym":
-        if args.order is None:
-            raise ValueError("series sym needs --order")
-        s1 = molien.sym_series(source, args.i, args.order)
+    if args.kind == "bigraded":
+        n = _require_cyclic(source, "series bigraded")
+        _require_weight(args.i, n)
+    if args.order is None and args.kind != "ext":
+        raise ValueError(f"series {args.kind} needs --order")
+    if args.kind == "bigraded":
+        series = molien.bigraded_series(n, args.i, args.order, min(args.order, n))
+    elif args.kind == "sym":
+        series = molien.sym_series(source, args.i, args.order)
     else:
-        s1 = molien.ext_series(source, args.i, args.order)
-    payload = {"kind": args.kind, **label, "i": args.i, "series": s1.to_json_obj()}
-    _emit(out, args, str(s1), payload)
+        series = molien.ext_series(source, args.i, args.order)
+    payload = {"kind": args.kind, **label, "i": args.i, "series": series.to_json_obj()}
+    _emit(out, args, str(series), payload)
     return 0
 
 
@@ -380,12 +357,15 @@ def _cmd_oracle(args: argparse.Namespace, out: IO[str]) -> int:
 def _read_options(args: argparse.Namespace) -> None:
     """Refuse an option its mode does not read (ValueError), then fill in that mode's defaults."""
     command, mode = args.command, getattr(args, "which", getattr(args, "kind", None))
-    reads, without_group = _MODE_OPTIONS.get((command, mode), ({}, ()))
-    for option, readers in _READERS.get(command, {}).items():
+    rows = {m: row for (c, m), row in _MODE_OPTIONS.items() if c == command}
+    reads, without_group = rows.get(mode, ({}, ()))
+    for option in dict.fromkeys(o for options, _ in rows.values() for o in options):
         if getattr(args, option) is None:
             if option in reads:
                 setattr(args, option, reads[option])
         elif option not in reads or option in without_group and args.group is not None:
+            readers = [m + (" without --group" if option in wg else "")
+                       for m, (options, wg) in rows.items() if option in options]
             raise ValueError(f"{command} {mode}{' with --group' if option in reads else ''} does not read "
                              f"--{option.replace('_', '-')} (read by {command} {', '.join(readers)})")
 

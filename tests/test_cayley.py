@@ -887,8 +887,8 @@ def test_exhaustive_actions_report_a_permutation_monomial_outside_the_support(mo
 
 def test_action_identities_sampled_deterministic():
     g = parse_group("C6")
-    r1 = check_action_identities(g, samples=50, seed=3)
-    r2 = check_action_identities(g, samples=50, seed=3)
+    r1 = check_action_identities(g, samples=50)
+    r2 = check_action_identities(g, samples=50)
     assert r1.ok and r2.ok
     assert r1.parameters == r2.parameters
     assert r1.parameters["mode"] == "sampled-50"
@@ -899,7 +899,7 @@ def test_sampled_realization_still_catches_a_wrong_star_monomial(monkeypatch):
     # so one wrong star monomial must fail both checks
     g = parse_group("C6")
     sg = g.add_table[1]
-    pi = tuple(random.Random(3).sample(range(6), 6))  # the first permutation sampled with seed 3
+    pi = tuple(random.Random(0).sample(range(6), 6))  # the first permutation sampled
     target = tuple(sg[pi[sg[i]]] for i in range(6))
     assert target != pi
     real = cayley._table_monomial
@@ -909,7 +909,7 @@ def test_sampled_realization_still_catches_a_wrong_star_monomial(monkeypatch):
         return tuple(k + (t == 0) for t, k in enumerate(mono)) if tuple(perm) == target else mono
 
     monkeypatch.setattr(cayley, "_table_monomial", wrong_for_target)
-    report = check_action_identities(g, samples=20, seed=3)
+    report = check_action_identities(g, samples=20)
     whats = [f["what"] for f in report.failures]
     assert {"pi": list(pi), "gamma": list(g.elements()[1]), "what": "star changed monomial"} in report.failures
     assert "orbit construction failed" in whats

@@ -186,6 +186,58 @@ def test_series_usage_errors():
     assert invoke(["series", "ext", "--profile", "/nonexistent/profile.json"])[0] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    # bigraded: one source, then no profile (read or not), then cyclic, then the weight, then --order
+    (["bigraded", "--group", "C4", "--profile", "/nonexistent/p.json"],
+     "series needs exactly one of --group or --profile"),
+    (["bigraded", "--profile", "/nonexistent/p.json", "--i", "9"],
+     "bigraded series are defined for cyclic groups, not profiles"),
+    (["bigraded", "--group", "C0"], "group spec 'C0' contains a zero factor"),
+    (["bigraded", "--group", "C2xC2", "--i", "9"],
+     "series bigraded needs a single-factor cyclic group (e.g. C6), got C2xC2"),
+    (["bigraded", "--group", "C4", "--i", "9"], "character index 9 out of range for C4"),
+    (["bigraded", "--group", "C4"], "series bigraded needs --order"),
+    # sym: one source, then the source read, then --order
+    (["sym"], "series needs exactly one of --group or --profile"),
+    (["sym", "--profile", "/nonexistent/p.json"], "[Errno 2] No such file or directory: '/nonexistent/p.json'"),
+    (["sym", "--group", "C0"], "group spec 'C0' contains a zero factor"),
+    (["sym", "--group", "C2xC2", "--i", "9"], "series sym needs --order"),
+    # ext: one source, then the source read; its order is optional
+    (["ext", "--group", "C3", "--profile", "/nonexistent/p.json"], "series needs exactly one of --group or --profile"),
+    (["ext", "--profile", "/nonexistent/p.json"], "[Errno 2] No such file or directory: '/nonexistent/p.json'"),
+    (["ext", "--group", "C0"], "group spec 'C0' contains a zero factor"),
+    (["ext", "--group", "C2xC2", "--i", "9"], "character index 9 out of range for C2xC2"),
+])
+def test_series_error_precedence(argv, message, capsys):
+    assert invoke(["series", *argv]) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 30])
+def test_dim_matches_the_point_functions(n):
+    for m in sorted({0, 1, 2, n, n + 1, 2 * n}):
+        for i in sorted({0, 1, n - 1} & set(range(n))):
+            cases = [(["a"], {}, molien.sym_dim(n, m, i)), (["b"], {}, molien.ext_dim(n, m, i))]
+            cases += [(["sw", "--p", str(p)], {"p": p}, molien.sym_ext_dim(n, p, m, i)) for p in (0, 2)]
+            for kind, extra, value in cases:
+                argv = ["dim", *kind, "--group", f"C{n}", "--m", str(m), "--i", str(i)]
+                assert ok(argv) == f"{value}\n"
+                assert json.loads(ok(["--json", *argv])) == {
+                    "kind": kind[0], "group": f"C{n}", "n": n, "m": m, "i": i, "value": value, **extra}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["a", "--group", "C6", "--m", "-2"], "dim a needs --m >= 0"),
+    (["b", "--group", "C6", "--m", "-1"], "dim b needs --m >= 0"),
+    (["sw", "--group", "C6", "--p", "-1", "--m", "2"], "dim sw needs --p and --m >= 0"),
+    (["sw", "--group", "C6", "--p", "1", "--m", "-2"], "dim sw needs --p and --m >= 0"),
+    (["sw", "--group", "C2000000", "--p", "-1", "--m", "1000000"], "dim sw needs --p and --m >= 0"),  # before the guard
+])
+def test_dim_negative_degree_exits_2(argv, message, capsys):
+    assert invoke(["dim", *argv]) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------- cayley
 
 
@@ -521,6 +573,12 @@ def test_check_option_its_checker_does_not_read_exits_2(option, ignored, valid, 
     assert f"does not read --{option} (read by {ignored[0]} " in capsys.readouterr().err
     text = ok([*valid, f"--{option}", value])
     assert text.startswith("PASS") if valid[0] == "check" else text.strip().isdigit()
+
+
+def test_refusal_names_every_reader_in_table_order(capsys):
+    assert invoke(["check", "lehmer", "--max-order", "9"]) == (2, "")
+    assert capsys.readouterr().err == ("error: check lehmer does not read --max-order (read by check hall, "
+                                       "invariance without --group, extended without --group, all)\n")
 
 
 def test_check_extended_runs_to_the_max_order_given():

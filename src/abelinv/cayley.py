@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceeded
-from .groups import Element, FiniteAbelianGroup, _permutation_sign, abelian_groups_up_to
+from .groups import Element, FiniteAbelianGroup, _permutation_sign, iter_abelian_groups_up_to
 from .molien import _power_binomial_coeffs, sym_dim, sym_series
 from .numtheory import prime_factorization
 from .polynom import IntPolynomial, apply_group_action, unpack_zeta_integers, zeta_packing
@@ -887,6 +887,22 @@ def _count_table(add: Sequence[Sequence[int]], elements: Sequence[int],
     return table
 
 
+def _comb_capped(a: int, b: int) -> int:
+    """C(a, b) exactly below 2^256; above, the first of the rising partial products
+    C(a - k + j, j), k = min(b, a - b), that reaches 2^256, a lower bound found in at most 256 steps.
+
+    A size of 2^256 or more prints only as a power of two (errors._render), so the
+    guard's message and decision are those of the exact binomial.
+    """
+    k = min(b, a - b)
+    c = 1
+    for j in range(1, k + 1):
+        c = c * (a - k + j) // j
+        if c.bit_length() > 256:
+            break
+    return c
+
+
 def hall_support(group: FiniteAbelianGroup, degree: int) -> set[tuple[int, ...]]:
     """Exponent vectors of the given degree whose weighted element sum is zero.
 
@@ -908,9 +924,9 @@ def hall_support(group: FiniteAbelianGroup, degree: int) -> set[tuple[int, ...]]
         raise ValueError(f"hall_support: need degree >= 0, got {degree}")
     n = group.order
     m = (n + 1) // 2
-    tabled = ((n - 1) * (degree + 1) + math.comb(degree + n - m + 1, n - m) + math.comb(degree + m, m - 1) - 2
-              + math.comb(degree + m, m))
-    size = math.comb(degree + n - 1, n - 1) + 16 * tabled
+    tabled = ((n - 1) * (degree + 1) + _comb_capped(degree + n - m + 1, n - m) + _comb_capped(degree + m, m - 1)
+              - 2 + _comb_capped(degree + m, m))
+    size = _comb_capped(degree + n - 1, n - 1) + 16 * tabled
     if size > ENUM_GUARD:
         raise GuardExceeded("support enumeration", size, ENUM_GUARD)
     add = group.add_table
@@ -961,7 +977,9 @@ def _dual_weight_character(group: FiniteAbelianGroup) -> Element:
 def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
     """Translation action on variables: the permanent is invariant, the
     determinant is semi-invariant with character psi = sum of all characters
-    (so gamma . det = psi(gamma) * det with psi(gamma) = +-1)."""
+    (so gamma . det = psi(gamma) * det with psi(gamma) = +-1).  Their
+    coefficients sum to n! and 0 (1 for C1), the values at the all-ones table,
+    which a translation-invariant fault (one wrong orbit mean) still breaks."""
     t0 = time.perf_counter()
     table = build_table(group, "plain")
     # both guards before either kernel runs
@@ -969,6 +987,12 @@ def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
     failures: list[dict] = []
     per = _planned(table, "per", per_plan)
     det = _planned(table, "det", det_plan)
+    # at x = 1 the table is all ones: its permanent is n!, its determinant 0 (1 for C1)
+    for what, poly, want in (("permanent", per, math.factorial(group.order)),
+                             ("determinant", det, int(group.order == 1))):
+        total = sum(poly.terms.values())
+        if total != want:
+            failures.append({"what": f"{what} coefficient sum", "sum": total, "expected": want})
     neg_det = -det  # psi(gamma) * det where psi(gamma) = -1, built once
     psi = _dual_weight_character(group)
     for gamma in group.elements():
@@ -1129,12 +1153,15 @@ def check_extended_counts(group: FiniteAbelianGroup) -> CheckReport:
     return CheckReport("extended-counts", {"group": group.spec_string}, failures, elapsed)
 
 
-def hall_tables(max_order: int, max_order_ext: int) -> list[tuple[FiniteAbelianGroup, str]]:
-    """(group, variant) of each permanent check_hall takes: plain to max_order, then extended."""
+def hall_tables(max_order: int, max_order_ext: int) -> Iterator[tuple[FiniteAbelianGroup, str]]:
+    """(group, variant) of each permanent check_hall takes: plain to max_order, then extended.
+
+    Made as they are read, so a guard over them stops at the first refused table.
+    """
     if max_order < 1 or max_order_ext < 1:
         raise ValueError(f"hall check needs orders >= 1, got {max_order} and {max_order_ext}")
-    return [(group, variant) for variant, top in (("plain", max_order), ("extended", max_order_ext))
-            for group in abelian_groups_up_to(top)]
+    return ((group, variant) for variant, top in (("plain", max_order), ("extended", max_order_ext))
+            for group in iter_abelian_groups_up_to(top))
 
 
 def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
@@ -1145,10 +1172,11 @@ def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
     extended tables at degree n+1 for order <= max_order_ext.
     """
     t0 = time.perf_counter()
-    tables = [build_table(group, variant) for group, variant in hall_tables(max_order, max_order_ext)]
-    plans = [refuse(table, "per") for table in tables]  # every guard before the first kernel runs
+    # every guard before the first kernel runs, each table's as it is built
+    tables = [(table, refuse(table, "per")) for table in
+              itertools.starmap(build_table, hall_tables(max_order, max_order_ext))]
     failures: list[dict] = []
-    for table, plan in zip(tables, plans):
+    for table, plan in tables:
         got = set(_planned(table, "per", plan).terms)
         want = hall_support(table.group, table.size)  # a table's degree is its size
         for exp in sorted(got.symmetric_difference(want)):

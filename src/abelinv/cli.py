@@ -22,7 +22,7 @@ from . import cayley, molien
 from .errors import GuardExceeded
 from .groups import (
     FiniteAbelianGroup,
-    abelian_groups_up_to,
+    iter_abelian_groups_up_to,
     parse_group,
     parse_order_profile,
     subset_sum_zero_count,
@@ -52,8 +52,9 @@ class CheckMode(NamedTuple):
     tables: Callable[[argparse.Namespace], Iterable[tuple[FiniteAbelianGroup, str, str]]] = lambda o: ()
 
 
-def _groups(opts: argparse.Namespace) -> list[FiniteAbelianGroup]:
-    return [parse_group(opts.group)] if opts.group is not None else abelian_groups_up_to(opts.max_order)
+def _groups(opts: argparse.Namespace) -> Iterable[FiniteAbelianGroup]:
+    """The --group, else every group to --max-order, made as read: the pre-guard stops at the first refused."""
+    return [parse_group(opts.group)] if opts.group is not None else iter_abelian_groups_up_to(opts.max_order)
 
 
 def _check_actions(opts: argparse.Namespace) -> list[CheckReport]:
@@ -87,17 +88,17 @@ CHECK_MODES = {
                           {"identity": "all", "order": None}),
     "hall": CheckMode(lambda o: [cayley.check_hall(o.max_order, o.max_order_ext)],
                       {"max_order": 6, "max_order_ext": 5},
-                      tables=lambda o: [(g, "per", v)
-                                        for g, v in cayley.hall_tables(o.max_order, o.max_order_ext)]),
+                      tables=lambda o: ((g, "per", v)
+                                        for g, v in cayley.hall_tables(o.max_order, o.max_order_ext))),
     "invariance": CheckMode(lambda o: [cayley.check_invariance(g) for g in _groups(o)],
                             {"group": None, "max_order": 6}, ("max_order",),
-                            lambda o: [(g, *t) for g in _groups(o) for t in cayley.INVARIANCE_TABLES]),
+                            lambda o: ((g, *t) for g in _groups(o) for t in cayley.INVARIANCE_TABLES)),
     "actions": CheckMode(_check_actions, {"group": None, "samples": None}),
     "lehmer": CheckMode(lambda o: [cayley.check_lehmer_congruence(p)
                                    for p in (cayley.LEHMER_PRIMES if o.p is None else (o.p,))], {"p": None}),
     "extended": CheckMode(lambda o: [cayley.check_extended_counts(g) for g in _groups(o)],
                           {"group": None, "max_order": 4}, ("max_order",),
-                          lambda o: [(g, *t) for g in _groups(o) for t in cayley.EXTENDED_TABLES]),
+                          lambda o: ((g, *t) for g in _groups(o) for t in cayley.EXTENDED_TABLES)),
     "conjecture": CheckMode(_check_conjecture, {"n": None, "l": None}),
 }
 # `check all` hands each of these options, when given, to every mode that reads it; every other

@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardExceeded
 
@@ -247,12 +247,15 @@ def abelian_groups_of_order(n: int) -> list[FiniteAbelianGroup]:
 
 
 def abelian_groups_up_to(max_order: int) -> list[FiniteAbelianGroup]:
+    return list(iter_abelian_groups_up_to(max_order))
+
+
+def iter_abelian_groups_up_to(max_order: int) -> Iterator[FiniteAbelianGroup]:
+    """abelian_groups_up_to, made one order at a time as it is read, so a sweep can stop at
+    its first refused group; max_order is checked at the call."""
     if max_order < 1:
         raise ValueError(f"need max_order >= 1, got {max_order}")
-    out: list[FiniteAbelianGroup] = []
-    for n in range(1, max_order + 1):
-        out.extend(abelian_groups_of_order(n))
-    return out
+    return (group for n in range(1, max_order + 1) for group in abelian_groups_of_order(n))
 
 
 def element_sum_counts(group: FiniteAbelianGroup, degree: int, repeat: bool) -> list[list[int]]:

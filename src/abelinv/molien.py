@@ -19,10 +19,10 @@ The four log identities, one row each of IDENTITIES, compare the dimensions
 with one sum, sum_d (w(d)/d) log(1 + u_d), where u_d is u(x^d) for a
 degree-1 form u whose signs depend only on the parity of d.  One loop
 compares each side at total degree N after scaling by N, which makes the
-right side the int sum_d w(d) L[c/d], with L = series.sparse_scaled_log1p(u)
-built once per check for each sign pattern; the closed forms z/(1-z^2) and
-y/(1-y) enter as coefficient formulas.  Fraction appears only in messages
-and witnesses.
+right side the int sum_d w(d) L[c/d], with L = E log(1 + u) read off the
+recurrence (1 + u) L = u (_log_table) once per check for each sign pattern;
+the closed forms z/(1-z^2) and y/(1-y) enter as coefficient formulas.
+Fraction appears only in messages and witnesses.
 IDENTITY_GUARD refuses a truncation order whose logs and comparisons are
 too large, before any log is built, and RECIPROCITY_GUARD a reciprocity
 sweep of too many comparisons, counted in closed form, before the first.
@@ -34,7 +34,7 @@ import math
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import GuardExceeded
@@ -42,12 +42,12 @@ from .groups import FiniteAbelianGroup, element_sum_counts, parse_order_profile
 from .numtheory import _divisors, euler_phi, moebius, ramanujan_sum
 from .polynom import unpack_zeta_integers, zeta_packing
 from .report import CheckReport
-from .series import Sparse, TruncatedSeries1, TruncatedSeries2, sparse_scaled_log1p
+from .series import TruncatedSeries1, TruncatedSeries2
 
 SeriesSource = Union[FiniteAbelianGroup, Mapping[int, int]]
 
 SERIES_GUARD = 5 * 10**7  # series work, cells * (256 + bits of the largest binomial)
-IDENTITY_GUARD = 2 * 10**5  # identity-check work, sparse-log terms plus compared cells
+IDENTITY_GUARD = 2 * 10**5  # identity-check work, log-table terms plus compared cells
 # reciprocity comparisons, 2-4 us each on 2 vCPUs: max_total 40 alone (309860) took 0.7 s,
 # fredman_total 100 alone (258825) 0.7 s
 RECIPROCITY_GUARD = 4 * 10**5
@@ -210,8 +210,7 @@ def character_order_sums(group: FiniteAbelianGroup, i: int) -> dict[int, int]:
     """
     if not 0 <= i < group.order:
         raise ValueError(f"character index {i} out of range for {group}")
-    chi = group.element(i)
-
+    chi = [i // s % n for n, s in zip(group.factors, group._strides)]  # residues of i, no element list
     ds = _divisors(group.exponent)
     sums = {}  # T_k for every k | exponent
     for k in ds:
@@ -452,24 +451,38 @@ def check_reciprocity(max_total: int = 10, fredman_total: int = 16) -> CheckRepo
 
 
 # ---------------------------------------------------------------------------
-# log identities (sparse total-degree-truncated series on the right sides)
+# log identities (total-degree-truncated tables of E log(1 + u) on the right sides)
 
-def _log_sums(order: int, sums) -> list[Sparse]:
+def _log_table(signs: tuple[int, ...], top: int) -> dict[tuple[int, ...], int]:
+    """L = E log(1 + u), u = sum_j s_j x_j, at every exponent of total degree 1..top, in _cells order.
+
+    E multiplies the term x^a by |a|, so E u = u and L = u / (1 + u), that
+    is (1 + u) L = u: L[e_j] = s_j, and L[a] = -sum_{j: a_j > 0} s_j L[a - e_j]
+    for |a| >= 2, read off the degree before.  No factorial or binomial enters.
+    """
+    cells = _cells(len(signs), top)
+    table = {a: signs[a.index(1)] for a in cells[:len(signs)]}  # the degree-1 cells e_j
+    for a in cells[len(signs):]:
+        table[a] = -sum([s * table[(*a[:j], x - 1, *a[j + 1:])] for j, (s, x) in enumerate(zip(signs, a)) if x])
+    return table
+
+
+def _log_sums(order: int, sums) -> list[dict[tuple[int, ...], int]]:
     """For each (weight, signs) in sums, N times sum_{d=1}^{order} (weight(d)/d) log(1 + u_d).
 
     u_d = sum_j s_j x_j^d with s = signs(d), and N is the total degree of each
     cell, up to order.  With u = sum_j s_j x_j, homogeneous of degree 1, the
     log of 1 + u(x^d) has coefficient L_s[a] / |a| at x^(d a), where L_s is
-    sparse_scaled_log1p(u); since N = d |a|, the scaled sum at a cell c is
+    _log_table(s); since N = d |a|, the scaled sum at a cell c is
 
         sum_{d | c} weight(d) L_signs(d)[c / d],
 
     an int.  Each sign tuple's table L_s is built once, at the first d that
     needs it and to degree order // d, and shared by every sum and every
-    larger d.
+    larger d, which reads its first C(order // d + v, v) - 1 cells.
     """
-    accs: list[Sparse] = [{} for _ in sums]
-    tables = {}  # sign tuple -> its table's (exponent, value) terms, grouped by degree
+    accs: list[dict[tuple[int, ...], int]] = [{} for _ in sums]
+    tables = {}  # sign tuple -> its table's (exponent, value) items, by total degree
     for d in range(1, order + 1):
         top = order // d
         targets = {}  # sign tuple -> (accumulator, weight) of each sum with weight(d) != 0
@@ -479,17 +492,11 @@ def _log_sums(order: int, sums) -> list[Sparse]:
                 targets.setdefault(signs(d), []).append((acc, w))
         for s, pairs in targets.items():
             if s not in tables:
-                units = {tuple(int(j == k) for j in range(len(s))): c for k, c in enumerate(s)}
-                levels = [[] for _ in range(top + 1)]
-                for a, v in sparse_scaled_log1p(units, top).items():
-                    levels[sum(a)].append((a, v))
-                tables[s] = levels
-            levels = tables[s]
-            for k in range(1, top + 1):
-                for a, v in levels[k]:
-                    key = a if d == 1 else tuple([d * x for x in a])
-                    for acc, w in pairs:
-                        acc[key] = acc.get(key, 0) + w * v
+                tables[s] = list(_log_table(s, top).items())
+            for a, v in islice(tables[s], math.comb(top + len(s), len(s)) - 1):
+                key = a if d == 1 else tuple([d * x for x in a])
+                for acc, w in pairs:
+                    acc[key] = acc.get(key, 0) + w * v
     return accs
 
 
@@ -538,7 +545,7 @@ def _cells(variables: int, order: int) -> list[tuple[int, ...]]:
 
 
 def _identity_work(variables: int, order: int, logs: int) -> int:
-    """Terms of `logs` sums of sparse logs in v variables, plus the cells they are compared on.
+    """Terms of `logs` sums of log tables in v variables, plus the cells they are compared on.
 
     log(1 + u), u the v monomials of degree d, holds the C(k+v-1, v-1) terms
     of each power u^k with k <= order/d, C(order/d + v, v) - 1 in all; a

@@ -1,22 +1,15 @@
-"""Truncated power series: integer results and one sparse logarithm.
+"""Truncated power series: the containers of integer results.
 
 TruncatedSeries1 and TruncatedSeries2 hold the integer coefficients of the
 isotypic series (one and two variables), truncated per variable at a fixed
 order (inclusive).  They are results, not a ring: they add, compare, print
-and serialize, and any coefficient that is not an int is refused.
-
-The log identities are checked on sparse series: dicts from exponent tuples
-to ints, truncated by total degree, with sparse_scaled_log1p as the only
-series arithmetic.  It returns |e| [log(1 + u)]_e, the coefficients of
-E log(1 + u) for the total-degree operator E = sum_j x_j d/dx_j, which are
-integers for an integer u.  Every value is an int, so equality is exact.
+and serialize, and any coefficient that is not an int is refused.  The log
+identities build their tables of E log(1 + u) in molien, from a recurrence.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-Sparse = dict[tuple[int, ...], int]
 
 
 def _int_row(coeffs: Sequence[int], size: int) -> tuple[int, ...]:
@@ -152,51 +145,3 @@ class TruncatedSeries2:
             "coeffs": [[str(c) for c in row] for row in self.grid],
         }
 
-
-# ---------------------------------------------------------------------------
-# sparse series, truncated by total degree
-
-def sparse_add_scaled(acc: Sparse, other: Sparse, factor: int) -> None:
-    """acc += factor * other, in place, dropping coefficients that cancel to 0."""
-    for exp, c in other.items():
-        val = acc.get(exp, 0) + factor * c
-        if val:
-            acc[exp] = val
-        elif exp in acc:
-            del acc[exp]
-
-
-def sparse_mul(a: Sparse, b: Sparse, cutoff: int) -> Sparse:
-    """a * b, keeping the terms of total degree at most cutoff."""
-    out: Sparse = {}
-    for e1, c1 in a.items():
-        d1 = sum(e1)
-        for e2, c2 in b.items():
-            if d1 + sum(e2) > cutoff:
-                continue
-            key = tuple(x + y for x, y in zip(e1, e2))
-            val = out.get(key, 0) + c1 * c2
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-    return out
-
-
-def sparse_scaled_log1p(u: Sparse, cutoff: int) -> Sparse:
-    """|e| [log(1 + u)]_e at every exponent e of total degree |e| <= cutoff, in ints.
-
-    For u with no constant term, E log(1 + u) = (E u) / (1 + u), where E
-    multiplies the term x^e by |e|; so the value is E u times the
-    geometric series sum_k (-u)^k.  The k-th product has no term below
-    total degree k + 1, so the sum stops after at most cutoff products.
-    """
-    if any(not any(exp) for exp in u):
-        raise ValueError("sparse_scaled_log1p: argument must have zero constant term")
-    neg = {exp: -c for exp, c in u.items() if c and sum(exp) <= cutoff}
-    acc: Sparse = {}
-    power = {exp: -sum(exp) * c for exp, c in neg.items()}  # E u
-    while power:
-        sparse_add_scaled(acc, power, 1)
-        power = sparse_mul(power, neg, cutoff)
-    return acc

@@ -695,6 +695,16 @@ def test_hall_support_c3_frozen():
     assert hall_support(C3, 3) == {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
 
 
+def test_support_guard_binomials_stop_at_2_to_the_256():
+    # exact below 2^256, where the guard's message prints digits; a lower bound of at least 2^256
+    # above it, which prints as "2^k or more" and is refused all the same
+    for a in range(0, 420, 7):
+        for b in range(a + 1):
+            got, exact = cayley._comb_capped(a, b), math.comb(a, b)
+            assert got == exact if exact.bit_length() <= 256 else 2**256 <= got <= exact, (a, b)
+    assert 2**256 <= cayley._comb_capped(2 * 10**6 - 1, 10**6 - 1) < 2**300  # about 260 steps
+
+
 def test_hall_support_size_matches_invariant_dimension():
     for spec in ("C2", "C3", "C4", "C2xC2", "C5", "C6"):
         g = parse_group(spec)
@@ -835,7 +845,27 @@ def test_invariance_check_catches_a_changed_pure_power(monkeypatch, kernel, what
     for g in (C3, C4, V4, parse_group("C2xC3")):
         identity, *moved = g.elements()
         assert not any(identity)
-        assert check_invariance(g).failures == [{"gamma": list(gamma), "what": what} for gamma in moved]
+        # the bumped coefficient also moves the polynomial's value at x = 1, the all-ones table
+        want = math.factorial(g.order) if kernel == "permanent" else 0
+        total = {"what": f"{kernel} coefficient sum", "sum": want + 1, "expected": want}
+        assert check_invariance(g).failures == [total] + [{"gamma": list(gamma), "what": what} for gamma in moved]
+
+
+@pytest.mark.parametrize("spec, total", [("C6", 722), ("C2xC3", 726), ("C7", 5041), ("C8", 40322)])
+def test_invariance_check_catches_a_changed_orbit_mean(monkeypatch, spec, total):
+    # the orbit tail writes each mean to every translate, so one wrong mean leaves the permanent
+    # translation invariant; only its value at the all-ones table, n!, shows the fault
+    real = cayley._orbit_means
+
+    def bumped(poly, images, chis):
+        out = real(poly, images, chis)
+        out[next(iter(out))] += 1
+        return out
+
+    monkeypatch.setattr(cayley, "_orbit_means", bumped)
+    g = parse_group(spec)
+    want = {"what": "permanent coefficient sum", "sum": total, "expected": math.factorial(g.order)}
+    assert want in check_invariance(g).failures
 
 
 def counted_guards(monkeypatch):
@@ -860,7 +890,17 @@ def test_checkers_decide_each_guard_once(monkeypatch):
     assert calls == [False, False]
     calls.clear()
     assert check_hall(4, 3).ok
-    assert calls == [False] * len(cayley.hall_tables(4, 3))
+    assert calls == [False] * len(list(cayley.hall_tables(4, 3)))  # the tables are made as read
+
+
+def test_hall_check_refuses_at_its_first_refused_table():
+    # the groups are made as the guards read them, so no list of all 226610 groups of order
+    # <= 100000 (about 2 s) comes first
+    t0 = time.perf_counter()
+    with pytest.raises(GuardExceeded) as info:
+        check_hall(100000, 5)
+    assert time.perf_counter() - t0 < 1.0
+    assert info.value.size == 68705262  # C13's plain permanent, the first order the DP guard refuses
 
 
 def test_action_identities_exhaustive():

@@ -100,6 +100,16 @@ def test_series_guard_refuses_quickly(argv, capsys):
     assert "series coefficients" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["C4000000", "x".join(["C2"] * 20)])
+def test_series_of_a_huge_group_builds_no_element_list(spec):
+    # the character sums read the residues of i off the group's strides; a list of all the
+    # elements costs about 100 MB per million
+    t0 = time.perf_counter()
+    assert ok(["series", "sym", "--group", spec, "--order", "1"]) == "1 + t\n"  # R holds each character once
+    assert ok(["series", "ext", "--group", spec, "--order", "1", "--i", "5"]) == "t\n"
+    assert time.perf_counter() - t0 < 1.0
+
+
 @pytest.mark.parametrize("identity, order", [("log3var", 120), ("log2var", 10**9), ("all", 10**6)])
 def test_identity_guard_refuses_quickly(identity, order, capsys):
     t0 = time.perf_counter()
@@ -128,6 +138,12 @@ def test_point_and_sweep_guards_refuse_quickly(argv, what, capsys):
     ["check", "hall", "--max-order", "13"],
     ["check", "all", "--max-order", "8"],  # refused at C8 block2n, in the last group-sweeping mode
     ["check", "extended", "--max-order", "8"],
+    # the groups are made as the guard reads them: no list of all 226610 groups of order <= 100000
+    ["check", "hall", "--max-order", "100000"],
+    ["check", "invariance", "--max-order", "100000"],
+    ["check", "extended", "--max-order", "100000"],
+    ["check", "hall", "--max-order-ext", "100000"],
+    ["check", "all", "--max-order", "100000"],
 ])
 def test_check_sweep_refuses_before_its_first_group(argv, capsys):
     # every group's guard, and for check all every mode's, is decided before the first one runs
@@ -434,6 +450,7 @@ def test_cayley_factored_guard_refuses_quickly():
     (["cayley", "det", "--group", "C1500", "--alg", "factored"], "factored determinant"),
     (["check", "invariance", "--group", "C1500"], "subset DP states"),
     (["check", "extended", "--group", "C1500"], "subset DP states"),
+    (["cayley", "support", "--group", "C1000000"], "support enumeration"),  # each binomial stops at 2^256
 ])
 def test_cayley_refuses_before_building_the_table(argv, kind, capsys):
     # the 1500 x 1500 addition table alone takes seconds; every guard is decided without it

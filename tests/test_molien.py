@@ -37,7 +37,6 @@ from abelinv import (
 from abelinv import molien
 from abelinv.groups import element_sum_counts
 from abelinv.numtheory import euler_phi
-from abelinv.series import sparse_mul
 
 
 def test_sym_dim_frozen_values():
@@ -357,6 +356,13 @@ def test_character_order_sums_noncyclic_total():
     assert sum(sums.values()) == g.order
 
 
+def test_character_order_sums_list_no_elements():
+    # the residues of i come from the strides; the element tuples stay unbuilt
+    g = parse_group("C2x" * 19 + "C2")
+    assert character_order_sums(g, 5) == {1: 1, 2: -1}  # chi_5 is nontrivial on 2^20 - 1 elements
+    assert "_elements" not in vars(g)
+
+
 def _assert_sums_match_oracle(g):
     for i in range(g.order):
         sums, walked = character_order_sums(g, i), character_order_sums_oracle(g, i)
@@ -542,7 +548,13 @@ def fraction_log_sum(order, weight, signs):
         while power:
             for exp, c in power.items():
                 acc[exp] = acc.get(exp, 0) + Fraction(weight(d) * (-1) ** (k + 1) * c, d * k)
-            power, k = sparse_mul(power, u, order), k + 1
+            product = {}  # power * u, truncated at total degree order
+            for e1, c1 in power.items():
+                for e2, c2 in u.items():
+                    key = tuple(x + y for x, y in zip(e1, e2))
+                    if sum(key) <= order:
+                        product[key] = product.get(key, 0) + c1 * c2
+            power, k = {exp: c for exp, c in product.items() if c}, k + 1
     return acc
 
 
@@ -562,26 +574,27 @@ def test_log_sums_match_fraction_reference(patterns, order):
 
 
 @pytest.mark.parametrize("which, order, units, cell, keys, true", [
-    ("A", 6, {(1,): -1}, (6,), {"degree": 6}, ext_dim(6, 6, 0)),
-    ("B", 6, {(1,): -1}, (6,), {"degree": 6}, sym_dim(0, 6, 0)),
-    ("log2var", 5, {(1, 0): -1, (0, 1): -1}, (2, 3), {"n": 2, "m": 3}, sym_dim(2, 3, 0)),
-    ("log3var", 4, {(1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1}, (1, 2, 1),
-     {"p": 1, "q": 2, "m": 1}, sym_ext_dim_by_parts(1, 2, 1, 0)),
+    ("A", 6, (-1,), (6,), {"degree": 6}, ext_dim(6, 6, 0)),
+    ("B", 6, (-1,), (6,), {"degree": 6}, sym_dim(0, 6, 0)),
+    ("log2var", 5, (-1, -1), (2, 3), {"n": 2, "m": 3}, sym_dim(2, 3, 0)),
+    ("log3var", 4, (-1, -1, -1), (1, 2, 1), {"p": 1, "q": 2, "m": 1}, sym_ext_dim_by_parts(1, 2, 1, 0)),
 ])
 def test_identity_checks_report_a_wrong_series_coefficient(monkeypatch, which, order, units, cell, keys, true):
-    # one off-by-one cell of the odd-d table, at the top degree, reaches only d = 1, weight -c_1(0) = -1
-    real = molien.sparse_scaled_log1p
+    # one off-by-one cell of the odd-d table (signs `units`), at the top degree, reaches only d = 1,
+    # weight -c_1(0) = -1
+    real = molien._log_table
 
-    def perturbed(u, cutoff):
-        out = real(u, cutoff)
-        if u == units:
-            out[cell] = out.get(cell, 0) + 1
+    def perturbed(signs, top):
+        out = real(signs, top)
+        if signs == units:
+            out[cell] += 1
         return out
 
-    monkeypatch.setattr(molien, "sparse_scaled_log1p", perturbed)
+    monkeypatch.setattr(molien, "_log_table", perturbed)
     rhs = str(Fraction(order * true - 1, order))
     if which == "B":  # the indicator [k | 0] is the y/(1-y) form: one fault, one witness
         want = [{"identity": "B", "i": 0, **keys, "series": rhs, "dims": str(true), "indicator": "1"}]
     else:
         want = [{"identity": which, "i": 0, **keys, "lhs": str(true), "rhs": rhs}]
+    assert rhs == {"A": "-1/6", "B": "5/6", "log2var": "9/5", "log3var": "11/4"}[which]
     assert check_identity(which, order, i_max=0).failures == want

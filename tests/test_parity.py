@@ -1,0 +1,36 @@
+"""tools/parity.py: which parts of two runs' output are compared."""
+
+import importlib.util
+from pathlib import Path
+
+SPEC = importlib.util.spec_from_file_location(
+    "parity", Path(__file__).resolve().parent.parent / "tools" / "parity.py")
+parity = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(parity)
+
+
+def test_mask_hides_only_the_timings():
+    human = "PASS hall-support [max_order=6, max_order_ext=5] failures=0 elapsed=1.234s\n"
+    assert parity.mask(human) == "PASS hall-support [max_order=6, max_order_ext=5] failures=0 elapsed=*s\n"
+    as_json = '{\n  "check": "lehmer",\n  "failures": [],\n  "elapsed": 0.012345\n}\n'
+    assert parity.mask(as_json) == '{\n  "check": "lehmer",\n  "failures": [],\n  "elapsed": *\n}\n'
+    assert parity.mask('"elapsed": 1e-06, "count": 5') == '"elapsed": *, "count": 5'
+    # a number that is no timing, or a timing under another name, is kept
+    assert parity.mask("size 25518796 elapsed_s=2.5") == "size 25518796 elapsed_s=2.5"
+
+
+def test_runs_differ_in_the_fields_named():
+    run = (0, "PASS x elapsed=*s\n", "")
+    assert parity.differences(run, run) == []
+    assert parity.differences(run, (1, "FAIL x elapsed=*s\n", "")) == ["exit code", "stdout"]
+    assert parity.differences(run, (0, run[1], "warning\n")) == ["stderr"]
+    # runs that differ only in their timings compare equal once masked
+    assert parity.mask("elapsed=0.100s") == parity.mask("elapsed=0.250s")
+
+
+def test_every_command_has_its_json_form():
+    cmds = parity.grid_commands()
+    assert len(cmds) == len(set(cmds))
+    plain = [cmd for cmd in cmds if not cmd.startswith("--json ")]
+    assert cmds == plain + [f"--json {cmd}" for cmd in plain]
+    assert {cmd.split()[0] for cmd in plain} == {"dim", "series", "cayley"}

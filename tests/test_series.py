@@ -1,4 +1,4 @@
-"""Truncated power series: integer result containers and the degree-scaled sparse log."""
+"""Truncated power series: the integer result containers, and the table of E log(1 + u)."""
 
 import math
 from fractions import Fraction
@@ -7,26 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelinv import TruncatedSeries1, TruncatedSeries2
-from abelinv.series import sparse_add_scaled, sparse_mul, sparse_scaled_log1p
-
-ORDER = 12
-
-coeff = st.integers(-6, 6)
-
-
-def sparse(nvars, with_constant=True):
-    """Sparse series in nvars variables of total degree <= ORDER."""
-    exps = st.lists(st.integers(0, ORDER), min_size=nvars, max_size=nvars).map(tuple)
-    exps = exps.filter(lambda e: sum(e) <= ORDER and (with_constant or any(e)))
-    return st.dictionaries(exps, coeff.filter(bool), max_size=6)
-
-
-def add(*terms):
-    """sum of (factor, series) pairs."""
-    acc = {}
-    for factor, s in terms:
-        sparse_add_scaled(acc, s, factor)
-    return acc
+from abelinv.molien import _cells, _log_table
 
 
 def test_padding_and_accessors():
@@ -95,26 +76,7 @@ def test_bivariate_json_payload():
     assert obj["coeffs"] == [["1", "1"], ["1", "1"]]
 
 
-# ------------------------------------------------- sparse series arithmetic
-
-
-@given(sparse(2), sparse(2))
-def test_mul_commutes(a, b):
-    assert sparse_mul(a, b, ORDER) == sparse_mul(b, a, ORDER)
-
-
-@given(sparse(2), sparse(2), sparse(2))
-@settings(max_examples=50)
-def test_mul_associates_and_distributes(a, b, c):
-    assert sparse_mul(sparse_mul(a, b, ORDER), c, ORDER) == sparse_mul(a, sparse_mul(b, c, ORDER), ORDER)
-    assert sparse_mul(a, add((1, b), (1, c)), ORDER) == \
-        add((1, sparse_mul(a, b, ORDER)), (1, sparse_mul(a, c, ORDER)))
-
-
-@given(sparse(2))
-def test_additive_inverse(a):
-    assert add((1, a), (-1, a)) == {}
-    assert add((3, a)) == {e: 3 * c for e, c in a.items()}
+# ------------------------------------------------- the table of E log(1 + u)
 
 
 def fraction_log1p(u, cutoff):
@@ -124,51 +86,39 @@ def fraction_log1p(u, cutoff):
     while power:
         for exp, c in power.items():
             acc[exp] = acc.get(exp, 0) + Fraction((-1) ** (k + 1) * c, k)
-        power, k = sparse_mul(power, u, cutoff), k + 1
+        product = {}  # power * u, truncated at total degree cutoff
+        for e1, c1 in power.items():
+            for e2, c2 in u.items():
+                key = tuple(x + y for x, y in zip(e1, e2))
+                if sum(key) <= cutoff:
+                    product[key] = product.get(key, 0) + c1 * c2
+        power, k = {exp: c for exp, c in product.items() if c}, k + 1
     return {exp: c for exp, c in acc.items() if c}
 
 
-def inhomogeneous(nvars):
-    """Series with no constant term whose terms have at least two distinct total degrees."""
-    return sparse(nvars, with_constant=False).filter(lambda u: len({sum(e) for e in u}) >= 2)
+def units(signs):
+    """u = sum_j s_j x_j as a dict from exponent tuples to coefficients."""
+    return {tuple(int(j == k) for j in range(len(signs))): s for k, s in enumerate(signs)}
 
 
-@given(st.one_of(inhomogeneous(1), inhomogeneous(2)))
+@given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=3).map(tuple), st.integers(1, 8))
 @settings(max_examples=60)
-def test_scaled_log_is_integral_and_degree_times_log(u):
-    got = sparse_scaled_log1p(u, ORDER)
+def test_scaled_log_is_integral_and_degree_times_log(signs, top):
+    got = _log_table(signs, top)
     assert all(type(c) is int for c in got.values())
-    want = {exp: sum(exp) * c for exp, c in fraction_log1p(u, ORDER).items()}
+    want = {exp: sum(exp) * c for exp, c in fraction_log1p(units(signs), top).items()}
     assert got == want
-
-
-@given(sparse(1, with_constant=False), sparse(1, with_constant=False))
-@settings(max_examples=50)
-def test_log_turns_products_into_sums(u, v):
-    prod = add((1, u), (1, v), (1, sparse_mul(u, v, ORDER)))  # (1 + u)(1 + v) - 1
-    assert sparse_scaled_log1p(prod, ORDER) == \
-        add((1, sparse_scaled_log1p(u, ORDER)), (1, sparse_scaled_log1p(v, ORDER)))
-
-
-@given(sparse(2, with_constant=False), sparse(2, with_constant=False))
-@settings(max_examples=25)
-def test_log_turns_products_into_sums_two_variables(u, v):
-    prod = add((1, u), (1, v), (1, sparse_mul(u, v, ORDER)))
-    assert sparse_scaled_log1p(prod, ORDER) == \
-        add((1, sparse_scaled_log1p(u, ORDER)), (1, sparse_scaled_log1p(v, ORDER)))
-
-
-def test_log_requires_zero_constant_term():
-    with pytest.raises(ValueError):
-        sparse_scaled_log1p({(0,): 1}, 4)
-    with pytest.raises(ValueError):
-        sparse_scaled_log1p({(0, 0): 1, (1, 0): 1}, 4)
+    assert list(got) == _cells(len(signs), top)
 
 
 def test_log_frozen_expansion():
     # log(1+t) = t - t^2/2 + t^3/3 - ...; k times the t^k coefficient is (-1)^(k+1)
-    assert sparse_scaled_log1p({(1,): 1}, 5) == {(1,): 1, (2,): -1, (3,): 1, (4,): -1, (5,): 1}
+    assert _log_table((1,), 5) == {(1,): 1, (2,): -1, (3,): 1, (4,): -1, (5,): 1}
     # log(1 - x - y) = -sum_k (x + y)^k / k: n + m times the x^n y^m coefficient is -C(n+m, n)
-    got = sparse_scaled_log1p({(1, 0): -1, (0, 1): -1}, 6)
+    got = _log_table((-1, -1), 6)
     assert got == {(n, k - n): -math.comb(k, n) for k in range(1, 7) for n in range(k + 1)}
-    assert sparse_scaled_log1p({(3,): 1, (7,): 2}, 2) == {}
+    # log(1 + x - y) = sum_k (-1)^(k+1) (x - y)^k / k: the x^n y^m coefficient times n + m
+    # is (-1)^(n+m+1) C(n+m, n) (-1)^m = (-1)^(n+1) C(n+m, n)
+    got = _log_table((1, -1), 6)
+    assert got == {(n, k - n): (-1) ** (n + 1) * math.comb(k, n) for k in range(1, 7) for n in range(k + 1)}
+    assert _log_table((-1, -1, 1), 1) == {(1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): 1}

@@ -1,0 +1,90 @@
+"""Compare the CLI output of this tree with another tree's, command by command.
+
+    python3 tools/parity.py PARENT_TREE
+
+Runs each command as `python -m abelinv` twice, with PYTHONPATH set to
+PARENT_TREE/src and to this tree's src, and compares the exit codes, stdout
+and stderr after masking the `elapsed` timings.  The commands are the
+`verify` workload of the benchmark (perfbench/workloads._verify_commands,
+read from this tree), the `--json` form of each, and a small grid of `dim`,
+`series` and `cayley` commands over the groups of order at most 8.  Prints
+one line per command whose results differ and exits 1 if any do.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+ELAPSED = re.compile(r'(elapsed(?:=|": ))[-+0-9.eE]+')
+GROUPS = ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "C2xC3", "C7", "C8", "C2xC4", "C2xC2xC2")
+
+
+def mask(text: str) -> str:
+    """text with every timing, `elapsed=0.123s` or `"elapsed": 0.123`, replaced by `*`."""
+    return ELAPSED.sub(r"\1*", text)
+
+
+def grid_commands() -> list[str]:
+    """dim, series and cayley commands over the groups of order <= 8, with and without --json."""
+    cmds = [f"dim {kind} --group C{n} --m {m} --i {i}" for kind in ("a", "b")
+            for n in range(1, 9) for m in (0, 1, n, n + 3) for i in (0, n - 1)]
+    cmds += [f"dim sw --group C{n} --p {p} --m {m} --i {i}" for n in range(1, 9)
+             for p, m in ((0, 1), (2, 1), (3, n)) for i in (0, n - 1)]
+    cmds += [f"series {kind} --group {g} --order 12 --i {i}" for kind in ("sym", "ext")
+             for g in GROUPS for i in (0, 1)]
+    cmds += [f"series bigraded --group C{n} --order 6 --i {i}" for n in range(1, 9) for i in (0, n - 1)]
+    cmds += [f"cayley {op} --group {g}" for op in ("table", "per", "det", "support", "counts") for g in GROUPS]
+    cmds += [f"cayley {op} --group {g} --variant {v}" for op in ("per", "det", "support")
+             for g in ("C3", "C4", "C2xC2") for v in ("hat", "toeplitz", "extended")]
+    cmds = list(dict.fromkeys(cmds))  # C1 repeats some of its m and i
+    return cmds + [f"--json {cmd}" for cmd in cmds]
+
+
+def commands() -> list[str]:
+    sys.path[:0] = [str(HERE / "src"), str(HERE / "perfbench")]
+    import workloads  # the benchmark's own list of `verify` runs
+
+    verify = workloads._verify_commands()
+    json_forms = [f"--json {cmd}" for cmd in verify if not cmd.startswith("--json ")]
+    return list(dict.fromkeys(verify + json_forms + grid_commands()))
+
+
+def run(tree: Path, cmd: str) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "abelinv", *cmd.split()], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, mask(proc.stdout), mask(proc.stderr)
+
+
+def differences(old: tuple[int, str, str], new: tuple[int, str, str]) -> list[str]:
+    """The names of the fields of (exit code, stdout, stderr) that differ."""
+    return [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new) if a != b]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/parity.py PARENT_TREE", file=sys.stderr)
+        return 2
+    parent = Path(argv[0]).resolve()
+    cmds = commands()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        olds = list(pool.map(lambda cmd: run(parent, cmd), cmds))
+        news = list(pool.map(lambda cmd: run(HERE, cmd), cmds))
+    differing = 0
+    for cmd, old, new in zip(cmds, olds, news):
+        fields = differences(old, new)
+        if fields:
+            differing += 1
+            print(f"{cmd}: {', '.join(fields)} differ (exit {old[0]} -> {new[0]})")
+    print(f"{len(cmds)} commands, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1015,6 +1015,23 @@ def _table_monomial(add: Sequence[Sequence[int]], perm: Sequence[int]) -> tuple[
     return tuple(exp)
 
 
+class _PermutationFacts(dict):
+    """permutation -> (its table monomial, its sign), each computed at its first lookup.
+
+    Equal (monomial, sign) pairs are stored as one tuple, and each permutation
+    is kept once, as its first key."""
+
+    def __init__(self, add: Sequence[Sequence[int]]):
+        super().__init__()
+        self.add = add
+        self.shared: dict[tuple, tuple] = {}
+
+    def __missing__(self, perm: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        fact = (_table_monomial(self.add, perm), _permutation_sign(perm))
+        fact = self[perm] = self.shared.setdefault(fact, fact)
+        return fact
+
+
 def check_action_identities(
     group: FiniteAbelianGroup,
     samples: int | None = None,
@@ -1030,6 +1047,10 @@ def check_action_identities(
       - every (position, value) pair consistent with a monomial met is
         realized by some permutation with that monomial.
 
+    Each star, each pi o sigma_gamma^{-1} and each pi^{-1} is itself a
+    permutation of the n labels, and many recur (exhaustively, each is one of
+    the n! swept), so the monomial and sign of each distinct permutation are
+    computed once per call, at its first lookup, and kept only for that call.
     The first permutation met with each monomial is its witness, and the
     star orbit of the witness realizes every pair of that monomial.  The
     modes differ only in their permutations: all n! when samples is None
@@ -1043,8 +1064,10 @@ def check_action_identities(
     exhaustive = samples is None
     if exhaustive:
         if n > 8:
-            raise GuardExceeded("exhaustive permutation sweep", math.factorial(n), math.factorial(8))
-        perms = list(itertools.permutations(range(n)))
+            # n! exactly for n <= 57 (below 2^256); from 58 on, 58! (261 bits) as a lower bound, as
+            # _comb_capped stops a binomial: a size of 2^256 or more prints only as a power of two
+            raise GuardExceeded("exhaustive permutation sweep", math.factorial(min(n, 58)), math.factorial(8))
+        perms: Iterable[tuple[int, ...]] = itertools.permutations(range(n))
     else:
         if samples < 1:
             raise ValueError(f"sampled action check needs samples >= 1, got {samples}")
@@ -1057,40 +1080,40 @@ def check_action_identities(
     add = group.add_table
     neg = group.neg_table
     failures: list[dict] = []
+    facts = _PermutationFacts(add)
+    # seq o sigma_gamma^{-1} per gamma; itemgetter of one index returns a bare item,
+    # and the one permutation of one label is the identity, seq[:]
+    uncompose = [operator.itemgetter(*add[neg[g]]) if n > 1 else operator.itemgetter(slice(None))
+                 for g in range(n)]
 
-    witnesses: dict[tuple[int, ...], tuple] = {}  # monomial -> its first permutation, with that one's stars
+    witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}  # monomial -> its first permutation
     for pi in perms:
-        mono = _table_monomial(add, pi)
-        s_pi = _permutation_sign(pi)
-        stars: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (star, its monomial) per gamma
-        for g in range(n):
-            sg = add[g]
-            star = tuple(sg[pi[sg[i]]] for i in range(n))
-            star_mono = _table_monomial(add, star)
-            stars.append((star, star_mono))
-            if _permutation_sign(star) != s_pi:
-                failures.append({"pi": list(pi), "gamma": list(els[g]), "what": "star changed sign"})
-            if star_mono != mono:
-                failures.append({"pi": list(pi), "gamma": list(els[g]), "what": "star changed monomial"})
-            sginv = add[neg[g]]
-            translated = tuple(map(mono.__getitem__, sginv))
-            composed = tuple(pi[sginv[i]] for i in range(n))
-            if translated != _table_monomial(add, composed):
+        fact = facts[pi]
+        mono, s_pi = fact
+        for g, (sg, uncompose_g) in enumerate(zip(add, uncompose)):
+            star_fact = facts[tuple([sg[pi[j]] for j in sg])]
+            if star_fact is not fact:  # equal facts are one tuple
+                if star_fact[1] != s_pi:
+                    failures.append({"pi": list(pi), "gamma": list(els[g]), "what": "star changed sign"})
+                if star_fact[0] != mono:
+                    failures.append({"pi": list(pi), "gamma": list(els[g]), "what": "star changed monomial"})
+            if uncompose_g(mono) != facts[uncompose_g(pi)][0]:
                 failures.append(
                     {"pi": list(pi), "gamma": list(els[g]), "what": "translate/compose mismatch"}
                 )
-        if _table_monomial(add, sorted(range(n), key=pi.__getitem__)) != mono:
+        if facts[tuple(sorted(range(n), key=pi.__getitem__))][0] != mono:
             failures.append({"pi": list(pi), "what": "inverse changed monomial"})
-        witnesses.setdefault(mono, (pi, stars))
+        witnesses.setdefault(mono, pi)
 
     # realization along each witness's star orbit: for an entry g_k of pi at
     # position alpha, the star by g_alpha - g_i carries position i to g_k - g_i
-    for mono, (pi, stars) in witnesses.items():
+    for mono, pi in witnesses.items():
+        stars = [tuple([sg[pi[j]] for j in sg]) for sg in add]  # their facts are those met above
         for k, alpha in sorted({add[a][pi[a]]: a for a in range(n)}.items()):
             for i in range(n):
-                star, star_mono = stars[add[alpha][neg[i]]]
+                star = stars[add[alpha][neg[i]]]
                 j = add[k][neg[i]]
-                if star[i] != j or star_mono != mono:
+                if star[i] != j or facts[star][0] != mono:
                     failures.append(
                         {"monomial": list(mono), "i": i, "j": j, "what": "orbit construction failed"}
                     )
@@ -1107,7 +1130,7 @@ def check_action_identities(
         for mono in sorted(witnesses.keys() - support):
             failures.append({"monomial": list(mono), "what": "monomial not zero-sum"})
     elapsed = time.perf_counter() - t0
-    params = {"group": group.spec_string, "mode": "exhaustive" if exhaustive else f"sampled-{len(perms)}"}
+    params = {"group": group.spec_string, "mode": "exhaustive" if exhaustive else f"sampled-{samples}"}
     return CheckReport("action-identities", params, failures, elapsed)
 
 

@@ -112,13 +112,16 @@ def sym_ext_dim_by_parts(p: int, q: int, m: int, i: int) -> int:
 
     The one closed-form divisor sum behind every point dimension: sym_dim is
     its m = 0 slice and ext_dim its p = 0 slice.  Symmetric under swapping p
-    and q; requires p + q + m >= 1.
+    and q; requires p + q + m >= 1.  The d = 1 term is always
+    +binom(p+q+m, m) * binom(p+q, p) (c_1(i) = 1, sign (-1)^(2m) = +1), so the
+    sum starts there and reads Ramanujan sums only for d > 1.
     """
     if p < 0 or q < 0 or m < 0 or p + q + m < 1:
         raise ValueError(f"sym_ext_dim_by_parts: bad parameters ({p}, {q}, {m})")
     total = p + q + m
-    acc = 0
-    for d in _divisors(math.gcd(p, q, m)):
+    acc = math.comb(total, m) * math.comb(p + q, p)
+    g = math.gcd(p, q, m)
+    for d in _divisors(g)[1:] if g > 1 else ():
         # multinom((p+q+m)/d; m/d, p/d, q/d) as a product of two binomials, sign (-1)^(m + m/d)
         term = ramanujan_sum(d, i) * math.comb(total // d, m // d) * math.comb((p + q) // d, p // d)
         acc += -term if (m + m // d) % 2 else term

@@ -956,6 +956,59 @@ def test_sampled_realization_still_catches_a_wrong_star_monomial(monkeypatch):
     assert whats.index("star changed monomial") < whats.index("orbit construction failed")
 
 
+def _flip_sign_of(monkeypatch, target):
+    """Make cayley._permutation_sign wrong at one permutation; returns the wrong sign."""
+    real = cayley._permutation_sign
+
+    def flipped(perm):
+        return -real(perm) if tuple(perm) == target else real(perm)
+
+    monkeypatch.setattr(cayley, "_permutation_sign", flipped)
+    return flipped
+
+
+def _star_sign_failures(group, perms, sign):
+    """The star-sign records, recomputed for every (pi, gamma) with no shared facts."""
+    add, els = group.add_table, group.elements()
+    failures = []
+    for pi in perms:
+        for g, sg in enumerate(add):
+            star = tuple(sg[pi[sg[i]]] for i in range(len(pi)))
+            if sign(star) != sign(pi):
+                failures.append({"pi": list(pi), "gamma": list(els[g]), "what": "star changed sign"})
+    return failures
+
+
+def test_fact_cache_reports_every_star_with_a_wrong_sign(monkeypatch):
+    # each permutation's sign is computed once per call and then read from the
+    # call's facts: a wrong sign of one star must still fail at every (pi, gamma)
+    # whose star it is, in loop order, and nowhere else
+    g = parse_group("C6")
+    sg = g.add_table[1]
+    rng = random.Random(0)
+    perms = [tuple(rng.sample(range(6), 6)) for _ in range(20)]  # the permutations sampled
+    target = tuple(sg[perms[0][sg[i]]] for i in range(6))
+    assert target not in perms
+    sign = _flip_sign_of(monkeypatch, target)
+    hits = [{"pi": list(pi), "gamma": list(g.elements()[x]), "what": "star changed sign"}
+            for pi in perms for x, row in enumerate(g.add_table)
+            if tuple(row[pi[row[i]]] for i in range(6)) == target]
+    assert hits[0] == {"pi": list(perms[0]), "gamma": list(g.elements()[1]), "what": "star changed sign"}
+    report = check_action_identities(g, samples=20)
+    assert report.failures == hits == _star_sign_failures(g, perms, sign)
+
+
+def test_exhaustive_fact_cache_matches_a_recomputing_loop(monkeypatch):
+    # exhaustively the wrong-signed star is also swept as a pi, so all of its stars fail too
+    g = parse_group("C4")
+    sg = g.add_table[1]
+    target = tuple(sg[sg[i]] for i in range(4))  # the star of the identity, the first permutation
+    sign = _flip_sign_of(monkeypatch, target)
+    expected = _star_sign_failures(g, list(itertools.permutations(range(4))), sign)
+    assert {tuple(f["pi"]) for f in expected} > {target}
+    assert check_action_identities(g).failures == expected
+
+
 def test_lehmer_congruence_checks():
     for p in (3, 5):
         report = check_lehmer_congruence(p)

@@ -520,6 +520,20 @@ def test_exhaustive_action_sweep_refuses_a_huge_group_quickly(capsys):
     assert invoke(["check", "actions", "--group", "C1700"]) == (3, "")
     assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().err.startswith("refused: exhaustive permutation sweep")
+    # the size stops at 58!, the first factorial of 2^256 or more, so 1000000! is never formed
+    t0 = time.perf_counter()
+    assert invoke(["check", "actions", "--group", "C1000000"]) == (3, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        "refused: exhaustive permutation sweep: size 2^260 or more exceeds guard 40320\n")
+
+
+@pytest.mark.parametrize("n", [9, 20, 57, 58])
+def test_exhaustive_action_sweep_refusal_prints_exact_sizes_below_2_to_the_256(n, capsys):
+    assert invoke(["check", "actions", "--group", f"C{n}"]) == (3, "")
+    size = math.factorial(n)
+    shown = str(size) if size.bit_length() <= 256 else f"2^{size.bit_length() - 1} or more"
+    assert capsys.readouterr().err == f"refused: exhaustive permutation sweep: size {shown} exceeds guard 40320\n"
 
 
 @pytest.mark.parametrize("spec", ["C800", "C1500"])

@@ -294,8 +294,8 @@ def test_group_series_reject_non_dimensions(monkeypatch):
 
 def test_point_dimensions_reject_non_dimensions(monkeypatch):
     # the same perturbation reaches the one point-dimension divisor sum and the
-    # one total exterior sum; each point below has gcd > 1, so the extra d = 1
-    # multinomial leaves a remainder
+    # one total exterior sum; each point below has gcd(p, q, m) = 2, so the
+    # extra d = 2 multinomial leaves a remainder (the d = 1 term reads no c_1)
     real_sums, real_ramanujan = molien.character_order_sums, molien.ramanujan_sum
 
     def bad_sums(group, i):
@@ -303,8 +303,8 @@ def test_point_dimensions_reject_non_dimensions(monkeypatch):
         return {**sums, 1: sums[1] + 1}
 
     monkeypatch.setattr(molien, "character_order_sums", bad_sums)
-    monkeypatch.setattr(molien, "ramanujan_sum", lambda d, i: real_ramanujan(d, i) + (d == 1))
-    with pytest.raises(AssertionError, match=r"value 7/2 of sym_ext_dim_by_parts\(2, 2, 0, 0\) is not a dimension"):
+    monkeypatch.setattr(molien, "ramanujan_sum", lambda d, i: real_ramanujan(d, i) + (d == 2))
+    with pytest.raises(AssertionError, match=r"value 5/2 of sym_ext_dim_by_parts\(2, 2, 0, 0\) is not a dimension"):
         sym_dim(2, 2, 0)
     with pytest.raises(AssertionError, match="not a dimension"):
         ext_dim(4, 2, 1)

@@ -33,4 +33,6 @@ def test_every_command_has_its_json_form():
     assert len(cmds) == len(set(cmds))
     plain = [cmd for cmd in cmds if not cmd.startswith("--json ")]
     assert cmds == plain + [f"--json {cmd}" for cmd in plain]
-    assert {cmd.split()[0] for cmd in plain} == {"dim", "series", "cayley"}
+    assert {cmd.split()[0] for cmd in plain} == {"dim", "series", "cayley", "check"}
+    assert {" ".join(cmd.split()[:2]) for cmd in plain if cmd.startswith("check ")} == \
+        {"check actions", "check reciprocity", "check identity"}

@@ -6,9 +6,11 @@ Runs each command as `python -m abelinv` twice, with PYTHONPATH set to
 PARENT_TREE/src and to this tree's src, and compares the exit codes, stdout
 and stderr after masking the `elapsed` timings.  The commands are the
 `verify` workload of the benchmark (perfbench/workloads._verify_commands,
-read from this tree), the `--json` form of each, and a small grid of `dim`,
-`series` and `cayley` commands over the groups of order at most 8.  Prints
-one line per command whose results differ and exits 1 if any do.
+read from this tree), the `--json` form of each, and a grid: `dim`, `series`,
+`cayley` and `check actions` over the groups of order at most 8, `dim sw` with
+gcd(p, q, m) > 1, `check actions --samples 500` at orders 6-9, and one larger
+`check reciprocity` and `check identity` each.  Prints one line per command
+whose results differ and exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 ELAPSED = re.compile(r'(elapsed(?:=|": ))[-+0-9.eE]+')
 GROUPS = ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "C2xC3", "C7", "C8", "C2xC4", "C2xC2xC2")
+ORDER_6_9 = ("C6", "C2xC3", "C7", "C8", "C2xC4", "C2xC2xC2", "C9", "C3xC3")
 
 
 def mask(text: str) -> str:
@@ -31,17 +34,23 @@ def mask(text: str) -> str:
 
 
 def grid_commands() -> list[str]:
-    """dim, series and cayley commands over the groups of order <= 8, with and without --json."""
+    """dim, series, cayley and check commands, with and without --json."""
     cmds = [f"dim {kind} --group C{n} --m {m} --i {i}" for kind in ("a", "b")
             for n in range(1, 9) for m in (0, 1, n, n + 3) for i in (0, n - 1)]
     cmds += [f"dim sw --group C{n} --p {p} --m {m} --i {i}" for n in range(1, 9)
              for p, m in ((0, 1), (2, 1), (3, n)) for i in (0, n - 1)]
+    # gcd(p, q, m) > 1 with q = n - m: the divisor sum past its d = 1 term
+    cmds += [f"dim sw --group C{n} --p {p} --m {m} --i {i}" for n in range(2, 9)
+             for d in range(2, n + 1) if n % d == 0 for p, m in ((d, d), (2 * d, n)) for i in (0, 1, d)]
     cmds += [f"series {kind} --group {g} --order 12 --i {i}" for kind in ("sym", "ext")
              for g in GROUPS for i in (0, 1)]
     cmds += [f"series bigraded --group C{n} --order 6 --i {i}" for n in range(1, 9) for i in (0, n - 1)]
     cmds += [f"cayley {op} --group {g}" for op in ("table", "per", "det", "support", "counts") for g in GROUPS]
     cmds += [f"cayley {op} --group {g} --variant {v}" for op in ("per", "det", "support")
              for g in ("C3", "C4", "C2xC2") for v in ("hat", "toeplitz", "extended")]
+    cmds += [f"check actions --group {g}" for g in GROUPS]
+    cmds += [f"check actions --group {g} --samples 500" for g in ORDER_6_9]
+    cmds += ["check reciprocity --max-total 12 --fredman-total 20", "check identity --order 20"]
     cmds = list(dict.fromkeys(cmds))  # C1 repeats some of its m and i
     return cmds + [f"--json {cmd}" for cmd in cmds]
 

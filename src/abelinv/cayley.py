@@ -64,7 +64,7 @@ VARIANTS = ("plain", "hat", "extended", "block2n", "toeplitz")
 LEIBNIZ_GUARD = math.factorial(10)  # permutations the Leibniz oracle may expand
 DP_GUARD = 5 * 10**7  # subset-DP (state, monomial) pairs, and the cells of any table build_table makes
 # cells of a grid that is built: `cayley table --group C1 --variant toeplitz --l 2000` (4 * 10^6
-# cells) took 1.3 s and 101 MB, 3.3 s and 399 MB with --json, on 2 vCPUs, growing as the cells
+# cells) took 1.4 s and 101 MB, 2.9-4.3 s and 90 MB with --json, on 2 vCPUs, growing as the cells
 GRID_GUARD = 4 * 10**6
 # below this many unreduced (state, monomial) pairs the orbit set-up costs more than it
 # saves, even with the orbit table built once per shape: order 5 (1002 pairs) runs 1.05-1.15
@@ -990,7 +990,7 @@ def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
     # at x = 1 the table is all ones: its permanent is n!, its determinant 0 (1 for C1)
     for what, poly, want in (("permanent", per, math.factorial(group.order)),
                              ("determinant", det, int(group.order == 1))):
-        total = sum(poly.terms.values())
+        total = poly.coefficient_sum()
         if total != want:
             failures.append({"what": f"{what} coefficient sum", "sum": total, "expected": want})
     neg_det = -det  # psi(gamma) * det where psi(gamma) = -1, built once

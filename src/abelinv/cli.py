@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import sys
+from itertools import islice
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from . import cayley, molien
@@ -205,10 +206,15 @@ def _load_profile(path: str) -> dict[int, int]:
 
 
 def _emit(out: IO[str], args: argparse.Namespace, human: str, payload: dict | list) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=False), file=out)
-    else:
-        print(human, file=out)
+    """Write the human text, or the payload as JSON with indent=2, and a newline.
+
+    The JSON is written as the encoder yields it, joined in batches of 8192
+    chunks, so the whole document is never held as one string; the bytes are
+    those of print(json.dumps(payload, indent=2)).
+    """
+    chunks = json.JSONEncoder(indent=2).iterencode(payload) if args.json else iter([human])
+    out.writelines(iter(lambda: "".join(islice(chunks, 8192)), ""))
+    out.write("\n")
 
 
 def _cmd_dim(args: argparse.Namespace, out: IO[str]) -> int:

@@ -157,23 +157,18 @@ class FiniteAbelianGroup:
             prof[d] = prof.get(d, 0) + 1
         return dict(sorted(prof.items()))
 
-    def characters(self) -> tuple[Element, ...]:
-        """Character index tuples; the dual group uses the same enumeration."""
-        return self._elements
-
     def char_exponent(self, chi: Element, a: Element) -> int:
-        """Exponent t with chi(a) = zeta_e^t, e the group exponent."""
+        """Exponent t with chi(a) = zeta_e^t, e the group exponent.
+
+        Characters are indexed like the elements: the dual group uses the same enumeration."""
         self._validate(chi)
         self._validate(a)
         e = self.exponent
         return sum(k * x * (e // n) for k, x, n in zip(chi, a, self.factors)) % e
 
-    def inversion_permutation(self) -> list[int]:
-        """Permutation sending each element index to the index of its negative."""
-        return list(self.neg_table)
-
     def inversion_sign(self) -> int:
-        return permutation_sign(self.inversion_permutation())
+        """Sign of the permutation sending each element index to the index of its negative."""
+        return _permutation_sign(self.neg_table)
 
 
 def permutation_sign(perm: Sequence[int]) -> int:

@@ -2,11 +2,12 @@
 
 IntPolynomial stores terms as {exponent tuple: int coefficient} with zero
 coefficients dropped, which is the shape the permanent and determinant
-kernels want.  The constructor checks every exponent vector and copies the
-terms; IntPolynomial._of adopts a dict the package built itself, already in
-that shape (tuple keys of nvars non-negative ints, no zero coefficient),
-without a copy or a rescan, for the kernels' results and the maps that keep
-the shape.  zeta_packing and unpack_zeta_integers pack sums of roots of
+kernels want.  It is a result, not a ring: it adds, compares, permutes its
+variables, prints and serializes, and has no product.  The constructor
+checks every exponent vector and copies the terms; IntPolynomial._of adopts
+a dict the package built itself, already in that shape (tuple keys of nvars
+non-negative ints, no zero coefficient), without a copy or a rescan, for
+the kernels' results and the maps that keep the shape.  zeta_packing and unpack_zeta_integers pack sums of roots of
 unity into single ints (zeta_e -> 2^B, reduced mod Phi_e(2^B)) and read back
 the rational integers they stand for; the factored determinant and the
 character-sum oracle both rely on that integrality test.
@@ -134,12 +135,6 @@ class IntPolynomial:
     def constant(cls, nvars: int, c: int) -> "IntPolynomial":
         return cls(nvars, {(0,) * nvars: c})
 
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "IntPolynomial":
-        exp = [0] * nvars
-        exp[i] = 1
-        return cls(nvars, {tuple(exp): 1})
-
     def _check(self, other: "IntPolynomial") -> None:
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
@@ -157,36 +152,16 @@ class IntPolynomial:
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
-    def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial(self.nvars, {e: other * c for e, c in self.terms.items()})
-        self._check(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return IntPolynomial(self.nvars, out)
-
-    def __rmul__(self, other: int) -> "IntPolynomial":
-        return self * other
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def coefficient(self, exp: Sequence[int]) -> int:
         return self.terms.get(tuple(exp), 0)
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms)
 
     def term_count(self) -> int:
         return len(self.terms)

@@ -52,9 +52,6 @@ class TruncatedSeries1:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
     def __str__(self) -> str:
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -118,9 +115,6 @@ class TruncatedSeries2:
         if not isinstance(other, TruncatedSeries2):
             return NotImplemented
         return (self.s_order, self.t_order, self.grid) == (other.s_order, other.t_order, other.grid)
-
-    def __hash__(self) -> int:
-        return hash((self.s_order, self.t_order, self.grid))
 
     def __str__(self) -> str:
         parts = []

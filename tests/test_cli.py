@@ -748,6 +748,22 @@ def test_check_json_output_deterministic_modulo_elapsed():
     assert a == b
 
 
+@pytest.mark.parametrize("argv", [
+    ["cayley", "per", "--group", "C6"],
+    ["cayley", "support", "--group", "C2xC4"],
+    ["cayley", "table", "--group", "C1", "--variant", "toeplitz", "--l", "100"],  # more than one batch
+    ["series", "sym", "--group", "C2xC2", "--order", "12", "--i", "1"],
+    ["check", "hall", "--max-order", "4"],
+])
+def test_json_stdout_is_the_indented_dump(argv):
+    proc = run_module(["--json", *argv])
+    assert proc.returncode == 0, proc.stderr
+    want = json.dumps(json.loads(proc.stdout), indent=2) + "\n"
+    # lengths, not the strings: pytest's diff of two long strings runs for minutes
+    same = len(os.path.commonprefix([proc.stdout, want]))
+    assert (same, len(proc.stdout)) == (len(want), len(want)), proc.stdout[max(same - 40, 0):same + 40]
+
+
 # ---------------------------------------------------------------- oracle
 
 

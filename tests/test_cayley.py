@@ -1,5 +1,6 @@
 """Group multiplication tables, symbolic permanents/determinants, checkers."""
 
+import io
 import itertools
 import math
 import random
@@ -33,7 +34,7 @@ from abelinv import (
     sym_dim_oracle,
     sym_series,
 )
-from abelinv import cayley
+from abelinv import cayley, cli
 from abelinv.cayley import (
     DP_GUARD,
     FACTORED_GUARD,
@@ -53,6 +54,7 @@ from abelinv.cayley import (
     refuse,
 )
 from abelinv.cli import CONJECTURE_GRID
+from abelinv.groups import iter_abelian_groups_up_to
 
 C2 = parse_group("C2")
 C3 = parse_group("C3")
@@ -334,14 +336,14 @@ def test_grid_guard_refuses_a_grid_its_lists_admit():
 def test_translation_found_on_the_grid():
     # the record relabels the plain table over a basis: an element of maximal order (stride
     # n/e) and a complement; every other table that lists the group on both sides shares it
-    c2c6 = _symmetry(parse_group("C2xC6"))
-    assert c2c6.phi == [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11]
+    assert _relabeling(parse_group("C2xC6"))[0] == [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11]
     for spec, axes in (("C2xC6", ((2, 6), (1, 2))), ("C2xC2xC2", ((4, 2), (2, 2), (1, 2))),
                        ("C3xC3", ((3, 3), (1, 3))), ("C2xC3", ((1, 6),)), ("C2xC2xC3", ((2, 6), (1, 2))),
                        ("C5", ((1, 5),))):
         n = parse_group(spec).order
         tr = _symmetry(parse_group(spec))
-        assert tr.axes == axes and sorted(tr.phi) == list(range(n)), spec
+        phi, _, found = _relabeling(parse_group(spec))
+        assert found == axes and sorted(phi) == list(range(n)), spec
 
         def plus(a, b):
             return sum((a // t + b // t) % m * t for t, m in axes)
@@ -371,7 +373,7 @@ def test_key_translations_agree():
     for group in abelian_groups_up_to(12)[1:] + [parse_group("C2xC2xC3")]:
         n, add = group.order, group.add_table
         sym = _symmetry(group)
-        phi, base = sym.phi, sym.base
+        phi, base = _relabeling(group)[0], sym.base
         for _ in range(6):
             exps = [0] * n
             for b in rng.choices(range(n), k=rng.randint(0, n)):
@@ -891,7 +893,32 @@ def test_checkers_decide_each_guard_once(monkeypatch):
     assert calls == [False, False]
     calls.clear()
     assert check_hall(4, 3).ok
-    assert calls == [False] * len(list(cayley.hall_tables(4, 3)))  # the tables are made as read
+    # one plain table per group of order <= 4, one extended table per group of order <= 3
+    assert calls == [False] * (len(list(iter_abelian_groups_up_to(4))) + len(list(iter_abelian_groups_up_to(3))))
+
+
+@pytest.mark.parametrize("argv, guards, builds", [
+    (["check", "invariance", "--group", "C6"], [False, True], 1),
+    (["check", "extended", "--group", "C3"], [False, False], 2),
+    (["check", "hall", "--max-order", "4", "--max-order-ext", "3"], [False] * 8, 8),
+])
+def test_cli_checks_build_and_guard_each_table_once(monkeypatch, argv, guards, builds):
+    # the checker plans its tables, and the CLI decides no guard of its own on top
+    calls = counted_guards(monkeypatch)
+    built = []
+    real = cayley.build_table
+    monkeypatch.setattr(cayley, "build_table", lambda *args, **kw: built.append(args) or real(*args, **kw))
+    assert cli.run(argv, io.StringIO()) == 0
+    assert (calls, len(built)) == (guards, builds)
+
+
+def test_library_and_cli_refuse_a_huge_extended_check_alike():
+    # the extended table is built and guarded before the block2n table is built, as the CLI does
+    t0 = time.perf_counter()
+    with pytest.raises(GuardExceeded) as info:
+        check_extended_counts(parse_group("C5000"))
+    assert time.perf_counter() - t0 < 1.0
+    assert info.value.what == "subset DP states"
 
 
 def test_hall_check_refuses_at_its_first_refused_table():

@@ -35,5 +35,6 @@ def test_every_command_has_its_json_form():
     assert cmds == plain + [f"--json {cmd}" for cmd in plain]
     assert {cmd.split()[0] for cmd in plain} == {"dim", "series", "cayley", "check"}
     assert {" ".join(cmd.split()[:2]) for cmd in plain if cmd.startswith("check ")} == \
-        {"check actions", "check reciprocity", "check identity"}
+        {"check actions", "check reciprocity", "check identity", "check hall", "check invariance", "check extended",
+         "check all"}
     assert all(cmd in plain and f"--json {cmd}" in cmds for cmd in parity.LARGE)

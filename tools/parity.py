@@ -9,7 +9,9 @@ and stderr after masking the `elapsed` timings.  The commands are the
 read from this tree), the `--json` form of each, and a grid: `dim`, `series`,
 `cayley` and `check actions` over the groups of order at most 8, `dim sw` with
 gcd(p, q, m) > 1, `check actions --samples 500` at orders 6-9, one larger
-`check reciprocity` and `check identity` each, and three commands whose
+`check reciprocity` and `check identity` each, the sweep checks whose
+checkers decide their table guards (admitted and refused runs of `check
+hall`, `invariance`, `extended` and `all`), and three commands whose
 `--json` output is 0.8-1.6 MB (C10 `per` and `support`, a toeplitz `table`
 at l = 300).  Prints one line per command whose results differ and exits 1
 if any do.
@@ -31,6 +33,11 @@ ORDER_6_9 = ("C6", "C2xC3", "C7", "C8", "C2xC4", "C2xC2xC2", "C9", "C3xC3")
 # commands whose --json output is 0.8-1.6 MB, written in many batches
 LARGE = ("cayley per --group C10", "cayley support --group C10",
          "cayley table --group C1 --variant toeplitz --l 300")
+# the sweep checks, each planned by its checker: admitted (about 0.2 s each), then refused
+SWEEPS = ("check hall --max-order 7 --max-order-ext 5", "check invariance --max-order 7",
+          "check extended --max-order 5",
+          "check invariance --max-order 13", "check hall --max-order 13", "check extended --max-order 8",
+          "check all --max-order 8", "check extended --group C5000")
 
 
 def mask(text: str) -> str:
@@ -56,7 +63,7 @@ def grid_commands() -> list[str]:
     cmds += [f"check actions --group {g}" for g in GROUPS]
     cmds += [f"check actions --group {g} --samples 500" for g in ORDER_6_9]
     cmds += ["check reciprocity --max-total 12 --fredman-total 20", "check identity --order 20"]
-    cmds += LARGE
+    cmds += SWEEPS + LARGE
     cmds = list(dict.fromkeys(cmds))  # C1 repeats some of its m and i
     return cmds + [f"--json {cmd}" for cmd in cmds]
 

@@ -39,7 +39,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import GuardExceeded
 from .groups import FiniteAbelianGroup, element_sum_counts, parse_order_profile
-from .numtheory import _divisors, euler_phi, moebius, ramanujan_sum
+from .numtheory import _divisors, _factorization, euler_phi, ramanujan_sum
 from .polynom import unpack_zeta_integers, zeta_packing
 from .report import CheckReport
 from .series import TruncatedSeries1, TruncatedSeries2
@@ -208,24 +208,33 @@ def character_order_sums(group: FiniteAbelianGroup, i: int) -> dict[int, int]:
     The k-torsion subgroup G[k] is the product of the cyclic pieces of order
     gcd(k, n_j), so T_k = sum over G[k] of chi_i is prod_j gcd(k, n_j) when
     chi_i is trivial on G[k] (gcd(k, n_j) divides c_j for every factor) and 0
-    otherwise.  Moebius inversion over the divisors of d gives
-    S_d = sum_{k | d} mu(d/k) T_k; for C_n this is Kluyver's c_d(i).
+    otherwise; one loop per divisor k takes the gcds and stops at the first
+    factor that makes chi_i nontrivial.  Moebius inversion over the divisors of
+    d gives S_d = sum_{k | d} mu(d/k) T_k; for C_n this is Kluyver's c_d(i).
+    mu is multiplicative, so the inversion is one pass per prime p of the
+    exponent e, taken in place: S_d -= S_{d/p} for every d divisible by p,
+    from the largest d down, in at most d(e) * omega(e) subtractions.  The
+    keys ascend.
     """
     if not 0 <= i < group.order:
         raise ValueError(f"character index {i} out of range for {group}")
-    chi = [i // s % n for n, s in zip(group.factors, group._strides)]  # residues of i, no element list
+    pieces = [(n, i // s % n) for n, s in zip(group.factors, group._strides)]  # residues of i, no element list
     ds = _divisors(group.exponent)
-    sums = {}  # T_k for every k | exponent
+    sums = {}  # T_k for every k | exponent, then S_d in place
     for k in ds:
-        pieces = [math.gcd(k, n) for n in group.factors]
-        sums[k] = math.prod(pieces) if all(c % g == 0 for c, g in zip(chi, pieces)) else 0
-    return {d: sum(mu * sums[k] for k, mu in _moebius_pairs(d)) for d in ds}
-
-
-@lru_cache(maxsize=None)
-def _moebius_pairs(d: int) -> tuple[tuple[int, int], ...]:
-    """(k, mu(d/k)) for the divisors k of d with mu(d/k) != 0: the Moebius inversion over d."""
-    return tuple((k, mu) for k in _divisors(d) if (mu := moebius(d // k)))
+        t = 1
+        for n, c in pieces:
+            g = math.gcd(k, n)
+            if c % g:
+                t = 0
+                break
+            t *= g
+        sums[k] = t
+    for p, _ in _factorization(group.exponent):
+        for d in reversed(ds):
+            if d % p == 0:
+                sums[d] -= sums[d // p]
+    return sums
 
 
 def _order_sums(source: SeriesSource, i: int) -> tuple[int, dict[int, int]]:

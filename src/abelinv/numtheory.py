@@ -1,7 +1,9 @@
 """Exact elementary number theory: divisors, totient, Moebius, Ramanujan sums.
 
 Everything here returns plain Python ints and is exact for arbitrary sizes,
-though in practice arguments stay small (hundreds at most).
+though in practice arguments stay small (hundreds at most).  Factorization is
+trial division, bounded by FACTOR_GUARD: every n below 10^12 factors, and so
+does every n whose cofactor drops below 10^12 before the last trial divisor.
 """
 
 from __future__ import annotations
@@ -9,6 +11,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from typing import Sequence
+
+from .errors import GuardExceeded
+
+FACTOR_GUARD = 10**6  # trial divisors 2, 3, 5, 7, ... per factorization, about 0.2 s
 
 
 def divisors(n: int) -> list[int]:
@@ -19,7 +25,12 @@ def divisors(n: int) -> list[int]:
 
 
 def prime_factorization(n: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n >= 1 by trial division, primes ascending."""
+    """(prime, exponent) pairs of n >= 1 by trial division, primes ascending.
+
+    Raises GuardExceeded, rather than trying more, when the FACTOR_GUARD
+    trial divisors 2, 3, 5, ..., 2 * FACTOR_GUARD - 1 leave a cofactor at
+    least the square of the next one.
+    """
     if n < 1:
         raise ValueError(f"prime_factorization: need n >= 1, got {n}")
     return list(_factorization(n))
@@ -28,8 +39,10 @@ def prime_factorization(n: int) -> list[tuple[int, int]]:
 @lru_cache(maxsize=None)
 def _factorization(n: int) -> tuple[tuple[int, int], ...]:
     out: list[tuple[int, int]] = []
-    p = 2
+    p, last = 2, 2 * FACTOR_GUARD - 1  # the FACTOR_GUARD-th trial divisor
     while p * p <= n:
+        if p > last:  # size: the trial divisors a prime cofactor would take
+            raise GuardExceeded("trial divisions", (math.isqrt(n) + 1) // 2, FACTOR_GUARD)
         if n % p == 0:
             k = 0
             while n % p == 0:

@@ -39,6 +39,7 @@ def test_dim_golden_values():
     assert ok(["dim", "b", "--group", "C5", "--m", "2"]).strip() == "2"
     assert ok(["dim", "sw", "--group", "C3", "--p", "1", "--m", "1"]).strip() == "3"
     assert ok(["dim", "a", "--group", "C1000000", "--m", "1"]).strip() == "1"  # under the binomial guard
+    assert ok(["dim", "a", "--group", "C999999999989", "--m", "0"]).strip() == "1"  # a prime the factorization admits
 
 
 def test_dim_json_payload():
@@ -131,6 +132,20 @@ def test_point_and_sweep_guards_refuse_quickly(argv, what, capsys):
     assert invoke(argv) == (3, "")
     assert time.perf_counter() - t0 < 1.0
     assert what in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "ext", "--group", f"C{2**61 - 1}"],
+    ["series", "sym", "--group", f"C{2**61 - 1}", "--order", "3"],
+    ["series", "bigraded", "--group", f"C{2**61 - 1}", "--order", "3"],
+    ["dim", "a", "--group", f"C{2**61 - 1}", "--m", "0"],
+    ["dim", "b", "--group", f"C{2**61 - 1}", "--m", "0"],
+])
+def test_factorization_guard_refuses_a_huge_prime(argv, capsys):
+    # the series and the point dimensions factor the exponent or a gcd first; proving the
+    # prime 2^61 - 1 prime would take 7.6 * 10^8 trial divisors
+    assert invoke(argv) == (3, "")
+    assert "trial divisions" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

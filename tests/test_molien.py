@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -363,8 +364,8 @@ def test_character_order_sums_list_no_elements():
     assert "_elements" not in vars(g)
 
 
-def _assert_sums_match_oracle(g):
-    for i in range(g.order):
+def _assert_sums_match_oracle(g, characters=None):
+    for i in range(g.order) if characters is None else characters:
         sums, walked = character_order_sums(g, i), character_order_sums_oracle(g, i)
         assert list(sums.items()) == list(walked.items()), (str(g), i)
 
@@ -373,6 +374,13 @@ def test_character_order_sums_match_oracle():
     extra = ("C6xC4", "C2xC6", "C12xC18", "C3xC9xC2")
     for g in abelian_groups_up_to(40) + [parse_group(s) for s in extra]:
         _assert_sums_match_oracle(g)
+    # exponents of three or four primes, one of them repeated: the inversion takes one prime per pass
+    for spec in ("C60", "C4xC30", "C4xC6xC10"):
+        _assert_sums_match_oracle(parse_group(spec))
+    rng = random.Random(0)
+    for spec, count in (("C2xC2xC90", 40), ("C2xC6xC630", 8)):  # large walks: a sample of characters
+        g = parse_group(spec)
+        _assert_sums_match_oracle(g, [0, g.order - 1] + rng.sample(range(1, g.order - 1), count))
 
 
 @st.composite

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abelinv import divisors, euler_phi, moebius, multinomial, ramanujan_sum
-from abelinv.numtheory import prime_factorization
+from abelinv.errors import GuardExceeded
+from abelinv.numtheory import FACTOR_GUARD, prime_factorization
 from abelinv.polynom import unpack_zeta_integers, zeta_packing
 
 
@@ -25,6 +26,22 @@ def test_prime_factorization_reconstructs():
     assert prime_factorization(360) == [(2, 3), (3, 2), (5, 1)]
     for n in range(2, 300):
         assert prod(p**k for p, k in prime_factorization(n)) == n
+
+
+def test_prime_factorization_guard():
+    # every n below 10^12 factors, and so does n once its cofactor drops below 10^12
+    assert prime_factorization(999999999989) == [(999999999989, 1)]
+    assert prime_factorization(2**80 * 999999999989) == [(2, 80), (999999999989, 1)]
+    # the last trial divisor is 2 * FACTOR_GUARD - 1 = 1999999; 1999993 and 2000003 are the primes around it
+    assert prime_factorization(1999993**2) == [(1999993, 2)]
+    with pytest.raises(GuardExceeded):
+        prime_factorization(2000003**2)
+    with pytest.raises(GuardExceeded) as info:
+        prime_factorization(2**61 - 1)
+    assert info.value.what == "trial divisions"
+    assert info.value.limit == FACTOR_GUARD
+    with pytest.raises(GuardExceeded):
+        divisors(3 * (2**61 - 1))
 
 
 def test_euler_phi_frozen_values():

@@ -37,12 +37,17 @@ checker route) keeps one monomial per translation orbit, as each form is an
 eigenvector of the translation.  Each (op, algorithm) pair has one guard and
 one kernel (ROUTES); the guard reads the element lists, never the grid, and
 permanent, determinant and refuse all decide it through that table.
-Checkers for these facts live here.  Each sweep checker (hall, invariance,
-extended counts) has one planner (plan_hall, plan_invariance,
-plan_extended_counts) that builds each of its tables once and decides
-their guards before any kernel runs, and returns the call that runs the
-checks on those plans; the checker is that call made at once, and the CLI
-calls the planners and keeps no list of tables.
+Checkers for these facts live here.  Each table checker has a planner that
+builds each of its tables once and decides their guards before any kernel
+runs, and returns the call that runs the checks on those plans; the
+checker is that call made at once, and the CLI calls the planners and
+keeps no list of tables.  The support checkers (hall, extended counts,
+the toeplitz conjecture) are one planner and one runner over cells
+(group, variant, size): plan_supports guards each cell's table, and the
+runner compares its permanent's support with hall_support(group, size) and
+that set's size with the mode's dimension; each mode is its cell list,
+its record formatter and its dimension route.  plan_invariance plans the
+invariance check.
 """
 
 from __future__ import annotations
@@ -975,12 +980,6 @@ def _dual_weight_character(group: FiniteAbelianGroup) -> Element:
     return group.element(psi)
 
 
-def _guarded(group: FiniteAbelianGroup, variant: str, *ops: str) -> tuple:
-    """(table, the plan refuse returns for each op): the table built once and each of its guards decided once."""
-    table = build_table(group, variant)
-    return (table, *[refuse(table, op) for op in ops])
-
-
 def _check_invariance(table: CayleyMatrix, per_plan: object, det_plan: object) -> CheckReport:
     """check_invariance run on the plain table and the plans of its two guards."""
     t0 = time.perf_counter()
@@ -1015,7 +1014,8 @@ def plan_invariance(groups: Iterable[FiniteAbelianGroup]) -> Callable[[], list[C
     both its guards decided before the next group is made, so the plan stops
     at the first refused table and no kernel runs before the call.
     """
-    plans = [_guarded(group, "plain", "per", "det") for group in groups]
+    tables = (build_table(group, "plain") for group in groups)
+    plans = [(table, refuse(table, "per"), refuse(table, "det")) for table in tables]
     return lambda: [_check_invariance(*plan) for plan in plans]
 
 
@@ -1180,71 +1180,93 @@ def check_lehmer_congruence(p: int) -> CheckReport:
     return CheckReport("lehmer", {"p": p}, failures, elapsed)
 
 
-def _check_extended_counts(group: FiniteAbelianGroup, planned: list[tuple]) -> CheckReport:
-    """check_extended_counts run on the (table, plan) of each of the group's two tables."""
-    t0 = time.perf_counter()
-    failures: list[dict] = []
-    for table, plan in planned:  # a table's degree is its size
-        got = _planned(table, "per", plan).term_count()
-        want = int(sym_series(group, 0, table.size).coefficient(table.size))
-        if got != want:
-            failures.append({"table": table.variant, "count": got, "dimension": want})
-    elapsed = time.perf_counter() - t0
-    return CheckReport("extended-counts", {"group": group.spec_string}, failures, elapsed)
+def _supports(planned: Iterable[tuple], dimension: Callable[[CayleyMatrix], int]) -> Iterator[tuple]:
+    """The runner: for each planned (table, plan) in turn, (table, missing, unexpected, |hall_support|, dimension).
+
+    missing and unexpected are the sorted vectors of hall_support(group,
+    size) that the permanent lacks and the permanent's vectors outside it
+    (a table's degree is its size); dimension(table) is the mode's value for
+    |hall_support|.
+    """
+    for table, plan in planned:
+        got = _planned(table, "per", plan).terms.keys()
+        want = hall_support(table.group, table.size)
+        yield table, sorted(want - got), sorted(got - want), len(want), dimension(table)
+
+
+def plan_supports(check: str, cells: Iterable[tuple], params: Callable[[CayleyMatrix], dict],
+                  dimension: Callable[[CayleyMatrix], int], records: Callable[..., list[dict]],
+                  first_failure: bool = False) -> Callable[[], list[CheckReport]]:
+    """Decide the permanent's guard of every (group, variant, size) cell; return the call that checks them.
+
+    Each cell's table is built once and guarded as built, and each group is
+    made as it is read, so the plan stops at the first refused table and no
+    kernel runs before the call.  The call runs the cells one at a time
+    (_supports), turns each into its mode's records, and makes one report of
+    each run of cells with equal params(table), stopping after the first
+    failing report when first_failure is set.
+    """
+    planned = [(table, refuse(table, "per")) for table in itertools.starmap(build_table, cells)]
+
+    def run() -> list[CheckReport]:
+        reports = []
+        for parameters, cell_plans in itertools.groupby(planned, key=lambda cell: params(cell[0])):
+            t0 = time.perf_counter()
+            failures = [record for result in _supports(cell_plans, dimension) for record in records(*result)]
+            reports.append(CheckReport(check, parameters, failures, time.perf_counter() - t0))
+            if first_failure and failures:
+                break
+        return reports
+    return run
+
+
+def _sym_count(table: CayleyMatrix) -> int:
+    """dim (S^l R)^G at the table's size l, the t^l coefficient of the invariant Molien series."""
+    return sym_series(table.group, 0, table.size).coefficient(table.size)
+
+
+def _extended_records(table: CayleyMatrix, missing: list, unexpected: list, count: int, dim: int) -> list[dict]:
+    where = {"table": table.variant}
+    return ([{**where, "exponents": list(exp), "what": what}
+             for what, vectors in (("missing", missing), ("unexpected", unexpected)) for exp in vectors]
+            + [{**where, "count": count, "dimension": dim}] * (count != dim))
 
 
 def plan_extended_counts(groups: Iterable[FiniteAbelianGroup]) -> Callable[[], list[CheckReport]]:
-    """Decide check_extended_counts's guards for every group; return the call that runs the checks on them.
-
-    Each group is made as it is read, and its extended and block2n tables
-    are each built once and guarded as built, so the plan stops at the first
-    refused table and no kernel runs before the call.
-    """
-    plans = [(group, [_guarded(group, variant, "per") for variant in ("extended", "block2n")]) for group in groups]
-    return lambda: [_check_extended_counts(*plan) for plan in plans]
+    """Decide check_extended_counts's guards for every group; return the call that runs the checks on them."""
+    cells = ((group, variant, None) for group in groups for variant in ("extended", "block2n"))
+    return plan_supports("extended-counts", cells, lambda t: {"group": t.group.spec_string}, _sym_count,
+                         _extended_records)
 
 
 def check_extended_counts(group: FiniteAbelianGroup) -> CheckReport:
-    """Distinct-monomial counts of the extended and doubled tables match the
-    symmetric-power dimensions at degrees n+1 and 2n."""
+    """The permanents of the extended and doubled tables have exactly the
+    zero-sum supports at degrees n+1 and 2n, whose sizes are the
+    symmetric-power dimensions there."""
     return plan_extended_counts([group])()[0]
 
 
-def _check_hall(max_order: int, max_order_ext: int, planned: list[tuple]) -> CheckReport:
-    """check_hall run on the (table, plan) of each of its tables."""
-    t0 = time.perf_counter()
-    failures: list[dict] = []
-    for table, plan in planned:
-        got = set(_planned(table, "per", plan).terms)
-        want = hall_support(table.group, table.size)  # a table's degree is its size
-        for exp in sorted(got.symmetric_difference(want)):
-            failures.append(
-                {"group": table.group.spec_string, "table": table.variant, "exponents": list(exp),
-                 "what": "missing" if exp in want else "unexpected"}
-            )
-        dimension = sym_series(table.group, 0, table.size).coefficient(table.size)
-        if len(want) != dimension:
-            failures.append({"group": table.group.spec_string, "table": table.variant, "count": len(want),
-                             "dimension": dimension, "what": "count"})
-    elapsed = time.perf_counter() - t0
-    return CheckReport("hall-support", {"max_order": max_order, "max_order_ext": max_order_ext}, failures, elapsed)
+def _hall_records(table: CayleyMatrix, missing: list, unexpected: list, count: int, dim: int) -> list[dict]:
+    where = {"group": table.group.spec_string, "table": table.variant}
+    whats = {**dict.fromkeys(missing, "missing"), **dict.fromkeys(unexpected, "unexpected")}
+    return ([{**where, "exponents": list(exp), "what": what} for exp, what in sorted(whats.items())]
+            + [{**where, "count": count, "dimension": dim, "what": "count"}] * (count != dim))
 
 
 def plan_hall(max_order: int, max_order_ext: int) -> Callable[[], list[CheckReport]]:
     """Decide check_hall's guards; return the call that runs the check on them.
 
     Its tables are the plain table of every group of order <= max_order,
-    then the extended table of every group of order <= max_order_ext.  Each
-    group is made as it is read and each table guarded as it is built, so
-    the plan stops at the first refused table and no kernel runs before the
-    call.
+    then the extended table of every group of order <= max_order_ext.  A
+    plain table's dimension is permanent_term_count, the paper's theorem.
     """
     if max_order < 1 or max_order_ext < 1:
         raise ValueError(f"hall check needs orders >= 1, got {max_order} and {max_order_ext}")
-    planned = [_guarded(group, variant, "per")
-               for variant, top in (("plain", max_order), ("extended", max_order_ext))
-               for group in iter_abelian_groups_up_to(top)]
-    return lambda: [_check_hall(max_order, max_order_ext, planned)]
+    cells = ((group, variant, None) for variant, top in (("plain", max_order), ("extended", max_order_ext))
+             for group in iter_abelian_groups_up_to(top))
+    return plan_supports("hall-support", cells, lambda _: {"max_order": max_order, "max_order_ext": max_order_ext},
+                         lambda t: permanent_term_count(t.group) if t.variant == "plain" else _sym_count(t),
+                         _hall_records)
 
 
 def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
@@ -1257,23 +1279,27 @@ def check_hall(max_order: int = 6, max_order_ext: int = 5) -> CheckReport:
     return plan_hall(max_order, max_order_ext)()[0]
 
 
+def _conjecture_records(table: CayleyMatrix, missing: list, unexpected: list, count: int, dim: int) -> list[dict]:
+    return ([{"exponents": list(exp), "what": "predicted monomial missing"} for exp in missing]
+            + [{"exponents": list(exp), "what": "unexpected monomial present"} for exp in unexpected]
+            + [{"what": "prediction size mismatch", "count": count, "dimension": dim}] * (count != dim))
+
+
+def _conjecture_cell(n: int, l: int) -> tuple:
+    if n < 1 or l < n:
+        raise ValueError(f"need l >= n >= 1, got n={n}, l={l}")
+    return FiniteAbelianGroup((n,)), "toeplitz", l
+
+
+def plan_toeplitz_conjecture(cells: Iterable[tuple[int, int]]) -> Callable[[], list[CheckReport]]:
+    """Decide the guards of check_toeplitz_conjecture's (n, l) cells; return the call that
+    checks them in order and stops after the first failing cell (a single counterexample is the headline)."""
+    return plan_supports("toeplitz-conjecture", itertools.starmap(_conjecture_cell, cells),
+                         lambda t: {"n": t.group.order, "l": t.size}, lambda t: sym_dim(t.group.order, t.size, 0),
+                         _conjecture_records, first_failure=True)
+
+
 def check_toeplitz_conjecture(n: int, l: int) -> CheckReport:
     """Support of the permanent of the l x l toeplitz table over C_n against
     the zero-sum prediction: all degree-l vectors with sum j*k_j = 0 mod n."""
-    if n < 1 or l < n:
-        raise ValueError(f"need l >= n >= 1, got n={n}, l={l}")
-    t0 = time.perf_counter()
-    group = FiniteAbelianGroup((n,))
-    per = permanent(build_table(group, "toeplitz", size=l))
-    got = set(per.terms)
-    want = hall_support(group, l)
-    failures: list[dict] = []
-    for exp in sorted(want - got):
-        failures.append({"exponents": list(exp), "what": "predicted monomial missing"})
-    for exp in sorted(got - want):
-        failures.append({"exponents": list(exp), "what": "unexpected monomial present"})
-    dimension = sym_dim(n, l, 0)
-    if len(want) != dimension:
-        failures.append({"what": "prediction size mismatch", "count": len(want), "dimension": dimension})
-    elapsed = time.perf_counter() - t0
-    return CheckReport("toeplitz-conjecture", {"n": n, "l": l}, failures, elapsed)
+    return plan_toeplitz_conjecture([(n, l)])()[0]

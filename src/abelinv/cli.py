@@ -71,17 +71,10 @@ def _check_actions(opts: argparse.Namespace) -> list[CheckReport]:
                for spec in ("C6", "C2xC3")])
 
 
-def _check_conjecture(opts: argparse.Namespace) -> list[CheckReport]:
-    if opts.n is not None or opts.l is not None:
-        if opts.n is None or opts.l is None:
-            raise ValueError("a single conjecture case needs both --n and --l")
-        return [cayley.check_toeplitz_conjecture(opts.n, opts.l)]
-    reports = []  # a failing cell halts the grid: a single counterexample is the headline
-    for n, l in CONJECTURE_GRID:
-        reports.append(cayley.check_toeplitz_conjecture(n, l))
-        if not reports[-1].ok:
-            break
-    return reports
+def _conjecture_cells(opts: argparse.Namespace) -> Iterable[tuple[int, int]]:
+    if (opts.n is None) != (opts.l is None):
+        raise ValueError("a single conjecture case needs both --n and --l")
+    return CONJECTURE_GRID if opts.n is None else [(opts.n, opts.l)]
 
 
 # the check modes, in the order `check all` runs them
@@ -101,7 +94,8 @@ CHECK_MODES = {
                         {"p": None}),
     "extended": CheckMode(lambda o: cayley.plan_extended_counts(_groups(o)), {"group": None, "max_order": 4},
                           ("max_order",)),
-    "conjecture": CheckMode(lambda o: lambda: _check_conjecture(o), {"n": None, "l": None}),
+    "conjecture": CheckMode(lambda o: cayley.plan_toeplitz_conjecture(_conjecture_cells(o)),
+                            {"n": None, "l": None}),
 }
 # `check all` hands each of these options, when given, to every mode that reads it; every other
 # option keeps each mode's default

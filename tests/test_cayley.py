@@ -901,6 +901,7 @@ def test_checkers_decide_each_guard_once(monkeypatch):
     (["check", "invariance", "--group", "C6"], [False, True], 1),
     (["check", "extended", "--group", "C3"], [False, False], 2),
     (["check", "hall", "--max-order", "4", "--max-order-ext", "3"], [False] * 8, 8),
+    (["check", "conjecture", "--n", "3", "--l", "4"], [False], 1),
 ])
 def test_cli_checks_build_and_guard_each_table_once(monkeypatch, argv, guards, builds):
     # the checker plans its tables, and the CLI decides no guard of its own on top
@@ -910,6 +911,29 @@ def test_cli_checks_build_and_guard_each_table_once(monkeypatch, argv, guards, b
     monkeypatch.setattr(cayley, "build_table", lambda *args, **kw: built.append(args) or real(*args, **kw))
     assert cli.run(argv, io.StringIO()) == 0
     assert (calls, len(built)) == (guards, builds)
+
+
+def test_check_conjecture_guards_every_grid_table_before_the_first_kernel(monkeypatch):
+    events = []
+    guard, kernel = cayley.ROUTES["per", "auto"]
+
+    def counted_guard(table, signed):
+        events.append(("guard", table.variant))
+        return guard(table, signed)
+
+    def counted_kernel(table, signed, plan):
+        events.append(("kernel", table.variant))
+        return kernel(table, signed, plan)
+
+    monkeypatch.setitem(cayley.ROUTES, ("per", "auto"), (counted_guard, counted_kernel))
+    assert cli.run(["check", "conjecture"], io.StringIO()) == 1
+    # all 18 cells are planned; the grid runs 17, halting at its (4, 6) counterexample
+    assert events == [("guard", "toeplitz")] * len(CONJECTURE_GRID) + [("kernel", "toeplitz")] * 17
+    events.clear()
+    # `check all` plans the conjecture mode with the others, before its first mode runs
+    assert cli.run(["check", "all"], io.StringIO()) == 1
+    first_kernel = next(i for i, (what, _) in enumerate(events) if what == "kernel")
+    assert events[:first_kernel].count(("guard", "toeplitz")) == len(CONJECTURE_GRID)
 
 
 def test_library_and_cli_refuse_a_huge_extended_check_alike():
@@ -1066,6 +1090,25 @@ def test_hall_check_compares_the_support_size_with_the_series(monkeypatch):
         {"group": "C1", "table": "plain", "count": 1, "dimension": 2, "what": "count"},
         {"group": "C2", "table": "plain", "count": 2, "dimension": 3, "what": "count"},
         {"group": "C1", "table": "extended", "count": 1, "dimension": 2, "what": "count"},
+    ]
+
+
+def test_hall_check_reads_the_plain_dimension_through_permanent_term_count(monkeypatch):
+    real = cayley.permanent_term_count
+    monkeypatch.setattr(cayley, "permanent_term_count", lambda group: real(group) + 1)
+    assert check_hall(6, 5).failures == [
+        {"group": g.spec_string, "table": "plain", "count": real(g), "dimension": real(g) + 1, "what": "count"}
+        for g in iter_abelian_groups_up_to(6)]
+
+
+def test_extended_check_reports_a_vector_the_prediction_drops(monkeypatch):
+    real = cayley.hall_support
+    dropped = max(real(V4, 5))
+    monkeypatch.setattr(cayley, "hall_support", lambda g, d: real(g, d) - {dropped} if d == 5 else real(g, d))
+    dimension = sym_series(V4, 0, 5).coefficient(5)
+    assert check_extended_counts(V4).failures == [
+        {"table": "extended", "exponents": list(dropped), "what": "unexpected"},
+        {"table": "extended", "count": dimension - 1, "dimension": dimension},
     ]
 
 

@@ -37,17 +37,18 @@ checker route) keeps one monomial per translation orbit, as each form is an
 eigenvector of the translation.  Each (op, algorithm) pair has one guard and
 one kernel (ROUTES); the guard reads the element lists, never the grid, and
 permanent, determinant and refuse all decide it through that table.
-Checkers for these facts live here.  Each table checker has a planner that
-builds each of its tables once and decides their guards before any kernel
-runs, and returns the call that runs the checks on those plans; the
-checker is that call made at once, and the CLI calls the planners and
-keeps no list of tables.  The support checkers (hall, extended counts,
-the toeplitz conjecture) are one planner and one runner over cells
-(group, variant, size): plan_supports guards each cell's table, and the
-runner compares its permanent's support with hall_support(group, size) and
-that set's size with the mode's dimension; each mode is its cell list,
-its record formatter and its dimension route.  plan_invariance plans the
-invariance check.
+Checkers for these facts live here.  Every table checker (invariance, the
+Lehmer congruence, and the support checks: hall, extended counts, the
+toeplitz conjecture) is one planner, plan_tables, over cells (group,
+variant[, size]) and a list of (op, algorithm) routes: it builds each
+cell's table once and decides each route's guard on it before any kernel
+runs, and returns the call that runs the kernels on those plans and hands
+the table and its polynomials to the mode's failures function.  The
+checker is that call made at once, and the CLI calls the planners and keeps
+no list of tables.  A support mode (plan_supports) compares its cells'
+permanent support with hall_support(group, size) and that set's size with
+the mode's dimension; each mode is its cell list, its record formatter and
+its dimension route.
 """
 
 from __future__ import annotations
@@ -980,13 +981,39 @@ def _dual_weight_character(group: FiniteAbelianGroup) -> Element:
     return group.element(psi)
 
 
-def _check_invariance(table: CayleyMatrix, per_plan: object, det_plan: object) -> CheckReport:
-    """check_invariance run on the plain table and the plans of its two guards."""
-    t0 = time.perf_counter()
+def plan_tables(check: str, cells: Iterable[tuple], ops: Sequence[tuple[str, str]],
+                params: Callable[[CayleyMatrix], dict], failures: Callable[..., list[dict]],
+                first_failure: bool = False) -> Callable[[], list[CheckReport]]:
+    """The one table planner: decide every guard of the cells' tables; return the call that checks them.
+
+    A cell is build_table's arguments, (group, variant) or (group, variant,
+    size).  Each cell's table is built once and refuse(table, op, algorithm)
+    decided for each (op, algorithm) of ops as it is built, and each group is
+    made as it is read, so the plan stops at the first refused table and no
+    kernel runs before the call.  The call runs each table's kernels in the
+    order of ops on those plans (_planned), hands the table and its
+    polynomials to failures, and makes one report of each run of cells with
+    equal params(table), stopping after the first failing report when
+    first_failure is set.
+    """
+    planned = [(table, [refuse(table, *op) for op in ops]) for table in itertools.starmap(build_table, cells)]
+
+    def run() -> list[CheckReport]:
+        reports = []
+        for parameters, cell_plans in itertools.groupby(planned, key=lambda cell: params(cell[0])):
+            t0 = time.perf_counter()
+            found = [record for table, plans in cell_plans for record in failures(
+                table, *(_planned(table, op, plan, alg) for (op, alg), plan in zip(ops, plans)))]
+            reports.append(CheckReport(check, parameters, found, time.perf_counter() - t0))
+            if first_failure and found:
+                break
+        return reports
+    return run
+
+
+def _invariance_failures(table: CayleyMatrix, per: IntPolynomial, det: IntPolynomial) -> list[dict]:
     group = table.group
     failures: list[dict] = []
-    per = _planned(table, "per", per_plan)
-    det = _planned(table, "det", det_plan)
     # at x = 1 the table is all ones: its permanent is n!, its determinant 0 (1 for C1)
     for what, poly, want in (("permanent", per, math.factorial(group.order)),
                              ("determinant", det, int(group.order == 1))):
@@ -1003,20 +1030,13 @@ def _check_invariance(table: CayleyMatrix, per_plan: object, det_plan: object) -
             failures.append({"gamma": list(gamma), "what": f"psi value zeta^{t} is not +-1"})
         elif apply_group_action(group, gamma, det) != (neg_det if t else det):
             failures.append({"gamma": list(gamma), "what": "determinant not semi-invariant"})
-    elapsed = time.perf_counter() - t0
-    return CheckReport("invariance", {"group": group.spec_string}, failures, elapsed)
+    return failures
 
 
 def plan_invariance(groups: Iterable[FiniteAbelianGroup]) -> Callable[[], list[CheckReport]]:
-    """Decide check_invariance's guards for every group; return the call that runs the checks on them.
-
-    Each group is made as it is read, and its plain table is built once and
-    both its guards decided before the next group is made, so the plan stops
-    at the first refused table and no kernel runs before the call.
-    """
-    tables = (build_table(group, "plain") for group in groups)
-    plans = [(table, refuse(table, "per"), refuse(table, "det")) for table in tables]
-    return lambda: [_check_invariance(*plan) for plan in plans]
+    """Decide check_invariance's guards for every group; return the call that runs the checks on them."""
+    return plan_tables("invariance", ((group, "plain") for group in groups), (("per", "auto"), ("det", "auto")),
+                       lambda t: {"group": t.group.spec_string}, _invariance_failures)
 
 
 def check_invariance(group: FiniteAbelianGroup) -> CheckReport:
@@ -1155,69 +1175,48 @@ def check_action_identities(
     return CheckReport("action-identities", params, failures, elapsed)
 
 
+def _lehmer_cell(p: int) -> tuple:
+    if p not in LEHMER_PRIMES:
+        raise ValueError(f"supported primes are {LEHMER_PRIMES}, got {p}")
+    return FiniteAbelianGroup((p,)), "hat"
+
+
+def _lehmer_failures(table: CayleyMatrix, per: IntPolynomial, det: IntPolynomial) -> list[dict]:
+    p = table.group.order
+    target = IntPolynomial(p, {tuple(p if t == i else 0 for t in range(p)): 1 for i in range(p)})
+    return [{"polynomial": name, "exponents": list(exp), "coeff": c, "modulus": p}
+            for name, poly in (("permanent", per), ("determinant", det))
+            for exp, c in (poly - target).sorted_terms() if c % p]
+
+
+def plan_lehmer(primes: Iterable[int]) -> Callable[[], list[CheckReport]]:
+    """Decide check_lehmer_congruence's guards for every prime; return the call that runs the checks on them."""
+    return plan_tables("lehmer", map(_lehmer_cell, primes), (("per", "auto"), ("det", "factored")),
+                       lambda t: {"p": t.group.order}, _lehmer_failures)
+
+
 def check_lehmer_congruence(p: int) -> CheckReport:
     """For prime p in {3, 5, 7}: permanent and (hat form) determinant of the
     C_p table both equal sum x_i^p plus p times an integer polynomial."""
-    if p not in LEHMER_PRIMES:
-        raise ValueError(f"supported primes are {LEHMER_PRIMES}, got {p}")
-    t0 = time.perf_counter()
-    group = FiniteAbelianGroup((p,))
-    hat = build_table(group, "hat")
-    per = permanent(hat)
-    det = determinant(hat, "factored")
-    target = IntPolynomial(
-        p, {tuple(p if t == i else 0 for t in range(p)): 1 for i in range(p)}
-    )
-    failures: list[dict] = []
-    for name, poly in (("permanent", per), ("determinant", det)):
-        diff = poly - target
-        for exp, c in diff.sorted_terms():
-            if c % p:
-                failures.append(
-                    {"polynomial": name, "exponents": list(exp), "coeff": c, "modulus": p}
-                )
-    elapsed = time.perf_counter() - t0
-    return CheckReport("lehmer", {"p": p}, failures, elapsed)
-
-
-def _supports(planned: Iterable[tuple], dimension: Callable[[CayleyMatrix], int]) -> Iterator[tuple]:
-    """The runner: for each planned (table, plan) in turn, (table, missing, unexpected, |hall_support|, dimension).
-
-    missing and unexpected are the sorted vectors of hall_support(group,
-    size) that the permanent lacks and the permanent's vectors outside it
-    (a table's degree is its size); dimension(table) is the mode's value for
-    |hall_support|.
-    """
-    for table, plan in planned:
-        got = _planned(table, "per", plan).terms.keys()
-        want = hall_support(table.group, table.size)
-        yield table, sorted(want - got), sorted(got - want), len(want), dimension(table)
+    return plan_lehmer([p])()[0]
 
 
 def plan_supports(check: str, cells: Iterable[tuple], params: Callable[[CayleyMatrix], dict],
                   dimension: Callable[[CayleyMatrix], int], records: Callable[..., list[dict]],
                   first_failure: bool = False) -> Callable[[], list[CheckReport]]:
-    """Decide the permanent's guard of every (group, variant, size) cell; return the call that checks them.
+    """plan_tables for a support mode: each cell's permanent against hall_support(group, size).
 
-    Each cell's table is built once and guarded as built, and each group is
-    made as it is read, so the plan stops at the first refused table and no
-    kernel runs before the call.  The call runs the cells one at a time
-    (_supports), turns each into its mode's records, and makes one report of
-    each run of cells with equal params(table), stopping after the first
-    failing report when first_failure is set.
+    Its failures are records(table, missing, unexpected, |hall_support|,
+    dimension(table)): missing and unexpected are the sorted vectors of
+    hall_support that the permanent lacks and the permanent's vectors outside
+    it (a table's degree is its size), and dimension(table) is the mode's
+    value for |hall_support|.  Nothing here branches on the mode.
     """
-    planned = [(table, refuse(table, "per")) for table in itertools.starmap(build_table, cells)]
-
-    def run() -> list[CheckReport]:
-        reports = []
-        for parameters, cell_plans in itertools.groupby(planned, key=lambda cell: params(cell[0])):
-            t0 = time.perf_counter()
-            failures = [record for result in _supports(cell_plans, dimension) for record in records(*result)]
-            reports.append(CheckReport(check, parameters, failures, time.perf_counter() - t0))
-            if first_failure and failures:
-                break
-        return reports
-    return run
+    def failures(table: CayleyMatrix, per: IntPolynomial) -> list[dict]:
+        got = per.terms.keys()
+        want = hall_support(table.group, table.size)
+        return records(table, sorted(want - got), sorted(got - want), len(want), dimension(table))
+    return plan_tables(check, cells, (("per", "auto"),), params, failures, first_failure)
 
 
 def _sym_count(table: CayleyMatrix) -> int:
@@ -1234,7 +1233,7 @@ def _extended_records(table: CayleyMatrix, missing: list, unexpected: list, coun
 
 def plan_extended_counts(groups: Iterable[FiniteAbelianGroup]) -> Callable[[], list[CheckReport]]:
     """Decide check_extended_counts's guards for every group; return the call that runs the checks on them."""
-    cells = ((group, variant, None) for group in groups for variant in ("extended", "block2n"))
+    cells = ((group, variant) for group in groups for variant in ("extended", "block2n"))
     return plan_supports("extended-counts", cells, lambda t: {"group": t.group.spec_string}, _sym_count,
                          _extended_records)
 
@@ -1262,7 +1261,7 @@ def plan_hall(max_order: int, max_order_ext: int) -> Callable[[], list[CheckRepo
     """
     if max_order < 1 or max_order_ext < 1:
         raise ValueError(f"hall check needs orders >= 1, got {max_order} and {max_order_ext}")
-    cells = ((group, variant, None) for variant, top in (("plain", max_order), ("extended", max_order_ext))
+    cells = ((group, variant) for variant, top in (("plain", max_order), ("extended", max_order_ext))
              for group in iter_abelian_groups_up_to(top))
     return plan_supports("hall-support", cells, lambda _: {"max_order": max_order, "max_order_ext": max_order_ext},
                          lambda t: permanent_term_count(t.group) if t.variant == "plain" else _sym_count(t),

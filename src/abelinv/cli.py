@@ -47,8 +47,10 @@ class CheckMode(NamedTuple):
     """One `check` mode: its planner and the options it reads.
 
     plan(opts) decides every guard of the tables the mode takes, building
-    each table once, and returns the call that runs the mode's checks on
-    those plans; a mode without tables decides nothing until it is called.
+    each table once (cayley.plan_tables, for hall, invariance, lehmer,
+    extended and conjecture), and returns the call that runs the mode's
+    checks on those plans; a mode without tables (reciprocity, identity,
+    actions) decides its guards only when it is called.
     """
 
     # reads exactly `options`, filled in
@@ -89,9 +91,7 @@ CHECK_MODES = {
     "invariance": CheckMode(lambda o: cayley.plan_invariance(_groups(o)), {"group": None, "max_order": 6},
                             ("max_order",)),
     "actions": CheckMode(lambda o: lambda: _check_actions(o), {"group": None, "samples": None}),
-    "lehmer": CheckMode(lambda o: lambda: [cayley.check_lehmer_congruence(p)
-                                           for p in (cayley.LEHMER_PRIMES if o.p is None else (o.p,))],
-                        {"p": None}),
+    "lehmer": CheckMode(lambda o: cayley.plan_lehmer(cayley.LEHMER_PRIMES if o.p is None else [o.p]), {"p": None}),
     "extended": CheckMode(lambda o: cayley.plan_extended_counts(_groups(o)), {"group": None, "max_order": 4},
                           ("max_order",)),
     "conjecture": CheckMode(lambda o: cayley.plan_toeplitz_conjecture(_conjecture_cells(o)),

@@ -872,10 +872,10 @@ def test_invariance_check_catches_a_changed_orbit_mean(monkeypatch, spec, total)
 
 
 def counted_guards(monkeypatch):
-    """Wrap the guard of every auto route; the list records each decision's signedness."""
+    """Wrap the guard of every auto and factored route; the list records each decision's signedness."""
     calls = []
     for key, (guard, kernel) in list(cayley.ROUTES.items()):
-        if key[1] == "auto":
+        if key[1] in ("auto", "factored"):
             def counted(table, signed, guard=guard):
                 calls.append(signed)
                 return guard(table, signed)
@@ -887,6 +887,9 @@ def test_checkers_decide_each_guard_once(monkeypatch):
     # each checker runs its kernels on the plans its own pre-guard returned
     calls = counted_guards(monkeypatch)
     assert check_invariance(parse_group("C6")).ok
+    assert calls == [False, True]
+    calls.clear()
+    assert check_lehmer_congruence(5).ok  # the auto permanent and the factored determinant
     assert calls == [False, True]
     calls.clear()
     assert check_extended_counts(C3).ok
@@ -902,6 +905,8 @@ def test_checkers_decide_each_guard_once(monkeypatch):
     (["check", "extended", "--group", "C3"], [False, False], 2),
     (["check", "hall", "--max-order", "4", "--max-order-ext", "3"], [False] * 8, 8),
     (["check", "conjecture", "--n", "3", "--l", "4"], [False], 1),
+    (["check", "lehmer"], [False, True] * 3, 3),
+    (["check", "lehmer", "--p", "5"], [False, True], 1),
 ])
 def test_cli_checks_build_and_guard_each_table_once(monkeypatch, argv, guards, builds):
     # the checker plans its tables, and the CLI decides no guard of its own on top
@@ -934,6 +939,38 @@ def test_check_conjecture_guards_every_grid_table_before_the_first_kernel(monkey
     assert cli.run(["check", "all"], io.StringIO()) == 1
     first_kernel = next(i for i, (what, _) in enumerate(events) if what == "kernel")
     assert events[:first_kernel].count(("guard", "toeplitz")) == len(CONJECTURE_GRID)
+
+
+def test_check_all_builds_and_guards_every_table_before_the_first_kernel(monkeypatch):
+    # every route guard and kernel, the factored determinant's included, and every table build
+    events = []
+    for key, (guard, kernel) in list(cayley.ROUTES.items()):
+        def counted_guard(table, signed, guard=guard):
+            events.append("guard")
+            return guard(table, signed)
+
+        def counted_kernel(table, signed, plan, kernel=kernel):
+            events.append("kernel")
+            return kernel(table, signed, plan)
+        monkeypatch.setitem(cayley.ROUTES, key, (counted_guard, counted_kernel))
+    real = cayley.build_table
+    monkeypatch.setattr(cayley, "build_table", lambda *args, **kw: events.append("build") or real(*args, **kw))
+    assert cli.run(["check", "all"], io.StringIO()) == 1
+    first_kernel = events.index("kernel")
+    assert set(events[first_kernel:]) == {"kernel"}
+    assert Counter(events) == {"build": 51, "guard": 61, "kernel": 60}
+
+
+def test_lehmer_check_reports_a_negated_factored_determinant(monkeypatch):
+    # the check reads the determinant through the factored route alone; negated, each pure
+    # power x_i^p keeps coefficient -c - 1 against the target's 1, which p does not divide
+    det = determinant(build_table(parse_group("C5"), "hat"), "factored")
+    guard, real = cayley.ROUTES["det", "factored"]
+    monkeypatch.setitem(cayley.ROUTES, ("det", "factored"), (guard, lambda *args: -real(*args)))
+    powers = [tuple(5 * (t == i) for t in range(5)) for i in range(5)]
+    assert check_lehmer_congruence(5).failures == [
+        {"polynomial": "determinant", "exponents": list(exp), "coeff": -det.coefficient(exp) - 1, "modulus": 5}
+        for exp in sorted(powers)]
 
 
 def test_library_and_cli_refuse_a_huge_extended_check_alike():

@@ -529,6 +529,15 @@ def test_empty_check_sweep_exits_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_lehmer_refuses_an_unsupported_prime_before_any_table(monkeypatch, capsys):
+    built = []
+    real = cayley.build_table
+    monkeypatch.setattr(cayley, "build_table", lambda *args, **kw: built.append(args) or real(*args, **kw))
+    assert invoke(["check", "lehmer", "--p", "4"]) == (2, "")
+    assert capsys.readouterr().err == "error: supported primes are (3, 5, 7), got 4\n"
+    assert built == []
+
+
 def test_exhaustive_action_sweep_refuses_a_huge_group_quickly(capsys):
     # 1700! has more digits than str() converts; the refusal comes before the 1700 x 1700 table
     t0 = time.perf_counter()

@@ -9,9 +9,10 @@ and stderr after masking the `elapsed` timings.  The commands are the
 read from this tree), the `--json` form of each, and a grid: `dim`, `series`,
 `cayley` and `check actions` over the groups of order at most 8, `dim sw` with
 gcd(p, q, m) > 1, `check actions --samples 500` at orders 6-9, one larger
-`check reciprocity` and `check identity` each, the sweep checks whose
-checkers decide their table guards (admitted and refused runs of `check
-hall`, `invariance`, `extended`, `conjecture` and `all`), and three
+`check reciprocity` and `check identity` each, the checks whose planners
+decide their table guards (admitted and refused runs of `check hall`,
+`invariance`, `extended`, `conjecture` and `all`, and `check lehmer` at an
+unsupported prime), and three
 commands whose `--json` output is 0.8-1.6 MB (C10 `per` and `support`, a
 toeplitz `table` at l = 300).  Prints one line per command whose results differ and exits 1
 if any do.
@@ -33,14 +34,14 @@ ORDER_6_9 = ("C6", "C2xC3", "C7", "C8", "C2xC4", "C2xC2xC2", "C9", "C3xC3")
 # commands whose --json output is 0.8-1.6 MB, written in many batches
 LARGE = ("cayley per --group C10", "cayley support --group C10",
          "cayley table --group C1 --variant toeplitz --l 300")
-# the sweep checks, each planned by its checker: admitted (about 0.2 s each), then refused (the
-# conjecture cells by their subset-DP states and by their table cells)
+# the planned checks: admitted (about 0.2 s each), then refused (the conjecture cells by their
+# subset-DP states and by their table cells) or rejected (a prime the Lehmer check does not take)
 SWEEPS = ("check hall --max-order 7 --max-order-ext 5", "check invariance --max-order 7",
           "check extended --max-order 5", "check conjecture --n 5 --l 11", "check conjecture --n 2 --l 200",
-          "check extended --group C5", "check hall --max-order 3 --max-order-ext 6",
+          "check extended --group C5", "check hall --max-order 3 --max-order-ext 6", "check invariance --group C1",
           "check invariance --max-order 13", "check hall --max-order 13", "check extended --max-order 8",
           "check all --max-order 8", "check extended --group C5000", "check conjecture --n 13 --l 13",
-          "check conjecture --n 2 --l 8000")
+          "check conjecture --n 2 --l 8000", "check lehmer --p 4")
 
 
 def mask(text: str) -> str:

@@ -28,7 +28,9 @@ builds without a copy or a rescan.
 A Leibniz expansion that counts each of the l! permutations on its own (met
 in the middle one column split at a time: every ordering of one half of the
 columns on the first rows against every ordering of the other half on the
-last rows, up to size 10) is the independent oracle.
+last rows, up to size 10) is the independent oracle; a determinant's packed
+keys carry each permutation's parity in a digit of their own, so the
+permanent and the determinant share its one counting loop.
 The permanent's monomial support is governed by the zero-sum condition
 (degree-n exponent vectors k with sum k_j * g_j = 0), listed by joining
 two half tables of count vectors keyed by total and element sum; the determinant
@@ -230,53 +232,48 @@ def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool, plan: None) -> IntPo
     the columns (s = ceil(l/2)) and its complement A, the packed keys
     (exponent vectors base l+1, so x_e is (l+1)^e) of every ordering of A on
     the first k = l - s rows and of every ordering of B on the last s rows
-    are listed once, split by lex parity for the determinant, and every
-    (prefix, suffix) sum is counted by one Counter.update per split and
-    sign, one count per permutation.  The sign is (-1)^(parity(prefix
-    order) + parity(suffix order) + _cross_parity(A)).  Partial products are
-    never merged, so the subset DP is checked against the full expansion.
-    The keys that do not cancel are unpacked by _unpack.  Its guard
-    (_leibniz_guard) counts the l! permutations.
+    are listed once, and every (prefix, suffix) sum is counted by one
+    Counter.update per split, one count per permutation.  A determinant's
+    keys carry the permutation's parity in a digit 0 of their own (x_e is
+    (l+1)^(e+1)): a prefix ordering adds its lex parity xor _cross_parity(A),
+    a suffix ordering its lex parity, so a sum's digit 0 is 1 for an odd
+    permutation and 0 or 2 for an even one, never carrying as l + 1 >= 3
+    (l = 1 has one even permutation), and it is folded into the sign once at
+    the end.  Partial products are never merged, so the subset DP is checked
+    against the full expansion.  The keys that do not cancel are unpacked by
+    _unpack.  Its guard (_leibniz_guard) counts the l! permutations.
     """
     l = matrix.size
-    nvars = matrix.nvars
     base = l + 1
-    weights = [[base**e for e in row] for row in matrix.grid]
+    weights = [[base ** (e + signed) for e in row] for row in matrix.grid]
     s = (l + 1) // 2
     k = l - s
     head, tail = weights[:k], weights[k:]
-    getitem, repeat = operator.getitem, itertools.repeat
+    add, getitem, repeat = operator.add, operator.getitem, itertools.repeat
 
     def keys(rows: list[list[int]], cols: Sequence[int]) -> list[int]:
         # the packed key of each ordering of cols on these rows, in itertools.permutations order
         return list(map(sum, map(map, repeat(getitem), repeat(rows), itertools.permutations(cols))))
 
-    def sums(firsts: list[int], lasts: list[int]) -> Iterable[int]:
-        return itertools.starmap(operator.add, itertools.product(firsts, lasts))
-
     odd_k, odd_s = _lex_parities(k), _lex_parities(s)
-    even_k, even_s = [1 - p for p in odd_k], [1 - p for p in odd_s]
-    compress, chain = itertools.compress, itertools.chain
-    plus: Counter[int] = Counter()
-    minus: Counter[int] = Counter()
+    even_k = [1 - p for p in odd_k]
+    counts: Counter[int] = Counter()
     for cols in itertools.combinations(range(l), s):
         rest = [c for c in range(l) if c not in cols]
         firsts, lasts = keys(head, rest), keys(tail, cols)
-        if not signed:
-            plus.update(sums(firsts, lasts))
-            continue
-        evens, odds = list(compress(firsts, even_k)), list(compress(firsts, odd_k))
-        if _cross_parity(rest):
-            evens, odds = odds, evens
-        even_lasts, odd_lasts = list(compress(lasts, even_s)), list(compress(lasts, odd_s))
-        plus.update(chain(sums(evens, even_lasts), sums(odds, odd_lasts)))
-        minus.update(chain(sums(evens, odd_lasts), sums(odds, even_lasts)))
-    counts: dict[int, int] = plus
+        if signed:
+            firsts = list(map(add, firsts, even_k if _cross_parity(rest) else odd_k))
+            lasts = list(map(add, lasts, odd_s))
+        counts.update(itertools.starmap(add, itertools.product(firsts, lasts)))
+    terms: dict[int, int] = counts
     if signed:
-        plus.subtract(minus)
-        counts = {key: coeff for key, coeff in plus.items() if coeff}
-    powers = [base**i for i in range(nvars)]
-    return IntPolynomial._of(nvars, dict(zip(_unpack(counts, base, powers), counts.values())))
+        terms = {}
+        for key, count in counts.items():
+            monomial, parity = divmod(key, base)
+            terms[monomial] = terms.get(monomial, 0) + (-1) ** parity * count
+        terms = {key: coeff for key, coeff in terms.items() if coeff}
+    powers = [base**i for i in range(matrix.nvars)]
+    return IntPolynomial._of(matrix.nvars, dict(zip(_unpack(terms, base, powers), terms.values())))
 
 
 def _basis(group: FiniteAbelianGroup) -> list[tuple[int, int]]:

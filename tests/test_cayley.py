@@ -1045,6 +1045,23 @@ def test_sampled_realization_still_catches_a_wrong_star_monomial(monkeypatch):
     assert whats.index("star changed monomial") < whats.index("orbit construction failed")
 
 
+def test_sampled_actions_report_a_wrong_inverse_monomial(monkeypatch):
+    g = parse_group("C6")
+    pi = tuple(random.Random(0).sample(range(6), 6))  # the first permutation sampled
+    inverse = tuple(sorted(range(6), key=pi.__getitem__))
+    assert inverse != pi
+    real = cayley._table_monomial
+
+    def wrong_for_inverse(add, perm):
+        mono = real(add, perm)
+        return tuple(k + (t == 0) for t, k in enumerate(mono)) if tuple(perm) == inverse else mono
+
+    monkeypatch.setattr(cayley, "_table_monomial", wrong_for_inverse)
+    report = check_action_identities(g, samples=20)
+    assert [f for f in report.failures if f["what"] == "inverse changed monomial"] == [
+        {"pi": list(pi), "what": "inverse changed monomial"}]
+
+
 def _flip_sign_of(monkeypatch, target):
     """Make cayley._permutation_sign wrong at one permutation; returns the wrong sign."""
     real = cayley._permutation_sign

@@ -13,7 +13,7 @@ import pytest
 
 import abelinv
 from abelinv import cayley, molien, parse_group
-from abelinv.cli import build_parser, run
+from abelinv.cli import MAX_WITNESS_LINES, build_parser, run
 from abelinv.errors import GuardExceeded
 from abelinv.molien import sym_dim, sym_series
 
@@ -287,6 +287,25 @@ def test_cayley_det_golden_string():
     assert ok(["cayley", "det", "--group", "C2"]).strip() == "x0^2 - x1^2"
 
 
+@pytest.mark.parametrize("spec, extra, per, det", [
+    ("C1", [], "x0", "x0"),  # l = 1: base 2 and one even permutation, digit 0 always 0
+    ("C2", [], "x0^2 + x1^2", "x0^2 - x1^2"),  # l = 2: base 3, the least that keeps an even 2 from carrying
+    ("C2", ["--variant", "hat"], "x0^2 + x1^2", "x0^2 - x1^2"),
+    ("C3", ["--variant", "toeplitz", "--l", "7"], None, "0"),  # repeated columns: 7! signed terms cancel
+    ("C2", ["--variant", "toeplitz", "--l", "10"], None, "0"),  # l = 10, the guard's edge
+])
+def test_leibniz_parity_digit_edges_match_auto(spec, extra, per, det):
+    # a determinant's Leibniz keys carry the permutation's parity in their digit 0
+    table = ["--group", spec, *extra]
+    for op, want in (("per", per), ("det", det)):
+        human, as_json = (ok([*flag, "cayley", op, *table, "--alg", "leibniz"]) for flag in ([], ["--json"]))
+        assert human == ok(["cayley", op, *table]) and as_json == ok(["--json", "cayley", op, *table]), op
+        assert want is None or human.strip() == want, op
+        if op == "per":  # each of the l! permutations counted once
+            obj = json.loads(as_json)
+            assert sum(int(term["coeff"]) for term in obj["terms"]) == math.factorial(obj["size"])
+
+
 def test_cayley_polynomial_json_round_trip():
     from abelinv import build_table, parse_group, permanent
 
@@ -498,6 +517,11 @@ def test_cayley_alg_rejected_outside_per_and_det(op, alg, capsys):
     assert invoke(["cayley", op, "--group", "C4", "--alg", "auto"])[0] == 0
 
 
+def test_series_bigraded_human_output():
+    text = ok(["series", "bigraded", "--group", "C3", "--i", "1", "--order", "2"])
+    assert text.strip() == "t + t^2 + s + 3*s*t + 3*s*t^2 + 2*s^2 + 6*s^2*t + 6*s^2*t^2"
+
+
 # ---------------------------------------------------------------- check
 
 
@@ -507,6 +531,30 @@ def test_check_reciprocity_summary_format():
         r"PASS reciprocity \[max_total=6 fredman_total=8\] failures=0 elapsed=\d+\.\d{3}s",
         text.strip(),
     )
+
+
+def test_check_output_caps_witness_lines_except_the_conjecture(monkeypatch):
+    # each kernel value is one too large where p > q, so every swapped pair fails both ways
+    real = molien.sym_ext_dim_by_parts
+    monkeypatch.setattr(molien, "sym_ext_dim_by_parts", lambda p, q, m, i: real(p, q, m, i) + (p > q))
+    code, text = invoke(["check", "reciprocity", "--max-total", "3", "--fredman-total", "3"])
+    failures = molien.check_reciprocity(3, 3).failures
+    lines = text.splitlines()
+    assert code == 1 and len(failures) > MAX_WITNESS_LINES
+    assert lines[0].startswith(f"FAIL reciprocity [max_total=3 fredman_total=3] failures={len(failures)} ")
+    assert lines[1:] == [f"  witness: {json.dumps(f)}" for f in failures[:MAX_WITNESS_LINES]] + [
+        f"  ... {len(failures) - MAX_WITNESS_LINES} more"]
+    # the conjecture's report is its full monomial symmetric difference: with no vector
+    # predicted, each of the permanent's 15 monomials and the size mismatch is printed
+    monkeypatch.undo()
+    monkeypatch.setattr(cayley, "hall_support", lambda group, degree: set())
+    code, text = invoke(["check", "conjecture", "--n", "3", "--l", "8"])
+    per = cayley.permanent(cayley.build_table(parse_group("C3"), "toeplitz", 8))
+    lines = text.splitlines()
+    assert code == 1 and lines[0].startswith("FAIL toeplitz-conjecture [n=3 l=8] failures=16 ")
+    assert lines[1:] == [f"  witness: {json.dumps({'exponents': list(e), 'what': 'unexpected monomial present'})}"
+                         for e in sorted(per.terms)] + [
+        '  witness: {"what": "prediction size mismatch", "count": 0, "dimension": 15}']
 
 
 @pytest.mark.parametrize("argv", [

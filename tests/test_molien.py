@@ -487,6 +487,30 @@ def test_reciprocity_check_passes():
     assert report.parameters == {"max_total": 8, "fredman_total": 12}
 
 
+def test_reciprocity_check_reports_both_sweeps(monkeypatch):
+    # the kernel one too large where p > q: each swap with p != q (first sweep) and each
+    # n != m of the two-parameter swap (second sweep, sym_dim(n, m, i) reads it at (m, n)) fails
+    real = molien.sym_ext_dim_by_parts
+    monkeypatch.setattr(molien, "sym_ext_dim_by_parts", lambda p, q, m, i: real(p, q, m, i) + (p > q))
+    assert check_reciprocity(max_total=2, fredman_total=1).failures == [
+        {"p": 0, "q": 1, "m": 1, "i": 0, "lhs": 1, "rhs": 2},
+        {"p": 0, "q": 1, "m": 1, "i": 1, "lhs": 1, "rhs": 2},
+        {"p": 1, "q": 0, "m": 1, "i": 0, "lhs": 2, "rhs": 1},
+        {"p": 1, "q": 0, "m": 1, "i": 1, "lhs": 2, "rhs": 1},
+        {"n": 0, "m": 1, "i": 0, "lhs": 2, "rhs": 1},
+        {"n": 1, "m": 0, "i": 0, "lhs": 1, "rhs": 2},
+    ]
+
+
+def test_identity_a_reports_a_wrong_z_over_1_minus_z2_coefficient(monkeypatch):
+    # phi(1) one too large adds log(1 + z) to the z/(1-z^2) side: (-1)^(k+1)/k at degree k
+    real = molien.euler_phi
+    monkeypatch.setattr(molien, "euler_phi", lambda d: real(d) + (d == 1))
+    want = [{"identity": "A", "i": 0, "form": "z/(1-z^2)", "degree": k, "lhs": str(k % 2),
+             "rhs": str(Fraction(k % 2) + Fraction((-1) ** (k + 1), k))} for k in range(1, 7)]
+    assert check_identity("A", order=6).failures == want
+
+
 @pytest.mark.parametrize("which", ["A", "B", "log2var", "log3var"])
 def test_identity_checks_pass(which):
     report = check_identity(which)

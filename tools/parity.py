@@ -12,7 +12,8 @@ gcd(p, q, m) > 1, `check actions --samples 500` at orders 6-9, one larger
 `check reciprocity` and `check identity` each, the checks whose planners
 decide their table guards (admitted and refused runs of `check hall`,
 `invariance`, `extended`, `conjecture` and `all`, and `check lehmer` at an
-unsupported prime), and three
+unsupported prime), the oracle routes (`cayley per|det --alg leibniz` at
+sizes 1, 2, 4, 8 and 10 and `cayley det --alg factored`), and three
 commands whose `--json` output is 0.8-1.6 MB (C10 `per` and `support`, a
 toeplitz `table` at l = 300).  Prints one line per command whose results differ and exits 1
 if any do.
@@ -43,6 +44,13 @@ SWEEPS = ("check hall --max-order 7 --max-order-ext 5", "check invariance --max-
           "check all --max-order 8", "check extended --group C5000", "check conjecture --n 13 --l 13",
           "check conjecture --n 2 --l 8000", "check lehmer --p 4")
 
+# the oracle routes: Leibniz at its parity-digit edges (l = 1, 2 and 10, repeated columns) and at
+# the benchmark's sizes, and the factored determinant on one group of each kind
+ORACLES = tuple(f"cayley {op} --group {g} --alg leibniz" for op in ("per", "det") for g in (
+    "C1", "C2", "C2 --variant hat", "C3 --variant extended", "C4 --variant block2n",
+    "C2 --variant toeplitz --l 10", "C8", "C2xC2xC2 --variant hat")) + tuple(
+    f"cayley det --group {g} --alg factored" for g in ("C5", "C9", "C2xC4"))
+
 
 def mask(text: str) -> str:
     """text with every timing, `elapsed=0.123s` or `"elapsed": 0.123`, replaced by `*`."""
@@ -67,7 +75,7 @@ def grid_commands() -> list[str]:
     cmds += [f"check actions --group {g}" for g in GROUPS]
     cmds += [f"check actions --group {g} --samples 500" for g in ORDER_6_9]
     cmds += ["check reciprocity --max-total 12 --fredman-total 20", "check identity --order 20"]
-    cmds += SWEEPS + LARGE
+    cmds += SWEEPS + ORACLES + LARGE
     cmds = list(dict.fromkeys(cmds))  # C1 repeats some of its m and i
     return cmds + [f"--json {cmd}" for cmd in cmds]
 

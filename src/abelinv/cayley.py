@@ -21,7 +21,11 @@ so the program keeps one state per orbit of column sets under all |G|
 translations (C12 and C2xC6 in seconds); other tables keep one per class
 count.  All it reads of that action is one record (_Symmetry: relabeled
 grid, per-element key operations and weights, orbit table, characters),
-cached per group and shared by the permanent and the determinant.
+cached per group and shared by the permanent and the determinant.  Those
+tables also share one DP per group and op: the first keeps the plain
+table's sign-free result (_plain_results: the orbit means, or below the
+reduction's threshold the terms), and every one of them expands or copies
+it with its own sign.
 Every kernel ends alike: its packed exponent keys are unpacked one digit
 column at a time (_unpack), and IntPolynomial._of adopts the terms dict it
 builds without a copy or a rescan.
@@ -465,6 +469,21 @@ def _symmetry(group: FiniteAbelianGroup) -> _Symmetry:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _plain_results(group: FiniteAbelianGroup) -> dict[tuple[bool, bool], object]:
+    """The subset DP's sign-free results for the plain table of a group, keyed (signed, reduced).
+
+    Every table whose row and column elements each list the group once has
+    the plain table's permanent and its determinant times _plain_sign, so
+    _subset_dp runs one DP per group, op and path, fills this dict with what
+    its tail already has, and answers the other tables from it: a reduced
+    entry is the orbit means (digit tuples and values, one per translation
+    orbit of the support), an unreduced one the plain table's terms dict.
+    Kept for 64 groups, as _symmetry is.
+    """
+    return {}
+
+
 def _dp_pairs(l: int, sizes: Sequence[int], v: int, profile: dict[int, int] | None) -> int:
     """Upper bound on the (state, monomial) pairs the subset DP holds.
 
@@ -668,43 +687,65 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool, plan: tuple[Counter[int], int
     labels back through phi), with coefficient chi(x) times the mean; the
     determinant picks up the sign of the column relabeling and the table's
     own _plain_sign.  An unreduced table unpacks its final keys directly.
+
+    One DP serves every table of a group whose row and column elements each
+    list the group once (_plain_sign not 0), per op and path: the first
+    keeps in _plain_results what its tail has before any sign is applied,
+    the orbit means as digit tuples and values on the reduced path, the
+    plain table's terms dict on the unreduced one, and every call expands
+    or copies that entry with its own sign.  Extended, block2n and
+    stretched toeplitz tables run the DP on every call.
     """
     l, nvars, group = matrix.size, matrix.nvars, matrix.group
     if plan is None:
         return IntPolynomial.zero(nvars)
     classes, sign = plan  # column element -> columns, in column order
-    sizes = list(classes.values())
     sym = _symmetry(group) if sign else None
-    base = l + 1 if sym is None else sym.base
-    powers = [base**i for i in range(nvars)]
-    if sym is None:
-        add = group.add_table
-        rows = [[add[r][a] for a in classes] for r in matrix.rows]
-        weights, orbit, ops, modulus = [powers], None, [], 0
-    else:
-        rows, sizes = sym.grid, [1] * l
-        weights, orbit, ops, modulus = sym.weights, sym.orbit, sym.ops, sym.modulus
-    radix = [1]
-    for m in sizes:
-        radix.append(radix[-1] * (m + 1))
-    layer: dict[int, dict[int, int]] = {0: {0: 1}}
-    for row in rows:
-        steps = [(c, radix[c], m + 1, v) for c, (m, v) in enumerate(zip(sizes, row))]
-        layer = _next_layer(layer, steps, signed, weights, orbit, ops, modulus)
-    final = layer[radix[-1] - 1]
-    if sym is None:
-        ways = math.prod(map(math.factorial, sizes))
-        coeffs = final.values() if ways == 1 else map(ways.__mul__, final.values())
-        return IntPolynomial._of(nvars, dict(zip(_unpack(final, base, powers), coeffs)))
-    # every translation fixes the full mask: unpack one key of each orbit of
-    # the mean, then read every translate off its digits, mapping labels back
-    # the permanent's characters and signs are all 1
-    sign, chis = (sign * sym.sign, sym.chis) if signed else (1, [1] * nvars)
-    means = _orbit_means(final, sym.images, chis)
-    digits = list(_unpack(means, base, powers))
+    plain = sign or _plain_sign(matrix)
+    # the determinant's sign against the plain table's (1 for any other table)
+    flip = plain if signed and plain else 1
+    kept = _plain_results(group) if plain else {}
+    key = (signed, sym is not None)
+    found = kept.get(key)
+    if found is None:
+        sizes = list(classes.values())
+        base = l + 1 if sym is None else sym.base
+        powers = [base**i for i in range(nvars)]
+        if sym is None:
+            add = group.add_table
+            rows = [[add[r][a] for a in classes] for r in matrix.rows]
+            weights, orbit, ops, modulus = [powers], None, [], 0
+        else:
+            rows, sizes = sym.grid, [1] * l
+            weights, orbit, ops, modulus = sym.weights, sym.orbit, sym.ops, sym.modulus
+        radix = [1]
+        for m in sizes:
+            radix.append(radix[-1] * (m + 1))
+        layer: dict[int, dict[int, int]] = {0: {0: 1}}
+        for row in rows:
+            steps = [(c, radix[c], m + 1, v) for c, (m, v) in enumerate(zip(sizes, row))]
+            layer = _next_layer(layer, steps, signed, weights, orbit, ops, modulus)
+        final = layer[radix[-1] - 1]
+        if sym is None:
+            scale = math.prod(map(math.factorial, sizes)) * flip  # flip: the plain table's terms
+            coeffs = final.values() if scale == 1 else map(scale.__mul__, final.values())
+            found = dict(zip(_unpack(final, base, powers), coeffs))
+            if not plain:
+                return IntPolynomial._of(nvars, found)
+        else:
+            # the permanent's characters are all 1
+            means = _orbit_means(final, sym.images, sym.chis if signed else [1] * nvars)
+            found = list(_unpack(means, base, powers)), list(means.values())
+        kept[key] = found
+    if sym is None:  # a copy of the plain table's terms, with this table's sign
+        return IntPolynomial._of(nvars, dict(found) if flip == 1 else {e: -c for e, c in found.items()})
+    # every translation fixes the full mask: one key of each orbit of the mean
+    # was unpacked; read every translate off its digits, mapping labels back
+    digits, values = found
+    sign, chis = (flip * sym.sign, sym.chis) if signed else (1, [1] * nvars)
     terms: dict[tuple[int, ...], int] = {}
     for exponent, chi in zip(sym.exponents, chis):
-        terms.update(zip(map(exponent, digits), map((chi * sign).__mul__, means.values())))
+        terms.update(zip(map(exponent, digits), map((chi * sign).__mul__, values)))
     return IntPolynomial._of(nvars, terms)
 
 

@@ -150,12 +150,17 @@ class FiniteAbelianGroup:
         return math.lcm(*(n // math.gcd(ai, n) for ai, n in zip(a, self.factors)))
 
     def order_profile(self) -> OrderProfile:
-        """Map d -> number of elements of order d, keys ascending."""
-        prof: dict[int, int] = {}
-        for a in self._elements:
-            d = self.element_order(a)
-            prof[d] = prof.get(d, 0) + 1
-        return dict(sorted(prof.items()))
+        """Map d -> number of elements of order d, keys ascending; no element is listed.
+
+        The elements of order dividing k number prod_j gcd(k, n_j), so the
+        profile is the trivial character's order sums,
+        molien.character_order_sums(self, 0), which invert those counts over
+        the divisors of the exponent e.  None is 0: an element of order e
+        has a multiple of every order d | e.
+        """
+        from .molien import character_order_sums  # molien imports this module
+
+        return character_order_sums(self, 0)
 
     def char_exponent(self, chi: Element, a: Element) -> int:
         """Exponent t with chi(a) = zeta_e^t, e the group exponent.

@@ -396,10 +396,12 @@ def square_tables(group, rng):
 
 def test_orbit_dp_matches_unreduced_dp(monkeypatch):
     # every table that lists the group on both sides runs on the plain table's record here, however
-    # small; the reference is the same table with the reduction out of reach, on its own entries
+    # small; the reference is the same table with the reduction out of reach, on its own entries,
+    # so no table reads the result another table of its group left
     rng = random.Random(17)
     for group in abelian_groups_up_to(10)[1:] + [parse_group(s) for s in ("C6", "C4xC2")]:
         for table in square_tables(group, rng):
+            cayley._plain_results.cache_clear()
             label = (group.spec_string, table.variant, table.rows, table.cols)
             for signed in (False, True):
                 op = "det" if signed else "per"
@@ -534,6 +536,7 @@ def test_orbit_dp_keeps_one_state_per_orbit_of_the_whole_group(spec, states, mon
     for variant in ("plain", "hat"):
         table = build_table(group, variant)
         for signed in (False, True):
+            cayley._plain_results.cache_clear()  # the hat table runs its own DP
             sizes.clear()
             got = subset_dp(table, signed)
             assert [1] + sizes == want, (variant, signed)
@@ -549,6 +552,96 @@ def test_orbit_dp_matches_unreduced_dp_c11(monkeypatch):
     assert det.term_count() == 32066
     monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", math.inf)  # one state per column set
     assert det == subset_dp(hat, signed=True)
+
+
+def presentations(group, rng):
+    """square_tables, plus a seeded reordering whose columns swap its first two rows' elements (sign -1)."""
+    rows = tuple(rng.sample(range(group.order), group.order))
+    return square_tables(group, rng) + [cayley.CayleyMatrix(group, "plain", rows, rows[1::-1] + rows[2:])]
+
+
+def test_square_presentations_share_one_dp_per_op():
+    # each table's per and det, read from the result another presentation left (unreduced to
+    # order 5, by orbit from 6), equal the table's own DP run with nothing kept; kept first from
+    # the plain table, then from the last table, whose signs may differ
+    rng = random.Random(41)
+    for group in abelian_groups_up_to(10)[1:]:
+        tables = presentations(group, rng)
+        for op in (permanent, determinant):
+            fresh = []
+            for table in tables:
+                cayley._plain_results.cache_clear()
+                fresh.append(op(table))
+            for order in (tables, tables[::-1]):
+                cayley._plain_results.cache_clear()
+                assert [op(table) for table in order] == (fresh if order is tables else fresh[::-1]), group
+        assert {_plain_sign(table) for table in tables} == {1, -1}, group
+
+
+def test_a_second_presentation_runs_no_dp(monkeypatch):
+    calls = Counter()
+    for name in ("_next_layer", "_orbit_means"):
+        monkeypatch.setattr(cayley, name, lambda *args, real=getattr(cayley, name), name=name:
+                            calls.update([name]) or real(*args))
+    for spec in ("C4", "C2xC2", "C5", "C7", "C2xC4", "C3xC3"):
+        group = parse_group(spec)
+        first, *others = presentations(group, random.Random(spec))
+        for op in (permanent, determinant):
+            op(first)
+            assert calls["_next_layer"] == group.order
+            assert calls["_orbit_means"] == (group.order > 5), spec  # the reduced path from order 6
+            calls.clear()
+            for table in others:
+                op(table)
+            assert not calls, (spec, op)
+
+
+def test_orbit_entry_keeps_one_digit_tuple_per_translation_orbit():
+    # the reduced entry is sign-free: each kept value is the coefficient of its monomial in the
+    # permanent, and in the determinant up to the table's own sign and the relabeling's
+    for spec in ("C6", "C2xC3", "C8", "C2xC2xC2", "C3xC3"):
+        group = parse_group(spec)
+        n, add, neg = group.order, group.add_table, group.neg_table
+        sym = _symmetry(group)
+        hat = build_table(group, "hat")
+        for signed in (False, True):
+            poly = (determinant if signed else permanent)(hat)
+            digits, values = cayley._plain_results(group)[signed, True]
+            reps = [sym.exponents[0](d) for d in digits]  # the untranslated monomials
+            orbits = {frozenset(tuple(exp[add[a][neg[g]]] for a in range(n)) for g in range(n))
+                      for exp in poly.terms}
+            assert len(reps) == len(orbits) == len({orbit for orbit in orbits for rep in reps if rep in orbit})
+            sign = _plain_sign(hat) * sym.sign if signed else 1
+            assert [poly.terms[rep] for rep in reps] == [sign * v for v in values], (spec, signed)
+
+
+def test_tables_with_repeated_columns_run_their_dp_on_every_call(monkeypatch):
+    sizes = layer_sizes(monkeypatch)
+    for table in (build_table(C3, "extended"), build_table(parse_group("C2xC3"), "block2n"),
+                  build_table(C3, "toeplitz", size=5), build_table(C4, "toeplitz", size=9)):
+        results = []
+        for _ in range(2):
+            sizes.clear()
+            results.append(permanent(table))
+            assert len(sizes) == table.size, table.variant
+        assert results[0] == results[1] and not determinant(table), table.variant
+    assert cayley._plain_results.cache_info().currsize == 0
+
+
+def test_oracles_read_no_kept_result():
+    # a kept result turned wrong changes the subset DP's answer and neither oracle's
+    for spec in ("C4", "C6"):
+        group = parse_group(spec)
+        plain = build_table(group, "plain")
+        per, det = permanent(plain), determinant(plain)
+        for entry in cayley._plain_results(group).values():
+            if isinstance(entry, dict):
+                entry.update({exp: 2 * c for exp, c in entry.items()})
+            else:
+                entry[1][:] = [2 * v for v in entry[1]]
+        assert permanent(plain) != per and determinant(plain) != det
+        assert permanent(plain, "leibniz") == per
+        assert determinant(plain, "leibniz") == determinant(plain, "factored") == det
 
 
 def test_wide_toeplitz_permanent_support():

@@ -96,6 +96,18 @@ def test_order_profile_frozen_and_consistent():
         assert all(g.exponent % d == 0 for d in prof)
 
 
+def test_order_profile_matches_the_element_walk():
+    # the closed form against counting element_order over every element, for every group of order
+    # <= 24 and presentations that are not in primary form (composite and trivial factors)
+    extra = [parse_group(s) for s in ("C6xC4", "C2xC12", "C12xC2", "C1xC6", "C3xC1xC3", "C10xC2", "C4xC6")]
+    for g in abelian_groups_up_to(24) + extra:
+        walk: dict[int, int] = {}
+        for a in g.elements():
+            d = g.element_order(a)
+            walk[d] = walk.get(d, 0) + 1
+        assert list(g.order_profile().items()) == sorted(walk.items()), g
+
+
 def test_characters_are_additive():
     for g in SMALL_GROUPS:
         e = g.exponent

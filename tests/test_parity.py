@@ -37,5 +37,6 @@ def test_every_command_has_its_json_form():
     assert {" ".join(cmd.split()[:2]) for cmd in plain if cmd.startswith("check ")} == \
         {"check actions", "check reciprocity", "check identity", "check hall", "check invariance", "check extended",
          "check conjecture", "check all", "check lehmer"}
-    assert all(cmd in plain and f"--json {cmd}" in cmds for cmd in parity.LARGE + parity.ORACLES)
+    assert all(cmd in plain and f"--json {cmd}" in cmds for cmd in parity.LARGE + parity.ORACLES + parity.PRESENTATIONS)
+    assert len(parity.PRESENTATIONS) == 18
     assert {cmd.split("--alg ")[1] for cmd in plain if "--alg" in cmd} == {"leibniz", "factored"}

@@ -13,9 +13,10 @@ gcd(p, q, m) > 1, `check actions --samples 500` at orders 6-9, one larger
 decide their table guards (admitted and refused runs of `check hall`,
 `invariance`, `extended`, `conjecture` and `all`, and `check lehmer` at an
 unsupported prime), the oracle routes (`cayley per|det --alg leibniz` at
-sizes 1, 2, 4, 8 and 10 and `cayley det --alg factored`), and three
-commands whose `--json` output is 0.8-1.6 MB (C10 `per` and `support`, a
-toeplitz `table` at l = 300).  Prints one line per command whose results differ and exits 1
+sizes 1, 2, 4, 8 and 10 and `cayley det --alg factored`), `cayley per|det`
+on the hat and toeplitz tables of orders 6-8, and three commands whose
+`--json` output is 0.8-1.6 MB (C10 `per` and `support`, a toeplitz `table`
+at l = 300).  Prints one line per command whose results differ and exits 1
 if any do.
 """
 
@@ -51,6 +52,11 @@ ORACLES = tuple(f"cayley {op} --group {g} --alg leibniz" for op in ("per", "det"
     "C2 --variant toeplitz --l 10", "C8", "C2xC2xC2 --variant hat")) + tuple(
     f"cayley det --group {g} --alg factored" for g in ("C5", "C9", "C2xC4"))
 
+# square presentations of orders 6-8: each DP runs on the plain table's orbit record and keeps its sign-free result
+PRESENTATIONS = tuple(f"cayley {op} --group {g} --variant {v}" for op in ("per", "det") for g, variants in (
+    ("C6", ("hat", "toeplitz")), ("C7", ("hat", "toeplitz")), ("C8", ("hat", "toeplitz")),
+    ("C2xC3", ("hat",)), ("C2xC4", ("hat",)), ("C2xC2xC2", ("hat",))) for v in variants)
+
 
 def mask(text: str) -> str:
     """text with every timing, `elapsed=0.123s` or `"elapsed": 0.123`, replaced by `*`."""
@@ -72,6 +78,7 @@ def grid_commands() -> list[str]:
     cmds += [f"cayley {op} --group {g}" for op in ("table", "per", "det", "support", "counts") for g in GROUPS]
     cmds += [f"cayley {op} --group {g} --variant {v}" for op in ("per", "det", "support")
              for g in ("C3", "C4", "C2xC2") for v in ("hat", "toeplitz", "extended")]
+    cmds += PRESENTATIONS
     cmds += [f"check actions --group {g}" for g in GROUPS]
     cmds += [f"check actions --group {g} --samples 500" for g in ORDER_6_9]
     cmds += ["check reciprocity --max-total 12 --fredman-total 20", "check identity --order 20"]

@@ -40,9 +40,11 @@ The permanent's monomial support is governed by the zero-sum condition
 two half tables of count vectors keyed by total and element sum; the determinant
 factors into character linear forms, whose product (the determinant's
 checker route) keeps one monomial per translation orbit, as each form is an
-eigenvector of the translation.  Each (op, algorithm) pair has one guard and
-one kernel (ROUTES); the guard reads the element lists, never the grid, and
-permanent, determinant and refuse all decide it through that table.
+eigenvector of the translation; it finds most representatives from their
+element sums, and its last product keeps only monomials of sum 0.  Each
+(op, algorithm) pair has one guard and one kernel (ROUTES); the guard reads
+the element lists, never the grid, and permanent, determinant and refuse
+all decide it through that table.
 Checkers for these facts live here.  Every table checker (invariance, the
 Lehmer congruence, and the support checks: hall, extended counts, the
 toeplitz conjecture) is one planner, plan_tables, over cells (group,
@@ -88,7 +90,10 @@ GRID_GUARD = 4 * 10**6
 # times as fast unreduced when warm and 1.5 times on a first call; order 6 (5336 pairs) runs
 # up to 1.6 times as fast reduced when warm, and within 1.3 times either way on a first call
 ORBIT_MIN_PAIRS = 2000
-FACTORED_GUARD = 10**6
+# pushes of the factored determinant, (n/e) C(2n-1, n): every order-12 table runs (`cayley det
+# --alg factored`: C12 1.3 s and 97 MB, C2xC6 1.7-1.9 s and 109 MB, on 2 vCPUs), and C13 (5200300
+# pushes; 3.9 s and 255 MB in the library) is refused
+FACTORED_GUARD = 3 * 10**6
 ENUM_GUARD = 2 * 10**7  # hall_support work units (see there)
 # sampled action check: n^2 addition-table cells plus n^2 star steps per sample, about 1-2 us
 # each on 2 vCPUs, so an admitted run takes about 1 s (C500 with one sample: 1.1 s)
@@ -752,9 +757,10 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool, plan: tuple[Counter[int], int
 def _factored_guard(matrix: CayleyMatrix, signed: bool) -> int:
     """The factored route's guard and plan: the sign _det_factored multiplies by, or 0 for repeated columns.
 
-    The guard counts the n * C(2n-1, n) coefficient products of the
-    unreduced multiplications (a product of k forms has C(k+n-1, n-1)
-    terms), an upper bound on the work done.
+    The guard counts the (n/e) C(2n-1, n) pushes of _det_factored's layer
+    loop, a binomial capped as _comb_capped caps it: a product of k forms
+    has C(k+n-1, k) terms, about one representative in e, and each
+    representative is pushed over its n labels modulo its stabilizer.
     """
     if len(set(matrix.cols)) < matrix.size:  # the determinant is 0
         return 0
@@ -762,7 +768,7 @@ def _factored_guard(matrix: CayleyMatrix, signed: bool) -> int:
     if not sign:
         raise ValueError("factored determinant needs row and column elements that each list the group once")
     n = matrix.group.order
-    estimate = n * math.comb(2 * n - 1, n)
+    estimate = n // matrix.group.exponent * _comb_capped(2 * n - 1, n)
     if estimate > FACTORED_GUARD:
         raise GuardExceeded("factored determinant", estimate, FACTORED_GUARD)
     return sign * matrix.group.inversion_sign()
@@ -793,10 +799,24 @@ def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomia
     the labels modulo its stabilizer, the first n |orbit(r)| / e.  A target
     sigma^h(m) of R folds into its representative m with the twist
     zeta^(-h C), and m is weighted by the sum of zeta^(u C) over its
-    stabilizer, which is |Stab(m)| or 0.  At the end every key is expanded
-    from its representative, with one integrality unpack per twist over the
-    representatives it reaches, and the expanded keys are unpacked together
-    (_unpack).
+    stabilizer, which is |Stab(m)| or 0.
+    Each layer keeps, per representative, its coefficient, the label of its
+    element sum (read off the label addition table through phi) and, where
+    it is below e, its orbit size.  Translating a degree-k monomial by g adds
+    k g to its sum, so the targets of R are found by three rules:
+    - the last layer (k = n) pushes from r only the target of sum 0, as
+      every monomial of the determinant sums to 2 sum(G) = 0 and every
+      other coefficient of prod_chi v_chi is 0;
+    - a layer with gcd(k, e) = 1 has free orbits whose sum labels are
+      L + h k s mod n, exactly one of them below s.  That member is the
+      representative, so a target of sum label L is sigma^h(m) with
+      h = (L // s) k^-1 mod e, m = target * (n+1)^(s(e-h)) mod (n+1)^n - 1,
+      and no orbit dictionary is built;
+    - every other layer opens each orbit at its first target and rotates it
+      into a dictionary of keys.
+    At the end every key is expanded from its representative, with one
+    integrality unpack per twist over the representatives it reaches, and
+    the expanded keys are unpacked together (_unpack).
     The loop shares only the relabeling with the subset DP, so the two
     routes check each other.
     """
@@ -810,53 +830,78 @@ def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomia
     phi, g, _ = _relabeling(group)
     els = group.elements()
     by_label = [els[a] for a in sorted(range(n), key=phi.__getitem__)]
+    plus = [[0] * n for _ in range(n)]  # plus[phi(a)][phi(b)] = phi(a + b)
+    for a, row in enumerate(group.add_table):
+        for b, c in enumerate(row):
+            plus[phi[a]][phi[b]] = phi[c]
     base = n + 1
     powers = [base**i for i in range(n)]
     ring, rotate = base**n - 1, base**s  # sigma(key) = key * rotate % ring
-    prod, sizes, total = {0: 1}, {0: 1}, 0  # representative -> coefficient, orbit size; C_k
-    for chi in els:
+    # representative -> coefficient, its element sum's label, and its orbit size where that is below e
+    prod, sums, sizes, total = {0: 1}, {0: 0}, {0: 1}, 0
+    for k, chi in enumerate(els, 1):
         total = (total + group.char_exponent(chi, els[g])) % e
-        # label L: B^L, and per twist h the shift of chi(g_L) zeta^(-h C)
-        steps = [(w, [(t - h * total) % e * bits for h in range(e)])
-                 for w, t in zip(powers, [group.char_exponent(chi, a) for a in by_label])]
+        # label L: (L, B^L, and per twist h the shift of chi(g_L) zeta^(-h C))
+        steps = [(L, w, [(t - h * total) % e * bits for h in range(e)])
+                 for L, (w, t) in enumerate(zip(powers, [group.char_exponent(chi, a) for a in by_label]))]
         stabilized = [steps[:o * s] for o in range(e + 1)]
-        where: dict[int, tuple[int, int]] = {}  # key -> (m, h) with key = sigma^h(m)
+        new_sums: dict[int, int] = {}
         new_sizes: dict[int, int] = {}
         acc: dict[int, int] = {}
         get = acc.get
-        for r, v in prod.items():
-            for w, shifts in stabilized[sizes[r]]:
-                q = r + w
-                hit = where.get(q)
-                if hit is None:  # q opens an orbit and represents it
-                    where[q] = hit = (q, 0)
-                    x, h = q, 1
-                    while h < e and (x := x * rotate % ring) != q:  # never rotates C1's x_0
-                        where[x] = (q, h)
-                        h += 1
-                    new_sizes[q] = h
-                m, h = hit
-                acc[m] = get(m, 0) + (v << shifts[h])
+        if k < n and math.gcd(k, e) == 1:
+            # per sum label L of a target: (h, sigma^-h, the sum label of its representative)
+            turns = [L // s * pow(k, -1, e) % e for L in range(n)]
+            moves = [(h, pow(rotate, -h % e, ring), L % s) for L, h in enumerate(turns)]
+            for r, v in prod.items():
+                row = plus[sums[r]]
+                for L, w, shifts in stabilized[sizes.get(r, e)]:
+                    h, back, label = moves[row[L]]
+                    m = (r + w) * back % ring
+                    acc[m] = get(m, 0) + (v << shifts[h])
+                    new_sums[m] = label
+        else:
+            where: dict[int, tuple[int, int]] = {}  # key -> (m, h) with key = sigma^h(m)
+            for r, v in prod.items():
+                row = plus[sums[r]]
+                span = stabilized[sizes.get(r, e)]
+                if k == n:  # the one label that brings r's sum to 0
+                    L = row.index(0)
+                    span = span[L:L + 1]
+                for L, w, shifts in span:
+                    q = r + w
+                    hit = where.get(q)
+                    if hit is None:  # q opens an orbit and represents it
+                        where[q] = hit = (q, 0)
+                        x, h = q, 1
+                        while h < e and (x := x * rotate % ring) != q:  # never rotates C1's x_0
+                            where[x] = (q, h)
+                            h += 1
+                        if h < e:
+                            new_sizes[q] = h
+                        new_sums[q] = row[L]
+                    m, h = hit
+                    acc[m] = get(m, 0) + (v << shifts[h])
         prod = {}
         for m, v in acc.items():
-            o = new_sizes[m]
+            o = new_sizes.get(m, e)
             # the stabilizer's weight is 0 unless |orbit| C = 0 mod e; a zero residue adds nothing
             if o * total % e == 0 and (v := v * (e // o) % modulus):
                 prod[m] = v
-        sizes = new_sizes
+        sums, sizes = new_sums, new_sizes
     # coef(sigma^t m) = zeta^(t C) coef(m): each twist is unpacked, in one batch, for the
     # representatives whose orbits reach it, so every value passes the integrality test
     twists = [t * total % e for t in range(e)]
     values = {}
     for t, j in enumerate(twists):
         if j not in values:
-            reps = [m for m in prod if sizes[m] > t]
+            reps = [m for m in prod if sizes.get(m, e) > t]
             values[j] = dict(zip(reps, unpack_zeta_integers([prod[m] << j * bits for m in reps],
                                                             bits, modulus)))
     keys, coeffs = [], []
     for m in prod:
         key = m
-        for j in twists[:sizes[m]]:
+        for j in twists[:sizes.get(m, e)]:
             if c := values[j][m]:
                 keys.append(key)
                 coeffs.append(c * sign)

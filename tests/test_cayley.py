@@ -281,7 +281,7 @@ def test_guards_decided_before_the_table_match_the_kernels():
     for spec, variant, op, algorithm, what, size in [
             ("C13", "plain", "per", "auto", "subset DP states", 68705262),
             ("C2xC2xC2", "block2n", "per", "auto", "subset DP states", 83248155),
-            ("C11", "hat", "det", "factored", "factored determinant", 11 * math.comb(21, 11)),
+            ("C13", "hat", "det", "factored", "factored determinant", math.comb(25, 13)),
             ("C11", "plain", "det", "leibniz", "Leibniz permutations", math.factorial(11))]:
         table = build_table(parse_group(spec), variant)
         with pytest.raises(GuardExceeded) as info:
@@ -676,16 +676,19 @@ def test_determinant_repeated_rows_vanish():
 
 
 def test_factored_determinant_guard():
-    # n * C(2n-1, n) coefficient products: every order-10 table runs, order 11 is refused
-    assert 10 * math.comb(19, 10) == 923780 <= FACTORED_GUARD
+    # (n/e) C(2n-1, n) pushes: every presentation of order 12 runs, order 13 is refused
+    assert 2 * math.comb(23, 12) == 2704156 <= FACTORED_GUARD < math.comb(25, 13)
     assert determinant(build_table(parse_group("C10"), "plain"), "factored").term_count() == 7492
     assert determinant(build_table(parse_group("C2xC5"), "hat"), "factored").term_count() == 7492
-    for spec in ("C11", "C12"):
-        n = parse_group(spec).order
+    for spec in ("C12", "C3xC4", "C2xC6", "C2xC2xC3"):
+        group = parse_group(spec)
+        for variant in ("plain", "hat", "toeplitz") if group.rank == 1 else ("plain", "hat"):
+            assert refuse(build_table(group, variant), "det", "factored") in (1, -1), spec
+    for spec, size in (("C13", math.comb(25, 13)), ("C2xC2xC2xC2", 8 * math.comb(31, 16))):
         for variant in ("plain", "hat"):
             with pytest.raises(GuardExceeded) as info:
                 determinant(build_table(parse_group(spec), variant), "factored")
-            assert (info.value.size, info.value.limit) == (n * math.comb(2 * n - 1, n), FACTORED_GUARD)
+            assert (info.value.size, info.value.limit) == (size, FACTORED_GUARD)
 
 
 def test_determinant_invariant_under_relabeling():
@@ -767,11 +770,12 @@ def test_leibniz_sign_pieces_match_permutation_sign():
 
 
 def test_subset_dp_matches_factored_determinant():
-    for spec in ("C8", "C2xC2xC2", "C9", "C3xC3", "C10", "C2xC5"):
-        g = parse_group(spec)
-        for variant in ("plain", "hat"):
+    # every group of order <= 10, plain and hat, and the n x n toeplitz tables: layers of degree
+    # prime to the exponent and not, strides n/e = 1, 2, 3 and 4, and stabilized monomials
+    for g in abelian_groups_up_to(10) + [parse_group(s) for s in ("C6", "C10")]:
+        for variant in ("plain", "hat", "toeplitz") if g.rank == 1 else ("plain", "hat"):
             t = build_table(g, variant)
-            assert determinant(t) == determinant(t, "factored"), (spec, variant)
+            assert determinant(t) == determinant(t, "factored"), (g.spec_string, variant)
 
 
 def test_determinant_algorithm_dispatch():

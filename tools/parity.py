@@ -46,11 +46,13 @@ SWEEPS = ("check hall --max-order 7 --max-order-ext 5", "check invariance --max-
           "check conjecture --n 2 --l 8000", "check lehmer --p 4")
 
 # the oracle routes: Leibniz at its parity-digit edges (l = 1, 2 and 10, repeated columns) and at
-# the benchmark's sizes, and the factored determinant on one group of each kind
+# the benchmark's sizes, and the factored determinant at orders 5-10: prime and composite
+# exponents, strides n/e of 1 to 4, and the signs of the hat and toeplitz tables
 ORACLES = tuple(f"cayley {op} --group {g} --alg leibniz" for op in ("per", "det") for g in (
     "C1", "C2", "C2 --variant hat", "C3 --variant extended", "C4 --variant block2n",
     "C2 --variant toeplitz --l 10", "C8", "C2xC2xC2 --variant hat")) + tuple(
-    f"cayley det --group {g} --alg factored" for g in ("C5", "C9", "C2xC4"))
+    f"cayley det --group {g} --alg factored" for g in (
+        "C5", "C7", "C8", "C9", "C10", "C2xC4", "C2xC5", "C3xC3", "C2xC2xC2 --variant hat", "C6 --variant toeplitz"))
 
 # square presentations of orders 6-8: each DP runs on the plain table's orbit record and keeps its sign-free result
 PRESENTATIONS = tuple(f"cayley {op} --group {g} --variant {v}" for op in ("per", "det") for g, variants in (

@@ -29,11 +29,15 @@ it with its own sign.
 Every kernel ends alike: its packed exponent keys are unpacked one digit
 column at a time (_unpack), and IntPolynomial._of adopts the terms dict it
 builds without a copy or a rescan.
-A Leibniz expansion that counts each of the l! permutations on its own (met
-in the middle one column split at a time: every ordering of one half of the
+A Leibniz expansion that counts permutations one at a time (met in the
+middle one column split at a time: every ordering of one half of the
 columns on the first rows against every ordering of the other half on the
-last rows, up to size 10) is the independent oracle; a determinant's packed
-keys carry each permutation's parity in a digit of their own, so the
+last rows) is the independent oracle.  When the column elements list the
+group once it counts only the (l-1)! that send row 0 to column 0 and adds
+up the column translates of that part, one translation orbit of monomials
+at a time, reading the translations off the column list alone (so up to
+size 11); other tables count all l! (up to size 10).  A determinant's
+packed keys carry each permutation's parity in a digit of their own, so the
 permanent and the determinant share its one counting loop.
 The permanent's monomial support is governed by the zero-sum condition
 (degree-n exponent vectors k with sum k_j * g_j = 0), listed by joining
@@ -227,49 +231,80 @@ def _unpack(keys: Iterable[int], base: int, powers: Sequence[int]) -> Iterator[t
     return zip(*[[key // p % base for key in keys] for p in powers])
 
 
+def _lists_group_once(cols: Sequence[int], n: int) -> bool:
+    """Whether the column elements list the group of order n once, so that translations permute them."""
+    return sorted(cols) == list(range(n))
+
+
 def _leibniz_guard(matrix: CayleyMatrix, signed: bool) -> None:
-    """The Leibniz oracle's guard: the l! permutations it expands."""
-    perms = math.factorial(matrix.size)
+    """The Leibniz oracle's guard: the permutations it counts, (l-1)! per column row 0 may go to.
+
+    That is one column when the column elements list the group once, else all l.
+    """
+    l = matrix.size
+    perms = math.factorial(l - 1) * (1 if _lists_group_once(matrix.cols, matrix.nvars) else l)
     if perms > LEIBNIZ_GUARD:
         raise GuardExceeded("Leibniz permutations", perms, LEIBNIZ_GUARD)
 
 
 def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool, plan: None) -> IntPolynomial:
-    """Sum over all l! permutations of the (signed) product of their entries.
+    """Sum over the l! permutations of the (signed) product of their entries.
 
-    Meet in the middle, one column split at a time: for each s-subset B of
-    the columns (s = ceil(l/2)) and its complement A, the packed keys
-    (exponent vectors base l+1, so x_e is (l+1)^e) of every ordering of A on
-    the first k = l - s rows and of every ordering of B on the last s rows
-    are listed once, and every (prefix, suffix) sum is counted by one
-    Counter.update per split, one count per permutation.  A determinant's
-    keys carry the permutation's parity in a digit 0 of their own (x_e is
-    (l+1)^(e+1)): a prefix ordering adds its lex parity xor _cross_parity(A),
-    a suffix ordering its lex parity, so a sum's digit 0 is 1 for an odd
-    permutation and 0 or 2 for an even one, never carrying as l + 1 >= 3
-    (l = 1 has one even permutation), and it is folded into the sign once at
-    the end.  Partial products are never merged, so the subset DP is checked
-    against the full expansion.  The keys that do not cancel are unpacked by
-    _unpack.  Its guard (_leibniz_guard) counts the l! permutations.
+    When the column elements c_j list the group once, translating them by
+    gamma permutes the columns by tau_gamma (j -> the column of c_j + gamma)
+    and shifts every entry by gamma (sigma_gamma: x_a -> x_(a+gamma)), and
+    each permutation is tau_gamma after exactly one that sends row 0 to
+    column 0.  So only those (l-1)! are counted, into P, and the result is
+    the sum over gamma of sign(tau_gamma) sigma_gamma(P), the sign taken for
+    a determinant only.  That sum is invariant (a permanent) or
+    semi-invariant (a determinant), so it is written one translation orbit
+    at a time: a monomial m's coefficient is the sum over gamma of
+    sign(tau_gamma) P[sigma_gamma m] (sign(tau_-gamma) = sign(tau_gamma)),
+    and sigma_gamma m's is sign(tau_gamma) times that.  The translations are
+    read off the column list and the group's addition table alone.  Any
+    other table sends row 0 to every column, so all l! are counted and P is
+    the sum.
+
+    The count is met in the middle, one column split at a time: for each
+    s-subset B of the columns (s = floor(l/2); of columns 1..l-1 when row 0
+    goes to column 0) and its complement A, the packed keys (exponent
+    vectors base l+1, so x_e is (l+1)^e) of every ordering of B on the last
+    s rows and of every ordering of A on the first k = l - s >= 1 rows that
+    puts row 0 on a column it may go to are listed once, and every (prefix, suffix) sum is counted by one Counter.update
+    per split, one count per permutation.  A determinant's keys carry the
+    permutation's parity in a digit 0 of their own (x_e is (l+1)^(e+1)): a
+    prefix ordering adds its lex parity xor _cross_parity(A), a suffix
+    ordering its lex parity, so a sum's digit 0 is 1 for an odd permutation
+    and 0 or 2 for an even one, never carrying as l + 1 >= 3 (l = 1 has one
+    even permutation), and it is folded into the sign once at the end.
+    Partial products are never merged before the translation, so the subset
+    DP is checked against a count of single permutations.  The keys that do
+    not cancel are unpacked by _unpack.  Its guard (_leibniz_guard) counts
+    the permutations counted.
     """
-    l = matrix.size
+    l, n = matrix.size, matrix.nvars
     base = l + 1
     weights = [[base ** (e + signed) for e in row] for row in matrix.grid]
-    s = (l + 1) // 2
+    translated = _lists_group_once(matrix.cols, n)
+    s = l // 2
     k = l - s
     head, tail = weights[:k], weights[k:]
     add, getitem, repeat = operator.add, operator.getitem, itertools.repeat
 
-    def keys(rows: list[list[int]], cols: Sequence[int]) -> list[int]:
-        # the packed key of each ordering of cols on these rows, in itertools.permutations order
-        return list(map(sum, map(map, repeat(getitem), repeat(rows), itertools.permutations(cols))))
+    def keys(rows: list[list[int]], orderings: Iterable[Sequence[int]]) -> list[int]:
+        # the packed key of each ordering on these rows
+        return list(map(sum, map(map, repeat(getitem), repeat(rows), orderings)))
 
     odd_k, odd_s = _lex_parities(k), _lex_parities(s)
     even_k = [1 - p for p in odd_k]
+    # permutations(A) lists the orderings in blocks of (k-1)!, one per column of row 0, A's lowest
+    # first; a translated table keeps column 0 in A and takes its block alone
+    taken = math.factorial(k - 1) * (1 if translated else k)
     counts: Counter[int] = Counter()
-    for cols in itertools.combinations(range(l), s):
+    for cols in itertools.combinations(range(translated, l), s):
         rest = [c for c in range(l) if c not in cols]
-        firsts, lasts = keys(head, rest), keys(tail, cols)
+        firsts = keys(head, itertools.islice(itertools.permutations(rest), taken))
+        lasts = keys(tail, itertools.permutations(cols))
         if signed:
             firsts = list(map(add, firsts, even_k if _cross_parity(rest) else odd_k))
             lasts = list(map(add, lasts, odd_s))
@@ -281,8 +316,24 @@ def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool, plan: None) -> IntPo
             monomial, parity = divmod(key, base)
             terms[monomial] = terms.get(monomial, 0) + (-1) ** parity * count
         terms = {key: coeff for key, coeff in terms.items() if coeff}
-    powers = [base**i for i in range(matrix.nvars)]
-    return IntPolynomial._of(matrix.nvars, dict(zip(_unpack(terms, base, powers), terms.values())))
+    powers = [base**i for i in range(n)]
+    part = dict(zip(_unpack(terms, base, powers), terms.values()))
+    if not translated or n == 1:  # C1 has gamma = 0 alone, and itemgetter of one index gives no tuple
+        return IntPolynomial._of(n, part)
+    add_table, neg = matrix.group.add_table, matrix.group.neg_table
+    where = {c: j for j, c in enumerate(matrix.cols)}
+    # sign(tau_gamma), and sigma_gamma, which gives x_b the exponent of x_(b-gamma)
+    signs = [_permutation_sign([where[add_table[c][g]] for c in matrix.cols]) if signed else 1 for g in range(n)]
+    moves = [operator.itemgetter(*add_table[neg[g]]) for g in range(n)]
+    out: dict[tuple[int, ...], int] = {}
+    for m0 in part:
+        if m0 not in out:
+            orbit = [move(m0) for move in moves]
+            coeff = sum(map(operator.mul, signs, map(part.get, orbit, repeat(0))))
+            out.update(zip(orbit, map(coeff.__mul__, signs)))
+    if signed:
+        out = {m: c for m, c in out.items() if c}
+    return IntPolynomial._of(n, out)
 
 
 def _basis(group: FiniteAbelianGroup) -> list[tuple[int, int]]:
@@ -912,7 +963,7 @@ def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomia
 
 # (op, algorithm) -> (guard, kernel).  guard(table, signed) raises GuardExceeded or returns the
 # plan kernel(table, signed, plan) runs; signed is op == "det".  auto is the subset DP, leibniz
-# expands all l! permutations (l <= 10) as the independent oracle, and factored is the
+# counts permutations one at a time as the independent oracle (at most 10!), and factored is the
 # determinant's character product
 ROUTES = {
     ("per", "auto"): (_dp_guard, _subset_dp),
@@ -956,8 +1007,9 @@ def determinant(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
     """Determinant as an integer polynomial; algorithm in {auto, leibniz, factored} (ROUTES).
 
     auto and factored return 0 on repeated columns (extended, block2n and
-    stretched toeplitz tables), and an explicit leibniz run (l <= 10) sums
-    all l! signed terms, so it computes the cancellation honestly.
+    stretched toeplitz tables), and an explicit leibniz run (l <= 10 on
+    such tables) sums all l! signed terms, so it computes the cancellation
+    honestly.
     """
     return _planned(matrix, "det", refuse(matrix, "det", algorithm), algorithm)
 

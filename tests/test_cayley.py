@@ -1,5 +1,6 @@
 """Group multiplication tables, symbolic permanents/determinants, checkers."""
 
+import functools
 import io
 import itertools
 import math
@@ -282,7 +283,7 @@ def test_guards_decided_before_the_table_match_the_kernels():
             ("C13", "plain", "per", "auto", "subset DP states", 68705262),
             ("C2xC2xC2", "block2n", "per", "auto", "subset DP states", 83248155),
             ("C13", "hat", "det", "factored", "factored determinant", math.comb(25, 13)),
-            ("C11", "plain", "det", "leibniz", "Leibniz permutations", math.factorial(11))]:
+            ("C12", "plain", "det", "leibniz", "Leibniz permutations", math.factorial(11))]:
         table = build_table(parse_group(spec), variant)
         with pytest.raises(GuardExceeded) as info:
             refuse(table, op, algorithm)
@@ -738,17 +739,84 @@ def test_subset_dp_matches_leibniz(factors, variant, stretch):
     assert subset_dp(table, signed=True) == det, label  # the kernel itself, on its plan
 
 
+@functools.cache
+def leibniz(spec, variant, signed):
+    """The Leibniz permanent or determinant of a table, computed once per test session."""
+    table = build_table(parse_group(spec), variant)
+    return (determinant if signed else permanent)(table, "leibniz")
+
+
 @pytest.mark.parametrize("spec, variant", [
     ("C9", "plain"), ("C9", "hat"), ("C3xC3", "plain"), ("C3xC3", "hat"), ("C8", "extended"),
-    ("C10", "plain"), ("C2xC5", "hat"),
+    ("C10", "plain"), ("C2xC5", "hat"), ("C11", "plain"), ("C11", "hat"),
 ])
 def test_subset_dp_matches_leibniz_at_guard_edge(spec, variant):
-    # sizes 9 and 10, which the sampled comparison above never reaches
+    # sizes 9 to 11, which the sampled comparison above never reaches
     table = build_table(parse_group(spec), variant)
-    per = permanent(table, "leibniz")
+    per = leibniz(spec, variant, False)
     assert per.coefficient_sum() == math.factorial(table.size)  # each permutation counted once
     assert per == permanent(table)
-    assert determinant(table, "leibniz") == subset_dp(table, signed=True)
+    assert leibniz(spec, variant, True) == subset_dp(table, signed=True)
+
+
+def reference_expansion(table, signed):
+    """Sum over every permutation of the table, one at a time, of its (signed) monomial."""
+    terms = Counter()
+    for perm in itertools.permutations(range(table.size)):
+        exp = [0] * table.nvars
+        for row, j in zip(table.grid, perm):
+            exp[row[j]] += 1
+        terms[tuple(exp)] += permutation_sign(perm) if signed else 1
+    return IntPolynomial(table.nvars, terms)
+
+
+def test_leibniz_matches_a_symmetry_free_expansion():
+    # tables whose columns list the group once count only the permutations with row 0 on column 0
+    # and add up the column translates of that part; the reference counts every permutation.  A
+    # reordered table, and one with repeated rows, read the translations off their own column lists
+    rng = random.Random(43)
+    for group in abelian_groups_up_to(7) + [parse_group("C6")]:
+        n = group.order
+        order = tuple(rng.sample(range(n), n))
+        tables = [build_table(group, v) for v in ("plain", "hat")] + [
+            build_table(FiniteAbelianGroup((n,)), "toeplitz"), cayley.CayleyMatrix(group, "plain", order, order[::-1]),
+            cayley.CayleyMatrix(group, "plain", tuple(rng.choices(range(n), k=n)), order)]
+        for table in tables:
+            for signed in (False, True):
+                got = (determinant if signed else permanent)(table, "leibniz")
+                assert got == reference_expansion(table, signed), (group.spec_string, table.rows, table.cols, signed)
+
+
+@pytest.mark.parametrize("spec", ["C8", "C2xC4", "C2xC2xC2", "C9", "C3xC3", "C10", "C2xC5", "C11"])
+def test_leibniz_matches_numeric_oracles_at_a_point(spec):
+    # orders 8-11, past the symmetry-free expansion: each polynomial evaluated at a seeded integer
+    # point against Ryser's permanent and Bareiss' determinant of the numeric table
+    group = parse_group(spec)
+    rng = random.Random(spec)
+    for variant in ("plain", "hat", "toeplitz") if group.rank == 1 else ("plain", "hat"):
+        table = build_table(group, variant)
+        for signed in (False, True):
+            got = leibniz(spec, variant, signed)
+            point = [rng.randint(-4, 4) for _ in range(group.order)]
+            value = sum(c * math.prod(map(pow, point, exp)) for exp, c in got.terms.items())
+            rows = [[point[k] for k in row] for row in table.grid]
+            assert value == (numeric_determinant if signed else numeric_permanent)(rows), (variant, signed)
+            # at the all-ones point: l! permutations, and a determinant with equal rows
+            assert got.coefficient_sum() == (0 if signed else math.factorial(group.order)), (variant, signed)
+
+
+def test_leibniz_guard_counts_the_permutations_it_counts():
+    # (l-1)! when the column elements list the group once, whatever the rows; l! otherwise
+    c11 = parse_group("C11")
+    for table in (build_table(c11, "plain"), build_table(c11, "toeplitz"),
+                  cayley.CayleyMatrix(c11, "plain", (0,) * 11, tuple(range(10, -1, -1)))):
+        refuse(table, "per", "leibniz")
+    for table, size in ((build_table(parse_group("C12"), "hat"), math.factorial(11)),
+                        (build_table(C2, "toeplitz", size=11), math.factorial(11)),
+                        (build_table(parse_group("C10"), "extended"), math.factorial(11))):
+        with pytest.raises(GuardExceeded) as info:
+            refuse(table, "det", "leibniz")
+        assert (info.value.size, info.value.limit) == (size, LEIBNIZ_GUARD)
 
 
 def test_leibniz_sign_pieces_match_permutation_sign():

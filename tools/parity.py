@@ -13,7 +13,7 @@ gcd(p, q, m) > 1, `check actions --samples 500` at orders 6-9, one larger
 decide their table guards (admitted and refused runs of `check hall`,
 `invariance`, `extended`, `conjecture` and `all`, and `check lehmer` at an
 unsupported prime), the oracle routes (`cayley per|det --alg leibniz` at
-sizes 1, 2, 4, 8 and 10 and `cayley det --alg factored`), `cayley per|det`
+sizes 1, 2, 4, 6, 8, 9 and 10 and `cayley det --alg factored`), `cayley per|det`
 on the hat and toeplitz tables of orders 6-8, and three commands whose
 `--json` output is 0.8-1.6 MB (C10 `per` and `support`, a toeplitz `table`
 at l = 300).  Prints one line per command whose results differ and exits 1
@@ -45,12 +45,14 @@ SWEEPS = ("check hall --max-order 7 --max-order-ext 5", "check invariance --max-
           "check all --max-order 8", "check extended --group C5000", "check conjecture --n 13 --l 13",
           "check conjecture --n 2 --l 8000", "check lehmer --p 4")
 
-# the oracle routes: Leibniz at its parity-digit edges (l = 1, 2 and 10, repeated columns) and at
-# the benchmark's sizes, and the factored determinant at orders 5-10: prime and composite
-# exponents, strides n/e of 1 to 4, and the signs of the hat and toeplitz tables
+# the oracle routes: Leibniz at its parity-digit edges (l = 1, 2 and 10, repeated columns), at
+# the benchmark's sizes, and summing the column translates of one part at orders 6-10 (the signs
+# of the hat and toeplitz tables, cyclic and not), and the factored determinant at orders 5-10:
+# prime and composite exponents, strides n/e of 1 to 4, and the signs of the hat and toeplitz tables
 ORACLES = tuple(f"cayley {op} --group {g} --alg leibniz" for op in ("per", "det") for g in (
     "C1", "C2", "C2 --variant hat", "C3 --variant extended", "C4 --variant block2n",
-    "C2 --variant toeplitz --l 10", "C8", "C2xC2xC2 --variant hat")) + tuple(
+    "C2 --variant toeplitz --l 10", "C8", "C2xC2xC2 --variant hat", "C9", "C10", "C3xC3 --variant hat",
+    "C2xC5 --variant hat", "C6 --variant toeplitz")) + tuple(
     f"cayley det --group {g} --alg factored" for g in (
         "C5", "C7", "C8", "C9", "C10", "C2xC4", "C2xC5", "C3xC3", "C2xC2xC2 --variant hat", "C6 --variant toeplitz"))
 

@@ -75,7 +75,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import GuardExceeded
+from .errors import guard
 from .groups import Element, FiniteAbelianGroup, _permutation_sign, iter_abelian_groups_up_to
 from .molien import _power_binomial_coeffs, sym_dim, sym_series
 from .numtheory import prime_factorization
@@ -122,9 +122,7 @@ class CayleyMatrix:
 
     @functools.cached_property
     def grid(self) -> tuple[tuple[int, ...], ...]:
-        cells = len(self.rows) * len(self.cols)
-        if cells > GRID_GUARD:
-            raise GuardExceeded("grid cells", cells, GRID_GUARD)
+        guard("grid cells", len(self.rows) * len(self.cols), GRID_GUARD)
         add = self.group.add_table
         return tuple(tuple(map(add[a].__getitem__, self.cols)) for a in self.rows)
 
@@ -186,8 +184,7 @@ def build_table(group: FiniteAbelianGroup, variant: str, size: int | None = None
     that is built costs O(l).
     """
     l = table_size(group, variant, size)
-    if l * l > DP_GUARD:
-        raise GuardExceeded("table cells", l * l, DP_GUARD)
+    guard("table cells", l * l, DP_GUARD)
     n = group.order
     if variant == "toeplitz":
         return CayleyMatrix(group, variant, tuple(-i % n for i in range(l)), tuple(j % n for j in range(l)))
@@ -231,23 +228,20 @@ def _unpack(keys: Iterable[int], base: int, powers: Sequence[int]) -> Iterator[t
     return zip(*[[key // p % base for key in keys] for p in powers])
 
 
-def _lists_group_once(cols: Sequence[int], n: int) -> bool:
-    """Whether the column elements list the group of order n once, so that translations permute them."""
-    return sorted(cols) == list(range(n))
+def _leibniz_guard(matrix: CayleyMatrix, signed: bool) -> bool:
+    """The Leibniz oracle's guard and plan: whether the column elements list the group once, so
+    that translations permute them.
 
-
-def _leibniz_guard(matrix: CayleyMatrix, signed: bool) -> None:
-    """The Leibniz oracle's guard: the permutations it counts, (l-1)! per column row 0 may go to.
-
-    That is one column when the column elements list the group once, else all l.
+    The guard counts the permutations counted, (l-1)! per column row 0 may
+    go to: one column when they do, else all l.
     """
     l = matrix.size
-    perms = math.factorial(l - 1) * (1 if _lists_group_once(matrix.cols, matrix.nvars) else l)
-    if perms > LEIBNIZ_GUARD:
-        raise GuardExceeded("Leibniz permutations", perms, LEIBNIZ_GUARD)
+    translated = sorted(matrix.cols) == list(range(matrix.nvars))
+    guard("Leibniz permutations", math.factorial(l - 1) * (1 if translated else l), LEIBNIZ_GUARD)
+    return translated
 
 
-def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool, plan: None) -> IntPolynomial:
+def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool, translated: bool) -> IntPolynomial:
     """Sum over the l! permutations of the (signed) product of their entries.
 
     When the column elements c_j list the group once, translating them by
@@ -263,7 +257,7 @@ def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool, plan: None) -> IntPo
     and sigma_gamma m's is sign(tau_gamma) times that.  The translations are
     read off the column list and the group's addition table alone.  Any
     other table sends row 0 to every column, so all l! are counted and P is
-    the sum.
+    the sum.  Its guard (_leibniz_guard) decides which, as its plan.
 
     The count is met in the middle, one column split at a time: for each
     s-subset B of the columns (s = floor(l/2); of columns 1..l-1 when row 0
@@ -279,13 +273,12 @@ def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool, plan: None) -> IntPo
     even permutation), and it is folded into the sign once at the end.
     Partial products are never merged before the translation, so the subset
     DP is checked against a count of single permutations.  The keys that do
-    not cancel are unpacked by _unpack.  Its guard (_leibniz_guard) counts
-    the permutations counted.
+    not cancel are unpacked by _unpack.  Its guard counts the permutations
+    counted.
     """
     l, n = matrix.size, matrix.nvars
     base = l + 1
     weights = [[base ** (e + signed) for e in row] for row in matrix.grid]
-    translated = _lists_group_once(matrix.cols, n)
     s = l // 2
     k = l - s
     head, tail = weights[:k], weights[k:]
@@ -395,6 +388,13 @@ def _relabeling(group: FiniteAbelianGroup) -> tuple[list[int], int, tuple[tuple[
     return phi, basis[0][0], tuple(axes)
 
 
+def _label_addition(group: FiniteAbelianGroup, phi: Sequence[int]) -> list[list[int]]:
+    """The addition table on the labels phi: entry [phi(a)][phi(b)] is phi(a + b)."""
+    by_label = sorted(range(group.order), key=phi.__getitem__)
+    add = group.add_table
+    return [[phi[add[a][b]] for b in by_label] for a in by_label]
+
+
 def _digit_shift(axes: Sequence[tuple[int, int]], i: int, d: int, width: int) -> tuple[int, int, int, int]:
     """(low, up, high, down) with f(y) = (y & low) << up | (y & high) >> down adding d to digit i.
 
@@ -472,15 +472,11 @@ def _symmetry(group: FiniteAbelianGroup) -> _Symmetry:
     once is the plain table with its rows and columns permuted (see
     _plain_sign), so plain, hat, n x n toeplitz and reordered tables all
     run on this one record.  Its set-up parts read one table, perms[x][y],
-    the label of x + y, filled from the addition table through phi.
+    the label of x + y (_label_addition).
     """
     n = group.order
     phi, _, axes = _relabeling(group)
-    perms = [[0] * n for _ in range(n)]
-    for a, row in enumerate(group.add_table):
-        perm = perms[phi[a]]
-        for b, v in enumerate(row):
-            perm[phi[b]] = phi[v]
+    perms = _label_addition(group, phi)
     neg = [perm.index(0) for perm in perms]  # the label of -x, for each label x
     base = 1 << n.bit_length() if len(axes) > 1 else n + 1
     width = base.bit_length() - 1
@@ -608,8 +604,7 @@ def _dp_guard(matrix: CayleyMatrix, signed: bool) -> tuple[Counter[int], int] | 
     # C1 has no record: its key modulus B^n - 1 would be 1
     if estimate > ORBIT_MIN_PAIRS and l > 1 and (sign := _plain_sign(matrix)):
         estimate = _dp_pairs(l, sizes, group.order, group.order_profile())
-    if estimate > DP_GUARD:
-        raise GuardExceeded("subset DP states", estimate, DP_GUARD)
+    guard("subset DP states", estimate, DP_GUARD)
     return classes, sign
 
 
@@ -819,9 +814,7 @@ def _factored_guard(matrix: CayleyMatrix, signed: bool) -> int:
     if not sign:
         raise ValueError("factored determinant needs row and column elements that each list the group once")
     n = matrix.group.order
-    estimate = n // matrix.group.exponent * _comb_capped(2 * n - 1, n)
-    if estimate > FACTORED_GUARD:
-        raise GuardExceeded("factored determinant", estimate, FACTORED_GUARD)
+    guard("factored determinant", n // matrix.group.exponent * _comb_capped(2 * n - 1, n), FACTORED_GUARD)
     return sign * matrix.group.inversion_sign()
 
 
@@ -852,7 +845,7 @@ def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomia
     zeta^(-h C), and m is weighted by the sum of zeta^(u C) over its
     stabilizer, which is |Stab(m)| or 0.
     Each layer keeps, per representative, its coefficient, the label of its
-    element sum (read off the label addition table through phi) and, where
+    element sum (read off _label_addition) and, where
     it is below e, its orbit size.  Translating a degree-k monomial by g adds
     k g to its sum, so the targets of R are found by three rules:
     - the last layer (k = n) pushes from r only the target of sum 0, as
@@ -868,8 +861,8 @@ def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomia
     At the end every key is expanded from its representative, with one
     integrality unpack per twist over the representatives it reaches, and
     the expanded keys are unpacked together (_unpack).
-    The loop shares only the relabeling with the subset DP, so the two
-    routes check each other.
+    The loop shares only the relabeling (phi and its _label_addition) with
+    the subset DP, so the two routes check each other.
     """
     group = matrix.group
     n = group.order
@@ -881,10 +874,7 @@ def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomia
     phi, g, _ = _relabeling(group)
     els = group.elements()
     by_label = [els[a] for a in sorted(range(n), key=phi.__getitem__)]
-    plus = [[0] * n for _ in range(n)]  # plus[phi(a)][phi(b)] = phi(a + b)
-    for a, row in enumerate(group.add_table):
-        for b, c in enumerate(row):
-            plus[phi[a]][phi[b]] = phi[c]
+    plus = _label_addition(group, phi)
     base = n + 1
     powers = [base**i for i in range(n)]
     ring, rotate = base**n - 1, base**s  # sigma(key) = key * rotate % ring
@@ -988,8 +978,8 @@ def refuse(table: CayleyMatrix, op: str, algorithm: str = "auto") -> object:
 
     The guard reads the table's element lists, never its grid.
     """
-    guard, _ = route(op, algorithm)
-    return guard(table, op == "det")
+    decide, _ = route(op, algorithm)
+    return decide(table, op == "det")
 
 
 def _planned(table: CayleyMatrix, op: str, plan: object, algorithm: str = "auto") -> IntPolynomial:
@@ -1068,9 +1058,7 @@ def hall_support(group: FiniteAbelianGroup, degree: int) -> set[tuple[int, ...]]
     m = (n + 1) // 2
     tabled = ((n - 1) * (degree + 1) + _comb_capped(degree + n - m + 1, n - m) + _comb_capped(degree + m, m - 1)
               - 2 + _comb_capped(degree + m, m))
-    size = _comb_capped(degree + n - 1, n - 1) + 16 * tabled
-    if size > ENUM_GUARD:
-        raise GuardExceeded("support enumeration", size, ENUM_GUARD)
+    guard("support enumeration", _comb_capped(degree + n - 1, n - 1) + 16 * tabled, ENUM_GUARD)
     add = group.add_table
     neg = group.neg_table
     # the tails first, so the heads reuse the tuples its inner layers freed (C10 peak -4%)
@@ -1239,17 +1227,14 @@ def check_action_identities(
     n = group.order
     exhaustive = samples is None
     if exhaustive:
-        if n > 8:
-            # n! exactly for n <= 57 (below 2^256); from 58 on, 58! (261 bits) as a lower bound, as
-            # _comb_capped stops a binomial: a size of 2^256 or more prints only as a power of two
-            raise GuardExceeded("exhaustive permutation sweep", math.factorial(min(n, 58)), math.factorial(8))
+        # n! exactly for n <= 57 (below 2^256); from 58 on, 58! (261 bits) as a lower bound, as
+        # _comb_capped stops a binomial: a size of 2^256 or more prints only as a power of two
+        guard("exhaustive permutation sweep", math.factorial(min(n, 58)), math.factorial(8))
         perms: Iterable[tuple[int, ...]] = itertools.permutations(range(n))
     else:
         if samples < 1:
             raise ValueError(f"sampled action check needs samples >= 1, got {samples}")
-        work = n * n * (1 + samples)
-        if work > ACTION_GUARD:
-            raise GuardExceeded("sampled action steps", work, ACTION_GUARD)
+        guard("sampled action steps", n * n * (1 + samples), ACTION_GUARD)
         rng = random.Random(0)
         perms = [tuple(rng.sample(range(n), n)) for _ in range(samples)]
     els = group.elements()

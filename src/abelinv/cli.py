@@ -20,7 +20,7 @@ from itertools import islice
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from . import cayley, molien
-from .errors import GuardExceeded
+from .errors import GuardExceeded, guard
 from .groups import (
     FiniteAbelianGroup,
     iter_abelian_groups_up_to,
@@ -222,8 +222,7 @@ def _cmd_dim(args: argparse.Namespace, out: IO[str]) -> int:
         raise ValueError(f"dim {args.kind} needs {'--p and --m' if args.kind == 'sw' else '--m'} >= 0")
     if m <= n:  # else the value is 0, from no binomial
         bits = molien._binomial_bits(n + p, m) + molien._binomial_bits(n + p - m, p)
-        if bits > DIM_GUARD:
-            raise GuardExceeded("dimension binomial bits", bits, DIM_GUARD)
+        guard("dimension binomial bits", bits, DIM_GUARD)
     value = molien.sym_ext_dim(n, p, m, args.i)
     payload = {"kind": args.kind, "group": group.spec_string, "n": n,
                "m": args.m, "i": args.i, "value": value}

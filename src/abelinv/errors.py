@@ -1,4 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types, and the one rule that decides every resource guard.
+
+Every limit is decided by guard(what, size, limit): a size above its limit
+raises GuardExceeded, and any other size is returned.  GuardExceeded is
+constructed nowhere else.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +21,13 @@ class GuardExceeded(RuntimeError):
         self.what = what
         self.size = size
         self.limit = limit
+
+
+def guard(what: str, size: int, limit: int) -> int:
+    """size, if it is at most limit; else raise GuardExceeded(what, size, limit)."""
+    if size > limit:
+        raise GuardExceeded(what, size, limit)
+    return size
 
 
 def _render(value: object) -> str:

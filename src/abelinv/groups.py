@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import GuardExceeded
+from .errors import guard
 
 Element = tuple[int, ...]
 OrderProfile = dict[int, int]
@@ -268,9 +268,7 @@ def element_sum_counts(group: FiniteAbelianGroup, degree: int, repeat: bool) -> 
     passes, and 16 passes' worth per element for building add_table.
     """
     n = group.order
-    work = n * (n + 16) * (degree + 16)
-    if work > SUM_COUNT_GUARD:
-        raise GuardExceeded("element-sum counting", work, SUM_COUNT_GUARD)
+    guard("element-sum counting", n * (n + 16) * (degree + 16), SUM_COUNT_GUARD)
     counts = [[0] * n for _ in range(degree + 1)]
     counts[0][0] = 1
     ds = range(1, degree + 1) if repeat else range(degree, 0, -1)

@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import islice, repeat
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
-from .errors import GuardExceeded
+from .errors import guard
 from .groups import FiniteAbelianGroup, element_sum_counts, parse_order_profile
 from .numtheory import _divisors, _factorization, euler_phi, ramanujan_sum
 from .polynom import unpack_zeta_integers, zeta_packing
@@ -296,9 +296,7 @@ def _guard_series(cells: int, bits: int) -> None:
     Each cell costs a fixed overhead, counted as 256 bits, plus the bigint
     work on its coefficient, which is linear in its bits.
     """
-    work = cells * (256 + bits)
-    if work > SERIES_GUARD:
-        raise GuardExceeded("series coefficients", work, SERIES_GUARD)
+    guard("series coefficients", cells * (256 + bits), SERIES_GUARD)
 
 
 def _add_scaled(acc: list[int], scale: int, coeffs: list[int]) -> None:
@@ -430,8 +428,7 @@ def check_reciprocity(max_total: int = 10, fredman_total: int = 16) -> CheckRepo
     # second sum_{n <= T} max(n, T - n); summed over T, each is a polynomial plus a parity term
     a, b = max_total, fredman_total
     work = (5 * a**4 + 32 * a**3 + 16 * a**2 - 8 * a + 3) // 48 + (2 * b**3 + 7 * b**2 + 6 * b + 1) // 8
-    if work > RECIPROCITY_GUARD:
-        raise GuardExceeded("reciprocity comparisons", work, RECIPROCITY_GUARD)
+    guard("reciprocity comparisons", work, RECIPROCITY_GUARD)
     t0 = time.perf_counter()
     failures: list[dict] = []
     for total in range(1, max_total + 1):
@@ -589,9 +586,7 @@ def check_identity(which: str, order: int | None = None, i_max: int = 5) -> Chec
     sums = [(_ramanujan_weight(i), row.signs) for i in i_list]
     if which == "A":
         sums.append((euler_phi, lambda d: (1,)))  # z/(1-z^2)
-    work = _identity_work(len(row.keys), order, len(sums))
-    if work > IDENTITY_GUARD:
-        raise GuardExceeded("identity series terms", work, IDENTITY_GUARD)
+    guard("identity series terms", _identity_work(len(row.keys), order, len(sums)), IDENTITY_GUARD)
     t0 = time.perf_counter()
     cells = _cells(len(row.keys), order)
     totals = list(map(sum, cells))

@@ -12,7 +12,7 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import GuardExceeded
+from .errors import guard
 
 FACTOR_GUARD = 10**6  # trial divisors 2, 3, 5, 7, ... per factorization, about 0.2 s
 
@@ -41,8 +41,10 @@ def _factorization(n: int) -> tuple[tuple[int, int], ...]:
     out: list[tuple[int, int]] = []
     p, last = 2, 2 * FACTOR_GUARD - 1  # the FACTOR_GUARD-th trial divisor
     while p * p <= n:
-        if p > last:  # size: the trial divisors a prime cofactor would take
-            raise GuardExceeded("trial divisions", (math.isqrt(n) + 1) // 2, FACTOR_GUARD)
+        # size: the trial divisors a prime cofactor would take; here p >= last + 2, so it exceeds
+        # FACTOR_GUARD and the rule refuses
+        if p > last:
+            guard("trial divisions", (math.isqrt(n) + 1) // 2, FACTOR_GUARD)
         if n % p == 0:
             k = 0
             while n % p == 0:

@@ -819,6 +819,25 @@ def test_leibniz_guard_counts_the_permutations_it_counts():
         assert (info.value.size, info.value.limit) == (size, LEIBNIZ_GUARD)
 
 
+def test_leibniz_kernel_runs_the_plan_its_guard_decided(monkeypatch):
+    # the plan is whether the columns list the group once; the route reads no part of the subset DP
+    c4 = parse_group("C4")
+    tables = [build_table(c4, v) for v in ("plain", "hat", "extended", "toeplitz")]
+    tables += [build_table(C2, "toeplitz", size=5), cayley.CayleyMatrix(c4, "plain", (0, 1, 2, 3), (3, 1, 0, 2))]
+    expected = [(permanent(t), determinant(t)) for t in tables]
+
+    def forbidden(*args):
+        raise AssertionError("the Leibniz route read a part of the subset DP")
+
+    for name in ("_Symmetry", "_symmetry", "_relabeling", "_plain_sign", "_plain_results"):
+        monkeypatch.setattr(cayley, name, forbidden)
+    for table, (per, det) in zip(tables, expected):
+        plans = {op: refuse(table, op, "leibniz") for op in ("per", "det")}
+        assert plans == dict.fromkeys(plans, sorted(table.cols) == list(range(table.nvars))), table
+        assert cayley._planned(table, "per", plans["per"], "leibniz") == per, table
+        assert cayley._planned(table, "det", plans["det"], "leibniz") == det, table
+
+
 def test_leibniz_sign_pieces_match_permutation_sign():
     for s in range(1, 8):
         odd = [permutation_sign(p) == -1 for p in itertools.permutations(range(s))]

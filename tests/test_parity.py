@@ -33,10 +33,12 @@ def test_every_command_has_its_json_form():
     assert len(cmds) == len(set(cmds))
     plain = [cmd for cmd in cmds if not cmd.startswith("--json ")]
     assert cmds == plain + [f"--json {cmd}" for cmd in plain]
-    assert {cmd.split()[0] for cmd in plain} == {"dim", "series", "cayley", "check"}
+    assert {cmd.split()[0] for cmd in plain} == {"dim", "series", "cayley", "check", "oracle"}
     assert {" ".join(cmd.split()[:2]) for cmd in plain if cmd.startswith("check ")} == \
         {"check actions", "check reciprocity", "check identity", "check hall", "check invariance", "check extended",
          "check conjecture", "check all", "check lehmer"}
-    assert all(cmd in plain and f"--json {cmd}" in cmds for cmd in parity.LARGE + parity.ORACLES + parity.PRESENTATIONS)
+    assert all(cmd in plain and f"--json {cmd}" in cmds
+               for cmd in parity.LARGE + parity.ORACLES + parity.PRESENTATIONS + parity.REFUSALS)
+    assert len(parity.REFUSALS) == 12
     assert len(parity.PRESENTATIONS) == 18
     assert {cmd.split("--alg ")[1] for cmd in plain if "--alg" in cmd} == {"leibniz", "factored"}

@@ -14,9 +14,10 @@ decide their table guards (admitted and refused runs of `check hall`,
 `invariance`, `extended`, `conjecture` and `all`, and `check lehmer` at an
 unsupported prime), the oracle routes (`cayley per|det --alg leibniz` at
 sizes 1, 2, 4, 6, 8, 9 and 10 and `cayley det --alg factored`), `cayley per|det`
-on the hat and toeplitz tables of orders 6-8, and three commands whose
-`--json` output is 0.8-1.6 MB (C10 `per` and `support`, a toeplitz `table`
-at l = 300).  Prints one line per command whose results differ and exits 1
+on the hat and toeplitz tables of orders 6-8, one refused command for each
+limit the checks above do not refuse (exit 3, each in well under a second),
+and three commands whose `--json` output is 0.8-1.6 MB (C10 `per` and
+`support`, a toeplitz `table` at l = 300).  Prints one line per command whose results differ and exits 1
 if any do.
 """
 
@@ -56,6 +57,16 @@ ORACLES = tuple(f"cayley {op} --group {g} --alg leibniz" for op in ("per", "det"
     f"cayley det --group {g} --alg factored" for g in (
         "C5", "C7", "C8", "C9", "C10", "C2xC4", "C2xC5", "C3xC3", "C2xC2xC2 --variant hat", "C6 --variant toeplitz"))
 
+# one refused command per limit not refused above: grid cells, Leibniz permutations, factored
+# pushes, support enumeration, both action bounds, element-sum counting, dimension binomial bits,
+# series coefficients, reciprocity comparisons, identity series terms and trial divisions
+REFUSALS = ("cayley table --group C1 --variant toeplitz --l 2001", "cayley per --group C12 --alg leibniz",
+            "cayley det --group C13 --alg factored", "cayley support --group C14", "check actions --group C9",
+            "check actions --group C500 --samples 3", "oracle subsets --group C2000",
+            "dim a --group C100000 --m 100000", "series sym --group C50 --order 100000",
+            "check reciprocity --max-total 60", "check identity --identity log3var --order 60",
+            "dim a --group C2305843009213693951 --m 0")
+
 # square presentations of orders 6-8: each DP runs on the plain table's orbit record and keeps its sign-free result
 PRESENTATIONS = tuple(f"cayley {op} --group {g} --variant {v}" for op in ("per", "det") for g, variants in (
     ("C6", ("hat", "toeplitz")), ("C7", ("hat", "toeplitz")), ("C8", ("hat", "toeplitz")),
@@ -68,7 +79,7 @@ def mask(text: str) -> str:
 
 
 def grid_commands() -> list[str]:
-    """dim, series, cayley and check commands, with and without --json."""
+    """dim, series, cayley, check and oracle commands, with and without --json."""
     cmds = [f"dim {kind} --group C{n} --m {m} --i {i}" for kind in ("a", "b")
             for n in range(1, 9) for m in (0, 1, n, n + 3) for i in (0, n - 1)]
     cmds += [f"dim sw --group C{n} --p {p} --m {m} --i {i}" for n in range(1, 9)
@@ -86,7 +97,7 @@ def grid_commands() -> list[str]:
     cmds += [f"check actions --group {g}" for g in GROUPS]
     cmds += [f"check actions --group {g} --samples 500" for g in ORDER_6_9]
     cmds += ["check reciprocity --max-total 12 --fredman-total 20", "check identity --order 20"]
-    cmds += SWEEPS + ORACLES + LARGE
+    cmds += SWEEPS + ORACLES + REFUSALS + LARGE
     cmds = list(dict.fromkeys(cmds))  # C1 repeats some of its m and i
     return cmds + [f"--json {cmd}" for cmd in cmds]
 

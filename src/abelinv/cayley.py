@@ -25,7 +25,12 @@ cached per group and shared by the permanent and the determinant.  Those
 tables also share one DP per group and op: the first keeps the plain
 table's sign-free result (_plain_results: the orbit means, or below the
 reduction's threshold the terms), and every one of them expands or copies
-it with its own sign.
+it with its own sign.  A bordered table, whose rows list the group once
+plus one element and whose columns list it once plus one (the extended
+table, the (n+1)-wide toeplitz table, any reordering of either), has its
+permanent expanded along that extra row and column (_bordered): every
+minor is a translate of the plain DP's one layer-(n-1) state that the
+plain permanent's run keeps, so the same DP serves it too.
 Every kernel ends alike: its packed exponent keys are unpacked one digit
 column at a time (_unpack), and IntPolynomial._of adopts the terms dict it
 builds without a copy or a rescan.
@@ -435,11 +440,17 @@ class _Symmetry(NamedTuple):
     translation is ops[x] = (mult, masks): (y * mult) mod B^n - 1 (modulus)
     for y = _shift_digits(key, masks), along g (digit x // s) a multiplication
     by a power of B, along the other axes a digit shift on fields of w =
-    n.bit_length() bits (B = 2^w, so a field holds any exponent up to n), two
-    masks and two shifts per axis.  A cyclic group has the one empty shift
-    and keeps B = n + 1: its keys then stay within one 30-bit int digit up to
-    order 9, and B = 16 made C9 about 25% slower.  images(key) lists every
-    translate of one key in label order, shifting once per complement digit.
+    (n+1).bit_length() bits (B = 2^w), two masks and two shifts per axis.  A
+    cyclic group has the one empty shift and B = n + 2.  Either way a digit
+    holds any exponent up to n + 1, so the bordered permanent (_bordered),
+    whose x_0^(n+1) reaches n + 1, adds its border to the plain table's keys
+    without repacking them.  B = n + 2 costs C9 its one-digit keys (11^9 >
+    2^30): its plain permanent went from 4.7 to 5.1 ms and its determinant
+    from 5.0 to 5.6 ms (warm, 2 vCPUs), against a repack of every kept
+    layer-(n-1) state and a second set of key operations; B = 16 made C9
+    about 25% slower.  images(key)
+    lists every translate of one key in label order, shifting once per
+    complement digit.
 
     orbit[S], for each column mask S = T_x(R), is (R, label of -x, sign): T_x
     translates the columns by x and R is the smallest mask of the orbit of S
@@ -449,7 +460,8 @@ class _Symmetry(NamedTuple):
     by x, exponents[x] reads the exponent vector of sigma_x(K), in the
     group's variable order, off the digits of K, and sign is the sign of the
     column relabeling phi.  The signs and characters are
-    the determinant's; the permanent reads every one of them as 1.
+    the determinant's; the permanent reads every one of them as 1.  labels
+    is phi, the label of each element.
     """
 
     grid: list[list[int]]
@@ -462,6 +474,7 @@ class _Symmetry(NamedTuple):
     exponents: list[Callable[[Sequence[int]], tuple[int, ...]]]
     images: Callable[[int], list[int]]
     sign: int
+    labels: list[int]
 
 
 @functools.lru_cache(maxsize=64)
@@ -478,7 +491,7 @@ def _symmetry(group: FiniteAbelianGroup) -> _Symmetry:
     phi, _, axes = _relabeling(group)
     perms = _label_addition(group, phi)
     neg = [perm.index(0) for perm in perms]  # the label of -x, for each label x
-    base = 1 << n.bit_length() if len(axes) > 1 else n + 1
+    base = 1 << (n + 1).bit_length() if len(axes) > 1 else n + 2
     width = base.bit_length() - 1
     modulus = base**n - 1
     s, e = axes[0]
@@ -517,21 +530,24 @@ def _symmetry(group: FiniteAbelianGroup) -> _Symmetry:
         [_permutation_sign(perm) for perm in perms],
         # the exponent of x_a in sigma_x(K) is the digit of K at label sigma_(-x)(phi(a))
         [operator.itemgetter(*[perms[neg[x]][p] for p in phi]) for x in range(n)],
-        images, _permutation_sign(phi),
+        images, _permutation_sign(phi), phi,
     )
 
 
 @functools.lru_cache(maxsize=64)
-def _plain_results(group: FiniteAbelianGroup) -> dict[tuple[bool, bool], object]:
+def _plain_results(group: FiniteAbelianGroup) -> dict[tuple, object]:
     """The subset DP's sign-free results for the plain table of a group, keyed (signed, reduced).
 
     Every table whose row and column elements each list the group once has
     the plain table's permanent and its determinant times _plain_sign, so
-    _subset_dp runs one DP per group, op and path, fills this dict with what
-    its tail already has, and answers the other tables from it: a reduced
-    entry is the orbit means (digit tuples and values, one per translation
-    orbit of the support), an unreduced one the plain table's terms dict.
-    Kept for 64 groups, as _symmetry is.
+    _subset_dp runs one DP per group, op and path (_plain_dp), fills this
+    dict with what its tail already has, and answers the other tables from
+    it: a reduced entry is the orbit means (digit tuples and values, one per
+    translation orbit of the support), an unreduced one the plain table's
+    terms dict.  The permanent's run also keeps, under ("layer", reduced),
+    the packed layer-(n-1) state F missing one column, which every bordered
+    table of the group expands along its border (_bordered).  Kept for 64
+    groups, as _symmetry is.
     """
     return {}
 
@@ -583,8 +599,17 @@ def _plain_sign(matrix: CayleyMatrix) -> int:
     return _permutation_sign(matrix.rows) * _permutation_sign(matrix.cols)
 
 
-def _dp_guard(matrix: CayleyMatrix, signed: bool) -> tuple[Counter[int], int] | None:
-    """The subset DP's guard and plan: (column classes, sign), or None for a determinant that is 0.
+def _border(matrix: CayleyMatrix) -> tuple[int, int] | None:
+    """(r*, c*) when the row elements list the group once plus r* and the column elements once plus c*, else None."""
+    n = matrix.group.order
+    if matrix.size != n + 1 or len(set(matrix.rows)) != n or len(set(matrix.cols)) != n:
+        return None
+    listed = n * (n - 1) // 2  # the sum of the element indices listed once
+    return sum(matrix.rows) - listed, sum(matrix.cols) - listed
+
+
+def _dp_guard(matrix: CayleyMatrix, signed: bool) -> tuple[Counter[int], int, tuple[int, int] | None] | None:
+    """The subset DP's guard and plan: (column classes, sign, border), or None for a determinant that is 0.
 
     Two columns agree exactly when their elements do, so the classes of
     identical columns are the multiplicities of the column elements, in
@@ -592,20 +617,31 @@ def _dp_guard(matrix: CayleyMatrix, signed: bool) -> tuple[Counter[int], int] | 
     count.  Above ORBIT_MIN_PAIRS unreduced pairs, a table of order 2 or more
     that is the plain table permuted counts the orbit states of the plain
     table's record, and sign is its _plain_sign; otherwise sign is 0 and the
-    table runs unreduced.  No record is built for a table refused here.
+    table runs unreduced.  A bordered table (border is _border's (r*, c*))
+    runs the plain table's DP on the plain table's path, sign 1 when that is
+    reduced, and counts it plus the border's pushes: C(n+1, 2) border
+    monomials in all (_bordered), each times at most the Catalan number
+    C(2n-2, n-1)/n of terms of one layer-(n-1) state (its monomials of
+    degree n-1 with one element sum; n-1 is prime to n, so translation
+    permutes the n sums and each takes an equal share).  No record is built
+    for a table refused here.
     """
-    group, l = matrix.group, matrix.size
+    group, l, n = matrix.group, matrix.size, matrix.group.order
     classes = Counter(matrix.cols)
     if signed and len(classes) < l:
         return None
-    sizes = list(classes.values())
-    estimate = _dp_pairs(l, sizes, group.order, None)
+    border = _border(matrix)
+    sizes = [1] * n if border else list(classes.values())
+    side = n if border else l
+    estimate = _dp_pairs(side, sizes, n, None)
     sign = 0
     # C1 has no record: its key modulus B^n - 1 would be 1
-    if estimate > ORBIT_MIN_PAIRS and l > 1 and (sign := _plain_sign(matrix)):
-        estimate = _dp_pairs(l, sizes, group.order, group.order_profile())
+    if estimate > ORBIT_MIN_PAIRS and side > 1 and (sign := 1 if border else _plain_sign(matrix)):
+        estimate = _dp_pairs(side, sizes, n, group.order_profile())
+    if border:
+        estimate += math.comb(n + 1, 2) * math.comb(2 * n - 2, n - 1) // n
     guard("subset DP states", estimate, DP_GUARD)
-    return classes, sign
+    return classes, sign, border
 
 
 def _next_layer(
@@ -698,24 +734,143 @@ def _orbit_means(
     return out
 
 
-def _subset_dp(matrix: CayleyMatrix, signed: bool, plan: tuple[Counter[int], int] | None) -> IntPolynomial:
+def _last_layers(rows: Sequence[Sequence[int]], sizes: Sequence[int], signed: bool, weights: Sequence[Sequence[int]],
+                 orbit: Sequence[tuple[int, int, int]] | None = None, ops: Sequence[tuple[int, tuple]] = (),
+                 modulus: int = 0) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+    """The subset DP over rows (see _subset_dp): its layer before the last row, and its final state."""
+    radix = [1]
+    for m in sizes:
+        radix.append(radix[-1] * (m + 1))
+    layer: dict[int, dict[int, int]] = {0: {0: 1}}
+    previous = layer
+    for row in rows:
+        steps = [(c, radix[c], m + 1, v) for c, (m, v) in enumerate(zip(sizes, row))]
+        previous, layer = layer, _next_layer(layer, steps, signed, weights, orbit, ops, modulus)
+    return previous, layer[radix[-1] - 1]
+
+
+def _plain_dp(group: FiniteAbelianGroup, signed: bool, reduced: bool) -> object:
+    """Run the subset DP on the plain table, keep its sign-free result in _plain_results and return it.
+
+    Rows are placed in element order, so the last row is element n-1.  A
+    permanent's run also keeps layer n-1's state F missing one column m:
+    on the reduced path layer n-1 is one orbit state W, the sum of the n
+    translates of the state of its representative mask (the columns of
+    labels 0..n-2, so m is the element of label n-1), each carried back to
+    it, so F = W / n exactly; on the unreduced path it is the state that
+    misses column n-1.  Unreduced keys are packed base n+2, as the record's
+    cyclic keys are, so that F takes the border of an (n+1)-row table.
+    """
+    n = group.order
+    kept = _plain_results(group)
+    if reduced:
+        sym = _symmetry(group)
+        previous, final = _last_layers(sym.grid, [1] * n, signed, sym.weights, sym.orbit, sym.ops, sym.modulus)
+        # the permanent's characters are all 1
+        means = _orbit_means(final, sym.images, sym.chis if signed else [1] * n)
+        found: object = list(_unpack(means, sym.base, [sym.base**i for i in range(n)])), list(means.values())
+        if not signed:
+            (layer,) = previous.values()
+            if any(coeff % n for coeff in layer.values()):
+                raise AssertionError("layer n-1 is not n times the state of its representative")
+            kept["layer", reduced] = {key: coeff // n for key, coeff in layer.items()}
+    else:
+        powers = [(n + 2) ** i for i in range(n)]
+        previous, final = _last_layers(group.add_table, [1] * n, signed, [powers])
+        found = dict(zip(_unpack(final, n + 2, powers), final.values()))
+        if not signed:
+            kept["layer", reduced] = previous[(1 << (n - 1)) - 1]
+    kept[signed, reduced] = found
+    return found
+
+
+def _bordered(group: FiniteAbelianGroup, layer: dict[int, int], reduced: bool,
+              r_star: int, c_star: int) -> dict[tuple[int, ...], int]:
+    """The terms of the permanent of a bordered table, by expansion along its border.
+
+    The table's rows list the group once plus r*, its columns once plus c*,
+    and a permanent does not see their order, so take r* and c* last.  Its
+    top left block is the plain table A, its border column x_(a+c*) and its
+    border row x_(r*+b), and the expansion along both is
+
+        per = x_(r*+c*) per(A) + sum over a, b of x_(a+c*) x_(r*+b) per(A(a|b)),
+
+    A(a|b) being A without the row of a and the column of b.  Its rows are
+    the rows but the last, r = n-1, translated by a - r, so per(A(a|b)) =
+    F_(a+b-r), where F_c is the layer-(n-1) state of the plain DP that
+    misses column c, and per(A) = sum_c x_(r+c) F_c.  Each pair with
+    a + b = c + r meets F_c, so per = sum_c B_c F_c with
+
+        B_c = x_(r*+c*) x_(r+c) + sum over u of x_u x_(s-u),  s = r* + c* + r + c,
+
+    the sum counting each pair {u, s-u} twice when u != s-u, and the corner
+    monomial being one of its pairs: B_c has (n + #{u: 2u = s}) / 2
+    monomials, and as s meets every element once the border pushes
+    C(n+1, 2) monomials in all.  F_c is read off the kept state F, which
+    misses column m: F_(m+t) = sigma_t(F), the translation by t, through the
+    record's key operations on the reduced path and by moving the digits
+    on the unreduced one (see _plain_dp).
+    """
+    n = group.order
+    add = group.add_table
+    if reduced:
+        sym = _symmetry(group)
+        base, labels = sym.base, sym.labels
+        m = labels.index(n - 1)
+
+        def translated(t: int) -> list[int]:  # the keys of F_(m+t), in the order of F's
+            mult, masks = sym.ops[labels[t]]
+            return [key * mult % sym.modulus for key in _shift_digits(layer, masks)]
+    else:
+        base, labels, m = n + 2, list(range(n)), n - 1
+        powers = [base**i for i in range(n)]
+        digits = list(_unpack(layer, base, powers))
+
+        def translated(t: int) -> list[int]:
+            moved = [powers[a] for a in add[t]]
+            return [sum(map(operator.mul, d, moved)) for d in digits]
+    place = [base**p for p in labels]  # the packed x_a
+    corner, last = add[r_star][c_star], n - 1
+    values = list(layer.values())
+    scaled = {1: values}  # F's coefficients times each multiplicity met
+    out: dict[int, int] = {}
+    get = out.get
+    for t in range(n):
+        keys = translated(t)
+        c = add[m][t]
+        s = add[corner][add[last][c]]
+        # the pairs u + v = s, and the corner, which is one of them
+        border = {place[u] + place[v]: 2 - (u == v) for u, v in enumerate(row.index(s) for row in add) if u <= v}
+        border[place[corner] + place[add[last][c]]] += 1
+        for w, mult in border.items():
+            if mult not in scaled:
+                scaled[mult] = [mult * coeff for coeff in values]
+            for key, coeff in zip(keys, scaled[mult]):
+                key += w
+                out[key] = get(key, 0) + coeff
+    return dict(zip(_unpack(out, base, place), out.values()))
+
+
+def _subset_dp(matrix: CayleyMatrix, signed: bool,
+               plan: tuple[Counter[int], int, tuple[int, int] | None] | None) -> IntPolynomial:
     """Permanent (or, signed, determinant) by dynamic programming over column subsets.
 
     plan is what _dp_guard decided for this table: None for a determinant
-    that is 0, else its column classes and whether it is reduced.  Rows are
-    placed in order.  After row i the state maps the set of columns taken so
-    far to the sum of the monomials of those partial placements.  Row r
-    holds the entry r + a in each column class a.  Identical columns are
-    interchangeable, so a state only counts the columns taken from each
-    class (packed mixed radix; when all columns differ it is the bitmask of
-    the columns taken), and the permanent gains the factor prod m_c! at the
-    end.  Exponent vectors are packed base B = l+1 (a power of two above
-    l on a reduced non-cyclic table, see _Symmetry) into one int (Kronecker
-    substitution: no exponent exceeds l, so digits never carry), so
-    multiplying by x_k adds B^k.  Placing row i in column j passes the taken
-    columns to its right, popcount(mask >> (j+1)) inversions, which gives the
-    sign.  This is the subset form of Ryser's inclusion-exclusion (Nijenhuis
-    & Wilf 1978).
+    that is 0, else its column classes, whether it is reduced and its
+    border.  Rows are placed in order.  After row i the state maps the set
+    of columns taken so far to the sum of the monomials of those partial
+    placements.  Row r holds the entry r + a in each column class a.
+    Identical columns are interchangeable, so a state only counts the
+    columns taken from each class (packed mixed radix; when all columns
+    differ it is the bitmask of the columns taken), and the permanent gains
+    the factor prod m_c! at the end.  Exponent vectors are packed base B =
+    l+1 (on the plain table n+2, and a power of two above n+1 on a reduced
+    non-cyclic table, see _Symmetry) into one int (Kronecker substitution:
+    no exponent reaches B, so digits never carry), so multiplying by x_k
+    adds B^k.  Placing row i in column j passes the taken columns to its
+    right, popcount(mask >> (j+1)) inversions, which gives the sign.  This
+    is the subset form of Ryser's inclusion-exclusion (Nijenhuis & Wilf
+    1978).
 
     A table the plan reduces (the plain table with its rows and columns
     permuted, above ORBIT_MIN_PAIRS unreduced pairs) runs on the plain
@@ -740,58 +895,47 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool, plan: tuple[Counter[int], int
     own _plain_sign.  An unreduced table unpacks its final keys directly.
 
     One DP serves every table of a group whose row and column elements each
-    list the group once (_plain_sign not 0), per op and path: the first
-    keeps in _plain_results what its tail has before any sign is applied,
-    the orbit means as digit tuples and values on the reduced path, the
-    plain table's terms dict on the unreduced one, and every call expands
-    or copies that entry with its own sign.  Extended, block2n and
-    stretched toeplitz tables run the DP on every call.
+    list the group once (_plain_sign not 0), per op and path: the first runs
+    it on the plain table (_plain_dp) and keeps in _plain_results what its
+    tail has before any sign is applied, the orbit means as digit tuples
+    and values on the reduced path, the plain table's terms dict on the
+    unreduced one, and every call expands or copies that entry with its own
+    sign.  A bordered table (the extended table, the n+1 toeplitz table and
+    any reordering of either) reads the permanent's kept layer n-1 and
+    expands along its border (_bordered), running the plain DP first if
+    nothing is kept.  Block2n and stretched toeplitz tables, and any table
+    whose plan has neither a sign nor a border (the tests' oracle for a
+    bordered table), run the DP on their own lists on every call.
     """
     l, nvars, group = matrix.size, matrix.nvars, matrix.group
     if plan is None:
         return IntPolynomial.zero(nvars)
-    classes, sign = plan  # column element -> columns, in column order
-    sym = _symmetry(group) if sign else None
+    classes, sign, border = plan  # column element -> columns, in column order
+    reduced = sign != 0
+    if border is not None:
+        kept = _plain_results(group)
+        if ("layer", reduced) not in kept:
+            _plain_dp(group, False, reduced)
+        return IntPolynomial._of(nvars, _bordered(group, kept["layer", reduced], reduced, *border))
     plain = sign or _plain_sign(matrix)
-    # the determinant's sign against the plain table's (1 for any other table)
-    flip = plain if signed and plain else 1
-    kept = _plain_results(group) if plain else {}
-    key = (signed, sym is not None)
-    found = kept.get(key)
-    if found is None:
+    if not plain:
         sizes = list(classes.values())
-        base = l + 1 if sym is None else sym.base
-        powers = [base**i for i in range(nvars)]
-        if sym is None:
-            add = group.add_table
-            rows = [[add[r][a] for a in classes] for r in matrix.rows]
-            weights, orbit, ops, modulus = [powers], None, [], 0
-        else:
-            rows, sizes = sym.grid, [1] * l
-            weights, orbit, ops, modulus = sym.weights, sym.orbit, sym.ops, sym.modulus
-        radix = [1]
-        for m in sizes:
-            radix.append(radix[-1] * (m + 1))
-        layer: dict[int, dict[int, int]] = {0: {0: 1}}
-        for row in rows:
-            steps = [(c, radix[c], m + 1, v) for c, (m, v) in enumerate(zip(sizes, row))]
-            layer = _next_layer(layer, steps, signed, weights, orbit, ops, modulus)
-        final = layer[radix[-1] - 1]
-        if sym is None:
-            scale = math.prod(map(math.factorial, sizes)) * flip  # flip: the plain table's terms
-            coeffs = final.values() if scale == 1 else map(scale.__mul__, final.values())
-            found = dict(zip(_unpack(final, base, powers), coeffs))
-            if not plain:
-                return IntPolynomial._of(nvars, found)
-        else:
-            # the permanent's characters are all 1
-            means = _orbit_means(final, sym.images, sym.chis if signed else [1] * nvars)
-            found = list(_unpack(means, base, powers)), list(means.values())
-        kept[key] = found
-    if sym is None:  # a copy of the plain table's terms, with this table's sign
+        powers = [(l + 1) ** i for i in range(nvars)]
+        add = group.add_table
+        _, final = _last_layers([[add[r][a] for a in classes] for r in matrix.rows], sizes, signed, [powers])
+        scale = math.prod(map(math.factorial, sizes))
+        coeffs = final.values() if scale == 1 else map(scale.__mul__, final.values())
+        return IntPolynomial._of(nvars, dict(zip(_unpack(final, l + 1, powers), coeffs)))
+    found = _plain_results(group).get((signed, reduced))
+    if found is None:
+        found = _plain_dp(group, signed, reduced)
+    # the determinant's sign against the plain table's
+    flip = plain if signed else 1
+    if not reduced:  # a copy of the plain table's terms, with this table's sign
         return IntPolynomial._of(nvars, dict(found) if flip == 1 else {e: -c for e, c in found.items()})
     # every translation fixes the full mask: one key of each orbit of the mean
     # was unpacked; read every translate off its digits, mapping labels back
+    sym = _symmetry(group)
     digits, values = found
     sign, chis = (flip * sym.sign, sym.chis) if signed else (1, [1] * nvars)
     terms: dict[tuple[int, ...], int] = {}
@@ -1330,12 +1474,17 @@ def plan_supports(check: str, cells: Iterable[tuple], params: Callable[[CayleyMa
     dimension(table)): missing and unexpected are the sorted vectors of
     hall_support that the permanent lacks and the permanent's vectors outside
     it (a table's degree is its size), and dimension(table) is the mode's
-    value for |hall_support|.  Nothing here branches on the mode.
+    value for |hall_support|.  A support does not see a coefficient, so one
+    more record says when the permanent's coefficients do not sum to l!,
+    its value at the all-ones table.  Nothing here branches on the mode.
     """
     def failures(table: CayleyMatrix, per: IntPolynomial) -> list[dict]:
         got = per.terms.keys()
         want = hall_support(table.group, table.size)
-        return records(table, sorted(want - got), sorted(got - want), len(want), dimension(table))
+        total, whole = per.coefficient_sum(), math.factorial(table.size)
+        return records(table, sorted(want - got), sorted(got - want), len(want), dimension(table)) + [
+            {"group": table.group.spec_string, "table": table.variant, "size": table.size,
+             "what": "permanent coefficient sum", "sum": total, "expected": whole}] * (total != whole)
     return plan_tables(check, cells, (("per", "auto"),), params, failures, first_failure)
 
 

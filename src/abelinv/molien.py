@@ -559,11 +559,16 @@ def _identity_work(variables: int, order: int, logs: int) -> int:
     log(1 + u), u the v monomials of degree d, holds the C(k+v-1, v-1) terms
     of each power u^k with k <= order/d, C(order/d + v, v) - 1 in all; a
     sum runs over d = 1..order (grouped by order // d) and is compared on
-    the C(order + v, v) cells of total degree at most order.  The count
-    stops once it passes IDENTITY_GUARD, so a huge order is refused at once.
+    the C(order + v, v) cells of total degree at most order.  When the
+    cells alone pass IDENTITY_GUARD their count is the size, a lower bound
+    as _comb_capped's binomials are, so a huge order is refused at once;
+    otherwise the grouped sum takes at most about 2 sqrt(order) steps and is
+    exact.
     """
     terms, d = math.comb(order + variables, variables), 1
-    while d <= order and logs * terms <= IDENTITY_GUARD:
+    if logs * terms > IDENTITY_GUARD:
+        return logs * terms
+    while d <= order:
         q = order // d
         last = order // q  # the largest d' with order // d' == q
         terms += (last - d + 1) * (math.comb(q + variables, variables) - 1)

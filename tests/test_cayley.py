@@ -55,6 +55,7 @@ from abelinv.cayley import (
     refuse,
 )
 from abelinv.cli import CONJECTURE_GRID
+from abelinv.errors import guard
 from abelinv.groups import iter_abelian_groups_up_to
 
 C2 = parse_group("C2")
@@ -617,8 +618,9 @@ def test_orbit_entry_keeps_one_digit_tuple_per_translation_orbit():
 
 
 def test_tables_with_repeated_columns_run_their_dp_on_every_call(monkeypatch):
+    # block2n and the toeplitz tables longer than n+1 are not bordered: they keep nothing
     sizes = layer_sizes(monkeypatch)
-    for table in (build_table(C3, "extended"), build_table(parse_group("C2xC3"), "block2n"),
+    for table in (build_table(parse_group("C2xC3"), "block2n"),
                   build_table(C3, "toeplitz", size=5), build_table(C4, "toeplitz", size=9)):
         results = []
         for _ in range(2):
@@ -627,6 +629,20 @@ def test_tables_with_repeated_columns_run_their_dp_on_every_call(monkeypatch):
             assert len(sizes) == table.size, table.variant
         assert results[0] == results[1] and not determinant(table), table.variant
     assert cayley._plain_results.cache_info().currsize == 0
+
+
+def test_a_bordered_table_reads_the_kept_layer(monkeypatch):
+    # the C3 extended table runs the plain table's n rows once, keeps its layer n-1 and the plain
+    # permanent, and a second call (or the n+1 toeplitz table) runs no row; its determinant is 0
+    sizes = layer_sizes(monkeypatch)
+    extended, toeplitz = build_table(C3, "extended"), build_table(C3, "toeplitz", size=4)
+    first = permanent(extended)
+    assert len(sizes) == C3.order
+    assert set(cayley._plain_results(C3)) == {(False, False), ("layer", False)}
+    sizes.clear()
+    assert permanent(extended) == permanent(toeplitz) == first
+    assert permanent(build_table(C3, "plain")) == permanent(build_table(C3, "plain"), "leibniz")
+    assert not sizes and not determinant(extended) and not determinant(toeplitz)
 
 
 def test_oracles_read_no_kept_result():
@@ -643,6 +659,116 @@ def test_oracles_read_no_kept_result():
         assert permanent(plain) != per and determinant(plain) != det
         assert permanent(plain, "leibniz") == per
         assert determinant(plain, "leibniz") == determinant(plain, "factored") == det
+
+
+def class_dp(table):
+    """The unreduced class-count DP on the table's own lists: the plan with neither a sign nor a border."""
+    return _subset_dp(table, False, (Counter(table.cols), 0, None))
+
+
+def test_bordered_path_matches_the_class_count_dp():
+    # every extended table of order <= 8 and every n+1 toeplitz table of n <= 9, each expanded along
+    # its border over the plain table's layer n-1 (unreduced to order 5, by orbit from 6)
+    tables = [build_table(g, "extended") for g in abelian_groups_up_to(8)]
+    tables += [build_table(parse_group(f"C{n}"), "toeplitz", size=n + 1) for n in range(1, 10)]
+    for table in tables:
+        label = (table.group.spec_string, table.variant)
+        assert refuse(table, "per")[2] == (0, 0), label
+        got = permanent(table)
+        assert got == class_dp(table), label
+        assert got.coefficient_sum() == math.factorial(table.size), label
+    for n in range(1, 10):
+        group = parse_group(f"C{n}")
+        assert permanent(build_table(group, "toeplitz", size=n + 1)) == permanent(build_table(group, "extended"))
+
+
+def test_reordered_bordered_tables_match_the_class_count_dp(monkeypatch):
+    # r* and c* drawn from the whole group, both lists shuffled; on both paths of every group of
+    # order 2-8, the orbit path forced down to order 2
+    rng = random.Random(45)
+    for threshold in (cayley.ORBIT_MIN_PAIRS, 0):
+        monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", threshold)
+        for group in abelian_groups_up_to(8)[1:]:
+            cayley._plain_results.cache_clear()
+            n = group.order
+            for _ in range(3):
+                r_star, c_star = rng.randrange(n), rng.randrange(n)
+                rows, cols = list(range(n)) + [r_star], list(range(n)) + [c_star]
+                rng.shuffle(rows)
+                rng.shuffle(cols)
+                table = cayley.CayleyMatrix(group, "plain", tuple(rows), tuple(cols))
+                classes, sign, border = refuse(table, "per")
+                assert border == (r_star, c_star) and bool(sign) == (n > 5 or not threshold), group
+                assert permanent(table) == class_dp(table), (group, rows, cols)
+                assert refuse(table, "det") is None and not determinant(table)
+
+
+def test_bordered_guard_counts_the_plain_dp_and_the_border(monkeypatch):
+    # the plain table's estimate plus C(n+1, 2) border monomials times Catalan(n-1) terms
+    estimates = []
+    monkeypatch.setattr(cayley, "guard", lambda what, size, limit: estimates.append(size) or guard(what, size, limit))
+    for spec in ("C3", "C7", "C2xC4", "C11", "C12", "C2xC6", "C13"):
+        group = parse_group(spec)
+        n = group.order
+        plain = _dp_pairs(n, [1] * n, n, None)
+        if plain > cayley.ORBIT_MIN_PAIRS:
+            plain = _dp_pairs(n, [1] * n, n, group.order_profile())
+        estimates.clear()
+        try:
+            refuse(build_table(group, "extended"), "per")
+        except GuardExceeded:
+            assert n == 13
+        assert estimates[-1] == plain + math.comb(n + 1, 2) * math.comb(2 * n - 2, n - 1) // n, spec
+    assert estimates[-1] == 87634354
+
+
+def test_c11_extended_permanent_at_a_point():
+    # no symbolic oracle admits this table: its value at a seeded integer point against Ryser
+    group = parse_group("C11")
+    table = build_table(group, "extended")
+    per = permanent(table)
+    assert per.coefficient_sum() == math.factorial(12)
+    assert per.term_count() == sym_dim(11, 12, 0)
+    rng = random.Random(11)
+    point = [rng.randint(-3, 3) for _ in range(11)]
+    value = sum(c * math.prod(map(pow, point, exp)) for exp, c in per.terms.items())
+    assert value == numeric_permanent([[point[k] for k in row] for row in table.grid])
+
+
+def test_a_second_bordered_table_runs_no_dp(monkeypatch):
+    # on the orbit path: the first bordered table runs the plain DP, every later table of the group,
+    # bordered or square, reads what it kept
+    calls = Counter()
+    monkeypatch.setattr(cayley, "_next_layer", lambda *args, real=cayley._next_layer:
+                        calls.update(["layer"]) or real(*args))
+    for spec in ("C7", "C2xC4", "C3xC3"):
+        group = parse_group(spec)
+        n = group.order
+        calls.clear()
+        extended = build_table(group, "extended")
+        first = permanent(extended)
+        assert calls["layer"] == n
+        assert set(cayley._plain_results(group)) == {(False, True), ("layer", True)}
+        calls.clear()
+        rows, cols = (1,) + tuple(range(n)), tuple(range(n - 1, -1, -1)) + (2,)
+        others = [extended, cayley.CayleyMatrix(group, "plain", rows, cols), build_table(group, "plain")]
+        if group.is_cyclic_presentation:
+            others.append(build_table(group, "toeplitz", size=n + 1))
+        results = [permanent(table) for table in others]
+        assert not calls, spec
+        assert results[0] == first and results[1] == class_dp(others[1]), spec
+
+
+def test_support_checks_assert_the_coefficient_sum(monkeypatch):
+    # a fault that keeps the support, here every coefficient of the bordered permanent set to 1,
+    # passes the support comparison and fails the coefficient sum
+    real = cayley._bordered
+    monkeypatch.setattr(cayley, "_bordered", lambda *args: dict.fromkeys(real(*args), 1))
+    record = {"what": "permanent coefficient sum", "sum": 5, "expected": 24}
+    assert check_extended_counts(C3).failures == [{"group": "C3", "table": "extended", "size": 4, **record}]
+    assert check_toeplitz_conjecture(3, 4).failures == [{"group": "C3", "table": "toeplitz", "size": 4, **record}]
+    assert check_hall(max_order=1, max_order_ext=1).failures == [
+        {"group": "C1", "table": "extended", "size": 2, "what": "permanent coefficient sum", "sum": 1, "expected": 2}]
 
 
 def test_wide_toeplitz_permanent_support():

@@ -536,6 +536,22 @@ def test_identity_guard_counts_log_terms():
     assert molien._identity_work(2, 200, 3) == 163329 <= molien.IDENTITY_GUARD  # runs, in about 0.4 s
 
 
+def test_identity_refusal_size_is_the_whole_count():
+    # a refused order reports the full grouped count while the cells alone pass the guard; past
+    # that, the cells' count alone, which already refuses, is the size
+    def plain_sum(v, order, logs):
+        return logs * (math.comb(order + v, v) + sum(math.comb(order // d + v, v) - 1 for d in range(1, order + 1)))
+
+    for v, order, logs in ((3, 60, 3), (3, 45, 3), (2, 200, 3), (2, 250, 3), (1, 1000, 7), (3, 1, 1), (1, 97, 2)):
+        assert molien._identity_work(v, order, logs) == plain_sum(v, order, logs), (v, order, logs)
+    assert molien._identity_work(3, 60, 3) == 267408
+    with pytest.raises(GuardExceeded) as info:
+        check_identity("log3var", order=60)
+    assert info.value.size == 267408
+    # the cells alone refuse: C(10^6 + 3, 3) of them, three times
+    assert molien._identity_work(3, 10**6, 3) == 3 * math.comb(10**6 + 3, 3) > molien.IDENTITY_GUARD
+
+
 def test_identity_rejects_unknown_name():
     with pytest.raises(ValueError):
         check_identity("C")

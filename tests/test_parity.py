@@ -38,7 +38,11 @@ def test_every_command_has_its_json_form():
         {"check actions", "check reciprocity", "check identity", "check hall", "check invariance", "check extended",
          "check conjecture", "check all", "check lehmer"}
     assert all(cmd in plain and f"--json {cmd}" in cmds
-               for cmd in parity.LARGE + parity.ORACLES + parity.PRESENTATIONS + parity.REFUSALS)
+               for cmd in parity.LARGE + parity.ORACLES + parity.PRESENTATIONS + parity.REFUSALS + parity.BORDERED)
     assert len(parity.REFUSALS) == 12
     assert len(parity.PRESENTATIONS) == 18
+    # extended tables of C6-C10, C2xC4, C2xC2xC2 and C3xC3, n+1 toeplitz tables of C6-C9, refused C13
+    assert len(parity.BORDERED) == 13
+    assert "cayley per --group C13 --variant extended" in parity.BORDERED
+    assert "cayley per --group C9 --variant toeplitz --l 10" in parity.BORDERED
     assert {cmd.split("--alg ")[1] for cmd in plain if "--alg" in cmd} == {"leibniz", "factored"}

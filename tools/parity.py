@@ -14,7 +14,9 @@ decide their table guards (admitted and refused runs of `check hall`,
 `invariance`, `extended`, `conjecture` and `all`, and `check lehmer` at an
 unsupported prime), the oracle routes (`cayley per|det --alg leibniz` at
 sizes 1, 2, 4, 6, 8, 9 and 10 and `cayley det --alg factored`), `cayley per|det`
-on the hat and toeplitz tables of orders 6-8, one refused command for each
+on the hat and toeplitz tables of orders 6-8, `cayley per` on the extended
+tables of orders 6-10 and the n+1 toeplitz tables of n = 6-9 (and a refused
+C13 extended table), one refused command for each
 limit the checks above do not refuse (exit 3, each in well under a second),
 and three commands whose `--json` output is 0.8-1.6 MB (C10 `per` and
 `support`, a toeplitz `table` at l = 300).  Prints one line per command whose results differ and exits 1
@@ -57,6 +59,13 @@ ORACLES = tuple(f"cayley {op} --group {g} --alg leibniz" for op in ("per", "det"
     f"cayley det --group {g} --alg factored" for g in (
         "C5", "C7", "C8", "C9", "C10", "C2xC4", "C2xC5", "C3xC3", "C2xC2xC2 --variant hat", "C6 --variant toeplitz"))
 
+# bordered tables (the group listed once on each side plus one element): the permanent expanded along
+# its border over the plain table's layer n-1, and a table the guard refuses
+BORDERED = tuple(f"cayley per --group {g} --variant extended"
+                 for g in ("C6", "C7", "C8", "C9", "C10", "C2xC4", "C2xC2xC2", "C3xC3")) + tuple(
+    f"cayley per --group C{n} --variant toeplitz --l {n + 1}" for n in range(6, 10)) + (
+    "cayley per --group C13 --variant extended",)
+
 # one refused command per limit not refused above: grid cells, Leibniz permutations, factored
 # pushes, support enumeration, both action bounds, element-sum counting, dimension binomial bits,
 # series coefficients, reciprocity comparisons, identity series terms and trial divisions
@@ -97,7 +106,7 @@ def grid_commands() -> list[str]:
     cmds += [f"check actions --group {g}" for g in GROUPS]
     cmds += [f"check actions --group {g} --samples 500" for g in ORDER_6_9]
     cmds += ["check reciprocity --max-total 12 --fredman-total 20", "check identity --order 20"]
-    cmds += SWEEPS + ORACLES + REFUSALS + LARGE
+    cmds += SWEEPS + ORACLES + BORDERED + REFUSALS + LARGE
     cmds = list(dict.fromkeys(cmds))  # C1 repeats some of its m and i
     return cmds + [f"--json {cmd}" for cmd in cmds]
 

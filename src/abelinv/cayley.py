@@ -53,7 +53,11 @@ eigenvector of the translation; it finds most representatives from their
 element sums, and its last product keeps only monomials of sum 0.  Each
 (op, algorithm) pair has one guard and one kernel (ROUTES); the guard reads
 the element lists, never the grid, and permanent, determinant and refuse
-all decide it through that table.
+all decide it through that table.  The subset DP and factored guards read a
+table's shape only through its normal form (CayleyMatrix.listing: column
+classes, sign, border, whether a row or a column repeats), decided once per
+table; the Leibniz guard makes its own one test of the columns, so the
+oracle does not share it.
 Checkers for these facts live here.  Every table checker (invariance, the
 Lehmer congruence, and the support checks: hall, extended counts, the
 toeplitz conjecture) is one planner, plan_tables, over cells (group,
@@ -110,20 +114,57 @@ ACTION_GUARD = 5 * 10**5
 LEHMER_PRIMES = (3, 5, 7)
 
 
+class _Listing(NamedTuple):
+    """A table's shape, decided from its two element lists (CayleyMatrix.listing).
+
+    classes maps each column element to its multiplicity, in column order;
+    sign is sign(rows) * sign(cols) when both lists list the group once,
+    else 0; border is (r*, c*) when the rows list the group once plus r*
+    and the columns once plus c*, else None; repeated says whether a row or
+    a column repeats, so that the determinant is 0.
+    """
+
+    classes: Counter[int]
+    sign: int
+    border: tuple[int, int] | None
+    repeated: bool
+
+
 @dataclass(frozen=True)
 class CayleyMatrix:
     """A table of variable indices over a fixed group: entry (i, j) is the index of rows[i] + cols[j].
 
     Every variant is the addition table read through its lists of row and
-    column elements; the grid is built from them when first read, and only
-    its readers (the printed table and the Leibniz oracle) build it, so a
-    grid above GRID_GUARD cells is refused there.  No guard reads it.
+    column elements, which must have one length l >= 1 and hold element
+    indices 0..n-1 only; the grid is built from them when first read, and
+    only its readers (the printed table and the Leibniz oracle) build it, so
+    a grid above GRID_GUARD cells is refused there.  No guard reads it.
     """
 
     group: FiniteAbelianGroup
     variant: str
     rows: tuple[int, ...]
     cols: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        n, both = self.group.order, self.rows + self.cols
+        if not self.rows or len(self.cols) != len(self.rows) or min(both) < 0 or max(both) >= n:
+            raise ValueError(f"a table needs l >= 1 row and l column elements in 0..{n - 1},"
+                             f" got rows {self.rows} and columns {self.cols}")
+
+    @functools.cached_property
+    def listing(self) -> _Listing:
+        """The table's shape, the one normal form that the subset DP and factored guards read.
+
+        l distinct elements of 0..n-1 list the group once when l = n, and
+        n distinct ones in n+1 places list it once plus the one repeated,
+        whose index is the list's sum less that of 0..n-1.
+        """
+        n, l, classes = self.group.order, self.size, Counter(self.cols)
+        rows, cols, listed = len(set(self.rows)), len(classes), n * (n - 1) // 2
+        sign = _permutation_sign(self.rows) * _permutation_sign(self.cols) if l == n == rows == cols else 0
+        border = (sum(self.rows) - listed, sum(self.cols) - listed) if l == n + 1 and rows == cols == n else None
+        return _Listing(classes, sign, border, min(rows, cols) < l)
 
     @functools.cached_property
     def grid(self) -> tuple[tuple[int, ...], ...]:
@@ -482,10 +523,11 @@ def _symmetry(group: FiniteAbelianGroup) -> _Symmetry:
     """The _Symmetry of the plain table of a group of order 2 or more, shared by per and det.
 
     Every square table whose row and column elements each list the group
-    once is the plain table with its rows and columns permuted (see
-    _plain_sign), so plain, hat, n x n toeplitz and reordered tables all
-    run on this one record.  Its set-up parts read one table, perms[x][y],
-    the label of x + y (_label_addition).
+    once is the plain table with its rows and columns permuted (its
+    listing has a sign, CayleyMatrix.listing), so plain, hat, n x n
+    toeplitz and reordered tables all run on this one record.  Its set-up
+    parts read one table, perms[x][y], the label of x + y
+    (_label_addition).
     """
     n = group.order
     phi, _, axes = _relabeling(group)
@@ -539,15 +581,16 @@ def _plain_results(group: FiniteAbelianGroup) -> dict[tuple, object]:
     """The subset DP's sign-free results for the plain table of a group, keyed (signed, reduced).
 
     Every table whose row and column elements each list the group once has
-    the plain table's permanent and its determinant times _plain_sign, so
-    _subset_dp runs one DP per group, op and path (_plain_dp), fills this
-    dict with what its tail already has, and answers the other tables from
-    it: a reduced entry is the orbit means (digit tuples and values, one per
-    translation orbit of the support), an unreduced one the plain table's
-    terms dict.  The permanent's run also keeps, under ("layer", reduced),
-    the packed layer-(n-1) state F missing one column, which every bordered
-    table of the group expands along its border (_bordered).  Kept for 64
-    groups, as _symmetry is.
+    the plain table's permanent and its determinant times its listing's
+    sign (CayleyMatrix.listing), so _subset_dp runs one DP per group, op
+    and path (_plain_dp), fills this dict with what its tail already has,
+    and answers the other tables from it: a reduced entry is the orbit
+    means (digit tuples and values, one per translation orbit of the
+    support), an unreduced one the plain table's terms dict.  The
+    permanent's run also keeps, under ("layer", reduced), the packed
+    layer-(n-1) state F missing one column, which every bordered table of
+    the group expands along its border (_bordered).  Kept for 64 groups, as
+    _symmetry is.
     """
     return {}
 
@@ -587,61 +630,39 @@ def _dp_pairs(l: int, sizes: Sequence[int], v: int, profile: dict[int, int] | No
     return pairs
 
 
-def _plain_sign(matrix: CayleyMatrix) -> int:
-    """sign(rows) * sign(cols) when the row and the column elements each list the group once, else 0.
+def _dp_guard(matrix: CayleyMatrix, signed: bool) -> bool | None:
+    """The subset DP's guard and plan: whether the table runs reduced, or None for a determinant that is 0.
 
-    Such a table is the plain table with its rows and columns permuted, so it
-    has the plain table's permanent, and its determinant times this sign.
+    It reads the table's shape from matrix.listing alone.  A repeated row or
+    column makes the determinant 0 before any count.  Two columns agree
+    exactly when their elements do, so the classes of identical columns are
+    the listing's classes.  Above ORBIT_MIN_PAIRS unreduced pairs, a table of
+    order 2 or more that is the plain table permuted (its listing has a
+    sign) counts the orbit states of the plain table's record, and runs
+    reduced; otherwise it runs unreduced.  A bordered table (its listing has
+    a border) runs the plain table's DP on the plain table's path, and
+    counts it plus the border's pushes: C(n+1, 2) border monomials in all
+    (_bordered), each times at most the Catalan number C(2n-2, n-1)/n of
+    terms of one layer-(n-1) state (its monomials of degree n-1 with one
+    element sum; n-1 is prime to n, so translation permutes the n sums and
+    each takes an equal share).  No record is built for a table refused
+    here.
     """
-    listing = list(range(matrix.group.order))
-    if sorted(matrix.rows) != listing or sorted(matrix.cols) != listing:
-        return 0
-    return _permutation_sign(matrix.rows) * _permutation_sign(matrix.cols)
-
-
-def _border(matrix: CayleyMatrix) -> tuple[int, int] | None:
-    """(r*, c*) when the row elements list the group once plus r* and the column elements once plus c*, else None."""
-    n = matrix.group.order
-    if matrix.size != n + 1 or len(set(matrix.rows)) != n or len(set(matrix.cols)) != n:
+    group, l, n, listing = matrix.group, matrix.size, matrix.group.order, matrix.listing
+    if signed and listing.repeated:
         return None
-    listed = n * (n - 1) // 2  # the sum of the element indices listed once
-    return sum(matrix.rows) - listed, sum(matrix.cols) - listed
-
-
-def _dp_guard(matrix: CayleyMatrix, signed: bool) -> tuple[Counter[int], int, tuple[int, int] | None] | None:
-    """The subset DP's guard and plan: (column classes, sign, border), or None for a determinant that is 0.
-
-    Two columns agree exactly when their elements do, so the classes of
-    identical columns are the multiplicities of the column elements, in
-    column order, and a repeated column makes the determinant 0 before any
-    count.  Above ORBIT_MIN_PAIRS unreduced pairs, a table of order 2 or more
-    that is the plain table permuted counts the orbit states of the plain
-    table's record, and sign is its _plain_sign; otherwise sign is 0 and the
-    table runs unreduced.  A bordered table (border is _border's (r*, c*))
-    runs the plain table's DP on the plain table's path, sign 1 when that is
-    reduced, and counts it plus the border's pushes: C(n+1, 2) border
-    monomials in all (_bordered), each times at most the Catalan number
-    C(2n-2, n-1)/n of terms of one layer-(n-1) state (its monomials of
-    degree n-1 with one element sum; n-1 is prime to n, so translation
-    permutes the n sums and each takes an equal share).  No record is built
-    for a table refused here.
-    """
-    group, l, n = matrix.group, matrix.size, matrix.group.order
-    classes = Counter(matrix.cols)
-    if signed and len(classes) < l:
-        return None
-    border = _border(matrix)
-    sizes = [1] * n if border else list(classes.values())
+    border = listing.border
+    sizes = [1] * n if border else list(listing.classes.values())
     side = n if border else l
     estimate = _dp_pairs(side, sizes, n, None)
-    sign = 0
     # C1 has no record: its key modulus B^n - 1 would be 1
-    if estimate > ORBIT_MIN_PAIRS and side > 1 and (sign := 1 if border else _plain_sign(matrix)):
+    reduced = estimate > ORBIT_MIN_PAIRS and side > 1 and bool(border or listing.sign)
+    if reduced:
         estimate = _dp_pairs(side, sizes, n, group.order_profile())
     if border:
         estimate += math.comb(n + 1, 2) * math.comb(2 * n - 2, n - 1) // n
     guard("subset DP states", estimate, DP_GUARD)
-    return classes, sign, border
+    return reduced
 
 
 def _next_layer(
@@ -851,26 +872,45 @@ def _bordered(group: FiniteAbelianGroup, layer: dict[int, int], reduced: bool,
     return dict(zip(_unpack(out, base, place), out.values()))
 
 
-def _subset_dp(matrix: CayleyMatrix, signed: bool,
-               plan: tuple[Counter[int], int, tuple[int, int] | None] | None) -> IntPolynomial:
-    """Permanent (or, signed, determinant) by dynamic programming over column subsets.
+def _class_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
+    """Permanent (or, signed, determinant) by dynamic programming over column subsets, on the table's own lists.
 
-    plan is what _dp_guard decided for this table: None for a determinant
-    that is 0, else its column classes, whether it is reduced and its
-    border.  Rows are placed in order.  After row i the state maps the set
-    of columns taken so far to the sum of the monomials of those partial
-    placements.  Row r holds the entry r + a in each column class a.
-    Identical columns are interchangeable, so a state only counts the
-    columns taken from each class (packed mixed radix; when all columns
-    differ it is the bitmask of the columns taken), and the permanent gains
-    the factor prod m_c! at the end.  Exponent vectors are packed base B =
-    l+1 (on the plain table n+2, and a power of two above n+1 on a reduced
-    non-cyclic table, see _Symmetry) into one int (Kronecker substitution:
-    no exponent reaches B, so digits never carry), so multiplying by x_k
-    adds B^k.  Placing row i in column j passes the taken columns to its
-    right, popcount(mask >> (j+1)) inversions, which gives the sign.  This
-    is the subset form of Ryser's inclusion-exclusion (Nijenhuis & Wilf
-    1978).
+    Rows are placed in order.  After row i the state maps the set of
+    columns taken so far to the sum of the monomials of those partial
+    placements.  Row r holds the entry r + a in each column class a (the
+    listing's classes).  Identical columns are interchangeable, so a state
+    only counts the columns taken from each class (packed mixed radix; when
+    all columns differ it is the bitmask of the columns taken), and the
+    permanent gains the factor prod m_c! at the end.  Exponent vectors are
+    packed base B = l+1 into one int (Kronecker substitution: no exponent
+    reaches B, so digits never carry), so multiplying by x_k adds B^k.
+    Placing row i in column j passes the taken columns to its right,
+    popcount(mask >> (j+1)) inversions, which gives the sign; a signed run
+    needs distinct columns.  This is the subset form of Ryser's
+    inclusion-exclusion (Nijenhuis & Wilf 1978).  Every table whose listing
+    has neither a sign nor a border (block2n and stretched toeplitz tables,
+    minors, repeated rows) runs it on every call, and the tests take it as
+    the oracle of a bordered table.
+    """
+    l, nvars, add = matrix.size, matrix.nvars, matrix.group.add_table
+    classes = matrix.listing.classes  # column element -> columns, in column order
+    sizes = list(classes.values())
+    powers = [(l + 1) ** i for i in range(nvars)]
+    _, final = _last_layers([[add[r][a] for a in classes] for r in matrix.rows], sizes, signed, [powers])
+    scale = math.prod(map(math.factorial, sizes))
+    coeffs = final.values() if scale == 1 else map(scale.__mul__, final.values())
+    return IntPolynomial._of(nvars, dict(zip(_unpack(final, l + 1, powers), coeffs)))
+
+
+def _subset_dp(matrix: CayleyMatrix, signed: bool, reduced: bool | None) -> IntPolynomial:
+    """Permanent (or, signed, determinant) by the subset DP, on the plan _dp_guard decided.
+
+    reduced is that plan: None for a determinant that is 0, else whether
+    the table runs on the orbit states.  The table's shape is read from
+    matrix.listing.  A table whose listing has neither a sign nor a border
+    runs _class_dp; the plain table's DP (_plain_dp) is that DP with its
+    keys packed base n+2, or a power of two above n+1 on a reduced
+    non-cyclic table (see _Symmetry).
 
     A table the plan reduces (the plain table with its rows and columns
     permuted, above ORBIT_MIN_PAIRS unreduced pairs) runs on the plain
@@ -892,10 +932,10 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool,
     exponent vector is read off its digits (exponents[x], which maps the
     labels back through phi), with coefficient chi(x) times the mean; the
     determinant picks up the sign of the column relabeling and the table's
-    own _plain_sign.  An unreduced table unpacks its final keys directly.
+    own listing sign.  An unreduced table unpacks its final keys directly.
 
     One DP serves every table of a group whose row and column elements each
-    list the group once (_plain_sign not 0), per op and path: the first runs
+    list the group once (a listing sign), per op and path: the first runs
     it on the plain table (_plain_dp) and keeps in _plain_results what its
     tail has before any sign is applied, the orbit means as digit tuples
     and values on the reduced path, the plain table's terms dict on the
@@ -903,34 +943,23 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool,
     sign.  A bordered table (the extended table, the n+1 toeplitz table and
     any reordering of either) reads the permanent's kept layer n-1 and
     expands along its border (_bordered), running the plain DP first if
-    nothing is kept.  Block2n and stretched toeplitz tables, and any table
-    whose plan has neither a sign nor a border (the tests' oracle for a
-    bordered table), run the DP on their own lists on every call.
+    nothing is kept.
     """
-    l, nvars, group = matrix.size, matrix.nvars, matrix.group
-    if plan is None:
+    nvars, group, listing = matrix.nvars, matrix.group, matrix.listing
+    if reduced is None:
         return IntPolynomial.zero(nvars)
-    classes, sign, border = plan  # column element -> columns, in column order
-    reduced = sign != 0
-    if border is not None:
+    if listing.border is not None:
         kept = _plain_results(group)
         if ("layer", reduced) not in kept:
             _plain_dp(group, False, reduced)
-        return IntPolynomial._of(nvars, _bordered(group, kept["layer", reduced], reduced, *border))
-    plain = sign or _plain_sign(matrix)
-    if not plain:
-        sizes = list(classes.values())
-        powers = [(l + 1) ** i for i in range(nvars)]
-        add = group.add_table
-        _, final = _last_layers([[add[r][a] for a in classes] for r in matrix.rows], sizes, signed, [powers])
-        scale = math.prod(map(math.factorial, sizes))
-        coeffs = final.values() if scale == 1 else map(scale.__mul__, final.values())
-        return IntPolynomial._of(nvars, dict(zip(_unpack(final, l + 1, powers), coeffs)))
+        return IntPolynomial._of(nvars, _bordered(group, kept["layer", reduced], reduced, *listing.border))
+    if not listing.sign:
+        return _class_dp(matrix, signed)
     found = _plain_results(group).get((signed, reduced))
     if found is None:
         found = _plain_dp(group, signed, reduced)
     # the determinant's sign against the plain table's
-    flip = plain if signed else 1
+    flip = listing.sign if signed else 1
     if not reduced:  # a copy of the plain table's terms, with this table's sign
         return IntPolynomial._of(nvars, dict(found) if flip == 1 else {e: -c for e, c in found.items()})
     # every translation fixes the full mask: one key of each orbit of the mean
@@ -945,21 +974,23 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool,
 
 
 def _factored_guard(matrix: CayleyMatrix, signed: bool) -> int:
-    """The factored route's guard and plan: the sign _det_factored multiplies by, or 0 for repeated columns.
+    """The factored route's guard and plan: the sign _det_factored multiplies by, or 0 for a repeated row or column.
 
-    The guard counts the (n/e) C(2n-1, n) pushes of _det_factored's layer
-    loop, a binomial capped as _comb_capped caps it: a product of k forms
-    has C(k+n-1, k) terms, about one representative in e, and each
+    It reads the table's shape from matrix.listing.  A table with no repeat
+    and no sign is a minor (l < n), outside the route's domain.  The guard
+    counts the (n/e) C(2n-1, n) pushes of _det_factored's layer loop, a
+    binomial capped as _comb_capped caps it: a product of k forms has
+    C(k+n-1, k) terms, about one representative in e, and each
     representative is pushed over its n labels modulo its stabilizer.
     """
-    if len(set(matrix.cols)) < matrix.size:  # the determinant is 0
+    listing = matrix.listing
+    if listing.repeated:  # the determinant is 0
         return 0
-    sign = _plain_sign(matrix)
-    if not sign:
-        raise ValueError("factored determinant needs row and column elements that each list the group once")
+    if not listing.sign:
+        raise ValueError(f"factored determinant takes no minor: a table of size {matrix.size} < {matrix.nvars}")
     n = matrix.group.order
     guard("factored determinant", n // matrix.group.exponent * _comb_capped(2 * n - 1, n), FACTORED_GUARD)
-    return sign * matrix.group.inversion_sign()
+    return listing.sign * matrix.group.inversion_sign()
 
 
 def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomial:
@@ -968,9 +999,9 @@ def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomia
     det(plain) = sign(inversion permutation) * prod_chi v_chi with the linear
     forms v_chi = sum_i chi(g_i) x_i; a table whose row and column elements
     each list the group once is the plain one permuted, and its determinant
-    takes _plain_sign too (the hat and n x n toeplitz tables: prod_chi
+    takes its listing's sign too (the hat and n x n toeplitz tables: prod_chi
     v_chi).  _factored_guard gives the product of the two signs, or 0 for a
-    table with repeated columns, whose determinant is 0.
+    table with a repeated row or column, whose determinant is 0.
     A coefficient is a sum of at most n! roots of unity, kept as one int
     under zeta_e -> 2^B (zeta_packing has the bound): chi(g_i) = zeta^t is a
     shift by t*B, each layer is reduced mod Phi_e(2^B), and a balanced
@@ -1140,10 +1171,12 @@ def permanent(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
 def determinant(matrix: CayleyMatrix, algorithm: str = "auto") -> IntPolynomial:
     """Determinant as an integer polynomial; algorithm in {auto, leibniz, factored} (ROUTES).
 
-    auto and factored return 0 on repeated columns (extended, block2n and
-    stretched toeplitz tables), and an explicit leibniz run (l <= 10 on
-    such tables) sums all l! signed terms, so it computes the cancellation
-    honestly.
+    auto and factored return 0 on a repeated row or column (extended,
+    block2n and stretched toeplitz tables, and any listing that repeats an
+    element), read off the table's listing, and an explicit leibniz run
+    (l <= 10 on such tables) sums all l! signed terms, so it computes the
+    cancellation honestly.  factored raises ValueError on a minor (l < n
+    with no repeat), the only table outside its domain.
     """
     return _planned(matrix, "det", refuse(matrix, "det", algorithm), algorithm)
 

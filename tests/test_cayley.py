@@ -43,10 +43,10 @@ from abelinv.cayley import (
     LEIBNIZ_GUARD,
     VARIANTS,
     _accumulate_leibniz,
+    _class_dp,
     _cross_parity,
     _dp_pairs,
     _lex_parities,
-    _plain_sign,
     _relabeling,
     _shift_digits,
     _subset_dp,
@@ -108,6 +108,18 @@ def test_block2n_table_tiles_the_plain_table():
     for i in range(2 * n):
         for j in range(2 * n):
             assert t.grid[i][j] == p.grid[i % n][j % n]
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ((0, 1, 2, 3), (0, 1, 2, 3, 0)),  # more columns than rows
+    ((0, 1, 2, 3, 0), (0, 1, 2, 3)),  # more rows than columns
+    ((0, 1, 2, 7), (0, 1, 2, 3)),  # an element index past the group
+    ((0, 1, 2, 3), (-1, 1, 2, 3)),  # a negative index, which a list would read from its end
+    ((), ()),  # the empty table
+])
+def test_a_malformed_listing_is_rejected(rows, cols):
+    with pytest.raises(ValueError, match="l >= 1 row and l column elements in 0..3"):
+        cayley.CayleyMatrix(C4, "plain", rows, cols)
 
 
 def test_toeplitz_table_frozen_display():
@@ -236,11 +248,11 @@ def test_subset_dp_guard_bounds_states():
     # the estimate is sum_k states_k * C(k + v - 1, v - 1): states_k is the number of
     # orbits of k-subsets under every translation of the group (Burnside), else C(l, k)
     plain12 = build_table(parse_group("C12"), "plain")
-    assert _plain_sign(plain12) != 0
+    assert plain12.listing.sign != 0
     assert table_estimate(plain12, True) == 14059916 <= DP_GUARD
     assert table_estimate(plain12, False) == 148321344  # one state per subset
     c2c6 = build_table(parse_group("C2xC6"), "hat")
-    assert _plain_sign(c2c6) != 0
+    assert c2c6.listing.sign != 0
     # 12-fold, as C12: 26690806 under the 6-fold rotations of an element of maximal order
     assert table_estimate(c2c6, True) == 14616108 <= DP_GUARD
     plain13 = build_table(parse_group("C13"), "plain")
@@ -274,7 +286,7 @@ def test_guards_decided_before_the_table_match_the_kernels():
                 label = (group.spec_string, variant, size)
                 assert sorted(sizes) == grid_classes(table), label
                 # the plain table permuted: plain, hat and the n x n toeplitz table
-                translated = _plain_sign(table) != 0
+                translated = table.listing.sign != 0
                 assert translated == (table.size == n and variant in ("plain", "hat", "toeplitz")), label
                 assert _dp_pairs(table.size, sizes, n, None) == table_estimate(table, False), label
                 if translated:
@@ -362,9 +374,9 @@ def test_translation_found_on_the_grid():
         assert _relabeling(parse_group(spec))[:2] == (list(range(n)), 1 % n), spec
     for table in (build_table(C4, "toeplitz"), build_table(C4, "hat"),
                   cayley.CayleyMatrix(C4, "plain", (0, 2, 1, 3), (0, 2, 1, 3))):
-        assert _plain_sign(table) != 0, table.variant
+        assert table.listing.sign != 0, table.variant
     for table in (build_table(C4, "extended"), build_table(C4, "block2n"), build_table(C3, "toeplitz", size=4)):
-        assert _plain_sign(table) == 0, table.variant
+        assert table.listing.sign == 0, table.variant
 
 
 def test_key_translations_agree():
@@ -408,10 +420,10 @@ def test_orbit_dp_matches_unreduced_dp(monkeypatch):
             for signed in (False, True):
                 op = "det" if signed else "per"
                 monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", 0)
-                assert refuse(table, op)[1] != 0, label
+                assert refuse(table, op) is True, label
                 got = subset_dp(table, signed)
                 monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", math.inf)
-                assert refuse(table, op)[1] == 0, label
+                assert refuse(table, op) is False, label
                 assert got == subset_dp(table, signed), (label, signed)
 
 
@@ -577,7 +589,7 @@ def test_square_presentations_share_one_dp_per_op():
             for order in (tables, tables[::-1]):
                 cayley._plain_results.cache_clear()
                 assert [op(table) for table in order] == (fresh if order is tables else fresh[::-1]), group
-        assert {_plain_sign(table) for table in tables} == {1, -1}, group
+        assert {table.listing.sign for table in tables} == {1, -1}, group
 
 
 def test_a_second_presentation_runs_no_dp(monkeypatch):
@@ -613,7 +625,7 @@ def test_orbit_entry_keeps_one_digit_tuple_per_translation_orbit():
             orbits = {frozenset(tuple(exp[add[a][neg[g]]] for a in range(n)) for g in range(n))
                       for exp in poly.terms}
             assert len(reps) == len(orbits) == len({orbit for orbit in orbits for rep in reps if rep in orbit})
-            sign = _plain_sign(hat) * sym.sign if signed else 1
+            sign = hat.listing.sign * sym.sign if signed else 1
             assert [poly.terms[rep] for rep in reps] == [sign * v for v in values], (spec, signed)
 
 
@@ -661,11 +673,6 @@ def test_oracles_read_no_kept_result():
         assert determinant(plain, "leibniz") == determinant(plain, "factored") == det
 
 
-def class_dp(table):
-    """The unreduced class-count DP on the table's own lists: the plan with neither a sign nor a border."""
-    return _subset_dp(table, False, (Counter(table.cols), 0, None))
-
-
 def test_bordered_path_matches_the_class_count_dp():
     # every extended table of order <= 8 and every n+1 toeplitz table of n <= 9, each expanded along
     # its border over the plain table's layer n-1 (unreduced to order 5, by orbit from 6)
@@ -673,9 +680,9 @@ def test_bordered_path_matches_the_class_count_dp():
     tables += [build_table(parse_group(f"C{n}"), "toeplitz", size=n + 1) for n in range(1, 10)]
     for table in tables:
         label = (table.group.spec_string, table.variant)
-        assert refuse(table, "per")[2] == (0, 0), label
+        assert table.listing.border == (0, 0), label
         got = permanent(table)
-        assert got == class_dp(table), label
+        assert got == _class_dp(table, False), label
         assert got.coefficient_sum() == math.factorial(table.size), label
     for n in range(1, 10):
         group = parse_group(f"C{n}")
@@ -697,10 +704,49 @@ def test_reordered_bordered_tables_match_the_class_count_dp(monkeypatch):
                 rng.shuffle(rows)
                 rng.shuffle(cols)
                 table = cayley.CayleyMatrix(group, "plain", tuple(rows), tuple(cols))
-                classes, sign, border = refuse(table, "per")
-                assert border == (r_star, c_star) and bool(sign) == (n > 5 or not threshold), group
-                assert permanent(table) == class_dp(table), (group, rows, cols)
+                assert table.listing.border == (r_star, c_star), group
+                assert refuse(table, "per") == (n > 5 or not threshold), group
+                assert permanent(table) == _class_dp(table, False), (group, rows, cols)
                 assert refuse(table, "det") is None and not determinant(table)
+
+
+def mixed_listings(group, rng):
+    """Seeded (rows, cols) of every kind: permuted square, bordered, a repeated row, l < n, and random."""
+    n = group.order
+    elements = list(range(n))
+    square = rng.sample(elements, n), rng.sample(elements, n)
+    bordered = [rng.sample(elements + [rng.randrange(n)], n + 1) for _ in "rc"]
+    listings = [square, bordered]
+    if n > 1:
+        rows = rng.sample(elements, n)
+        i, j = rng.sample(range(n), 2)
+        rows[i] = rows[j]
+        l = rng.randrange(1, n)
+        listings += [(rows, rng.sample(elements, n)), (rng.sample(elements, l), rng.sample(elements, l))]
+    l = rng.randint(1, n + 1)
+    return listings + [(rng.choices(elements, k=l), rng.choices(elements, k=l))]
+
+
+def test_mixed_listings_match_the_oracles_on_both_dp_paths(monkeypatch):
+    # per group, tables of every kind drawn one after another with the kept results warm, on the
+    # unreduced and (from order 2) the reduced path: auto against Leibniz, and the factored
+    # determinant wherever it admits the table; it refuses a minor (l < n, no repeat) alone
+    rng = random.Random(46)
+    for group in abelian_groups_up_to(8):
+        n = group.order
+        for rows, cols in [listing for _ in range(2) for listing in mixed_listings(group, rng)]:
+            table = cayley.CayleyMatrix(group, "plain", tuple(rows), tuple(cols))
+            label = (group.spec_string, table.rows, table.cols)
+            per, det = permanent(table, "leibniz"), determinant(table, "leibniz")
+            for threshold in (math.inf, 0):
+                monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", threshold)
+                assert permanent(table) == per, (label, threshold)
+                assert determinant(table) == det, (label, threshold)
+            if table.size < n and len(set(rows)) == len(set(cols)) == table.size:
+                with pytest.raises(ValueError, match="minor"):
+                    determinant(table, "factored")
+            else:
+                assert determinant(table, "factored") == det, label
 
 
 def test_bordered_guard_counts_the_plain_dp_and_the_border(monkeypatch):
@@ -756,7 +802,7 @@ def test_a_second_bordered_table_runs_no_dp(monkeypatch):
             others.append(build_table(group, "toeplitz", size=n + 1))
         results = [permanent(table) for table in others]
         assert not calls, spec
-        assert results[0] == first and results[1] == class_dp(others[1]), spec
+        assert results[0] == first and results[1] == _class_dp(others[1], False), spec
 
 
 def test_support_checks_assert_the_coefficient_sum(monkeypatch):
@@ -947,6 +993,7 @@ def test_leibniz_guard_counts_the_permutations_it_counts():
 
 def test_leibniz_kernel_runs_the_plan_its_guard_decided(monkeypatch):
     # the plan is whether the columns list the group once; the route reads no part of the subset DP
+    # and no part of the table's listing
     c4 = parse_group("C4")
     tables = [build_table(c4, v) for v in ("plain", "hat", "extended", "toeplitz")]
     tables += [build_table(C2, "toeplitz", size=5), cayley.CayleyMatrix(c4, "plain", (0, 1, 2, 3), (3, 1, 0, 2))]
@@ -955,8 +1002,10 @@ def test_leibniz_kernel_runs_the_plan_its_guard_decided(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the Leibniz route read a part of the subset DP")
 
-    for name in ("_Symmetry", "_symmetry", "_relabeling", "_plain_sign", "_plain_results"):
+    for name in ("_Symmetry", "_symmetry", "_relabeling", "_plain_results"):
         monkeypatch.setattr(cayley, name, forbidden)
+    # nor the normal form the other guards read: a property overrides the value each table cached
+    monkeypatch.setattr(cayley.CayleyMatrix, "listing", property(forbidden))
     for table, (per, det) in zip(tables, expected):
         plans = {op: refuse(table, op, "leibniz") for op in ("per", "det")}
         assert plans == dict.fromkeys(plans, sorted(table.cols) == list(range(table.nvars))), table
@@ -994,11 +1043,15 @@ def test_subset_dp_matches_factored_determinant():
 def test_determinant_algorithm_dispatch():
     with pytest.raises(ValueError):
         determinant(build_table(C2, "plain"), "ryser")
-    # factored short-circuits tables with repeated columns to the zero polynomial
+    # factored short-circuits a table with a repeated row or column to the zero polynomial, as auto
+    # does before any DP
     assert determinant(build_table(C2, "extended"), "factored").term_count() == 0
-    # and needs row and column elements that each list the group once otherwise
-    with pytest.raises(ValueError):
-        determinant(cayley.CayleyMatrix(C3, "plain", (0, 0, 1), (0, 1, 2)), "factored")
+    repeated_row = cayley.CayleyMatrix(C3, "plain", (0, 0, 1), (0, 1, 2))
+    assert refuse(repeated_row, "det") is None
+    assert determinant(repeated_row, "factored") == IntPolynomial.zero(3) == determinant(repeated_row, "leibniz")
+    # and refuses only a minor (l < n), outside its domain
+    with pytest.raises(ValueError, match="minor"):
+        determinant(cayley.CayleyMatrix(C3, "plain", (0, 1), (0, 2)), "factored")
 
 
 # ---------------------------------------------------------------- supports and counts

@@ -1,5 +1,6 @@
 """The one refusal rule, errors.guard, and the limits decided through it."""
 
+import ast
 import io
 import math
 import re
@@ -90,3 +91,17 @@ def test_exhaustive_action_sweep_admits_8_factorial_and_refuses_9_factorial():
 def test_guard_exceeded_is_constructed_only_by_the_rule():
     makers = [path.name for path in sorted(SRC.glob("*.py")) if re.search(r"GuardExceeded\(", path.read_text())]
     assert makers == ["errors.py"]
+
+
+def test_a_tables_shape_is_read_off_its_lists_only_by_its_listing_and_the_leibniz_guard():
+    # the subset DP and factored guards read the shape through CayleyMatrix.listing alone; the input
+    # check and the Leibniz oracle's own column test are the only other readers of the two lists
+    readers = set()
+    for node in ast.walk(ast.parse((SRC / "cayley.py").read_text())):
+        if isinstance(node, ast.FunctionDef):
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id in ("Counter", "set", "sorted")
+                        and any(isinstance(arg, ast.Attribute) and arg.attr in ("rows", "cols") for arg in call.args)):
+                    readers.add(node.name)
+    assert {"listing", "_leibniz_guard"} <= readers <= {"listing", "__post_init__", "_leibniz_guard"}

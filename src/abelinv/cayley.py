@@ -86,7 +86,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import guard
 from .groups import Element, FiniteAbelianGroup, _permutation_sign, iter_abelian_groups_up_to
-from .molien import _power_binomial_coeffs, sym_dim, sym_series
+from .molien import _binomial_run, sym_dim, sym_series
 from .numtheory import prime_factorization
 from .polynom import IntPolynomial, apply_group_action, unpack_zeta_integers, zeta_packing
 from .report import CheckReport
@@ -613,12 +613,12 @@ def _dp_pairs(l: int, sizes: Sequence[int], v: int, profile: dict[int, int] | No
     if profile is not None:
         states = [0] * (l + 1)
         for o, count in profile.items():
-            for j, c in enumerate(_power_binomial_coeffs(1, l // o, 1)):
+            for j, c in enumerate(_binomial_run(l // o, 1, l // o + 1)):
                 states[j * o] += count * c
         order = sum(profile.values())
         states = [x // order for x in states]
     else:
-        states = _power_binomial_coeffs(1, sizes.count(1), 1)
+        states = _binomial_run(sizes.count(1), 1, sizes.count(1) + 1)
         for m in sizes:
             if m > 1:  # states[k] becomes the sum of states[k-m..k]
                 sums = list(itertools.accumulate([0] * m + states + [0] * m, initial=0))

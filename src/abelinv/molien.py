@@ -268,19 +268,19 @@ def _dimensions(acc: list[int], total: int, what: str, where) -> list[int]:
 _COEFFICIENT_AT = " of {where}: coefficient {value} at t^{degree}"  # ends the message of a series coefficient
 
 
-def _power_binomial_coeffs(d: int, k: int, inner: int, cap: int | None = None) -> list[int]:
-    """Coefficients of (1 + inner*t^d)^k, truncated at degree cap (required when k < 0).
+def _binomial_run(k: int, inner: int, count: int) -> list[int]:
+    """C(k, a) inner^a for a < count: the t^(da) coefficients of (1 + inner*t^d)^k, for every d.
 
-    The t^(da) coefficient C(k, a) inner^a follows from the one before by
-    c_a = c_(a-1) (k - a + 1) inner / a, an exact integer division; for k < 0
-    and inner = -1 this is C(|k| + a - 1, a), the expansion of 1/(1 - t^d)^|k|.
+    Each follows from the one before by c_a = c_(a-1) x / a, an exact
+    integer division, with x = inner (k - a + 1) read off one range; it is
+    0 past a = k when k >= 0, and for k < 0 and inner = -1 it is
+    C(|k| + a - 1, a), the expansion of 1/(1 - t^d)^|k|.  inner is +-1.
     """
-    top = d * k if cap is None else (cap if k < 0 else min(d * k, cap))
-    out = [0] * (top + 1)
+    out = []
     c = 1
-    for a in range(top // d + 1):
-        out[d * a] = c
-        c = c * (k - a) * inner // (a + 1)
+    for a, x in enumerate(range(inner * k, inner * (k - count), -inner), 1):
+        out.append(c)
+        c = c * x // a
     return out
 
 
@@ -299,12 +299,6 @@ def _guard_series(cells: int, bits: int) -> None:
     guard("series coefficients", cells * (256 + bits), SERIES_GUARD)
 
 
-def _add_scaled(acc: list[int], scale: int, coeffs: list[int]) -> None:
-    for k, c in enumerate(coeffs):
-        if c:
-            acc[k] += scale * c
-
-
 def sym_series(source: SeriesSource, i: int = 0, order: int = 10) -> TruncatedSeries1:
     """Symmetric-algebra series (1/|G|) sum_d S_d(chi_i) / (1 - t^d)^(|G|/d).
 
@@ -314,15 +308,22 @@ def sym_series(source: SeriesSource, i: int = 0, order: int = 10) -> TruncatedSe
 
         (1/|G|) sum_{d | m} S_d(chi_i) C(|G|/d + m/d - 1, m/d),
 
-    summed in integers and divided once by |G|, exactly.
+    summed in integers and divided once by |G|, exactly.  Divisor d's term
+    is nonzero only at the multiples of d, so its run is added into every
+    d-th cell; d = 1, the first key, is written straight into the sum.
     """
     total, sums = _order_sums(source, i)
+    if order < 0:
+        raise ValueError(f"series order must be >= 0, got {order}")
     _guard_series(order + 1, _binomial_bits(total + order - 1, order))
-    acc = [0] * (order + 1)
-    for d, s in sums.items():
+    terms = iter(sums.items())
+    _, s = next(terms)  # d = 1
+    acc = [s * c for c in _binomial_run(-total, -1, order + 1)]
+    for d, s in terms:
         if s:
-            _add_scaled(acc, s, _power_binomial_coeffs(d, -(total // d), -1, order))
-    return TruncatedSeries1(order, _dimensions(acc, total, f"sym_series (i = {i})" + _COEFFICIENT_AT, source))
+            run = _binomial_run(-(total // d), -1, order // d + 1)
+            acc[::d] = [x + s * c for x, c in zip(acc[::d], run)]
+    return TruncatedSeries1._of(order, _dimensions(acc, total, f"sym_series (i = {i})" + _COEFFICIENT_AT, source))
 
 
 def ext_series(source: SeriesSource, i: int = 0, order: int | None = None) -> TruncatedSeries1:
@@ -334,18 +335,27 @@ def ext_series(source: SeriesSource, i: int = 0, order: int | None = None) -> Tr
 
         ((-1)^m / |G|) sum_{d | m} S_d(chi_i) (-1)^(m/d) C(|G|/d, m/d),
 
-    summed in integers and divided once by |G|, exactly.
+    summed in integers and divided once by |G|, exactly.  As in sym_series,
+    divisor d's run is added into every d-th cell, here only up to its
+    degree |G|.
     """
     total, sums = _order_sums(source, i)
     if order is None:
         order = total
+    if order < 0:
+        raise ValueError(f"series order must be >= 0, got {order}")
     _guard_series(order + 1, _binomial_bits(total, min(order, total // 2)))
-    acc = [0] * (order + 1)
-    for d, s in sums.items():
+    terms = iter(sums.items())
+    _, s = next(terms)  # d = 1: (1 + t)^|G|, zeros past t^|G|
+    acc = [s * c for c in _binomial_run(total, 1, order + 1)]
+    for d, s in terms:
         if s:
             # (1 - (-t)^d)^k = sum_a binom(k,a) (-1)^((d+1)a) t^(da)
-            _add_scaled(acc, s, _power_binomial_coeffs(d, total // d, (-1) ** (d + 1), order))
-    return TruncatedSeries1(order, _dimensions(acc, total, f"ext_series (i = {i})" + _COEFFICIENT_AT, source))
+            k = total // d
+            run = _binomial_run(k, (-1) ** (d + 1), min(k, order // d) + 1)
+            stop = d * len(run)
+            acc[:stop:d] = [x + s * c for x, c in zip(acc[:stop:d], run)]
+    return TruncatedSeries1._of(order, _dimensions(acc, total, f"ext_series (i = {i})" + _COEFFICIENT_AT, source))
 
 
 def bigraded_series(n: int, i: int, s_order: int, t_order: int) -> TruncatedSeries2:
@@ -353,24 +363,30 @@ def bigraded_series(n: int, i: int, s_order: int, t_order: int) -> TruncatedSeri
 
     Coefficient of s^p t^m is sym_ext_dim(n, p, m, i): each summand is an
     outer product of the pure-s expansion of sym_series and the pure-t
-    polynomial of ext_series, scaled by c_d(i).  The grid is summed in
-    integers and each entry divided once by n, exactly.
+    polynomial of ext_series, scaled by c_d(i).  Divisor d's summand fills
+    every d-th cell of every d-th row, and d = 1 writes each row outright.
+    The grid is summed in integers and each entry divided once by n, exactly.
     """
     if n < 1:
         raise ValueError(f"bigraded_series: need n >= 1, got {n}")
+    if s_order < 0 or t_order < 0:
+        raise ValueError("series orders must be >= 0")
     _guard_series((s_order + 1) * (t_order + 1),
                   _binomial_bits(n + s_order - 1, s_order) + _binomial_bits(n, min(t_order, n // 2)))
-    acc = [[0] * (t_order + 1) for _ in range(s_order + 1)]
-    for d in _divisors(n):
+    c = ramanujan_sum(1, i)
+    t_part = _binomial_run(n, 1, t_order + 1)  # (1 + t)^n, zeros past t^n
+    acc = [[ca * b for b in t_part] for ca in [c * a for a in _binomial_run(-n, -1, s_order + 1)]]
+    for d in _divisors(n)[1:]:
         c = ramanujan_sum(d, i)
         if not c:
             continue
         k = n // d
-        t_part = _power_binomial_coeffs(d, k, (-1) ** (d + 1), t_order)
-        for row, a in zip(acc, _power_binomial_coeffs(d, -k, -1, s_order)):
-            if a:
-                _add_scaled(row, c * a, t_part)
-    return TruncatedSeries2(s_order, t_order, [
+        t_part = _binomial_run(k, (-1) ** (d + 1), min(k, t_order // d) + 1)
+        stop = d * len(t_part)
+        for row, a in zip(acc[::d], _binomial_run(-k, -1, s_order // d + 1)):
+            ca = c * a
+            row[:stop:d] = [x + ca * b for x, b in zip(row[:stop:d], t_part)]
+    return TruncatedSeries2._of(s_order, t_order, [
         _dimensions(row, n, f"bigraded_series (i = {i}), s^{p} row" + _COEFFICIENT_AT, f"C{n}")
         for p, row in enumerate(acc)
     ])

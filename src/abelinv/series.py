@@ -3,7 +3,9 @@
 TruncatedSeries1 and TruncatedSeries2 hold the integer coefficients of the
 isotypic series (one and two variables), truncated per variable at a fixed
 order (inclusive).  They are results, not a ring: they add, compare, print
-and serialize, and any coefficient that is not an int is refused.  The log
+and serialize, and any coefficient that is not an int is refused.  The
+constructors check and pad what they are given; _of adopts rows the package
+built itself, already order + 1 ints each, without a rescan.  The log
 identities build their tables of E log(1 + u) in molien, from a recurrence.
 """
 
@@ -32,6 +34,14 @@ class TruncatedSeries1:
             raise ValueError(f"{len(coeffs)} coefficients exceed order {order}")
         self.order = order
         self.coeffs = _int_row(coeffs, order + 1)
+
+    @classmethod
+    def _of(cls, order: int, coeffs: Sequence[int]) -> "TruncatedSeries1":
+        """Adopt exactly order + 1 int coefficients, unchecked: for rows the package built itself."""
+        series = object.__new__(cls)
+        series.order = order
+        series.coeffs = tuple(coeffs)
+        return series
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries1":
@@ -92,6 +102,15 @@ class TruncatedSeries2:
         self.t_order = t_order
         rows = [_int_row(row, t_order + 1) for row in grid]
         self.grid = tuple(rows) + ((0,) * (t_order + 1),) * (s_order + 1 - len(rows))
+
+    @classmethod
+    def _of(cls, s_order: int, t_order: int, rows: Sequence[Sequence[int]]) -> "TruncatedSeries2":
+        """Adopt exactly s_order + 1 rows of t_order + 1 ints, unchecked: for grids the package built itself."""
+        series = object.__new__(cls)
+        series.s_order = s_order
+        series.t_order = t_order
+        series.grid = tuple(map(tuple, rows))
+        return series
 
     @classmethod
     def one(cls, s_order: int, t_order: int) -> "TruncatedSeries2":

@@ -13,6 +13,7 @@ from abelinv import (
     FiniteAbelianGroup,
     GuardExceeded,
     TruncatedSeries1,
+    TruncatedSeries2,
     bigraded_series,
     abelian_groups_up_to,
     character_order_sums,
@@ -263,6 +264,16 @@ def test_series_input_validation():
         ext_series({1: 1, 5: 2})  # 5 does not divide 3
     with pytest.raises(ValueError):
         sym_series(parse_group("C3"), 3, 5)  # index out of range
+    # the builders adopt their rows unchecked, so each refuses a negative order itself
+    with pytest.raises(ValueError, match=r"^series order must be >= 0, got -1$"):
+        sym_series(parse_group("C4"), 0, -1)
+    with pytest.raises(ValueError, match=r"^series order must be >= 0, got -1$"):
+        sym_series({1: 1, 2: 1}, 0, -1)
+    with pytest.raises(ValueError, match=r"^series order must be >= 0, got -1$"):
+        ext_series(parse_group("C4"), 0, -1)
+    for s_order, t_order in ((-1, 3), (3, -1), (-1, -1)):
+        with pytest.raises(ValueError, match=r"^series orders must be >= 0$"):
+            bigraded_series(4, 0, s_order, t_order)
 
 
 def test_profile_series_reject_non_dimensions():
@@ -420,6 +431,28 @@ def test_bigraded_matches_joint_dims():
             for p in range(7):
                 for m in range(n + 1):
                     assert grid.coefficient(p, m) == sym_ext_dim(n, p, m, i), (n, i, p, m)
+
+
+@pytest.mark.parametrize("n", [30, 66, 210])
+def test_strided_series_match_the_point_dimensions(n):
+    # squarefree orders with 8 or 16 divisors: each divisor's run fills every d-th cell (every d-th row),
+    # so a stride that drops or doubles a cell shows here
+    group = parse_group(f"C{n}")
+    for i in (0, 1, n - 1):
+        grid = bigraded_series(n, i, 24, 16)
+        assert [list(row) for row in grid.grid] == [[sym_ext_dim(n, p, m, i) for m in range(17)] for p in range(25)]
+        sym = sym_series(group, i, 40)
+        assert list(sym.coeffs) == [sym_dim(n, m, i) for m in range(41)]
+        for ext in (ext_series(group, i), ext_series(group, i, 40), ext_series(group, i, n + 5)):
+            assert list(ext.coeffs) == [ext_dim(n, m, i) for m in range(ext.order + 1)]
+            assert TruncatedSeries1(ext.order, ext.coeffs) == ext
+        # the adopted rows are what the checking constructors build
+        assert TruncatedSeries1(sym.order, sym.coeffs) == sym
+        assert TruncatedSeries2(grid.s_order, grid.t_order, grid.grid) == grid
+    with pytest.raises(TypeError):
+        TruncatedSeries1(sym.order, (*sym.coeffs[:-1], Fraction(1, 2)))
+    with pytest.raises(TypeError):
+        TruncatedSeries2(grid.s_order, grid.t_order, (*grid.grid[:-1], (*grid.grid[-1][:-1], 0.5)))
 
 
 def test_bigraded_edges_recover_single_series():

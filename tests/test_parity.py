@@ -46,3 +46,10 @@ def test_every_command_has_its_json_form():
     assert "cayley per --group C13 --variant extended" in parity.BORDERED
     assert "cayley per --group C9 --variant toeplitz --l 10" in parity.BORDERED
     assert {cmd.split("--alg ")[1] for cmd in plain if "--alg" in cmd} == {"leibniz", "factored"}
+    # series at 8 and 16 divisors: 5 orders x 3 weights x 6 cells, 6 on C2xC2xC6, 3 negative orders
+    assert all(cmd in plain and f"--json {cmd}" in cmds for cmd in parity.STRIDES)
+    assert len(parity.STRIDES) == len(set(parity.STRIDES)) == 99
+    assert "series bigraded --group C210 --order 40 --i 209" in parity.STRIDES
+    assert "series ext --group C2xC2xC6 --order 40 --i 23" in parity.STRIDES
+    assert {cmd for cmd in parity.STRIDES if "-1" in cmd.split()} == {
+        f"series {kind} --group C4 --order -1" for kind in ("sym", "ext", "bigraded")}

@@ -9,7 +9,10 @@ and stderr after masking the `elapsed` timings.  The commands are the
 read from this tree), the `--json` form of each, and a grid: `dim`, `series`,
 `cayley` and `check actions` over the groups of order at most 8, `dim sw` with
 gcd(p, q, m) > 1, `check actions --samples 500` at orders 6-9, one larger
-`check reciprocity` and `check identity` each, the checks whose planners
+`check reciprocity` and `check identity` each, `series sym|ext|bigraded` at the
+squarefree orders 30, 42, 66, 70 and 210 (8 or 16 divisors, each filling
+every d-th cell) and on C2xC2xC6, with the negative orders each builder
+refuses, the checks whose planners
 decide their table guards (admitted and refused runs of `check hall`,
 `invariance`, `extended`, `conjecture` and `all`, and `check lehmer` at an
 unsupported prime), the oracle routes (`cayley per|det --alg leibniz` at
@@ -66,6 +69,16 @@ BORDERED = tuple(f"cayley per --group {g} --variant extended"
     f"cayley per --group C{n} --variant toeplitz --l {n + 1}" for n in range(6, 10)) + (
     "cayley per --group C13 --variant extended",)
 
+# series at squarefree orders with 8 or 16 divisors, where divisor d's run fills every d-th cell (and,
+# bigraded, every d-th row): sym and bigraded to orders 24 and 40, ext whole and cut at 40 (past the
+# polynomial's degree at n = 30); one non-cyclic group; and the negative orders each builder refuses
+STRIDES = tuple(
+    f"series {kind} --group C{n}{order} --i {i}" for n in (30, 42, 66, 70, 210) for i in (0, 1, n - 1)
+    for kind, order in (("sym", " --order 24"), ("sym", " --order 40"), ("ext", ""), ("ext", " --order 40"),
+                        ("bigraded", " --order 24"), ("bigraded", " --order 40"))) + tuple(
+    f"series {kind} --group C2xC2xC6 --order 40 --i {i}" for kind in ("sym", "ext") for i in (0, 1, 23)) + tuple(
+    f"series {kind} --group C4 --order -1" for kind in ("sym", "ext", "bigraded"))
+
 # one refused command per limit not refused above: grid cells, Leibniz permutations, factored
 # pushes, support enumeration, both action bounds, element-sum counting, dimension binomial bits,
 # series coefficients, reciprocity comparisons, identity series terms and trial divisions
@@ -106,7 +119,7 @@ def grid_commands() -> list[str]:
     cmds += [f"check actions --group {g}" for g in GROUPS]
     cmds += [f"check actions --group {g} --samples 500" for g in ORDER_6_9]
     cmds += ["check reciprocity --max-total 12 --fredman-total 20", "check identity --order 20"]
-    cmds += SWEEPS + ORACLES + BORDERED + REFUSALS + LARGE
+    cmds += STRIDES + SWEEPS + ORACLES + BORDERED + REFUSALS + LARGE
     cmds = list(dict.fromkeys(cmds))  # C1 repeats some of its m and i
     return cmds + [f"--json {cmd}" for cmd in cmds]
 

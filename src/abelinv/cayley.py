@@ -17,20 +17,23 @@ plain table with its rows and columns permuted, so it has the plain
 table's permanent and its determinant up to the signs of the two lists.
 On the plain table translation permutes the columns and shifts the
 variables, the permanent is invariant and the determinant semi-invariant,
-so the program keeps one state per orbit of column sets under all |G|
-translations (C12 and C2xC6 in seconds); other tables keep one per class
-count.  All it reads of that action is one record (_Symmetry: relabeled
+so from order 6 (ORBIT_MIN_PAIRS) the program keeps one state per orbit
+of column sets under all |G| translations (C12 and C2xC6 in seconds);
+other tables, and every table of order 5 or less, keep one per class
+count, on the table's own lists (_class_dp, the one unreduced DP).  All
+the orbit path reads of that action is one record (_Symmetry: relabeled
 grid, per-element key operations and weights, orbit table, characters),
 cached per group and shared by the permanent and the determinant.  Those
 tables also share one DP per group and op: the first keeps the plain
 table's sign-free result (_plain_results: the orbit means, or below the
-reduction's threshold the terms), and every one of them expands or copies
-it with its own sign.  A bordered table, whose rows list the group once
-plus one element and whose columns list it once plus one (the extended
-table, the (n+1)-wide toeplitz table, any reordering of either), has its
-permanent expanded along that extra row and column (_bordered): every
-minor is a translate of the plain DP's one layer-(n-1) state that the
-plain permanent's run keeps, so the same DP serves it too.
+reduction's threshold the class DP's terms), and every one of them
+expands or copies it with its own sign.  A bordered table, whose rows
+list the group once plus one element and whose columns list it once plus
+one (the extended table, the (n+1)-wide toeplitz table, any reordering of
+either), runs the class DP below that threshold; above it its permanent
+is expanded along that extra row and column (_bordered): every minor is
+a translate of the plain DP's one layer-(n-1) state that the plain
+permanent's orbit run keeps, so the same DP serves it too.
 Every kernel ends alike: its packed exponent keys are unpacked one digit
 column at a time (_unpack), and IntPolynomial._of adopts the terms dict it
 builds without a copy or a rescan.
@@ -483,15 +486,15 @@ class _Symmetry(NamedTuple):
     by a power of B, along the other axes a digit shift on fields of w =
     (n+1).bit_length() bits (B = 2^w), two masks and two shifts per axis.  A
     cyclic group has the one empty shift and B = n + 2.  Either way a digit
-    holds any exponent up to n + 1, so the bordered permanent (_bordered),
-    whose x_0^(n+1) reaches n + 1, adds its border to the plain table's keys
-    without repacking them.  B = n + 2 costs C9 its one-digit keys (11^9 >
-    2^30): its plain permanent went from 4.7 to 5.1 ms and its determinant
-    from 5.0 to 5.6 ms (warm, 2 vCPUs), against a repack of every kept
-    layer-(n-1) state and a second set of key operations; B = 16 made C9
-    about 25% slower.  images(key)
-    lists every translate of one key in label order, shifting once per
-    complement digit.
+    holds any exponent up to n + 1, so the bordered permanent on the orbit
+    path (_bordered), whose x_0^(n+1) reaches n + 1, adds its border to the
+    plain table's keys without repacking them.  B = n + 2 costs C9 its
+    one-digit keys (11^9 > 2^30): its plain permanent went from 4.7 to 5.1
+    ms and its determinant from 5.0 to 5.6 ms (warm, 2 vCPUs), against a
+    repack of every kept layer-(n-1) state and a second set of key
+    operations; B = 16 made C9 about 25% slower.  images(key) lists every
+    translate of one key in label order, shifting once per complement
+    digit.
 
     orbit[S], for each column mask S = T_x(R), is (R, label of -x, sign): T_x
     translates the columns by x and R is the smallest mask of the orbit of S
@@ -577,7 +580,7 @@ def _symmetry(group: FiniteAbelianGroup) -> _Symmetry:
 
 
 @functools.lru_cache(maxsize=64)
-def _plain_results(group: FiniteAbelianGroup) -> dict[tuple, object]:
+def _plain_results(group: FiniteAbelianGroup) -> dict[tuple | str, object]:
     """The subset DP's sign-free results for the plain table of a group, keyed (signed, reduced).
 
     Every table whose row and column elements each list the group once has
@@ -586,11 +589,12 @@ def _plain_results(group: FiniteAbelianGroup) -> dict[tuple, object]:
     and path (_plain_dp), fills this dict with what its tail already has,
     and answers the other tables from it: a reduced entry is the orbit
     means (digit tuples and values, one per translation orbit of the
-    support), an unreduced one the plain table's terms dict.  The
-    permanent's run also keeps, under ("layer", reduced), the packed
-    layer-(n-1) state F missing one column, which every bordered table of
-    the group expands along its border (_bordered).  Kept for 64 groups, as
-    _symmetry is.
+    support), an unreduced one the terms dict of _class_dp's run on the
+    plain table.  The permanent's orbit run also keeps, under "layer", the
+    packed layer-(n-1) state F missing one column, which every bordered
+    table of the group expands along its border (_bordered); a group below
+    the orbit threshold keeps no layer, as its bordered tables run
+    _class_dp on their own lists.  Kept for 64 groups, as _symmetry is.
     """
     return {}
 
@@ -639,28 +643,27 @@ def _dp_guard(matrix: CayleyMatrix, signed: bool) -> bool | None:
     the listing's classes.  Above ORBIT_MIN_PAIRS unreduced pairs, a table of
     order 2 or more that is the plain table permuted (its listing has a
     sign) counts the orbit states of the plain table's record, and runs
-    reduced; otherwise it runs unreduced.  A bordered table (its listing has
-    a border) runs the plain table's DP on the plain table's path, and
-    counts it plus the border's pushes: C(n+1, 2) border monomials in all
-    (_bordered), each times at most the Catalan number C(2n-2, n-1)/n of
-    terms of one layer-(n-1) state (its monomials of degree n-1 with one
-    element sum; n-1 is prime to n, so translation permutes the n sums and
-    each takes an equal share).  No record is built for a table refused
-    here.
+    reduced; otherwise it runs unreduced on its own classes (_class_dp) and
+    counts their pairs.  A bordered table (its listing has a border) runs reduced when the plain
+    table does, and then counts the plain table's orbit DP plus the
+    border's pushes: C(n+1, 2) border monomials in all (_bordered), each
+    times at most the Catalan number C(2n-2, n-1)/n of terms of one
+    layer-(n-1) state (its monomials of degree n-1 with one element sum;
+    n-1 is prime to n, so translation permutes the n sums and each takes an
+    equal share).  No record is built for a table refused here.
     """
     group, l, n, listing = matrix.group, matrix.size, matrix.group.order, matrix.listing
     if signed and listing.repeated:
         return None
     border = listing.border
-    sizes = [1] * n if border else list(listing.classes.values())
-    side = n if border else l
-    estimate = _dp_pairs(side, sizes, n, None)
     # C1 has no record: its key modulus B^n - 1 would be 1
-    reduced = estimate > ORBIT_MIN_PAIRS and side > 1 and bool(border or listing.sign)
-    if reduced:
-        estimate = _dp_pairs(side, sizes, n, group.order_profile())
-    if border:
-        estimate += math.comb(n + 1, 2) * math.comb(2 * n - 2, n - 1) // n
+    reduced = n > 1 and bool(border or listing.sign) and _dp_pairs(n, [1] * n, n, None) > ORBIT_MIN_PAIRS
+    if not reduced:
+        estimate = _dp_pairs(l, list(listing.classes.values()), n, None)
+    else:
+        estimate = _dp_pairs(n, [1] * n, n, group.order_profile())
+        if border:
+            estimate += math.comb(n + 1, 2) * math.comb(2 * n - 2, n - 1) // n
     guard("subset DP states", estimate, DP_GUARD)
     return reduced
 
@@ -773,41 +776,36 @@ def _last_layers(rows: Sequence[Sequence[int]], sizes: Sequence[int], signed: bo
 def _plain_dp(group: FiniteAbelianGroup, signed: bool, reduced: bool) -> object:
     """Run the subset DP on the plain table, keep its sign-free result in _plain_results and return it.
 
-    Rows are placed in element order, so the last row is element n-1.  A
-    permanent's run also keeps layer n-1's state F missing one column m:
-    on the reduced path layer n-1 is one orbit state W, the sum of the n
-    translates of the state of its representative mask (the columns of
+    Unreduced, it is _class_dp on the plain table, kept as its terms dict.
+    Reduced, rows are placed in element order, so the last row is element
+    n-1, and a permanent's run also keeps, under "layer", layer n-1's state
+    F missing one column m: layer n-1 is one orbit state W, the sum of the
+    n translates of the state of its representative mask (the columns of
     labels 0..n-2, so m is the element of label n-1), each carried back to
-    it, so F = W / n exactly; on the unreduced path it is the state that
-    misses column n-1.  Unreduced keys are packed base n+2, as the record's
-    cyclic keys are, so that F takes the border of an (n+1)-row table.
+    it, so F = W / n exactly.
     """
     n = group.order
     kept = _plain_results(group)
-    if reduced:
+    if not reduced:
+        elements = tuple(range(n))
+        found: object = _class_dp(CayleyMatrix(group, "plain", elements, elements), signed).terms
+    else:
         sym = _symmetry(group)
         previous, final = _last_layers(sym.grid, [1] * n, signed, sym.weights, sym.orbit, sym.ops, sym.modulus)
         # the permanent's characters are all 1
         means = _orbit_means(final, sym.images, sym.chis if signed else [1] * n)
-        found: object = list(_unpack(means, sym.base, [sym.base**i for i in range(n)])), list(means.values())
+        found = list(_unpack(means, sym.base, [sym.base**i for i in range(n)])), list(means.values())
         if not signed:
             (layer,) = previous.values()
             if any(coeff % n for coeff in layer.values()):
                 raise AssertionError("layer n-1 is not n times the state of its representative")
-            kept["layer", reduced] = {key: coeff // n for key, coeff in layer.items()}
-    else:
-        powers = [(n + 2) ** i for i in range(n)]
-        previous, final = _last_layers(group.add_table, [1] * n, signed, [powers])
-        found = dict(zip(_unpack(final, n + 2, powers), final.values()))
-        if not signed:
-            kept["layer", reduced] = previous[(1 << (n - 1)) - 1]
+            kept["layer"] = {key: coeff // n for key, coeff in layer.items()}
     kept[signed, reduced] = found
     return found
 
 
-def _bordered(group: FiniteAbelianGroup, layer: dict[int, int], reduced: bool,
-              r_star: int, c_star: int) -> dict[tuple[int, ...], int]:
-    """The terms of the permanent of a bordered table, by expansion along its border.
+def _bordered(group: FiniteAbelianGroup, layer: dict[int, int], r_star: int, c_star: int) -> dict[tuple[int, ...], int]:
+    """The terms of the permanent of a bordered table on the orbit path, by expansion along its border.
 
     The table's rows list the group once plus r*, its columns once plus c*,
     and a permanent does not see their order, so take r* and c* last.  Its
@@ -828,28 +826,14 @@ def _bordered(group: FiniteAbelianGroup, layer: dict[int, int], reduced: bool,
     monomial being one of its pairs: B_c has (n + #{u: 2u = s}) / 2
     monomials, and as s meets every element once the border pushes
     C(n+1, 2) monomials in all.  F_c is read off the kept state F, which
-    misses column m: F_(m+t) = sigma_t(F), the translation by t, through the
-    record's key operations on the reduced path and by moving the digits
-    on the unreduced one (see _plain_dp).
+    misses column m (see _plain_dp): F_(m+t) = sigma_t(F), the translation
+    by t through the record's key operations.
     """
     n = group.order
     add = group.add_table
-    if reduced:
-        sym = _symmetry(group)
-        base, labels = sym.base, sym.labels
-        m = labels.index(n - 1)
-
-        def translated(t: int) -> list[int]:  # the keys of F_(m+t), in the order of F's
-            mult, masks = sym.ops[labels[t]]
-            return [key * mult % sym.modulus for key in _shift_digits(layer, masks)]
-    else:
-        base, labels, m = n + 2, list(range(n)), n - 1
-        powers = [base**i for i in range(n)]
-        digits = list(_unpack(layer, base, powers))
-
-        def translated(t: int) -> list[int]:
-            moved = [powers[a] for a in add[t]]
-            return [sum(map(operator.mul, d, moved)) for d in digits]
+    sym = _symmetry(group)
+    base, labels = sym.base, sym.labels
+    m = labels.index(n - 1)
     place = [base**p for p in labels]  # the packed x_a
     corner, last = add[r_star][c_star], n - 1
     values = list(layer.values())
@@ -857,16 +841,17 @@ def _bordered(group: FiniteAbelianGroup, layer: dict[int, int], reduced: bool,
     out: dict[int, int] = {}
     get = out.get
     for t in range(n):
-        keys = translated(t)
+        mult, masks = sym.ops[labels[t]]
+        keys = [key * mult % sym.modulus for key in _shift_digits(layer, masks)]  # the keys of F_(m+t)
         c = add[m][t]
         s = add[corner][add[last][c]]
         # the pairs u + v = s, and the corner, which is one of them
         border = {place[u] + place[v]: 2 - (u == v) for u, v in enumerate(row.index(s) for row in add) if u <= v}
         border[place[corner] + place[add[last][c]]] += 1
-        for w, mult in border.items():
-            if mult not in scaled:
-                scaled[mult] = [mult * coeff for coeff in values]
-            for key, coeff in zip(keys, scaled[mult]):
+        for w, count in border.items():
+            if count not in scaled:
+                scaled[count] = [count * coeff for coeff in values]
+            for key, coeff in zip(keys, scaled[count]):
                 key += w
                 out[key] = get(key, 0) + coeff
     return dict(zip(_unpack(out, base, place), out.values()))
@@ -887,10 +872,12 @@ def _class_dp(matrix: CayleyMatrix, signed: bool) -> IntPolynomial:
     Placing row i in column j passes the taken columns to its right,
     popcount(mask >> (j+1)) inversions, which gives the sign; a signed run
     needs distinct columns.  This is the subset form of Ryser's
-    inclusion-exclusion (Nijenhuis & Wilf 1978).  Every table whose listing
-    has neither a sign nor a border (block2n and stretched toeplitz tables,
-    minors, repeated rows) runs it on every call, and the tests take it as
-    the oracle of a bordered table.
+    inclusion-exclusion (Nijenhuis & Wilf 1978).  It is the one unreduced
+    subset DP: every table its plan does not reduce and whose listing has no
+    sign (block2n and stretched toeplitz tables, minors, repeated rows, and
+    the bordered tables of order 5 or less) runs it on every call, and the
+    plain table's unreduced DP (_plain_dp) is its run on the plain table.
+    The tests take it as the oracle of a bordered table on the orbit path.
     """
     l, nvars, add = matrix.size, matrix.nvars, matrix.group.add_table
     classes = matrix.listing.classes  # column element -> columns, in column order
@@ -907,15 +894,15 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool, reduced: bool | None) -> IntP
 
     reduced is that plan: None for a determinant that is 0, else whether
     the table runs on the orbit states.  The table's shape is read from
-    matrix.listing.  A table whose listing has neither a sign nor a border
-    runs _class_dp; the plain table's DP (_plain_dp) is that DP with its
-    keys packed base n+2, or a power of two above n+1 on a reduced
-    non-cyclic table (see _Symmetry).
+    matrix.listing.  A table the plan does not reduce and whose listing has
+    no sign runs _class_dp on its own lists, the bordered tables of order 5
+    or less included.
 
     A table the plan reduces (the plain table with its rows and columns
     permuted, above ORBIT_MIN_PAIRS unreduced pairs) runs on the plain
-    table's _Symmetry record, which says how sigma_x acts on packed keys,
-    and keeps one state per orbit of column masks under every
+    table's _Symmetry record, which says how sigma_x acts on packed keys
+    (base n+2, or a power of two above n+1 on a non-cyclic group), and
+    keeps one state per orbit of column masks under every
     translation of the group: its partial sums obey P_(T_x S) = sign(T_x, S)
     sigma_x(P_S), where sigma_x moves every variable label by x and
     sign(T_x, S) is -1 to the number of pairs of S that T_x reverses; a key
@@ -932,29 +919,29 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool, reduced: bool | None) -> IntP
     exponent vector is read off its digits (exponents[x], which maps the
     labels back through phi), with coefficient chi(x) times the mean; the
     determinant picks up the sign of the column relabeling and the table's
-    own listing sign.  An unreduced table unpacks its final keys directly.
+    own listing sign.
 
     One DP serves every table of a group whose row and column elements each
     list the group once (a listing sign), per op and path: the first runs
     it on the plain table (_plain_dp) and keeps in _plain_results what its
     tail has before any sign is applied, the orbit means as digit tuples
-    and values on the reduced path, the plain table's terms dict on the
-    unreduced one, and every call expands or copies that entry with its own
-    sign.  A bordered table (the extended table, the n+1 toeplitz table and
-    any reordering of either) reads the permanent's kept layer n-1 and
-    expands along its border (_bordered), running the plain DP first if
-    nothing is kept.
+    and values on the reduced path, the plain table's terms dict from
+    _class_dp on the unreduced one, and every call expands or copies that
+    entry with its own sign.  A bordered table on the orbit path (the
+    extended table, the n+1 toeplitz table and any reordering of either,
+    from order 6) reads the permanent's kept layer n-1 and expands along
+    its border (_bordered), running the plain DP first if nothing is kept.
     """
     nvars, group, listing = matrix.nvars, matrix.group, matrix.listing
     if reduced is None:
         return IntPolynomial.zero(nvars)
+    if not (reduced or listing.sign):
+        return _class_dp(matrix, signed)
     if listing.border is not None:
         kept = _plain_results(group)
-        if ("layer", reduced) not in kept:
-            _plain_dp(group, False, reduced)
-        return IntPolynomial._of(nvars, _bordered(group, kept["layer", reduced], reduced, *listing.border))
-    if not listing.sign:
-        return _class_dp(matrix, signed)
+        if "layer" not in kept:
+            _plain_dp(group, False, True)
+        return IntPolynomial._of(nvars, _bordered(group, kept["layer"], *listing.border))
     found = _plain_results(group).get((signed, reduced))
     if found is None:
         found = _plain_dp(group, signed, reduced)

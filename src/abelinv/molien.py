@@ -247,19 +247,19 @@ def _order_sums(source: SeriesSource, i: int) -> tuple[int, dict[int, int]]:
     return sum(prof.values()), prof
 
 
-def _dimensions(acc: list[int], total: int, what: str, where) -> list[int]:
+def _dimensions(acc: list[int], total: int, what: str, where, **fields) -> list[int]:
     """acc[k] / total for every k, unless one of them is no dimension.
 
     A remainder or a negative quotient is a fault of the code
     (AssertionError), or bad input (ValueError) when `where` is an order
     profile.  The message, what.format(value=acc[k] / total, degree=k,
-    where=where) + " is not a dimension", is built only then.
+    where=where, **fields) + " is not a dimension", is built only then.
     """
     out = []
     for c in acc:
         q, r = divmod(c, total)
         if r or q < 0:
-            msg = what.format(value=Fraction(c, total), degree=len(out), where=where)
+            msg = what.format(value=Fraction(c, total), degree=len(out), where=where, **fields)
             raise (ValueError if isinstance(where, Mapping) else AssertionError)(f"{msg} is not a dimension")
         out.append(q)
     return out
@@ -386,10 +386,8 @@ def bigraded_series(n: int, i: int, s_order: int, t_order: int) -> TruncatedSeri
         for row, a in zip(acc[::d], _binomial_run(-k, -1, s_order // d + 1)):
             ca = c * a
             row[:stop:d] = [x + ca * b for x, b in zip(row[:stop:d], t_part)]
-    return TruncatedSeries2._of(s_order, t_order, [
-        _dimensions(row, n, f"bigraded_series (i = {i}), s^{p} row" + _COEFFICIENT_AT, f"C{n}")
-        for p, row in enumerate(acc)
-    ])
+    what, where = f"bigraded_series (i = {i}), s^{{p}} row" + _COEFFICIENT_AT, f"C{n}"
+    return TruncatedSeries2._of(s_order, t_order, [_dimensions(row, n, what, where, p=p) for p, row in enumerate(acc)])
 
 
 def _ext_total(source: SeriesSource, i: int) -> int:

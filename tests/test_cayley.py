@@ -1,5 +1,6 @@
 """Group multiplication tables, symbolic permanents/determinants, checkers."""
 
+import ast
 import functools
 import io
 import itertools
@@ -7,6 +8,7 @@ import math
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -644,17 +646,57 @@ def test_tables_with_repeated_columns_run_their_dp_on_every_call(monkeypatch):
 
 
 def test_a_bordered_table_reads_the_kept_layer(monkeypatch):
-    # the C3 extended table runs the plain table's n rows once, keeps its layer n-1 and the plain
-    # permanent, and a second call (or the n+1 toeplitz table) runs no row; its determinant is 0
+    # on the orbit path the C6 extended table runs the plain table's n rows once, keeps its layer n-1
+    # and the plain permanent, and a second call (or the n+1 toeplitz table) runs no row; its
+    # determinant is 0.  C3's bordered tables run the class-count DP on their own rows and keep nothing
     sizes = layer_sizes(monkeypatch)
-    extended, toeplitz = build_table(C3, "extended"), build_table(C3, "toeplitz", size=4)
+    C6 = parse_group("C6")
+    extended, toeplitz = build_table(C6, "extended"), build_table(C6, "toeplitz", size=7)
     first = permanent(extended)
-    assert len(sizes) == C3.order
-    assert set(cayley._plain_results(C3)) == {(False, False), ("layer", False)}
+    assert len(sizes) == C6.order
+    assert set(cayley._plain_results(C6)) == {(False, True), "layer"}
     sizes.clear()
     assert permanent(extended) == permanent(toeplitz) == first
-    assert permanent(build_table(C3, "plain")) == permanent(build_table(C3, "plain"), "leibniz")
+    assert permanent(build_table(C6, "plain")) == permanent(build_table(C6, "plain"), "leibniz")
     assert not sizes and not determinant(extended) and not determinant(toeplitz)
+    for table in (build_table(C3, "extended"), build_table(C3, "toeplitz", size=4)):
+        sizes.clear()
+        assert permanent(table) == permanent(table, "leibniz")
+        assert len(sizes) == table.size
+    assert not cayley._plain_results(C3)
+
+
+def test_small_bordered_tables_run_the_class_count_dp_and_keep_no_layer(monkeypatch):
+    # below the orbit threshold every bordered table (extended, n+1 toeplitz, a reordered listing) is
+    # a table like any other for _class_dp: each call runs its l rows, and no layer n-1 is kept
+    sizes = layer_sizes(monkeypatch)
+    rng = random.Random(48)
+    for group in abelian_groups_up_to(5):
+        n = group.order
+        rows, cols = rng.sample(range(n), n) + [rng.randrange(n)], rng.sample(range(n), n) + [rng.randrange(n)]
+        tables = [build_table(group, "extended"), cayley.CayleyMatrix(group, "plain", tuple(rows), tuple(cols))]
+        if group.is_cyclic_presentation:
+            tables.append(build_table(group, "toeplitz", size=n + 1))
+        for table in tables:
+            assert table.listing.border is not None and refuse(table, "per") is False, group
+            for _ in range(2):
+                sizes.clear()
+                got = permanent(table)
+                assert len(sizes) == table.size, group
+            assert got == permanent(table, "leibniz"), (group, table.rows, table.cols)
+            assert not determinant(table)
+        assert not [key for key in cayley._plain_results(group) if "layer" in key], group
+
+
+def test_only_the_class_count_dp_and_the_orbit_path_run_the_subset_dp():
+    # one unreduced DP: _class_dp runs the layers of every unreduced table, the plain one included,
+    # and _plain_dp runs them once, on the orbit record
+    callers = Counter()
+    for node in ast.walk(ast.parse(Path(cayley.__file__).read_text())):
+        if isinstance(node, ast.FunctionDef):
+            callers.update(node.name for call in ast.walk(node)
+                           if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_last_layers")
+    assert callers == {"_class_dp": 1, "_plain_dp": 1}
 
 
 def test_oracles_read_no_kept_result():
@@ -674,8 +716,9 @@ def test_oracles_read_no_kept_result():
 
 
 def test_bordered_path_matches_the_class_count_dp():
-    # every extended table of order <= 8 and every n+1 toeplitz table of n <= 9, each expanded along
-    # its border over the plain table's layer n-1 (unreduced to order 5, by orbit from 6)
+    # every extended table of order <= 8 and every n+1 toeplitz table of n <= 9: from order 6 the
+    # expansion along its border over the plain orbit DP's layer n-1, below it the class-count DP
+    # itself, whose coefficient sum is still checked
     tables = [build_table(g, "extended") for g in abelian_groups_up_to(8)]
     tables += [build_table(parse_group(f"C{n}"), "toeplitz", size=n + 1) for n in range(1, 10)]
     for table in tables:
@@ -750,21 +793,27 @@ def test_mixed_listings_match_the_oracles_on_both_dp_paths(monkeypatch):
 
 
 def test_bordered_guard_counts_the_plain_dp_and_the_border(monkeypatch):
-    # the plain table's estimate plus C(n+1, 2) border monomials times Catalan(n-1) terms
+    # on the orbit path the plain table's orbit estimate plus C(n+1, 2) border monomials times
+    # Catalan(n-1) terms; below it the class-count DP's own pairs on the table's n+1 columns
     estimates = []
     monkeypatch.setattr(cayley, "guard", lambda what, size, limit: estimates.append(size) or guard(what, size, limit))
     for spec in ("C3", "C7", "C2xC4", "C11", "C12", "C2xC6", "C13"):
         group = parse_group(spec)
         n = group.order
-        plain = _dp_pairs(n, [1] * n, n, None)
-        if plain > cayley.ORBIT_MIN_PAIRS:
-            plain = _dp_pairs(n, [1] * n, n, group.order_profile())
+        table = build_table(group, "extended")
+        if _dp_pairs(n, [1] * n, n, None) > cayley.ORBIT_MIN_PAIRS:
+            want = _dp_pairs(n, [1] * n, n, group.order_profile())
+            want += math.comb(n + 1, 2) * math.comb(2 * n - 2, n - 1) // n
+        else:
+            want = _dp_pairs(n + 1, list(table.listing.classes.values()), n, None)
         estimates.clear()
         try:
-            refuse(build_table(group, "extended"), "per")
+            refuse(table, "per")
         except GuardExceeded:
             assert n == 13
-        assert estimates[-1] == plain + math.comb(n + 1, 2) * math.comb(2 * n - 2, n - 1) // n, spec
+        assert estimates[-1] == want, spec
+        if n == 3:
+            assert want == 79  # column classes of sizes 2, 1, 1: 1 + 3*3 + 4*6 + 3*10 + 1*15
     assert estimates[-1] == 87634354
 
 
@@ -794,7 +843,7 @@ def test_a_second_bordered_table_runs_no_dp(monkeypatch):
         extended = build_table(group, "extended")
         first = permanent(extended)
         assert calls["layer"] == n
-        assert set(cayley._plain_results(group)) == {(False, True), ("layer", True)}
+        assert set(cayley._plain_results(group)) == {(False, True), "layer"}
         calls.clear()
         rows, cols = (1,) + tuple(range(n)), tuple(range(n - 1, -1, -1)) + (2,)
         others = [extended, cayley.CayleyMatrix(group, "plain", rows, cols), build_table(group, "plain")]
@@ -806,15 +855,25 @@ def test_a_second_bordered_table_runs_no_dp(monkeypatch):
 
 
 def test_support_checks_assert_the_coefficient_sum(monkeypatch):
-    # a fault that keeps the support, here every coefficient of the bordered permanent set to 1,
-    # passes the support comparison and fails the coefficient sum
-    real = cayley._bordered
-    monkeypatch.setattr(cayley, "_bordered", lambda *args: dict.fromkeys(real(*args), 1))
+    # a fault that keeps the support, here every coefficient of a permanent set to 1, passes the
+    # support comparison and fails the coefficient sum, through either kernel of a bordered table:
+    # the class-count DP below the orbit threshold (C1, C3; C3's block2n table too) and the border
+    # expansion above it (C6)
+    real = cayley._class_dp
+    monkeypatch.setattr(cayley, "_class_dp", lambda matrix, signed:
+                        IntPolynomial._of(matrix.nvars, dict.fromkeys(real(matrix, signed).terms, 1)))
     record = {"what": "permanent coefficient sum", "sum": 5, "expected": 24}
-    assert check_extended_counts(C3).failures == [{"group": "C3", "table": "extended", "size": 4, **record}]
+    assert check_extended_counts(C3).failures == [
+        {"group": "C3", "table": "extended", "size": 4, **record},
+        {"group": "C3", "table": "block2n", "size": 6, **record, "sum": 10, "expected": 720}]
     assert check_toeplitz_conjecture(3, 4).failures == [{"group": "C3", "table": "toeplitz", "size": 4, **record}]
     assert check_hall(max_order=1, max_order_ext=1).failures == [
         {"group": "C1", "table": "extended", "size": 2, "what": "permanent coefficient sum", "sum": 1, "expected": 2}]
+    monkeypatch.setattr(cayley, "_class_dp", real)
+    bordered = cayley._bordered
+    monkeypatch.setattr(cayley, "_bordered", lambda *args: dict.fromkeys(bordered(*args), 1))
+    assert check_toeplitz_conjecture(6, 7).failures == [
+        {"group": "C6", "table": "toeplitz", "size": 7, **record, "sum": 132, "expected": 5040}]
 
 
 def test_wide_toeplitz_permanent_support():

@@ -455,6 +455,22 @@ def test_strided_series_match_the_point_dimensions(n):
         TruncatedSeries2(grid.s_order, grid.t_order, (*grid.grid[:-1], (*grid.grid[-1][:-1], 0.5)))
 
 
+def test_bigraded_series_names_the_row_of_a_coefficient_that_is_no_dimension(monkeypatch):
+    # a d = 1 character value off by one leaves t^0 of row s^0 at 1/5; one more C(-5, 1) in the
+    # s-part of d = 1 leaves row s^0 whole and t^0 of row s^1 at 6/5
+    real_sum, real_run = molien.ramanujan_sum, molien._binomial_run
+    monkeypatch.setattr(molien, "ramanujan_sum", lambda d, i: real_sum(d, i) + (d == 1))
+    with pytest.raises(AssertionError) as info:
+        bigraded_series(5, 2, 4, 3)
+    assert str(info.value) == "bigraded_series (i = 2), s^0 row of C5: coefficient 1/5 at t^0 is not a dimension"
+    monkeypatch.setattr(molien, "ramanujan_sum", real_sum)
+    monkeypatch.setattr(molien, "_binomial_run", lambda k, inner, count: [
+        c + (a == 1 and k == -5) for a, c in enumerate(real_run(k, inner, count))])
+    with pytest.raises(AssertionError) as info:
+        bigraded_series(5, 2, 4, 3)
+    assert str(info.value) == "bigraded_series (i = 2), s^1 row of C5: coefficient 6/5 at t^0 is not a dimension"
+
+
 def test_bigraded_edges_recover_single_series():
     n = 4
     for i in range(n):

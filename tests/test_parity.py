@@ -41,8 +41,9 @@ def test_every_command_has_its_json_form():
                for cmd in parity.LARGE + parity.ORACLES + parity.PRESENTATIONS + parity.REFUSALS + parity.BORDERED)
     assert len(parity.REFUSALS) == 12
     assert len(parity.PRESENTATIONS) == 18
-    # extended tables of C6-C10, C2xC4, C2xC2xC2 and C3xC3, n+1 toeplitz tables of C6-C9, refused C13
-    assert len(parity.BORDERED) == 13
+    # extended tables of C1-C10, C2xC2, C2xC4, C2xC2xC2 and C3xC3, n+1 toeplitz tables of C1-C9, refused C13
+    assert len(parity.BORDERED) == len(set(parity.BORDERED)) == 24
+    assert "cayley per --group C1 --variant toeplitz --l 2" in parity.BORDERED
     assert "cayley per --group C13 --variant extended" in parity.BORDERED
     assert "cayley per --group C9 --variant toeplitz --l 10" in parity.BORDERED
     assert {cmd.split("--alg ")[1] for cmd in plain if "--alg" in cmd} == {"leibniz", "factored"}

@@ -18,7 +18,7 @@ decide their table guards (admitted and refused runs of `check hall`,
 unsupported prime), the oracle routes (`cayley per|det --alg leibniz` at
 sizes 1, 2, 4, 6, 8, 9 and 10 and `cayley det --alg factored`), `cayley per|det`
 on the hat and toeplitz tables of orders 6-8, `cayley per` on the extended
-tables of orders 6-10 and the n+1 toeplitz tables of n = 6-9 (and a refused
+tables of orders 1-10 and the n+1 toeplitz tables of n = 1-9 (and a refused
 C13 extended table), one refused command for each
 limit the checks above do not refuse (exit 3, each in well under a second),
 and three commands whose `--json` output is 0.8-1.6 MB (C10 `per` and
@@ -62,11 +62,12 @@ ORACLES = tuple(f"cayley {op} --group {g} --alg leibniz" for op in ("per", "det"
     f"cayley det --group {g} --alg factored" for g in (
         "C5", "C7", "C8", "C9", "C10", "C2xC4", "C2xC5", "C3xC3", "C2xC2xC2 --variant hat", "C6 --variant toeplitz"))
 
-# bordered tables (the group listed once on each side plus one element): the permanent expanded along
-# its border over the plain table's layer n-1, and a table the guard refuses
-BORDERED = tuple(f"cayley per --group {g} --variant extended"
-                 for g in ("C6", "C7", "C8", "C9", "C10", "C2xC4", "C2xC2xC2", "C3xC3")) + tuple(
-    f"cayley per --group C{n} --variant toeplitz --l {n + 1}" for n in range(6, 10)) + (
+# bordered tables (the group listed once on each side plus one element): at orders 1-5 the
+# class-count DP on the table's own lists, from order 6 the permanent expanded along its border over
+# the plain table's layer n-1, and a table the guard refuses
+BORDERED = tuple(f"cayley per --group {g} --variant extended" for g in (
+    "C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "C7", "C8", "C9", "C10", "C2xC4", "C2xC2xC2", "C3xC3")) + tuple(
+    f"cayley per --group C{n} --variant toeplitz --l {n + 1}" for n in range(1, 10)) + (
     "cayley per --group C13 --variant extended",)
 
 # series at squarefree orders with 8 or 16 divisors, where divisor d's run fills every d-th cell (and,

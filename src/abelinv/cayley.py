@@ -52,8 +52,10 @@ The permanent's monomial support is governed by the zero-sum condition
 two half tables of count vectors keyed by total and element sum; the determinant
 factors into character linear forms, whose product (the determinant's
 checker route) keeps one monomial per translation orbit, as each form is an
-eigenvector of the translation; it finds most representatives from their
-element sums, and its last product keeps only monomials of sum 0.  Each
+eigenvector of the translation; one rule finds each product's
+representatives from their element sums (the keys of one orbit that share
+a sum, gcd(k, e) at most for k forms, are the only ones it rotates), and
+its last product keeps only monomials of sum 0.  Each
 (op, algorithm) pair has one guard and one kernel (ROUTES); the guard reads
 the element lists, never the grid, and permanent, determinant and refuse
 all decide it through that table.  The subset DP and factored guards read a
@@ -107,8 +109,8 @@ GRID_GUARD = 4 * 10**6
 # up to 1.6 times as fast reduced when warm, and within 1.3 times either way on a first call
 ORBIT_MIN_PAIRS = 2000
 # pushes of the factored determinant, (n/e) C(2n-1, n): every order-12 table runs (`cayley det
-# --alg factored`: C12 1.3 s and 97 MB, C2xC6 1.7-1.9 s and 109 MB, on 2 vCPUs), and C13 (5200300
-# pushes; 3.9 s and 255 MB in the library) is refused
+# --alg factored`: C12 1.3 s and 52 MB, C2xC6 2.0 s and 71 MB, on 2 vCPUs), and C13 (5200300
+# pushes; 4.0 s and 197 MB in the library) is refused
 FACTORED_GUARD = 3 * 10**6
 ENUM_GUARD = 2 * 10**7  # hall_support work units (see there)
 # sampled action check: n^2 addition-table cells plus n^2 star steps per sample, about 1-2 us
@@ -1007,22 +1009,24 @@ def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomia
     zeta^(-h C), and m is weighted by the sum of zeta^(u C) over its
     stabilizer, which is |Stab(m)| or 0.
     Each layer keeps, per representative, its coefficient, the label of its
-    element sum (read off _label_addition) and, where
-    it is below e, its orbit size.  Translating a degree-k monomial by g adds
-    k g to its sum, so the targets of R are found by three rules:
-    - the last layer (k = n) pushes from r only the target of sum 0, as
-      every monomial of the determinant sums to 2 sum(G) = 0 and every
-      other coefficient of prod_chi v_chi is 0;
-    - a layer with gcd(k, e) = 1 has free orbits whose sum labels are
-      L + h k s mod n, exactly one of them below s.  That member is the
-      representative, so a target of sum label L is sigma^h(m) with
-      h = (L // s) k^-1 mod e, m = target * (n+1)^(s(e-h)) mod (n+1)^n - 1,
-      and no orbit dictionary is built;
-    - every other layer opens each orbit at its first target and rotates it
-      into a dictionary of keys.
-    At the end every key is expanded from its representative, with one
-    integrality unpack per twist over the representatives it reaches, and
-    the expanded keys are unpacked together (_unpack).
+    element sum (read off _label_addition) and, where it is below e, its
+    orbit size.  Translating a degree-k monomial by g adds k g to its sum,
+    so with labels a s + b (a < e, b < s), d = gcd(k, e) and f = e/d the
+    sum labels of an orbit are (a + h k mod e) s + b, one residue of a mod
+    d.  A target of sum label a s + b is sigma^h(q), q the key of sum label
+    (a mod d) s + b, with h = (a // d) (k/d)^-1 mod f; the d keys
+    sigma^(f u)(q) share q's sum, and the first of them to arrive opens
+    its orbit into a dictionary of at most d keys (fewer when sigma^(f u)
+    returns to it early, its orbit size then f u) and represents it, so the
+    target folds into it with the twist h + f u.  A layer with d = 1 has
+    free orbits and opens one key per orbit; the last layer (k = n) pushes
+    from r only the target of sum 0, as every monomial of the determinant
+    sums to 2 sum(G) = 0 and every other coefficient of prod_chi v_chi is 0.
+    At the end each twist has one integrality unpack over the
+    representatives it reaches; each representative's label digits are
+    unpacked once (_unpack), and the exponent vector of sigma^t(m) is read
+    off them with one itemgetter per twist t, as the subset DP's orbit tail
+    reads its translates.
     The loop shares only the relabeling (phi and its _label_addition) with
     the subset DP, so the two routes check each other.
     """
@@ -1048,43 +1052,38 @@ def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomia
         steps = [(L, w, [(t - h * total) % e * bits for h in range(e)])
                  for L, (w, t) in enumerate(zip(powers, [group.char_exponent(chi, a) for a in by_label]))]
         stabilized = [steps[:o * s] for o in range(e + 1)]
+        d = math.gcd(k, e)
+        f = e // d
+        # per sum label a s + b of a target: (h, sigma^-h, the sum label (a mod d) s + b of its key)
+        turns = [L // s // d * pow(k // d, -1, f) % f for L in range(n)]
+        moves = [(h, pow(rotate, -h % e, ring), L // s % d * s + L % s) for L, h in enumerate(turns)]
+        spin = pow(rotate, f, ring)  # sigma^f keeps a degree-k sum
+        where: dict[int, tuple[int, int]] = {}  # key -> (m, u) with key = sigma^u(m)
         new_sums: dict[int, int] = {}
         new_sizes: dict[int, int] = {}
         acc: dict[int, int] = {}
         get = acc.get
-        if k < n and math.gcd(k, e) == 1:
-            # per sum label L of a target: (h, sigma^-h, the sum label of its representative)
-            turns = [L // s * pow(k, -1, e) % e for L in range(n)]
-            moves = [(h, pow(rotate, -h % e, ring), L % s) for L, h in enumerate(turns)]
-            for r, v in prod.items():
-                row = plus[sums[r]]
-                for L, w, shifts in stabilized[sizes.get(r, e)]:
-                    h, back, label = moves[row[L]]
-                    m = (r + w) * back % ring
-                    acc[m] = get(m, 0) + (v << shifts[h])
-                    new_sums[m] = label
-        else:
-            where: dict[int, tuple[int, int]] = {}  # key -> (m, h) with key = sigma^h(m)
-            for r, v in prod.items():
-                row = plus[sums[r]]
-                span = stabilized[sizes.get(r, e)]
-                if k == n:  # the one label that brings r's sum to 0
-                    L = row.index(0)
-                    span = span[L:L + 1]
-                for L, w, shifts in span:
-                    q = r + w
-                    hit = where.get(q)
-                    if hit is None:  # q opens an orbit and represents it
-                        where[q] = hit = (q, 0)
-                        x, h = q, 1
-                        while h < e and (x := x * rotate % ring) != q:  # never rotates C1's x_0
-                            where[x] = (q, h)
-                            h += 1
-                        if h < e:
-                            new_sizes[q] = h
-                        new_sums[q] = row[L]
-                    m, h = hit
-                    acc[m] = get(m, 0) + (v << shifts[h])
+        for r, v in prod.items():
+            row = plus[sums[r]]
+            span = stabilized[sizes.get(r, e)]
+            if k == n:  # the one label that brings r's sum to 0
+                L = row.index(0)
+                span = span[L:L + 1]
+            for L, w, shifts in span:
+                h, back, label = moves[row[L]]
+                q = (r + w) * back % ring if h else r + w  # skipped at h = 0: C1's ring B - 1 = 1 would clear x_0
+                hit = where.get(q)
+                if hit is None:  # q opens an orbit and represents it
+                    where[q] = hit = (q, 0)
+                    x, u = q, f
+                    while u < e and (x := x * spin % ring) != q:
+                        where[x] = (q, u)
+                        u += f
+                    if u < e:
+                        new_sizes[q] = u
+                    new_sums[q] = label
+                m, u = hit
+                acc[m] = get(m, 0) + (v << shifts[h + u])
         prod = {}
         for m, v in acc.items():
             o = new_sizes.get(m, e)
@@ -1101,16 +1100,16 @@ def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomia
             reps = [m for m in prod if sizes.get(m, e) > t]
             values[j] = dict(zip(reps, unpack_zeta_integers([prod[m] << j * bits for m in reps],
                                                             bits, modulus)))
-    keys, coeffs = [], []
-    for m in prod:
-        key = m
-        for j in twists[:sizes.get(m, e)]:
+    # the exponent of x_a in sigma^t(m) is the digit of m at label phi(a) - t s; itemgetter of
+    # one index returns a bare item, and C1's one getter is the identity, digits[:]
+    exponents = [operator.itemgetter(*[(p - t * s) % n for p in phi]) if n > 1
+                 else operator.itemgetter(slice(None)) for t in range(e)]
+    terms = {}
+    for m, digits in zip(prod, _unpack(prod, base, powers)):
+        for j, exponent in zip(twists[:sizes.get(m, e)], exponents):
             if c := values[j][m]:
-                keys.append(key)
-                coeffs.append(c * sign)
-            key = key * rotate % ring
-    place = [powers[p] for p in phi]  # the exponent of x_a is the digit at label phi(a)
-    return IntPolynomial._of(n, dict(zip(_unpack(keys, base, place), coeffs)))
+                terms[exponent(digits)] = c * sign
+    return IntPolynomial._of(n, terms)
 
 
 # (op, algorithm) -> (guard, kernel).  guard(table, signed) raises GuardExceeded or returns the

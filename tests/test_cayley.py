@@ -1099,6 +1099,22 @@ def test_subset_dp_matches_factored_determinant():
             assert determinant(t) == determinant(t, "factored"), (g.spec_string, variant)
 
 
+@pytest.mark.parametrize("spec", ["C12", "C2xC6"])
+def test_factored_determinant_at_order_12(spec):
+    # order 12 first has layers of degree k with gcd(k, e) = 6: C12 at k = 6, where each free orbit's
+    # 12 keys fall into 2 sums of 6 keys, and C2xC6 at k = 6 with stride n/e = 2.  No symbolic oracle
+    # reaches it, so each determinant is evaluated at a seeded integer point against the numeric
+    # table's (Bareiss)
+    group = parse_group(spec)
+    rng = random.Random(spec)
+    for variant in ("plain", "hat"):
+        table = build_table(group, variant)
+        det = determinant(table, "factored")
+        point = [rng.randint(-4, 4) for _ in range(group.order)]
+        value = sum(c * math.prod(map(pow, point, exp)) for exp, c in det.terms.items())
+        assert value == numeric_determinant([[point[k] for k in row] for row in table.grid]), variant
+
+
 def test_determinant_algorithm_dispatch():
     with pytest.raises(ValueError):
         determinant(build_table(C2, "plain"), "ryser")

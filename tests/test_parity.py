@@ -32,13 +32,16 @@ def test_every_command_has_its_json_form():
     cmds = parity.grid_commands()
     assert len(cmds) == len(set(cmds))
     plain = [cmd for cmd in cmds if not cmd.startswith("--json ")]
-    assert cmds == plain + [f"--json {cmd}" for cmd in plain]
+    # but the factored determinants at orders 11 and 12, whose --json output is 6-17 MB
+    assert cmds == plain + [f"--json {cmd}" for cmd in plain if cmd not in parity.FRONTIER]
     assert {cmd.split()[0] for cmd in plain} == {"dim", "series", "cayley", "check", "oracle"}
     assert {" ".join(cmd.split()[:2]) for cmd in plain if cmd.startswith("check ")} == \
         {"check actions", "check reciprocity", "check identity", "check hall", "check invariance", "check extended",
          "check conjecture", "check all", "check lehmer"}
-    assert all(cmd in plain and f"--json {cmd}" in cmds
-               for cmd in parity.LARGE + parity.ORACLES + parity.PRESENTATIONS + parity.REFUSALS + parity.BORDERED)
+    assert all(cmd in plain and f"--json {cmd}" in cmds for cmd in parity.LARGE + parity.PRESENTATIONS
+               + parity.REFUSALS + parity.BORDERED + tuple(set(parity.ORACLES) - set(parity.FRONTIER)))
+    assert set(parity.FRONTIER) <= set(parity.ORACLES) and len(parity.FRONTIER) == 5
+    assert {f"cayley det --group {g} --alg factored" for g in ("C12", "C2xC6")} <= set(parity.FRONTIER)
     assert len(parity.REFUSALS) == 12
     assert len(parity.PRESENTATIONS) == 18
     # extended tables of C1-C10, C2xC2, C2xC4, C2xC2xC2 and C3xC3, n+1 toeplitz tables of C1-C9, refused C13

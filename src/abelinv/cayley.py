@@ -24,8 +24,8 @@ count, on the table's own lists (_class_dp, the one unreduced DP).  All
 the orbit path reads of that action is one record (_Symmetry: relabeled
 grid, per-element key operations and weights, orbit table, characters),
 cached per group and shared by the permanent and the determinant.  Those
-tables also share one DP per group and op: the first keeps the plain
-table's sign-free result (_plain_results: the orbit means, or below the
+tables also share one DP per group, op and path, memoized (_plain_dp:
+the plain table's sign-free result, the orbit means, or below the
 reduction's threshold the class DP's terms), and every one of them
 expands or copies it with its own sign.  A bordered table, whose rows
 list the group once plus one element and whose columns list it once plus
@@ -33,7 +33,8 @@ one (the extended table, the (n+1)-wide toeplitz table, any reordering of
 either), runs the class DP below that threshold; above it its permanent
 is expanded along that extra row and column (_bordered): every minor is
 a translate of the plain DP's one layer-(n-1) state that the plain
-permanent's orbit run keeps, so the same DP serves it too.
+permanent's orbit run returns with its result, so the same DP serves it
+too.
 Every kernel ends alike: its packed exponent keys are unpacked one digit
 column at a time (_unpack), and IntPolynomial._of adopts the terms dict it
 builds without a copy or a rescan.
@@ -581,26 +582,6 @@ def _symmetry(group: FiniteAbelianGroup) -> _Symmetry:
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _plain_results(group: FiniteAbelianGroup) -> dict[tuple | str, object]:
-    """The subset DP's sign-free results for the plain table of a group, keyed (signed, reduced).
-
-    Every table whose row and column elements each list the group once has
-    the plain table's permanent and its determinant times its listing's
-    sign (CayleyMatrix.listing), so _subset_dp runs one DP per group, op
-    and path (_plain_dp), fills this dict with what its tail already has,
-    and answers the other tables from it: a reduced entry is the orbit
-    means (digit tuples and values, one per translation orbit of the
-    support), an unreduced one the terms dict of _class_dp's run on the
-    plain table.  The permanent's orbit run also keeps, under "layer", the
-    packed layer-(n-1) state F missing one column, which every bordered
-    table of the group expands along its border (_bordered); a group below
-    the orbit threshold keeps no layer, as its bordered tables run
-    _class_dp on their own lists.  Kept for 64 groups, as _symmetry is.
-    """
-    return {}
-
-
 def _dp_pairs(l: int, sizes: Sequence[int], v: int, profile: dict[int, int] | None) -> int:
     """Upper bound on the (state, monomial) pairs the subset DP holds.
 
@@ -775,35 +756,42 @@ def _last_layers(rows: Sequence[Sequence[int]], sizes: Sequence[int], signed: bo
     return previous, layer[radix[-1] - 1]
 
 
-def _plain_dp(group: FiniteAbelianGroup, signed: bool, reduced: bool) -> object:
-    """Run the subset DP on the plain table, keep its sign-free result in _plain_results and return it.
+@functools.lru_cache(maxsize=128)
+def _plain_dp(group: FiniteAbelianGroup, signed: bool, reduced: bool) -> tuple[object, dict[int, int] | None]:
+    """The subset DP on the plain table: its sign-free result, found, and the layer a permanent's orbit run keeps.
 
-    Unreduced, it is _class_dp on the plain table, kept as its terms dict.
-    Reduced, rows are placed in element order, so the last row is element
-    n-1, and a permanent's run also keeps, under "layer", layer n-1's state
-    F missing one column m: layer n-1 is one orbit state W, the sum of the
-    n translates of the state of its representative mask (the columns of
-    labels 0..n-2, so m is the element of label n-1), each carried back to
-    it, so F = W / n exactly.
+    Every table whose row and column elements each list the group once has
+    the plain table's permanent and its determinant times its listing's
+    sign (CayleyMatrix.listing), so _subset_dp runs this one DP per group,
+    op and path and answers every such table from what it returns.
+    Unreduced, found is the terms dict of _class_dp's run on the plain
+    table.  Reduced, it is the orbit means, as digit tuples and values, one
+    per translation orbit of the support; rows are placed in element order,
+    so the last row is element n-1, and a permanent's run also returns
+    layer n-1's state F missing one column m, which every bordered table of
+    the group expands along its border (_bordered): layer n-1 is one orbit
+    state W, the sum of the n translates of the state of its representative
+    mask (the columns of labels 0..n-2, so m is the element of label n-1),
+    each carried back to it, so F = W / n exactly.  Every other run returns
+    None for the layer: below the orbit threshold a bordered table runs
+    _class_dp on its own lists.  Kept for 128 runs, 64 groups times per
+    and det, as _symmetry keeps 64 groups; the path is part of the key.
     """
     n = group.order
-    kept = _plain_results(group)
     if not reduced:
         elements = tuple(range(n))
-        found: object = _class_dp(CayleyMatrix(group, "plain", elements, elements), signed).terms
-    else:
-        sym = _symmetry(group)
-        previous, final = _last_layers(sym.grid, [1] * n, signed, sym.weights, sym.orbit, sym.ops, sym.modulus)
-        # the permanent's characters are all 1
-        means = _orbit_means(final, sym.images, sym.chis if signed else [1] * n)
-        found = list(_unpack(means, sym.base, [sym.base**i for i in range(n)])), list(means.values())
-        if not signed:
-            (layer,) = previous.values()
-            if any(coeff % n for coeff in layer.values()):
-                raise AssertionError("layer n-1 is not n times the state of its representative")
-            kept["layer"] = {key: coeff // n for key, coeff in layer.items()}
-    kept[signed, reduced] = found
-    return found
+        return _class_dp(CayleyMatrix(group, "plain", elements, elements), signed).terms, None
+    sym = _symmetry(group)
+    previous, final = _last_layers(sym.grid, [1] * n, signed, sym.weights, sym.orbit, sym.ops, sym.modulus)
+    # the permanent's characters are all 1
+    means = _orbit_means(final, sym.images, sym.chis if signed else [1] * n)
+    found = list(_unpack(means, sym.base, [sym.base**i for i in range(n)])), list(means.values())
+    if signed:
+        return found, None
+    (layer,) = previous.values()
+    if any(coeff % n for coeff in layer.values()):
+        raise AssertionError("layer n-1 is not n times the state of its representative")
+    return found, {key: coeff // n for key, coeff in layer.items()}
 
 
 def _bordered(group: FiniteAbelianGroup, layer: dict[int, int], r_star: int, c_star: int) -> dict[tuple[int, ...], int]:
@@ -827,9 +815,10 @@ def _bordered(group: FiniteAbelianGroup, layer: dict[int, int], r_star: int, c_s
     the sum counting each pair {u, s-u} twice when u != s-u, and the corner
     monomial being one of its pairs: B_c has (n + #{u: 2u = s}) / 2
     monomials, and as s meets every element once the border pushes
-    C(n+1, 2) monomials in all.  F_c is read off the kept state F, which
-    misses column m (see _plain_dp): F_(m+t) = sigma_t(F), the translation
-    by t through the record's key operations.
+    C(n+1, 2) monomials in all.  F_c is read off the state F that the plain
+    permanent's orbit run returns with its result (_plain_dp), which misses
+    column m: F_(m+t) = sigma_t(F), the translation by t through the
+    record's key operations.
     """
     n = group.order
     add = group.add_table
@@ -924,15 +913,15 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool, reduced: bool | None) -> IntP
     own listing sign.
 
     One DP serves every table of a group whose row and column elements each
-    list the group once (a listing sign), per op and path: the first runs
-    it on the plain table (_plain_dp) and keeps in _plain_results what its
-    tail has before any sign is applied, the orbit means as digit tuples
-    and values on the reduced path, the plain table's terms dict from
-    _class_dp on the unreduced one, and every call expands or copies that
-    entry with its own sign.  A bordered table on the orbit path (the
-    extended table, the n+1 toeplitz table and any reordering of either,
-    from order 6) reads the permanent's kept layer n-1 and expands along
-    its border (_bordered), running the plain DP first if nothing is kept.
+    list the group once (a listing sign), per op and path: _plain_dp runs
+    it on the plain table, memoized, and returns what its tail has before
+    any sign is applied, the orbit means as digit tuples and values on the
+    reduced path, the plain table's terms dict from _class_dp on the
+    unreduced one, and every call expands or copies that result with its
+    own sign.  A bordered table on the orbit path (the extended table, the
+    n+1 toeplitz table and any reordering of either, from order 6) reads
+    the layer n-1 that the permanent's orbit run returns and expands along
+    its border (_bordered).
     """
     nvars, group, listing = matrix.nvars, matrix.group, matrix.listing
     if reduced is None:
@@ -940,13 +929,8 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool, reduced: bool | None) -> IntP
     if not (reduced or listing.sign):
         return _class_dp(matrix, signed)
     if listing.border is not None:
-        kept = _plain_results(group)
-        if "layer" not in kept:
-            _plain_dp(group, False, True)
-        return IntPolynomial._of(nvars, _bordered(group, kept["layer"], *listing.border))
-    found = _plain_results(group).get((signed, reduced))
-    if found is None:
-        found = _plain_dp(group, signed, reduced)
+        return IntPolynomial._of(nvars, _bordered(group, _plain_dp(group, False, True)[1], *listing.border))
+    found = _plain_dp(group, signed, reduced)[0]
     # the determinant's sign against the plain table's
     flip = listing.sign if signed else 1
     if not reduced:  # a copy of the plain table's terms, with this table's sign
@@ -1464,23 +1448,26 @@ def _lehmer_cell(p: int) -> tuple:
     return FiniteAbelianGroup((p,)), "hat"
 
 
-def _lehmer_failures(table: CayleyMatrix, per: IntPolynomial, det: IntPolynomial) -> list[dict]:
+def _lehmer_failures(table: CayleyMatrix, per: IntPolynomial, det: IntPolynomial, det_auto: IntPolynomial) -> list[dict]:
     p = table.group.order
     target = IntPolynomial(p, {tuple(p if t == i else 0 for t in range(p)): 1 for i in range(p)})
     return [{"polynomial": name, "exponents": list(exp), "coeff": c, "modulus": p}
-            for name, poly in (("permanent", per), ("determinant", det))
+            for name, poly in (("permanent", per), ("determinant", det), ("determinant (auto)", det_auto))
             for exp, c in (poly - target).sorted_terms() if c % p]
 
 
 def plan_lehmer(primes: Iterable[int]) -> Callable[[], list[CheckReport]]:
     """Decide check_lehmer_congruence's guards for every prime; return the call that runs the checks on them."""
-    return plan_tables("lehmer", map(_lehmer_cell, primes), (("per", "auto"), ("det", "factored")),
-                       lambda t: {"p": t.group.order}, _lehmer_failures)
+    routes = (("per", "auto"), ("det", "factored"), ("det", "auto"))
+    return plan_tables("lehmer", map(_lehmer_cell, primes), routes, lambda t: {"p": t.group.order}, _lehmer_failures)
 
 
 def check_lehmer_congruence(p: int) -> CheckReport:
     """For prime p in {3, 5, 7}: permanent and (hat form) determinant of the
-    C_p table both equal sum x_i^p plus p times an integer polynomial."""
+    C_p table both equal sum x_i^p plus p times an integer polynomial.  The
+    determinant is read through both of its routes, the factored product
+    ("determinant") and the subset DP ("determinant (auto)"), so a fault in
+    either one fails the check."""
     return plan_lehmer([p])()[0]
 
 

@@ -7,10 +7,13 @@ from abelinv import cayley
 
 @pytest.fixture(autouse=True)
 def fresh_cayley_caches():
-    """Start each test with no cached plain-table result or orbit record.
+    """Start each test with no cached plain-table result, orbit record or any other cayley cache.
 
-    Both caches live as long as the process, so a result that one test's
-    monkeypatched kernel made would otherwise answer a later test.
+    Every cache that cayley holds (each module attribute with a cache_clear)
+    lives as long as the process, so a result that one test's monkeypatched
+    kernel made would otherwise answer a later test; clearing them all by
+    that test keeps a renamed or new cache in reach too.
     """
-    cayley._plain_results.cache_clear()
-    cayley._symmetry.cache_clear()
+    for value in vars(cayley).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()

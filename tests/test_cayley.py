@@ -417,7 +417,7 @@ def test_orbit_dp_matches_unreduced_dp(monkeypatch):
     rng = random.Random(17)
     for group in abelian_groups_up_to(10)[1:] + [parse_group(s) for s in ("C6", "C4xC2")]:
         for table in square_tables(group, rng):
-            cayley._plain_results.cache_clear()
+            cayley._plain_dp.cache_clear()
             label = (group.spec_string, table.variant, table.rows, table.cols)
             for signed in (False, True):
                 op = "det" if signed else "per"
@@ -481,6 +481,19 @@ def layer_sizes(monkeypatch):
     next_layer = cayley._next_layer
     monkeypatch.setattr(cayley, "_next_layer", counting)
     return sizes
+
+
+def kept(group, signed, reduced):
+    """The memoized _plain_dp entry (found, layer) of a group, op and path, read without running the DP."""
+    misses = cayley._plain_dp.cache_info().misses
+    entry = cayley._plain_dp(group, signed, reduced)
+    assert cayley._plain_dp.cache_info().misses == misses, ("no entry kept", group.spec_string, signed, reduced)
+    return entry
+
+
+def kept_entries():
+    """How many _plain_dp entries are kept."""
+    return cayley._plain_dp.cache_info().currsize
 
 
 def burnside_states(group):
@@ -552,7 +565,7 @@ def test_orbit_dp_keeps_one_state_per_orbit_of_the_whole_group(spec, states, mon
     for variant in ("plain", "hat"):
         table = build_table(group, variant)
         for signed in (False, True):
-            cayley._plain_results.cache_clear()  # the hat table runs its own DP
+            cayley._plain_dp.cache_clear()  # the hat table runs its own DP
             sizes.clear()
             got = subset_dp(table, signed)
             assert [1] + sizes == want, (variant, signed)
@@ -586,10 +599,10 @@ def test_square_presentations_share_one_dp_per_op():
         for op in (permanent, determinant):
             fresh = []
             for table in tables:
-                cayley._plain_results.cache_clear()
+                cayley._plain_dp.cache_clear()
                 fresh.append(op(table))
             for order in (tables, tables[::-1]):
-                cayley._plain_results.cache_clear()
+                cayley._plain_dp.cache_clear()
                 assert [op(table) for table in order] == (fresh if order is tables else fresh[::-1]), group
         assert {table.listing.sign for table in tables} == {1, -1}, group
 
@@ -622,7 +635,7 @@ def test_orbit_entry_keeps_one_digit_tuple_per_translation_orbit():
         hat = build_table(group, "hat")
         for signed in (False, True):
             poly = (determinant if signed else permanent)(hat)
-            digits, values = cayley._plain_results(group)[signed, True]
+            digits, values = kept(group, signed, True)[0]
             reps = [sym.exponents[0](d) for d in digits]  # the untranslated monomials
             orbits = {frozenset(tuple(exp[add[a][neg[g]]] for a in range(n)) for g in range(n))
                       for exp in poly.terms}
@@ -642,7 +655,7 @@ def test_tables_with_repeated_columns_run_their_dp_on_every_call(monkeypatch):
             results.append(permanent(table))
             assert len(sizes) == table.size, table.variant
         assert results[0] == results[1] and not determinant(table), table.variant
-    assert cayley._plain_results.cache_info().currsize == 0
+    assert kept_entries() == 0
 
 
 def test_a_bordered_table_reads_the_kept_layer(monkeypatch):
@@ -654,7 +667,7 @@ def test_a_bordered_table_reads_the_kept_layer(monkeypatch):
     extended, toeplitz = build_table(C6, "extended"), build_table(C6, "toeplitz", size=7)
     first = permanent(extended)
     assert len(sizes) == C6.order
-    assert set(cayley._plain_results(C6)) == {(False, True), "layer"}
+    assert kept(C6, False, True)[1] is not None and kept_entries() == 1
     sizes.clear()
     assert permanent(extended) == permanent(toeplitz) == first
     assert permanent(build_table(C6, "plain")) == permanent(build_table(C6, "plain"), "leibniz")
@@ -663,7 +676,7 @@ def test_a_bordered_table_reads_the_kept_layer(monkeypatch):
         sizes.clear()
         assert permanent(table) == permanent(table, "leibniz")
         assert len(sizes) == table.size
-    assert not cayley._plain_results(C3)
+    assert kept_entries() == 1  # no entry for C3
 
 
 def test_small_bordered_tables_run_the_class_count_dp_and_keep_no_layer(monkeypatch):
@@ -685,7 +698,7 @@ def test_small_bordered_tables_run_the_class_count_dp_and_keep_no_layer(monkeypa
                 assert len(sizes) == table.size, group
             assert got == permanent(table, "leibniz"), (group, table.rows, table.cols)
             assert not determinant(table)
-        assert not [key for key in cayley._plain_results(group) if "layer" in key], group
+        assert kept_entries() == 0, group  # no entry, so no layer
 
 
 def test_only_the_class_count_dp_and_the_orbit_path_run_the_subset_dp():
@@ -705,11 +718,12 @@ def test_oracles_read_no_kept_result():
         group = parse_group(spec)
         plain = build_table(group, "plain")
         per, det = permanent(plain), determinant(plain)
-        for entry in cayley._plain_results(group).values():
-            if isinstance(entry, dict):
-                entry.update({exp: 2 * c for exp, c in entry.items()})
+        for op in ("per", "det"):
+            found = kept(group, op == "det", refuse(plain, op))[0]
+            if isinstance(found, dict):
+                found.update({exp: 2 * c for exp, c in found.items()})
             else:
-                entry[1][:] = [2 * v for v in entry[1]]
+                found[1][:] = [2 * v for v in found[1]]
         assert permanent(plain) != per and determinant(plain) != det
         assert permanent(plain, "leibniz") == per
         assert determinant(plain, "leibniz") == determinant(plain, "factored") == det
@@ -739,7 +753,7 @@ def test_reordered_bordered_tables_match_the_class_count_dp(monkeypatch):
     for threshold in (cayley.ORBIT_MIN_PAIRS, 0):
         monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", threshold)
         for group in abelian_groups_up_to(8)[1:]:
-            cayley._plain_results.cache_clear()
+            cayley._plain_dp.cache_clear()
             n = group.order
             for _ in range(3):
                 r_star, c_star = rng.randrange(n), rng.randrange(n)
@@ -840,10 +854,11 @@ def test_a_second_bordered_table_runs_no_dp(monkeypatch):
         group = parse_group(spec)
         n = group.order
         calls.clear()
+        entries = kept_entries()
         extended = build_table(group, "extended")
         first = permanent(extended)
         assert calls["layer"] == n
-        assert set(cayley._plain_results(group)) == {(False, True), "layer"}
+        assert kept(group, False, True)[1] is not None and kept_entries() == entries + 1
         calls.clear()
         rows, cols = (1,) + tuple(range(n)), tuple(range(n - 1, -1, -1)) + (2,)
         others = [extended, cayley.CayleyMatrix(group, "plain", rows, cols), build_table(group, "plain")]
@@ -1061,7 +1076,7 @@ def test_leibniz_kernel_runs_the_plan_its_guard_decided(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the Leibniz route read a part of the subset DP")
 
-    for name in ("_Symmetry", "_symmetry", "_relabeling", "_plain_results"):
+    for name in ("_Symmetry", "_symmetry", "_relabeling", "_plain_dp"):
         monkeypatch.setattr(cayley, name, forbidden)
     # nor the normal form the other guards read: a property overrides the value each table cached
     monkeypatch.setattr(cayley.CayleyMatrix, "listing", property(forbidden))
@@ -1327,8 +1342,8 @@ def test_checkers_decide_each_guard_once(monkeypatch):
     assert check_invariance(parse_group("C6")).ok
     assert calls == [False, True]
     calls.clear()
-    assert check_lehmer_congruence(5).ok  # the auto permanent and the factored determinant
-    assert calls == [False, True]
+    assert check_lehmer_congruence(5).ok  # the auto permanent, the factored and the auto determinant
+    assert calls == [False, True, True]
     calls.clear()
     assert check_extended_counts(C3).ok
     assert calls == [False, False]
@@ -1343,8 +1358,8 @@ def test_checkers_decide_each_guard_once(monkeypatch):
     (["check", "extended", "--group", "C3"], [False, False], 2),
     (["check", "hall", "--max-order", "4", "--max-order-ext", "3"], [False] * 8, 8),
     (["check", "conjecture", "--n", "3", "--l", "4"], [False], 1),
-    (["check", "lehmer"], [False, True] * 3, 3),
-    (["check", "lehmer", "--p", "5"], [False, True], 1),
+    (["check", "lehmer"], [False, True, True] * 3, 3),
+    (["check", "lehmer", "--p", "5"], [False, True, True], 1),
 ])
 def test_cli_checks_build_and_guard_each_table_once(monkeypatch, argv, guards, builds):
     # the checker plans its tables, and the CLI decides no guard of its own on top
@@ -1396,11 +1411,11 @@ def test_check_all_builds_and_guards_every_table_before_the_first_kernel(monkeyp
     assert cli.run(["check", "all"], io.StringIO()) == 1
     first_kernel = events.index("kernel")
     assert set(events[first_kernel:]) == {"kernel"}
-    assert Counter(events) == {"build": 51, "guard": 61, "kernel": 60}
+    assert Counter(events) == {"build": 51, "guard": 64, "kernel": 63}
 
 
 def test_lehmer_check_reports_a_negated_factored_determinant(monkeypatch):
-    # the check reads the determinant through the factored route alone; negated, each pure
+    # the check reads the determinant through the factored route as "determinant"; negated, each pure
     # power x_i^p keeps coefficient -c - 1 against the target's 1, which p does not divide
     det = determinant(build_table(parse_group("C5"), "hat"), "factored")
     guard, real = cayley.ROUTES["det", "factored"]
@@ -1409,6 +1424,20 @@ def test_lehmer_check_reports_a_negated_factored_determinant(monkeypatch):
     assert check_lehmer_congruence(5).failures == [
         {"polynomial": "determinant", "exponents": list(exp), "coeff": -det.coefficient(exp) - 1, "modulus": 5}
         for exp in sorted(powers)]
+
+
+def test_lehmer_check_reports_a_negated_dp_determinant(monkeypatch):
+    # the check also reads the determinant through the subset DP, as "determinant (auto)": with the
+    # orbit tail's sign negated (the reduced path, so C7 alone) each pure power x_i^7 keeps
+    # coefficient -c - 1 against the target's 1, which 7 does not divide; C3 and C5 run unreduced
+    det = determinant(build_table(parse_group("C7"), "hat"), "factored")
+    real = cayley._symmetry
+    monkeypatch.setattr(cayley, "_symmetry", lambda group: real(group)._replace(sign=-real(group).sign))
+    powers = [tuple(7 * (t == i) for t in range(7)) for i in range(7)]
+    assert check_lehmer_congruence(7).failures == [
+        {"polynomial": "determinant (auto)", "exponents": list(exp), "coeff": -det.coefficient(exp) - 1, "modulus": 7}
+        for exp in sorted(powers)]
+    assert check_lehmer_congruence(3).ok and check_lehmer_congruence(5).ok
 
 
 def test_library_and_cli_refuse_a_huge_extended_check_alike():

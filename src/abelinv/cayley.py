@@ -17,7 +17,7 @@ plain table with its rows and columns permuted, so it has the plain
 table's permanent and its determinant up to the signs of the two lists.
 On the plain table translation permutes the columns and shifts the
 variables, the permanent is invariant and the determinant semi-invariant,
-so from order 6 (ORBIT_MIN_PAIRS) the program keeps one state per orbit
+so from order 6 (ORBIT_MIN_ORDER) the program keeps one state per orbit
 of column sets under all |G| translations (C12 and C2xC6 in seconds);
 other tables, and every table of order 5 or less, keep one per class
 count, on the table's own lists (_class_dp, the one unreduced DP).  All
@@ -94,7 +94,7 @@ from .errors import guard
 from .groups import Element, FiniteAbelianGroup, _permutation_sign, iter_abelian_groups_up_to
 from .molien import _binomial_run, sym_dim, sym_series
 from .numtheory import prime_factorization
-from .polynom import IntPolynomial, apply_group_action, unpack_zeta_integers, zeta_packing
+from .polynom import IntPolynomial, _gather, apply_group_action, unpack_zeta_integers, zeta_packing
 from .report import CheckReport
 
 VARIANTS = ("plain", "hat", "extended", "block2n", "toeplitz")
@@ -104,11 +104,12 @@ DP_GUARD = 5 * 10**7  # subset-DP (state, monomial) pairs, and the cells of any 
 # cells of a grid that is built: `cayley table --group C1 --variant toeplitz --l 2000` (4 * 10^6
 # cells) took 1.4 s and 101 MB, 2.9-4.3 s and 90 MB with --json, on 2 vCPUs, growing as the cells
 GRID_GUARD = 4 * 10**6
-# below this many unreduced (state, monomial) pairs the orbit set-up costs more than it
-# saves, even with the orbit table built once per shape: order 5 (1002 pairs) runs 1.05-1.15
-# times as fast unreduced when warm and 1.5 times on a first call; order 6 (5336 pairs) runs
-# up to 1.6 times as fast reduced when warm, and within 1.3 times either way on a first call
-ORBIT_MIN_PAIRS = 2000
+# below this group order the orbit set-up costs more than it saves, even with the orbit table
+# built once per shape: order 5 (1002 unreduced (state, monomial) pairs) runs 1.05-1.15 times as
+# fast unreduced when warm and 1.5 times on a first call; order 6 (5336 pairs) runs up to 1.6
+# times as fast reduced when warm, and within 1.3 times either way on a first call.  At least 2:
+# C1 has no orbit record, its key modulus B^n - 1 being 1
+ORBIT_MIN_ORDER = 6
 # pushes of the factored determinant, (n/e) C(2n-1, n): every order-12 table runs (`cayley det
 # --alg factored`: C12 1.3 s and 52 MB, C2xC6 2.0 s and 71 MB, on 2 vCPUs), and C13 (5200300
 # pushes; 4.0 s and 197 MB in the library) is refused
@@ -363,13 +364,13 @@ def _accumulate_leibniz(matrix: CayleyMatrix, signed: bool, translated: bool) ->
         terms = {key: coeff for key, coeff in terms.items() if coeff}
     powers = [base**i for i in range(n)]
     part = dict(zip(_unpack(terms, base, powers), terms.values()))
-    if not translated or n == 1:  # C1 has gamma = 0 alone, and itemgetter of one index gives no tuple
+    if not translated:
         return IntPolynomial._of(n, part)
     add_table, neg = matrix.group.add_table, matrix.group.neg_table
     where = {c: j for j, c in enumerate(matrix.cols)}
     # sign(tau_gamma), and sigma_gamma, which gives x_b the exponent of x_(b-gamma)
     signs = [_permutation_sign([where[add_table[c][g]] for c in matrix.cols]) if signed else 1 for g in range(n)]
-    moves = [operator.itemgetter(*add_table[neg[g]]) for g in range(n)]
+    moves = [_gather(add_table[neg[g]]) for g in range(n)]
     out: dict[tuple[int, ...], int] = {}
     for m0 in part:
         if m0 not in out:
@@ -394,7 +395,7 @@ def _basis(group: FiniteAbelianGroup) -> list[tuple[int, int]]:
     """
     parts: dict[int, list[tuple[int, int, int]]] = {}  # p -> (p^v, factor, residue)
     for j, m in enumerate(group.factors):
-        for p, v in prime_factorization(m) if m > 1 else ():
+        for p, v in prime_factorization(m):
             q = p**v
             parts.setdefault(p, []).append((q, j, m // q * pow(m // q, -1, q) % m))
     top = [0] * group.rank
@@ -526,7 +527,7 @@ class _Symmetry(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def _symmetry(group: FiniteAbelianGroup) -> _Symmetry:
-    """The _Symmetry of the plain table of a group of order 2 or more, shared by per and det.
+    """The _Symmetry of the plain table of a group on the orbit path, shared by per and det.
 
     Every square table whose row and column elements each list the group
     once is the plain table with its rows and columns permuted (its
@@ -577,7 +578,7 @@ def _symmetry(group: FiniteAbelianGroup) -> _Symmetry:
         [(mult, masks) for mult in mults for masks in shifts], orbit,
         [_permutation_sign(perm) for perm in perms],
         # the exponent of x_a in sigma_x(K) is the digit of K at label sigma_(-x)(phi(a))
-        [operator.itemgetter(*[perms[neg[x]][p] for p in phi]) for x in range(n)],
+        [_gather([perms[neg[x]][p] for p in phi]) for x in range(n)],
         images, _permutation_sign(phi), phi,
     )
 
@@ -623,11 +624,11 @@ def _dp_guard(matrix: CayleyMatrix, signed: bool) -> bool | None:
     It reads the table's shape from matrix.listing alone.  A repeated row or
     column makes the determinant 0 before any count.  Two columns agree
     exactly when their elements do, so the classes of identical columns are
-    the listing's classes.  Above ORBIT_MIN_PAIRS unreduced pairs, a table of
-    order 2 or more that is the plain table permuted (its listing has a
-    sign) counts the orbit states of the plain table's record, and runs
-    reduced; otherwise it runs unreduced on its own classes (_class_dp) and
-    counts their pairs.  A bordered table (its listing has a border) runs reduced when the plain
+    the listing's classes.  From order ORBIT_MIN_ORDER, a table that is the
+    plain table permuted (its listing has a sign) counts the orbit states
+    of the plain table's record, and runs reduced; otherwise it runs
+    unreduced on its own classes (_class_dp) and counts their pairs.  A
+    bordered table (its listing has a border) runs reduced when the plain
     table does, and then counts the plain table's orbit DP plus the
     border's pushes: C(n+1, 2) border monomials in all (_bordered), each
     times at most the Catalan number C(2n-2, n-1)/n of terms of one
@@ -639,8 +640,7 @@ def _dp_guard(matrix: CayleyMatrix, signed: bool) -> bool | None:
     if signed and listing.repeated:
         return None
     border = listing.border
-    # C1 has no record: its key modulus B^n - 1 would be 1
-    reduced = n > 1 and bool(border or listing.sign) and _dp_pairs(n, [1] * n, n, None) > ORBIT_MIN_PAIRS
+    reduced = n >= ORBIT_MIN_ORDER and bool(border or listing.sign)
     if not reduced:
         estimate = _dp_pairs(l, list(listing.classes.values()), n, None)
     else:
@@ -890,15 +890,14 @@ def _subset_dp(matrix: CayleyMatrix, signed: bool, reduced: bool | None) -> IntP
     or less included.
 
     A table the plan reduces (the plain table with its rows and columns
-    permuted, above ORBIT_MIN_PAIRS unreduced pairs) runs on the plain
-    table's _Symmetry record, which says how sigma_x acts on packed keys
-    (base n+2, or a power of two above n+1 on a non-cyclic group), and
-    keeps one state per orbit of column masks under every
-    translation of the group: its partial sums obey P_(T_x S) = sign(T_x, S)
-    sigma_x(P_S), where sigma_x moves every variable label by x and
-    sign(T_x, S) is -1 to the number of pairs of S that T_x reverses; a key
-    is never B^n - 1.  A representative R stores
-    W_R, the sum of the P_S of its orbit, each translated back to R
+    permuted, from order ORBIT_MIN_ORDER) runs on the plain table's
+    _Symmetry record, which says how sigma_x acts on packed keys (base n+2,
+    or a power of two above n+1 on a non-cyclic group), and keeps one state
+    per orbit of column masks under every translation of the group: its
+    partial sums obey P_(T_x S) = sign(T_x, S) sigma_x(P_S), where sigma_x
+    moves every variable label by x and sign(T_x, S) is -1 to the number of
+    pairs of S that T_x reverses; a key is never B^n - 1.  A representative
+    R stores W_R, the sum of the P_S of its orbit, each translated back to R
     (|orbit(R)| P_R), up to a translation that fixes R: each push from R
     lands in R u {j}, which is translated back to its own representative,
     by one of the translations that do so when there are several.  Every
@@ -1009,8 +1008,8 @@ def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomia
     At the end each twist has one integrality unpack over the
     representatives it reaches; each representative's label digits are
     unpacked once (_unpack), and the exponent vector of sigma^t(m) is read
-    off them with one itemgetter per twist t, as the subset DP's orbit tail
-    reads its translates.
+    off them with one gather (_gather) per twist t, as the subset DP's
+    orbit tail reads its translates.
     The loop shares only the relabeling (phi and its _label_addition) with
     the subset DP, so the two routes check each other.
     """
@@ -1084,10 +1083,8 @@ def _det_factored(matrix: CayleyMatrix, signed: bool, sign: int) -> IntPolynomia
             reps = [m for m in prod if sizes.get(m, e) > t]
             values[j] = dict(zip(reps, unpack_zeta_integers([prod[m] << j * bits for m in reps],
                                                             bits, modulus)))
-    # the exponent of x_a in sigma^t(m) is the digit of m at label phi(a) - t s; itemgetter of
-    # one index returns a bare item, and C1's one getter is the identity, digits[:]
-    exponents = [operator.itemgetter(*[(p - t * s) % n for p in phi]) if n > 1
-                 else operator.itemgetter(slice(None)) for t in range(e)]
+    # the exponent of x_a in sigma^t(m) is the digit of m at label phi(a) - t s
+    exponents = [_gather([(p - t * s) % n for p in phi]) for t in range(e)]
     terms = {}
     for m, digits in zip(prod, _unpack(prod, base, powers)):
         for j, exponent in zip(twists[:sizes.get(m, e)], exponents):
@@ -1389,10 +1386,7 @@ def check_action_identities(
     neg = group.neg_table
     failures: list[dict] = []
     facts = _PermutationFacts(add)
-    # seq o sigma_gamma^{-1} per gamma; itemgetter of one index returns a bare item,
-    # and the one permutation of one label is the identity, seq[:]
-    uncompose = [operator.itemgetter(*add[neg[g]]) if n > 1 else operator.itemgetter(slice(None))
-                 for g in range(n)]
+    uncompose = [_gather(add[neg[g]]) for g in range(n)]  # seq o sigma_gamma^{-1} per gamma
 
     witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}  # monomial -> its first permutation
     for pi in perms:

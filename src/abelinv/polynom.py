@@ -18,12 +18,17 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .numtheory import divisors, euler_phi, moebius
 
 if TYPE_CHECKING:
     from .groups import Element, FiniteAbelianGroup
+
+
+def _gather(indices: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A getter of a tuple's items at indices, as a tuple, one index included (itemgetter's gives the bare item)."""
+    return itemgetter(*indices) if len(indices) > 1 else itemgetter(slice(indices[0], indices[0] + 1))
 
 
 @lru_cache(maxsize=None)
@@ -174,9 +179,7 @@ class IntPolynomial:
         """Substitute x_i -> x_{perm[i]}."""
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError("not a permutation of the variables")
-        if self.nvars == 1:  # itemgetter of one index returns a bare item, not a tuple
-            return IntPolynomial._of(1, dict(self.terms))
-        gather = itemgetter(*sorted(range(self.nvars), key=perm.__getitem__))  # new[perm[i]] = exp[i]
+        gather = _gather(sorted(range(self.nvars), key=perm.__getitem__))  # new[perm[i]] = exp[i]
         return IntPolynomial._of(self.nvars, {gather(exp): c for exp, c in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:

@@ -421,10 +421,10 @@ def test_orbit_dp_matches_unreduced_dp(monkeypatch):
             label = (group.spec_string, table.variant, table.rows, table.cols)
             for signed in (False, True):
                 op = "det" if signed else "per"
-                monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", 0)
+                monkeypatch.setattr(cayley, "ORBIT_MIN_ORDER", 2)
                 assert refuse(table, op) is True, label
                 got = subset_dp(table, signed)
-                monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", math.inf)
+                monkeypatch.setattr(cayley, "ORBIT_MIN_ORDER", math.inf)
                 assert refuse(table, op) is False, label
                 assert got == subset_dp(table, signed), (label, signed)
 
@@ -579,7 +579,7 @@ def test_orbit_dp_matches_unreduced_dp_c11(monkeypatch):
     hat = build_table(parse_group("C11"), "hat")
     det = determinant(hat)
     assert det.term_count() == 32066
-    monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", math.inf)  # one state per column set
+    monkeypatch.setattr(cayley, "ORBIT_MIN_ORDER", math.inf)  # one state per column set
     assert det == subset_dp(hat, signed=True)
 
 
@@ -750,8 +750,8 @@ def test_reordered_bordered_tables_match_the_class_count_dp(monkeypatch):
     # r* and c* drawn from the whole group, both lists shuffled; on both paths of every group of
     # order 2-8, the orbit path forced down to order 2
     rng = random.Random(45)
-    for threshold in (cayley.ORBIT_MIN_PAIRS, 0):
-        monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", threshold)
+    for threshold in (cayley.ORBIT_MIN_ORDER, 2):
+        monkeypatch.setattr(cayley, "ORBIT_MIN_ORDER", threshold)
         for group in abelian_groups_up_to(8)[1:]:
             cayley._plain_dp.cache_clear()
             n = group.order
@@ -762,7 +762,7 @@ def test_reordered_bordered_tables_match_the_class_count_dp(monkeypatch):
                 rng.shuffle(cols)
                 table = cayley.CayleyMatrix(group, "plain", tuple(rows), tuple(cols))
                 assert table.listing.border == (r_star, c_star), group
-                assert refuse(table, "per") == (n > 5 or not threshold), group
+                assert refuse(table, "per") == (n >= threshold), group
                 assert permanent(table) == _class_dp(table, False), (group, rows, cols)
                 assert refuse(table, "det") is None and not determinant(table)
 
@@ -795,8 +795,8 @@ def test_mixed_listings_match_the_oracles_on_both_dp_paths(monkeypatch):
             table = cayley.CayleyMatrix(group, "plain", tuple(rows), tuple(cols))
             label = (group.spec_string, table.rows, table.cols)
             per, det = permanent(table, "leibniz"), determinant(table, "leibniz")
-            for threshold in (math.inf, 0):
-                monkeypatch.setattr(cayley, "ORBIT_MIN_PAIRS", threshold)
+            for threshold in (math.inf, 2):
+                monkeypatch.setattr(cayley, "ORBIT_MIN_ORDER", threshold)
                 assert permanent(table) == per, (label, threshold)
                 assert determinant(table) == det, (label, threshold)
             if table.size < n and len(set(rows)) == len(set(cols)) == table.size:
@@ -815,7 +815,7 @@ def test_bordered_guard_counts_the_plain_dp_and_the_border(monkeypatch):
         group = parse_group(spec)
         n = group.order
         table = build_table(group, "extended")
-        if _dp_pairs(n, [1] * n, n, None) > cayley.ORBIT_MIN_PAIRS:
+        if n >= cayley.ORBIT_MIN_ORDER:
             want = _dp_pairs(n, [1] * n, n, group.order_profile())
             want += math.comb(n + 1, 2) * math.comb(2 * n - 2, n - 1) // n
         else:
@@ -829,6 +829,40 @@ def test_bordered_guard_counts_the_plain_dp_and_the_border(monkeypatch):
         if n == 3:
             assert want == 79  # column classes of sizes 2, 1, 1: 1 + 3*3 + 4*6 + 3*10 + 1*15
     assert estimates[-1] == 87634354
+
+
+def test_orbit_path_starts_at_orbit_min_order(monkeypatch):
+    # C5's square and bordered tables stay on the class-count DP and C6's and C2xC3's take the orbit
+    # path; moved down to order 2, C2's take it and C1's, which has no orbit record, still do not
+    def tables(spec):
+        group = parse_group(spec)
+        variants = ("plain", "hat", "extended") + (("toeplitz",) if group.is_cyclic_presentation else ())
+        return [build_table(group, v) for v in variants]
+
+    for specs, want in ((("C5",), False), (("C6", "C2xC3"), True)):
+        for table in [table for spec in specs for table in tables(spec)]:
+            label = (table.group.spec_string, table.variant)
+            assert refuse(table, "per") is want, label
+            assert refuse(table, "det") is (None if table.listing.repeated else want), label
+    monkeypatch.setattr(cayley, "ORBIT_MIN_ORDER", 2)
+    for spec, want in (("C1", False), ("C2", True)):
+        for table in tables(spec):
+            assert refuse(table, "per") is want, (spec, table.variant)
+
+
+def test_trivial_group_values_on_every_route():
+    # C1's tables have the one entry x0 everywhere: per = l! x0^l, det = x0 at l = 1 and 0 beyond
+    group = parse_group("C1")
+    tables = [build_table(group, v) for v in ("plain", "hat", "extended", "block2n")]
+    tables += [build_table(group, "toeplitz", size=l) for l in (1, 2, 3)]
+    for table in tables:
+        l = table.size
+        for op, algorithm in cayley.ROUTES:
+            label = (table.variant, l, op, algorithm)
+            if op == "per":
+                assert permanent(table, algorithm) == poly(1, {(l,): math.factorial(l)}), label
+            else:
+                assert determinant(table, algorithm) == (poly(1, {(1,): 1}) if l == 1 else poly(1, {})), label
 
 
 def test_c11_extended_permanent_at_a_point():

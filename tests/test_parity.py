@@ -42,6 +42,11 @@ def test_every_command_has_its_json_form():
                + parity.REFUSALS + parity.BORDERED + tuple(set(parity.ORACLES) - set(parity.FRONTIER)))
     assert set(parity.FRONTIER) <= set(parity.ORACLES) and len(parity.FRONTIER) == 5
     assert {f"cayley det --group {g} --alg factored" for g in ("C12", "C2xC6")} <= set(parity.FRONTIER)
+    # the factored determinant's plain and hat tables of orders 1-4, the trivial group's included
+    assert len(parity.SMALL_FACTORED) == len(set(parity.SMALL_FACTORED)) == 10
+    assert set(parity.SMALL_FACTORED) <= set(parity.ORACLES) - set(parity.FRONTIER)
+    assert {"cayley det --group C1 --alg factored",
+            "cayley det --group C1 --variant hat --alg factored"} <= set(parity.SMALL_FACTORED)
     assert len(parity.REFUSALS) == 12
     assert len(parity.PRESENTATIONS) == 18
     # extended tables of C1-C10, C2xC2, C2xC4, C2xC2xC2 and C3xC3, n+1 toeplitz tables of C1-C9, refused C13

@@ -16,8 +16,9 @@ refuses, the checks whose planners
 decide their table guards (admitted and refused runs of `check hall`,
 `invariance`, `extended`, `conjecture` and `all`, and `check lehmer` at an
 unsupported prime), the oracle routes (`cayley per|det --alg leibniz` at
-sizes 1, 2, 4, 6, 8, 9 and 10 and `cayley det --alg factored`, at orders 11 and 12
-without `--json`), `cayley per|det`
+sizes 1, 2, 4, 6, 8, 9 and 10 and `cayley det --alg factored` at orders 1-12, on the
+plain and hat tables of every group of order at most 4, at orders 11 and 12 without
+`--json`), `cayley per|det`
 on the hat and toeplitz tables of orders 6-8, `cayley per` on the extended
 tables of orders 1-10 and the n+1 toeplitz tables of n = 1-9 (and a refused
 C13 extended table), one refused command for each
@@ -54,9 +55,12 @@ SWEEPS = ("check hall --max-order 7 --max-order-ext 5", "check invariance --max-
 
 # the oracle routes: Leibniz at its parity-digit edges (l = 1, 2 and 10, repeated columns), at
 # the benchmark's sizes, and summing the column translates of one part at orders 6-10 (the signs
-# of the hat and toeplitz tables, cyclic and not), and the factored determinant at orders 5-12:
-# prime and composite exponents, strides n/e of 1 to 4, and the signs of the hat and toeplitz tables;
-# at orders 11 and 12 (FRONTIER, 1-2 s each) without the --json form, which is 6-17 MB
+# of the hat and toeplitz tables, cyclic and not), and the factored determinant at orders 1-12:
+# the plain and hat tables of orders 1-4 (SMALL_FACTORED; C1 included), prime and composite
+# exponents, strides n/e of 1 to 4, and the signs of the hat and toeplitz tables; at orders 11
+# and 12 (FRONTIER, 1-2 s each) without the --json form, which is 6-17 MB
+SMALL_FACTORED = tuple(f"cayley det --group {g}{v} --alg factored" for g in ("C1", "C2", "C3", "C4", "C2xC2")
+                       for v in ("", " --variant hat"))
 FRONTIER = tuple(f"cayley det --group {g} --alg factored" for g in ("C11", "C12", "C2xC6", "C3xC4", "C2xC2xC3"))
 ORACLES = tuple(f"cayley {op} --group {g} --alg leibniz" for op in ("per", "det") for g in (
     "C1", "C2", "C2 --variant hat", "C3 --variant extended", "C4 --variant block2n",
@@ -64,7 +68,7 @@ ORACLES = tuple(f"cayley {op} --group {g} --alg leibniz" for op in ("per", "det"
     "C2xC5 --variant hat", "C6 --variant toeplitz")) + tuple(
     f"cayley det --group {g} --alg factored" for g in (
         "C5", "C7", "C8", "C9", "C10", "C2xC4", "C2xC5", "C3xC3", "C2xC2xC2 --variant hat", "C6 --variant toeplitz")
-) + FRONTIER
+) + SMALL_FACTORED + FRONTIER
 
 # bordered tables (the group listed once on each side plus one element): at orders 1-5 the
 # class-count DP on the table's own lists, from order 6 the permanent expanded along its border over
